@@ -6,13 +6,14 @@ site, channel, mean_abs, max_abs, tokens, pos_bucket.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
-from .toymodel import Session, ToyModel, generate
+from .quantrun import capture_activations
+from .toymodel import ToyModel, generate
 
 
 @dataclass
@@ -108,19 +109,6 @@ class ChannelStats:
                             total, a.pos_bucket)
 
 
-class _SiteAccumulator:
-    def __init__(self, n_channels):
-        self.sum_abs = np.zeros(n_channels)
-        self.max_abs = np.zeros(n_channels)
-        self.tokens = 0
-
-    def add(self, row):
-        a = np.abs(row)
-        self.sum_abs += a
-        self.max_abs = np.maximum(self.max_abs, a)
-        self.tokens += 1
-
-
 def known_sites(m: ToyModel) -> list:
     sites = ["lm_head_in"]
     for i in range(m.config.n_layers):
@@ -130,54 +118,31 @@ def known_sites(m: ToyModel) -> list:
     return sites
 
 
-class _StatsRecorder:
-    """Streaming per-channel |.| accumulators, optionally bucketed by
-    position range."""
-
-    def __init__(self, sites, buckets: Optional[list] = None):
-        self.sites = set(sites)
-        self.buckets = buckets  # list of (lo, hi) half-open ranges, or None
-        self.acc = {}
-
-    def _bucket_of(self, pos):
-        if self.buckets is None:
-            return "all"
-        for lo, hi in self.buckets:
-            if lo <= pos < hi:
-                return f"[{lo},{hi})"
-        return None
-
-    def record(self, site, row, pos):
-        if site not in self.sites:
-            return
-        bucket = self._bucket_of(pos)
-        if bucket is None:
-            return
-        key = (site, bucket)
-        if key not in self.acc:
-            self.acc[key] = _SiteAccumulator(len(row))
-        self.acc[key].add(row)
-
-
 def capture_channel_stats(m: ToyModel, calib: CalibrationSet, sites,
                           pos_buckets: Optional[list] = None) -> list:
     """Per-channel mean-|.| and max-|.| at the named capture sites over all
-    calibration sequences."""
+    calibration sequences, optionally bucketed by half-open position ranges
+    (a position counts in the first bucket holding it)."""
     valid = set(known_sites(m))
     for s in sites:
         if s not in valid:
             raise UnknownSite(f"unknown capture site {s!r}")
-    rec = _StatsRecorder(sites, pos_buckets)
-    for seq in calib.sequences:
-        sess = Session(m, recorder=rec)
-        for t in seq:
-            sess.step(t)
+    rec = capture_activations(m, calib.sequences, sites)
     out = []
-    for (site, bucket), acc in sorted(rec.acc.items()):
-        out.append(ChannelStats(site=site, mean_abs=acc.sum_abs / acc.tokens,
-                                max_abs=acc.max_abs, tokens=acc.tokens,
-                                pos_bucket=bucket))
-    return out
+    for site in rec.rows:
+        a = np.abs(rec.matrix(site))
+        pos = rec.pos_array(site)
+        free = np.ones(len(pos), dtype=bool)
+        for lo, hi in pos_buckets or [(0, np.inf)]:
+            keep = free & (lo <= pos) & (pos < hi)
+            free &= ~keep
+            n = int(keep.sum())
+            if n:
+                out.append(ChannelStats(
+                    site=site, mean_abs=a[keep].sum(axis=0) / n,
+                    max_abs=a[keep].max(axis=0), tokens=n,
+                    pos_bucket="all" if pos_buckets is None else f"[{lo},{hi})"))
+    return sorted(out, key=lambda st: (st.site, st.pos_bucket))
 
 
 def stats_to_csv(stats, path) -> None:

@@ -14,15 +14,16 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, ShapeMismatch, TruncatedFile
+from .errors import BadMagic, ShapeMismatch
 from .quantcore import (
     QuantParams,
     QuantSpec,
     QuantizedTensor,
+    dequantize,
     pack_codes,
     unpack_codes,
 )
-from .toymodel import ToyConfig, ToyModel
+from .toymodel import ToyModel, manifest_shape, read_blob, read_f32, read_header
 
 MAGIC = b"TQQ1"
 FORMAT_VERSION = 1
@@ -115,55 +116,30 @@ def load_checkpoint(path):
     are materialized in dequantized form so it runs directly."""
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 9:
-        raise TruncatedFile(len(raw), "file shorter than fixed header")
-    if raw[:4] != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, got {raw[:4]!r}")
-    hdr_len = struct.unpack_from("<I", raw, 5)[0]
-    if 9 + hdr_len > len(raw):
-        raise TruncatedFile(len(raw), "header extends past end of file")
-    try:
-        header = json.loads(raw[9 : 9 + hdr_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise BadMagic(f"unparseable header: {e}")
-    cfg = ToyConfig.from_dict(header["config"])
-
-    def slice_checked(start, nbytes, what):
-        if start + nbytes > len(raw):
-            raise TruncatedFile(start, f"{what} truncated")
-        return raw[start : start + nbytes]
-
-    tensors = {}
-    for entry in header["fp_tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        data = slice_checked(entry["offset"], count * 4, entry["name"])
-        tensors[entry["name"]] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
-    aux = {}
-    for entry in header.get("aux", []):
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        data = slice_checked(entry["offset"], count * 4, entry["name"])
-        aux[entry["name"]] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+    header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
+    tensors = {e["name"]: read_f32(raw, e) for e in header["fp_tensors"]}
+    aux = {e["name"]: read_f32(raw, e) for e in header.get("aux", [])}
 
     quantized = {}
-    from .quantcore import dequantize
-
     for entry in header["q_tensors"]:
-        spec = QuantSpec.from_dict(entry["spec"])
-        shape = tuple(entry["shape"])
-        pshape = tuple(entry["param_shape"])
+        shape = manifest_shape(entry)
+        pshape = manifest_shape(entry, "param_shape")
+        what = f"tensor {entry['name']!r}"
+        try:
+            spec = QuantSpec.from_dict(entry["spec"])
+        except (KeyError, TypeError) as e:  # absent, not a mapping, bad key
+            raise BadMagic(f"{what}: bad spec: {e}")
         pcount = int(np.prod(pshape))
         scales = np.frombuffer(
-            slice_checked(entry["scales_offset"], pcount * 8, entry["name"]),
+            read_blob(raw, entry.get("scales_offset"), pcount * 8, what),
             dtype="<f8").reshape(pshape).copy()
         zps = None
         if "zero_points_offset" in entry:
             zps = np.frombuffer(
-                slice_checked(entry["zero_points_offset"], pcount * 4, entry["name"]),
+                read_blob(raw, entry["zero_points_offset"], pcount * 4, what),
                 dtype="<i4").reshape(pshape).copy()
-        codes_raw = slice_checked(entry["codes_offset"], entry["codes_bytes"],
-                                  entry["name"])
+        codes_raw = read_blob(raw, entry.get("codes_offset"),
+                              entry.get("codes_bytes", 0), what)
         count = int(np.prod(shape))
         codes = unpack_codes(codes_raw, count, spec.bits, spec.symmetric).reshape(shape)
         params = QuantParams(scales, zps, spec, shape)

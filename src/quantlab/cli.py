@@ -15,7 +15,7 @@ from . import calibration, checkpoint, harness
 from .errors import QuantLabError
 from .quantrun import QuantPlan, prepare_runtime
 from .rng import make_rng
-from .toymodel import ToyConfig, ToyModel, generate, init_model, load_model, save_model
+from .toymodel import ToyConfig, generate, init_model, load_model, save_model
 from .weightquant import (
     GptqConfig,
     awq_fold,
@@ -35,7 +35,6 @@ def _add_common(p):
 def _plan_from_args(args) -> QuantPlan:
     kwargs = {}
     if getattr(args, "method", None):
-        w, a, kv = (int(x) for x in args.plan.split("-"))
         if args.method in ("rtn", "gptq", "awq"):
             kwargs["w_method"] = args.method
         elif args.method in ("smoothquant", "rotate", "flatquant", "mxfp4"):
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="write a quantized checkpoint")
     model_plan(p)
-    p.add_argument("--w-bits", type=int, dest="w_bits")
     _add_common(p)
     p.set_defaults(fn=cmd_quantize)
 

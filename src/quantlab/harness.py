@@ -11,7 +11,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -142,12 +142,12 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
 
     Returns (sequence, thinking_count, total_generated).
     """
+    if not prompt:
+        raise ValueError("prompt must hold at least one token")
     if runtime is None and not plan.passthrough:
         runtime = prepare_runtime(model, plan, calib_sequences)
     sess = Session(model, runtime=None if plan.passthrough else runtime)
-    logits = None
-    for t in prompt:
-        logits = sess.step(t)
+    logits = sess.forward(prompt)[-1]
     seq = list(prompt)
     max_len = model.config.max_seq_len
 

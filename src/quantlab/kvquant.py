@@ -7,7 +7,7 @@ semantics: entries are quantized when appended and dequantized on read;
 past entries are never requantized.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .quantcore import (
     QuantSpec,
     QuantizedTensor,
     dequantize,
-    fake_quant,
     fit_asymmetric,
     fit_params,
     quantize,
@@ -53,20 +52,24 @@ class RopeConfig:
         return np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
 
 
-def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos: int = 0) -> np.ndarray:
-    """Rotary embedding on interleaved pairs (x_{2i}, x_{2i+1}); row r is
-    position start_pos + r. Pairwise 2-norms are preserved."""
+def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos=0) -> np.ndarray:
+    """Rotary embedding on interleaved pairs (x_{2i}, x_{2i+1}) of the last
+    axis, which is head_dim wide. Positions run along axis 0: row r is at
+    position start_pos + r, or at start_pos[r] when start_pos is an array.
+    Pairwise 2-norms are preserved."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != cfg.head_dim:
-        raise OddHeadDim(f"expected {cfg.head_dim} columns, got {x.shape[1]}")
-    pos = np.arange(start_pos, start_pos + x.shape[0])
-    th = cfg.angles(pos)
+    if x.shape[-1] != cfg.head_dim:
+        raise OddHeadDim(f"expected {cfg.head_dim} columns, got {x.shape[-1]}")
+    pos = np.asarray(start_pos)
+    if pos.ndim == 0:
+        pos = pos + np.arange(x.shape[0])
+    th = cfg.angles(pos).reshape((x.shape[0],) + (1,) * (x.ndim - 2) + (-1,))
     c, s = np.cos(th), np.sin(th)
-    even = x[:, 0::2]
-    odd = x[:, 1::2]
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
     out = np.empty_like(x)
-    out[:, 0::2] = even * c - odd * s
-    out[:, 1::2] = even * s + odd * c
+    out[..., 0::2] = even * c - odd * s
+    out[..., 1::2] = even * s + odd * c
     return out
 
 
@@ -101,9 +104,11 @@ class KvQuantStarConfig:
 
 
 def k_stage_tensor(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
-                   cfg_rope: RopeConfig, pos: int) -> np.ndarray:
+                   cfg_rope: RopeConfig, pos) -> np.ndarray:
     """The K tensor at the configured quantization stage. k_raw is the
-    pre-bias projection output (positions, head_dim)."""
+    pre-bias projection output, positions along axis 0 and head_dim last
+    ((positions, head_dim) or (positions, heads, head_dim)); ``pos`` is as
+    rope_apply's ``start_pos``."""
     k = np.asarray(k_raw, dtype=np.float64)
     if cfg.k_bias_mode == POST_BIAS:
         k = k + bias[np.newaxis, :]

@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives: matmul, Cholesky, SPD inverse, Hadamard.
+"""Dense linear-algebra primitives: Cholesky, SPD inverse, Hadamard.
 
 All compensation math runs in float64; callers that store weights in
 float32 must upcast before calling in here. Everything is a pure function
@@ -10,22 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotPowerOfTwo
-
-
-def as_matrix(a, dtype=np.float64) -> np.ndarray:
-    """Validate a 2-D finite array and return it as a contiguous ndarray."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=dtype))
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN/Inf")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def cholesky(a: np.ndarray, sym_tol: float = 1e-9) -> np.ndarray:
@@ -82,14 +66,6 @@ class HadamardMatrix:
     n: int
     matrix: np.ndarray  # n x n, includes 1/sqrt(n) normalization and sign diag
     sign_diag: np.ndarray  # +-1 vector of length n
-
-    def apply_right(self, x: np.ndarray) -> np.ndarray:
-        """x @ H"""
-        return x @ self.matrix
-
-    def apply_left_t(self, w: np.ndarray) -> np.ndarray:
-        """H.T @ w"""
-        return self.matrix.T @ w
 
 
 def hadamard(n: int, randomize: bool = False, rng=None) -> HadamardMatrix:

@@ -6,7 +6,7 @@ Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -16,6 +16,7 @@ from .kvquant import (
     PRE_BIAS,
     PRE_ROPE,
     KvQuantStarConfig,
+    RopeConfig,
     calibrate_k_channels,
     default_kv_k_channel_spec,
     default_kv_v_spec,
@@ -23,8 +24,10 @@ from .kvquant import (
     params_from_ranges,
     quantize_v_per_token,
     rope_apply,
+    rotate_kv_heads,
+    unrotate_kv_heads,
 )
-from .mxfp4 import mxfp4_fake_quant
+from .mxfp4 import BLOCK_SIZE, mxfp4_fake_quant
 from .numerics import hadamard
 from .quantcore import (
     PER_CHANNEL,
@@ -129,35 +132,34 @@ class QuantPlan:
 
 
 class ActivationRecorder:
-    """Collects rows per capture site during a forward pass."""
+    """Collects the row blocks a forward pass produces per capture site."""
 
     def __init__(self, sites=None):
         self.sites = None if sites is None else set(sites)
         self.rows = {}
         self.positions = {}
 
-    def record(self, site, row, pos):
+    def record(self, site, rows, start):
+        """One block of rows; row r is at position start + r."""
         if self.sites is not None and site not in self.sites:
             return
-        self.rows.setdefault(site, []).append(np.array(row))
-        self.positions.setdefault(site, []).append(pos)
+        self.rows.setdefault(site, []).append(np.array(rows))
+        self.positions.setdefault(site, []).append(start + np.arange(len(rows)))
 
     def matrix(self, site) -> np.ndarray:
         if site not in self.rows:
             raise MissingCalibration(f"no activations captured at {site!r}")
-        return np.stack(self.rows[site])
+        return np.concatenate(self.rows[site])
 
     def pos_array(self, site) -> np.ndarray:
-        return np.asarray(self.positions[site])
+        return np.concatenate(self.positions[site])
 
 
 def capture_activations(model: ToyModel, sequences, sites=None) -> ActivationRecorder:
     """Run reference forwards over calibration sequences, recording rows."""
     rec = ActivationRecorder(sites)
     for seq in sequences:
-        sess = Session(model, recorder=rec)
-        for t in seq:
-            sess.step(t)
+        Session(model, recorder=rec).forward(seq)
     return rec
 
 
@@ -238,14 +240,21 @@ class FlatLinear(PlainLinear):
         return xt @ self.w.T
 
 
+def _mxfp4_rows(x: np.ndarray) -> np.ndarray:
+    """MXFP4 round trip of each row on its own: rows are zero-padded to
+    whole 32-element blocks, so no block straddles two rows."""
+    cols = x.shape[1]
+    return mxfp4_fake_quant(np.pad(x, ((0, 0), (0, -cols % BLOCK_SIZE))))[:, :cols]
+
+
 class Mxfp4Linear(PlainLinear):
-    """Weights and inputs round-tripped through MXFP4 blocks."""
+    """Weights and inputs round-tripped through MXFP4 blocks along rows."""
 
     def __init__(self, w, b):
-        super().__init__(mxfp4_fake_quant(np.asarray(w, dtype=np.float64)), b)
+        super().__init__(_mxfp4_rows(np.asarray(w, dtype=np.float64)), b)
 
     def pre_bias(self, x):
-        return mxfp4_fake_quant(x) @ self.w.T
+        return _mxfp4_rows(x) @ self.w.T
 
 
 # --- runtime ------------------------------------------------------------------
@@ -268,50 +277,37 @@ class Runtime:
         return self.linears.get(name) or PlainLinear(w, b)
 
     def kv_write(self, layer, k_pre, k_rope, v, bias, rope_cfg, pos):
-        """Return the (reconstructed) K/V rows to store in the cache."""
+        """Return the (reconstructed) K/V rows to store in the cache for a
+        block of (T, d_model) rows, row r at position pos + r."""
         plan = self.plan
         if plan.kv_bits >= 16:
             return k_rope, v
+        spec = self.kv_token_spec
         if plan.kv_method == "per_token":
-            k_store = fake_quant(k_rope[np.newaxis, :], self.kv_token_spec)[0]
-            v_store = fake_quant(v[np.newaxis, :], self.kv_token_spec)[0]
-            return k_store, v_store
+            return fake_quant(k_rope, spec), fake_quant(v, spec)
+        hd = self.model.config.head_dim
         if plan.kv_method == "rotated_per_token":
             h = self.kv_hadamard
-            nh = self.model.config.n_heads
-            hd = self.model.config.head_dim
-            k_rot = (k_rope.reshape(nh, hd) @ h.matrix).reshape(-1)
-            v_rot = (v.reshape(nh, hd) @ h.matrix).reshape(-1)
-            k_q = fake_quant(k_rot[np.newaxis, :], self.kv_token_spec)[0]
-            v_q = fake_quant(v_rot[np.newaxis, :], self.kv_token_spec)[0]
-            k_store = (k_q.reshape(nh, hd) @ h.matrix.T).reshape(-1)
-            v_store = (v_q.reshape(nh, hd) @ h.matrix.T).reshape(-1)
-            return k_store, v_store
+
+            def round_trip(rows):
+                rot = rotate_kv_heads(rows.reshape(-1, hd), h).reshape(rows.shape)
+                q = fake_quant(rot, spec).reshape(-1, hd)
+                return unrotate_kv_heads(q, h).reshape(rows.shape)
+
+            return round_trip(k_rope), round_trip(v)
         # kvquant_star: static per-channel K (pre/post rope, pre/post bias),
-        # dynamic per-token V; K staging/reconstruction runs per head so
-        # RoPE sees head_dim-wide slices
+        # dynamic per-token V; K is staged per head so RoPE sees head_dim
         cfg = self.kv_cfgs[layer]
-        nh = self.model.config.n_heads
-        hd = self.model.config.head_dim
-        staged = np.empty_like(k_pre)
-        for hh in range(nh):
-            sl = slice(hh * hd, (hh + 1) * hd)
-            staged[sl] = k_stage_tensor(k_pre[sl][np.newaxis, :], bias[sl],
-                                        cfg, rope_cfg, pos)[0]
-        mn, mx = cfg.k_channel_ranges
-        params = params_from_ranges(mn, mx, cfg.k_spec, (1, staged.size))
-        k_hat = dequantize(quantize(staged[np.newaxis, :], params))[0]
+        heads = (len(k_pre), -1, hd)
+        staged = k_stage_tensor(k_pre.reshape(heads), bias.reshape(heads[1:]),
+                                cfg, rope_cfg, pos).reshape(k_pre.shape)
+        params = params_from_ranges(*cfg.k_channel_ranges, cfg.k_spec, staged.shape)
+        k_hat = dequantize(quantize(staged, params))
         if cfg.k_bias_mode == PRE_BIAS:
             k_hat = k_hat + bias
         if cfg.k_stage == PRE_ROPE:
-            out = np.empty_like(k_hat)
-            for hh in range(nh):
-                sl = slice(hh * hd, (hh + 1) * hd)
-                out[sl] = rope_apply(k_hat[sl][np.newaxis, :], rope_cfg,
-                                     start_pos=pos)[0]
-            k_hat = out
-        v_store = dequantize(quantize_v_per_token(v[np.newaxis, :], cfg.v_spec))[0]
-        return k_hat, v_store
+            k_hat = rope_apply(k_hat.reshape(heads), rope_cfg, pos).reshape(k_pre.shape)
+        return k_hat, dequantize(quantize_v_per_token(v, cfg.v_spec))
 
 
 def _weight_linear_names(model: ToyModel, include_lm_head: bool):
@@ -385,7 +381,6 @@ def _prepare_weight_only(rt: Runtime, names, rec):
             w_hat = dequantize(rtn_quantize_weights(w_scaled, spec))
             rt.linears[name] = FakeQuantLinear(w_hat, b, inv_input_scale=inv_s)
             rt.proxy_losses[name] = res.proxy_loss
-            model.aux[f"{name}.awq_inv_scales"] = inv_s.astype(np.float32)
 
 
 def _wa_specs(plan: QuantPlan):
@@ -421,7 +416,6 @@ def _prepare_wa(rt: Runtime, names, rec, rng):
                 if plan.w_bits < 16 else w * ss.scales[np.newaxis, :]
             rt.linears[name] = FakeQuantLinear(
                 w_hat, b, act_spec=spec_a, inv_input_scale=1.0 / ss.scales)
-            model.aux[f"{name}.smooth_scales"] = ss.scales.astype(np.float32)
         else:  # flatquant
             x = rec.matrix(linear_input_site(name))
             t = flat_train(w, x, spec_w, spec_a, steps=plan.flat_steps)
@@ -438,10 +432,8 @@ def _prepare_kv(rt: Runtime, rec, rng):
         return
     if rec is None:
         raise MissingCalibration("kvquant_star needs calibration sequences")
-    from .kvquant import RopeConfig
-
-    rope_cfg = RopeConfig(head_dim=model.config.head_dim,
-                          base=model.config.rope_base)
+    hd = model.config.head_dim
+    rope_cfg = RopeConfig(head_dim=hd, base=model.config.rope_base)
     for i in range(model.config.n_layers):
         cfg = KvQuantStarConfig(
             k_spec=default_kv_k_channel_spec(plan.kv_bits),
@@ -449,22 +441,15 @@ def _prepare_kv(rt: Runtime, rec, rng):
             k_stage=plan.k_stage,
             k_bias_mode=plan.k_bias_mode,
         )
-        k_rows = rec.matrix(f"layer{i}.k_pre_bias")
-        positions = rec.pos_array(f"layer{i}.k_pre_bias")
+        site = f"layer{i}.k_pre_bias"
+        k_rows = rec.matrix(site)
         bias = model.tensors.get(f"layers.{i}.bk")
         bias = np.zeros(model.config.d_model) if bias is None \
             else bias.astype(np.float64)
-        nh, hd = model.config.n_heads, model.config.head_dim
-        staged = np.empty_like(k_rows)
-        for r in range(k_rows.shape[0]):
-            row = k_rows[r].reshape(nh, hd)
-            srow = np.empty_like(row)
-            for hh in range(nh):
-                srow[hh] = k_stage_tensor(row[hh][np.newaxis, :],
-                                          bias.reshape(nh, hd)[hh], cfg,
-                                          rope_cfg, int(positions[r]))[0]
-            staged[r] = srow.reshape(-1)
-        rt.kv_cfgs[i] = calibrate_k_channels(staged, cfg)
+        staged = k_stage_tensor(k_rows.reshape(len(k_rows), -1, hd),
+                                bias.reshape(-1, hd), cfg, rope_cfg,
+                                rec.pos_array(site))
+        rt.kv_cfgs[i] = calibrate_k_channels(staged.reshape(k_rows.shape), cfg)
 
 
 def forward_quantized(model: ToyModel, tokens, plan: QuantPlan,
@@ -474,5 +459,4 @@ def forward_quantized(model: ToyModel, tokens, plan: QuantPlan,
     runtime may be passed to amortize calibration across probes."""
     if runtime is None:
         runtime = prepare_runtime(model, plan, calib_sequences)
-    sess = Session(model, runtime=None if plan.passthrough else runtime)
-    return np.stack([sess.step(t) for t in tokens])
+    return Session(model, runtime=None if plan.passthrough else runtime).forward(tokens)

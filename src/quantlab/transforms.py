@@ -8,7 +8,6 @@ Conventions: weights ``w`` are (out, in), activations ``x`` are
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class FlatTransform:
     p2: np.ndarray
     act_clip: float = 1.0
     weight_clip: float = 1.0
-    per_channel_scale: Optional[np.ndarray] = None
     objective_trace: list = field(default_factory=list)
 
     @property
@@ -110,9 +108,6 @@ def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
     w = np.asarray(w, dtype=np.float64)
     if x.shape[1] != t.n or w.shape[1] != t.n:
         raise DimensionMismatch(f"transform dim {t.n} vs x {x.shape}, w {w.shape}")
-    if t.per_channel_scale is not None:
-        x = x / t.per_channel_scale[np.newaxis, :]
-        w = w * t.per_channel_scale[np.newaxis, :]
     xt = kron_apply_right(x, t.p1, t.p2)
     p1_inv = np.linalg.inv(t.p1)
     p2_inv = np.linalg.inv(t.p2)
@@ -160,8 +155,7 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
         if (np.linalg.cond(p1) > max_condition or
                 np.linalg.cond(p2) > max_condition):
             return np.inf
-        cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc,
-                             per_channel_scale=t.per_channel_scale)
+        cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc)
         return flat_objective(w, x, cand, spec_w, spec_a)
 
     v = pack()

@@ -65,10 +65,6 @@ def rtn_quantize_weights(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
     return quantize(w, fit_params(w, spec))
 
 
-def _fit_group_params(w: np.ndarray, spec: QuantSpec) -> QuantParams:
-    return fit_params(w, spec)
-
-
 def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> QuantizedTensor:
     """GPTQ: quantize columns one at a time, folding each column's rounding
     error into the not-yet-quantized columns via the inverse Hessian.
@@ -124,7 +120,7 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
     for step, j in enumerate(order):
         g = group_of[j]
         if not fitted[g]:
-            params = _fit_group_params(work, spec)
+            params = fit_params(work, spec)
             if spec.granularity == PER_GROUP and g_axis == 1:
                 scales[:, g] = params.scales[:, g]
                 if zps is not None:

@@ -1,4 +1,7 @@
-import numpy as np
+import json
+import struct
+from pathlib import Path
+
 import pytest
 
 from quantlab.rng import make_rng
@@ -22,16 +25,15 @@ def rng():
     return make_rng(0)
 
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop reference product used as an independent oracle."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
+def rewrite_header(src, dst, edit) -> None:
+    """Copy a TQM1/TQQ1 file to ``dst`` with ``edit`` applied to its parsed
+    JSON header. The new header is padded with spaces to the old length, so
+    the absolute data offsets stay valid; ``edit`` must not lengthen it."""
+    raw = bytearray(Path(src).read_bytes())
+    n = struct.unpack_from("<I", raw, 5)[0]
+    header = json.loads(raw[9 : 9 + n])
+    edit(header)
+    new = json.dumps(header, separators=(",", ":")).encode()
+    assert len(new) <= n
+    raw[9 : 9 + n] = new.ljust(n)
+    Path(dst).write_bytes(bytes(raw))

@@ -7,6 +7,8 @@ from quantlab.calibration import parse_sequences
 from quantlab.checkpoint import load_checkpoint
 from quantlab.toymodel import load_model
 
+from conftest import rewrite_header
+
 SMALL_CFG = {"n_layers": 1, "d_model": 16, "n_heads": 2, "head_dim": 8,
              "vocab_size": 16, "max_seq_len": 128}
 
@@ -187,8 +189,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
 
+    def test_empty_prompt(self, model_file, tmp_path, capsys):
+        rc = cli.main(["generate", "--model", model_file, "--prompt", "",
+                       "--out", str(tmp_path / "g.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: prompt")
+
     def test_bad_plan_string(self, model_file, tmp_path, capsys):
         rc = cli.main(["drift", "--model", model_file, "--plan", "four",
                        "--out", str(tmp_path / "d.csv")])
         assert rc == 1
         assert "error: ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, error", [
+        pytest.param(lambda h: h.pop("tensors"), "BadMagic",
+                     id="missing-tensors"),
+        pytest.param(lambda h: h["config"].update(
+            qkv_biaz=h["config"].pop("qkv_bias")), "BadMagic",
+                     id="unknown-config-key"),
+        pytest.param(lambda h: h.update(config=[1]), "BadMagic",
+                     id="config-not-a-dict"),
+        pytest.param(lambda h: h["tensors"][0].update(offset=-64),
+                     "TruncatedFile", id="negative-offset"),
+        pytest.param(lambda h: h["tensors"][0].update(shape=[-1]),
+                     "ShapeMismatch", id="negative-dim"),
+    ])
+    def test_malformed_header(self, model_file, tmp_path, capsys, edit, error):
+        bad = tmp_path / "bad.tqm"
+        rewrite_header(model_file, bad, edit)
+        rc = cli.main(["drift", "--model", str(bad), "--plan", "16-16-16",
+                       "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1

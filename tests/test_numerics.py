@@ -1,47 +1,15 @@
 import numpy as np
 import pytest
 
-from quantlab.errors import DimensionMismatch, NotPositiveDefinite, NotPowerOfTwo
+from quantlab.errors import NotPositiveDefinite, NotPowerOfTwo
 from quantlab.numerics import (
-    as_matrix,
     cholesky,
     hadamard,
     invert_spd,
     is_power_of_two,
-    matmul,
     solve_lower,
 )
 from quantlab.rng import make_rng
-
-from conftest import naive_matmul
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        assert np.array_equal(out, np.array([[2.0], [4.0]]))
-
-    def test_against_naive_loop(self):
-        rng = make_rng(7)
-        a = rng.standard_normal((64, 64))
-        b = rng.standard_normal((64, 64))
-        got = matmul(a, b)
-        ref = naive_matmul(a, b)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_as_matrix_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            as_matrix(np.array([[np.nan, 1.0]]))
-        with pytest.raises(DimensionMismatch):
-            as_matrix(np.zeros(3))
 
 
 class TestCholesky:

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
-from quantlab.errors import BadMagic, MissingCalibration, TruncatedFile
+from quantlab.errors import (
+    BadMagic,
+    MissingCalibration,
+    ShapeMismatch,
+    TruncatedFile,
+)
 from quantlab.quantcore import dequantize
 from quantlab.quantrun import (
+    Mxfp4Linear,
     QuantPlan,
     capture_activations,
     forward_quantized,
@@ -12,8 +18,10 @@ from quantlab.quantrun import (
     prepare_runtime,
 )
 from quantlab.rng import make_rng
-from quantlab.toymodel import ToyConfig, forward_reference, init_model
+from quantlab.toymodel import ToyConfig, Session, forward_reference, init_model
 from quantlab.weightquant import default_weight_spec, rtn_quantize_weights
+
+from conftest import rewrite_header
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=64)
@@ -34,6 +42,20 @@ def calib_seqs(small_model):
 def probe(n, vocab=SMALL.vocab_size, seed=2):
     rng = make_rng(seed)
     return [int(t) for t in rng.integers(0, vocab, size=n)]
+
+
+PLAN_FAMILIES = [
+    dict(w_bits=4, w_method="rtn"),
+    dict(w_bits=4, w_method="gptq"),
+    dict(w_bits=4, w_method="awq", awq_grid_step=0.25),
+    dict(w_bits=4, a_bits=4, wa_method="smoothquant"),
+    dict(w_bits=4, a_bits=4, wa_method="rotate"),
+    dict(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=2),
+    dict(w_bits=4, a_bits=4, wa_method="mxfp4"),
+    dict(kv_bits=4, kv_method="per_token"),
+    dict(kv_bits=4, kv_method="rotated_per_token"),
+    dict(kv_bits=4, kv_method="kvquant_star"),
+]
 
 
 class TestPlan:
@@ -114,18 +136,7 @@ class TestForward:
         b = forward_quantized(small_model, [0, 5, 9, 7], plan, runtime=rt)
         assert np.allclose(a[:3], b[:3])
 
-    @pytest.mark.parametrize("plan_kwargs", [
-        dict(w_bits=4, w_method="rtn"),
-        dict(w_bits=4, w_method="gptq"),
-        dict(w_bits=4, w_method="awq", awq_grid_step=0.25),
-        dict(w_bits=4, a_bits=4, wa_method="smoothquant"),
-        dict(w_bits=4, a_bits=4, wa_method="rotate"),
-        dict(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=2),
-        dict(w_bits=4, a_bits=4, wa_method="mxfp4"),
-        dict(kv_bits=4, kv_method="per_token"),
-        dict(kv_bits=4, kv_method="rotated_per_token"),
-        dict(kv_bits=4, kv_method="kvquant_star"),
-    ])
+    @pytest.mark.parametrize("plan_kwargs", PLAN_FAMILIES)
     def test_every_method_runs_and_stays_close(self, small_model, calib_seqs,
                                                plan_kwargs):
         toks = probe(12)
@@ -134,6 +145,53 @@ class TestForward:
                               calib_sequences=calib_seqs)
         assert np.all(np.isfinite(q))
         assert np.max(np.abs(q - ref)) < 0.5 * np.max(np.abs(ref)) + 5.0
+
+    @pytest.mark.parametrize("plan_kwargs", [dict()] + PLAN_FAMILIES)
+    def test_step_forward_and_chunks_agree(self, small_model, calib_seqs,
+                                           plan_kwargs):
+        """Token-by-token steps, one forward call, and uneven chunks that
+        cross the 32-position block boundaries run one path on differently
+        shaped blocks."""
+        rt = prepare_runtime(small_model, QuantPlan(**plan_kwargs), calib_seqs)
+        toks = probe(50)
+        whole = Session(small_model, runtime=rt).forward(toks)
+        sess = Session(small_model, runtime=rt)
+        stepped = np.stack([sess.step(t) for t in toks])
+        sess = Session(small_model, runtime=rt)
+        cuts = np.cumsum([0, 5, 40, 1, 4])
+        chunked = np.concatenate([sess.forward(toks[a:b])
+                                  for a, b in zip(cuts, cuts[1:])])
+        for other in (stepped, chunked):
+            assert np.max(np.abs(other - whole)) <= 1e-12
+            assert np.array_equal(np.argmax(other, axis=1),
+                                  np.argmax(whole, axis=1))
+
+    def test_mxfp4_linear_blocks_each_row(self):
+        """With 48 input features a flat 32-block would straddle rows; each
+        row, of weights and of inputs, is blocked on its own."""
+        rng = make_rng(3)
+        w = rng.standard_normal((8, 48))
+        lin = Mxfp4Linear(w, None)
+        x = rng.standard_normal((5, 48))
+        by_row = np.concatenate([lin.pre_bias(x[r : r + 1]) for r in range(5)])
+        assert np.array_equal(lin.pre_bias(x), by_row)
+        for r in range(8):
+            assert np.array_equal(lin.w[r], Mxfp4Linear(w[r : r + 1], None).w[0])
+
+    @pytest.mark.parametrize("plan", [
+        QuantPlan(w_bits=4, w_method="awq", awq_grid_step=0.25),
+        QuantPlan(w_bits=8, a_bits=8, wa_method="smoothquant"),
+    ])
+    def test_prepare_leaves_model_untouched(self, calib_seqs, plan):
+        model = init_model(SMALL, make_rng(0))
+        tensors = {n: t.copy() for n, t in model.tensors.items()}
+        rt = prepare_runtime(model, plan, calib_seqs)
+        assert model.aux == {}
+        assert model.tensors.keys() == tensors.keys()
+        for name, t in tensors.items():
+            assert np.array_equal(model.tensors[name], t)
+        assert all(lin.inv_input_scale is not None
+                   for lin in rt.linears.values())
 
     def test_static_k_handles_injected_bias(self, calib_seqs):
         """Pre-bias per-channel K quantization keeps the huge bias channel
@@ -231,3 +289,28 @@ class TestCheckpoint:
         with pytest.raises(TruncatedFile) as ei:
             load_checkpoint(p)
         assert isinstance(ei.value.offset, int)
+
+    @pytest.mark.parametrize("edit, error", [
+        pytest.param(lambda h: h.pop("q_tensors"), BadMagic,
+                     id="missing-q-tensors"),
+        pytest.param(lambda h: h["config"].update(
+            qkv_biaz=h["config"].pop("qkv_bias")), BadMagic,
+                     id="unknown-config-key"),
+        pytest.param(lambda h: h.update(config=[1]), BadMagic,
+                     id="config-not-a-dict"),
+        pytest.param(lambda h: h["fp_tensors"][0].update(offset=-64),
+                     TruncatedFile, id="negative-fp-offset"),
+        pytest.param(lambda h: h["q_tensors"][0].update(codes_offset=-64),
+                     TruncatedFile, id="negative-codes-offset"),
+        pytest.param(lambda h: h["q_tensors"][0].update(param_shape=[-1]),
+                     ShapeMismatch, id="negative-param-dim"),
+        pytest.param(lambda h: h["q_tensors"][0].pop("spec"), BadMagic,
+                     id="missing-spec"),
+    ])
+    def test_malformed_header(self, small_model, tmp_path, edit, error):
+        p = tmp_path / "c.tqq"
+        save_checkpoint(small_model, QuantPlan(w_bits=4).to_dict(),
+                        self._quantized(small_model), p)
+        rewrite_header(p, tmp_path / "bad.tqq", edit)
+        with pytest.raises(error):
+            load_checkpoint(tmp_path / "bad.tqq")
