@@ -48,12 +48,13 @@ def _plan_from_args(args) -> QuantPlan:
     return QuantPlan.from_bits_string(args.plan, **kwargs)
 
 
-def _load_calib(args, model):
-    if not getattr(args, "calib", None):
+def _load_calib(path, seed: int, calib_len=None):
+    """Eight windows of ``calib_len`` (default 64) tokens from a calibration
+    file, cropped under ``seed``; None without a path."""
+    if not path:
         return None
-    rng = make_rng(args.seed)
-    seq_len = args.calib_len or 64
-    cs = calibration.load_calibration(args.calib, seq_len=seq_len, count=8, rng=rng)
+    cs = calibration.load_calibration(path, seq_len=calib_len or 64, count=8,
+                                      rng=make_rng(seed))
     return cs.sequences
 
 
@@ -76,7 +77,7 @@ def cmd_init_model(args):
 def cmd_quantize(args):
     model = load_model(args.model)
     plan = _plan_from_args(args)
-    calib = _load_calib(args, model)
+    calib = _load_calib(args.calib, args.seed, args.calib_len)
     spec = default_weight_spec(plan.w_bits, plan.group_size)
     quantized = {}
     from .quantrun import _weight_linear_names, capture_activations, linear_input_site
@@ -115,9 +116,9 @@ def cmd_drift(args):
     plan = _plan_from_args(args)
     rng = make_rng(args.seed)
     probe = list(rng.integers(0, model.config.vocab_size, size=args.probe_len))
+    calib = _load_calib(args.calib, args.seed, args.calib_len)
     cfg = harness.ExperimentConfig(plan=plan, probe_tokens=[int(t) for t in probe],
-                                   calib_sequences=_load_calib(args, model),
-                                   seed=args.seed)
+                                   calib_sequences=calib, seed=args.seed)
     rep = harness.run_drift(model, cfg)
     harness.write_drift_csv(rep, args.out)
     print(f"final_disagreement={rep.final_disagreement} "
@@ -132,7 +133,8 @@ def cmd_generate(args):
     rng = make_rng(args.seed)
     runtime = None
     if not plan.passthrough:
-        runtime = prepare_runtime(model, plan, _load_calib(args, model))
+        runtime = prepare_runtime(model, plan,
+                                  _load_calib(args.calib, args.seed, args.calib_len))
     prompt = [int(t) for t in args.prompt.split()]
     seq = generate(model, prompt, max_new=args.max_new,
                    temperature=args.temperature, top_p=args.top_p, rng=rng,
@@ -149,9 +151,9 @@ def cmd_length_control(args):
     plan = _plan_from_args(args)
     lc = harness.LengthControl(mode=args.mode, budget=args.budget,
                                max_waits=args.max_waits)
+    calib = _load_calib(args.calib, args.seed, args.calib_len)
     cfg = harness.ExperimentConfig(plan=plan, length_control=lc, seed=args.seed,
-                                   n_runs=args.runs,
-                                   calib_sequences=_load_calib(args, model))
+                                   n_runs=args.runs, calib_sequences=calib)
     rep = harness.run_length_control(model, cfg)
     with open(args.out, "w") as f:
         json.dump({"schema_version": harness.SCHEMA_VERSION,
@@ -199,12 +201,13 @@ def cmd_sweep(args):
     rng = make_rng(args.seed)
     probe = [int(t) for t in rng.integers(0, model.config.vocab_size,
                                           size=spec.get("probe_len", 64))]
+    calib = _load_calib(spec.get("calib"), args.seed)
     cfgs = []
     for entry in spec.get("runs", []):
         plan = QuantPlan.from_bits_string(
             entry["plan"], **{k: v for k, v in entry.items() if k != "plan"})
         cfgs.append(harness.ExperimentConfig(plan=plan, probe_tokens=probe,
-                                             seed=args.seed))
+                                             calib_sequences=calib, seed=args.seed))
     rows = harness.run_sweep(model, cfgs)
     if args.format == "json":
         harness.write_sweep_json(rows, args.out)

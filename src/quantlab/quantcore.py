@@ -1,6 +1,12 @@
 """Uniform quantization primitives: grid fitting, quantize/dequantize,
 fake-quantize, and bit-packed code serialization.
 
+``fake_quant`` is the fused path that every quantized forward and every
+calibration search runs: it fits the params, then rounds, clips and
+rescales in one float64 buffer, broadcasting the per-group params through a
+reshaped view. ``dequantize(quantize(x, fit_params(x, spec)))`` computes the
+same thing through int32 codes and is its byte-exact oracle.
+
 Conventions (documented once, relied on everywhere):
   * rounding is round-half-away-from-zero;
   * asymmetric codes live in [0, 2^b - 1] with an integer zero point
@@ -153,8 +159,15 @@ def _group_minmax(x: np.ndarray, spec: QuantSpec):
     return mn, mx
 
 
-def _round_half_away(t: np.ndarray) -> np.ndarray:
-    return np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
+def _round_half_away(t: np.ndarray, s=1.0, out=None) -> np.ndarray:
+    """Round t / s (s > 0) half away from zero: copysign(floor(|t| / s +
+    0.5), t). t / s has the sign of t and |t| / s == |t / s| exactly, so the
+    quotient is never stored; ``out`` must not alias t."""
+    r = np.abs(t, out=out)
+    r /= s
+    r += 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, t, out=r)
 
 
 def snap_scale(scales: np.ndarray, bits: int) -> np.ndarray:
@@ -251,11 +264,59 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return s * (q.codes - z)
 
 
+def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray, z: np.ndarray,
+                spec: QuantSpec):
+    """Pair views of ``x`` and ``out`` with views of the scales ``s`` and
+    zero points ``z`` (group grid, see QuantParams) that broadcast against
+    them: (rows, groups, size) against (rows, groups, 1) when groups run
+    along axis 1, (groups, size, cols) against (groups, 1, cols) along
+    axis 0. A ragged last group is a pair of its own; a single group per row
+    or column broadcasts as it is."""
+    g_axis, starts = _grouping(x.shape, spec)
+    if g_axis is None or len(starts) == 1:
+        return [(x, out, s, z)]
+
+    def along(*idx):  # index tuple starting at the grouped axis
+        return (slice(None), *idx) if g_axis == 1 else idx
+
+    size = int(starts[1])
+    n_full = x.shape[g_axis] // size
+    full = n_full * size
+    split = x.shape[:g_axis] + (n_full, size) + x.shape[g_axis + 1:]
+    body, grid = along(slice(full)), along(slice(n_full), None)
+    pairs = [(x[body].reshape(split), out[body].reshape(split), s[grid], z[grid])]
+    if full < x.shape[g_axis]:
+        tail, grid = along(slice(full, None)), along(slice(n_full, None))
+        pairs.append((x[tail], out[tail], s[grid], z[grid]))
+    return pairs
+
+
 def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """fit + quantize + dequantize in one call (dynamic quantization)."""
+    """fit + quantize + dequantize in one fused pass (dynamic quantization).
+
+    Byte-identical to ``dequantize(quantize(x, fit_params(x, spec)))``: the
+    code arithmetic is exact in float64, so skipping the int32 codes changes
+    no value. Adding the zero point (0 when symmetric) turns a -0.0 code
+    into +0.0, as decoding an integer code does.
+    """
     if spec.passthrough:
         return x
-    return dequantize(quantize(x, fit_params(x, spec)))
+    x = np.asarray(x, dtype=np.float64)
+    params = fit_params(x, spec)
+    if spec.symmetric:
+        lo, hi = -(2 ** (spec.bits - 1) - 1), 2 ** (spec.bits - 1) - 1
+        z = np.zeros_like(params.scales)
+    else:
+        lo, hi = 0, 2**spec.bits - 1
+        z = params.zero_points.astype(np.float64)
+    out = np.empty(x.shape)
+    for xv, q, s, zv in _grid_views(x, out, params.scales, z, spec):
+        _round_half_away(xv, s, out=q)
+        q += zv
+        np.clip(q, lo, hi, out=q)
+        q -= zv
+        q *= s
+    return out
 
 
 # --- bit-packed code serialization -------------------------------------------

@@ -41,8 +41,9 @@ from .rng import make_rng
 from .toymodel import PlainLinear, Session, ToyModel
 from .transforms import (
     FlatTransform,
+    flat_input,
     flat_train,
-    kron_apply_right,
+    flat_weight,
     smooth_fit,
 )
 from .weightquant import (
@@ -224,20 +225,12 @@ class FlatLinear(PlainLinear):
     """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors."""
 
     def __init__(self, w, b, t: FlatTransform, spec_w: QuantSpec, spec_a: QuantSpec):
+        super().__init__(flat_weight(np.asarray(w, dtype=np.float64), t, spec_w), b)
         self.t = t
-        self.spec_a = spec_a.with_clip(min(t.act_clip * spec_a.clip_ratio, 1.0))
-        p1_inv = np.linalg.inv(t.p1)
-        p2_inv = np.linalg.inv(t.p2)
-        wt = kron_apply_right(np.asarray(w, dtype=np.float64), p1_inv.T, p2_inv.T)
-        spec_wc = spec_w.with_clip(min(t.weight_clip * spec_w.clip_ratio, 1.0))
-        self.w = fake_quant(wt, spec_wc) if not spec_w.passthrough else wt
-        self.b = None if b is None else np.asarray(b, dtype=np.float64)
+        self.spec_a = spec_a
 
     def pre_bias(self, x):
-        xt = kron_apply_right(x, self.t.p1, self.t.p2)
-        if not self.spec_a.passthrough:
-            xt = fake_quant(xt, self.spec_a)
-        return xt @ self.w.T
+        return flat_input(x, self.t, self.spec_a) @ self.w.T
 
 
 def _mxfp4_rows(x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ Conventions: weights ``w`` are (out, in), activations ``x`` are
 (tokens, in); the layer computes ``x @ w.T``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,8 +98,31 @@ def _clipped(spec: QuantSpec, clip: float) -> QuantSpec:
 def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
                    spec_w: QuantSpec, spec_a: QuantSpec) -> float:
     """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch."""
-    y_ref = x @ w.T
-    return float(np.sum((y_ref - flat_apply(x, w, t, spec_w, spec_a)) ** 2))
+    return _flat_objective(x @ w.T, flat_apply(x, w, t, spec_w, spec_a))
+
+
+def _flat_objective(y_ref: np.ndarray, y: np.ndarray) -> float:
+    """||y_ref - y||_F^2, computed in (and overwriting) y's buffer."""
+    np.subtract(y_ref, y, out=y)
+    return float(np.sum(np.square(y, out=y)))
+
+
+def flat_input(x: np.ndarray, t: FlatTransform, spec_a: QuantSpec) -> np.ndarray:
+    """Q(X (P1 (x) P2)) with the learned activation clip."""
+    return fake_quant(kron_apply_right(x, t.p1, t.p2), _clipped(spec_a, t.act_clip))
+
+
+def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarray:
+    """Q((P1 (x) P2)^-1 W.T), stored transposed as (out, in) rows, with the
+    learned weight clip."""
+    return _flat_weight(w, np.linalg.inv(t.p1), np.linalg.inv(t.p2),
+                        t.weight_clip, spec_w)
+
+
+def _flat_weight(w, p1_inv, p2_inv, weight_clip, spec_w):
+    # (P1 (x) P2)^-1 W.T == (W applied with the inverse factors on its input).T
+    wt = kron_apply_right(w, p1_inv.T, p2_inv.T)
+    return fake_quant(wt, _clipped(spec_w, weight_clip))
 
 
 def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
@@ -108,20 +132,12 @@ def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
     w = np.asarray(w, dtype=np.float64)
     if x.shape[1] != t.n or w.shape[1] != t.n:
         raise DimensionMismatch(f"transform dim {t.n} vs x {x.shape}, w {w.shape}")
-    xt = kron_apply_right(x, t.p1, t.p2)
-    p1_inv = np.linalg.inv(t.p1)
-    p2_inv = np.linalg.inv(t.p2)
-    # (P1 (x) P2)^-1 W.T == ((W applied with inverse factors on its input)) .T
-    wt = kron_apply_right(w, p1_inv.T, p2_inv.T)  # rows of W transformed
-    xq = fake_quant(xt, _clipped(spec_a, t.act_clip)) if not spec_a.passthrough else xt
-    wq = fake_quant(wt, _clipped(spec_w, t.weight_clip)) if not spec_w.passthrough else wt
-    return xq @ wq.T
+    return flat_input(x, t, spec_a) @ flat_weight(w, t, spec_w).T
 
 
 def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
                spec_a: QuantSpec, steps: int = 200, step_size: float = 0.05,
-               rng=None, fd_eps: float = 1e-2,
-               max_condition: float = 1e6) -> FlatTransform:
+               fd_eps: float = 1e-2, max_condition: float = 1e6) -> FlatTransform:
     """Train the Kronecker transform by finite-difference descent with a
     reject-and-halve line search; the objective never increases on an
     accepted step and the best-seen transform is returned.
@@ -135,9 +151,16 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
     n = w.shape[1]
     n1, n2 = kron_factor(n)
     t = FlatTransform(p1=np.eye(n1), p2=np.eye(n2))
-    obj = flat_objective(w, x, t, spec_w, spec_a)
-    t.objective_trace.append(obj)
-    best = (obj, t.p1.copy(), t.p2.copy(), t.act_clip, t.weight_clip)
+    y_ref = x @ w.T
+    y_buf = np.empty_like(y_ref)
+
+    @functools.lru_cache(maxsize=2)
+    def gated_inverse(key: bytes, k: int):
+        """Inverse of the (k, k) factor with bytes ``key``, None past the
+        condition gate. A finite-difference step moves one coordinate, so
+        the other factor repeats from one evaluation to the next."""
+        p = np.frombuffer(key).reshape(k, k)
+        return None if np.linalg.cond(p) > max_condition else np.linalg.inv(p)
 
     def pack():
         return np.concatenate([t.p1.ravel(), t.p2.ravel(),
@@ -152,13 +175,19 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
 
     def evaluate(v):
         p1, p2, ac, wc = unpack(v)
-        if (np.linalg.cond(p1) > max_condition or
-                np.linalg.cond(p2) > max_condition):
+        p1_inv = gated_inverse(p1.tobytes(), n1)
+        p2_inv = gated_inverse(p2.tobytes(), n2)
+        if p1_inv is None or p2_inv is None:
             return np.inf
         cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc)
-        return flat_objective(w, x, cand, spec_w, spec_a)
+        wq = _flat_weight(w, p1_inv, p2_inv, wc, spec_w)
+        y = np.matmul(flat_input(x, cand, spec_a), wq.T, out=y_buf)
+        return _flat_objective(y_ref, y)
 
     v = pack()
+    obj = evaluate(v)
+    t.objective_trace.append(obj)
+    best = (obj, t.p1.copy(), t.p2.copy(), t.act_clip, t.weight_clip)
     for _ in range(steps):
         grad = np.zeros_like(v)
         for i in range(v.size):

@@ -19,6 +19,7 @@ from .quantcore import (
     QuantSpec,
     QuantizedTensor,
     _grouping,
+    _round_half_away,
     dequantize,
     fake_quant,
     fit_params,
@@ -137,8 +138,7 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
             z_col = z_full[:, j] if z_full is not None else None
 
         col = work[:, j].copy()
-        t = col / s_col
-        r = np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
+        r = _round_half_away(col, s_col)
         if spec.symmetric:
             q = np.clip(r, -qmax_sym, qmax_sym)
             col_hat = s_col * q
@@ -172,6 +172,7 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
     c_x = np.maximum(np.mean(np.abs(x), axis=1), 1e-8)
     c_w = np.maximum(np.mean(np.abs(w), axis=0), 1e-8)
     ref = x.T @ w.T
+    err_buf = np.empty_like(ref)
 
     grid = np.arange(0.0, 1.0 + 1e-12, grid_step)
     best = None
@@ -179,7 +180,9 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
         for beta in grid:
             s = c_x**alpha * c_w ** (-beta)
             w_s = fake_quant(w * s[np.newaxis, :], spec) / s[np.newaxis, :]
-            loss = float(np.sum((ref - x.T @ w_s.T) ** 2))
+            err = np.matmul(x.T, w_s.T, out=err_buf)
+            np.subtract(ref, err, out=err)
+            loss = float(np.sum(np.square(err, out=err)))
             if best is None or loss < best.proxy_loss:
                 best = AwqSearchResult(float(alpha), float(beta), s, loss)
     return best

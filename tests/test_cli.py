@@ -179,6 +179,32 @@ class TestSweep:
         doc = json.loads(out.read_text())
         assert doc["rows"][0]["final_disagreement"] == 0
 
+    def test_calib_key_feeds_calibrated_methods(self, model_file, tmp_path):
+        calib = tmp_path / "calib64.txt"
+        assert cli.main(["calib", "--model", model_file, "--calib-len", "64",
+                         "--count", "8", "--seed", "1", "--out", str(calib)]) == 0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "probe_len": 16, "calib": str(calib),
+            "runs": [{"plan": "4-16-16", "w_method": "gptq"},
+                     {"plan": "16-16-4", "kv_method": "kvquant_star"}],
+        }))
+        out = tmp_path / "sweep_out.json"
+        rc = cli.main(["sweep", "--model", model_file, "--config", str(cfg),
+                       "--format", "json", "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["status"] for r in rows] == ["ok", "ok"], rows
+
+    def test_missing_calib_file(self, model_file, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"calib": str(tmp_path / "absent.txt"),
+                                   "runs": [{"plan": "4-16-16"}]}))
+        rc = cli.main(["sweep", "--model", model_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
 
 class TestErrors:
     def test_missing_model_file(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from quantlab.quantcore import (
     PER_TENSOR,
     PER_TOKEN,
     QuantSpec,
+    _round_half_away,
     dequantize,
     fake_quant,
     fit_params,
@@ -150,6 +151,94 @@ class TestProperties:
                          - x) ** 2)
         err_pg = np.sum((fake_quant(x, spec_pg(4, 128)) - x) ** 2)
         assert err_pg <= err_pt
+
+
+def oracle_fake_quant(x, spec):
+    return dequantize(quantize(x, fit_params(x, spec)))
+
+
+def awkward_inputs(seed):
+    """Ragged shapes with an all-zero row and column, -0.0 entries and an
+    outlier, then the same values snapped to half-integers (rounding ties)."""
+    rng = make_rng(seed)
+    for shape in ((7, 20), (20, 7), (1, 13), (9, 1)):
+        x = rng.standard_normal(shape) * 3.0
+        x[rng.random(shape) < 0.2] = -0.0
+        x[0] = 0.0
+        x[:, -1] = -0.0
+        x[-1, 0] *= 100.0
+        yield x
+        yield np.round(x * 2.0) / 2.0
+
+
+class TestFusedFakeQuant:
+    """fake_quant is byte-identical to quantize -> dequantize."""
+
+    @pytest.mark.parametrize("granularity", [PER_TENSOR, PER_CHANNEL, PER_TOKEN,
+                                             PER_GROUP])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_matches_oracle_bytes(self, granularity, axis, symmetric):
+        for x in awkward_inputs(11):
+            for bits in (2, 3, 4, 8):
+                for clip in (1.0, 0.8, 0.35):
+                    for group_size in (1, 3, 6, 128):
+                        spec = QuantSpec(bits=bits, symmetric=symmetric,
+                                         granularity=granularity, axis=axis,
+                                         group_size=group_size, clip_ratio=clip)
+                        got = fake_quant(x, spec)
+                        assert got.shape == x.shape
+                        assert got.tobytes() == oracle_fake_quant(x, spec).tobytes(), \
+                            (x.shape, spec)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 40)),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)),
+           st.sampled_from([PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP]),
+           st.integers(0, 1), st.integers(2, 8), st.booleans(),
+           st.integers(1, 48))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_bytes_property(self, x, granularity, axis, bits,
+                                           symmetric, group_size):
+        spec = QuantSpec(bits=bits, symmetric=symmetric, granularity=granularity,
+                         axis=axis, group_size=group_size)
+        assert fake_quant(x, spec).tobytes() == oracle_fake_quant(x, spec).tobytes()
+
+    def test_input_not_modified(self):
+        x = make_rng(12).standard_normal((6, 20))
+        before = x.copy()
+        fake_quant(x, spec_pg(4, 8))
+        assert np.array_equal(x, before)
+
+
+class TestRoundHalfAway:
+    def test_halves_round_away_from_zero(self):
+        t = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49, -0.49, 2.4, -2.6])
+        want = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.0, -0.0, 2.0, -3.0])
+        assert np.array_equal(_round_half_away(t), want)
+
+    def test_zero_keeps_its_sign(self):
+        got = _round_half_away(np.array([0.0, -0.0, -0.2]))
+        assert np.array_equal(got, [0.0, 0.0, 0.0])
+        assert list(np.signbit(got)) == [False, True, True]
+
+    def test_large_magnitudes(self):
+        t = np.array([2.0**52 - 0.5, -(2.0**52 - 0.5), 2.0**53, -(2.0**53),
+                      1e300, -1e300])
+        want = np.array([2.0**52, -(2.0**52), 2.0**53, -(2.0**53), 1e300, -1e300])
+        assert np.array_equal(_round_half_away(t), want)
+
+    def test_matches_two_branch_reference(self):
+        t = make_rng(13).standard_normal(4000) * 10.0
+        t[::7] = np.round(t[::7]) + 0.5
+        ref = np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
+        assert np.array_equal(_round_half_away(t), ref)
+
+    def test_divisor(self):
+        t = np.array([5.0, -5.0, 3.0, -0.0, 1e-300])
+        s = np.array([2.0, 2.0, 7.0, 3.0, 4.0])
+        got = _round_half_away(t, s)
+        assert np.array_equal(got, _round_half_away(t / s))
+        assert list(np.signbit(got)) == list(np.signbit(t))
 
 
 class TestCodePacking:

@@ -8,8 +8,9 @@ from quantlab.errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from quantlab.quantcore import dequantize
+from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, dequantize
 from quantlab.quantrun import (
+    FlatLinear,
     Mxfp4Linear,
     QuantPlan,
     capture_activations,
@@ -19,6 +20,7 @@ from quantlab.quantrun import (
 )
 from quantlab.rng import make_rng
 from quantlab.toymodel import ToyConfig, Session, forward_reference, init_model
+from quantlab.transforms import flat_apply, flat_objective, flat_train
 from quantlab.weightquant import default_weight_spec, rtn_quantize_weights
 
 from conftest import rewrite_header
@@ -177,6 +179,20 @@ class TestForward:
         assert np.array_equal(lin.pre_bias(x), by_row)
         for r in range(8):
             assert np.array_equal(lin.w[r], Mxfp4Linear(w[r : r + 1], None).w[0])
+
+    def test_flat_linear_is_the_trained_transform(self):
+        """Inference runs the transform exactly as training scored it."""
+        rng = make_rng(4)
+        x = rng.standard_normal((24, 12))
+        x[:, 3] *= 30.0
+        w = rng.standard_normal((5, 12))
+        spec_w = QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0)
+        spec_a = QuantSpec(bits=4, granularity=PER_GROUP, axis=1, group_size=8)
+        t = flat_train(w, x, spec_w, spec_a, steps=3)
+        assert len(t.objective_trace) > 1
+        assert flat_objective(w, x, t, spec_w, spec_a) == t.objective_trace[-1]
+        lin = FlatLinear(w, None, t, spec_w, spec_a)
+        assert lin(x).tobytes() == flat_apply(x, w, t, spec_w, spec_a).tobytes()
 
     @pytest.mark.parametrize("plan", [
         QuantPlan(w_bits=4, w_method="awq", awq_grid_step=0.25),
