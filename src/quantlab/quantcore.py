@@ -1,11 +1,13 @@
 """Uniform quantization primitives: grid fitting, quantize/dequantize,
 fake-quantize, and bit-packed code serialization.
 
-``fake_quant`` is the fused path that every quantized forward and every
-calibration search runs: it fits the params, then rounds, clips and
-rescales in one float64 buffer, broadcasting the per-group params through a
-reshaped view. ``dequantize(quantize(x, fit_params(x, spec)))`` computes the
-same thing through int32 codes and is its byte-exact oracle.
+``quantize`` and ``dequantize`` broadcast the per-group params through
+reshaped views of the tensor (``_grid_views``) instead of expanding them to
+elementwise arrays, and ``quantize`` rounds, shifts and clips in one float64
+buffer before narrowing to int32 codes. ``fake_quant`` is
+``dequantize(quantize(x, fit_params(x, spec)))``, the path every quantized
+forward and every calibration search runs; its elementwise oracle in the
+tests is the same arithmetic on ``QuantParams.expand()``.
 
 Conventions (documented once, relied on everywhere):
   * rounding is round-half-away-from-zero;
@@ -240,38 +242,14 @@ def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
     return QuantParams(scales, zp, spec, x.shape)
 
 
-def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Project x onto the fitted grid; codes are kept widened (int32)."""
-    x = np.asarray(x, dtype=np.float64)
-    spec = params.spec
-    if spec.passthrough:
-        raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
-    if x.shape != tuple(params.shape):
-        raise ValueError(f"shape {x.shape} does not match fitted {params.shape}")
-    s, z = params.expand()
-    if spec.symmetric:
-        qmax = 2 ** (spec.bits - 1) - 1
-        q = np.clip(_round_half_away(x / s), -qmax, qmax)
-    else:
-        q = np.clip(_round_half_away(x / s) + z, 0, 2**spec.bits - 1)
-    return QuantizedTensor(q.astype(np.int32), params, spec, x.shape)
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    s, z = q.params.expand()
-    if q.spec.symmetric:
-        return s * q.codes
-    return s * (q.codes - z)
-
-
-def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray, z: np.ndarray,
-                spec: QuantSpec):
+def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
+                z: Optional[np.ndarray], spec: QuantSpec):
     """Pair views of ``x`` and ``out`` with views of the scales ``s`` and
-    zero points ``z`` (group grid, see QuantParams) that broadcast against
-    them: (rows, groups, size) against (rows, groups, 1) when groups run
-    along axis 1, (groups, size, cols) against (groups, 1, cols) along
-    axis 0. A ragged last group is a pair of its own; a single group per row
-    or column broadcasts as it is."""
+    zero points ``z`` (group grid, see QuantParams; ``z`` may be None) that
+    broadcast against them: (rows, groups, size) against (rows, groups, 1)
+    when groups run along axis 1, (groups, size, cols) against
+    (groups, 1, cols) along axis 0. A ragged last group is a pair of its own;
+    a single group per row or column broadcasts as it is."""
     g_axis, starts = _grouping(x.shape, spec)
     if g_axis is None or len(starts) == 1:
         return [(x, out, s, z)]
@@ -279,44 +257,65 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray, z: np.ndarray,
     def along(*idx):  # index tuple starting at the grouped axis
         return (slice(None), *idx) if g_axis == 1 else idx
 
+    def grid_of(a, idx):
+        return None if a is None else a[idx]
+
     size = int(starts[1])
     n_full = x.shape[g_axis] // size
     full = n_full * size
     split = x.shape[:g_axis] + (n_full, size) + x.shape[g_axis + 1:]
     body, grid = along(slice(full)), along(slice(n_full), None)
-    pairs = [(x[body].reshape(split), out[body].reshape(split), s[grid], z[grid])]
+    pairs = [(x[body].reshape(split), out[body].reshape(split),
+              s[grid], grid_of(z, grid))]
     if full < x.shape[g_axis]:
         tail, grid = along(slice(full, None)), along(slice(n_full, None))
-        pairs.append((x[tail], out[tail], s[grid], z[grid]))
+        pairs.append((x[tail], out[tail], s[grid], grid_of(z, grid)))
     return pairs
 
 
-def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """fit + quantize + dequantize in one fused pass (dynamic quantization).
+def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
+    """Project x onto the fitted grid; codes are kept widened (int32).
 
-    Byte-identical to ``dequantize(quantize(x, fit_params(x, spec)))``: the
-    code arithmetic is exact in float64, so skipping the int32 codes changes
-    no value. Adding the zero point (0 when symmetric) turns a -0.0 code
-    into +0.0, as decoding an integer code does.
-    """
-    if spec.passthrough:
-        return x
+    Rounds, adds the zero point and clips in one float64 buffer, with the
+    per-group params broadcast through reshaped views (``_grid_views``)."""
     x = np.asarray(x, dtype=np.float64)
-    params = fit_params(x, spec)
+    spec = params.spec
+    if spec.passthrough:
+        raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
+    if x.shape != tuple(params.shape):
+        raise ValueError(f"shape {x.shape} does not match fitted {params.shape}")
     if spec.symmetric:
         lo, hi = -(2 ** (spec.bits - 1) - 1), 2 ** (spec.bits - 1) - 1
-        z = np.zeros_like(params.scales)
     else:
         lo, hi = 0, 2**spec.bits - 1
-        z = params.zero_points.astype(np.float64)
-    out = np.empty(x.shape)
-    for xv, q, s, zv in _grid_views(x, out, params.scales, z, spec):
-        _round_half_away(xv, s, out=q)
-        q += zv
-        np.clip(q, lo, hi, out=q)
-        q -= zv
-        q *= s
+    q = np.empty(x.shape)
+    for xv, qv, s, z in _grid_views(x, q, params.scales, params.zero_points, spec):
+        _round_half_away(xv, s, out=qv)
+        if z is not None:
+            qv += z
+        np.clip(qv, lo, hi, out=qv)
+    return QuantizedTensor(q.astype(np.int32), params, spec, x.shape)
+
+
+def dequantize(q: QuantizedTensor) -> np.ndarray:
+    """s * codes (symmetric) or s * (codes - z), per group."""
+    out = np.empty(q.codes.shape)
+    params = q.params
+    for c, o, s, z in _grid_views(q.codes, out, params.scales,
+                                  params.zero_points, params.spec):
+        if z is None:
+            o[...] = c
+        else:
+            np.subtract(c, z, out=o)
+        o *= s
     return out
+
+
+def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """fit + quantize + dequantize in one call (dynamic quantization)."""
+    if spec.passthrough:
+        return x
+    return dequantize(quantize(x, fit_params(x, spec)))
 
 
 # --- bit-packed code serialization -------------------------------------------

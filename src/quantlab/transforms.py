@@ -9,6 +9,7 @@ Conventions: weights ``w`` are (out, in), activations ``x`` are
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -78,6 +79,19 @@ def kron_factor(n: int) -> tuple:
     return n1, n // n1
 
 
+KRON_EQ = "mkl,ki,lj->mij"
+
+
+@functools.lru_cache(maxsize=64)
+def _kron_path(m: int, n1: int, n2: int) -> list:
+    """The contraction order ``einsum(..., optimize=True)`` picks for these
+    shapes. It depends on the shapes only, so it is searched once per shape
+    instead of on every call; the product is the same bytes either way."""
+    shapes = ((m, n1, n2), (n1, n1), (n2, n2))
+    return np.einsum_path(KRON_EQ, *(np.empty(sh) for sh in shapes),
+                          optimize=True)[0]
+
+
 def kron_apply_right(x: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """x @ (P1 (x) P2) without materializing the Kronecker product.
 
@@ -87,7 +101,7 @@ def kron_apply_right(x: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     m = x.shape[0]
     n1, n2 = p1.shape[0], p2.shape[0]
     xr = x.reshape(m, n1, n2)
-    y = np.einsum("mkl,ki,lj->mij", xr, p1, p2, optimize=True)
+    y = np.einsum(KRON_EQ, xr, p1, p2, optimize=_kron_path(m, n1, n2))
     return y.reshape(m, n1 * n2)
 
 
@@ -96,15 +110,17 @@ def _clipped(spec: QuantSpec, clip: float) -> QuantSpec:
 
 
 def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
-                   spec_w: QuantSpec, spec_a: QuantSpec) -> float:
-    """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch."""
-    return _flat_objective(x @ w.T, flat_apply(x, w, t, spec_w, spec_a))
+                   spec_w: QuantSpec, spec_a: QuantSpec, *,
+                   y_ref: Optional[np.ndarray] = None) -> float:
+    """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch.
 
-
-def _flat_objective(y_ref: np.ndarray, y: np.ndarray) -> float:
-    """||y_ref - y||_F^2, computed in (and overwriting) y's buffer."""
-    np.subtract(y_ref, y, out=y)
-    return float(np.sum(np.square(y, out=y)))
+    ``y_ref`` is X W.T when the caller already has it: ``flat_train``
+    computes it once and passes it to every evaluation."""
+    if y_ref is None:
+        y_ref = x @ w.T
+    r = flat_apply(x, w, t, spec_w, spec_a)
+    np.subtract(y_ref, r, out=r)
+    return float(np.sum(np.square(r, out=r)))
 
 
 def flat_input(x: np.ndarray, t: FlatTransform, spec_a: QuantSpec) -> np.ndarray:
@@ -115,14 +131,9 @@ def flat_input(x: np.ndarray, t: FlatTransform, spec_a: QuantSpec) -> np.ndarray
 def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarray:
     """Q((P1 (x) P2)^-1 W.T), stored transposed as (out, in) rows, with the
     learned weight clip."""
-    return _flat_weight(w, np.linalg.inv(t.p1), np.linalg.inv(t.p2),
-                        t.weight_clip, spec_w)
-
-
-def _flat_weight(w, p1_inv, p2_inv, weight_clip, spec_w):
     # (P1 (x) P2)^-1 W.T == (W applied with the inverse factors on its input).T
-    wt = kron_apply_right(w, p1_inv.T, p2_inv.T)
-    return fake_quant(wt, _clipped(spec_w, weight_clip))
+    wt = kron_apply_right(w, np.linalg.inv(t.p1).T, np.linalg.inv(t.p2).T)
+    return fake_quant(wt, _clipped(spec_w, t.weight_clip))
 
 
 def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
@@ -152,15 +163,9 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
     n1, n2 = kron_factor(n)
     t = FlatTransform(p1=np.eye(n1), p2=np.eye(n2))
     y_ref = x @ w.T
-    y_buf = np.empty_like(y_ref)
-
-    @functools.lru_cache(maxsize=2)
-    def gated_inverse(key: bytes, k: int):
-        """Inverse of the (k, k) factor with bytes ``key``, None past the
-        condition gate. A finite-difference step moves one coordinate, so
-        the other factor repeats from one evaluation to the next."""
-        p = np.frombuffer(key).reshape(k, k)
-        return None if np.linalg.cond(p) > max_condition else np.linalg.inv(p)
+    obj = flat_objective(w, x, t, spec_w, spec_a, y_ref=y_ref)
+    t.objective_trace.append(obj)
+    best = (obj, t.p1.copy(), t.p2.copy(), t.act_clip, t.weight_clip)
 
     def pack():
         return np.concatenate([t.p1.ravel(), t.p2.ravel(),
@@ -175,19 +180,13 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
 
     def evaluate(v):
         p1, p2, ac, wc = unpack(v)
-        p1_inv = gated_inverse(p1.tobytes(), n1)
-        p2_inv = gated_inverse(p2.tobytes(), n2)
-        if p1_inv is None or p2_inv is None:
+        if (np.linalg.cond(p1) > max_condition or
+                np.linalg.cond(p2) > max_condition):
             return np.inf
         cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc)
-        wq = _flat_weight(w, p1_inv, p2_inv, wc, spec_w)
-        y = np.matmul(flat_input(x, cand, spec_a), wq.T, out=y_buf)
-        return _flat_objective(y_ref, y)
+        return flat_objective(w, x, cand, spec_w, spec_a, y_ref=y_ref)
 
     v = pack()
-    obj = evaluate(v)
-    t.objective_trace.append(obj)
-    best = (obj, t.p1.copy(), t.p2.copy(), t.act_clip, t.weight_clip)
     for _ in range(steps):
         grad = np.zeros_like(v)
         for i in range(v.size):

@@ -153,8 +153,23 @@ class TestProperties:
         assert err_pg <= err_pt
 
 
+def oracle_codes(x, params):
+    """Elementwise reference for quantize: params expanded with np.repeat,
+    two-branch round-half-away."""
+    s, z = params.expand()
+    t = x / s
+    r = np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
+    if params.spec.symmetric:
+        qmax = 2 ** (params.spec.bits - 1) - 1
+        return np.clip(r, -qmax, qmax).astype(np.int32)
+    return np.clip(r + z, 0, 2**params.spec.bits - 1).astype(np.int32)
+
+
 def oracle_fake_quant(x, spec):
-    return dequantize(quantize(x, fit_params(x, spec)))
+    params = fit_params(x, spec)
+    codes = oracle_codes(x, params)
+    s, z = params.expand()
+    return s * codes if spec.symmetric else s * (codes - z)
 
 
 def awkward_inputs(seed):
@@ -171,8 +186,21 @@ def awkward_inputs(seed):
         yield np.round(x * 2.0) / 2.0
 
 
-class TestFusedFakeQuant:
-    """fake_quant is byte-identical to quantize -> dequantize."""
+class TestGridViews:
+    """quantize, dequantize and fake_quant, which broadcast the params through
+    reshaped views, are byte-identical to the elementwise reference."""
+
+    @staticmethod
+    def check(x, spec):
+        params = fit_params(x, spec)
+        q = quantize(x, params)
+        assert q.codes.dtype == np.int32
+        assert np.array_equal(q.codes, oracle_codes(x, params)), (x.shape, spec)
+        want = oracle_fake_quant(x, spec).tobytes()
+        assert dequantize(q).tobytes() == want, (x.shape, spec)
+        got = fake_quant(x, spec)
+        assert got.shape == x.shape
+        assert got.tobytes() == want, (x.shape, spec)
 
     @pytest.mark.parametrize("granularity", [PER_TENSOR, PER_CHANNEL, PER_TOKEN,
                                              PER_GROUP])
@@ -180,16 +208,15 @@ class TestFusedFakeQuant:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_matches_oracle_bytes(self, granularity, axis, symmetric):
         for x in awkward_inputs(11):
-            for bits in (2, 3, 4, 8):
-                for clip in (1.0, 0.8, 0.35):
-                    for group_size in (1, 3, 6, 128):
-                        spec = QuantSpec(bits=bits, symmetric=symmetric,
-                                         granularity=granularity, axis=axis,
-                                         group_size=group_size, clip_ratio=clip)
-                        got = fake_quant(x, spec)
-                        assert got.shape == x.shape
-                        assert got.tobytes() == oracle_fake_quant(x, spec).tobytes(), \
-                            (x.shape, spec)
+            for order in ("C", "F"):
+                for bits in (2, 3, 4, 8):
+                    for clip in (1.0, 0.8, 0.35):
+                        for group_size in (1, 3, 6, 128):
+                            self.check(np.asarray(x, order=order),
+                                       QuantSpec(bits=bits, symmetric=symmetric,
+                                                 granularity=granularity, axis=axis,
+                                                 group_size=group_size,
+                                                 clip_ratio=clip))
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 40)),
                   elements=st.floats(-1e6, 1e6, allow_nan=False)),
@@ -199,9 +226,9 @@ class TestFusedFakeQuant:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_bytes_property(self, x, granularity, axis, bits,
                                            symmetric, group_size):
-        spec = QuantSpec(bits=bits, symmetric=symmetric, granularity=granularity,
-                         axis=axis, group_size=group_size)
-        assert fake_quant(x, spec).tobytes() == oracle_fake_quant(x, spec).tobytes()
+        self.check(x, QuantSpec(bits=bits, symmetric=symmetric,
+                                granularity=granularity, axis=axis,
+                                group_size=group_size))
 
     def test_input_not_modified(self):
         x = make_rng(12).standard_normal((6, 20))

@@ -113,6 +113,19 @@ class TestKronecker:
         ref = x @ np.kron(p1, p2)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
+    @pytest.mark.parametrize("m,n1,n2", [(512, 8, 8), (7, 3, 4), (64, 16, 16),
+                                         (5, 1, 5)])
+    def test_cached_path_matches_optimize_true(self, m, n1, n2):
+        rng = make_rng(m + n1 + n2)
+        x = rng.standard_normal((m, n1 * n2))
+        p1 = rng.standard_normal((n1, n1))
+        p2 = rng.standard_normal((n2, n2))
+        # strided factors too, as flat_weight passes them
+        for a, b in ((p1, p2), (p1.T, p2.T)):
+            want = np.einsum("mkl,ki,lj->mij", x.reshape(m, n1, n2), a, b,
+                             optimize=True).reshape(m, n1 * n2)
+            assert kron_apply_right(x, a, b).tobytes() == want.tobytes()
+
 
 class TestFlatQuant:
     def test_identity_transform_sentinel_is_exact(self):
@@ -153,6 +166,18 @@ class TestFlatQuant:
         assert trace[-1] <= trace[0]
         assert flat_objective(w, x, t, SPEC_W4, SPEC_A4) == pytest.approx(
             trace[-1], rel=1e-9)
+
+    def test_given_y_ref_matches_computed(self):
+        rng = make_rng(11)
+        x = rng.standard_normal((40, 16))
+        w = rng.standard_normal((8, 16))
+        t = FlatTransform(p1=np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
+                          p2=np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
+                          act_clip=0.9, weight_clip=0.8)
+        y_ref = x @ w.T
+        assert flat_objective(w, x, t, SPEC_W4, SPEC_A4, y_ref=y_ref) == \
+            flat_objective(w, x, t, SPEC_W4, SPEC_A4)
+        assert np.array_equal(y_ref, x @ w.T)
 
     def test_condition_number_within_gate(self):
         rng = make_rng(10)
