@@ -8,6 +8,7 @@ stats, sweep. Exit code 0 on success; failures print one machine-readable
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,15 +17,6 @@ from .errors import QuantLabError
 from .quantrun import QuantPlan, prepare_runtime
 from .rng import make_rng
 from .toymodel import ToyConfig, generate, init_model, load_model, save_model
-from .weightquant import (
-    GptqConfig,
-    awq_fold,
-    awq_search,
-    default_weight_spec,
-    gptq_quantize,
-    rtn_quantize_weights,
-    dequant_loss,
-)
 
 
 def _add_common(p):
@@ -75,38 +67,27 @@ def cmd_init_model(args):
 
 
 def cmd_quantize(args):
+    """prepare_runtime for a weight-only plan, then save its quantized
+    weights (and any AWQ inverse scales) as a TQQ1 checkpoint."""
     model = load_model(args.model)
     plan = _plan_from_args(args)
-    calib = _load_calib(args.calib, args.seed, args.calib_len)
-    spec = default_weight_spec(plan.w_bits, plan.group_size)
-    quantized = {}
-    from .quantrun import _weight_linear_names, capture_activations, linear_input_site
-
-    rec = None
-    if plan.w_method in ("gptq", "awq"):
-        if calib is None:
-            raise QuantLabError("gptq/awq need --calib")
-        rec = capture_activations(model, calib)
-    for name in _weight_linear_names(model, plan.include_lm_head):
-        w = model.tensors[name].astype(np.float64)
-        if plan.w_method == "rtn":
-            qt = rtn_quantize_weights(w, spec)
-        elif plan.w_method == "gptq":
-            x = rec.matrix(linear_input_site(name)).T
-            qt = gptq_quantize(w, x, GptqConfig(spec=spec))
+    if plan.w_bits >= 16 or plan.a_bits < 16 or plan.kv_bits < 16 \
+            or plan.wa_method != "none":
+        raise ValueError(f"quantize writes weight-only plans (W below 16 bits, A and "
+                         f"KV at 16, no weight-activation method), got "
+                         f"{plan.bits_string()} with wa_method {plan.wa_method!r}")
+    rt = prepare_runtime(model, plan, _load_calib(args.calib, args.seed, args.calib_len))
+    quantized, aux = {}, dict(model.aux)
+    for name, lin in rt.linears.items():
+        quantized[name] = lin.qt
+        if lin.inv_input_scale is not None:
+            aux[f"{name}.awq_inv_scales"] = lin.inv_input_scale.astype(np.float32)
+        if name in rt.proxy_losses:
+            print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:
-            x = rec.matrix(linear_input_site(name)).T
-            res = awq_search(w, x, spec)
-            w_scaled, inv_s = awq_fold(w, res.scales)
-            qt = rtn_quantize_weights(w_scaled, spec)
-            model.aux[f"{name}.awq_inv_scales"] = inv_s.astype(np.float32)
-        quantized[name] = qt
-        if rec is not None:
-            x = rec.matrix(linear_input_site(name)).T
-            print(f"{name}: proxy_loss={dequant_loss(qt, w, x):.6g}")
-        else:
-            print(f"{name}: quantized {qt.shape} at {plan.w_bits} bits")
-    checkpoint.save_checkpoint(model, plan.to_dict(), quantized, args.out)
+            print(f"{name}: quantized {lin.qt.shape} at {plan.w_bits} bits")
+    checkpoint.save_checkpoint(replace(model, aux=aux), plan.to_dict(), quantized,
+                               args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -73,6 +73,13 @@ def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos=0) -> np.ndarray:
     return out
 
 
+def rope_heads(rows: np.ndarray, cfg: RopeConfig, pos) -> np.ndarray:
+    """RoPE on every head of rows that hold one or more heads side by side,
+    head_dim wide each; row r is at position pos + r (or pos[r])."""
+    heads = rope_apply(rows.reshape(len(rows), -1, cfg.head_dim), cfg, pos)
+    return heads.reshape(rows.shape)
+
+
 def default_kv_v_spec(bits: int, group_size: int = 128) -> QuantSpec:
     """Per-token asymmetric quantization, groups of 128 channels per row."""
     return QuantSpec(bits=bits, symmetric=False, granularity=PER_GROUP, axis=1,
@@ -106,14 +113,14 @@ class KvQuantStarConfig:
 def k_stage_tensor(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
                    cfg_rope: RopeConfig, pos) -> np.ndarray:
     """The K tensor at the configured quantization stage. k_raw is the
-    pre-bias projection output, positions along axis 0 and head_dim last
-    ((positions, head_dim) or (positions, heads, head_dim)); ``pos`` is as
-    rope_apply's ``start_pos``."""
+    pre-bias projection output, positions along axis 0, each row one or
+    more heads of cfg_rope.head_dim channels; ``pos`` is as rope_apply's
+    ``start_pos``."""
     k = np.asarray(k_raw, dtype=np.float64)
     if cfg.k_bias_mode == POST_BIAS:
         k = k + bias[np.newaxis, :]
     if cfg.k_stage == POST_ROPE:
-        k = rope_apply(k, cfg_rope, start_pos=pos)
+        k = rope_heads(k, cfg_rope, pos)
     return k
 
 
@@ -155,7 +162,7 @@ class StoredK:
         if self.cfg.k_bias_mode == PRE_BIAS:
             k = k + self.bias[np.newaxis, :]
         if self.cfg.k_stage == PRE_ROPE:
-            k = rope_apply(k, self.cfg_rope, start_pos=self.pos)
+            k = rope_heads(k, self.cfg_rope, self.pos)
         return k
 
 
@@ -163,7 +170,8 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
                cfg_rope: RopeConfig, pos: int = 0) -> StoredK:
     """Quantize K rows at the configured stage with static per-channel
     params; reconstruction adds the full-precision bias (pre_bias mode)
-    and applies RoPE (pre_rope mode) deterministically."""
+    and applies RoPE (pre_rope mode) deterministically. A row may hold
+    several heads of cfg_rope.head_dim channels each; RoPE runs per head."""
     k_raw = np.asarray(k_raw, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if not cfg.calibrated:
@@ -172,6 +180,9 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
     if mn.shape[0] != k_raw.shape[1] or bias.shape[0] != k_raw.shape[1]:
         raise ChannelCountMismatch(
             f"channels: k {k_raw.shape[1]}, ranges {mn.shape[0]}, bias {bias.shape[0]}")
+    if k_raw.shape[1] % cfg_rope.head_dim:
+        raise ChannelCountMismatch(
+            f"{k_raw.shape[1]} channels are not whole heads of {cfg_rope.head_dim}")
     staged = k_stage_tensor(k_raw, bias, cfg, cfg_rope, pos)
     if cfg.k_spec.passthrough:
         return StoredK(None, bias, cfg, cfg_rope, pos, raw=staged.copy())

@@ -21,9 +21,7 @@ from .kvquant import (
     default_kv_k_channel_spec,
     default_kv_v_spec,
     k_stage_tensor,
-    params_from_ranges,
-    quantize_v_per_token,
-    rope_apply,
+    quantize_k,
     rotate_kv_heads,
     unrotate_kv_heads,
 )
@@ -33,9 +31,9 @@ from .quantcore import (
     PER_CHANNEL,
     PER_GROUP,
     QuantSpec,
+    QuantizedTensor,
     dequantize,
     fake_quant,
-    quantize,
 )
 from .rng import make_rng
 from .toymodel import PlainLinear, Session, ToyModel
@@ -52,6 +50,7 @@ from .weightquant import (
     awq_search,
     default_weight_spec,
     gptq_quantize,
+    proxy_loss,
     rtn_quantize_weights,
 )
 
@@ -187,13 +186,17 @@ def linear_input_site(name: str) -> Optional[str]:
 
 class FakeQuantLinear(PlainLinear):
     """Dequantized weights plus optional dynamic input fake-quantization
-    and an optional fixed input scaling (AWQ/SmoothQuant folding)."""
+    and an optional fixed input scaling (AWQ/SmoothQuant folding). A
+    weight-only linear keeps its QuantizedTensor ``qt``, the codes that
+    ``quantlab quantize`` saves."""
 
     def __init__(self, w_hat, b, act_spec: Optional[QuantSpec] = None,
-                 inv_input_scale: Optional[np.ndarray] = None):
+                 inv_input_scale: Optional[np.ndarray] = None,
+                 qt: Optional[QuantizedTensor] = None):
         super().__init__(w_hat, b)
         self.act_spec = act_spec
         self.inv_input_scale = inv_input_scale
+        self.qt = qt
 
     def pre_bias(self, x):
         if self.inv_input_scale is not None:
@@ -278,29 +281,20 @@ class Runtime:
         spec = self.kv_token_spec
         if plan.kv_method == "per_token":
             return fake_quant(k_rope, spec), fake_quant(v, spec)
+        if plan.kv_method == "kvquant_star":
+            # static per-channel K at the configured stage, dynamic per-token V
+            cfg = self.kv_cfgs[layer]
+            k_hat = quantize_k(k_pre, bias, cfg, rope_cfg, pos).reconstruct()
+            return k_hat, fake_quant(v, cfg.v_spec)
         hd = self.model.config.head_dim
-        if plan.kv_method == "rotated_per_token":
-            h = self.kv_hadamard
+        h = self.kv_hadamard
 
-            def round_trip(rows):
-                rot = rotate_kv_heads(rows.reshape(-1, hd), h).reshape(rows.shape)
-                q = fake_quant(rot, spec).reshape(-1, hd)
-                return unrotate_kv_heads(q, h).reshape(rows.shape)
+        def round_trip(rows):  # rotated_per_token
+            rot = rotate_kv_heads(rows.reshape(-1, hd), h).reshape(rows.shape)
+            q = fake_quant(rot, spec).reshape(-1, hd)
+            return unrotate_kv_heads(q, h).reshape(rows.shape)
 
-            return round_trip(k_rope), round_trip(v)
-        # kvquant_star: static per-channel K (pre/post rope, pre/post bias),
-        # dynamic per-token V; K is staged per head so RoPE sees head_dim
-        cfg = self.kv_cfgs[layer]
-        heads = (len(k_pre), -1, hd)
-        staged = k_stage_tensor(k_pre.reshape(heads), bias.reshape(heads[1:]),
-                                cfg, rope_cfg, pos).reshape(k_pre.shape)
-        params = params_from_ranges(*cfg.k_channel_ranges, cfg.k_spec, staged.shape)
-        k_hat = dequantize(quantize(staged, params))
-        if cfg.k_bias_mode == PRE_BIAS:
-            k_hat = k_hat + bias
-        if cfg.k_stage == PRE_ROPE:
-            k_hat = rope_apply(k_hat.reshape(heads), rope_cfg, pos).reshape(k_pre.shape)
-        return k_hat, dequantize(quantize_v_per_token(v, cfg.v_spec))
+        return round_trip(k_rope), round_trip(v)
 
 
 def _weight_linear_names(model: ToyModel, include_lm_head: bool):
@@ -357,23 +351,21 @@ def _prepare_weight_only(rt: Runtime, names, rec):
     spec = default_weight_spec(plan.w_bits, plan.group_size)
     for name in names:
         w = model.tensors[name].astype(np.float64)
-        b = _bias_for(model, name)
+        inv_s = None
         if plan.w_method == "rtn":
-            w_hat = dequantize(rtn_quantize_weights(w, spec))
-            rt.linears[name] = FakeQuantLinear(w_hat, b)
+            qt = rtn_quantize_weights(w, spec)
         elif plan.w_method == "gptq":
             x = rec.matrix(linear_input_site(name)).T  # (in, tokens)
             qt = gptq_quantize(w, x, GptqConfig(spec=spec))
-            w_hat = dequantize(qt)
-            rt.linears[name] = FakeQuantLinear(w_hat, b)
-            rt.proxy_losses[name] = float(np.sum(((w_hat - w) @ x) ** 2))
+            rt.proxy_losses[name] = proxy_loss(w, dequantize(qt), x)
         else:  # awq
             x = rec.matrix(linear_input_site(name)).T
             res = awq_search(w, x, spec, grid_step=plan.awq_grid_step)
             w_scaled, inv_s = awq_fold(w, res.scales)
-            w_hat = dequantize(rtn_quantize_weights(w_scaled, spec))
-            rt.linears[name] = FakeQuantLinear(w_hat, b, inv_input_scale=inv_s)
+            qt = rtn_quantize_weights(w_scaled, spec)
             rt.proxy_losses[name] = res.proxy_loss
+        rt.linears[name] = FakeQuantLinear(dequantize(qt), _bias_for(model, name),
+                                           inv_input_scale=inv_s, qt=qt)
 
 
 def _wa_specs(plan: QuantPlan):
@@ -425,8 +417,7 @@ def _prepare_kv(rt: Runtime, rec, rng):
         return
     if rec is None:
         raise MissingCalibration("kvquant_star needs calibration sequences")
-    hd = model.config.head_dim
-    rope_cfg = RopeConfig(head_dim=hd, base=model.config.rope_base)
+    rope_cfg = RopeConfig(head_dim=model.config.head_dim, base=model.config.rope_base)
     for i in range(model.config.n_layers):
         cfg = KvQuantStarConfig(
             k_spec=default_kv_k_channel_spec(plan.kv_bits),
@@ -435,14 +426,12 @@ def _prepare_kv(rt: Runtime, rec, rng):
             k_bias_mode=plan.k_bias_mode,
         )
         site = f"layer{i}.k_pre_bias"
-        k_rows = rec.matrix(site)
         bias = model.tensors.get(f"layers.{i}.bk")
         bias = np.zeros(model.config.d_model) if bias is None \
             else bias.astype(np.float64)
-        staged = k_stage_tensor(k_rows.reshape(len(k_rows), -1, hd),
-                                bias.reshape(-1, hd), cfg, rope_cfg,
+        staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg,
                                 rec.pos_array(site))
-        rt.kv_cfgs[i] = calibrate_k_channels(staged.reshape(k_rows.shape), cfg)
+        rt.kv_cfgs[i] = calibrate_k_channels(staged, cfg)
 
 
 def forward_quantized(model: ToyModel, tokens, plan: QuantPlan,

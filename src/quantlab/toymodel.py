@@ -17,6 +17,7 @@ Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,7 +31,7 @@ from .errors import (
     TokenOutOfRange,
     TruncatedFile,
 )
-from .kvquant import RopeConfig, rope_apply
+from .kvquant import RopeConfig, rope_heads
 from .numerics import is_power_of_two
 
 BOS_ID = 0
@@ -148,64 +149,67 @@ def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> T
     return ToyModel(config=cfg, tensors=tensors)
 
 
-# --- binary model format ("TQM1") --------------------------------------------
-# magic, version byte, u32 little-endian header length, UTF-8 JSON header
-# (config + tensor manifest name/shape/dtype/offset + aux manifest), zero
-# padding to a 64-byte boundary, then raw little-endian float32 tensor data,
-# each tensor 64-byte aligned. Offsets are absolute file offsets.
+# --- binary container format (TQM1 model files, TQQ1 checkpoints) -------------
+# magic, version byte, u32 little-endian header length, UTF-8 JSON header,
+# zero padding to a 64-byte boundary, then the data blobs, each 64-byte
+# aligned at the absolute file offset its manifest entry records. TQM1 holds
+# the config and the float32 `tensors` and `aux` manifests; TQQ1 is laid out
+# in quantlab.checkpoint.
 
 
-def _pad_to(n: int, align: int = _ALIGN) -> int:
-    return (n + align - 1) // align * align
-
-
-def save_model(m: ToyModel, path) -> None:
-    names = sorted(m.tensors)
-    aux_names = sorted(m.aux)
-    # two-pass: compute offsets with a fixed-size header estimate loop
-    manifest = [{"name": n, "shape": list(m.tensors[n].shape), "dtype": "f32",
-                 "offset": 0} for n in names]
-    aux_manifest = [{"name": n, "shape": list(np.asarray(m.aux[n]).shape),
-                     "dtype": "f32", "offset": 0} for n in aux_names]
-
-    def render(mani, aux_mani):
-        header = {
-            "config": m.config.to_dict(),
-            "tensors": mani,
-            "aux": aux_mani,
-        }
+def write_container(path, magic: bytes, header: dict, blobs) -> None:
+    """Write ``header`` and ``blobs``, a list of (bytes, manifest entry,
+    offset key): each blob's absolute offset is stored in its entry under
+    its key, which lengthens the header, so offsets are laid out again until
+    the header length stops changing."""
+    def render():
         return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
-    hdr = render(manifest, aux_manifest)
+    def pad(n):
+        return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+
+    for _, entry, key in blobs:
+        entry[key] = 0
+    hdr = render()
     while True:
-        data_start = _pad_to(len(MAGIC) + 1 + 4 + len(hdr))
-        off = data_start
-        for entry, n in zip(manifest, names):
-            entry["offset"] = off
-            off = _pad_to(off + m.tensors[n].size * 4)
-        for entry, n in zip(aux_manifest, aux_names):
-            entry["offset"] = off
-            off = _pad_to(off + np.asarray(m.aux[n]).size * 4)
-        new_hdr = render(manifest, aux_manifest)
+        off = pad(9 + len(hdr))  # magic, version byte, u32 header length
+        for raw, entry, key in blobs:
+            entry[key] = off
+            off = pad(off + len(raw))
+        new_hdr = render()
         if len(new_hdr) == len(hdr):
             hdr = new_hdr
             break
         hdr = new_hdr
 
-    total = off
-    buf = bytearray(total)
-    buf[:4] = MAGIC
+    buf = bytearray(off)
+    buf[:4] = magic
     buf[4] = FORMAT_VERSION
     struct.pack_into("<I", buf, 5, len(hdr))
     buf[9 : 9 + len(hdr)] = hdr
-    for entry, n in zip(manifest, names):
-        raw = np.ascontiguousarray(m.tensors[n], dtype="<f4").tobytes()
-        buf[entry["offset"] : entry["offset"] + len(raw)] = raw
-    for entry, n in zip(aux_manifest, aux_names):
-        raw = np.ascontiguousarray(np.asarray(m.aux[n]), dtype="<f4").tobytes()
-        buf[entry["offset"] : entry["offset"] + len(raw)] = raw
+    for raw, entry, key in blobs:
+        buf[entry[key] : entry[key] + len(raw)] = raw
     with open(path, "wb") as f:
         f.write(bytes(buf))
+
+
+def f32_blobs(arrays: dict, extra: Optional[dict] = None) -> tuple:
+    """The manifest of ``arrays`` (by sorted name, each entry holding
+    ``extra``) and its float32 blobs, for write_container."""
+    entries, blobs = [], []
+    for n in sorted(arrays):
+        arr = np.asarray(arrays[n])
+        entry = {"name": n, "shape": list(arr.shape), **(extra or {})}
+        entries.append(entry)
+        blobs.append((np.ascontiguousarray(arr, dtype="<f4").tobytes(), entry, "offset"))
+    return entries, blobs
+
+
+def save_model(m: ToyModel, path) -> None:
+    tensors, blobs = f32_blobs(m.tensors, {"dtype": "f32"})
+    aux, aux_blobs = f32_blobs(m.aux, {"dtype": "f32"})
+    write_container(path, MAGIC, {"config": m.config.to_dict(), "tensors": tensors,
+                                  "aux": aux}, blobs + aux_blobs)
 
 
 def read_header(raw: bytes, magic: bytes, keys) -> tuple:
@@ -232,10 +236,20 @@ def read_header(raw: bytes, magic: bytes, keys) -> tuple:
     return header, cfg
 
 
+def manifest(header: dict, key: str) -> list:
+    """The manifest list under ``key`` (empty when absent), checked to hold
+    mappings with a string ``name``."""
+    entries = header.get(key, [])
+    if not isinstance(entries, list):
+        raise BadMagic(f"{key!r} manifest is not a list: {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise BadMagic(f"malformed {key!r} manifest entry {entry!r}")
+    return entries
+
+
 def manifest_shape(entry, key: str = "shape") -> tuple:
     """A manifest entry's shape, checked to be a list of counts."""
-    if not isinstance(entry, dict) or "name" not in entry:
-        raise BadMagic(f"malformed manifest entry {entry!r}")
     dims = entry.get(key)
     if not isinstance(dims, list) or not all(
             type(n) is int and n >= 0 for n in dims):
@@ -252,20 +266,23 @@ def read_blob(raw: bytes, start, nbytes: int, what: str) -> bytes:
     return raw[start : start + nbytes]
 
 
-def read_f32(raw: bytes, entry) -> np.ndarray:
-    """The float32 tensor a manifest entry points at."""
-    shape = manifest_shape(entry)
-    data = read_blob(raw, entry.get("offset"), 4 * int(np.prod(shape)),
-                     f"tensor {entry['name']!r}")
-    return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+def read_array(raw: bytes, entry, dtype: str = "<f4", offset_key: str = "offset",
+               shape_key: str = "shape") -> np.ndarray:
+    """The array a manifest entry points at. The element count is taken in
+    Python integers, so a huge shape reads past the end of the file rather
+    than overflowing."""
+    shape = manifest_shape(entry, shape_key)
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+    data = read_blob(raw, entry.get(offset_key), nbytes, f"tensor {entry['name']!r}")
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
 
 def load_model(path) -> ToyModel:
     with open(path, "rb") as f:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("tensors",))
-    tensors = {e["name"]: read_f32(raw, e) for e in header["tensors"]}
-    aux = {e["name"]: read_f32(raw, e) for e in header.get("aux", [])}
+    tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "tensors")}
+    aux = {e["name"]: read_array(raw, e) for e in manifest(header, "aux")}
     for name, shape in _layer_tensor_specs(cfg):
         if name not in tensors:
             raise ShapeMismatch(f"missing tensor {name!r}")
@@ -291,13 +308,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
-
-
-def rope_heads(rows: np.ndarray, cfg: RopeConfig, pos: int) -> np.ndarray:
-    """Apply RoPE to every head of (T, d_model) rows; row r is at position
-    pos + r."""
-    heads = rope_apply(rows.reshape(len(rows), -1, cfg.head_dim), cfg, pos)
-    return heads.reshape(rows.shape)
 
 
 class PlainLinear:

@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from quantlab import cli
 from quantlab.calibration import parse_sequences
 from quantlab.checkpoint import load_checkpoint
-from quantlab.toymodel import load_model
+from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
+from quantlab.rng import make_rng
+from quantlab.toymodel import forward_reference, load_model
 
 from conftest import rewrite_header
 
@@ -80,7 +83,58 @@ class TestQuantize:
         rc = cli.main(["quantize", "--model", model_file, "--plan", "4-16-16",
                        "--method", "gptq", "--out", str(tmp_path / "c.tqq")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: QuantLabError")
+        assert capsys.readouterr().err.startswith("error: MissingCalibration: ")
+
+    @staticmethod
+    def _quantize(method, model_file, calib_file, out):
+        """``quantlab quantize`` at 4-16-16 and the in-memory runtime for the
+        same plan and calibration windows."""
+        rc = cli.main(["quantize", "--model", model_file, "--plan", "4-16-16",
+                       "--method", method, "--calib", calib_file,
+                       "--calib-len", "16", "--out", str(out)])
+        assert rc == 0
+        model = load_model(model_file)
+        plan = QuantPlan(w_bits=4, w_method=method)
+        return model, plan, prepare_runtime(
+            model, plan, cli._load_calib(calib_file, 0, 16))
+
+    @pytest.mark.parametrize("method", ["gptq", "awq"])
+    def test_printed_proxy_losses(self, model_file, calib_file, tmp_path,
+                                  capsys, method):
+        _, _, rt = self._quantize(method, model_file, calib_file,
+                                  tmp_path / "c.tqq")
+        printed = dict(line.split(": proxy_loss=")
+                       for line in capsys.readouterr().out.splitlines()
+                       if ": proxy_loss=" in line)
+        assert printed == {name: f"{loss:.6g}"
+                           for name, loss in rt.proxy_losses.items()}
+        assert len(printed) == 7
+
+    @pytest.mark.parametrize("method", ["rtn", "gptq", "awq"])
+    def test_loaded_checkpoint_runs_as_runtime(self, model_file, calib_file,
+                                               tmp_path, method):
+        out = tmp_path / "c.tqq"
+        model, plan, rt = self._quantize(method, model_file, calib_file, out)
+        loaded, _, _ = load_checkpoint(out)
+        probe = [int(t) for t in make_rng(3).integers(4, 16, 64)]
+        got = forward_reference(loaded, probe)
+        want = forward_quantized(model, probe, plan, runtime=rt)
+        assert np.max(np.abs(got - want)) <= 1e-5
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+    @pytest.mark.parametrize("plan, method", [
+        ("8-8-16", "smoothquant"), ("4-16-4", "per_token"), ("16-16-16", None)])
+    def test_rejects_plans_a_checkpoint_cannot_hold(self, model_file, tmp_path,
+                                                    capsys, plan, method):
+        out = tmp_path / "c.tqq"
+        argv = ["quantize", "--model", model_file, "--plan", plan,
+                "--out", str(out)]
+        rc = cli.main(argv + (["--method", method] if method else []))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDrift:
@@ -206,6 +260,16 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
 
 
+def _unread_dtypes_dropped(edit):
+    """``edit`` after deleting the manifest ``dtype`` keys, which the loader
+    does not read, to make room for an edit that lengthens the header."""
+    def run(h):
+        for entry in h["tensors"]:
+            del entry["dtype"]
+        edit(h)
+    return run
+
+
 class TestErrors:
     def test_missing_model_file(self, tmp_path, capsys):
         rc = cli.main(["drift", "--model", str(tmp_path / "absent.tqm"),
@@ -239,6 +303,19 @@ class TestErrors:
                      "TruncatedFile", id="negative-offset"),
         pytest.param(lambda h: h["tensors"][0].update(shape=[-1]),
                      "ShapeMismatch", id="negative-dim"),
+        pytest.param(lambda h: h.update(tensors=None), "BadMagic",
+                     id="tensors-null"),
+        pytest.param(lambda h: h.update(tensors="x"), "BadMagic",
+                     id="tensors-string"),
+        pytest.param(lambda h: h.update(aux=1), "BadMagic", id="aux-int"),
+        pytest.param(lambda h: h["tensors"].__setitem__(0, 1), "BadMagic",
+                     id="entry-not-a-mapping"),
+        pytest.param(_unread_dtypes_dropped(
+            lambda h: h["tensors"][0].update(name=["embed"])), "BadMagic",
+                     id="name-not-a-string"),
+        pytest.param(_unread_dtypes_dropped(
+            lambda h: h["tensors"][0].update(shape=[2**40, 2**40])),
+                     "TruncatedFile", id="element-count-overflow"),
     ])
     def test_malformed_header(self, model_file, tmp_path, capsys, edit, error):
         bad = tmp_path / "bad.tqm"

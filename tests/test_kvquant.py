@@ -164,6 +164,25 @@ class TestQuantizeK:
                                   (16, 8)).expand()
         assert np.all(np.abs(recon - exact) <= s / 2 + 1e-6)
 
+    def test_rows_of_several_heads(self):
+        rng = make_rng(9)
+        k = rng.standard_normal((12, 16))
+        bias = rng.standard_normal(16)
+        rope = RopeConfig(head_dim=8)
+        for stage in (PRE_ROPE, POST_ROPE):
+            cfg = kv_cfg(k_stage=stage)
+            rows = quantize_k(k, bias, calibrate_k_channels(
+                k_stage_tensor(k, bias, cfg, rope, 3), cfg), rope, 3)
+            heads = []
+            for h in (slice(0, 8), slice(8, 16)):
+                cal = calibrate_k_channels(
+                    k_stage_tensor(k[:, h], bias[h], cfg, rope, 3), cfg)
+                heads.append(quantize_k(k[:, h], bias[h], cal, rope, 3).reconstruct())
+            assert np.array_equal(rows.reconstruct(), np.concatenate(heads, axis=1))
+        cfg = calibrate_k_channels(k[:, :12], kv_cfg())
+        with pytest.raises(ChannelCountMismatch):
+            quantize_k(k[:, :12], bias[:12], cfg, rope)
+
     def test_uncalibrated_rejected(self):
         with pytest.raises(NotCalibrated):
             quantize_k(np.zeros((1, 4)), np.zeros(4), kv_cfg(),

@@ -322,6 +322,21 @@ class TestCheckpoint:
                      ShapeMismatch, id="negative-param-dim"),
         pytest.param(lambda h: h["q_tensors"][0].pop("spec"), BadMagic,
                      id="missing-spec"),
+        pytest.param(lambda h: h.update(q_tensors=None), BadMagic,
+                     id="q-tensors-null"),
+        pytest.param(lambda h: h.update(fp_tensors="x"), BadMagic,
+                     id="fp-tensors-string"),
+        pytest.param(lambda h: h.update(aux=1), BadMagic, id="aux-int"),
+        pytest.param(lambda h: h["q_tensors"].__setitem__(0, 1), BadMagic,
+                     id="entry-not-a-mapping"),
+        # the plan is returned unread; emptying it makes room for the edit
+        pytest.param(lambda h: h.update(plan={}) or h["fp_tensors"][0].update(
+            name=[h["fp_tensors"][0]["name"]]), BadMagic,
+                     id="name-not-a-string"),
+        pytest.param(lambda h: h.update(plan={}) or h["fp_tensors"][0].update(
+            shape=[2**40, 2**40]), TruncatedFile, id="fp-count-overflow"),
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0].update(
+            shape=[2**40, 2**40]), ShapeMismatch, id="q-count-overflow"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"
