@@ -100,14 +100,6 @@ class ChannelStats:
     tokens: int
     pos_bucket: str = "all"
 
-    @staticmethod
-    def merge(a: "ChannelStats", b: "ChannelStats") -> "ChannelStats":
-        """Token-count-weighted mean, elementwise max."""
-        total = a.tokens + b.tokens
-        mean = (a.mean_abs * a.tokens + b.mean_abs * b.tokens) / total
-        return ChannelStats(a.site, mean, np.maximum(a.max_abs, b.max_abs),
-                            total, a.pos_bucket)
-
 
 def known_sites(m: ToyModel) -> list:
     sites = ["lm_head_in"]

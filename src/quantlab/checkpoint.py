@@ -19,6 +19,7 @@ from .quantcore import (
     QuantSpec,
     QuantizedTensor,
     dequantize,
+    grid_shape,
     pack_codes,
     unpack_codes,
 )
@@ -79,21 +80,31 @@ def load_checkpoint(path):
         name = entry["name"]
         shape = manifest_shape(entry)
         what = f"tensor {name!r}"
+        if len(shape) != 2 or 0 in shape:
+            raise ShapeMismatch(f"{what}: shape {list(shape)} is not a nonempty matrix")
         try:
             spec = QuantSpec.from_dict(entry["spec"])
         except (KeyError, TypeError) as e:  # absent, not a mapping, bad key
             raise BadMagic(f"{what}: bad spec: {e}")
-        scales = read_array(raw, entry, "<f8", "scales_offset", "param_shape")
-        zps = None
-        if "zero_points_offset" in entry:
-            zps = read_array(raw, entry, "<i4", "zero_points_offset", "param_shape")
         count = math.prod(shape)
         nbytes = -(-count * spec.bits // 8)
         if entry.get("codes_bytes") != nbytes:
             raise ShapeMismatch(f"{what}: {entry.get('codes_bytes')!r} code bytes "
                                 f"for shape {list(shape)} at {spec.bits} bits")
+        # read before the grid is laid out, so the shape is one the file holds
         codes = unpack_codes(read_blob(raw, entry.get("codes_offset"), nbytes, what),
                              count, spec.bits, spec.symmetric).reshape(shape)
+        grid = grid_shape(shape, spec)
+        if manifest_shape(entry, "param_shape") != grid:
+            raise ShapeMismatch(f"{what}: param_shape {entry['param_shape']} is not "
+                                f"the group grid {list(grid)} of shape {list(shape)}")
+        if spec.symmetric == ("zero_points_offset" in entry):
+            raise ShapeMismatch(f"{what}: zero points must be stored exactly when "
+                                f"the spec is asymmetric")
+        scales = read_array(raw, entry, "<f8", "scales_offset", "param_shape")
+        zps = None
+        if not spec.symmetric:
+            zps = read_array(raw, entry, "<i4", "zero_points_offset", "param_shape")
         qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape), spec, shape)
         quantized[name] = qt
         w = dequantize(qt)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import calibration, checkpoint, harness
 from .errors import QuantLabError
-from .quantrun import QuantPlan, prepare_runtime
+from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runtime
 from .rng import make_rng
 from .toymodel import ToyConfig, generate, init_model, load_model, save_model
 
@@ -27,11 +27,11 @@ def _add_common(p):
 def _plan_from_args(args) -> QuantPlan:
     kwargs = {}
     if getattr(args, "method", None):
-        if args.method in ("rtn", "gptq", "awq"):
+        if args.method in W_METHODS:
             kwargs["w_method"] = args.method
-        elif args.method in ("smoothquant", "rotate", "flatquant", "mxfp4"):
+        elif args.method in WA_METHODS and args.method != "none":
             kwargs["wa_method"] = args.method
-        elif args.method in ("per_token", "kvquant_star", "rotated_per_token"):
+        elif args.method in KV_METHODS:
             kwargs["kv_method"] = args.method
         else:
             raise ValueError(f"unknown method {args.method!r}")
@@ -112,10 +112,8 @@ def cmd_generate(args):
     model = load_model(args.model)
     plan = _plan_from_args(args)
     rng = make_rng(args.seed)
-    runtime = None
-    if not plan.passthrough:
-        runtime = prepare_runtime(model, plan,
-                                  _load_calib(args.calib, args.seed, args.calib_len))
+    runtime = prepare_runtime(model, plan,
+                              _load_calib(args.calib, args.seed, args.calib_len))
     prompt = [int(t) for t in args.prompt.split()]
     seq = generate(model, prompt, max_new=args.max_new,
                    temperature=args.temperature, top_p=args.top_p, rng=rng,
@@ -161,15 +159,13 @@ def cmd_calib(args):
 
 def cmd_stats(args):
     model = load_model(args.model)
-    rng = make_rng(args.seed)
-    if args.calib:
-        cs = calibration.load_calibration(args.calib, seq_len=args.calib_len or 64,
-                                          count=8, rng=rng)
-    else:
+    seqs = _load_calib(args.calib, args.seed, args.calib_len)
+    if seqs is None:
+        rng = make_rng(args.seed)
         seqs = [[int(t) for t in rng.integers(0, model.config.vocab_size, size=64)]
                 for _ in range(4)]
-        cs = calibration.CalibrationSet(seqs, domain_tag="random")
-    stats = calibration.capture_channel_stats(model, cs, [args.site])
+    stats = calibration.capture_channel_stats(model, calibration.CalibrationSet(seqs),
+                                              [args.site])
     calibration.stats_to_csv(stats, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -3,14 +3,11 @@ model, reasoning-length budget control, and sweep execution with CSV/JSON
 report emission.
 
 Config files are UTF-8 JSON with a ``schema_version`` field; plans use the
-W-A-KV bit notation (e.g. "4-16-16"). Worker parallelism for sweeps is
-capped by the QUANTLAB_THREADS environment variable.
+W-A-KV bit notation (e.g. "4-16-16").
 """
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +30,7 @@ CODE_VERSION = "quantlab-0.1.0"
 LC_OFF = "off"
 LC_SUPPRESS = "suppress"
 LC_PROMOTE = "promote"
+ANSWER_BUDGET = 32  # tokens sampled after THINK_END
 
 
 @dataclass
@@ -40,7 +38,6 @@ class LengthControl:
     mode: str = LC_OFF
     budget: int = 32
     max_waits: int = 8
-    answer_budget: int = 32
 
     def __post_init__(self):
         if self.mode not in (LC_OFF, LC_SUPPRESS, LC_PROMOTE):
@@ -57,7 +54,6 @@ class ExperimentConfig:
     probe_tokens: Optional[list] = None
     prompts: list = field(default_factory=lambda: [[0]])
     calib_sequences: Optional[list] = None
-    max_new: int = 64
     temperature: float = 0.6
     top_p: float = 0.95
     length_control: LengthControl = field(default_factory=LengthControl)
@@ -138,15 +134,15 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
     """One controlled generation. Thinking tokens are the tokens emitted
     before THINK_END. Suppression force-inserts THINK_END at the budget;
     promotion replaces an early THINK_END with WAIT while the wait budget
-    lasts. After THINK_END the answer phase runs for a fixed budget.
+    lasts. After THINK_END the answer phase runs for ANSWER_BUDGET tokens.
 
     Returns (sequence, thinking_count, total_generated).
     """
     if not prompt:
         raise ValueError("prompt must hold at least one token")
-    if runtime is None and not plan.passthrough:
+    if runtime is None:
         runtime = prepare_runtime(model, plan, calib_sequences)
-    sess = Session(model, runtime=None if plan.passthrough else runtime)
+    sess = Session(model, runtime=runtime)
     logits = sess.forward(prompt)[-1]
     seq = list(prompt)
     max_len = model.config.max_seq_len
@@ -185,7 +181,7 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
         thinking += 1
 
     answered = 0
-    while think_done and answered < lc.answer_budget and len(seq) < max_len:
+    while think_done and answered < ANSWER_BUDGET and len(seq) < max_len:
         nxt = sample_token(logits, temperature, top_p, rng)
         if not emit(nxt):
             break
@@ -196,9 +192,7 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
 
 def run_length_control(model: ToyModel, cfg: ExperimentConfig) -> LengthReport:
     lc = cfg.length_control
-    runtime = None
-    if not cfg.plan.passthrough:
-        runtime = prepare_runtime(model, cfg.plan, cfg.calib_sequences)
+    runtime = prepare_runtime(model, cfg.plan, cfg.calib_sequences)
     thinking = []
     totals = []
     for r in range(cfg.n_runs):
@@ -239,15 +233,10 @@ def _sweep_one(model, cfg: ExperimentConfig) -> dict:
     return row
 
 
-def run_sweep(model: ToyModel, cfgs: list, workers: Optional[int] = None) -> list:
-    """Execute independent configs; failures are recorded per row and never
-    affect other rows."""
-    if workers is None:
-        workers = int(os.environ.get("QUANTLAB_THREADS", "1"))
-    if workers <= 1 or len(cfgs) <= 1:
-        return [_sweep_one(model, c) for c in cfgs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: _sweep_one(model, c), cfgs))
+def run_sweep(model: ToyModel, cfgs: list) -> list:
+    """Execute independent configs in order; failures are recorded per row
+    and never affect other rows."""
+    return [_sweep_one(model, c) for c in cfgs]
 
 
 _SWEEP_COLUMNS = [

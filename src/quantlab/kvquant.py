@@ -26,7 +26,6 @@ from .quantcore import (
     QuantizedTensor,
     dequantize,
     fit_asymmetric,
-    fit_params,
     quantize,
 )
 
@@ -94,7 +93,6 @@ def default_kv_k_channel_spec(bits: int) -> QuantSpec:
 @dataclass
 class KvQuantStarConfig:
     k_spec: QuantSpec
-    v_spec: QuantSpec
     k_stage: str = PRE_ROPE
     k_bias_mode: str = PRE_BIAS
     k_channel_ranges: Optional[tuple] = None  # (min, max) arrays per channel
@@ -188,14 +186,6 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
         return StoredK(None, bias, cfg, cfg_rope, pos, raw=staged.copy())
     params = params_from_ranges(mn, mx, cfg.k_spec, staged.shape)
     return StoredK(quantize(staged, params), bias, cfg, cfg_rope, pos)
-
-
-def quantize_v_per_token(v: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
-    """Dynamic per-token-row quantization, 128-channel groups."""
-    v = np.asarray(v, dtype=np.float64)
-    if spec.granularity not in (PER_GROUP, "per_token"):
-        raise ValueError("V quantization expects per-token/group granularity")
-    return quantize(v, fit_params(v, spec))
 
 
 def rotate_kv_heads(kv: np.ndarray, h: HadamardMatrix) -> np.ndarray:

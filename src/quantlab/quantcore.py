@@ -21,7 +21,7 @@ Conventions (documented once, relied on everywhere):
   * an all-zero group gets scale 1 and zero point 0.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -69,14 +69,7 @@ class QuantSpec:
         return replace(self, clip_ratio=clip_ratio)
 
     def to_dict(self) -> dict:
-        return {
-            "bits": self.bits,
-            "symmetric": self.symmetric,
-            "granularity": self.granularity,
-            "axis": self.axis,
-            "group_size": self.group_size,
-            "clip_ratio": self.clip_ratio,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "QuantSpec":
@@ -136,6 +129,14 @@ def _grouping(shape, spec: QuantSpec):
     extent = shape[g_axis]
     size = min(spec.group_size, extent)
     return g_axis, np.arange(0, extent, size)
+
+
+def grid_shape(shape, spec: QuantSpec) -> tuple:
+    """The group grid (see QuantParams) fit_params fits for a 2-D ``shape``."""
+    g_axis, starts = _grouping(shape, spec)
+    if g_axis is None:
+        return (1, 1)
+    return (shape[0], len(starts)) if g_axis == 1 else (len(starts), shape[1])
 
 
 def _group_sizes(extent: int, starts: np.ndarray) -> np.ndarray:

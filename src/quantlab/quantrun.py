@@ -6,7 +6,7 @@ Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,7 @@ from .transforms import (
     flat_input,
     flat_train,
     flat_weight,
+    rotate_layer,
     smooth_fit,
 )
 from .weightquant import (
@@ -49,8 +50,8 @@ from .weightquant import (
     awq_fold,
     awq_search,
     default_weight_spec,
+    dequant_loss,
     gptq_quantize,
-    proxy_loss,
     rtn_quantize_weights,
 )
 
@@ -112,16 +113,7 @@ class QuantPlan:
         return QuantPlan(w_bits=w, a_bits=a, kv_bits=kv, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "w_bits": self.w_bits, "a_bits": self.a_bits, "kv_bits": self.kv_bits,
-            "w_method": self.w_method, "wa_method": self.wa_method,
-            "kv_method": self.kv_method, "group_size": self.group_size,
-            "k_stage": self.k_stage, "k_bias_mode": self.k_bias_mode,
-            "smooth_alpha": self.smooth_alpha, "flat_steps": self.flat_steps,
-            "awq_grid_step": self.awq_grid_step,
-            "rotation_seed": self.rotation_seed,
-            "include_lm_head": self.include_lm_head,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "QuantPlan":
@@ -265,7 +257,6 @@ class Runtime:
     linears: dict = field(default_factory=dict)   # name -> PlainLinear subclass
     kv_cfgs: dict = field(default_factory=dict)   # layer -> KvQuantStarConfig
     kv_hadamard: Optional[object] = None
-    v_spec: Optional[QuantSpec] = None
     kv_token_spec: Optional[QuantSpec] = None
     proxy_losses: dict = field(default_factory=dict)
 
@@ -283,9 +274,8 @@ class Runtime:
             return fake_quant(k_rope, spec), fake_quant(v, spec)
         if plan.kv_method == "kvquant_star":
             # static per-channel K at the configured stage, dynamic per-token V
-            cfg = self.kv_cfgs[layer]
-            k_hat = quantize_k(k_pre, bias, cfg, rope_cfg, pos).reconstruct()
-            return k_hat, fake_quant(v, cfg.v_spec)
+            stored = quantize_k(k_pre, bias, self.kv_cfgs[layer], rope_cfg, pos)
+            return stored.reconstruct(), fake_quant(v, spec)
         hd = self.model.config.head_dim
         h = self.kv_hadamard
 
@@ -357,7 +347,7 @@ def _prepare_weight_only(rt: Runtime, names, rec):
         elif plan.w_method == "gptq":
             x = rec.matrix(linear_input_site(name)).T  # (in, tokens)
             qt = gptq_quantize(w, x, GptqConfig(spec=spec))
-            rt.proxy_losses[name] = proxy_loss(w, dequantize(qt), x)
+            rt.proxy_losses[name] = dequant_loss(qt, w, x)
         else:  # awq
             x = rec.matrix(linear_input_site(name)).T
             res = awq_search(w, x, spec, grid_step=plan.awq_grid_step)
@@ -389,7 +379,7 @@ def _prepare_wa(rt: Runtime, names, rec, rng):
             rt.linears[name] = Mxfp4Linear(w, b)
         elif plan.wa_method == "rotate":
             h = hadamard(w.shape[1], randomize=True, rng=rng)
-            wt = h.matrix.T @ w.T  # (in, out); output channels are columns
+            wt = rotate_layer(w, h)  # (in, out); output channels are columns
             spec_wt = QuantSpec(bits=plan.w_bits, symmetric=True,
                                 granularity=PER_CHANNEL, axis=1)
             wt_hat = fake_quant(wt, spec_wt) if plan.w_bits < 16 else wt
@@ -397,10 +387,10 @@ def _prepare_wa(rt: Runtime, names, rec, rng):
         elif plan.wa_method == "smoothquant":
             x = rec.matrix(linear_input_site(name))
             ss = smooth_fit(x, w, alpha=plan.smooth_alpha)
-            w_hat = fake_quant(w * ss.scales[np.newaxis, :], spec_w) \
-                if plan.w_bits < 16 else w * ss.scales[np.newaxis, :]
-            rt.linears[name] = FakeQuantLinear(
-                w_hat, b, act_spec=spec_a, inv_input_scale=1.0 / ss.scales)
+            w_s, inv_s = awq_fold(w, ss.scales)
+            w_hat = fake_quant(w_s, spec_w) if plan.w_bits < 16 else w_s
+            rt.linears[name] = FakeQuantLinear(w_hat, b, act_spec=spec_a,
+                                               inv_input_scale=inv_s)
         else:  # flatquant
             x = rec.matrix(linear_input_site(name))
             t = flat_train(w, x, spec_w, spec_a, steps=plan.flat_steps)
@@ -418,13 +408,9 @@ def _prepare_kv(rt: Runtime, rec, rng):
     if rec is None:
         raise MissingCalibration("kvquant_star needs calibration sequences")
     rope_cfg = RopeConfig(head_dim=model.config.head_dim, base=model.config.rope_base)
+    cfg = KvQuantStarConfig(k_spec=default_kv_k_channel_spec(plan.kv_bits),
+                            k_stage=plan.k_stage, k_bias_mode=plan.k_bias_mode)
     for i in range(model.config.n_layers):
-        cfg = KvQuantStarConfig(
-            k_spec=default_kv_k_channel_spec(plan.kv_bits),
-            v_spec=default_kv_v_spec(plan.kv_bits, plan.group_size),
-            k_stage=plan.k_stage,
-            k_bias_mode=plan.k_bias_mode,
-        )
         site = f"layer{i}.k_pre_bias"
         bias = model.tensors.get(f"layers.{i}.bk")
         bias = np.zeros(model.config.d_model) if bias is None \
@@ -441,4 +427,4 @@ def forward_quantized(model: ToyModel, tokens, plan: QuantPlan,
     runtime may be passed to amortize calibration across probes."""
     if runtime is None:
         runtime = prepare_runtime(model, plan, calib_sequences)
-    return Session(model, runtime=None if plan.passthrough else runtime).forward(tokens)
+    return Session(model, runtime=runtime).forward(tokens)

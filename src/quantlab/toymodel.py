@@ -19,7 +19,7 @@ Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,17 +71,7 @@ class ToyConfig:
         return self.ffn_mult * self.d_model
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "head_dim": self.head_dim,
-            "ffn_mult": self.ffn_mult,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "rope_base": self.rope_base,
-            "qkv_bias": self.qkv_bias,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ToyConfig":
@@ -93,9 +83,6 @@ class ToyModel:
     config: ToyConfig
     tensors: dict  # name -> float32 ndarray
     aux: dict = field(default_factory=dict)  # quantization artifacts, by name
-
-    def tensor(self, name: str) -> np.ndarray:
-        return self.tensors[name]
 
 
 def _layer_tensor_specs(cfg: ToyConfig):

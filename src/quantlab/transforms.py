@@ -27,8 +27,9 @@ class SmoothScales:
 def smooth_fit(x_calib: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> SmoothScales:
     """s_j = max|X_j|^alpha / max|W_j|^(1-alpha), floored at 1e-8.
 
-    The activation side is divided by s and the weight side multiplied, so
-    the product is unchanged while outlier channels migrate into weights.
+    The weight side is multiplied by s and the activation side by 1 / s
+    (``weightquant.awq_fold``), so the product is unchanged while outlier
+    channels migrate into weights.
     """
     x = np.asarray(x_calib, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -38,11 +39,6 @@ def smooth_fit(x_calib: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> Smooth
     aw = np.maximum(np.max(np.abs(w), axis=0), 1e-8)
     s = np.maximum(ax**alpha / aw ** (1.0 - alpha), 1e-8)
     return SmoothScales(alpha=alpha, scales=s)
-
-
-def smooth_apply(x: np.ndarray, w: np.ndarray, s: SmoothScales):
-    """Return (x / s, w * s) — exact factorization of x @ w.T."""
-    return x / s.scales[np.newaxis, :], w * s.scales[np.newaxis, :]
 
 
 def rotate_layer(w: np.ndarray, h: HadamardMatrix) -> np.ndarray:

@@ -28,6 +28,7 @@ from .quantcore import (
 
 NATURAL = "natural"
 ACTIVATION_ORDER = "activation_order"
+MAX_DAMPING_RETRIES = 8  # doublings of the GPTQ damping before giving up
 
 
 def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
@@ -41,7 +42,6 @@ class GptqConfig:
     spec: QuantSpec = field(default_factory=lambda: default_weight_spec(4))
     damping_fraction: float = 0.01
     column_order: str = NATURAL
-    max_damping_retries: int = 8
 
     def __post_init__(self):
         if self.damping_fraction <= 0:
@@ -84,7 +84,7 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
     if lam <= 0:
         lam = cfg.damping_fraction
     C = None
-    for _ in range(cfg.max_damping_retries + 1):
+    for _ in range(MAX_DAMPING_RETRIES + 1):
         try:
             Hinv = invert_spd(H + lam * np.eye(n_in))
             C = cholesky(Hinv).T  # upper triangular, Hinv = C.T @ C

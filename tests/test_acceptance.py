@@ -15,7 +15,6 @@ from quantlab.kvquant import (
     RopeConfig,
     calibrate_k_channels,
     default_kv_k_channel_spec,
-    default_kv_v_spec,
     quantize_k,
     rope_apply,
 )
@@ -227,7 +226,6 @@ def test_criterion_6_pre_bias_k_quant():
             # reconstruction adds the exact bias and applies RoPE
             cfg = KvQuantStarConfig(
                 k_spec=default_kv_k_channel_spec(bits),
-                v_spec=default_kv_v_spec(bits),
                 k_stage="pre_rope", k_bias_mode="pre_bias")
             cfg = calibrate_k_channels(k_raw, cfg)
             stored = quantize_k(k_raw, bias, cfg, rope)

@@ -3,7 +3,6 @@ import pytest
 
 from quantlab.calibration import (
     CalibrationSet,
-    ChannelStats,
     capture_channel_stats,
     known_sites,
     load_calibration,
@@ -92,20 +91,6 @@ class TestSelfGenerate:
 
 
 class TestChannelStats:
-    def test_merge_linearity(self):
-        rng = make_rng(6)
-        rows = rng.standard_normal((10, 4))
-        whole = ChannelStats("s", np.mean(np.abs(rows), axis=0),
-                             np.max(np.abs(rows), axis=0), 10)
-        a = ChannelStats("s", np.mean(np.abs(rows[:3]), axis=0),
-                         np.max(np.abs(rows[:3]), axis=0), 3)
-        b = ChannelStats("s", np.mean(np.abs(rows[3:]), axis=0),
-                         np.max(np.abs(rows[3:]), axis=0), 7)
-        merged = ChannelStats.merge(a, b)
-        assert merged.tokens == 10
-        assert np.allclose(merged.mean_abs, whole.mean_abs)
-        assert np.array_equal(merged.max_abs, whole.max_abs)
-
     def test_unknown_site(self, small_model):
         cs = CalibrationSet([[0, 1]])
         with pytest.raises(UnknownSite):

@@ -170,6 +170,14 @@ class TestGenerate:
         toks = [int(t) for t in outs[0].split()]
         assert len(toks) == 13 and toks[0] == 0
 
+    def test_missing_calib_file(self, model_file, tmp_path, capsys):
+        """--calib is loaded for every plan, the 16-bit sentinel included."""
+        rc = cli.main(["generate", "--model", model_file, "--plan", "16-16-16",
+                       "--calib", str(tmp_path / "absent.txt"),
+                       "--out", str(tmp_path / "g.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
 
 class TestLengthControl:
     def test_json_report(self, model_file, tmp_path):

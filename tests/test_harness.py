@@ -17,7 +17,7 @@ from quantlab.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from quantlab.quantrun import QuantPlan
+from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
 from quantlab.toymodel import ToyConfig, init_model
 
@@ -120,6 +120,18 @@ class TestLengthControl:
             small_model, [0], QuantPlan(), lc, make_rng(0))
         assert total == len(seq) - 1
 
+    @pytest.mark.parametrize("plan", [QuantPlan(), QuantPlan(wa_method="rotate")])
+    def test_passthrough_runtime_matches_none(self, small_model, plan):
+        """A 16-16-16 plan runs through its prepared (empty) runtime, which
+        samples exactly what the reference session samples."""
+        lc = LengthControl(mode="promote", budget=12)
+        rt = prepare_runtime(small_model, plan)
+        for seed in range(3):
+            got = generate_with_length_control(small_model, [0], plan, lc,
+                                               make_rng(seed), runtime=rt)
+            assert got == generate_with_length_control(small_model, [0], plan, lc,
+                                                       make_rng(seed))
+
     def test_run_report_stats(self, small_model):
         cfg = ExperimentConfig(
             plan=QuantPlan(), n_runs=5, seed=3,
@@ -156,16 +168,6 @@ class TestSweep:
         assert [r["status"] for r in rows] == ["ok", "error", "ok"]
         assert "MissingCalibration" in rows[1]["error"]
         assert rows[0] == rows[2]
-
-    def test_threaded_matches_serial(self, small_model, monkeypatch):
-        cfgs = [ExperimentConfig(plan=QuantPlan(w_bits=b),
-                                 probe_tokens=probe(16)) for b in (3, 4, 8)]
-        serial = run_sweep(small_model, cfgs, workers=1)
-        threaded = run_sweep(small_model, cfgs, workers=2)
-        assert serial == threaded
-        monkeypatch.setenv("QUANTLAB_THREADS", "2")
-        env_threaded = run_sweep(small_model, cfgs)
-        assert env_threaded == serial
 
     def test_length_control_sweep_rows(self, small_model):
         cfg = ExperimentConfig(

@@ -21,19 +21,17 @@ from quantlab.kvquant import (
     k_stage_tensor,
     params_from_ranges,
     quantize_k,
-    quantize_v_per_token,
     rope_apply,
     rotate_kv_heads,
     unrotate_kv_heads,
 )
 from quantlab.numerics import hadamard
-from quantlab.quantcore import QuantSpec, dequantize, fit_params
+from quantlab.quantcore import QuantSpec, dequantize, fit_params, quantize
 from quantlab.rng import make_rng
 
 
 def kv_cfg(bits=4, k_stage=PRE_ROPE, k_bias_mode=PRE_BIAS):
     return KvQuantStarConfig(k_spec=default_kv_k_channel_spec(bits),
-                             v_spec=default_kv_v_spec(bits),
                              k_stage=k_stage, k_bias_mode=k_bias_mode)
 
 
@@ -145,8 +143,7 @@ class TestQuantizeK:
         rng = make_rng(6)
         k = rng.standard_normal((8, 8))
         bias = rng.standard_normal(8)
-        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16),
-                                v_spec=QuantSpec(bits=16))
+        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16))
         rope = RopeConfig(head_dim=8)
         staged = k_stage_tensor(k, bias, cfg, rope, 0)
         cfg = calibrate_k_channels(staged, cfg)
@@ -198,20 +195,15 @@ class TestQuantizeK:
 class TestVQuant:
     def test_per_token_group_bound(self):
         v = make_rng(8).standard_normal((4, 256))
-        qt = quantize_v_per_token(v, default_kv_v_spec(4))
+        qt = quantize(v, fit_params(v, default_kv_v_spec(4)))
         s, _ = qt.params.expand()
         assert np.all(np.abs(dequantize(qt) - v) <= s / 2 + 1e-6)
 
     def test_rows_quantized_independently(self):
         v = np.vstack([np.full(128, 1e-3), np.full(128, 1e3)])
         v[0, 0], v[1, 0] = 2e-3, 2e3
-        qt = quantize_v_per_token(v, default_kv_v_spec(4))
+        qt = quantize(v, fit_params(v, default_kv_v_spec(4)))
         assert qt.params.scales[1, 0] / qt.params.scales[0, 0] == pytest.approx(1e6)
-
-    def test_granularity_checked(self):
-        with pytest.raises(ValueError):
-            quantize_v_per_token(np.zeros((2, 4)),
-                                 QuantSpec(bits=4, granularity="per_tensor"))
 
 
 class TestHeadRotation:

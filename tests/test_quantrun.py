@@ -108,6 +108,16 @@ class TestForward:
         q = forward_quantized(small_model, toks, QuantPlan())
         assert np.array_equal(ref, q)
 
+    @pytest.mark.parametrize("plan", [QuantPlan(), QuantPlan(wa_method="rotate")])
+    def test_passthrough_runtime_is_the_reference(self, small_model, plan):
+        """A 16-16-16 plan's runtime is empty: its session computes the
+        reference logits byte for byte."""
+        toks = probe(40)
+        rt = prepare_runtime(small_model, plan)
+        assert rt.linears == {}
+        got = Session(small_model, runtime=rt).forward(toks)
+        assert got.tobytes() == forward_reference(small_model, toks).tobytes()
+
     def test_missing_calibration(self, small_model):
         with pytest.raises(MissingCalibration):
             prepare_runtime(small_model, QuantPlan(w_bits=4, w_method="gptq"))
@@ -337,6 +347,19 @@ class TestCheckpoint:
             shape=[2**40, 2**40]), TruncatedFile, id="fp-count-overflow"),
         pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0].update(
             shape=[2**40, 2**40]), ShapeMismatch, id="q-count-overflow"),
+        pytest.param(lambda h: h["q_tensors"][0].update(shape=[512]),
+                     ShapeMismatch, id="q-shape-not-a-matrix"),
+        # the first q-tensor, w_down (16 x 32 in groups of 8), has grid [16, 4]
+        pytest.param(lambda h: h["q_tensors"][0].update(param_shape=[16, 1]),
+                     ShapeMismatch, id="param-shape-short"),
+        pytest.param(lambda h: h["q_tensors"][0].update(param_shape=[1, 2]),
+                     ShapeMismatch, id="param-shape-one-row"),
+        pytest.param(lambda h: h["q_tensors"][0].update(param_shape=[0, 0]),
+                     ShapeMismatch, id="param-shape-empty"),
+        pytest.param(lambda h: h["q_tensors"][0]["spec"].update(symmetric=True),
+                     ShapeMismatch, id="symmetric-with-zero-points"),
+        pytest.param(lambda h: h["q_tensors"][0].pop("zero_points_offset"),
+                     ShapeMismatch, id="asymmetric-without-zero-points"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"

@@ -13,14 +13,21 @@ from quantlab.transforms import (
     kron_apply_right,
     kron_factor,
     rotate_layer,
-    smooth_apply,
     smooth_fit,
 )
+from quantlab.weightquant import awq_fold
 
 SPEC_W4 = QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0)
 SPEC_A4 = QuantSpec(bits=4, symmetric=False, granularity=PER_GROUP, axis=1,
                     group_size=128)
 SPEC_OFF = QuantSpec(bits=16)
+
+
+def fold(x, w, ss):
+    """(x / s, w * s) as the runtime folds it: the weight through awq_fold,
+    the activation multiplied by the returned inverse scales."""
+    ws, inv = awq_fold(w, ss.scales)
+    return x * inv, ws
 
 
 class TestSmoothQuant:
@@ -29,7 +36,7 @@ class TestSmoothQuant:
         x = rng.standard_normal((32, 8))
         w = rng.standard_normal((4, 8))
         ss = smooth_fit(x, w, alpha=1.0)
-        xs, _ = smooth_apply(x, w, ss)
+        xs, _ = fold(x, w, ss)
         assert np.allclose(np.max(np.abs(xs), axis=0), 1.0)
 
     def test_alpha_zero_normalizes_weights(self):
@@ -37,7 +44,7 @@ class TestSmoothQuant:
         x = rng.standard_normal((32, 8))
         w = rng.standard_normal((4, 8))
         ss = smooth_fit(x, w, alpha=0.0)
-        _, ws = smooth_apply(x, w, ss)
+        _, ws = fold(x, w, ss)
         assert np.allclose(np.max(np.abs(ws), axis=0), 1.0)
 
     def test_outlier_channel_range_shrinks(self):
@@ -46,7 +53,7 @@ class TestSmoothQuant:
         x[:, 3] *= 100.0
         w = rng.standard_normal((8, 16))
         ss = smooth_fit(x, w, alpha=0.5)
-        xs, _ = smooth_apply(x, w, ss)
+        xs, _ = fold(x, w, ss)
         before = np.max(np.abs(x[:, 3]))
         after = np.max(np.abs(xs[:, 3]))
         assert after < before / 5.0  # roughly sqrt-scale reduction
@@ -56,7 +63,7 @@ class TestSmoothQuant:
         x = rng.standard_normal((16, 8))
         w = rng.standard_normal((4, 8))
         ss = smooth_fit(x, w, alpha=0.5)
-        xs, ws = smooth_apply(x, w, ss)
+        xs, ws = fold(x, w, ss)
         ref = x @ w.T
         assert np.max(np.abs(xs @ ws.T - ref)) <= 1e-12 * np.max(np.abs(ref))
 
