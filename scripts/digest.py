@@ -1,0 +1,138 @@
+"""Print one SHA-256 per output of the quantlab library in a source tree, so
+that two trees can be checked for byte-identical results with ``diff``:
+
+    python scripts/digest.py path/to/tree-a > a.txt
+    python scripts/digest.py path/to/tree-b > b.txt
+    diff a.txt b.txt
+
+The library is imported from ``<tree>/src``; the plans and inputs are those
+of the benchmark workloads in ``perfbench/workloads.py`` beside this script,
+so both trees run the same inputs. BLAS is pinned to one thread. Covered:
+
+* the logits of the six ``drift`` plans on a 512-token probe;
+* for calibration seeds 11 and 12, the logits of the five ``calibrate``
+  plans on their 64-token probe, the GPTQ and AWQ proxy losses of every
+  linear, and each FlatQuant linear's ``p1``, ``p2``, clips and
+  ``objective_trace``;
+* the logits of the three ``decode`` plans on a 128-token probe, and the
+  sequence each generates under each length-control mode;
+* the 100 ``awq_search`` results of acceptance criterion 4: alpha, beta,
+  scales and proxy loss.
+"""
+
+import argparse
+import hashlib
+import os
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (11, 12)
+
+
+def sha(*parts) -> str:
+    """SHA-256 over arrays (C-order bytes), floats and ints (packed) and
+    strings, in order."""
+    import numpy as np  # loaded by main, after it pins BLAS to one thread
+
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, str):
+            h.update(p.encode())
+        elif isinstance(p, float):
+            h.update(struct.pack("<d", p))
+        elif isinstance(p, int):
+            h.update(struct.pack("<q", p))
+        else:
+            h.update(np.ascontiguousarray(p).tobytes())
+    return h.hexdigest()
+
+
+def drift_lines(workloads, quantrun):
+    wl = workloads.Drift()
+    model = wl.model()
+    probe = wl.inputs(SEEDS[0], model)["probe"]
+    for bits, method, plan in wl.PLANS:
+        yield f"drift/{bits}/{method}/logits", sha(
+            quantrun.forward_quantized(model, probe, plan))
+
+
+def calibrate_lines(workloads, quantrun):
+    wl = workloads.Calibrate()
+    model = wl.model()
+    for seed in SEEDS:
+        inp = wl.inputs(seed, model)
+        for bits, method, plan in wl.PLANS:
+            tag = f"calibrate/{seed}/{bits}/{method}"
+            rt = quantrun.prepare_runtime(model, plan, inp["calib"])
+            yield f"{tag}/logits", sha(
+                quantrun.forward_quantized(model, inp["probe"], plan, runtime=rt))
+            if rt.proxy_losses:
+                yield f"{tag}/proxy_losses", sha(*(
+                    part for name in sorted(rt.proxy_losses)
+                    for part in (name, float(rt.proxy_losses[name]))))
+            if method == "flatquant":
+                for name in sorted(rt.linears):
+                    t = rt.linears[name].t
+                    yield f"{tag}/{name}/flat_train", sha(
+                        t.p1, t.p2, float(t.act_clip), float(t.weight_clip),
+                        *(float(v) for v in t.objective_trace))
+
+
+def decode_lines(workloads, quantrun, harness, make_rng):
+    wl = workloads.Decode()
+    model = wl.model()
+    probe = workloads._probe(make_rng(SEEDS[0]), 128, model.config.vocab_size)
+    for bits, method, plan in wl.PLANS:
+        tag = f"decode/{bits}/{method}"
+        rt = quantrun.prepare_runtime(model, plan)
+        yield f"{tag}/logits", sha(
+            quantrun.forward_quantized(model, probe, plan, runtime=rt))
+        for lc in wl.MODES:
+            seq, thinking, total = harness.generate_with_length_control(
+                model, list(wl.PROMPT), plan, lc, make_rng(SEEDS[0]), runtime=rt)
+            yield f"{tag}/{lc.mode}/sequence", sha(*seq, thinking, total)
+
+
+def criterion4_lines(weightquant, make_rng):
+    """The loop of ``tests/test_acceptance.py::test_criterion_4_awq_dominance``."""
+    spec = weightquant.default_weight_spec(4, 8)
+    for seed in range(100):
+        rng = make_rng(seed)
+        w = rng.standard_normal((4, 8))
+        x = rng.standard_normal((8, 32))
+        if seed % 3 == 0:
+            x[seed % 8] *= 50.0
+        res = weightquant.awq_search(w, x, spec, grid_step=0.25)
+        yield f"criterion4/{seed}/awq_search", sha(
+            float(res.alpha), float(res.beta), res.scales, float(res.proxy_loss))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree", type=Path, help="source tree holding src/quantlab")
+    args = ap.parse_args(argv)
+    src = args.tree.resolve() / "src"
+    if not (src / "quantlab" / "__init__.py").is_file():
+        print(f"digest: no library at {src / 'quantlab'}", file=sys.stderr)
+        return 2
+    for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[v] = "1"  # before numpy loads
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+
+    import workloads
+    from quantlab import harness, quantrun, weightquant
+    from quantlab.rng import make_rng
+
+    for gen in (drift_lines(workloads, quantrun),
+                calibrate_lines(workloads, quantrun),
+                decode_lines(workloads, quantrun, harness, make_rng),
+                criterion4_lines(weightquant, make_rng)):
+        for name, digest in gen:
+            print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

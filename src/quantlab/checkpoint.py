@@ -84,8 +84,11 @@ def load_checkpoint(path):
             raise ShapeMismatch(f"{what}: shape {list(shape)} is not a nonempty matrix")
         try:
             spec = QuantSpec.from_dict(entry["spec"])
-        except (KeyError, TypeError) as e:  # absent, not a mapping, bad key
+        except (KeyError, TypeError, ValueError) as e:  # absent, not a mapping,
+            # bad key, or a value QuantSpec rejects
             raise BadMagic(f"{what}: bad spec: {e}")
+        if spec.passthrough:
+            raise BadMagic(f"{what}: bad spec: {spec.bits} bits is not a code width")
         count = math.prod(shape)
         nbytes = -(-count * spec.bits // 8)
         if entry.get("codes_bytes") != nbytes:

@@ -56,6 +56,8 @@ class QuantSpec:
             raise ValueError(f"bits must be in 2..8 or 16, got {self.bits}")
         if self.granularity not in (PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP):
             raise ValueError(f"unknown granularity {self.granularity!r}")
+        if self.axis not in (0, 1):
+            raise ValueError(f"axis must be 0 or 1, got {self.axis!r}")
         if self.granularity == PER_GROUP and self.group_size < 1:
             raise ValueError("group_size must be >= 1")
         if not (0.0 < self.clip_ratio <= 1.0):

@@ -82,7 +82,7 @@ KRON_EQ = "mkl,ki,lj->mij"
 def _kron_path(m: int, n1: int, n2: int) -> list:
     """The contraction order ``einsum(..., optimize=True)`` picks for these
     shapes. It depends on the shapes only, so it is searched once per shape
-    instead of on every call; the product is the same bytes either way."""
+    instead of on every call."""
     shapes = ((m, n1, n2), (n1, n1), (n2, n2))
     return np.einsum_path(KRON_EQ, *(np.empty(sh) for sh in shapes),
                           optimize=True)[0]
@@ -93,14 +93,61 @@ def kron_apply_right(x: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
 
     Row index (k, l) of the product maps channel k*n2+l; the contraction is
     y[m, i*n2+j] = sum_kl x[m, k*n2+l] P1[k, i] P2[l, j].
+
+    The result has the bytes and the memory layout (a matmul on it depends
+    on both) of ``einsum(KRON_EQ, ..., optimize=True)``: the factor
+    ``_kron_path`` picks is contracted first, by the ``matmul`` calls, with
+    the operand order and layouts, of einsum's pairwise steps, without
+    einsum's per-call parsing. einsum orders an intermediate's axes by size,
+    which decides whether the second matmul reads it as it lies or after a
+    transposing copy, and it multiplies by a size-1 factor. Only for a
+    one-channel x can a zero's sign differ from einsum's.
     """
     m = x.shape[0]
     n1, n2 = p1.shape[0], p2.shape[0]
-    xr = x.reshape(m, n1, n2)
-    y = np.einsum(KRON_EQ, xr, p1, p2, optimize=_kron_path(m, n1, n2))
+    if n2 == 1:  # then n1 == 1 too
+        return x * p1 * p2
+    if n1 == 1:
+        return (p2.T @ x.T).T * p1
+    if _kron_path(m, n1, n2)[1] == (0, 1):  # P1 first: t is (i, m, l)
+        t = p1.T @ x.reshape(m, n1, n2).transpose(1, 0, 2).reshape(n1, m * n2)
+        if n1 <= m:
+            y = (t.reshape(n1 * m, n2) @ p2).reshape(n1, m, n2).transpose(1, 0, 2)
+        else:
+            y = t.reshape(n1, m, n2).transpose(1, 0, 2).reshape(m * n1, n2) @ p2
+    else:  # P2 first: t is (j, m, k)
+        t = p2.T @ x.reshape(m * n1, n2).T
+        if n2 <= m:
+            y = (t.reshape(n2 * m, n1) @ p1).reshape(n2, m, n1).transpose(1, 2, 0)
+        else:
+            y = (t.reshape(n2, m, n1).transpose(1, 0, 2).reshape(m * n2, n1)
+                 @ p1).reshape(m, n2, n1).transpose(0, 2, 1)
     return y.reshape(m, n1 * n2)
 
 
+# Every finite-difference evaluation in flat_train perturbs one factor or one
+# clip, so the other factor repeats byte for byte. Keyed by a factor's bytes,
+# its condition number and inverse are computed once per distinct factor. The
+# repeated factor is always among the last few used, so a few entries do.
+
+def _key(p: np.ndarray) -> tuple:
+    return np.asarray(p, dtype=np.float64).tobytes(), p.shape[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _cond(raw: bytes, n: int) -> float:
+    return float(np.linalg.cond(np.frombuffer(raw).reshape(n, n)))
+
+
+@functools.lru_cache(maxsize=8)
+def _inv_t(raw: bytes, n: int) -> np.ndarray:
+    """The inverse, transposed; read-only, since every caller shares it."""
+    inv_t = np.linalg.inv(np.frombuffer(raw).reshape(n, n)).T
+    inv_t.flags.writeable = False
+    return inv_t
+
+
+@functools.lru_cache(maxsize=64)  # flat_train asks for a few clips thousands of times
 def _clipped(spec: QuantSpec, clip: float) -> QuantSpec:
     return spec.with_clip(float(np.clip(clip * spec.clip_ratio, 1e-3, 1.0)))
 
@@ -128,7 +175,7 @@ def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarra
     """Q((P1 (x) P2)^-1 W.T), stored transposed as (out, in) rows, with the
     learned weight clip."""
     # (P1 (x) P2)^-1 W.T == (W applied with the inverse factors on its input).T
-    wt = kron_apply_right(w, np.linalg.inv(t.p1).T, np.linalg.inv(t.p2).T)
+    wt = kron_apply_right(w, _inv_t(*_key(t.p1)), _inv_t(*_key(t.p2)))
     return fake_quant(wt, _clipped(spec_w, t.weight_clip))
 
 
@@ -176,8 +223,7 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
 
     def evaluate(v):
         p1, p2, ac, wc = unpack(v)
-        if (np.linalg.cond(p1) > max_condition or
-                np.linalg.cond(p2) > max_condition):
+        if _cond(*_key(p1)) > max_condition or _cond(*_key(p2)) > max_condition:
             return np.inf
         cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc)
         return flat_objective(w, x, cand, spec_w, spec_a, y_ref=y_ref)

@@ -29,6 +29,7 @@ from .quantcore import (
 NATURAL = "natural"
 ACTIVATION_ORDER = "activation_order"
 MAX_DAMPING_RETRIES = 8  # doublings of the GPTQ damping before giving up
+AWQ_CHUNK_ELEMENTS = 1 << 15  # weight elements per stacked AWQ fake_quant call
 
 
 def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
@@ -128,12 +129,12 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
                     zps[:, g] = params.zero_points[:, g]
             else:
                 full_params = params
+                s_full, z_full = params.expand()
             fitted[g] = True
         if spec.granularity == PER_GROUP and g_axis == 1:
             s_col = scales[:, g]
             z_col = zps[:, g] if zps is not None else None
         else:
-            s_full, z_full = full_params.expand()
             s_col = s_full[:, j]
             z_col = z_full[:, j] if z_full is not None else None
 
@@ -165,27 +166,48 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
     """Grid search over (alpha, beta) for per-input-channel scales
     s = c_X^alpha * c_W^(-beta), minimizing calibration-output error.
 
+    For each alpha, the beta candidates are stacked, at most
+    ``AWQ_CHUNK_ELEMENTS`` weight elements at a time, into one
+    (candidates * out, in) matrix and fake-quantized in one call. ``spec``
+    must group along axis 1, so every row is quantized on its own and each
+    candidate's codes are those of quantizing it alone. Candidates are scored
+    by the Gram form sum((dW @ X X^T) * dW) of the calibration-output error,
+    the first minimum in grid order wins, and the reported ``proxy_loss`` is
+    the winner's direct form ||X^T w^T - X^T w_s^T||_F^2.
+
     The (0, 0) grid point gives s = 1, so the result never loses to RTN.
     """
     w = np.asarray(w, dtype=np.float64)
     x = np.asarray(calib_x, dtype=np.float64)
+    if _grouping(w.shape, spec)[0] != 1:
+        raise ValueError(f"awq_search stacks candidates by rows: a "
+                         f"{spec.granularity} spec on axis {spec.axis} does "
+                         f"not group along axis 1")
+    n_out, n_in = w.shape
     c_x = np.maximum(np.mean(np.abs(x), axis=1), 1e-8)
     c_w = np.maximum(np.mean(np.abs(w), axis=0), 1e-8)
-    ref = x.T @ w.T
-    err_buf = np.empty_like(ref)
+    gram = x @ x.T
 
     grid = np.arange(0.0, 1.0 + 1e-12, grid_step)
+    per_chunk = max(1, AWQ_CHUNK_ELEMENTS // w.size)
     best = None
     for alpha in grid:
-        for beta in grid:
-            s = c_x**alpha * c_w ** (-beta)
-            w_s = fake_quant(w * s[np.newaxis, :], spec) / s[np.newaxis, :]
-            err = np.matmul(x.T, w_s.T, out=err_buf)
-            np.subtract(ref, err, out=err)
-            loss = float(np.sum(np.square(err, out=err)))
-            if best is None or loss < best.proxy_loss:
-                best = AwqSearchResult(float(alpha), float(beta), s, loss)
-    return best
+        for lo in range(0, grid.size, per_chunk):
+            betas = grid[lo:lo + per_chunk]
+            # one scalar power per beta: a broadcast power rounds differently
+            s = np.stack([c_x**alpha * c_w ** (-beta) for beta in betas])
+            s = s[:, np.newaxis, :]
+            w_s = fake_quant((w * s).reshape(-1, n_in), spec).reshape(-1, n_out, n_in)
+            w_s /= s
+            dw = w_s - w
+            dw_gram = (dw.reshape(-1, n_in) @ gram).reshape(dw.shape)
+            loss = np.sum(np.multiply(dw_gram, dw, out=dw_gram), axis=(1, 2))
+            i = int(np.argmin(loss))
+            if best is None or loss[i] < best[0]:
+                best = (loss[i], alpha, betas[i], s[i, 0].copy(), w_s[i].copy())
+    _, alpha, beta, s, w_s = best
+    loss = float(np.sum(np.square(x.T @ w.T - x.T @ w_s.T)))
+    return AwqSearchResult(float(alpha), float(beta), s, loss)
 
 
 def awq_fold(w: np.ndarray, scales: np.ndarray):

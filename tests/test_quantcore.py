@@ -62,6 +62,9 @@ class TestFitParams:
             QuantSpec(bits=4, granularity="per_row")
         with pytest.raises(ValueError):
             QuantSpec(bits=4, clip_ratio=0.0)
+        for axis in (-1, 2, 5):
+            with pytest.raises(ValueError):
+                QuantSpec(bits=4, axis=axis)
 
 
 class TestQuantizeDequantize:

@@ -360,6 +360,16 @@ class TestCheckpoint:
                      ShapeMismatch, id="symmetric-with-zero-points"),
         pytest.param(lambda h: h["q_tensors"][0].pop("zero_points_offset"),
                      ShapeMismatch, id="asymmetric-without-zero-points"),
+        # values QuantSpec rejects: a spec in a file is BadMagic, never a
+        # bare ValueError or IndexError
+        pytest.param(lambda h: h["q_tensors"][0]["spec"].update(axis=5), BadMagic,
+                     id="spec-axis-5"),
+        pytest.param(lambda h: h["q_tensors"][0]["spec"].update(bits=1), BadMagic,
+                     id="spec-bits-1"),
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+            bits=16), BadMagic, id="spec-bits-16"),
+        pytest.param(lambda h: h["q_tensors"][0]["spec"].update(granularity="per_x"),
+                     BadMagic, id="spec-granularity-per-x"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantlab import transforms
 from quantlab.errors import DimensionMismatch
 from quantlab.numerics import hadamard
 from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, fake_quant
@@ -132,6 +133,34 @@ class TestKronecker:
             want = np.einsum("mkl,ki,lj->mij", x.reshape(m, n1, n2), a, b,
                              optimize=True).reshape(m, n1 * n2)
             assert kron_apply_right(x, a, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m,n1,n2", [(512, 8, 16), (1, 8, 8), (3, 1, 7)])
+    def test_matmuls_match_optimize_true(self, m, n1, n2):
+        """The P2-first order, a single row and a size-1 factor, with the
+        inverse transposed factors flat_weight passes."""
+        rng = make_rng(m * n1 + n2)
+        x = rng.standard_normal((m, n1 * n2))
+        p1 = rng.standard_normal((n1, n1))
+        p2 = rng.standard_normal((n2, n2))
+        for a, b in ((p1, p2), (p1.T, p2.T),
+                     (np.linalg.inv(p1).T, np.linalg.inv(p2).T)):
+            want = np.einsum("mkl,ki,lj->mij", x.reshape(m, n1, n2), a, b,
+                             optimize=True).reshape(m, n1 * n2)
+            got = kron_apply_right(x, a, b)
+            # the layout too: a matmul on the result depends on it
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    def test_factor_algebra_cached_by_bytes(self):
+        rng = make_rng(13)
+        p = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        for q in (p, p.T, p.T.copy()):
+            inv_t = transforms._inv_t(*transforms._key(q))
+            assert inv_t.tobytes() == np.linalg.inv(q).T.tobytes()
+            assert not inv_t.flags.writeable  # shared by every caller
+            assert transforms._cond(*transforms._key(q)) == np.linalg.cond(q)
+        # p.T and its copy hold the same bytes: one entry serves both
+        assert transforms._inv_t(*transforms._key(p.T)) is \
+            transforms._inv_t(*transforms._key(p.T.copy()))
 
 
 class TestFlatQuant:

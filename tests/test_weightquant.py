@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from quantlab import weightquant
 from quantlab.errors import NonPositiveScale, TooLargeToEnumerate
-from quantlab.quantcore import dequantize
+from quantlab.quantcore import (
+    PER_CHANNEL,
+    PER_GROUP,
+    PER_TENSOR,
+    QuantSpec,
+    dequantize,
+    fake_quant,
+)
 from quantlab.rng import make_rng
 from quantlab.weightquant import (
     ACTIVATION_ORDER,
@@ -47,10 +55,17 @@ class TestGptq:
         rng = make_rng(1)
         w = rng.standard_normal((3, 8))
         x = orthogonal_calib(8, 32, rng, scale=1.7)
-        spec = default_weight_spec(4, 4)
-        qt = gptq_quantize(w, x, GptqConfig(spec=spec))
-        rtn = rtn_quantize_weights(w, spec)
-        assert np.array_equal(qt.codes, rtn.codes)
+        # per-group fits each group lazily; the coarser granularities fit one
+        # param set, expanded once, at the first column
+        for spec in (default_weight_spec(4, 4),
+                     QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0),
+                     QuantSpec(bits=3, granularity=PER_CHANNEL, axis=1),
+                     QuantSpec(bits=4, granularity=PER_TENSOR),
+                     QuantSpec(bits=3, symmetric=True, granularity=PER_TENSOR)):
+            qt = gptq_quantize(w, x, GptqConfig(spec=spec))
+            rtn = rtn_quantize_weights(w, spec)
+            assert np.array_equal(qt.codes, rtn.codes), spec
+            assert qt.params.scales.tobytes() == rtn.params.scales.tobytes(), spec
 
     def test_single_column_equals_rtn(self):
         rng = make_rng(2)
@@ -131,7 +146,83 @@ class TestBruteForce:
                 assert opt <= dequant_loss(qt, w, x) + 1e-9
 
 
+def awq_oracle(w, x, spec, grid_step):
+    """awq_search as a per-point double loop over the (alpha, beta) grid:
+    one fake_quant per point, scored by the direct output error."""
+    c_x = np.maximum(np.mean(np.abs(x), axis=1), 1e-8)
+    c_w = np.maximum(np.mean(np.abs(w), axis=0), 1e-8)
+    ref = x.T @ w.T
+    grid = np.arange(0.0, 1.0 + 1e-12, grid_step)
+    best = None
+    for alpha in grid:
+        for beta in grid:
+            s = c_x**alpha * c_w ** (-beta)
+            w_s = fake_quant(w * s[np.newaxis, :], spec) / s[np.newaxis, :]
+            loss = float(np.sum(np.square(ref - x.T @ w_s.T)))
+            if best is None or loss < best.proxy_loss:
+                best = AwqSearchResult(float(alpha), float(beta), s, loss)
+    return best
+
+
+def awq_cases():
+    """(id, w, x, spec): several groups per row with a ragged last one, an
+    exact-zero-loss grid, an all-zero weight, an outlier channel and a
+    per-channel spec, which also groups by rows."""
+    rng = make_rng(12)
+    w = rng.standard_normal((6, 20))
+    x = rng.standard_normal((20, 48))
+    yield "groups-of-8", w, x, default_weight_spec(3, 8)
+    yield "on-grid-zero-loss", np.arange(8.0)[None, :], np.eye(8), \
+        default_weight_spec(4, 8)
+    yield "zero-weight", np.zeros((2, 8)), rng.standard_normal((8, 16)), \
+        default_weight_spec(4, 4)
+    x = rng.standard_normal((16, 64))
+    x[3] *= 1000.0
+    yield "outlier-channel", rng.standard_normal((5, 16)), x, \
+        default_weight_spec(4, 16)
+    yield "per-channel-rows", rng.standard_normal((4, 12)), \
+        rng.standard_normal((12, 32)), \
+        QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0)
+
+
 class TestAwq:
+    # candidates per stacked call: one, five (21 = 4 * 5 + 1), all 21
+    @pytest.mark.parametrize("per_chunk", [1, 5, 21])
+    @pytest.mark.parametrize("case", list(awq_cases()), ids=lambda c: c[0])
+    def test_matches_per_point_oracle(self, case, per_chunk, monkeypatch):
+        _, w, x, spec = case
+        monkeypatch.setattr(weightquant, "AWQ_CHUNK_ELEMENTS", per_chunk * w.size)
+        got = awq_search(w, x, spec, grid_step=0.05)
+        want = awq_oracle(w, x, spec, 0.05)
+        assert (got.alpha, got.beta) == (want.alpha, want.beta)
+        assert got.scales.tobytes() == want.scales.tobytes()
+        assert got.proxy_loss == want.proxy_loss
+
+    def test_chunks_cap_elements(self, monkeypatch):
+        calls = []
+
+        def counting(x, spec):
+            calls.append(x.size)
+            return fake_quant(x, spec)
+
+        monkeypatch.setattr(weightquant, "fake_quant", counting)
+        rng = make_rng(13)
+        w = rng.standard_normal((64, 64))
+        awq_search(w, rng.standard_normal((64, 32)), default_weight_spec(4))
+        # 2^15 elements hold 8 candidates of 64 x 64: chunks of 8, 8 and 5
+        assert len(calls) == 21 * 3
+        assert max(calls) == weightquant.AWQ_CHUNK_ELEMENTS == 8 * w.size
+
+    @pytest.mark.parametrize("spec", [
+        QuantSpec(bits=4, granularity=PER_TENSOR),
+        QuantSpec(bits=4, granularity=PER_CHANNEL, axis=1),
+        QuantSpec(bits=4, granularity=PER_GROUP, axis=0, group_size=4),
+    ], ids=["per-tensor", "per-channel-axis-1", "per-group-axis-0"])
+    def test_rejects_spec_not_grouped_by_rows(self, spec):
+        rng = make_rng(14)
+        with pytest.raises(ValueError):
+            awq_search(rng.standard_normal((4, 8)), rng.standard_normal((8, 16)), spec)
+
     def test_never_loses_to_rtn(self):
         spec = default_weight_spec(4, 8)
         for seed in range(20):
