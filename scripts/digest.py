@@ -17,11 +17,18 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * the 100 ``awq_search`` results of acceptance criterion 4: alpha, beta,
-  scales and proxy loss.
+  scales and proxy loss;
+* the quantization primitives on their own: for each shape in
+  ``PRIMITIVE_SHAPES`` and each input kind of ``primitive_input``, one line
+  each for ``fit_params`` (scales and zero points), ``quantize`` (codes),
+  ``dequantize`` and ``fake_quant``, over every spec of ``primitive_specs``.
+  A change inside ``quantcore`` shows here at the primitive, not only through
+  the model logits above.
 """
 
 import argparse
 import hashlib
+import itertools
 import os
 import struct
 import sys
@@ -29,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (11, 12)
+PRIMITIVE_SHAPES = ((1, 64), (1, 7), (3, 64), (32, 64), (64, 64), (5, 33), (512, 128))
+PRIMITIVE_KINDS = ("normal", "zeros", "constant", "negative", "subnormal", "ties")
 
 
 def sha(*parts) -> str:
@@ -109,6 +118,58 @@ def criterion4_lines(weightquant, make_rng):
             float(res.alpha), float(res.beta), res.scales, float(res.proxy_loss))
 
 
+def primitive_specs(quantcore):
+    """2/3/4/8 bits, symmetric and asymmetric, every granularity along both
+    axes (groups of 8), clip ratio 1.0 and 0.7."""
+    granularities = (quantcore.PER_TENSOR, quantcore.PER_CHANNEL,
+                     quantcore.PER_TOKEN, quantcore.PER_GROUP)
+    for bits, symmetric, granularity, axis, clip in itertools.product(
+            (2, 3, 4, 8), (False, True), granularities, (0, 1), (1.0, 0.7)):
+        yield quantcore.QuantSpec(bits=bits, symmetric=symmetric,
+                                  granularity=granularity, axis=axis,
+                                  group_size=8, clip_ratio=clip)
+
+
+def primitive_input(kind, shape, rng):
+    """Gaussian; all-zero with signed zeros; one constant; negative-only;
+    subnormal; or (k + 0.5) / 4, rounding ties whenever the fitted scale is
+    1/4 (a group spanning -1.875 .. 1.875 at 4 bits asymmetric)."""
+    import numpy as np
+
+    if kind == "normal":
+        return rng.standard_normal(shape) * 3.0
+    if kind == "zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if kind == "constant":
+        return np.full(shape, 2.7)
+    if kind == "negative":
+        return -np.abs(rng.standard_normal(shape))
+    if kind == "subnormal":
+        return rng.integers(-1000, 1000, shape) * 5e-324
+    return (rng.integers(-8, 8, shape) + 0.5) * 0.25
+
+
+def primitive_lines(quantcore, make_rng):
+    specs = list(primitive_specs(quantcore))
+    for shape in PRIMITIVE_SHAPES:
+        rng = make_rng(shape[0] * 1000 + shape[1])
+        for kind in PRIMITIVE_KINDS:
+            x = primitive_input(kind, shape, rng)
+            parts = {"fit_params": [], "quantize": [], "dequantize": [],
+                     "fake_quant": []}
+            for spec in specs:
+                params = quantcore.fit_params(x, spec)
+                z = params.zero_points
+                parts["fit_params"] += [params.scales, "none" if z is None else z]
+                qt = quantcore.quantize(x, params)
+                parts["quantize"].append(qt.codes)
+                parts["dequantize"].append(quantcore.dequantize(qt))
+                parts["fake_quant"].append(quantcore.fake_quant(x, spec))
+            tag = f"primitive/{shape[0]}x{shape[1]}/{kind}"
+            for name, arrays in parts.items():
+                yield f"{tag}/{name}", sha(*arrays)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path, help="source tree holding src/quantlab")
@@ -122,13 +183,14 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
     import workloads
-    from quantlab import harness, quantrun, weightquant
+    from quantlab import harness, quantcore, quantrun, weightquant
     from quantlab.rng import make_rng
 
     for gen in (drift_lines(workloads, quantrun),
                 calibrate_lines(workloads, quantrun),
                 decode_lines(workloads, quantrun, harness, make_rng),
-                criterion4_lines(weightquant, make_rng)):
+                criterion4_lines(weightquant, make_rng),
+                primitive_lines(quantcore, make_rng)):
         for name, digest in gen:
             print(name, digest, flush=True)
     return 0

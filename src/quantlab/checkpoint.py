@@ -85,7 +85,7 @@ def load_checkpoint(path):
         try:
             spec = QuantSpec.from_dict(entry["spec"])
         except (KeyError, TypeError, ValueError) as e:  # absent, not a mapping,
-            # bad key, or a value QuantSpec rejects
+            # bad key, or a value or type QuantSpec rejects
             raise BadMagic(f"{what}: bad spec: {e}")
         if spec.passthrough:
             raise BadMagic(f"{what}: bad spec: {spec.bits} bits is not a code width")

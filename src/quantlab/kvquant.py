@@ -8,6 +8,7 @@ past entries are never requantized.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -51,19 +52,32 @@ class RopeConfig:
         return np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
 
 
+@lru_cache(maxsize=1024, typed=True)  # a one-row decode up to 1,024 positions
+def _rope_table(cfg: RopeConfig, start, rows: int):
+    th = cfg.angles(np.asarray(start) + np.arange(rows))
+    c, s = np.cos(th), np.sin(th)
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
 def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos=0) -> np.ndarray:
     """Rotary embedding on interleaved pairs (x_{2i}, x_{2i+1}) of the last
     axis, which is head_dim wide. Positions run along axis 0: row r is at
     position start_pos + r, or at start_pos[r] when start_pos is an array.
-    Pairwise 2-norms are preserved."""
+    Pairwise 2-norms are preserved. With a scalar start_pos, cos and sin come
+    from a bounded cache of read-only tables keyed by (cfg, start_pos, rows),
+    each the bytes a fresh computation gives."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != cfg.head_dim:
         raise OddHeadDim(f"expected {cfg.head_dim} columns, got {x.shape[-1]}")
     pos = np.asarray(start_pos)
     if pos.ndim == 0:
-        pos = pos + np.arange(x.shape[0])
-    th = cfg.angles(pos).reshape((x.shape[0],) + (1,) * (x.ndim - 2) + (-1,))
-    c, s = np.cos(th), np.sin(th)
+        c, s = _rope_table(cfg, pos.item(), x.shape[0])
+    else:
+        th = cfg.angles(pos)
+        c, s = np.cos(th), np.sin(th)
+    shape = (x.shape[0],) + (1,) * (x.ndim - 2) + (-1,)
+    c, s = c.reshape(shape), s.reshape(shape)
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty_like(x)

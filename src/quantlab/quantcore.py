@@ -1,13 +1,13 @@
 """Uniform quantization primitives: grid fitting, quantize/dequantize,
 fake-quantize, and bit-packed code serialization.
 
-``quantize`` and ``dequantize`` broadcast the per-group params through
-reshaped views of the tensor (``_grid_views``) instead of expanding them to
-elementwise arrays, and ``quantize`` rounds, shifts and clips in one float64
-buffer before narrowing to int32 codes. ``fake_quant`` is
-``dequantize(quantize(x, fit_params(x, spec)))``, the path every quantized
-forward and every calibration search runs; its elementwise oracle in the
-tests is the same arithmetic on ``QuantParams.expand()``.
+``quantize`` and ``dequantize`` wrap ``_encode`` (round, shift and clip into
+float64 codes) and ``_decode`` (codes back to values), which broadcast the
+per-group params through reshaped views of the tensor (``_grid_views``).
+``fake_quant``, the path every quantized forward and every calibration search
+runs, fits, encodes and decodes in place into the float64 code buffer: the
+bytes of ``dequantize(quantize(x, fit_params(x, spec)))`` without int32 codes.
+Its elementwise oracle in the tests is that arithmetic on ``QuantParams.expand()``.
 
 Conventions (documented once, relied on everywhere):
   * rounding is round-half-away-from-zero;
@@ -22,6 +22,8 @@ Conventions (documented once, relied on everywhere):
 """
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -52,6 +54,11 @@ class QuantSpec:
     clip_ratio: float = 1.0
 
     def __post_init__(self):
+        if (any(type(v) is not int for v in (self.bits, self.axis, self.group_size))
+                or type(self.symmetric) is not bool or type(self.clip_ratio) is bool
+                or not isinstance(self.clip_ratio, Real)):
+            raise TypeError("bits, axis and group_size must be ints, symmetric a "
+                            f"bool and clip_ratio a real number: {self!r}")
         if self.bits != PASSTHROUGH_BITS and not (2 <= self.bits <= 8):
             raise ValueError(f"bits must be in 2..8 or 16, got {self.bits}")
         if self.granularity not in (PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP):
@@ -109,28 +116,30 @@ class QuantizedTensor:
     shape: tuple
 
 
+@lru_cache(maxsize=256)
 def _grouping(shape, spec: QuantSpec):
     """Resolve (grouped_axis, group boundaries) for a 2-D shape.
 
     grouped_axis is the axis along which consecutive elements share params.
     Returns (axis, starts) where starts are the group start indices along
-    that axis; the final group may be ragged.
+    that axis; the final group may be ragged. Cached per (shape, spec), so
+    ``starts`` is read-only.
     """
     rows, cols = shape
     if spec.granularity == PER_TENSOR:
         return None, None
     if spec.granularity == PER_TOKEN:
-        return 1, np.array([0])  # one group per row, spanning all columns
-    if spec.granularity == PER_CHANNEL:
+        g_axis, starts = 1, np.array([0])  # one group per row, all columns
+    elif spec.granularity == PER_CHANNEL:
         # each index along spec.axis is a channel; grouping runs along the
         # other axis and spans its full extent
-        g_axis = 1 - spec.axis
-        return g_axis, np.array([0])
-    # per_group
-    g_axis = spec.axis
-    extent = shape[g_axis]
-    size = min(spec.group_size, extent)
-    return g_axis, np.arange(0, extent, size)
+        g_axis, starts = 1 - spec.axis, np.array([0])
+    else:  # per_group
+        g_axis = spec.axis
+        extent = shape[g_axis]
+        starts = np.arange(0, extent, min(spec.group_size, extent))
+    starts.flags.writeable = False
+    return g_axis, starts
 
 
 def grid_shape(shape, spec: QuantSpec) -> tuple:
@@ -184,14 +193,14 @@ def snap_scale(scales: np.ndarray, bits: int) -> np.ndarray:
     """
     m, e = np.frexp(scales)
     keep = float(1 << (53 - bits))
-    return np.ldexp(np.round(m * keep) / keep, e)
+    return np.ldexp(np.rint(m * keep) / keep, e)
 
 
 def _snap_down(scales: np.ndarray, bits: int) -> np.ndarray:
     """Previous representable value on the snapped-scale grid."""
     m, e = np.frexp(scales)
     keep = float(1 << (53 - bits))
-    return np.ldexp((np.round(m * keep) - 1.0) / keep, e)
+    return np.ldexp((np.rint(m * keep) - 1.0) / keep, e)
 
 
 def fit_asymmetric(mn: np.ndarray, mx: np.ndarray, spec: QuantSpec):
@@ -211,14 +220,19 @@ def fit_asymmetric(mn: np.ndarray, mx: np.ndarray, spec: QuantSpec):
     # leave the grid one step short of the full code range, so a refit over
     # dequantized data would shrink the scale. Nudge the scale down until the
     # extreme codes span all 2^b - 1 steps; then refit reproduces s exactly.
+    # Both ends are >= 0, so half-away rounding of end / s is floor(+ 0.5),
+    # and the zero point is the low end's code at the final scale.
+    ends = np.array((mx_c, -mn_c))
+    nonzero = mx_c > mn_c
     for _ in range(64):
-        span = _round_half_away(mx_c / scales) - _round_half_away(mn_c / scales)
-        short = (span < levels) & (mx_c > mn_c)
-        if not np.any(short):
+        codes = np.floor(ends / scales + 0.5)
+        short = (codes[0] + codes[1] < levels) & nonzero
+        if not np.logical_or.reduce(short, axis=None):
             break
         scales = np.where(short, _snap_down(scales, spec.bits), scales)
-    zp = np.clip(_round_half_away(-mn_c / scales), 0, levels)
-    return scales, zp.astype(np.int32)
+    else:
+        codes = np.floor(ends / scales + 0.5)
+    return scales, np.minimum(codes[1], levels).astype(np.int32)
 
 
 def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
@@ -227,10 +241,10 @@ def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
     if spec.passthrough:
         return QuantParams(np.ones((1, 1)), None, spec, x.shape)
     mn, mx = _group_minmax(x, spec)
-    qmax_sym = float(2 ** (spec.bits - 1) - 1)
-    degenerate = mx == mn
 
     if spec.symmetric:
+        qmax_sym = float(2 ** (spec.bits - 1) - 1)
+        degenerate = mx == mn
         amax = np.maximum(np.abs(mn), np.abs(mx)) * spec.clip_ratio
         scales = amax / qmax_sym
         # degenerate groups: constant c != 0 maps to +-qmax exactly; c == 0
@@ -276,49 +290,59 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
     return pairs
 
 
-def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Project x onto the fitted grid; codes are kept widened (int32).
+def _encode(x: np.ndarray, s, z, spec: QuantSpec) -> np.ndarray:
+    """float64 codes of x on the grid (s, z): rounded, shifted and clipped."""
+    qmax = 2 ** (spec.bits - 1) - 1
+    lo, hi = (-qmax, qmax) if spec.symmetric else (0, 2**spec.bits - 1)
+    q = np.empty(x.shape)
+    for xv, qv, sv, zv in _grid_views(x, q, s, z, spec):
+        _round_half_away(xv, sv, out=qv)
+        if zv is not None:
+            qv += zv
+        np.minimum(np.maximum(qv, lo, out=qv), hi, out=qv)
+    return q
 
-    Rounds, adds the zero point and clips in one float64 buffer, with the
-    per-group params broadcast through reshaped views (``_grid_views``)."""
+
+def _decode(codes: np.ndarray, s, z, spec: QuantSpec, out: np.ndarray) -> np.ndarray:
+    """s * codes or s * (codes - z) into ``out``, which may be ``codes``; z has
+    the codes' dtype. + 0.0 decodes a float -0.0 code to +0.0, as int 0 does."""
+    for c, o, sv, zv in _grid_views(codes, out, s, z, spec):
+        if zv is None:
+            np.add(c, 0.0, out=o)
+        else:
+            np.subtract(c, zv, out=o)
+        o *= sv
+    return out
+
+
+def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
+    """Project x onto the fitted grid; codes are kept widened (int32)."""
     x = np.asarray(x, dtype=np.float64)
     spec = params.spec
     if spec.passthrough:
         raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
     if x.shape != tuple(params.shape):
         raise ValueError(f"shape {x.shape} does not match fitted {params.shape}")
-    if spec.symmetric:
-        lo, hi = -(2 ** (spec.bits - 1) - 1), 2 ** (spec.bits - 1) - 1
-    else:
-        lo, hi = 0, 2**spec.bits - 1
-    q = np.empty(x.shape)
-    for xv, qv, s, z in _grid_views(x, q, params.scales, params.zero_points, spec):
-        _round_half_away(xv, s, out=qv)
-        if z is not None:
-            qv += z
-        np.clip(qv, lo, hi, out=qv)
+    q = _encode(x, params.scales, params.zero_points, spec)
     return QuantizedTensor(q.astype(np.int32), params, spec, x.shape)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """s * codes (symmetric) or s * (codes - z), per group."""
-    out = np.empty(q.codes.shape)
-    params = q.params
-    for c, o, s, z in _grid_views(q.codes, out, params.scales,
-                                  params.zero_points, params.spec):
-        if z is None:
-            o[...] = c
-        else:
-            np.subtract(c, z, out=o)
-        o *= s
-    return out
+    p = q.params
+    return _decode(q.codes, p.scales, p.zero_points, p.spec, np.empty(q.codes.shape))
 
 
 def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """fit + quantize + dequantize in one call (dynamic quantization)."""
+    """fit + quantize + dequantize in one call (dynamic quantization), decoded
+    in place into the float64 codes."""
     if spec.passthrough:
         return x
-    return dequantize(quantize(x, fit_params(x, spec)))
+    x = np.asarray(x, dtype=np.float64)
+    p = fit_params(x, spec)
+    z = None if p.zero_points is None else p.zero_points.astype(np.float64)
+    q = _encode(x, p.scales, z, spec)
+    return _decode(q, p.scales, z, spec, q)
 
 
 # --- bit-packed code serialization -------------------------------------------

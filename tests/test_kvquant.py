@@ -15,6 +15,7 @@ from quantlab.kvquant import (
     PRE_ROPE,
     KvQuantStarConfig,
     RopeConfig,
+    _rope_table,
     calibrate_k_channels,
     default_kv_k_channel_spec,
     default_kv_v_spec,
@@ -51,6 +52,24 @@ class TestRope:
         nx = np.hypot(x[:, 0::2], x[:, 1::2])
         ny = np.hypot(y[:, 0::2], y[:, 1::2])
         assert np.max(np.abs(nx - ny)) <= 1e-12
+
+    def test_scalar_start_matches_position_array(self):
+        # the scalar start reads cached tables; an array of positions does not
+        cfg = RopeConfig(head_dim=8)
+        rng = make_rng(3)
+        for shape in ((1, 8), (5, 8), (5, 3, 8), (32, 2, 8)):
+            x = rng.standard_normal(shape)
+            for start in (0, 1, 7, 1000, np.int64(9)):
+                want = rope_apply(x, cfg, start + np.arange(shape[0]))
+                for _ in range(2):  # a miss, then a hit
+                    assert rope_apply(x, cfg, start).tobytes() == want.tobytes()
+
+    def test_cached_tables_read_only(self):
+        for table in _rope_table(RopeConfig(head_dim=8), 7, 3):
+            assert table.shape == (3, 4)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(OddHeadDim):

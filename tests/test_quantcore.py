@@ -10,12 +10,16 @@ from quantlab.quantcore import (
     PER_TENSOR,
     PER_TOKEN,
     QuantSpec,
+    _grouping,
     _round_half_away,
+    _snap_down,
     dequantize,
     fake_quant,
+    fit_asymmetric,
     fit_params,
     pack_codes,
     quantize,
+    snap_scale,
     unpack_codes,
 )
 from quantlab.rng import make_rng
@@ -65,6 +69,85 @@ class TestFitParams:
         for axis in (-1, 2, 5):
             with pytest.raises(ValueError):
                 QuantSpec(bits=4, axis=axis)
+        for bad in (dict(axis=True), dict(axis=1.0), dict(bits=4.0),
+                    dict(bits=np.int64(4)), dict(group_size=8.5),
+                    dict(symmetric="no"), dict(symmetric=0),
+                    dict(clip_ratio=True), dict(clip_ratio="1")):
+            with pytest.raises(TypeError):
+                QuantSpec(**{"bits": 4, **bad})
+        QuantSpec(bits=4, clip_ratio=1)  # an int ratio is a real number
+
+    def test_grouping_starts_read_only(self):
+        for spec in (QuantSpec(bits=4, granularity=PER_TOKEN), spec_pg(4, 8)):
+            starts = _grouping((3, 20), spec)[1]
+            assert not starts.flags.writeable
+            with pytest.raises(ValueError):
+                starts[0] = 1
+
+
+def fit_asymmetric_two_sided(mn, mx, spec):
+    """fit_asymmetric's rounding guard in its two-sided form: both range ends
+    rounded half away from zero on every pass, and the zero point rounded
+    again at the final scale."""
+    levels = float(2**spec.bits - 1)
+    mn_c = np.minimum(mn * spec.clip_ratio, 0.0)
+    mx_c = np.maximum(mx * spec.clip_ratio, 0.0)
+    scales = (mx_c - mn_c) / levels
+    scales = np.where(scales <= 0, 1.0, scales)
+    scales = snap_scale(scales, spec.bits)
+    for _ in range(64):
+        span = _round_half_away(mx_c / scales) - _round_half_away(mn_c / scales)
+        short = (span < levels) & (mx_c > mn_c)
+        if not np.any(short):
+            break
+        scales = np.where(short, _snap_down(scales, spec.bits), scales)
+    zp = np.clip(_round_half_away(-mn_c / scales), 0, levels)
+    return scales, zp.astype(np.int32)
+
+
+@st.composite
+def tie_ranges(draw):
+    """(mn, mx) with mx - mn = (2^b - 1) s and -mn / s on a .5 tie: the
+    ranges on which the rounding guard moves the snapped scale."""
+    bits = draw(st.sampled_from([2, 3, 4, 8]))
+    n = draw(st.integers(1, 6))
+    s = draw(arrays(np.float64, n, elements=st.floats(1e-6, 1e6)))
+    z = draw(arrays(np.int64, n, elements=st.integers(0, 2**bits - 2))) + 0.5
+    return bits, (-z * s)[None, :], ((2**bits - 1 - z) * s)[None, :]
+
+
+class TestFitAsymmetric:
+    """The one-pass rounding guard gives the two-sided form's bytes."""
+
+    @staticmethod
+    def check(mn, mx, spec):
+        want_s, want_z = fit_asymmetric_two_sided(mn, mx, spec)
+        got_s, got_z = fit_asymmetric(mn, mx, spec)
+        assert got_s.tobytes() == want_s.tobytes()
+        assert got_z.dtype == np.int32 and got_z.tobytes() == want_z.tobytes()
+
+    @given(tie_ranges(), st.sampled_from([1.0, 0.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_ties(self, ranges, clip):
+        bits, mn, mx = ranges
+        self.check(mn, mx, QuantSpec(bits=bits, clip_ratio=clip))
+
+    @given(arrays(np.float64, (2, 5), elements=st.floats(
+               -1e30, 1e30, allow_nan=False, allow_subnormal=True)),
+           st.sampled_from([2, 3, 4, 8]), st.sampled_from([1.0, 0.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_ranges(self, ends, bits, clip):
+        mn, mx = np.minimum(ends[:1], ends[1:]), np.maximum(ends[:1], ends[1:])
+        self.check(mn, mx, QuantSpec(bits=bits, clip_ratio=clip))
+
+    def test_guard_steps_on_a_tie(self):
+        # -mn / s = 1.5 at 2 bits: the snapped scale is one step too large
+        s, z = 6.373247256341329, 1.5
+        mn, mx = np.array([[-z * s]]), np.array([[(3 - z) * s]])
+        spec = QuantSpec(bits=2)
+        scales, _ = fit_asymmetric(mn, mx, spec)
+        assert scales[0, 0] < snap_scale((mx - mn) / 3.0, 2)[0, 0]
+        self.check(mn, mx, spec)
 
 
 class TestQuantizeDequantize:
@@ -238,6 +321,50 @@ class TestGridViews:
         before = x.copy()
         fake_quant(x, spec_pg(4, 8))
         assert np.array_equal(x, before)
+
+
+INPUT_KINDS = ("normal", "zeros", "constant", "negative", "subnormal", "ties")
+
+
+@st.composite
+def kind_inputs(draw):
+    """A small matrix of one of INPUT_KINDS: all-zero with signed zeros, one
+    constant, negative-only, subnormal, or (k + 0.5) * s for a power-of-two s,
+    which fall on rounding ties whenever the fitted scale is s."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 24)))
+    kind = draw(st.sampled_from(INPUT_KINDS))
+    if kind == "zeros":
+        return np.where(draw(arrays(np.bool_, shape)), -0.0, 0.0)
+    if kind == "constant":
+        return np.full(shape, draw(st.floats(-1e6, 1e6)))
+    if kind == "ties":
+        k = draw(arrays(np.int64, shape, elements=st.integers(-8, 7)))
+        return (k + 0.5) * 2.0 ** draw(st.integers(-8, 8))
+    elements = {"normal": st.floats(-1e6, 1e6),
+                "negative": st.floats(-1e6, 0.0),
+                "subnormal": st.floats(-2.2e-308, 2.2e-308)}[kind]
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+class TestFakeQuantBytes:
+    """fake_quant, which decodes in place into float64 codes, has the bytes
+    (sign of zero included) of dequantize(quantize(...)) on int32 codes."""
+
+    @given(kind_inputs(), st.sampled_from([2, 3, 4, 8]), st.booleans(),
+           st.sampled_from([PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP]),
+           st.integers(0, 1), st.integers(1, 8), st.sampled_from([1.0, 0.7]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_quantize_dequantize(self, x, bits, symmetric, granularity,
+                                         axis, group_size, clip):
+        spec = QuantSpec(bits=bits, symmetric=symmetric, granularity=granularity,
+                         axis=axis, group_size=group_size, clip_ratio=clip)
+        want = dequantize(quantize(x, fit_params(x, spec)))
+        assert fake_quant(x, spec).tobytes() == want.tobytes()
+
+    def test_negative_zero_code_decodes_to_plus_zero(self):
+        x = np.array([[-0.01, 1.0, -0.0]])
+        got = fake_quant(x, QuantSpec(bits=4, symmetric=True, granularity=PER_TOKEN))
+        assert list(np.signbit(got[0])) == [False, False, False]
 
 
 class TestRoundHalfAway:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
     BadMagic,
     MissingCalibration,
+    QuantLabError,
     ShapeMismatch,
     TruncatedFile,
 )
@@ -370,6 +373,19 @@ class TestCheckpoint:
             bits=16), BadMagic, id="spec-bits-16"),
         pytest.param(lambda h: h["q_tensors"][0]["spec"].update(granularity="per_x"),
                      BadMagic, id="spec-granularity-per-x"),
+        # fields of the wrong type; the plan is emptied to make room
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+            axis=1.0), BadMagic, id="spec-axis-float"),
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+            axis=True), BadMagic, id="spec-axis-bool"),
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+            bits=4.0), BadMagic, id="spec-bits-float"),
+        pytest.param(lambda h: h["q_tensors"][0]["spec"].update(symmetric="no"),
+                     BadMagic, id="spec-symmetric-string"),
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+            group_size=8.5), BadMagic, id="spec-group-size-float"),
+        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+            clip_ratio=True), BadMagic, id="spec-clip-ratio-bool"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"
@@ -378,3 +394,40 @@ class TestCheckpoint:
         rewrite_header(p, tmp_path / "bad.tqq", edit)
         with pytest.raises(error):
             load_checkpoint(tmp_path / "bad.tqq")
+
+    @pytest.fixture(scope="class")
+    def saved(self, small_model, tmp_path_factory):
+        p = tmp_path_factory.mktemp("fuzz") / "c.tqq"
+        save_checkpoint(small_model, QuantPlan(w_bits=4).to_dict(),
+                        self._quantized(small_model), p)
+        return p
+
+    # any JSON value, with near-valid ones (counts as ints, floats and bools;
+    # granularity names) drawn often; containers hold at most five printable
+    # ASCII leaves, so the edited header fits in the old one
+    scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+               | st.floats() | st.text(st.characters(min_codepoint=32,
+                                                     max_codepoint=126), max_size=8))
+    json_values = (
+        st.sampled_from([0, 1, 2, 4, 8, 16, -1, 0.0, 1.0, 4.0, 8.5, 0.7, True,
+                         False, "no", "per_tensor", "per_channel", "per_token",
+                         "per_group"])
+        | scalars | st.text(max_size=8)
+        | st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text("abc", max_size=4), inner, max_size=3),
+                       max_leaves=5))
+
+    @pytest.mark.parametrize("field", ["bits", "symmetric", "granularity", "axis",
+                                       "group_size", "clip_ratio"])
+    @given(value=json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_spec_field_fuzz(self, saved, field, value):
+        """A spec field holding any JSON value loads or is a QuantLabError."""
+        bad = saved.with_name("bad.tqq")
+        for i in range(2):
+            rewrite_header(saved, bad, lambda h: h.update(plan={})
+                           or h["q_tensors"][i]["spec"].update({field: value}))
+            try:
+                load_checkpoint(bad)
+            except QuantLabError:
+                pass
