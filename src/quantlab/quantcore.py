@@ -1,13 +1,13 @@
 """Uniform quantization primitives: grid fitting, quantize/dequantize,
 fake-quantize, and bit-packed code serialization.
 
-``quantize`` and ``dequantize`` wrap ``_encode`` (round, shift and clip into
-float64 codes) and ``_decode`` (codes back to values), which broadcast the
-per-group params through reshaped views of the tensor (``_grid_views``).
-``fake_quant``, the path every quantized forward and every calibration search
-runs, fits, encodes and decodes in place into the float64 code buffer: the
-bytes of ``dequantize(quantize(x, fit_params(x, spec)))`` without int32 codes.
-Its elementwise oracle in the tests is that arithmetic on ``QuantParams.expand()``.
+``quantize`` and ``dequantize`` broadcast the per-group params through
+reshaped views of the tensor (``_grid_views``) instead of expanding them to
+elementwise arrays, and ``quantize`` rounds, shifts and clips in one float64
+buffer before narrowing to int32 codes. ``fake_quant`` is
+``dequantize(quantize(x, fit_params(x, spec)))``, the path every quantized
+forward and every calibration search runs; its elementwise oracle in the
+tests is the same arithmetic on ``QuantParams.expand()``.
 
 Conventions (documented once, relied on everywhere):
   * rounding is round-half-away-from-zero;
@@ -22,7 +22,6 @@ Conventions (documented once, relied on everywhere):
 """
 
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 from numbers import Real
 from typing import Optional
 
@@ -116,30 +115,28 @@ class QuantizedTensor:
     shape: tuple
 
 
-@lru_cache(maxsize=256)
 def _grouping(shape, spec: QuantSpec):
     """Resolve (grouped_axis, group boundaries) for a 2-D shape.
 
     grouped_axis is the axis along which consecutive elements share params.
     Returns (axis, starts) where starts are the group start indices along
-    that axis; the final group may be ragged. Cached per (shape, spec), so
-    ``starts`` is read-only.
+    that axis; the final group may be ragged.
     """
     rows, cols = shape
     if spec.granularity == PER_TENSOR:
         return None, None
     if spec.granularity == PER_TOKEN:
-        g_axis, starts = 1, np.array([0])  # one group per row, all columns
-    elif spec.granularity == PER_CHANNEL:
+        return 1, np.array([0])  # one group per row, spanning all columns
+    if spec.granularity == PER_CHANNEL:
         # each index along spec.axis is a channel; grouping runs along the
         # other axis and spans its full extent
-        g_axis, starts = 1 - spec.axis, np.array([0])
-    else:  # per_group
-        g_axis = spec.axis
-        extent = shape[g_axis]
-        starts = np.arange(0, extent, min(spec.group_size, extent))
-    starts.flags.writeable = False
-    return g_axis, starts
+        g_axis = 1 - spec.axis
+        return g_axis, np.array([0])
+    # per_group
+    g_axis = spec.axis
+    extent = shape[g_axis]
+    size = min(spec.group_size, extent)
+    return g_axis, np.arange(0, extent, size)
 
 
 def grid_shape(shape, spec: QuantSpec) -> tuple:
@@ -290,59 +287,49 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
     return pairs
 
 
-def _encode(x: np.ndarray, s, z, spec: QuantSpec) -> np.ndarray:
-    """float64 codes of x on the grid (s, z): rounded, shifted and clipped."""
-    qmax = 2 ** (spec.bits - 1) - 1
-    lo, hi = (-qmax, qmax) if spec.symmetric else (0, 2**spec.bits - 1)
-    q = np.empty(x.shape)
-    for xv, qv, sv, zv in _grid_views(x, q, s, z, spec):
-        _round_half_away(xv, sv, out=qv)
-        if zv is not None:
-            qv += zv
-        np.minimum(np.maximum(qv, lo, out=qv), hi, out=qv)
-    return q
-
-
-def _decode(codes: np.ndarray, s, z, spec: QuantSpec, out: np.ndarray) -> np.ndarray:
-    """s * codes or s * (codes - z) into ``out``, which may be ``codes``; z has
-    the codes' dtype. + 0.0 decodes a float -0.0 code to +0.0, as int 0 does."""
-    for c, o, sv, zv in _grid_views(codes, out, s, z, spec):
-        if zv is None:
-            np.add(c, 0.0, out=o)
-        else:
-            np.subtract(c, zv, out=o)
-        o *= sv
-    return out
-
-
 def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Project x onto the fitted grid; codes are kept widened (int32)."""
+    """Project x onto the fitted grid; codes are kept widened (int32).
+
+    Rounds, adds the zero point and clips in one float64 buffer, with the
+    per-group params broadcast through reshaped views (``_grid_views``)."""
     x = np.asarray(x, dtype=np.float64)
     spec = params.spec
     if spec.passthrough:
         raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
     if x.shape != tuple(params.shape):
         raise ValueError(f"shape {x.shape} does not match fitted {params.shape}")
-    q = _encode(x, params.scales, params.zero_points, spec)
+    if spec.symmetric:
+        lo, hi = -(2 ** (spec.bits - 1) - 1), 2 ** (spec.bits - 1) - 1
+    else:
+        lo, hi = 0, 2**spec.bits - 1
+    q = np.empty(x.shape)
+    for xv, qv, s, z in _grid_views(x, q, params.scales, params.zero_points, spec):
+        _round_half_away(xv, s, out=qv)
+        if z is not None:
+            qv += z
+        np.minimum(np.maximum(qv, lo, out=qv), hi, out=qv)
     return QuantizedTensor(q.astype(np.int32), params, spec, x.shape)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """s * codes (symmetric) or s * (codes - z), per group."""
-    p = q.params
-    return _decode(q.codes, p.scales, p.zero_points, p.spec, np.empty(q.codes.shape))
+    out = np.empty(q.codes.shape)
+    params = q.params
+    for c, o, s, z in _grid_views(q.codes, out, params.scales,
+                                  params.zero_points, params.spec):
+        if z is None:
+            o[...] = c
+        else:
+            np.subtract(c, z, out=o)
+        o *= s
+    return out
 
 
 def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """fit + quantize + dequantize in one call (dynamic quantization), decoded
-    in place into the float64 codes."""
+    """fit + quantize + dequantize in one call (dynamic quantization)."""
     if spec.passthrough:
         return x
-    x = np.asarray(x, dtype=np.float64)
-    p = fit_params(x, spec)
-    z = None if p.zero_points is None else p.zero_points.astype(np.float64)
-    q = _encode(x, p.scales, z, spec)
-    return _decode(q, p.scales, z, spec, q)
+    return dequantize(quantize(x, fit_params(x, spec)))
 
 
 # --- bit-packed code serialization -------------------------------------------
