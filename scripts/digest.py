@@ -16,6 +16,14 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   ``objective_trace``;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
+* ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
+  with ``max_new=0``;
+* the calibration set ``calibration.self_generate`` makes for each
+  ``calibrate`` seed;
+* the sequences and ``thinking`` counts of acceptance criterion 10 (200
+  suppressed runs, 50 promoted runs at each of four budgets), and of every
+  length-control mode over 200 seeds on a 12-token context, where thinking
+  is cut off by the context;
 * the 100 ``awq_search`` results of acceptance criterion 4: alpha, beta,
   scales and proxy loss;
 * the quantization primitives on their own: for each shape in
@@ -104,6 +112,63 @@ def decode_lines(workloads, quantrun, harness, make_rng):
             yield f"{tag}/{lc.mode}/sequence", sha(*seq, thinking, total)
 
 
+def generate_lines(workloads, quantrun, toymodel, make_rng):
+    wl = workloads.Decode()
+    model = wl.model()
+    for bits, method, plan in wl.PLANS:
+        tag = f"generate/{bits}/{method}"
+        rt = quantrun.prepare_runtime(model, plan)
+        for kind, max_new, temperature in (("greedy", 64, 0.0), ("sampled", 64, 0.6),
+                                           ("max_new_0", 0, 0.6)):
+            yield f"{tag}/{kind}", sha(*toymodel.generate(
+                model, list(wl.PROMPT), max_new, temperature=temperature,
+                rng=make_rng(SEEDS[0]), runtime=rt))
+
+
+def self_generate_lines(workloads):
+    wl = workloads.Calibrate()
+    model = wl.model()
+    for seed in SEEDS:
+        yield f"self_generate/{seed}", sha(
+            *(t for s in wl.inputs(seed, model)["calib"] for t in (*s, -1)))
+
+
+def length_control_lines(tag, harness, quantrun, model, modes, seeds, make_rng):
+    """For each mode, one line over the sequences of ``seeds`` from prompt [0]
+    on the reference plan, and one over their ``thinking`` counts."""
+    plan = quantrun.QuantPlan()
+    rt = quantrun.prepare_runtime(model, plan)
+    for lc in modes:
+        seqs, thinking = [], []
+        for seed in seeds:
+            seq, think, _ = harness.generate_with_length_control(
+                model, [0], plan, lc, make_rng(seed), runtime=rt)
+            seqs += [*seq, -1]
+            thinking.append(think)
+        name = f"{tag}/{lc.mode}/{lc.budget}"
+        yield f"{name}/sequences", sha(*seqs)
+        yield f"{name}/thinking", sha(*thinking)
+
+
+def criterion10_lines(harness, quantrun, toymodel, make_rng):
+    """The runs of ``tests/test_acceptance.py::test_criterion_10_length_control``,
+    then every mode on a 12-token context."""
+    LC = harness.LengthControl
+    model = toymodel.init_model(toymodel.ToyConfig(), make_rng(0))
+    yield from length_control_lines(
+        "criterion10", harness, quantrun, model, [LC(mode="suppress", budget=16)],
+        range(200), make_rng)
+    yield from length_control_lines(
+        "criterion10", harness, quantrun, model,
+        [LC(mode="promote", budget=b, max_waits=10**9) for b in (8, 16, 32, 64)],
+        range(50), make_rng)
+    short = toymodel.init_model(toymodel.ToyConfig(max_seq_len=12), make_rng(0))
+    yield from length_control_lines(
+        "short_context", harness, quantrun, short,
+        [LC(mode="off"), LC(mode="suppress", budget=16),
+         LC(mode="promote", budget=16, max_waits=10**9)], range(200), make_rng)
+
+
 def criterion4_lines(weightquant, make_rng):
     """The loop of ``tests/test_acceptance.py::test_criterion_4_awq_dominance``."""
     spec = weightquant.default_weight_spec(4, 8)
@@ -183,12 +248,15 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
     import workloads
-    from quantlab import harness, quantcore, quantrun, weightquant
+    from quantlab import harness, quantcore, quantrun, toymodel, weightquant
     from quantlab.rng import make_rng
 
     for gen in (drift_lines(workloads, quantrun),
                 calibrate_lines(workloads, quantrun),
                 decode_lines(workloads, quantrun, harness, make_rng),
+                generate_lines(workloads, quantrun, toymodel, make_rng),
+                self_generate_lines(workloads),
+                criterion10_lines(harness, quantrun, toymodel, make_rng),
                 criterion4_lines(weightquant, make_rng),
                 primitive_lines(quantcore, make_rng)):
         for name, digest in gen:

@@ -50,9 +50,16 @@ def write_sequences(seqs, path) -> None:
             f.write(" ".join(str(t) for t in s) + "\n")
 
 
+def _check_counts(seq_len: int, count: int) -> None:
+    if seq_len < 1 or count < 1:
+        raise ValueError(f"need seq_len >= 1 and count >= 1, got seq_len {seq_len}, "
+                         f"count {count}")
+
+
 def load_calibration(path, seq_len: int, count: int, rng) -> CalibrationSet:
     """Randomly crop `count` windows of `seq_len` tokens from the file's
     sequences; deterministic under the rng seed."""
+    _check_counts(seq_len, count)
     seqs = parse_sequences(path)
     eligible = [s for s in seqs if len(s) >= seq_len]
     total = sum(len(s) for s in seqs)
@@ -79,12 +86,13 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
     default sampling settings; tagged "self_generated"."""
     if not prompts:
         raise ValueError("prompts must be nonempty")
+    _check_counts(seq_len, count)
+    if seq_len > m.config.max_seq_len:
+        raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
     out = []
     for i in range(count):
         prompt = list(prompts[i % len(prompts)])
-        if seq_len > m.config.max_seq_len:
-            raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
-        max_new = seq_len - len(prompt)
+        max_new = max(seq_len - len(prompt), 0)
         seq = generate(m, prompt, max_new=max_new, temperature=temperature,
                        top_p=top_p, rng=rng)
         out.append(seq[:seq_len])

@@ -40,12 +40,12 @@ def _plan_from_args(args) -> QuantPlan:
     return QuantPlan.from_bits_string(args.plan, **kwargs)
 
 
-def _load_calib(path, seed: int, calib_len=None):
-    """Eight windows of ``calib_len`` (default 64) tokens from a calibration
-    file, cropped under ``seed``; None without a path."""
+def _load_calib(path, seed: int, calib_len: int = 64):
+    """Eight windows of ``calib_len`` tokens from a calibration file, cropped
+    under ``seed``; None without a path."""
     if not path:
         return None
-    cs = calibration.load_calibration(path, seq_len=calib_len or 64, count=8,
+    cs = calibration.load_calibration(path, seq_len=calib_len, count=8,
                                       rng=make_rng(seed))
     return cs.sequences
 
@@ -150,7 +150,7 @@ def cmd_calib(args):
     model = load_model(args.model)
     rng = make_rng(args.seed)
     prompts = [[0]]
-    cs = calibration.self_generate(model, prompts, seq_len=args.calib_len or 64,
+    cs = calibration.self_generate(model, prompts, seq_len=args.calib_len,
                                    count=args.count, rng=rng)
     calibration.write_sequences(cs.sequences, args.out)
     print(f"wrote {args.out} ({cs.count} sequences, domain={cs.domain_tag})")
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method")
         p.add_argument("--group-size", type=int, dest="group_size")
         p.add_argument("--calib")
-        p.add_argument("--calib-len", type=int, dest="calib_len")
+        p.add_argument("--calib-len", type=int, default=64, dest="calib_len")
 
     p = sub.add_parser("quantize", help="write a quantized checkpoint")
     model_plan(p)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calib", help="self-generate calibration data")
     p.add_argument("--model", required=True)
-    p.add_argument("--calib-len", type=int, dest="calib_len")
+    p.add_argument("--calib-len", type=int, default=64, dest="calib_len")
     p.add_argument("--count", type=int, default=8)
     _add_common(p)
     p.set_defaults(fn=cmd_calib)
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--site", required=True)
     p.add_argument("--calib")
-    p.add_argument("--calib-len", type=int, dest="calib_len")
+    p.add_argument("--calib-len", type=int, default=64, dest="calib_len")
     _add_common(p)
     p.set_defaults(fn=cmd_stats)
 

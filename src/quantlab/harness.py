@@ -20,6 +20,7 @@ from .toymodel import (
     WAIT_ID,
     Session,
     ToyModel,
+    decode,
     forward_reference,
     sample_token,
 )
@@ -105,8 +106,8 @@ def run_drift(model: ToyModel, cfg: ExperimentConfig) -> DriftReport:
     """Teacher-forced probe through reference and quantized models;
     per-position logit error and top-1 agreement."""
     probe = cfg.probe_tokens
-    if probe is None:
-        raise ValueError("drift runs need probe_tokens")
+    if probe is None or len(probe) == 0:
+        raise ValueError("drift runs need at least one probe token")
     ref = forward_reference(model, probe)
     q = forward_quantized(model, probe, cfg.plan,
                           calib_sequences=cfg.calib_sequences)
@@ -131,66 +132,47 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
                                  lc: LengthControl, rng,
                                  temperature: float = 0.6, top_p: float = 0.95,
                                  calib_sequences=None, runtime=None):
-    """One controlled generation. Thinking tokens are the tokens emitted
-    before THINK_END. Suppression force-inserts THINK_END at the budget;
-    promotion replaces an early THINK_END with WAIT while the wait budget
-    lasts. After THINK_END the answer phase runs for ANSWER_BUDGET tokens.
+    """One controlled generation. Thinking tokens are the tokens chosen
+    before THINK_END, one that fills the context included. Suppression
+    force-inserts THINK_END at the budget; promotion replaces an early
+    THINK_END with WAIT while the wait budget lasts. After THINK_END the
+    answer phase runs for ANSWER_BUDGET tokens.
 
     Returns (sequence, thinking_count, total_generated).
     """
-    if not prompt:
-        raise ValueError("prompt must hold at least one token")
     if runtime is None:
         runtime = prepare_runtime(model, plan, calib_sequences)
-    sess = Session(model, runtime=runtime)
-    logits = sess.forward(prompt)[-1]
-    seq = list(prompt)
-    max_len = model.config.max_seq_len
+    thinking = waits_used = 0
+    answer_left = None  # answer tokens still to choose, once THINK_END is in
 
-    thinking = 0
-    waits_used = 0
-    think_done = False
+    def choose(logits):
+        nonlocal thinking, waits_used, answer_left
+        if answer_left == 0:
+            return None
+        if answer_left is None and lc.mode == LC_SUPPRESS and thinking >= lc.budget:
+            tok = THINK_END_ID  # forced early termination
+        else:
+            tok = sample_token(logits, temperature, top_p, rng)
+        if answer_left is not None:
+            answer_left -= 1
+        elif tok != THINK_END_ID:
+            thinking += 1
+        elif (lc.mode == LC_PROMOTE and thinking < lc.budget
+              and waits_used < lc.max_waits):
+            waits_used += 1
+            thinking += 1
+            tok = WAIT_ID
+        else:
+            answer_left = ANSWER_BUDGET
+        return tok
 
-    def emit(tok):
-        nonlocal logits
-        seq.append(tok)
-        if len(seq) < max_len:
-            logits = sess.step(tok)
-            return True
-        return False
-
-    while not think_done and len(seq) < max_len:
-        if lc.mode == LC_SUPPRESS and thinking >= lc.budget:
-            emit(THINK_END_ID)  # forced early termination
-            think_done = True
-            break
-        nxt = sample_token(logits, temperature, top_p, rng)
-        if nxt == THINK_END_ID:
-            if (lc.mode == LC_PROMOTE and thinking < lc.budget
-                    and waits_used < lc.max_waits):
-                waits_used += 1
-                if not emit(WAIT_ID):
-                    break
-                thinking += 1
-                continue
-            emit(THINK_END_ID)
-            think_done = True
-            break
-        if not emit(nxt):
-            break
-        thinking += 1
-
-    answered = 0
-    while think_done and answered < ANSWER_BUDGET and len(seq) < max_len:
-        nxt = sample_token(logits, temperature, top_p, rng)
-        if not emit(nxt):
-            break
-        answered += 1
-
+    seq = decode(Session(model, runtime=runtime), prompt, choose)
     return seq, thinking, len(seq) - len(prompt)
 
 
 def run_length_control(model: ToyModel, cfg: ExperimentConfig) -> LengthReport:
+    if cfg.n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {cfg.n_runs}")
     lc = cfg.length_control
     runtime = prepare_runtime(model, cfg.plan, cfg.calib_sequences)
     thinking = []

@@ -18,6 +18,7 @@ from .errors import MalformedBlock, NonFiniteInput
 BLOCK_SIZE = 32
 BLOCK_BYTES = 17
 SCALE_BIAS = 127
+MAX_SCALE_EXP = 254
 
 E2M1_VALUES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
 # midpoints between consecutive magnitudes; ties round away from zero
@@ -51,8 +52,8 @@ def encode_array(x: np.ndarray):
     nonzero = amax > 0
     exps = np.full(x.shape[0], SCALE_BIAS, dtype=np.int64)
     exps[nonzero] = np.clip(
-        np.floor(np.log2(amax[nonzero])).astype(np.int64) - 2 + SCALE_BIAS, 0, 254
-    )
+        np.floor(np.log2(amax[nonzero])).astype(np.int64) - 2 + SCALE_BIAS, 0,
+        MAX_SCALE_EXP)
     scale = np.exp2((exps - SCALE_BIAS).astype(np.float64))[:, None]
     mag = np.abs(x) / scale
     idx = np.minimum(np.searchsorted(_MIDPOINTS, mag, side="right"), 7)
@@ -92,6 +93,8 @@ def block_to_bytes(b: Mxfp4Block) -> bytes:
 def block_from_bytes(raw: bytes) -> Mxfp4Block:
     if len(raw) != BLOCK_BYTES:
         raise MalformedBlock(f"block must be {BLOCK_BYTES} bytes, got {len(raw)}")
+    if raw[0] > MAX_SCALE_EXP:
+        raise MalformedBlock(f"block scale {raw[0]} above {MAX_SCALE_EXP}")
     packed = np.frombuffer(raw[1:], dtype=np.uint8)
     codes = np.empty(BLOCK_SIZE, dtype=np.uint8)
     codes[0::2] = packed & 0xF
@@ -107,18 +110,23 @@ _TENSOR_MAGIC = b"MXT4"
 _HEADER = struct.Struct("<4sIII")
 
 
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """``x`` in row-major order, zero-padded to whole blocks: (n_blocks, 32)."""
+    flat = x.ravel()
+    pad = -flat.size % BLOCK_SIZE
+    if pad:
+        flat = np.concatenate([flat, np.zeros(pad)])
+    return flat.reshape(-1, BLOCK_SIZE)
+
+
 def encode_tensor(x: np.ndarray) -> bytes:
     x = np.asarray(x, dtype=np.float64)
     rows, cols = x.shape
-    flat = x.ravel()
-    pad = (-flat.size) % BLOCK_SIZE
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad)])
-    exps, codes = encode_array(flat.reshape(-1, BLOCK_SIZE))
-    out = bytearray(_HEADER.pack(_TENSOR_MAGIC, rows, cols, pad))
-    for e, c in zip(exps, codes):
-        out += block_to_bytes(Mxfp4Block(int(e), c))
-    return bytes(out)
+    exps, codes = encode_array(_blocks(x))
+    body = np.empty((len(exps), BLOCK_BYTES), dtype=np.uint8)
+    body[:, 0] = exps
+    body[:, 1:] = codes[:, 0::2] | (codes[:, 1::2] << 4)
+    return _HEADER.pack(_TENSOR_MAGIC, rows, cols, -x.size % BLOCK_SIZE) + body.tobytes()
 
 
 def decode_tensor(raw: bytes) -> np.ndarray:
@@ -128,27 +136,22 @@ def decode_tensor(raw: bytes) -> np.ndarray:
     if magic != _TENSOR_MAGIC:
         raise MalformedBlock(f"bad tensor magic {magic!r}")
     n = rows * cols
-    n_blocks = (n + pad) // BLOCK_SIZE
-    body = raw[_HEADER.size :]
-    if len(body) != n_blocks * BLOCK_BYTES:
+    if pad != -n % BLOCK_SIZE:
+        raise MalformedBlock(f"pad {pad} does not fill the last block of {rows}x{cols}")
+    body = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
+    if body.size != (n + pad) // BLOCK_SIZE * BLOCK_BYTES:
         raise MalformedBlock("tensor payload length mismatch")
-    exps = np.empty(n_blocks, dtype=np.int64)
-    codes = np.empty((n_blocks, BLOCK_SIZE), dtype=np.uint8)
-    for i in range(n_blocks):
-        b = block_from_bytes(body[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES])
-        exps[i] = b.scale_exp
-        codes[i] = b.codes
-    vals = decode_array(exps, codes).ravel()
-    return vals[:n].reshape(rows, cols)
+    blocks = body.reshape(-1, BLOCK_BYTES)
+    if np.any(blocks[:, 0] > MAX_SCALE_EXP):
+        raise MalformedBlock(f"block scale above {MAX_SCALE_EXP}")
+    codes = np.empty((len(blocks), BLOCK_SIZE), dtype=np.uint8)
+    codes[:, 0::2] = blocks[:, 1:] & 0xF
+    codes[:, 1::2] = blocks[:, 1:] >> 4
+    return decode_array(blocks[:, 0], codes).ravel()[:n].reshape(rows, cols)
 
 
 def mxfp4_fake_quant(x: np.ndarray) -> np.ndarray:
     """Round-trip a matrix through MXFP4 blocks (row-major 32-blocks)."""
     x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    pad = (-flat.size) % BLOCK_SIZE
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad)])
-    exps, codes = encode_array(flat.reshape(-1, BLOCK_SIZE))
-    vals = decode_array(exps, codes).ravel()
+    vals = decode_array(*encode_array(_blocks(x))).ravel()
     return vals[: x.size].reshape(x.shape)

@@ -5,6 +5,8 @@ calibration capture and generation all use; Session.step is its one-token
 case. Incremental generation and full-context recomputation run the same
 code on differently shaped blocks, so they agree to about 1e-13 with
 identical argmax rather than bit for bit.
+``decode`` is the one sampling loop; ``generate`` and
+``harness.generate_with_length_control`` are its stop rules.
 
 Session.forward takes positions in blocks of BLOCK = 32. Within a block the
 linears run on (T, d_model) matrices and the attention scores form one
@@ -484,25 +486,38 @@ def sample_token(logits: np.ndarray, temperature: float, top_p: float, rng) -> i
     return int(rng.choice(len(probs), p=probs))
 
 
+def decode(sess: Session, prompt, choose) -> list:
+    """The sampling loop. Feeds ``prompt`` in one ``forward``, then appends
+    ``choose(logits)`` and steps the session by it, so ``sess.pos`` tokens
+    are fed at each call, until ``choose`` returns None or the sequence
+    fills the context. Returns the full id sequence."""
+    seq = list(prompt)
+    if not seq:
+        raise ValueError("prompt must hold at least one token")
+    max_len = sess.cfg.max_seq_len
+    logits = sess.forward(seq)[-1]
+    while len(seq) < max_len and (tok := choose(logits)) is not None:
+        seq.append(tok)
+        if len(seq) < max_len:
+            logits = sess.step(tok)
+    return seq
+
+
 def generate(m: ToyModel, prompt, max_new: int, temperature: float = 0.6,
              top_p: float = 0.95, rng=None, runtime=None) -> list:
-    """Autoregressive sampling; greedy when temperature == 0. Returns the
-    full id sequence (prompt + continuation)."""
-    prompt = list(prompt)
+    """Autoregressive sampling of ``max_new`` tokens; greedy when
+    temperature == 0. Returns the full id sequence (prompt + continuation)."""
+    if max_new < 0:
+        raise ValueError(f"max_new must be >= 0, got {max_new}")
     if len(prompt) + max_new > m.config.max_seq_len:
         raise ContextOverflow(
             f"{len(prompt)} prompt + {max_new} new > {m.config.max_seq_len}")
     if temperature != 0 and rng is None:
         raise ValueError("sampling requires an rng")
-    if not prompt:
-        raise ValueError("prompt must hold at least one token")
     sess = Session(m, runtime=runtime)
-    logits = sess.forward(prompt)[-1]
-    out = list(prompt)
-    for _ in range(max_new):
-        nxt = sample_token(logits, temperature, top_p, rng)
-        out.append(nxt)
-        if len(out) >= m.config.max_seq_len:
-            break
-        logits = sess.step(nxt)
-    return out
+    stop = len(prompt) + max_new
+
+    def choose(logits):
+        return None if sess.pos == stop else sample_token(logits, temperature, top_p, rng)
+
+    return decode(sess, prompt, choose)

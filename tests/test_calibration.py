@@ -69,6 +69,13 @@ class TestLoadCalibration:
         with pytest.raises(FileTooSmall):
             load_calibration(p, seq_len=2, count=5, rng=make_rng(0))
 
+    @pytest.mark.parametrize("seq_len,count", [(0, 1), (-5, 1), (2, 0)])
+    def test_counts_below_range(self, tmp_path, seq_len, count):
+        p = tmp_path / "calib.txt"
+        write_sequences([[1, 2, 3, 4]], p)
+        with pytest.raises(ValueError, match="seq_len"):
+            load_calibration(p, seq_len=seq_len, count=count, rng=make_rng(0))
+
 
 class TestSelfGenerate:
     def test_seeded_and_tagged(self, small_model):
@@ -88,6 +95,12 @@ class TestSelfGenerate:
     def test_empty_prompts_rejected(self, small_model):
         with pytest.raises(ValueError):
             self_generate(small_model, [], seq_len=8, count=1, rng=make_rng(0))
+
+    @pytest.mark.parametrize("seq_len,count", [(0, 1), (8, 0)])
+    def test_counts_below_range(self, small_model, seq_len, count):
+        with pytest.raises(ValueError, match="seq_len"):
+            self_generate(small_model, [[0]], seq_len=seq_len, count=count,
+                          rng=make_rng(0))
 
 
 class TestChannelStats:

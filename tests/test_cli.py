@@ -293,6 +293,29 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ValueError: prompt")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["drift", "--plan", "16-16-16", "--probe-len", "0"], "probe token"),
+        (["length-control", "--runs", "0"], "n_runs"),
+        (["drift", "--plan", "4-16-16", "--method", "gptq", "--calib", "CALIB",
+          "--calib-len", "-5"], "seq_len"),
+        (["drift", "--plan", "4-16-16", "--method", "gptq", "--calib", "CALIB",
+          "--calib-len", "0"], "seq_len"),
+        (["generate", "--max-new", "-3"], "max_new"),
+        (["calib", "--count", "0"], "count"),
+        (["calib", "--calib-len", "0"], "seq_len"),
+    ], ids=["probe-len", "runs", "calib-len-negative", "calib-len-zero", "max-new",
+            "count", "calib-seq-len"])
+    def test_count_below_range(self, model_file, calib_file, tmp_path, capsys,
+                               argv, message):
+        out = tmp_path / "out"
+        argv = [calib_file if a == "CALIB" else a for a in argv]
+        rc = cli.main([argv[0], "--model", model_file, *argv[1:], "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_bad_plan_string(self, model_file, tmp_path, capsys):
         rc = cli.main(["drift", "--model", model_file, "--plan", "four",
                        "--out", str(tmp_path / "d.csv")])

@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quantlab.harness import (
     CODE_VERSION,
+    LC_OFF,
+    LC_PROMOTE,
+    LC_SUPPRESS,
     SCHEMA_VERSION,
     ExperimentConfig,
     LengthControl,
@@ -19,15 +23,21 @@ from quantlab.harness import (
 )
 from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import ToyConfig, init_model
+from quantlab.toymodel import THINK_END_ID, ToyConfig, init_model
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=256)
+SHORT = replace(SMALL, max_seq_len=12)  # thinking often fills the context
 
 
 @pytest.fixture(scope="module")
 def small_model():
     return init_model(SMALL, make_rng(0))
+
+
+@pytest.fixture(scope="module")
+def short_model():
+    return init_model(SHORT, make_rng(0))
 
 
 def probe(n, seed=2):
@@ -47,6 +57,8 @@ class TestDrift:
     def test_probe_required(self, small_model):
         with pytest.raises(ValueError):
             run_drift(small_model, ExperimentConfig(plan=QuantPlan()))
+        with pytest.raises(ValueError):
+            run_drift(small_model, ExperimentConfig(plan=QuantPlan(), probe_tokens=[]))
 
     def test_weight_bits_mean_mse_ordering(self, small_model):
         mse = {}
@@ -114,6 +126,27 @@ class TestLengthControl:
             room = SMALL.max_seq_len - 1
             assert think >= min(budget, room)
 
+    @pytest.mark.parametrize("mode", [LC_OFF, LC_SUPPRESS, LC_PROMOTE])
+    def test_thinking_count_when_context_fills(self, short_model, mode):
+        """Thinking counts every token chosen before THINK_END, the one that
+        fills the context included, so the promotion floor holds there too."""
+        lc = LengthControl(mode=mode, budget=16, max_waits=10**9)
+        room = SHORT.max_seq_len - 1
+        filled = 0
+        for seed in range(200):
+            seq, think, total = generate_with_length_control(
+                short_model, [0], QuantPlan(), lc, make_rng(seed))
+            gen = seq[1:]
+            assert total == len(gen)
+            assert THINK_END_ID not in gen[:think], f"seed {seed}"
+            if think < len(gen):
+                assert gen[think] == THINK_END_ID, f"seed {seed}"
+            else:
+                filled += 1
+            if mode == LC_PROMOTE:
+                assert think >= min(lc.budget, room), f"seed {seed}: {think}"
+        assert filled > 0
+
     def test_off_mode_unconstrained(self, small_model):
         lc = LengthControl(mode="off", budget=1)
         seq, think, total = generate_with_length_control(
@@ -131,6 +164,10 @@ class TestLengthControl:
                                                make_rng(seed), runtime=rt)
             assert got == generate_with_length_control(small_model, [0], plan, lc,
                                                        make_rng(seed))
+
+    def test_run_needs_a_run(self, small_model):
+        with pytest.raises(ValueError, match="n_runs"):
+            run_length_control(small_model, ExperimentConfig(plan=QuantPlan(), n_runs=0))
 
     def test_run_report_stats(self, small_model):
         cfg = ExperimentConfig(

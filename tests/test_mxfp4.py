@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantlab.errors import MalformedBlock, NonFiniteInput
 from quantlab.mxfp4 import (
@@ -128,6 +132,47 @@ class TestSerialization:
             decode_tensor(b"XXXX" + raw[4:])
         with pytest.raises(MalformedBlock):
             decode_tensor(raw[:-1])
+
+    @pytest.mark.parametrize("rows,cols,pad,n_blocks", [
+        (1, 1, 0, 0), (1, 33, 0, 1), (1, 33, 63, 3), (2, 32, 32, 3)])
+    def test_tensor_pad_must_fill_the_last_block(self, rows, cols, pad, n_blocks):
+        raw = struct.pack("<4sIII", b"MXT4", rows, cols, pad) + bytes(17 * n_blocks)
+        with pytest.raises(MalformedBlock, match="pad"):
+            decode_tensor(raw)
+
+    def test_scale_above_254_rejected(self):
+        raw = bytearray(encode_tensor(np.ones((1, 32))))
+        raw[16] = 255
+        with pytest.raises(MalformedBlock):
+            decode_tensor(bytes(raw))
+        with pytest.raises(MalformedBlock):
+            block_from_bytes(bytes(raw[16:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_tensor_decodes_or_raises(self, data):
+        """Every truncation, bit flip and header rewrite of an encoded tensor
+        either decodes to the shape its header gives or is MalformedBlock."""
+        rows = data.draw(st.integers(0, 3))
+        cols = data.draw(st.integers(0, 70))
+        x = make_rng(rows * 100 + cols).standard_normal((rows, cols)) * 4.0
+        raw = bytearray(encode_tensor(x))
+        kind = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw[i] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            field = data.draw(st.integers(1, 3))  # rows, cols or pad
+            struct.pack_into("<I", raw, 4 * field, data.draw(st.one_of(
+                st.integers(0, 70), st.integers(0, 2**32 - 1))))
+        try:
+            y = decode_tensor(bytes(raw))
+        except MalformedBlock:
+            return
+        assert y.shape == struct.unpack_from("<II", raw, 4)
+        assert np.all(np.isfinite(y))
 
     def test_fake_quant_idempotent(self):
         x = make_rng(3).standard_normal((4, 64))

@@ -12,8 +12,10 @@ from quantlab.rng import make_rng
 from quantlab.toymodel import (
     BOS_ID,
     THINK_END_ID,
+    Session,
     ToyConfig,
     ToyModel,
+    decode,
     forward_reference,
     generate,
     init_model,
@@ -251,6 +253,25 @@ class TestSampling:
         with pytest.raises(ContextOverflow):
             generate(small_model, [BOS_ID], max_new=SMALL.max_seq_len,
                      temperature=0.0)
+
+    def test_generate_rejects_negative_max_new(self, small_model):
+        with pytest.raises(ValueError, match="max_new"):
+            generate(small_model, [BOS_ID], max_new=-1, temperature=0.0)
+
+    def test_decode_stops_on_none_and_at_the_context(self, small_model):
+        seen = []
+
+        def choose(logits):
+            seen.append(logits)
+            return None if len(seen) > 3 else int(np.argmax(logits))
+
+        out = decode(Session(small_model), [BOS_ID], choose)
+        assert len(out) == 4 and len(seen) == 4
+        assert out == generate(small_model, [BOS_ID], max_new=3, temperature=0.0)
+        # never asked again once the sequence fills the context
+        seen.clear()
+        out = decode(Session(small_model), [BOS_ID] * 30, lambda lg: seen.append(lg) or 5)
+        assert out[30:] == [5, 5] and len(seen) == 2
 
     def test_reserved_ids(self):
         assert (BOS_ID, THINK_END_ID) == (0, 2)
