@@ -18,6 +18,8 @@ from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runt
 from .rng import make_rng
 from .toymodel import ToyConfig, generate, init_model, load_model, save_model
 
+CALIB_LEN = 64  # tokens per calibration window, unless --calib-len says otherwise
+
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
@@ -40,7 +42,7 @@ def _plan_from_args(args) -> QuantPlan:
     return QuantPlan.from_bits_string(args.plan, **kwargs)
 
 
-def _load_calib(path, seed: int, calib_len: int = 64):
+def _load_calib(path, seed: int, calib_len: int = CALIB_LEN):
     """Eight windows of ``calib_len`` tokens from a calibration file, cropped
     under ``seed``; None without a path."""
     if not path:
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method")
         p.add_argument("--group-size", type=int, dest="group_size")
         p.add_argument("--calib")
-        p.add_argument("--calib-len", type=int, default=64, dest="calib_len")
+        p.add_argument("--calib-len", type=int, default=CALIB_LEN, dest="calib_len")
 
     p = sub.add_parser("quantize", help="write a quantized checkpoint")
     model_plan(p)
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calib", help="self-generate calibration data")
     p.add_argument("--model", required=True)
-    p.add_argument("--calib-len", type=int, default=64, dest="calib_len")
+    p.add_argument("--calib-len", type=int, default=CALIB_LEN, dest="calib_len")
     p.add_argument("--count", type=int, default=8)
     _add_common(p)
     p.set_defaults(fn=cmd_calib)
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--site", required=True)
     p.add_argument("--calib")
-    p.add_argument("--calib-len", type=int, default=64, dest="calib_len")
+    p.add_argument("--calib-len", type=int, default=CALIB_LEN, dest="calib_len")
     _add_common(p)
     p.set_defaults(fn=cmd_stats)
 

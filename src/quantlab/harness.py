@@ -140,6 +140,8 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
 
     Returns (sequence, thinking_count, total_generated).
     """
+    if not prompt:  # before the plan's calibration, not after it
+        raise ValueError("prompt must hold at least one token")
     if runtime is None:
         runtime = prepare_runtime(model, plan, calib_sequences)
     thinking = waits_used = 0

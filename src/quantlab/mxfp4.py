@@ -84,22 +84,34 @@ def mxfp4_decode(b: Mxfp4Block) -> np.ndarray:
     return decode_array(np.array([b.scale_exp]), b.codes[None, :])[0]
 
 
+def _pack(exps: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Serialize blocks: (n,) scale exponents and (n, 32) codes -> (n, 17)
+    bytes, the scale byte then two codes per byte, low nibble first."""
+    rows = np.empty((len(exps), BLOCK_BYTES), dtype=np.uint8)
+    rows[:, 0] = exps
+    rows[:, 1:] = (codes[:, 0::2] & 0xF) | ((codes[:, 1::2] & 0xF) << 4)
+    return rows
+
+
+def _unpack(rows: np.ndarray):
+    """Inverse of ``_pack``: (n, 17) bytes -> (scale_exps, codes)."""
+    if np.any(rows[:, 0] > MAX_SCALE_EXP):
+        raise MalformedBlock(f"block scale above {MAX_SCALE_EXP}")
+    codes = np.empty((len(rows), BLOCK_SIZE), dtype=np.uint8)
+    codes[:, 0::2] = rows[:, 1:] & 0xF
+    codes[:, 1::2] = rows[:, 1:] >> 4
+    return rows[:, 0].astype(np.int64), codes
+
+
 def block_to_bytes(b: Mxfp4Block) -> bytes:
-    lo = b.codes[0::2] & 0xF
-    hi = b.codes[1::2] & 0xF
-    return bytes([b.scale_exp]) + ((hi << 4) | lo).astype(np.uint8).tobytes()
+    return _pack(np.array([b.scale_exp]), b.codes[None, :])[0].tobytes()
 
 
 def block_from_bytes(raw: bytes) -> Mxfp4Block:
     if len(raw) != BLOCK_BYTES:
         raise MalformedBlock(f"block must be {BLOCK_BYTES} bytes, got {len(raw)}")
-    if raw[0] > MAX_SCALE_EXP:
-        raise MalformedBlock(f"block scale {raw[0]} above {MAX_SCALE_EXP}")
-    packed = np.frombuffer(raw[1:], dtype=np.uint8)
-    codes = np.empty(BLOCK_SIZE, dtype=np.uint8)
-    codes[0::2] = packed & 0xF
-    codes[1::2] = packed >> 4
-    return Mxfp4Block(raw[0], codes)
+    exps, codes = _unpack(np.frombuffer(raw, dtype=np.uint8)[None, :])
+    return Mxfp4Block(int(exps[0]), codes[0])
 
 
 # --- tensor container ---------------------------------------------------------
@@ -122,10 +134,7 @@ def _blocks(x: np.ndarray) -> np.ndarray:
 def encode_tensor(x: np.ndarray) -> bytes:
     x = np.asarray(x, dtype=np.float64)
     rows, cols = x.shape
-    exps, codes = encode_array(_blocks(x))
-    body = np.empty((len(exps), BLOCK_BYTES), dtype=np.uint8)
-    body[:, 0] = exps
-    body[:, 1:] = codes[:, 0::2] | (codes[:, 1::2] << 4)
+    body = _pack(*encode_array(_blocks(x)))
     return _HEADER.pack(_TENSOR_MAGIC, rows, cols, -x.size % BLOCK_SIZE) + body.tobytes()
 
 
@@ -141,13 +150,8 @@ def decode_tensor(raw: bytes) -> np.ndarray:
     body = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
     if body.size != (n + pad) // BLOCK_SIZE * BLOCK_BYTES:
         raise MalformedBlock("tensor payload length mismatch")
-    blocks = body.reshape(-1, BLOCK_BYTES)
-    if np.any(blocks[:, 0] > MAX_SCALE_EXP):
-        raise MalformedBlock(f"block scale above {MAX_SCALE_EXP}")
-    codes = np.empty((len(blocks), BLOCK_SIZE), dtype=np.uint8)
-    codes[:, 0::2] = blocks[:, 1:] & 0xF
-    codes[:, 1::2] = blocks[:, 1:] >> 4
-    return decode_array(blocks[:, 0], codes).ravel()[:n].reshape(rows, cols)
+    vals = decode_array(*_unpack(body.reshape(-1, BLOCK_BYTES)))
+    return vals.ravel()[:n].reshape(rows, cols)
 
 
 def mxfp4_fake_quant(x: np.ndarray) -> np.ndarray:

@@ -126,6 +126,17 @@ class TestLengthControl:
             room = SMALL.max_seq_len - 1
             assert think >= min(budget, room)
 
+    def test_empty_prompt_rejected_before_calibration(self, small_model,
+                                                      monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("prepare_runtime ran for an empty prompt")
+
+        monkeypatch.setattr("quantlab.harness.prepare_runtime", no_calibration)
+        with pytest.raises(ValueError, match="prompt"):
+            generate_with_length_control(
+                small_model, [], QuantPlan(w_bits=4, w_method="gptq"),
+                LengthControl(), make_rng(0))
+
     @pytest.mark.parametrize("mode", [LC_OFF, LC_SUPPRESS, LC_PROMOTE])
     def test_thinking_count_when_context_fills(self, short_model, mode):
         """Thinking counts every token chosen before THINK_END, the one that

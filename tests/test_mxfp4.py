@@ -115,6 +115,31 @@ class TestSerialization:
             assert block_from_bytes(raw) == b
             assert block_to_bytes(block_from_bytes(raw)) == raw
 
+    @pytest.mark.parametrize("rows,cols", [(1, 5), (2, 32), (3, 37), (4, 48)])
+    def test_tensor_bytes_are_the_block_layout(self, rows, cols):
+        """encode_tensor writes the header, then each block as FORMATS.md
+        lays it out: the scale byte, then codes 2i (low nibble) and 2i+1
+        (high nibble) in byte i; decode_tensor reads it back block by block."""
+        n = rows * cols
+        n_blocks = -(-n // 32)
+        # block scale exponents 0 (clamped), 127 and 254 in turn
+        amax = np.array([2.0 ** -130, 5.0, 1.5 * 2.0 ** 129])[np.arange(n_blocks) % 3]
+        unit = make_rng(n).uniform(-1.0, 1.0, size=(n_blocks, 32))
+        unit[:, 0] = -1.0  # each block's largest magnitude is its amax
+        x = (unit * amax[:, None]).ravel()[:n].reshape(rows, cols)
+        exps, codes = encode_array(np.concatenate([x.ravel(), np.zeros(-n % 32)])
+                                   .reshape(n_blocks, 32))
+        assert exps.tolist() == [(0, 127, 254)[i % 3] for i in range(n_blocks)]
+        blocks = [bytes([int(e)]) + bytes(int(c[2 * i]) | int(c[2 * i + 1]) << 4
+                                          for i in range(16))
+                  for e, c in zip(exps, codes)]
+        raw = encode_tensor(x)
+        assert raw == struct.pack("<4sIII", b"MXT4", rows, cols, -n % 32) + b"".join(blocks)
+        assert [block_to_bytes(Mxfp4Block(int(e), c))
+                for e, c in zip(exps, codes)] == blocks
+        want = np.concatenate([mxfp4_decode(block_from_bytes(b)) for b in blocks])
+        assert np.array_equal(decode_tensor(raw), want[:n].reshape(rows, cols))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedBlock):
             block_from_bytes(b"\x00" * 16)
