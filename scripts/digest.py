@@ -31,7 +31,9 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   each for ``fit_params`` (scales and zero points), ``quantize`` (codes),
   ``dequantize`` and ``fake_quant``, over every spec of ``primitive_specs``.
   A change inside ``quantcore`` shows here at the primitive, not only through
-  the model logits above.
+  the model logits above;
+* ``weightquant.gptq_quantize`` on its own: one line (codes, scales and zero
+  points) per case of ``gptq_cases``, 2,592 in all.
 """
 
 import argparse
@@ -46,6 +48,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (11, 12)
 PRIMITIVE_SHAPES = ((1, 64), (1, 7), (3, 64), (32, 64), (64, 64), (5, 33), (512, 128))
 PRIMITIVE_KINDS = ("normal", "zeros", "constant", "negative", "subnormal", "ties")
+GPTQ_SEEDS = range(6)
+GPTQ_SHAPES = ((8, 16), (5, 33), (16, 64), (3, 7))
 
 
 def sha(*parts) -> str:
@@ -235,6 +239,43 @@ def primitive_lines(quantcore, make_rng):
                 yield f"{tag}/{name}", sha(*arrays)
 
 
+def gptq_cases(quantcore, weightquant):
+    """(name, spec, column order) over per-tensor, per-token, per-channel on
+    both axes, per-group of 4, 5 and 128 on axis 1 and of 3 and 128 on axis
+    0; both symmetries; 2, 4 and 8 bits; natural and activation order."""
+    grids = [(quantcore.PER_TENSOR, 1, 128), (quantcore.PER_TOKEN, 1, 128),
+             (quantcore.PER_CHANNEL, 0, 128), (quantcore.PER_CHANNEL, 1, 128)]
+    grids += [(quantcore.PER_GROUP, 1, g) for g in (4, 5, 128)]
+    grids += [(quantcore.PER_GROUP, 0, g) for g in (3, 128)]
+    for (granularity, axis, group), symmetric, bits, order in itertools.product(
+            grids, (False, True), (2, 4, 8),
+            (weightquant.NATURAL, weightquant.ACTIVATION_ORDER)):
+        spec = quantcore.QuantSpec(bits=bits, symmetric=symmetric,
+                                   granularity=granularity, axis=axis,
+                                   group_size=group)
+        name = (f"{granularity}/axis{axis}/g{group}/"
+                f"{'sym' if symmetric else 'asym'}/{bits}bit/{order}")
+        yield name, spec, order
+
+
+def gptq_lines(quantcore, weightquant, make_rng):
+    """Weights N(0, 1) and calibration columns whose channels are scaled
+    from 0.2 to 3, so activation order differs from natural order; 48
+    tokens, fewer than the 64 inputs of the widest shape, so damping is
+    what keeps that Hessian invertible."""
+    cases = list(gptq_cases(quantcore, weightquant))
+    for seed, (n_out, n_in) in itertools.product(GPTQ_SEEDS, GPTQ_SHAPES):
+        rng = make_rng(seed * 1000 + n_out * 100 + n_in)
+        w = rng.standard_normal((n_out, n_in))
+        x = rng.standard_normal((n_in, 48)) * rng.uniform(0.2, 3.0, (n_in, 1))
+        for name, spec, order in cases:
+            qt = weightquant.gptq_quantize(
+                w, x, weightquant.GptqConfig(spec=spec, column_order=order))
+            z = qt.params.zero_points
+            yield f"gptq/{seed}/{n_out}x{n_in}/{name}", sha(
+                qt.codes, qt.params.scales, "none" if z is None else z)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path, help="source tree holding src/quantlab")
@@ -258,7 +299,8 @@ def main(argv=None) -> int:
                 self_generate_lines(workloads),
                 criterion10_lines(harness, quantrun, toymodel, make_rng),
                 criterion4_lines(weightquant, make_rng),
-                primitive_lines(quantcore, make_rng)):
+                primitive_lines(quantcore, make_rng),
+                gptq_lines(quantcore, weightquant, make_rng)):
         for name, digest in gen:
             print(name, digest, flush=True)
     return 0

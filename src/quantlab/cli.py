@@ -57,7 +57,10 @@ def cmd_init_model(args):
     if args.config:
         with open(args.config) as f:
             cfg_kwargs = json.load(f)
-    cfg = ToyConfig(**cfg_kwargs)
+    try:
+        cfg = ToyConfig.from_dict(cfg_kwargs)
+    except TypeError as e:  # unknown or mistyped key, or not a mapping
+        raise ValueError(f"bad --config {args.config}: {e}")
     injection = None
     if args.inject_k_bias:
         layer, channel, mag = args.inject_k_bias.split(":")
@@ -177,12 +180,18 @@ def cmd_sweep(args):
     model = load_model(args.model)
     with open(args.config) as f:
         spec = json.load(f)
+    if not isinstance(spec, dict) or not isinstance(spec.get("runs", []), list):
+        raise ValueError(f"sweep config must be an object whose \"runs\" is a "
+                         f"list, got {spec!r}")
     rng = make_rng(args.seed)
     probe = [int(t) for t in rng.integers(0, model.config.vocab_size,
                                           size=spec.get("probe_len", 64))]
     calib = _load_calib(spec.get("calib"), args.seed)
     cfgs = []
     for entry in spec.get("runs", []):
+        if not isinstance(entry, dict) or "plan" not in entry:
+            raise ValueError(f"each sweep run must be an object with a \"plan\", "
+                             f"got {entry!r}")
         plan = QuantPlan.from_bits_string(
             entry["plan"], **{k: v for k, v in entry.items() if k != "plan"})
         cfgs.append(harness.ExperimentConfig(plan=plan, probe_tokens=probe,

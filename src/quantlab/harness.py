@@ -149,8 +149,6 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
 
     def choose(logits):
         nonlocal thinking, waits_used, answer_left
-        if answer_left == 0:
-            return None
         if answer_left is None and lc.mode == LC_SUPPRESS and thinking >= lc.budget:
             tok = THINK_END_ID  # forced early termination
         else:
@@ -168,7 +166,8 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
             answer_left = ANSWER_BUDGET
         return tok
 
-    seq = decode(Session(model, runtime=runtime), prompt, choose)
+    seq = decode(Session(model, runtime=runtime), prompt, choose,
+                 lambda seq: answer_left == 0)
     return seq, thinking, len(seq) - len(prompt)
 
 

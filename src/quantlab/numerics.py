@@ -11,8 +11,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotPowerOfTwo
 
+SYM_TOL = 1e-9  # cholesky's asymmetry bound, relative to the largest entry
 
-def cholesky(a: np.ndarray, sym_tol: float = 1e-9) -> np.ndarray:
+
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a.
 
     Symmetry is checked up front; positive definiteness is detected during
@@ -24,7 +26,7 @@ def cholesky(a: np.ndarray, sym_tol: float = 1e-9) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"cholesky needs a square matrix, got {a.shape}")
     scale = max(np.max(np.abs(a)), 1.0)
-    if np.max(np.abs(a - a.T)) > sym_tol * scale:
+    if np.max(np.abs(a - a.T)) > SYM_TOL * scale:
         raise ValueError("matrix not symmetric")
     L = np.zeros_like(a)
     for j in range(n):

@@ -108,9 +108,12 @@ class QuantPlan:
     def from_bits_string(s: str, **kwargs) -> "QuantPlan":
         try:
             w, a, kv = (int(p) for p in s.split("-"))
-        except ValueError:
+        except (AttributeError, ValueError):  # not a string, or not three ints
             raise ValueError(f"plan must look like '4-16-16', got {s!r}")
-        return QuantPlan(w_bits=w, a_bits=a, kv_bits=kv, **kwargs)
+        try:
+            return QuantPlan(w_bits=w, a_bits=a, kv_bits=kv, **kwargs)
+        except TypeError as e:  # an unknown option, or a bit width again
+            raise ValueError(f"bad options for plan {s!r}: {e}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -134,6 +134,9 @@ def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> T
         layer, channel, magnitude = k_bias_outlier
         if not cfg.qkv_bias:
             raise ValueError("bias injection requires qkv_bias=True")
+        if not (0 <= layer < cfg.n_layers and 0 <= channel < cfg.d_model):
+            raise ValueError(f"bias injection at layer {layer}, channel {channel} is "
+                             f"outside {cfg.n_layers} layers of {cfg.d_model} channels")
         tensors[f"layers.{layer}.bk"][channel] = np.float32(magnitude)
     return ToyModel(config=cfg, tensors=tensors)
 
@@ -486,20 +489,22 @@ def sample_token(logits: np.ndarray, temperature: float, top_p: float, rng) -> i
     return int(rng.choice(len(probs), p=probs))
 
 
-def decode(sess: Session, prompt, choose) -> list:
-    """The sampling loop. Feeds ``prompt`` in one ``forward``, then appends
-    ``choose(logits)`` and steps the session by it, so ``sess.pos`` tokens
-    are fed at each call, until ``choose`` returns None or the sequence
-    fills the context. Returns the full id sequence."""
+def decode(sess: Session, prompt, choose, done) -> list:
+    """The sampling loop. Feeds ``prompt`` in one ``forward``; then, until
+    ``done(seq)`` or the sequence fills the context, appends
+    ``choose(logits)``. The last token is stepped into the session just
+    before the next is chosen, so every token is fed by its own ``step`` and
+    the final one, whose logits nothing reads, is not fed at all. Returns
+    the full id sequence."""
     seq = list(prompt)
     if not seq:
         raise ValueError("prompt must hold at least one token")
     max_len = sess.cfg.max_seq_len
     logits = sess.forward(seq)[-1]
-    while len(seq) < max_len and (tok := choose(logits)) is not None:
-        seq.append(tok)
-        if len(seq) < max_len:
-            logits = sess.step(tok)
+    while len(seq) < max_len and not done(seq):
+        if len(seq) > len(prompt):
+            logits = sess.step(seq[-1])
+        seq.append(choose(logits))
     return seq
 
 
@@ -514,10 +519,7 @@ def generate(m: ToyModel, prompt, max_new: int, temperature: float = 0.6,
             f"{len(prompt)} prompt + {max_new} new > {m.config.max_seq_len}")
     if temperature != 0 and rng is None:
         raise ValueError("sampling requires an rng")
-    sess = Session(m, runtime=runtime)
     stop = len(prompt) + max_new
-
-    def choose(logits):
-        return None if sess.pos == stop else sample_token(logits, temperature, top_p, rng)
-
-    return decode(sess, prompt, choose)
+    return decode(Session(m, runtime=runtime), prompt,
+                  lambda logits: sample_token(logits, temperature, top_p, rng),
+                  lambda seq: len(seq) == stop)

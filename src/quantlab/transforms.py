@@ -17,6 +17,10 @@ from .errors import DimensionMismatch
 from .numerics import HadamardMatrix
 from .quantcore import QuantSpec, fake_quant
 
+FLAT_STEP_SIZE = 0.05  # flat_train's first line-search step length
+FLAT_FD_EPS = 1e-2  # flat_train's finite-difference perturbation
+FLAT_MAX_CONDITION = 1e6  # flat_train scores a worse-conditioned factor as inf
+
 
 @dataclass
 class SmoothScales:
@@ -190,11 +194,11 @@ def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
 
 
 def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
-               spec_a: QuantSpec, steps: int = 200, step_size: float = 0.05,
-               fd_eps: float = 1e-2, max_condition: float = 1e6) -> FlatTransform:
+               spec_a: QuantSpec, steps: int = 200) -> FlatTransform:
     """Train the Kronecker transform by finite-difference descent with a
-    reject-and-halve line search; the objective never increases on an
-    accepted step and the best-seen transform is returned.
+    reject-and-halve line search. A step is accepted only when it lowers the
+    objective, so the last accepted transform, which is returned, is the
+    best seen.
 
     Rounding is treated as pass-through for gradient purposes: the finite
     difference uses a perturbation large relative to one grid step, which
@@ -208,7 +212,6 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
     y_ref = x @ w.T
     obj = flat_objective(w, x, t, spec_w, spec_a, y_ref=y_ref)
     t.objective_trace.append(obj)
-    best = (obj, t.p1.copy(), t.p2.copy(), t.act_clip, t.weight_clip)
 
     def pack():
         return np.concatenate([t.p1.ravel(), t.p2.ravel(),
@@ -223,7 +226,8 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
 
     def evaluate(v):
         p1, p2, ac, wc = unpack(v)
-        if _cond(*_key(p1)) > max_condition or _cond(*_key(p2)) > max_condition:
+        if (_cond(*_key(p1)) > FLAT_MAX_CONDITION
+                or _cond(*_key(p2)) > FLAT_MAX_CONDITION):
             return np.inf
         cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc)
         return flat_objective(w, x, cand, spec_w, spec_a, y_ref=y_ref)
@@ -233,12 +237,12 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
         grad = np.zeros_like(v)
         for i in range(v.size):
             dv = np.zeros_like(v)
-            dv[i] = fd_eps
-            grad[i] = (evaluate(v + dv) - evaluate(v - dv)) / (2 * fd_eps)
+            dv[i] = FLAT_FD_EPS
+            grad[i] = (evaluate(v + dv) - evaluate(v - dv)) / (2 * FLAT_FD_EPS)
         gnorm = np.linalg.norm(grad)
         if not np.isfinite(gnorm) or gnorm == 0:
             break
-        step = step_size / gnorm
+        step = FLAT_STEP_SIZE / gnorm
         accepted = False
         for _halve in range(8):
             cand = v - step * grad
@@ -252,10 +256,4 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
         if accepted:
             t.p1, t.p2, t.act_clip, t.weight_clip = unpack(v)
             t.objective_trace.append(obj)
-            if obj < best[0]:
-                best = (obj, t.p1.copy(), t.p2.copy(), t.act_clip, t.weight_clip)
-
-    t.p1, t.p2, t.act_clip, t.weight_clip = best[1], best[2], best[3], best[4]
-    if t.objective_trace[-1] != best[0]:
-        t.objective_trace.append(best[0])
     return t

@@ -19,7 +19,6 @@ from .quantcore import (
     QuantSpec,
     QuantizedTensor,
     _grouping,
-    _round_half_away,
     dequantize,
     fake_quant,
     fit_params,
@@ -30,6 +29,7 @@ NATURAL = "natural"
 ACTIVATION_ORDER = "activation_order"
 MAX_DAMPING_RETRIES = 8  # doublings of the GPTQ damping before giving up
 AWQ_CHUNK_ELEMENTS = 1 << 15  # weight elements per stacked AWQ fake_quant call
+BRUTE_FORCE_MAX_ASSIGNMENTS = 1 << 20  # brute_force_optimal's enumeration guard
 
 
 def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
@@ -71,8 +71,12 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
     """GPTQ: quantize columns one at a time, folding each column's rounding
     error into the not-yet-quantized columns via the inverse Hessian.
 
-    Group scale/zero-point are fitted from the weights as they stand when
-    the group's first column is processed (after earlier compensation).
+    The params are fitted by ``fit_params`` on the weights as they stand
+    after earlier compensation: once at the first column, and again for
+    each later group along axis 1 when its first column comes up. Column
+    ``j``'s codes are ``quantize`` of it under its slice of the group grid,
+    and its quantized value, from which the error is propagated, is their
+    ``dequantize``.
     """
     w = np.asarray(w, dtype=np.float64)
     spec = cfg.spec
@@ -100,64 +104,41 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
     else:
         order = np.arange(n_in)
 
+    # column j's column of the group grid: its group along axis 1, itself
+    # along axis 0, the one column of a per-tensor grid
     g_axis, starts = _grouping(w.shape, spec)
-    if spec.granularity == PER_GROUP and g_axis == 1:
-        group_of = np.searchsorted(starts, np.arange(n_in), side="right") - 1
-        n_groups = len(starts)
-    else:
-        # coarser granularities behave as a single lazily-fitted param set
-        group_of = np.zeros(n_in, dtype=np.int64)
-        n_groups = 1
+    grid_col = np.arange(n_in)
+    if g_axis == 1:
+        grid_col = np.searchsorted(starts, grid_col, side="right") - 1
+    elif g_axis is None:
+        grid_col[:] = 0
 
+    # the fit at the first column, before any compensation; a group along
+    # axis 1 is refitted when its first column comes up
+    params = fit_params(w, spec)
+    fitted = {grid_col[order[0]]}
     work = w.copy()
     codes = np.zeros((n_out, n_in), dtype=np.int32)
-    scales = np.zeros((n_out, n_groups))
-    zps = np.zeros((n_out, n_groups), dtype=np.int32) if not spec.symmetric else None
-    fitted = np.zeros(n_groups, dtype=bool)
-    full_params = None
-
-    qmax_sym = 2 ** (spec.bits - 1) - 1
-    levels = 2**spec.bits - 1
-
     for step, j in enumerate(order):
-        g = group_of[j]
-        if not fitted[g]:
-            params = fit_params(work, spec)
-            if spec.granularity == PER_GROUP and g_axis == 1:
-                scales[:, g] = params.scales[:, g]
-                if zps is not None:
-                    zps[:, g] = params.zero_points[:, g]
-            else:
-                full_params = params
-                s_full, z_full = params.expand()
-            fitted[g] = True
-        if spec.granularity == PER_GROUP and g_axis == 1:
-            s_col = scales[:, g]
-            z_col = zps[:, g] if zps is not None else None
-        else:
-            s_col = s_full[:, j]
-            z_col = z_full[:, j] if z_full is not None else None
-
+        k = grid_col[j]
+        if g_axis == 1 and k not in fitted:
+            fitted.add(k)
+            fresh = fit_params(work, spec)
+            params.scales[:, k] = fresh.scales[:, k]
+            if not spec.symmetric:
+                params.zero_points[:, k] = fresh.zero_points[:, k]
         col = work[:, j].copy()
-        r = _round_half_away(col, s_col)
-        if spec.symmetric:
-            q = np.clip(r, -qmax_sym, qmax_sym)
-            col_hat = s_col * q
-        else:
-            q = np.clip(r + z_col, 0, levels)
-            col_hat = s_col * (q - z_col)
-        codes[:, j] = q.astype(np.int32)
-        work[:, j] = col_hat
+        z = None if spec.symmetric else params.zero_points[:, k:k + 1]
+        col_qt = quantize(col[:, np.newaxis],
+                          QuantParams(params.scales[:, k:k + 1], z, spec, (n_out, 1)))
+        codes[:, j] = col_qt.codes[:, 0]
+        work[:, j] = dequantize(col_qt)[:, 0]
 
-        err = (col - col_hat) / C[j, j]
+        err = (col - work[:, j]) / C[j, j]
         remaining = order[step + 1 :]
         if remaining.size:
             work[:, remaining] -= np.outer(err, C[j, remaining])
 
-    if spec.granularity == PER_GROUP and g_axis == 1:
-        params = QuantParams(scales, zps, spec, w.shape)
-    else:
-        params = full_params
     return QuantizedTensor(codes, params, spec, w.shape)
 
 
@@ -220,8 +201,7 @@ def awq_fold(w: np.ndarray, scales: np.ndarray):
     return w_scaled, 1.0 / scales
 
 
-def brute_force_optimal(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
-                        max_assignments: int = 1 << 20):
+def brute_force_optimal(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec):
     """Exhaustive proxy-loss minimization over floor/ceil code choices.
 
     The candidate set per element is restricted to the two grid points
@@ -230,7 +210,7 @@ def brute_force_optimal(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
-    if 2**n > max_assignments:
+    if 2**n > BRUTE_FORCE_MAX_ASSIGNMENTS:
         raise TooLargeToEnumerate(f"2^{n} assignments exceed the enumeration guard")
 
     params = fit_params(w, spec)

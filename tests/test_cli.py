@@ -316,6 +316,50 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"runs": [{"plan": "4-16-16", "wmethod": "gptq"}]},
+        {"runs": [{"plan": "4-16-16", "w_bits": 3}]},
+        {"runs": ["4-16-16"]},
+        {"runs": [{}]},
+        {"runs": [{"plan": 4}]},
+        {"runs": {"plan": "4-16-16"}},
+        [1, 2],
+    ], ids=["unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
+            "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object"])
+    def test_malformed_sweep_config(self, model_file, tmp_path, capsys, config):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--model", model_file, "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--inject-k-bias", "0:99:5"],
+        ["--inject-k-bias", "9:1:5"],
+        ["--inject-k-bias", "0:-1:5"],
+        ["--inject-k-bias=-1:0:5"],
+        ["--config", {**SMALL_CFG, "n_layer": 2}],
+        ["--config", [1]],
+    ], ids=["channel-past-d-model", "layer-past-n-layers", "negative-channel",
+            "negative-layer", "unknown-config-key", "config-not-an-object"])
+    def test_malformed_init_model(self, cfg_file, tmp_path, capsys, argv):
+        if argv[0] == "--config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(argv[1]))
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--config", cfg_file, *argv]
+        out = tmp_path / "m.tqm"
+        rc = cli.main(["init-model", *argv, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_plan_string(self, model_file, tmp_path, capsys):
         rc = cli.main(["drift", "--model", model_file, "--plan", "four",
                        "--out", str(tmp_path / "d.csv")])

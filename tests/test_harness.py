@@ -23,7 +23,7 @@ from quantlab.harness import (
 )
 from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import THINK_END_ID, ToyConfig, init_model
+from quantlab.toymodel import THINK_END_ID, Session, ToyConfig, init_model
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=256)
@@ -157,6 +157,32 @@ class TestLengthControl:
             if mode == LC_PROMOTE:
                 assert think >= min(lc.budget, room), f"seed {seed}: {think}"
         assert filled > 0
+
+    @pytest.mark.parametrize("mode", [LC_OFF, LC_SUPPRESS, LC_PROMOTE])
+    def test_steps_only_for_the_next_token(self, small_model, short_model,
+                                           monkeypatch, mode):
+        """After the prompt's one forward, each token is fed by its own step,
+        a forced THINK_END included, and only when another token is chosen
+        after it, whether the rule or the context ends the run."""
+        steps, feeds = [], []  # step's own forward([tok]) is a feed of 1
+        step, forward = Session.step, Session.forward
+        monkeypatch.setattr(Session, "step",
+                            lambda sess, t: steps.append(t) or step(sess, t))
+        monkeypatch.setattr(Session, "forward",
+                            lambda sess, ts: feeds.append(len(ts)) or forward(sess, ts))
+        lc = LengthControl(mode=mode, budget=4, max_waits=10**9)
+        prompt = [0, 5]
+        ended_by = set()
+        for model in (small_model, short_model):
+            for seed in range(6):
+                steps.clear()
+                feeds.clear()
+                seq, _, total = generate_with_length_control(
+                    model, prompt, QuantPlan(), lc, make_rng(seed))
+                assert steps == seq[len(prompt):-1], f"seed {seed}"
+                assert feeds == [len(prompt)] + [1] * (total - 1), f"seed {seed}"
+                ended_by.add(len(seq) == model.config.max_seq_len)
+        assert ended_by == {True, False}
 
     def test_off_mode_unconstrained(self, small_model):
         lc = LengthControl(mode="off", budget=1)

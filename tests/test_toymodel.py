@@ -258,20 +258,38 @@ class TestSampling:
         with pytest.raises(ValueError, match="max_new"):
             generate(small_model, [BOS_ID], max_new=-1, temperature=0.0)
 
-    def test_decode_stops_on_none_and_at_the_context(self, small_model):
+    def test_decode_stops_when_done_and_at_the_context(self, small_model):
         seen = []
 
         def choose(logits):
             seen.append(logits)
-            return None if len(seen) > 3 else int(np.argmax(logits))
+            return int(np.argmax(logits))
 
-        out = decode(Session(small_model), [BOS_ID], choose)
-        assert len(out) == 4 and len(seen) == 4
+        out = decode(Session(small_model), [BOS_ID], choose, lambda seq: len(seen) == 3)
+        assert len(out) == 4 and len(seen) == 3
         assert out == generate(small_model, [BOS_ID], max_new=3, temperature=0.0)
         # never asked again once the sequence fills the context
         seen.clear()
-        out = decode(Session(small_model), [BOS_ID] * 30, lambda lg: seen.append(lg) or 5)
+        out = decode(Session(small_model), [BOS_ID] * 30,
+                     lambda lg: seen.append(lg) or 5, lambda seq: False)
         assert out[30:] == [5, 5] and len(seen) == 2
+
+    @pytest.mark.parametrize("prompt_len, max_new, steps", [
+        (1, 3, 2), (1, 1, 0), (1, 0, 0), (5, 12, 11),
+        (1, SMALL.max_seq_len - 1, SMALL.max_seq_len - 2),  # fills the context
+    ])
+    def test_generate_steps_only_for_the_next_token(self, small_model, monkeypatch,
+                                                    prompt_len, max_new, steps):
+        # a token is fed by its own step only when another token is chosen
+        # after it: the last one's logits are never read
+        calls = []
+        step = Session.step
+        monkeypatch.setattr(Session, "step",
+                            lambda sess, tok: calls.append(tok) or step(sess, tok))
+        out = generate(small_model, [BOS_ID] * prompt_len, max_new=max_new,
+                       temperature=0.0)
+        assert len(out) == prompt_len + max_new
+        assert calls == out[prompt_len:-1] and len(calls) == steps
 
     def test_reserved_ids(self):
         assert (BOS_ID, THINK_END_ID) == (0, 2)

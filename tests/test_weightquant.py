@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from quantlab.quantcore import (
     PER_CHANNEL,
     PER_GROUP,
     PER_TENSOR,
+    PER_TOKEN,
     QuantSpec,
     dequantize,
     fake_quant,
@@ -14,6 +17,7 @@ from quantlab.quantcore import (
 from quantlab.rng import make_rng
 from quantlab.weightquant import (
     ACTIVATION_ORDER,
+    NATURAL,
     AwqSearchResult,
     GptqConfig,
     awq_fold,
@@ -54,18 +58,44 @@ class TestGptq:
     def test_diagonal_hessian_equals_rtn(self):
         rng = make_rng(1)
         w = rng.standard_normal((3, 8))
-        x = orthogonal_calib(8, 32, rng, scale=1.7)
-        # per-group fits each group lazily; the coarser granularities fit one
-        # param set, expanded once, at the first column
-        for spec in (default_weight_spec(4, 4),
-                     QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0),
-                     QuantSpec(bits=3, granularity=PER_CHANNEL, axis=1),
-                     QuantSpec(bits=4, granularity=PER_TENSOR),
-                     QuantSpec(bits=3, symmetric=True, granularity=PER_TENSOR)):
-            qt = gptq_quantize(w, x, GptqConfig(spec=spec))
+        # distinct channel scales, so activation order is not natural order
+        x = orthogonal_calib(8, 32, rng, scale=1.7) * rng.permutation(
+            np.linspace(0.5, 2.0, 8))[:, None]
+        # groups along axis 1 are fitted lazily, each when its first column
+        # comes up; every other grid once, at the first column
+        for spec, order in itertools.product((
+                default_weight_spec(4, 4),
+                default_weight_spec(3, 5),  # ragged: groups of 5 and 3
+                QuantSpec(bits=4, symmetric=True, granularity=PER_GROUP, group_size=4),
+                QuantSpec(bits=4, granularity=PER_GROUP, axis=0, group_size=2),
+                QuantSpec(bits=3, granularity=PER_TOKEN),
+                QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0),
+                QuantSpec(bits=3, granularity=PER_CHANNEL, axis=1),
+                QuantSpec(bits=4, granularity=PER_TENSOR),
+                QuantSpec(bits=3, symmetric=True, granularity=PER_TENSOR)),
+                (NATURAL, ACTIVATION_ORDER)):
+            qt = gptq_quantize(w, x, GptqConfig(spec=spec, column_order=order))
             rtn = rtn_quantize_weights(w, spec)
-            assert np.array_equal(qt.codes, rtn.codes), spec
-            assert qt.params.scales.tobytes() == rtn.params.scales.tobytes(), spec
+            case = (spec, order)
+            assert np.array_equal(qt.codes, rtn.codes), case
+            assert qt.params.scales.tobytes() == rtn.params.scales.tobytes(), case
+            if spec.symmetric:
+                assert qt.params.zero_points is None
+            else:
+                assert np.array_equal(qt.params.zero_points, rtn.params.zero_points)
+
+    def test_later_groups_fitted_after_compensation(self):
+        # the first group is fitted on the weights as given; each later group
+        # along axis 1 on the weights as earlier columns' errors left them
+        rng = make_rng(6)
+        w = rng.standard_normal((4, 8))
+        x = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 64))
+        spec = default_weight_spec(4, 4)
+        qt = gptq_quantize(w, x, GptqConfig(spec=spec))
+        rtn = rtn_quantize_weights(w, spec).params
+        assert np.array_equal(qt.params.scales[:, 0], rtn.scales[:, 0])
+        assert np.array_equal(qt.params.zero_points[:, 0], rtn.zero_points[:, 0])
+        assert not np.array_equal(qt.params.scales[:, 1], rtn.scales[:, 1])
 
     def test_single_column_equals_rtn(self):
         rng = make_rng(2)
