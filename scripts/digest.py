@@ -14,6 +14,8 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   plans on their 64-token probe, the GPTQ and AWQ proxy losses of every
   linear, and each FlatQuant linear's ``p1``, ``p2``, clips and
   ``objective_trace``;
+* the logits of every ``kvquant_star`` plan (2, 3, 4 and 8 bits × K stage ×
+  bias mode) on the default and the K-bias-outlier model, calibrated;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -99,6 +101,25 @@ def calibrate_lines(workloads, quantrun):
                     yield f"{tag}/{name}/flat_train", sha(
                         t.p1, t.p2, float(t.act_clip), float(t.weight_clip),
                         *(float(v) for v in t.objective_trace))
+
+
+def static_k_lines(workloads, quantrun, toymodel, make_rng):
+    """Every ``kvquant_star`` plan (2, 3, 4 and 8 bits, each K stage and bias
+    mode) on the default model and on the ``calibrate`` K-bias-outlier model,
+    calibrated on the ``calibrate`` set of the first seed."""
+    wl = workloads.Calibrate()
+    outlier = wl.model()
+    inp = wl.inputs(SEEDS[0], outlier)
+    models = (("plain", toymodel.init_model(toymodel.ToyConfig(),
+                                            make_rng(workloads.MODEL_SEED))),
+              ("outlier", outlier))
+    for (kind, model), bits, stage, mode in itertools.product(
+            models, (2, 3, 4, 8), ("pre_rope", "post_rope"), ("pre_bias", "post_bias")):
+        plan = quantrun.QuantPlan(kv_bits=bits, kv_method="kvquant_star",
+                                  k_stage=stage, k_bias_mode=mode)
+        yield f"static_k/{kind}/{bits}/{stage}/{mode}/logits", sha(
+            quantrun.forward_quantized(model, inp["probe"], plan,
+                                       calib_sequences=inp["calib"]))
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -294,6 +315,7 @@ def main(argv=None) -> int:
 
     for gen in (drift_lines(workloads, quantrun),
                 calibrate_lines(workloads, quantrun),
+                static_k_lines(workloads, quantrun, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),

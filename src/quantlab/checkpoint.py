@@ -23,8 +23,10 @@ from .quantcore import (
     pack_codes,
     unpack_codes,
 )
+from .quantrun import QuantPlan
 from .toymodel import (
     ToyModel,
+    check_tensors,
     f32_blobs,
     manifest,
     manifest_shape,
@@ -68,10 +70,15 @@ def load_checkpoint(path):
     """Returns (model, plan_dict, quantized). The model's quantized weights
     are materialized in dequantized form so it runs directly; a weight with
     AWQ inverse scales (aux ``<name>.awq_inv_scales``) has them folded into
-    its input columns."""
+    its input columns. The plan must be one QuantPlan accepts, and the
+    tensors those the config needs."""
     with open(path, "rb") as f:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
+    try:
+        QuantPlan.from_dict(header["plan"])
+    except (TypeError, ValueError) as e:  # not a mapping, or a plan it rejects
+        raise BadMagic(f"bad plan: {e}")
     tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "fp_tensors")}
     aux = {e["name"]: read_array(raw, e) for e in manifest(header, "aux")}
 
@@ -119,7 +126,5 @@ def load_checkpoint(path):
             w = w * inv_s[np.newaxis, :]
         tensors[name] = w.astype(np.float32)
 
-    model = ToyModel(config=cfg, tensors=tensors, aux=aux)
-    if set(n["name"] for n in header["fp_tensors"]) | set(quantized) != set(tensors):
-        raise ShapeMismatch("manifest does not cover the tensor set")
-    return model, header["plan"], quantized
+    check_tensors(cfg, tensors)
+    return ToyModel(config=cfg, tensors=tensors, aux=aux), header["plan"], quantized

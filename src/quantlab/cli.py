@@ -183,10 +183,15 @@ def cmd_sweep(args):
     if not isinstance(spec, dict) or not isinstance(spec.get("runs", []), list):
         raise ValueError(f"sweep config must be an object whose \"runs\" is a "
                          f"list, got {spec!r}")
+    probe_len, calib = spec.get("probe_len", 64), spec.get("calib")
+    if type(probe_len) is not int or probe_len < 1:
+        raise ValueError(f"sweep \"probe_len\" must be an int >= 1, got {probe_len!r}")
+    if "calib" in spec and (type(calib) is not str or not calib):
+        raise ValueError(f"sweep \"calib\" must be a non-empty path string, "
+                         f"got {calib!r}")
     rng = make_rng(args.seed)
-    probe = [int(t) for t in rng.integers(0, model.config.vocab_size,
-                                          size=spec.get("probe_len", 64))]
-    calib = _load_calib(spec.get("calib"), args.seed)
+    probe = [int(t) for t in rng.integers(0, model.config.vocab_size, size=probe_len)]
+    calib = _load_calib(calib, args.seed)
     cfgs = []
     for entry in spec.get("runs", []):
         if not isinstance(entry, dict) or "plan" not in entry:

@@ -3,8 +3,9 @@ optional head-dim rotation, and static per-channel K quantization with
 pre-RoPE / pre-bias options.
 
 K/V matrices are (positions, head_dim) per head. Quantize-at-write
-semantics: entries are quantized when appended and dequantized on read;
-past entries are never requantized.
+semantics: entries are quantized and dequantized when appended, and the
+cache holds the dequantized rows; past entries are never requantized.
+Static K's per-channel grid is fitted once, at calibration.
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +25,6 @@ from .quantcore import (
     PER_GROUP,
     QuantParams,
     QuantSpec,
-    QuantizedTensor,
     dequantize,
     fit_asymmetric,
     quantize,
@@ -109,7 +109,7 @@ class KvQuantStarConfig:
     k_spec: QuantSpec
     k_stage: str = PRE_ROPE
     k_bias_mode: str = PRE_BIAS
-    k_channel_ranges: Optional[tuple] = None  # (min, max) arrays per channel
+    k_grid: Optional[tuple] = None  # (scales, zero points), each (1, channels)
 
     def __post_init__(self):
         if self.k_stage not in (PRE_ROPE, POST_ROPE):
@@ -119,7 +119,7 @@ class KvQuantStarConfig:
 
     @property
     def calibrated(self) -> bool:
-        return self.k_channel_ranges is not None
+        return self.k_grid is not None
 
 
 def k_stage_tensor(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
@@ -137,69 +137,42 @@ def k_stage_tensor(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
 
 
 def calibrate_k_channels(k_samples: np.ndarray, cfg: KvQuantStarConfig) -> KvQuantStarConfig:
-    """Record static per-channel (min, max) over calibration samples taken
-    at the configured stage."""
+    """Fit the static per-channel grid over calibration samples taken at
+    the configured stage: the (scales, zero points) fit_params gives for
+    the samples under cfg.k_spec, one per channel, fitted once."""
     k = np.asarray(k_samples, dtype=np.float64)
     if k.size == 0:
         raise EmptyCalibration("no K samples to calibrate from")
-    return replace(cfg, k_channel_ranges=(k.min(axis=0), k.max(axis=0)))
-
-
-def params_from_ranges(mn: np.ndarray, mx: np.ndarray, spec: QuantSpec,
-                       shape: tuple) -> QuantParams:
-    """Per-channel params from calibrated ranges instead of live data.
-
-    Mirrors fit_params' formulas, including the degenerate-channel rule.
-    """
-    mn = np.asarray(mn, dtype=np.float64)
-    mx = np.asarray(mx, dtype=np.float64)
-    scales, zp = fit_asymmetric(mn, mx, spec)
-    # one group per channel, grouped along axis 0 (rows)
-    return QuantParams(scales[np.newaxis, :], zp[np.newaxis, :], spec, shape)
-
-
-@dataclass
-class StoredK:
-    """Quantized K rows plus everything needed to reconstruct on read."""
-
-    qt: Optional[QuantizedTensor]
-    bias: np.ndarray
-    cfg: KvQuantStarConfig
-    cfg_rope: RopeConfig
-    pos: int
-    raw: Optional[np.ndarray] = None  # sentinel (16-bit) path stores losslessly
-
-    def reconstruct(self) -> np.ndarray:
-        k = self.raw if self.qt is None else dequantize(self.qt)
-        if self.cfg.k_bias_mode == PRE_BIAS:
-            k = k + self.bias[np.newaxis, :]
-        if self.cfg.k_stage == PRE_ROPE:
-            k = rope_heads(k, self.cfg_rope, self.pos)
-        return k
+    scales, zp = fit_asymmetric(k.min(axis=0), k.max(axis=0), cfg.k_spec)
+    return replace(cfg, k_grid=(scales[np.newaxis, :], zp[np.newaxis, :]))
 
 
 def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
-               cfg_rope: RopeConfig, pos: int = 0) -> StoredK:
-    """Quantize K rows at the configured stage with static per-channel
-    params; reconstruction adds the full-precision bias (pre_bias mode)
-    and applies RoPE (pre_rope mode) deterministically. A row may hold
-    several heads of cfg_rope.head_dim channels each; RoPE runs per head."""
+               cfg_rope: RopeConfig, pos: int = 0) -> np.ndarray:
+    """The K rows the cache stores: K at the configured stage quantized and
+    dequantized on the calibrated grid (untouched under the 16-bit
+    sentinel), then the full-precision bias added (pre_bias mode) and RoPE
+    applied (pre_rope mode). A row may hold several heads of
+    cfg_rope.head_dim channels each; RoPE runs per head."""
     k_raw = np.asarray(k_raw, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if not cfg.calibrated:
         raise NotCalibrated("calibrate_k_channels must run before quantize_k")
-    mn, mx = cfg.k_channel_ranges
-    if mn.shape[0] != k_raw.shape[1] or bias.shape[0] != k_raw.shape[1]:
+    scales, zp = cfg.k_grid
+    if scales.shape[1] != k_raw.shape[1] or bias.shape[0] != k_raw.shape[1]:
         raise ChannelCountMismatch(
-            f"channels: k {k_raw.shape[1]}, ranges {mn.shape[0]}, bias {bias.shape[0]}")
+            f"channels: k {k_raw.shape[1]}, grid {scales.shape[1]}, bias {bias.shape[0]}")
     if k_raw.shape[1] % cfg_rope.head_dim:
         raise ChannelCountMismatch(
             f"{k_raw.shape[1]} channels are not whole heads of {cfg_rope.head_dim}")
-    staged = k_stage_tensor(k_raw, bias, cfg, cfg_rope, pos)
-    if cfg.k_spec.passthrough:
-        return StoredK(None, bias, cfg, cfg_rope, pos, raw=staged.copy())
-    params = params_from_ranges(mn, mx, cfg.k_spec, staged.shape)
-    return StoredK(quantize(staged, params), bias, cfg, cfg_rope, pos)
+    k = k_stage_tensor(k_raw, bias, cfg, cfg_rope, pos)
+    if not cfg.k_spec.passthrough:
+        k = dequantize(quantize(k, QuantParams(scales, zp, cfg.k_spec, k.shape)))
+    if cfg.k_bias_mode == PRE_BIAS:
+        k = k + bias[np.newaxis, :]
+    if cfg.k_stage == PRE_ROPE:
+        k = rope_heads(k, cfg_rope, pos)
+    return k
 
 
 def rotate_kv_heads(kv: np.ndarray, h: HadamardMatrix) -> np.ndarray:

@@ -7,6 +7,7 @@ inputs, and the q vectors produced for attention stay in full precision.
 """
 
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -78,6 +79,12 @@ class QuantPlan:
     include_lm_head: bool = False
 
     def __post_init__(self):
+        ints = (self.w_bits, self.a_bits, self.kv_bits, self.group_size,
+                self.flat_steps, self.rotation_seed)
+        reals = (self.smooth_alpha, self.awq_grid_step)
+        if (any(type(v) is not int for v in ints) or type(self.include_lm_head) is not bool
+                or any(type(v) is bool or not isinstance(v, Real) for v in reals)):
+            raise TypeError(f"a plan field has the wrong type: {self!r}")
         if self.w_method not in W_METHODS:
             raise ValueError(f"w_method must be one of {W_METHODS}")
         if self.wa_method not in WA_METHODS:
@@ -196,7 +203,7 @@ class FakeQuantLinear(PlainLinear):
     def pre_bias(self, x):
         if self.inv_input_scale is not None:
             x = x * self.inv_input_scale[np.newaxis, :]
-        if self.act_spec is not None and not self.act_spec.passthrough:
+        if self.act_spec is not None:
             x = fake_quant(x, self.act_spec)
         return x @ self.w.T
 
@@ -213,10 +220,7 @@ class RotatedLinear(PlainLinear):
         self.act_spec = act_spec
 
     def pre_bias(self, x):
-        xr = x @ self.h.matrix
-        if not self.act_spec.passthrough:
-            xr = fake_quant(xr, self.act_spec)
-        return xr @ self.wt
+        return fake_quant(x @ self.h.matrix, self.act_spec) @ self.wt
 
 
 class FlatLinear(PlainLinear):
@@ -267,7 +271,7 @@ class Runtime:
         return self.linears.get(name) or PlainLinear(w, b)
 
     def kv_write(self, layer, k_pre, k_rope, v, bias, rope_cfg, pos):
-        """Return the (reconstructed) K/V rows to store in the cache for a
+        """Return the (dequantized) K/V rows to store in the cache for a
         block of (T, d_model) rows, row r at position pos + r."""
         plan = self.plan
         if plan.kv_bits >= 16:
@@ -277,8 +281,8 @@ class Runtime:
             return fake_quant(k_rope, spec), fake_quant(v, spec)
         if plan.kv_method == "kvquant_star":
             # static per-channel K at the configured stage, dynamic per-token V
-            stored = quantize_k(k_pre, bias, self.kv_cfgs[layer], rope_cfg, pos)
-            return stored.reconstruct(), fake_quant(v, spec)
+            return (quantize_k(k_pre, bias, self.kv_cfgs[layer], rope_cfg, pos),
+                    fake_quant(v, spec))
         hd = self.model.config.head_dim
         h = self.kv_hadamard
 
@@ -385,15 +389,13 @@ def _prepare_wa(rt: Runtime, names, rec, rng):
             wt = rotate_layer(w, h)  # (in, out); output channels are columns
             spec_wt = QuantSpec(bits=plan.w_bits, symmetric=True,
                                 granularity=PER_CHANNEL, axis=1)
-            wt_hat = fake_quant(wt, spec_wt) if plan.w_bits < 16 else wt
-            rt.linears[name] = RotatedLinear(wt_hat, b, h, spec_a)
+            rt.linears[name] = RotatedLinear(fake_quant(wt, spec_wt), b, h, spec_a)
         elif plan.wa_method == "smoothquant":
             x = rec.matrix(linear_input_site(name))
             ss = smooth_fit(x, w, alpha=plan.smooth_alpha)
             w_s, inv_s = awq_fold(w, ss.scales)
-            w_hat = fake_quant(w_s, spec_w) if plan.w_bits < 16 else w_s
-            rt.linears[name] = FakeQuantLinear(w_hat, b, act_spec=spec_a,
-                                               inv_input_scale=inv_s)
+            rt.linears[name] = FakeQuantLinear(
+                fake_quant(w_s, spec_w), b, act_spec=spec_a, inv_input_scale=inv_s)
         else:  # flatquant
             x = rec.matrix(linear_input_site(name))
             t = flat_train(w, x, spec_w, spec_a, steps=plan.flat_steps)
@@ -408,8 +410,6 @@ def _prepare_kv(rt: Runtime, rec, rng):
         rt.kv_hadamard = hadamard(model.config.head_dim, randomize=True, rng=rng)
     if plan.kv_method != "kvquant_star":
         return
-    if rec is None:
-        raise MissingCalibration("kvquant_star needs calibration sequences")
     rope_cfg = RopeConfig(head_dim=model.config.head_dim, base=model.config.rope_base)
     cfg = KvQuantStarConfig(k_spec=default_kv_k_channel_spec(plan.kv_bits),
                             k_stage=plan.k_stage, k_bias_mode=plan.k_bias_mode)

@@ -275,13 +275,19 @@ def load_model(path) -> ToyModel:
     header, cfg = read_header(raw, MAGIC, ("tensors",))
     tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "tensors")}
     aux = {e["name"]: read_array(raw, e) for e in manifest(header, "aux")}
+    check_tensors(cfg, tensors)
+    return ToyModel(config=cfg, tensors=tensors, aux=aux)
+
+
+def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
+    """ShapeMismatch unless ``tensors`` holds every tensor ``cfg`` needs, each
+    of the shape it needs; TQM1 and TQQ1 loaders call it on what they read."""
     for name, shape in _layer_tensor_specs(cfg):
         if name not in tensors:
             raise ShapeMismatch(f"missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise ShapeMismatch(
                 f"tensor {name!r}: expected {shape}, got {tensors[name].shape}")
-    return ToyModel(config=cfg, tensors=tensors, aux=aux)
 
 
 # --- forward pass -------------------------------------------------------------

@@ -228,8 +228,7 @@ def test_criterion_6_pre_bias_k_quant():
                 k_spec=default_kv_k_channel_spec(bits),
                 k_stage="pre_rope", k_bias_mode="pre_bias")
             cfg = calibrate_k_channels(k_raw, cfg)
-            stored = quantize_k(k_raw, bias, cfg, rope)
-            k_pre = stored.reconstruct()  # adds the full-precision bias
+            k_pre = quantize_k(k_raw, bias, cfg, rope)  # adds the full-precision bias
 
             # dynamic per-token, quantized after the bias is added
             post = rope_apply(k_raw + bias[None, :], rope)

@@ -337,6 +337,28 @@ class TestErrors:
         assert err.startswith("error: ValueError: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("probe_len", "x"), ("probe_len", True), ("probe_len", 0), ("probe_len", -3),
+        ("probe_len", 2.0), ("calib", True), ("calib", 7), ("calib", 0),
+        ("calib", ""), ("calib", None), ("calib", ["calib.txt"]),
+    ], ids=["probe-len-string", "probe-len-bool", "probe-len-zero",
+            "probe-len-negative", "probe-len-float", "calib-bool", "calib-int",
+            "calib-zero", "calib-empty", "calib-null", "calib-list"])
+    def test_malformed_sweep_value(self, model_file, tmp_path, capsys, key, value):
+        """Named in the message, so numpy's own ValueError for a negative
+        size does not pass for the check."""
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({key: value, "runs": [
+            {"plan": "4-16-16", "w_method": "gptq"}]}))
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--model", model_file, "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: sweep \"{key}\" ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--inject-k-bias", "0:99:5"],
         ["--inject-k-bias", "9:1:5"],

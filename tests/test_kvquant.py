@@ -20,7 +20,6 @@ from quantlab.kvquant import (
     default_kv_k_channel_spec,
     default_kv_v_spec,
     k_stage_tensor,
-    params_from_ranges,
     quantize_k,
     rope_apply,
     rotate_kv_heads,
@@ -82,15 +81,31 @@ class TestCalibration:
     def test_constant_channel_exact(self):
         k = np.full((10, 4), 3.3)
         cfg = calibrate_k_channels(k, kv_cfg())
-        stored = quantize_k(k[:2], np.zeros(4), cfg, RopeConfig(head_dim=4))
-        # pre-RoPE storage: compare at the staged (pre-RoPE) tensor
-        assert np.allclose(dequantize(stored.qt), k[:2])
+        rope = RopeConfig(head_dim=4)
+        stored = quantize_k(k[:2], np.zeros(4), cfg, rope)
+        # pre-RoPE storage: the staged (pre-RoPE) tensor is on the grid exactly
+        assert np.allclose(stored, rope_apply(k[:2], rope))
 
     def test_known_range_scale(self):
         k = np.array([[-1.0, -1.0], [1.0, 1.0]])
         cfg = calibrate_k_channels(k, kv_cfg(bits=4))
-        p = params_from_ranges(*cfg.k_channel_ranges, cfg.k_spec, (1, 2))
-        assert np.allclose(p.scales, 2.0 / 15.0)
+        scales, _ = cfg.k_grid
+        assert np.allclose(scales, 2.0 / 15.0)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_grid_is_fit_params(self, bits):
+        """The grid fitted once at calibration is the one fit_params gives
+        for the samples, byte for byte: random, constant and all-zero
+        channels."""
+        k = make_rng(bits).standard_normal((40, 8)) * 3.0
+        k[:, 2] = 3.3
+        k[:, 5] = -0.7
+        k[:, 6] = 0.0
+        scales, zp = calibrate_k_channels(k, kv_cfg(bits=bits)).k_grid
+        want = fit_params(k, default_kv_k_channel_spec(bits))
+        for got, ref in ((scales, want.scales), (zp, want.zero_points)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
     def test_empty_calibration(self):
         with pytest.raises(EmptyCalibration):
@@ -128,7 +143,7 @@ class TestQuantizeK:
         outs = []
         for mode in (PRE_BIAS, POST_BIAS):
             cfg, rope = self._calibrated(k, bias, mode)
-            outs.append(quantize_k(k, bias, cfg, rope).reconstruct())
+            outs.append(quantize_k(k, bias, cfg, rope))
         assert np.array_equal(outs[0], outs[1])
 
     def test_pre_bias_error_independent_of_bias(self):
@@ -140,7 +155,7 @@ class TestQuantizeK:
             bias = np.zeros(8)
             bias[1] = mag
             cfg, _ = self._calibrated(k, bias, PRE_BIAS)
-            recon = quantize_k(k, bias, cfg, rope).reconstruct()
+            recon = quantize_k(k, bias, cfg, rope)
             exact = rope_apply(k + bias[None, :], rope)
             errs.append(np.abs(recon - exact))
         assert np.allclose(errs[0], errs[1])
@@ -153,8 +168,7 @@ class TestQuantizeK:
         scales = {}
         for mode in (PRE_BIAS, POST_BIAS):
             cfg, _ = self._calibrated(k, bias, mode)
-            p = params_from_ranges(*cfg.k_channel_ranges, cfg.k_spec, (1, 8))
-            scales[mode] = p.scales[0]
+            scales[mode] = cfg.k_grid[0][0]
         assert np.all(scales[POST_BIAS] >= scales[PRE_BIAS] - 1e-12)
         assert scales[POST_BIAS][1] > scales[PRE_BIAS][1]
 
@@ -166,7 +180,7 @@ class TestQuantizeK:
         rope = RopeConfig(head_dim=8)
         staged = k_stage_tensor(k, bias, cfg, rope, 0)
         cfg = calibrate_k_channels(staged, cfg)
-        recon = quantize_k(k, bias, cfg, rope).reconstruct()
+        recon = quantize_k(k, bias, cfg, rope)
         assert np.array_equal(recon, rope_apply(k + bias[None, :], rope))
 
     def test_post_rope_stage_reconstruction(self):
@@ -174,10 +188,9 @@ class TestQuantizeK:
         k = rng.standard_normal((16, 8))
         bias = rng.standard_normal(8)
         cfg, rope = self._calibrated(k, bias, POST_BIAS, stage=POST_ROPE)
-        recon = quantize_k(k, bias, cfg, rope).reconstruct()
+        recon = quantize_k(k, bias, cfg, rope)
         exact = rope_apply(k + bias[None, :], rope)
-        s, _ = params_from_ranges(*cfg.k_channel_ranges, cfg.k_spec,
-                                  (16, 8)).expand()
+        s = cfg.k_grid[0]
         assert np.all(np.abs(recon - exact) <= s / 2 + 1e-6)
 
     def test_rows_of_several_heads(self):
@@ -193,8 +206,8 @@ class TestQuantizeK:
             for h in (slice(0, 8), slice(8, 16)):
                 cal = calibrate_k_channels(
                     k_stage_tensor(k[:, h], bias[h], cfg, rope, 3), cfg)
-                heads.append(quantize_k(k[:, h], bias[h], cal, rope, 3).reconstruct())
-            assert np.array_equal(rows.reconstruct(), np.concatenate(heads, axis=1))
+                heads.append(quantize_k(k[:, h], bias[h], cal, rope, 3))
+            assert np.array_equal(rows, np.concatenate(heads, axis=1))
         cfg = calibrate_k_channels(k[:, :12], kv_cfg())
         with pytest.raises(ChannelCountMismatch):
             quantize_k(k[:, :12], bias[:12], cfg, rope)

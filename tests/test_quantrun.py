@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantlab import kvquant
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
     BadMagic,
@@ -238,6 +239,21 @@ class TestForward:
                                 QuantPlan(kv_bits=3, kv_method="per_token"))
         assert np.mean((star - ref) ** 2) < np.mean((tok - ref) ** 2)
 
+    def test_static_k_grid_fitted_once(self, calib_seqs, monkeypatch):
+        """The static-K grid is fitted once per layer when the runtime is
+        prepared; writing K to the cache fits nothing."""
+        model = init_model(SMALL, make_rng(0), k_bias_outlier=(0, 3, 400.0))
+        fits = []
+        fit = kvquant.fit_asymmetric
+        monkeypatch.setattr(kvquant, "fit_asymmetric",
+                            lambda *a: fits.append(a) or fit(*a))
+        rt = prepare_runtime(model, QuantPlan(kv_bits=4, kv_method="kvquant_star"),
+                             calib_seqs)
+        assert len(fits) == SMALL.n_layers
+        del fits[:]
+        Session(model, runtime=rt).forward(probe(40))
+        assert fits == []
+
     def test_runtime_reuse_matches_fresh(self, small_model, calib_seqs):
         plan = QuantPlan(w_bits=4, w_method="gptq")
         rt = prepare_runtime(small_model, plan, calib_seqs)
@@ -259,6 +275,15 @@ class TestForward:
         assert x.shape == (sum(len(s) for s in calib_seqs), SMALL.d_model)
         with pytest.raises(MissingCalibration):
             rec.matrix("nowhere")
+
+
+def _plan_edit(**fields):
+    """A header edit that sets plan ``fields``; it drops the plan's
+    ``include_lm_head``, which the default covers, to make room."""
+    def edit(h):
+        del h["plan"]["include_lm_head"]
+        h["plan"].update(fields)
+    return edit
 
 
 class TestCheckpoint:
@@ -386,6 +411,19 @@ class TestCheckpoint:
             group_size=8.5), BadMagic, id="spec-group-size-float"),
         pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
             clip_ratio=True), BadMagic, id="spec-clip-ratio-bool"),
+        # a tensor the model needs, absent or of another shape
+        pytest.param(lambda h: h.update(fp_tensors=[
+            e for e in h["fp_tensors"] if e["name"] != "layers.0.norm1"]),
+                     ShapeMismatch, id="fp-tensor-missing"),
+        pytest.param(lambda h: next(e for e in h["fp_tensors"]
+                                    if e["name"] == "embed").update(shape=[32, 8]),
+                     ShapeMismatch, id="fp-tensor-reshaped"),
+        # a plan QuantPlan rejects
+        pytest.param(_plan_edit(w_bits="x"), BadMagic, id="plan-bits-string"),
+        pytest.param(_plan_edit(w_method="magic"), BadMagic, id="plan-unknown-method"),
+        pytest.param(lambda h: h["plan"].update(w_methd=h["plan"].pop("w_method")),
+                     BadMagic, id="plan-unknown-key"),
+        pytest.param(lambda h: h.update(plan=1), BadMagic, id="plan-not-a-mapping"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"
