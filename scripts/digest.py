@@ -22,6 +22,11 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   with ``max_new=0``;
 * the calibration set ``calibration.self_generate`` makes for each
   ``calibrate`` seed;
+* the thinking and total counts of ``harness.run_length_control`` with 16
+  runs for each ``decode`` plan under each length-control mode, and the
+  calibration set ``calibration.self_generate`` makes from prompts
+  ``[[0], [0, 5, 9]]`` (six sequences, at temperature 0.6 and 0) with the
+  rng's next draw: the paths that decode many sequences at once;
 * the sequences and ``thinking`` counts of acceptance criterion 10 (200
   suppressed runs, 50 promoted runs at each of four budgets), and of every
   length-control mode over 200 seeds on a 12-token context, where thinking
@@ -156,6 +161,27 @@ def self_generate_lines(workloads):
     for seed in SEEDS:
         yield f"self_generate/{seed}", sha(
             *(t for s in wl.inputs(seed, model)["calib"] for t in (*s, -1)))
+
+
+def batch_lines(workloads, harness, calibration, make_rng):
+    """``run_length_control`` and ``self_generate``, which decode many
+    sequences in one batch."""
+    wl = workloads.Decode()
+    model = wl.model()
+    for (bits, method, plan), lc in itertools.product(wl.PLANS, wl.MODES):
+        rep = harness.run_length_control(model, harness.ExperimentConfig(
+            plan=plan, length_control=lc, seed=SEEDS[0], n_runs=16))
+        tag = f"run_length_control/{bits}/{method}/{lc.mode}"
+        yield f"{tag}/thinking", sha(*rep.thinking_tokens)
+        yield f"{tag}/total", sha(*rep.total_tokens)
+    model = workloads.Calibrate().model()
+    for temperature in (0.6, 0.0):
+        rng = make_rng(SEEDS[0])
+        cs = calibration.self_generate(model, [[0], [0, 5, 9]],
+                                       workloads.Calibrate.CALIB_LEN, 6, rng,
+                                       temperature=temperature)
+        yield f"self_generate/two_prompts/{temperature}", sha(
+            *(t for s in cs.sequences for t in (*s, -1)), float(rng.random()))
 
 
 def length_control_lines(tag, harness, quantrun, model, modes, seeds, make_rng):
@@ -310,7 +336,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
     import workloads
-    from quantlab import harness, quantcore, quantrun, toymodel, weightquant
+    from quantlab import calibration, harness, quantcore, quantrun, toymodel, weightquant
     from quantlab.rng import make_rng
 
     for gen in (drift_lines(workloads, quantrun),
@@ -319,6 +345,7 @@ def main(argv=None) -> int:
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),
+                batch_lines(workloads, harness, calibration, make_rng),
                 criterion10_lines(harness, quantrun, toymodel, make_rng),
                 criterion4_lines(weightquant, make_rng),
                 primitive_lines(quantcore, make_rng),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from .quantrun import capture_activations
-from .toymodel import ToyModel, generate
+from .toymodel import ToyModel, decode, sample_rows
 
 
 @dataclass
@@ -83,21 +83,33 @@ def load_calibration(path, seq_len: int, count: int, rng) -> CalibrationSet:
 def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
                   temperature: float = 0.6, top_p: float = 0.95) -> CalibrationSet:
     """Generate calibration continuations with the unquantized model at the
-    default sampling settings; tagged "self_generated"."""
+    default sampling settings, all ``count`` in one ``decode`` batch;
+    tagged "self_generated". Sequence i continues prompt i modulo the
+    prompts to ``seq_len`` tokens. ``rng`` gives each sequence's uniforms
+    in turn, sequence i's after sequence i - 1's, so the set is the one
+    sampling the sequences one by one gives; greedy decoding draws none."""
     if not prompts:
         raise ValueError("prompts must be nonempty")
     _check_counts(seq_len, count)
     if seq_len > m.config.max_seq_len:
         raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
-    out = []
-    for i in range(count):
-        prompt = list(prompts[i % len(prompts)])
-        max_new = max(seq_len - len(prompt), 0)
-        seq = generate(m, prompt, max_new=max_new, temperature=temperature,
-                       top_p=top_p, rng=rng)
-        out.append(seq[:seq_len])
-    return CalibrationSet(out, domain_tag="self_generated", seq_len=seq_len,
-                          count=count)
+    if temperature != 0 and rng is None:
+        raise ValueError("sampling requires an rng")
+    runs = [list(prompts[i % len(prompts)]) for i in range(count)]
+    max_new = np.array([max(seq_len - len(p), 0) for p in runs])
+    first = np.cumsum(max_new) - max_new  # sequence i's first uniform
+    u = None if temperature == 0 else rng.random(int(max_new.sum()))
+    taken = np.zeros(count, dtype=int)
+
+    def choose(rows, logits):
+        toks = sample_rows(logits, temperature, top_p,
+                           lambda: u[first[rows] + taken[rows]])
+        taken[rows] += 1
+        return toks
+
+    seqs = decode(m, runs, choose, lambda r, seq: len(seq) >= len(runs[r]) + max_new[r])
+    return CalibrationSet([s[:seq_len] for s in seqs], domain_tag="self_generated",
+                          seq_len=seq_len, count=count)
 
 
 @dataclass

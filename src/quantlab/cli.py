@@ -16,7 +16,14 @@ from . import calibration, checkpoint, harness
 from .errors import QuantLabError
 from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runtime
 from .rng import make_rng
-from .toymodel import ToyConfig, generate, init_model, load_model, save_model
+from .toymodel import (
+    ToyConfig,
+    check_generate,
+    generate,
+    init_model,
+    load_model,
+    save_model,
+)
 
 CALIB_LEN = 64  # tokens per calibration window, unless --calib-len says otherwise
 
@@ -117,9 +124,10 @@ def cmd_generate(args):
     model = load_model(args.model)
     plan = _plan_from_args(args)
     rng = make_rng(args.seed)
+    prompt = [int(t) for t in args.prompt.split()]
+    check_generate(model.config, prompt, args.max_new, args.temperature, rng)
     runtime = prepare_runtime(model, plan,
                               _load_calib(args.calib, args.seed, args.calib_len))
-    prompt = [int(t) for t in args.prompt.split()]
     seq = generate(model, prompt, max_new=args.max_new,
                    temperature=args.temperature, top_p=args.top_p, rng=rng,
                    runtime=runtime)

@@ -18,11 +18,11 @@ from .rng import make_rng
 from .toymodel import (
     THINK_END_ID,
     WAIT_ID,
-    Session,
     ToyModel,
+    check_prompts,
     decode,
     forward_reference,
-    sample_token,
+    sample_rows,
 )
 
 SCHEMA_VERSION = 1
@@ -128,68 +128,94 @@ def run_drift(model: ToyModel, cfg: ExperimentConfig) -> DriftReport:
     )
 
 
+class _LengthRule:
+    """One run's length-control state. Thinking tokens are the tokens chosen
+    before THINK_END, one that fills the context included. Suppression
+    force-inserts THINK_END at the budget; promotion replaces an early
+    THINK_END with WAIT while the wait budget lasts. After THINK_END the
+    answer phase runs for ANSWER_BUDGET tokens."""
+
+    def __init__(self, lc: LengthControl):
+        self.lc = lc
+        self.thinking = self.waits_used = 0
+        self.answer_left = None  # answer tokens still to choose, once THINK_END is in
+
+    @property
+    def forced(self) -> bool:
+        """Whether the next token is a forced THINK_END, which draws nothing."""
+        return (self.answer_left is None and self.lc.mode == LC_SUPPRESS
+                and self.thinking >= self.lc.budget)
+
+    def take(self, tok: int) -> int:
+        """Count the chosen token in; return the token to append."""
+        lc = self.lc
+        if self.answer_left is not None:
+            self.answer_left -= 1
+        elif tok != THINK_END_ID:
+            self.thinking += 1
+        elif (lc.mode == LC_PROMOTE and self.thinking < lc.budget
+              and self.waits_used < lc.max_waits):
+            self.waits_used += 1
+            self.thinking += 1
+            tok = WAIT_ID
+        else:
+            self.answer_left = ANSWER_BUDGET
+        return tok
+
+
+def _length_controlled(model: ToyModel, prompts, lc: LengthControl, rngs,
+                       temperature: float, top_p: float, runtime) -> list:
+    """Controlled generations of ``prompts`` in one ``decode`` batch. Run r
+    samples from ``rngs[r]``, one uniform each time it samples, as a run on
+    its own would; a forced row's sample is discarded and draws nothing.
+    Returns (sequence, thinking_count, total_generated) per run."""
+    rules = [_LengthRule(lc) for _ in prompts]
+
+    def choose(rows, logits):
+        forced = [rules[r].forced for r in rows]
+        toks = sample_rows(logits, temperature, top_p, lambda: [
+            0.0 if f else rngs[r].random() for r, f in zip(rows, forced)])
+        return [rules[r].take(THINK_END_ID if f else int(tok))
+                for r, f, tok in zip(rows, forced, toks)]
+
+    seqs = decode(model, prompts, choose, lambda r, seq: rules[r].answer_left == 0,
+                  runtime)
+    return [(seq, rule.thinking, len(seq) - len(prompt))
+            for seq, rule, prompt in zip(seqs, rules, prompts)]
+
+
 def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
                                  lc: LengthControl, rng,
                                  temperature: float = 0.6, top_p: float = 0.95,
                                  calib_sequences=None, runtime=None):
-    """One controlled generation. Thinking tokens are the tokens chosen
-    before THINK_END, one that fills the context included. Suppression
-    force-inserts THINK_END at the budget; promotion replaces an early
-    THINK_END with WAIT while the wait budget lasts. After THINK_END the
-    answer phase runs for ANSWER_BUDGET tokens.
+    """One controlled generation, a batch of one (see ``_LengthRule``).
 
     Returns (sequence, thinking_count, total_generated).
     """
-    if not prompt:  # before the plan's calibration, not after it
-        raise ValueError("prompt must hold at least one token")
+    check_prompts([prompt], model.config.vocab_size)  # before the plan's calibration
     if runtime is None:
         runtime = prepare_runtime(model, plan, calib_sequences)
-    thinking = waits_used = 0
-    answer_left = None  # answer tokens still to choose, once THINK_END is in
-
-    def choose(logits):
-        nonlocal thinking, waits_used, answer_left
-        if answer_left is None and lc.mode == LC_SUPPRESS and thinking >= lc.budget:
-            tok = THINK_END_ID  # forced early termination
-        else:
-            tok = sample_token(logits, temperature, top_p, rng)
-        if answer_left is not None:
-            answer_left -= 1
-        elif tok != THINK_END_ID:
-            thinking += 1
-        elif (lc.mode == LC_PROMOTE and thinking < lc.budget
-              and waits_used < lc.max_waits):
-            waits_used += 1
-            thinking += 1
-            tok = WAIT_ID
-        else:
-            answer_left = ANSWER_BUDGET
-        return tok
-
-    seq = decode(Session(model, runtime=runtime), prompt, choose,
-                 lambda seq: answer_left == 0)
-    return seq, thinking, len(seq) - len(prompt)
+    return _length_controlled(model, [prompt], lc, [rng], temperature, top_p,
+                              runtime)[0]
 
 
 def run_length_control(model: ToyModel, cfg: ExperimentConfig) -> LengthReport:
+    """``cfg.n_runs`` controlled generations in one batch, run r from prompt
+    r modulo the prompts, sampling from ``make_rng(cfg.seed + r)``."""
     if cfg.n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {cfg.n_runs}")
+    check_prompts(cfg.prompts, model.config.vocab_size)
     lc = cfg.length_control
     runtime = prepare_runtime(model, cfg.plan, cfg.calib_sequences)
-    thinking = []
-    totals = []
-    for r in range(cfg.n_runs):
-        rng = make_rng(cfg.seed + r)
-        prompt = cfg.prompts[r % len(cfg.prompts)]
-        _, think, total = generate_with_length_control(
-            model, prompt, cfg.plan, lc, rng,
-            temperature=cfg.temperature, top_p=cfg.top_p, runtime=runtime)
-        thinking.append(think)
-        totals.append(total)
+    runs = _length_controlled(
+        model, [cfg.prompts[r % len(cfg.prompts)] for r in range(cfg.n_runs)], lc,
+        [make_rng(cfg.seed + r) for r in range(cfg.n_runs)], cfg.temperature,
+        cfg.top_p, runtime)
     meta = cfg.to_row_fields()
     meta.update({"lc_mode": lc.mode, "budget": lc.budget,
                  "max_waits": lc.max_waits})
-    return LengthReport(thinking_tokens=thinking, total_tokens=totals, meta=meta)
+    return LengthReport(thinking_tokens=[think for _, think, _ in runs],
+                        total_tokens=[total for _, _, total in runs], meta=meta)
 
 
 def _sweep_one(model, cfg: ExperimentConfig) -> dict:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import MissingCalibration
 from .kvquant import (
+    POST_BIAS,
+    POST_ROPE,
     PRE_BIAS,
     PRE_ROPE,
     KvQuantStarConfig,
@@ -91,6 +93,10 @@ class QuantPlan:
             raise ValueError(f"wa_method must be one of {WA_METHODS}")
         if self.kv_method not in KV_METHODS:
             raise ValueError(f"kv_method must be one of {KV_METHODS}")
+        if self.k_stage not in (PRE_ROPE, POST_ROPE):
+            raise ValueError(f"k_stage must be {PRE_ROPE!r} or {POST_ROPE!r}")
+        if self.k_bias_mode not in (PRE_BIAS, POST_BIAS):
+            raise ValueError(f"k_bias_mode must be {PRE_BIAS!r} or {POST_BIAS!r}")
         if self.a_bits < 16 and self.wa_method == "none":
             raise ValueError("a_bits < 16 requires a weight-activation method")
         if self.wa_method == "mxfp4" and (self.w_bits != 4 or self.a_bits != 4):
@@ -272,7 +278,8 @@ class Runtime:
 
     def kv_write(self, layer, k_pre, k_rope, v, bias, rope_cfg, pos):
         """Return the (dequantized) K/V rows to store in the cache for a
-        block of (T, d_model) rows, row r at position pos + r."""
+        block of (T, d_model) rows, row r at position pos + r, or at pos[r]
+        when pos is an array (a block of several sequences)."""
         plan = self.plan
         if plan.kv_bits >= 16:
             return k_rope, v

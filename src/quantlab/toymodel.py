@@ -5,12 +5,21 @@ calibration capture and generation all use; Session.step is its one-token
 case. Incremental generation and full-context recomputation run the same
 code on differently shaped blocks, so they agree to about 1e-13 with
 identical argmax rather than bit for bit.
-``decode`` is the one sampling loop; ``generate`` and
-``harness.generate_with_length_control`` are its stop rules.
+
+A Session holds one or more rows, sequences that advance in lockstep
+through one forward per call; its KV cache is (layer, row, head, position,
+head_dim). ``decode`` is the one sampling loop: it runs a batch of prompts,
+one Session per prompt length, and each row finishes on its own stop rule.
+``sample_rows`` is the one sampler, one uniform per row; ``sample_token``
+is its one-row case. Each caller draws the uniforms as a one-by-one loop
+would: ``generate`` and ``harness.generate_with_length_control`` are
+batches of one, ``harness.run_length_control`` gives every run its own rng,
+and ``calibration.self_generate`` draws one stream, sequence after
+sequence.
 
 Session.forward takes positions in blocks of BLOCK = 32. Within a block the
-linears run on (T, d_model) matrices and the attention scores form one
-(heads, T, context) array, so the block size bounds the working set. On
+linears run on (rows x T, d_model) matrices and the attention scores form one
+(rows, heads, T, context) array, so the block size bounds the working set. On
 512-token teacher-forced drift runs, peak memory with 32-position blocks
 stays within 1% of the one-token path; 64-position blocks add about 3%, and
 a single 512-position block about 40%.
@@ -46,6 +55,7 @@ MAGIC = b"TQM1"
 FORMAT_VERSION = 1
 _ALIGN = 64
 BLOCK = 32  # positions per Session.forward block; see the module docstring
+HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
 
 
 @dataclass(frozen=True)
@@ -304,9 +314,9 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    e = x - np.max(x, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)  # the methods skip np.max's wrapper
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -327,34 +337,42 @@ class PlainLinear:
 
 
 class Session:
-    """Forward pass over token blocks with a private KV cache.
+    """Forward pass over token blocks of one or more rows, with a private KV
+    cache.
 
     ``runtime`` is None for the full-precision reference; otherwise it is a
     quantrun.Runtime supplying quantized linears and KV write hooks.
     ``recorder`` receives (site, rows, start) capture callbacks, one per
-    block, row r being position start + r.
+    block of a one-row session, row r being position start + r.
+
+    ``rows`` sequences advance in lockstep: every call feeds each row the
+    same number of tokens, so all rows sit at position ``pos``. The KV cache
+    is (layer, row, head, position, head_dim). The linears, norms and
+    activation quantizers see one (rows x positions, d_model) matrix; only
+    RoPE, ``Runtime.kv_write`` and attention read a row's own positions and
+    cache. A one-row session runs the shapes of an unbatched forward: scalar
+    positions, cached RoPE tables and one (positions, head_dim) matrix
+    product per head.
 
     ``forward`` runs its tokens in blocks of ``BLOCK`` positions and ``step``
     is its one-token case, so prefill, decode and teacher forcing share one
     path. Splitting a sequence differently (token by token, in one call, in
-    uneven chunks) changes only the shapes of the matrix products, so the
-    logits agree to about 1e-13 with identical argmax, not bit for bit.
+    uneven chunks), or running it beside other rows, changes only the shapes
+    of the matrix products, so the logits agree to about 1e-13 with
+    identical argmax, not bit for bit.
     """
 
-    def __init__(self, model: ToyModel, runtime=None, recorder=None):
+    def __init__(self, model: ToyModel, runtime=None, recorder=None, rows: int = 1):
         self.model = model
         self.cfg = model.config
         self.runtime = runtime
         self.recorder = recorder
         self.rope = RopeConfig(head_dim=self.cfg.head_dim, base=self.cfg.rope_base)
         self.pos = 0
+        cfg = self.cfg
+        whole = 8 * cfg.n_layers * rows * cfg.n_heads * cfg.max_seq_len * cfg.head_dim
+        self._recache(range(rows), cfg.max_seq_len if whole < HUGE_PAGE_BYTES else 0)
         d = self.cfg.d_model
-        # (layer, head, position, head_dim): the K/V rows Runtime.kv_write
-        # returned, split into heads
-        shape = (self.cfg.n_layers, self.cfg.n_heads, self.cfg.max_seq_len,
-                 self.cfg.head_dim)
-        self.k_cache = np.zeros(shape)
-        self.v_cache = np.zeros(shape)
         self._embed = model.tensors["embed"].astype(np.float64)
         self._norm_f = model.tensors["norm_f"].astype(np.float64)
         self._lm_head = self._make_linear("lm_head", model.tensors["lm_head"], None)
@@ -387,26 +405,65 @@ class Session:
         if self.recorder is not None:
             self.recorder.record(site, rows, self.pos)
 
-    def step(self, token: int) -> np.ndarray:
-        """Feed one token, return the logits row for its position."""
-        return self.forward([token])[0]
+    def step(self, tokens):
+        """Feed one token per row, a list of ``rows`` ids (or one int for a
+        one-row session); return each row's logits, (rows, vocab) (or
+        (vocab,) for the int)."""
+        tokens = np.asarray(tokens)
+        logits = self.forward(tokens.reshape(-1, 1))[:, 0]
+        return logits if tokens.ndim else logits[0]
 
     def forward(self, tokens) -> np.ndarray:
-        """Feed tokens, return one logits row per position."""
+        """Feed tokens, (rows, positions) or, for a one-row session,
+        (positions,); return one logits row per token, shaped like
+        ``tokens`` plus a vocab axis."""
         cfg = self.cfg
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        block = tokens if tokens.ndim == 2 else tokens.reshape(1, -1)
+        if len(block) != self.rows:
+            raise ShapeMismatch(f"{len(block)} token rows for {self.rows} session rows")
         bad = tokens[(tokens < 0) | (tokens >= cfg.vocab_size)]
         if bad.size:
             raise TokenOutOfRange(f"token {bad[0]} outside vocab {cfg.vocab_size}")
-        if self.pos + len(tokens) > cfg.max_seq_len:
+        n = block.shape[1]
+        if self.pos + n > cfg.max_seq_len:
             raise ContextOverflow(f"context limit {cfg.max_seq_len} reached")
-        logits = np.empty((len(tokens), cfg.vocab_size))
-        for s in range(0, len(tokens), BLOCK):
-            logits[s : s + BLOCK] = self._block(tokens[s : s + BLOCK])
-        return logits
+        room = self.k_cache.shape[3]
+        if self.pos + n > room:
+            self._recache(range(self.rows),
+                          min(cfg.max_seq_len, max(2 * room, self.pos + n, BLOCK)))
+        logits = np.empty((self.rows, n, cfg.vocab_size))
+        for s in range(0, n, BLOCK):
+            logits[:, s : s + BLOCK] = self._block(block[:, s : s + BLOCK])
+        return logits.reshape(tokens.shape + (cfg.vocab_size,))
+
+    def keep(self, rows) -> None:
+        """Drop every row but ``rows`` (indices, in their new order) from the
+        batch."""
+        self._recache(rows, self.k_cache.shape[3])
+
+    def _recache(self, rows, room: int) -> None:
+        """New K/V caches, (layer, row, head, position, head_dim), for
+        ``rows`` (indices into the batch) with ``room`` positions, holding
+        the rows' cached positions. A cache that would fill a huge page
+        starts empty and doubles its room as positions come: huge pages
+        are resident in full however few positions are written. A smaller
+        one, a one-row session's, holds the whole context from the start."""
+        cfg = self.cfg
+        for name in ("k_cache", "v_cache"):
+            new = np.zeros((cfg.n_layers, len(rows), cfg.n_heads, room, cfg.head_dim))
+            if self.pos:
+                new[:, :, :, : self.pos] = getattr(self, name)[:, rows, :, : self.pos]
+            setattr(self, name, new)
+        self.rows = len(rows)
 
     def _block(self, tokens: np.ndarray) -> np.ndarray:
-        x = self._embed[tokens]
+        """One (rows, positions) block; returns its (rows, positions, vocab)
+        logits."""
+        n = tokens.shape[1]
+        x = self._embed[tokens.reshape(-1)]  # row b's position t is row b * n + t
+        pos = self.pos if self.rows == 1 else np.tile(np.arange(self.pos, self.pos + n),
+                                                       self.rows)
         for i, layer in enumerate(self._layers):
             h = rmsnorm(x, layer["norm1"])
             self._record(f"layer{i}.attn_in", h)
@@ -416,9 +473,9 @@ class Session:
             v = layer["wv"](h)
             self._record(f"layer{i}.k_pre_bias", k_pre)
             self._record(f"layer{i}.k_post_bias", k_post)
-            k = rope_heads(k_post, self.rope, self.pos)
+            k = rope_heads(k_post, self.rope, pos)
             self._record(f"layer{i}.k_post_rope", k)
-            attn = self._attend(i, rope_heads(q, self.rope, self.pos), k_pre, k, v)
+            attn = self._attend(i, rope_heads(q, self.rope, pos), k_pre, k, v, pos)
             self._record(f"layer{i}.attn_out_in", attn)
             x = x + layer["wo"](attn)
 
@@ -431,11 +488,12 @@ class Session:
         hf = rmsnorm(x, self._norm_f)
         self._record("lm_head_in", hf)
         logits = self._lm_head(hf)
-        self.pos += len(tokens)
-        return logits
+        self.pos += n
+        return logits.reshape(self.rows, n, -1)
 
-    def _attend(self, i, q, k_pre, k, v) -> np.ndarray:
-        """Causal attention of a block's queries over every head at once.
+    def _attend(self, i, q, k_pre, k, v, pos) -> np.ndarray:
+        """Causal attention of a block's queries over every head of every
+        row at once, each row over its own cache.
 
         Quantize-at-write: the cache keeps the rows Runtime.kv_write returns
         and later positions read those, while each position scores and
@@ -443,31 +501,32 @@ class Session:
         bit-width.
         """
         cfg, p0 = self.cfg, self.pos
-        n_new = len(q)
+        n_new = len(q) // self.rows
         end = p0 + n_new
         if self.runtime is not None:
             k_store, v_store = self.runtime.kv_write(
-                i, k_pre, k, v, self._layers[i]["bk"], self.rope, p0)
+                i, k_pre, k, v, self._layers[i]["bk"], self.rope, pos)
         else:
             k_store, v_store = k, v
 
-        def heads(rows):  # (rows, d_model) -> (n_heads, rows, head_dim)
-            return rows.reshape(n_new, cfg.n_heads, cfg.head_dim).transpose(1, 0, 2)
+        def heads(x):  # (rows * n_new, d_model) -> (rows, n_heads, n_new, head_dim)
+            return x.reshape(self.rows, n_new, cfg.n_heads, cfg.head_dim).transpose(
+                0, 2, 1, 3)
 
-        self.k_cache[i, :, p0:end] = heads(k_store)
-        self.v_cache[i, :, p0:end] = heads(v_store)
+        self.k_cache[i, :, :, p0:end] = heads(k_store)
+        self.v_cache[i, :, :, p0:end] = heads(v_store)
         qh, vh = heads(q), heads(v)
         at = p0 + np.arange(n_new)
-        own = (slice(None), np.arange(n_new), at)
-        scores = qh @ self.k_cache[i, :, :end].transpose(0, 2, 1)
+        own = (Ellipsis, np.arange(n_new), at)
+        scores = qh @ self.k_cache[i, :, :, :end].transpose(0, 1, 3, 2)
         scores[own] = np.sum(qh * heads(k), axis=-1)
-        scores[:, np.arange(end) > at[:, np.newaxis]] = -np.inf
+        scores[..., np.arange(end) > at[:, np.newaxis]] = -np.inf
         scores /= np.sqrt(cfg.head_dim)
         p = softmax(scores)
         p_own = p[own]
         p[own] = 0.0
-        out = p @ self.v_cache[i, :, :end] + p_own[..., np.newaxis] * vh
-        return out.transpose(1, 0, 2).reshape(n_new, cfg.d_model)
+        out = p @ self.v_cache[i, :, :, :end] + p_own[..., np.newaxis] * vh
+        return out.transpose(0, 2, 1, 3).reshape(self.rows * n_new, cfg.d_model)
 
 
 def forward_reference(m: ToyModel, tokens) -> np.ndarray:
@@ -476,56 +535,115 @@ def forward_reference(m: ToyModel, tokens) -> np.ndarray:
 
 
 def nucleus_filter(probs: np.ndarray, top_p: float) -> np.ndarray:
-    """Zero out everything outside the smallest prefix of descending-sorted
-    probabilities whose mass reaches top_p; renormalize."""
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    cutoff = int(np.searchsorted(csum, top_p) + 1)
-    keep = order[:cutoff]
-    out = np.zeros_like(probs)
-    out[keep] = probs[keep]
-    return out / out.sum()
+    """Zero out, in each row of ``probs`` (vocab along the last axis),
+    everything outside the smallest prefix of descending-sorted
+    probabilities whose mass reaches top_p (ties kept in index order);
+    renormalize."""
+    p = probs.reshape(-1, probs.shape[-1])
+    order = (-p).argsort(axis=-1, kind="stable")
+    rows = np.arange(len(p))[:, np.newaxis]
+    csum = p[rows, order].cumsum(axis=-1)
+    last = (csum < top_p).sum(axis=-1, keepdims=True)  # the last rank kept
+    keep = np.empty(p.shape)
+    keep[rows, order] = np.arange(p.shape[1]) <= last
+    out = p * keep
+    return (out / out.sum(axis=-1, keepdims=True)).reshape(probs.shape)
+
+
+def sample_rows(logits: np.ndarray, temperature: float, top_p: float,
+                draw) -> np.ndarray:
+    """One token per row of (rows, vocab) ``logits``: the argmax at
+    temperature 0; otherwise a draw from the nucleus of the tempered
+    softmax. ``draw()``, called only when sampling, gives one uniform in
+    [0, 1) per row, and each row's token is the one ``rng.choice(p=...)``
+    picks with that uniform: the first whose cumulative probability,
+    normalised by the total, exceeds it."""
+    if temperature == 0:
+        return logits.argmax(axis=-1)
+    cdf = nucleus_filter(softmax(logits / temperature), top_p).cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= np.asarray(draw())[:, np.newaxis]).sum(axis=-1)
 
 
 def sample_token(logits: np.ndarray, temperature: float, top_p: float, rng) -> int:
-    if temperature == 0:
-        return int(np.argmax(logits))
-    probs = softmax(logits / temperature)
-    probs = nucleus_filter(probs, top_p)
-    return int(rng.choice(len(probs), p=probs))
+    """``sample_rows`` for one logits row, drawing its uniform from ``rng``."""
+    return int(sample_rows(logits[np.newaxis], temperature, top_p,
+                           lambda: rng.random(1))[0])
 
 
-def decode(sess: Session, prompt, choose, done) -> list:
-    """The sampling loop. Feeds ``prompt`` in one ``forward``; then, until
-    ``done(seq)`` or the sequence fills the context, appends
-    ``choose(logits)``. The last token is stepped into the session just
-    before the next is chosen, so every token is fed by its own ``step`` and
-    the final one, whose logits nothing reads, is not fed at all. Returns
-    the full id sequence."""
-    seq = list(prompt)
-    if not seq:
-        raise ValueError("prompt must hold at least one token")
-    max_len = sess.cfg.max_seq_len
-    logits = sess.forward(seq)[-1]
-    while len(seq) < max_len and not done(seq):
-        if len(seq) > len(prompt):
-            logits = sess.step(seq[-1])
-        seq.append(choose(logits))
-    return seq
+def check_prompts(prompts, vocab_size: int) -> None:
+    """ValueError unless there is a prompt and every prompt holds a token;
+    TokenOutOfRange for an id outside the vocab. Callers run it before a
+    plan's calibration, not after it."""
+    if len(prompts) == 0:
+        raise ValueError("need at least one prompt")
+    for prompt in prompts:
+        if len(prompt) == 0:
+            raise ValueError("prompt must hold at least one token")
+        bad = [t for t in prompt if not 0 <= t < vocab_size]
+        if bad:
+            raise TokenOutOfRange(f"token {bad[0]} outside vocab {vocab_size}")
+
+
+def decode(m: ToyModel, prompts, choose, done, runtime=None) -> list:
+    """The sampling loop, for a batch of sequences. Prompts of one length
+    form one group, a ``Session`` whose rows advance in lockstep; groups run
+    one after another. Each group's prompts are fed in one ``forward``.
+    Then, while some row r is not ``done(r, seq)`` and its sequence is
+    shorter than the context, ``choose(rows, logits)`` gets those rows (indices
+    into ``prompts``) and their (rows, vocab) logits, and returns the token
+    each row appends. A finished row leaves the batch. The last token of
+    each row is stepped into the session just before the next is chosen, so
+    every token is fed by its own ``step`` and the final one, whose logits
+    nothing reads, is not fed at all. ``choose`` draws each row's
+    randomness itself; the loop calls it once per step, rows in prompt
+    order. Returns the full id sequences."""
+    check_prompts(prompts, m.config.vocab_size)
+    seqs = [list(p) for p in prompts]
+    groups = {}
+    for r, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(r)
+    for n, rows in groups.items():
+        sess = Session(m, runtime=runtime, rows=len(rows))
+        logits = sess.forward([seqs[r] for r in rows])[:, -1]
+        while True:
+            live = [j for j, r in enumerate(rows)
+                    if len(seqs[r]) < m.config.max_seq_len and not done(r, seqs[r])]
+            if not live:
+                break
+            if len(live) < len(rows):
+                sess.keep(live)
+                rows, logits = [rows[j] for j in live], logits[live]
+            if len(seqs[rows[0]]) > n:
+                logits = sess.step([seqs[r][-1] for r in rows])
+            for r, tok in zip(rows, choose(rows, logits)):
+                seqs[r].append(int(tok))
+    return seqs
+
+
+def check_generate(cfg: ToyConfig, prompt, max_new: int, temperature: float,
+                   rng) -> None:
+    """The input checks of ``generate``, which ``quantlab generate`` runs
+    before preparing its plan."""
+    check_prompts([prompt], cfg.vocab_size)
+    if max_new < 0:
+        raise ValueError(f"max_new must be >= 0, got {max_new}")
+    if len(prompt) + max_new > cfg.max_seq_len:
+        raise ContextOverflow(
+            f"{len(prompt)} prompt + {max_new} new > {cfg.max_seq_len}")
+    if temperature != 0 and rng is None:
+        raise ValueError("sampling requires an rng")
 
 
 def generate(m: ToyModel, prompt, max_new: int, temperature: float = 0.6,
              top_p: float = 0.95, rng=None, runtime=None) -> list:
-    """Autoregressive sampling of ``max_new`` tokens; greedy when
-    temperature == 0. Returns the full id sequence (prompt + continuation)."""
-    if max_new < 0:
-        raise ValueError(f"max_new must be >= 0, got {max_new}")
-    if len(prompt) + max_new > m.config.max_seq_len:
-        raise ContextOverflow(
-            f"{len(prompt)} prompt + {max_new} new > {m.config.max_seq_len}")
-    if temperature != 0 and rng is None:
-        raise ValueError("sampling requires an rng")
+    """Autoregressive sampling of ``max_new`` tokens, a batch of one;
+    greedy when temperature == 0. Returns the full id sequence (prompt +
+    continuation)."""
+    check_generate(m.config, prompt, max_new, temperature, rng)
     stop = len(prompt) + max_new
-    return decode(Session(m, runtime=runtime), prompt,
-                  lambda logits: sample_token(logits, temperature, top_p, rng),
-                  lambda seq: len(seq) == stop)
+
+    def choose(rows, logits):
+        return [sample_token(logits[0], temperature, top_p, rng)]
+
+    return decode(m, [prompt], choose, lambda r, seq: len(seq) == stop, runtime)[0]

@@ -13,7 +13,7 @@ from quantlab.calibration import (
 )
 from quantlab.errors import FileTooSmall, ParseError, UnknownSite
 from quantlab.rng import make_rng
-from quantlab.toymodel import ToyConfig, init_model
+from quantlab.toymodel import ToyConfig, generate, init_model
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=64)
@@ -91,6 +91,26 @@ class TestSelfGenerate:
         cs = self_generate(small_model, [[0]], seq_len=8, count=2,
                            rng=make_rng(0), temperature=0.0)
         assert cs.sequences[0] == cs.sequences[1]
+
+    @pytest.mark.parametrize("temperature", [0.6, 0.0])
+    def test_batch_is_the_one_by_one_set(self, small_model, temperature):
+        """Prompts of three lengths, one longer than the set's sequences: the
+        set and the rng's state after it are those of sampling each
+        sequence in turn from the one rng."""
+        prompts = [[0], [0, 5, 9], [1] * 14]
+        rng, ref_rng = make_rng(5), make_rng(5)
+        cs = self_generate(small_model, prompts, seq_len=12, count=7, rng=rng,
+                           temperature=temperature)
+        want = []
+        for i in range(7):
+            prompt = prompts[i % 3]
+            want.append(generate(small_model, prompt, max(12 - len(prompt), 0),
+                                 temperature=temperature, rng=ref_rng)[:12])
+        assert cs.sequences == want
+        after = rng.random()
+        assert after == ref_rng.random()
+        if temperature == 0:
+            assert after == make_rng(5).random()  # greedy draws nothing
 
     def test_empty_prompts_rejected(self, small_model):
         with pytest.raises(ValueError):

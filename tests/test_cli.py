@@ -293,6 +293,26 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ValueError: prompt")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--prompt", ""], "ValueError: prompt"),
+        (["--max-new", "-1"], "ValueError: max_new"),
+        (["--prompt", "0 16"], "TokenOutOfRange: token 16")],
+        ids=["empty-prompt", "negative-max-new", "token-outside-vocab"])
+    def test_generate_checks_before_calibration(self, model_file, calib_file, tmp_path,
+                                                capsys, monkeypatch, argv, error):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("prepare_runtime ran for a bad generate input")
+
+        monkeypatch.setattr(cli, "prepare_runtime", no_calibration)
+        out = tmp_path / "g.txt"
+        rc = cli.main(["generate", "--model", model_file, "--plan", "4-16-16",
+                       "--method", "gptq", "--calib", calib_file, *argv,
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["drift", "--plan", "16-16-16", "--probe-len", "0"], "probe token"),
         (["length-control", "--runs", "0"], "n_runs"),
@@ -324,8 +344,11 @@ class TestErrors:
         {"runs": [{"plan": 4}]},
         {"runs": {"plan": "4-16-16"}},
         [1, 2],
+        {"runs": [{"plan": "16-16-4", "k_bias_mode": "sometimes"}]},
+        {"runs": [{"plan": "16-16-4", "kv_method": "kvquant_star", "k_stage": "mid"}]},
     ], ids=["unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
-            "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object"])
+            "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
+            "bad-k-bias-mode", "bad-k-stage"])
     def test_malformed_sweep_config(self, model_file, tmp_path, capsys, config):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(config))

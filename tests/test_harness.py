@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quantlab import harness
+from quantlab.errors import TokenOutOfRange
 from quantlab.harness import (
     CODE_VERSION,
     LC_OFF,
@@ -164,12 +166,14 @@ class TestLengthControl:
         """After the prompt's one forward, each token is fed by its own step,
         a forced THINK_END included, and only when another token is chosen
         after it, whether the rule or the context ends the run."""
-        steps, feeds = [], []  # step's own forward([tok]) is a feed of 1
+        # a batch of one: step feeds a list of one token, and its own forward
+        # a (1, 1) block, a feed of 1
+        steps, feeds = [], []
         step, forward = Session.step, Session.forward
         monkeypatch.setattr(Session, "step",
-                            lambda sess, t: steps.append(t) or step(sess, t))
+                            lambda sess, t: steps.extend(t) or step(sess, t))
         monkeypatch.setattr(Session, "forward",
-                            lambda sess, ts: feeds.append(len(ts)) or forward(sess, ts))
+                            lambda sess, t: feeds.append(np.size(t)) or forward(sess, t))
         lc = LengthControl(mode=mode, budget=4, max_waits=10**9)
         prompt = [0, 5]
         ended_by = set()
@@ -201,6 +205,60 @@ class TestLengthControl:
                                                make_rng(seed), runtime=rt)
             assert got == generate_with_length_control(small_model, [0], plan, lc,
                                                        make_rng(seed))
+
+    @pytest.mark.parametrize("plan", [
+        QuantPlan(), QuantPlan(kv_bits=4),
+        QuantPlan(w_bits=4, a_bits=4, kv_bits=4, wa_method="rotate",
+                  kv_method="rotated_per_token"),
+        QuantPlan(kv_bits=4, kv_method="kvquant_star"),
+    ], ids=["16-16-16", "16-16-4-per-token", "4-4-4-rotate", "16-16-4-kvquant-star"])
+    @pytest.mark.parametrize("lc", [LengthControl(mode=LC_SUPPRESS, budget=24),
+                                    LengthControl(mode=LC_PROMOTE, budget=12)],
+                             ids=["suppress", "promote"])
+    @pytest.mark.parametrize("temperature", [0.6, 0.0])
+    def test_batch_is_the_one_by_one_runs(self, small_model, short_model, monkeypatch,
+                                          plan, lc, temperature):
+        """run_length_control decodes its runs as one batch, grouped by
+        prompt length, rows leaving as they finish; every run's sequence and
+        counts are those of the run on its own with its own rng."""
+        batches = []
+        decode = harness.decode
+        monkeypatch.setattr(harness, "decode",
+                            lambda *a: batches.append(decode(*a)) or batches[-1])
+        prompts = [[0], [0, 5, 9]]
+        for model in (small_model, short_model):
+            calib = [probe(10, seed=s) for s in (1, 2)]
+            cfg = ExperimentConfig(plan=plan, prompts=prompts, calib_sequences=calib,
+                                   temperature=temperature, length_control=lc,
+                                   seed=3, n_runs=8)
+            batches.clear()
+            rep = run_length_control(model, cfg)
+            rt = prepare_runtime(model, plan, calib)
+            want = [generate_with_length_control(
+                model, prompts[r % 2], plan, lc, make_rng(3 + r),
+                temperature=temperature, runtime=rt) for r in range(8)]
+            assert batches[0] == [seq for seq, _, _ in want]
+            assert rep.thinking_tokens == [think for _, think, _ in want]
+            assert rep.total_tokens == [total for _, _, total in want]
+            if temperature and model is small_model:  # the context ends none
+                # rows of one prompt finish at different steps
+                assert len(set(rep.total_tokens[::2])) > 1
+
+    def test_prompts_checked_before_calibration(self, small_model, monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("prepare_runtime ran for a bad prompt list")
+
+        monkeypatch.setattr("quantlab.harness.prepare_runtime", no_calibration)
+        plan = QuantPlan(w_bits=4, w_method="gptq")
+        for prompts, error in (([], ValueError), ([[0], []], ValueError),
+                               ([[0], [0, 16]], TokenOutOfRange)):
+            with pytest.raises(error):
+                run_length_control(small_model, ExperimentConfig(
+                    plan=plan, prompts=prompts, n_runs=2))
+            if prompts:
+                with pytest.raises(error):
+                    generate_with_length_control(small_model, prompts[1], plan,
+                                                 LengthControl(), make_rng(0))
 
     def test_run_needs_a_run(self, small_model):
         with pytest.raises(ValueError, match="n_runs"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,15 @@ class TestPlan:
         with pytest.raises(ValueError):
             QuantPlan(kv_method="magic")
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_stage", "mid"), ("k_stage", "pre_bias"), ("k_bias_mode", "sometimes"),
+        ("k_bias_mode", "pre_rope")])
+    def test_k_stage_and_bias_mode_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuantPlan(kv_bits=4, kv_method="kvquant_star", **{field: value})
+        with pytest.raises(ValueError, match=field):  # not only for static K
+            QuantPlan(**{field: value})
+
     def test_dict_round_trip(self):
         p = QuantPlan(w_bits=4, kv_bits=4, kv_method="kvquant_star")
         assert QuantPlan.from_dict(p.to_dict()) == p
@@ -181,6 +192,40 @@ class TestForward:
             assert np.max(np.abs(other - whole)) <= 1e-12
             assert np.array_equal(np.argmax(other, axis=1),
                                   np.argmax(whole, axis=1))
+
+    @pytest.mark.parametrize("plan_kwargs", [dict()] + PLAN_FAMILIES)
+    @pytest.mark.parametrize("context, room", [(SMALL.max_seq_len, SMALL.max_seq_len),
+                                               (16384, 80)])
+    def test_batched_rows_agree_with_one_row_sessions(self, calib_seqs, plan_kwargs,
+                                                      context, room):
+        """Rows fed side by side, then stepped after one row leaves the
+        batch, read their own positions and caches: each agrees with its own
+        one-row session as token-by-token steps do. With the long context
+        the batch's cache would fill huge pages, so it starts empty and
+        grows, 40 positions for the prompts, then 80 once the steps pass
+        them."""
+        model = init_model(replace(SMALL, max_seq_len=context), make_rng(0))
+        rt = prepare_runtime(model, QuantPlan(**plan_kwargs), calib_seqs)
+        toks = np.array([probe(50, seed=s) for s in (2, 3, 4)])
+        batch = Session(model, runtime=rt, rows=3)
+        logits = batch.forward(toks[:, :40])
+        batch.keep([2, 0])
+        stepped = np.stack([batch.step(toks[[2, 0], t]) for t in range(40, 50)], axis=1)
+        assert logits.shape == (3, 40, SMALL.vocab_size)
+        assert stepped.shape == (2, 10, SMALL.vocab_size)
+        assert batch.k_cache.shape == (1, 2, 2, room, 8)
+        for r, got in [(0, logits[0]), (1, logits[1]), (2, logits[2]),
+                       (2, stepped[0]), (0, stepped[1])]:
+            want = Session(model, runtime=rt).forward(toks[r])
+            want = want[:40] if len(got) == 40 else want[40:]
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+    def test_session_rejects_a_wrong_row_count(self, small_model):
+        with pytest.raises(ShapeMismatch):
+            Session(small_model, rows=2).forward([0, 1])
+        with pytest.raises(ShapeMismatch):
+            Session(small_model, rows=2).step([0, 1, 2])
 
     def test_mxfp4_linear_blocks_each_row(self):
         """With 48 input features a flat 32-block would straddle rows; each
@@ -424,6 +469,9 @@ class TestCheckpoint:
         pytest.param(lambda h: h["plan"].update(w_methd=h["plan"].pop("w_method")),
                      BadMagic, id="plan-unknown-key"),
         pytest.param(lambda h: h.update(plan=1), BadMagic, id="plan-not-a-mapping"),
+        pytest.param(_plan_edit(k_stage="mid"), BadMagic, id="plan-bad-k-stage"),
+        pytest.param(_plan_edit(k_bias_mode="no_bias"), BadMagic,
+                     id="plan-bad-k-bias-mode"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"

@@ -22,8 +22,10 @@ from quantlab.toymodel import (
     load_model,
     nucleus_filter,
     rmsnorm,
+    sample_rows,
     sample_token,
     save_model,
+    softmax,
 )
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
@@ -228,6 +230,36 @@ class TestSampling:
             assert mass - p[kept].min() < 0.9
             assert np.isclose(out.sum(), 1.0)
 
+    @pytest.mark.parametrize("temperature, top_p", [(0.6, 0.95), (1.0, 0.5), (0.3, 1.0)])
+    def test_sample_rows_draws_what_rng_choice_draws(self, temperature, top_p):
+        """Over 20,000 seeded logit rows, tied and rounded ones included, each
+        row's token is the one rng.choice picks from its nucleus with the
+        same uniform, and one-row sample_token calls draw the same stream."""
+        gen = make_rng(123)
+        n = 20_000
+        logits = gen.standard_normal((n, 64)) * gen.uniform(0.1, 8.0, (n, 1))
+        logits[::7, 5] = logits[::7, 9]
+        logits[::11] = np.round(logits[::11])
+
+        def reference(lg, rng):  # the per-row sampler, written out
+            probs = softmax(lg / temperature)
+            order = np.argsort(-probs, kind="stable")
+            cutoff = int(np.searchsorted(np.cumsum(probs[order]), top_p)) + 1
+            kept = np.zeros_like(probs)
+            kept[order[:cutoff]] = probs[order[:cutoff]]
+            return int(rng.choice(len(probs), p=kept / kept.sum()))
+
+        want_rng, one_rng, batch_rng = make_rng(5), make_rng(5), make_rng(5)
+        want = [reference(lg, want_rng) for lg in logits]
+        assert [sample_token(lg, temperature, top_p, one_rng) for lg in logits] == want
+        got = sample_rows(logits, temperature, top_p, lambda: batch_rng.random(n))
+        assert got.tolist() == want
+        assert want_rng.random() == one_rng.random() == batch_rng.random()
+
+    def test_greedy_rows_draw_nothing(self):
+        logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 3.0]])
+        assert sample_rows(logits, 0.0, 0.95, None).tolist() == [1, 0]
+
     def test_greedy_is_argmax(self):
         logits = np.array([0.1, 2.0, -1.0])
         assert sample_token(logits, 0.0, 0.95, None) == 1
@@ -261,17 +293,17 @@ class TestSampling:
     def test_decode_stops_when_done_and_at_the_context(self, small_model):
         seen = []
 
-        def choose(logits):
+        def choose(rows, logits):
             seen.append(logits)
-            return int(np.argmax(logits))
+            return logits.argmax(axis=-1)
 
-        out = decode(Session(small_model), [BOS_ID], choose, lambda seq: len(seen) == 3)
+        [out] = decode(small_model, [[BOS_ID]], choose, lambda r, seq: len(seen) == 3)
         assert len(out) == 4 and len(seen) == 3
         assert out == generate(small_model, [BOS_ID], max_new=3, temperature=0.0)
         # never asked again once the sequence fills the context
         seen.clear()
-        out = decode(Session(small_model), [BOS_ID] * 30,
-                     lambda lg: seen.append(lg) or 5, lambda seq: False)
+        [out] = decode(small_model, [[BOS_ID] * 30],
+                       lambda rows, lg: seen.append(lg) or [5], lambda r, seq: False)
         assert out[30:] == [5, 5] and len(seen) == 2
 
     @pytest.mark.parametrize("prompt_len, max_new, steps", [
@@ -281,11 +313,12 @@ class TestSampling:
     def test_generate_steps_only_for_the_next_token(self, small_model, monkeypatch,
                                                     prompt_len, max_new, steps):
         # a token is fed by its own step only when another token is chosen
-        # after it: the last one's logits are never read
+        # after it: the last one's logits are never read. A step feeds one
+        # token per row, a list of one here.
         calls = []
         step = Session.step
         monkeypatch.setattr(Session, "step",
-                            lambda sess, tok: calls.append(tok) or step(sess, tok))
+                            lambda sess, toks: calls.extend(toks) or step(sess, toks))
         out = generate(small_model, [BOS_ID] * prompt_len, max_new=max_new,
                        temperature=0.0)
         assert len(out) == prompt_len + max_new
