@@ -16,6 +16,11 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   ``objective_trace``;
 * the logits of every ``kvquant_star`` plan (2, 3, 4 and 8 bits × K stage ×
   bias mode) on the default and the K-bias-outlier model, calibrated;
+* on a model without QKV biases (``qkv_bias=False``, ``ffn_mult=4``): its
+  TQM1 bytes, and the logits of seven plans on a 128-token probe (16-16-16,
+  RTN 4-16-16, rotate 4-4-16, rotated per-token 16-16-4, and, calibrated on
+  eight fixed 64-token sequences, GPTQ 4-16-16, ``kvquant_star`` 16-16-4 and
+  SmoothQuant 8-8-16);
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -60,14 +65,16 @@ GPTQ_SHAPES = ((8, 16), (5, 33), (16, 64), (3, 7))
 
 
 def sha(*parts) -> str:
-    """SHA-256 over arrays (C-order bytes), floats and ints (packed) and
-    strings, in order."""
+    """SHA-256 over arrays (C-order bytes), floats and ints (packed),
+    strings and bytes, in order."""
     import numpy as np  # loaded by main, after it pins BLAS to one thread
 
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, str):
             h.update(p.encode())
+        elif isinstance(p, bytes):
+            h.update(p)
         elif isinstance(p, float):
             h.update(struct.pack("<d", p))
         elif isinstance(p, int):
@@ -125,6 +132,34 @@ def static_k_lines(workloads, quantrun, toymodel, make_rng):
         yield f"static_k/{kind}/{bits}/{stage}/{mode}/logits", sha(
             quantrun.forward_quantized(model, inp["probe"], plan,
                                        calib_sequences=inp["calib"]))
+
+
+def no_bias_lines(workloads, quantrun, toymodel, make_rng):
+    """A model without QKV biases: its TQM1 file and seven plans' logits."""
+    import tempfile
+
+    model = toymodel.init_model(toymodel.ToyConfig(qkv_bias=False, ffn_mult=4),
+                                make_rng(workloads.MODEL_SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.tqm"
+        toymodel.save_model(model, path)
+        yield "no_bias/tqm1", sha(path.read_bytes())
+    rng = make_rng(SEEDS[0])
+    vocab = model.config.vocab_size
+    probe = workloads._probe(rng, 128, vocab)
+    calib = [workloads._probe(rng, 64, vocab) for _ in range(8)]
+    QP = quantrun.QuantPlan
+    plans = (("16-16-16", QP()),
+             ("rtn-4-16-16", QP(w_bits=4)),
+             ("rotate-4-4-16", QP(w_bits=4, a_bits=4, wa_method="rotate")),
+             ("rotated_per_token-16-16-4",
+              QP(kv_bits=4, kv_method="rotated_per_token")),
+             ("gptq-4-16-16", QP(w_bits=4, w_method="gptq")),
+             ("kvquant_star-16-16-4", QP(kv_bits=4, kv_method="kvquant_star")),
+             ("smoothquant-8-8-16", QP(w_bits=8, a_bits=8, wa_method="smoothquant")))
+    for tag, plan in plans:
+        yield f"no_bias/{tag}/logits", sha(quantrun.forward_quantized(
+            model, probe, plan, calib_sequences=calib if plan.needs_calibration else None))
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -342,6 +377,7 @@ def main(argv=None) -> int:
     for gen in (drift_lines(workloads, quantrun),
                 calibrate_lines(workloads, quantrun),
                 static_k_lines(workloads, quantrun, toymodel, make_rng),
+                no_bias_lines(workloads, quantrun, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),

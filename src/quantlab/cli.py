@@ -44,7 +44,7 @@ def _plan_from_args(args) -> QuantPlan:
             kwargs["kv_method"] = args.method
         else:
             raise ValueError(f"unknown method {args.method!r}")
-    if getattr(args, "group_size", None):
+    if getattr(args, "group_size", None) is not None:
         kwargs["group_size"] = args.group_size
     return QuantPlan.from_bits_string(args.plan, **kwargs)
 
@@ -125,7 +125,8 @@ def cmd_generate(args):
     plan = _plan_from_args(args)
     rng = make_rng(args.seed)
     prompt = [int(t) for t in args.prompt.split()]
-    check_generate(model.config, prompt, args.max_new, args.temperature, rng)
+    check_generate(model.config, prompt, args.max_new, args.temperature, args.top_p,
+                   rng)
     runtime = prepare_runtime(model, plan,
                               _load_calib(args.calib, args.seed, args.calib_len))
     seq = generate(model, prompt, max_new=args.max_new,
@@ -191,6 +192,9 @@ def cmd_sweep(args):
     if not isinstance(spec, dict) or not isinstance(spec.get("runs", []), list):
         raise ValueError(f"sweep config must be an object whose \"runs\" is a "
                          f"list, got {spec!r}")
+    unknown = set(spec) - {"runs", "probe_len", "calib", "schema_version"}
+    if unknown:
+        raise ValueError(f"sweep config has unknown keys {sorted(unknown)}")
     probe_len, calib = spec.get("probe_len", 64), spec.get("calib")
     if type(probe_len) is not int or probe_len < 1:
         raise ValueError(f"sweep \"probe_len\" must be an int >= 1, got {probe_len!r}")

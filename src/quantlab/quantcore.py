@@ -21,7 +21,7 @@ Conventions (documented once, relied on everywhere):
   * an all-zero group gets scale 1 and zero point 0.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Real
 from typing import Optional
 
@@ -33,6 +33,18 @@ PER_TENSOR = "per_tensor"
 PER_CHANNEL = "per_channel"
 PER_TOKEN = "per_token"
 PER_GROUP = "per_group"
+
+
+def _check_field_types(obj) -> None:
+    """TypeError unless every field of dataclass ``obj`` annotated ``int``,
+    ``bool`` or ``float`` holds one. A bool is neither an int nor a float;
+    a float field takes any real number."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if (f.type in (int, bool) and type(v) is not f.type) or (f.type is float and (
+                type(v) is bool or not isinstance(v, Real))):
+            raise TypeError(f"{type(obj).__name__}.{f.name} must be "
+                            f"{f.type.__name__}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +65,7 @@ class QuantSpec:
     clip_ratio: float = 1.0
 
     def __post_init__(self):
-        if (any(type(v) is not int for v in (self.bits, self.axis, self.group_size))
-                or type(self.symmetric) is not bool or type(self.clip_ratio) is bool
-                or not isinstance(self.clip_ratio, Real)):
-            raise TypeError("bits, axis and group_size must be ints, symmetric a "
-                            f"bool and clip_ratio a real number: {self!r}")
+        _check_field_types(self)
         if self.bits != PASSTHROUGH_BITS and not (2 <= self.bits <= 8):
             raise ValueError(f"bits must be in 2..8 or 16, got {self.bits}")
         if self.granularity not in (PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP):

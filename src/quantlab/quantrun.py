@@ -6,8 +6,7 @@ Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
 """
 
-from dataclasses import asdict, dataclass, field
-from numbers import Real
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -31,15 +30,17 @@ from .kvquant import (
 from .mxfp4 import BLOCK_SIZE, mxfp4_fake_quant
 from .numerics import hadamard
 from .quantcore import (
+    PASSTHROUGH_BITS,
     PER_CHANNEL,
     PER_GROUP,
     QuantSpec,
     QuantizedTensor,
+    _check_field_types,
     dequantize,
     fake_quant,
 )
 from .rng import make_rng
-from .toymodel import PlainLinear, Session, ToyModel
+from .toymodel import _LAYER_LINEARS, PlainLinear, Session, ToyModel, _linear_bias
 from .transforms import (
     FlatTransform,
     flat_input,
@@ -81,12 +82,12 @@ class QuantPlan:
     include_lm_head: bool = False
 
     def __post_init__(self):
-        ints = (self.w_bits, self.a_bits, self.kv_bits, self.group_size,
-                self.flat_steps, self.rotation_seed)
-        reals = (self.smooth_alpha, self.awq_grid_step)
-        if (any(type(v) is not int for v in ints) or type(self.include_lm_head) is not bool
-                or any(type(v) is bool or not isinstance(v, Real) for v in reals)):
-            raise TypeError(f"a plan field has the wrong type: {self!r}")
+        _check_field_types(self)
+        for bits in (self.w_bits, self.a_bits, self.kv_bits):
+            if bits != PASSTHROUGH_BITS and not 2 <= bits <= 8:
+                raise ValueError(f"bit widths must be in 2..8 or 16, got {bits}")
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
         if self.w_method not in W_METHODS:
             raise ValueError(f"w_method must be one of {W_METHODS}")
         if self.wa_method not in WA_METHODS:
@@ -171,22 +172,15 @@ def capture_activations(model: ToyModel, sequences, sites=None) -> ActivationRec
     return rec
 
 
-_LINEAR_INPUT_SITE = {
-    "wq": "attn_in", "wk": "attn_in", "wv": "attn_in",
-    "wo": "attn_out_in", "w_gate": "mlp_in", "w_up": "mlp_in",
-    "w_down": "mlp_down_in",
-}
-
-
 def linear_input_site(name: str) -> Optional[str]:
+    """The capture site of linear ``name``'s input; None for a tensor that
+    is not a linear."""
     if name == "lm_head":
         return "lm_head_in"
     prefix, _, short = name.rpartition(".")
-    site = _LINEAR_INPUT_SITE.get(short)
-    if site is None:
+    if short not in _LAYER_LINEARS:
         return None
-    layer = prefix.split(".")[1]
-    return f"layer{layer}.{site}"
+    return f"layer{prefix.split('.')[1]}.{_LAYER_LINEARS[short][1]}"
 
 
 # --- quantized linear wrappers ------------------------------------------------
@@ -302,20 +296,9 @@ class Runtime:
 
 
 def _weight_linear_names(model: ToyModel, include_lm_head: bool):
-    names = []
-    for i in range(model.config.n_layers):
-        p = f"layers.{i}."
-        names += [p + n for n in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")]
-    if include_lm_head:
-        names.append("lm_head")
-    return names
-
-
-def _bias_for(model: ToyModel, name: str):
-    prefix, _, short = name.rpartition(".")
-    if short in ("wq", "wk", "wv"):
-        return model.tensors.get(f"{prefix}.b{short[-1]}")
-    return None
+    names = [f"layers.{i}.{short}" for i in range(model.config.n_layers)
+             for short in _LAYER_LINEARS]
+    return names + ["lm_head"] if include_lm_head else names
 
 
 def prepare_runtime(model: ToyModel, plan: QuantPlan,
@@ -335,78 +318,55 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
     rec = None
     if plan.needs_calibration:
         rec = capture_activations(model, calib_sequences)
-
-    names = _weight_linear_names(model, plan.include_lm_head)
     rng = make_rng(plan.rotation_seed)
 
-    if plan.wa_method != "none":
-        _prepare_wa(rt, names, rec, rng)
-    elif plan.w_bits < 16:
-        _prepare_weight_only(rt, names, rec)
-
-    if plan.kv_bits < 16:
-        _prepare_kv(rt, rec, rng)
-    return rt
-
-
-def _prepare_weight_only(rt: Runtime, names, rec):
-    plan = rt.plan
-    model = rt.model
+    # a weight-activation method decides every linear; without one the
+    # weight method does when the weights are quantized
+    method = plan.w_method if plan.wa_method == "none" else plan.wa_method
+    linears = plan.wa_method != "none" or plan.w_bits < 16
     spec = default_weight_spec(plan.w_bits, plan.group_size)
-    for name in names:
-        w = model.tensors[name].astype(np.float64)
-        inv_s = None
-        if plan.w_method == "rtn":
-            qt = rtn_quantize_weights(w, spec)
-        elif plan.w_method == "gptq":
-            x = rec.matrix(linear_input_site(name)).T  # (in, tokens)
-            qt = gptq_quantize(w, x, GptqConfig(spec=spec))
-            rt.proxy_losses[name] = dequant_loss(qt, w, x)
-        else:  # awq
-            x = rec.matrix(linear_input_site(name)).T
-            res = awq_search(w, x, spec, grid_step=plan.awq_grid_step)
-            w_scaled, inv_s = awq_fold(w, res.scales)
-            qt = rtn_quantize_weights(w_scaled, spec)
-            rt.proxy_losses[name] = res.proxy_loss
-        rt.linears[name] = FakeQuantLinear(dequantize(qt), _bias_for(model, name),
-                                           inv_input_scale=inv_s, qt=qt)
-
-
-def _wa_specs(plan: QuantPlan):
-    # per-channel symmetric weights (one scale per output row), per-token
-    # asymmetric activations with 128-channel groups
+    # weight-activation methods: per-channel symmetric weights (one scale per
+    # output row), per-token asymmetric activations in group_size groups
     spec_w = QuantSpec(bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL,
                        axis=0)
     spec_a = QuantSpec(bits=plan.a_bits, symmetric=False, granularity=PER_GROUP,
                        axis=1, group_size=plan.group_size)
-    return spec_w, spec_a
-
-
-def _prepare_wa(rt: Runtime, names, rec, rng):
-    plan = rt.plan
-    model = rt.model
-    spec_w, spec_a = _wa_specs(plan)
-    for name in names:
+    for name in _weight_linear_names(model, plan.include_lm_head) if linears else ():
         w = model.tensors[name].astype(np.float64)
-        b = _bias_for(model, name)
-        if plan.wa_method == "mxfp4":
-            rt.linears[name] = Mxfp4Linear(w, b)
-        elif plan.wa_method == "rotate":
+        b = _linear_bias(model.tensors, name)
+        if method in ("gptq", "awq", "smoothquant", "flatquant"):
+            x = rec.matrix(linear_input_site(name))  # (tokens, in)
+        if method == "rtn":
+            qt = rtn_quantize_weights(w, spec)
+            lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
+        elif method == "gptq":
+            qt = gptq_quantize(w, x.T, GptqConfig(spec=spec))
+            rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
+            lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
+        elif method == "awq":
+            res = awq_search(w, x.T, spec, grid_step=plan.awq_grid_step)
+            w_scaled, inv_s = awq_fold(w, res.scales)
+            qt = rtn_quantize_weights(w_scaled, spec)
+            rt.proxy_losses[name] = res.proxy_loss
+            lin = FakeQuantLinear(dequantize(qt), b, inv_input_scale=inv_s, qt=qt)
+        elif method == "mxfp4":
+            lin = Mxfp4Linear(w, b)
+        elif method == "rotate":
             h = hadamard(w.shape[1], randomize=True, rng=rng)
             wt = rotate_layer(w, h)  # (in, out); output channels are columns
-            spec_wt = QuantSpec(bits=plan.w_bits, symmetric=True,
-                                granularity=PER_CHANNEL, axis=1)
-            rt.linears[name] = RotatedLinear(fake_quant(wt, spec_wt), b, h, spec_a)
-        elif plan.wa_method == "smoothquant":
-            x = rec.matrix(linear_input_site(name))
-            ss = smooth_fit(x, w, alpha=plan.smooth_alpha)
-            w_s, inv_s = awq_fold(w, ss.scales)
-            rt.linears[name] = FakeQuantLinear(
-                fake_quant(w_s, spec_w), b, act_spec=spec_a, inv_input_scale=inv_s)
+            lin = RotatedLinear(fake_quant(wt, replace(spec_w, axis=1)), b, h, spec_a)
+        elif method == "smoothquant":
+            w_s, inv_s = awq_fold(w, smooth_fit(x, w, alpha=plan.smooth_alpha).scales)
+            lin = FakeQuantLinear(fake_quant(w_s, spec_w), b, act_spec=spec_a,
+                                  inv_input_scale=inv_s)
         else:  # flatquant
-            x = rec.matrix(linear_input_site(name))
             t = flat_train(w, x, spec_w, spec_a, steps=plan.flat_steps)
-            rt.linears[name] = FlatLinear(w, b, t, spec_w, spec_a)
+            lin = FlatLinear(w, b, t, spec_w, spec_a)
+        rt.linears[name] = lin
+
+    if plan.kv_bits < 16:
+        _prepare_kv(rt, rec, rng)
+    return rt
 
 
 def _prepare_kv(rt: Runtime, rec, rng):
@@ -422,9 +382,8 @@ def _prepare_kv(rt: Runtime, rec, rng):
                             k_stage=plan.k_stage, k_bias_mode=plan.k_bias_mode)
     for i in range(model.config.n_layers):
         site = f"layer{i}.k_pre_bias"
-        bias = model.tensors.get(f"layers.{i}.bk")
-        bias = np.zeros(model.config.d_model) if bias is None \
-            else bias.astype(np.float64)
+        bias = _linear_bias(model.tensors, f"layers.{i}.wk")
+        bias = np.zeros(model.config.d_model) if bias is None else bias
         staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg,
                                 rec.pos_array(site))
         rt.kv_cfgs[i] = calibrate_k_channels(staged, cfg)

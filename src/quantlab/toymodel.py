@@ -24,6 +24,15 @@ linears run on (rows x T, d_model) matrices and the attention scores form one
 stays within 1% of the one-token path; 64-position blocks add about 3%, and
 a single 512-position block about 40%.
 
+Each layer's linears are declared once, in ``_LAYER_LINEARS``: name, bias
+and the capture site of the input. The tensor layout, the linears a Session
+builds, the linears ``quantrun.prepare_runtime`` quantizes with their
+calibration inputs, and ``calibration.known_sites`` are read from it. Its
+order is the order of creation: ``init_model`` draws the weights, and the
+rotate plan its Hadamard signs, linear by linear in that order, layer by
+layer, then lm_head, so reordering the table changes every model and every
+rotated plan.
+
 Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 """
 
@@ -44,6 +53,7 @@ from .errors import (
 )
 from .kvquant import RopeConfig, rope_heads
 from .numerics import is_power_of_two
+from .quantcore import _check_field_types
 
 BOS_ID = 0
 EOS_ID = 1
@@ -71,6 +81,7 @@ class ToyConfig:
     qkv_bias: bool = True
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.d_model != self.n_heads * self.head_dim:
             raise ValueError("d_model must equal n_heads * head_dim")
         if not is_power_of_two(self.head_dim):
@@ -97,26 +108,38 @@ class ToyModel:
     aux: dict = field(default_factory=dict)  # quantization artifacts, by name
 
 
+# name -> (bias or None, capture site of the input, (output, input) widths as
+# ToyConfig attributes), in creation order (see the module docstring)
+_LAYER_LINEARS = {
+    "wq": ("bq", "attn_in", ("d_model", "d_model")),
+    "wk": ("bk", "attn_in", ("d_model", "d_model")),
+    "wv": ("bv", "attn_in", ("d_model", "d_model")),
+    "wo": (None, "attn_out_in", ("d_model", "d_model")),
+    "w_gate": (None, "mlp_in", ("ffn_dim", "d_model")),
+    "w_up": (None, "mlp_in", ("ffn_dim", "d_model")),
+    "w_down": (None, "mlp_down_in", ("d_model", "ffn_dim")),
+}
+
+
 def _layer_tensor_specs(cfg: ToyConfig):
-    d, f, v = cfg.d_model, cfg.ffn_dim, cfg.vocab_size
+    d, v = cfg.d_model, cfg.vocab_size
     specs = [("embed", (v, d))]
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        specs += [
-            (p + "norm1", (d,)),
-            (p + "wq", (d, d)),
-            (p + "wk", (d, d)),
-            (p + "wv", (d, d)),
-            (p + "wo", (d, d)),
-            (p + "norm2", (d,)),
-            (p + "w_gate", (f, d)),
-            (p + "w_up", (f, d)),
-            (p + "w_down", (d, f)),
-        ]
-        if cfg.qkv_bias:
-            specs += [(p + "bq", (d,)), (p + "bk", (d,)), (p + "bv", (d,))]
-    specs += [("norm_f", (d,)), ("lm_head", (v, d))]
-    return specs
+        specs += [(p + "norm1", (d,)), (p + "norm2", (d,))]
+        for name, (bias, _, (out, inp)) in _LAYER_LINEARS.items():
+            specs.append((p + name, (getattr(cfg, out), getattr(cfg, inp))))
+            if bias and cfg.qkv_bias:
+                specs.append((p + bias, (getattr(cfg, out),)))
+    return specs + [("norm_f", (d,)), ("lm_head", (v, d))]
+
+
+def _linear_bias(tensors: dict, name: str) -> Optional[np.ndarray]:
+    """The bias of linear ``name`` in float64; None when it has none."""
+    prefix, _, short = name.rpartition(".")
+    bias = _LAYER_LINEARS.get(short, (None,))[0]
+    b = tensors.get(f"{prefix}.{bias}") if bias else None
+    return None if b is None else b.astype(np.float64)
 
 
 def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> ToyModel:
@@ -147,6 +170,8 @@ def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> T
         if not (0 <= layer < cfg.n_layers and 0 <= channel < cfg.d_model):
             raise ValueError(f"bias injection at layer {layer}, channel {channel} is "
                              f"outside {cfg.n_layers} layers of {cfg.d_model} channels")
+        if not math.isfinite(magnitude):
+            raise ValueError(f"bias injection magnitude must be finite, got {magnitude}")
         tensors[f"layers.{layer}.bk"][channel] = np.float32(magnitude)
     return ToyModel(config=cfg, tensors=tensors)
 
@@ -372,29 +397,21 @@ class Session:
         cfg = self.cfg
         whole = 8 * cfg.n_layers * rows * cfg.n_heads * cfg.max_seq_len * cfg.head_dim
         self._recache(range(rows), cfg.max_seq_len if whole < HUGE_PAGE_BYTES else 0)
-        d = self.cfg.d_model
         self._embed = model.tensors["embed"].astype(np.float64)
         self._norm_f = model.tensors["norm_f"].astype(np.float64)
         self._lm_head = self._make_linear("lm_head", model.tensors["lm_head"], None)
         self._layers = []
-        for i in range(self.cfg.n_layers):
+        t = model.tensors
+        for i in range(cfg.n_layers):
             p = f"layers.{i}."
-            t = model.tensors
-            bq = t.get(p + "bq")
-            bk = t.get(p + "bk")
-            bv = t.get(p + "bv")
-            self._layers.append({
-                "norm1": t[p + "norm1"].astype(np.float64),
-                "norm2": t[p + "norm2"].astype(np.float64),
-                "wq": self._make_linear(p + "wq", t[p + "wq"], bq),
-                "wk": self._make_linear(p + "wk", t[p + "wk"], bk),
-                "wv": self._make_linear(p + "wv", t[p + "wv"], bv),
-                "wo": self._make_linear(p + "wo", t[p + "wo"], None),
-                "w_gate": self._make_linear(p + "w_gate", t[p + "w_gate"], None),
-                "w_up": self._make_linear(p + "w_up", t[p + "w_up"], None),
-                "w_down": self._make_linear(p + "w_down", t[p + "w_down"], None),
-                "bk": np.zeros(d) if bk is None else bk.astype(np.float64),
-            })
+            layer = {"norm1": t[p + "norm1"].astype(np.float64),
+                     "norm2": t[p + "norm2"].astype(np.float64)}
+            for name in _LAYER_LINEARS:
+                layer[name] = self._make_linear(p + name, t[p + name],
+                                                _linear_bias(t, p + name))
+            bk = _linear_bias(t, p + "wk")
+            layer["bk"] = np.zeros(cfg.d_model) if bk is None else bk
+            self._layers.append(layer)
 
     def _make_linear(self, name, w, b):
         if self.runtime is not None:
@@ -622,12 +639,16 @@ def decode(m: ToyModel, prompts, choose, done, runtime=None) -> list:
 
 
 def check_generate(cfg: ToyConfig, prompt, max_new: int, temperature: float,
-                   rng) -> None:
+                   top_p: float, rng) -> None:
     """The input checks of ``generate``, which ``quantlab generate`` runs
     before preparing its plan."""
     check_prompts([prompt], cfg.vocab_size)
     if max_new < 0:
         raise ValueError(f"max_new must be >= 0, got {max_new}")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+    if not 0 < top_p <= 1:
+        raise ValueError(f"top_p must be in (0, 1], got {top_p}")
     if len(prompt) + max_new > cfg.max_seq_len:
         raise ContextOverflow(
             f"{len(prompt)} prompt + {max_new} new > {cfg.max_seq_len}")
@@ -640,7 +661,7 @@ def generate(m: ToyModel, prompt, max_new: int, temperature: float = 0.6,
     """Autoregressive sampling of ``max_new`` tokens, a batch of one;
     greedy when temperature == 0. Returns the full id sequence (prompt +
     continuation)."""
-    check_generate(m.config, prompt, max_new, temperature, rng)
+    check_generate(m.config, prompt, max_new, temperature, top_p, rng)
     stop = len(prompt) + max_new
 
     def choose(rows, logits):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quantlab import cli
+from quantlab import cli, harness
 from quantlab.calibration import parse_sequences
 from quantlab.checkpoint import load_checkpoint
 from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
@@ -296,8 +296,16 @@ class TestErrors:
     @pytest.mark.parametrize("argv, error", [
         (["--prompt", ""], "ValueError: prompt"),
         (["--max-new", "-1"], "ValueError: max_new"),
-        (["--prompt", "0 16"], "TokenOutOfRange: token 16")],
-        ids=["empty-prompt", "negative-max-new", "token-outside-vocab"])
+        (["--prompt", "0 16"], "TokenOutOfRange: token 16"),
+        (["--temperature", "-1"], "ValueError: temperature"),
+        (["--temperature", "nan"], "ValueError: temperature"),
+        (["--temperature", "inf"], "ValueError: temperature"),
+        (["--top-p", "0"], "ValueError: top_p"),
+        (["--top-p", "7"], "ValueError: top_p"),
+        (["--top-p", "nan"], "ValueError: top_p")],
+        ids=["empty-prompt", "negative-max-new", "token-outside-vocab",
+             "negative-temperature", "nan-temperature", "inf-temperature",
+             "top-p-zero", "top-p-above-one", "top-p-nan"])
     def test_generate_checks_before_calibration(self, model_file, calib_file, tmp_path,
                                                 capsys, monkeypatch, argv, error):
         def no_calibration(*args, **kwargs):
@@ -337,6 +345,10 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [
+        {"runs": [{"plan": "32-16-16"}]},
+        {"runs": [{"plan": "16-16-17"}]},
+        {"runs": [{"plan": "4-16-16", "group_size": 0}]},
+        {"probe_length": 8, "runs": [{"plan": "4-16-16"}]},
         {"runs": [{"plan": "4-16-16", "wmethod": "gptq"}]},
         {"runs": [{"plan": "4-16-16", "w_bits": 3}]},
         {"runs": ["4-16-16"]},
@@ -346,7 +358,8 @@ class TestErrors:
         [1, 2],
         {"runs": [{"plan": "16-16-4", "k_bias_mode": "sometimes"}]},
         {"runs": [{"plan": "16-16-4", "kv_method": "kvquant_star", "k_stage": "mid"}]},
-    ], ids=["unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
+    ], ids=["bits-32", "bits-17", "group-size-0", "unknown-top-level-key",
+            "unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
             "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
             "bad-k-bias-mode", "bad-k-stage"])
     def test_malformed_sweep_config(self, model_file, tmp_path, capsys, config):
@@ -387,10 +400,17 @@ class TestErrors:
         ["--inject-k-bias", "9:1:5"],
         ["--inject-k-bias", "0:-1:5"],
         ["--inject-k-bias=-1:0:5"],
+        ["--inject-k-bias", "0:5:nan"],
+        ["--inject-k-bias", "0:5:-inf"],
         ["--config", {**SMALL_CFG, "n_layer": 2}],
         ["--config", [1]],
+        ["--config", {**SMALL_CFG, "vocab_size": 64.0}],
+        ["--config", {**SMALL_CFG, "qkv_bias": 1}],
+        ["--config", {**SMALL_CFG, "n_layers": True}],
     ], ids=["channel-past-d-model", "layer-past-n-layers", "negative-channel",
-            "negative-layer", "unknown-config-key", "config-not-an-object"])
+            "negative-layer", "nan-magnitude", "infinite-magnitude",
+            "unknown-config-key", "config-not-an-object", "float-vocab-size",
+            "int-qkv-bias", "bool-n-layers"])
     def test_malformed_init_model(self, cfg_file, tmp_path, capsys, argv):
         if argv[0] == "--config":
             path = tmp_path / "cfg.json"
@@ -400,6 +420,28 @@ class TestErrors:
             argv = ["--config", cfg_file, *argv]
         out = tmp_path / "m.tqm"
         rc = cli.main(["init-model", *argv, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--plan", "32-16-16"], ["--plan", "16-16-17"], ["--plan", "1-16-16"],
+        ["--plan", "12-16-16", "--method", "gptq", "--calib", "CALIB"],
+        ["--plan", "4-16-16", "--group-size", "0"],
+        ["--plan", "4-16-16", "--group-size", "-8"],
+    ], ids=["bits-32", "bits-17", "bits-1", "bits-12-gptq", "group-size-0",
+            "group-size-negative"])
+    def test_plan_no_quantizer_takes(self, model_file, calib_file, tmp_path, capsys,
+                                     monkeypatch, argv):
+        """Rejected before the reference or a calibration capture runs."""
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran for a plan no quantizer takes")
+
+        monkeypatch.setattr(harness, "run_drift", no_forward)
+        argv = [calib_file if a == "CALIB" else a for a in argv]
+        out = tmp_path / "d.csv"
+        rc = cli.main(["drift", "--model", model_file, *argv, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and err.count("\n") == 1
@@ -419,6 +461,14 @@ class TestErrors:
                      id="unknown-config-key"),
         pytest.param(lambda h: h.update(config=[1]), "BadMagic",
                      id="config-not-a-dict"),
+        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(vocab_size=16.0)),
+                     "BadMagic", id="float-vocab-size"),
+        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(max_seq_len=1e3)),
+                     "BadMagic", id="float-max-seq-len"),
+        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(n_layers=True)),
+                     "BadMagic", id="bool-n-layers"),
+        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(qkv_bias=1)),
+                     "BadMagic", id="int-qkv-bias"),
         pytest.param(lambda h: h["tensors"][0].update(offset=-64),
                      "TruncatedFile", id="negative-offset"),
         pytest.param(lambda h: h["tensors"][0].update(shape=[-1]),

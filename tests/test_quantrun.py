@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantlab import kvquant
+from quantlab.calibration import known_sites
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
     BadMagic,
@@ -19,6 +20,7 @@ from quantlab.quantrun import (
     FlatLinear,
     Mxfp4Linear,
     QuantPlan,
+    _weight_linear_names,
     capture_activations,
     forward_quantized,
     linear_input_site,
@@ -103,6 +105,21 @@ class TestPlan:
         with pytest.raises(ValueError, match=field):
             QuantPlan(kv_bits=4, kv_method="kvquant_star", **{field: value})
         with pytest.raises(ValueError, match=field):  # not only for static K
+            QuantPlan(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("w_bits", 32), ("w_bits", 1), ("a_bits", 0), ("a_bits", 9), ("kv_bits", 17),
+        ("kv_bits", -4), ("group_size", 0), ("group_size", -128)])
+    def test_widths_no_quantizer_takes_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            QuantPlan(wa_method="rotate", kv_method="rotated_per_token",
+                      **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("w_bits", 4.0), ("group_size", True), ("include_lm_head", 1),
+        ("smooth_alpha", False), ("awq_grid_step", "0.05"), ("rotation_seed", None)])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(TypeError, match=rf"^QuantPlan\.{field} must be "):
             QuantPlan(**{field: value})
 
     def test_dict_round_trip(self):
@@ -314,6 +331,24 @@ class TestForward:
         assert linear_input_site("lm_head") == "lm_head_in"
         assert linear_input_site("layers.0.norm1") is None
 
+    @pytest.mark.parametrize("cfg", [ToyConfig(), ToyConfig(qkv_bias=False, ffn_mult=4)],
+                             ids=["default", "no-qkv-bias"])
+    def test_layout_matches_a_recorded_forward(self, cfg):
+        """The sites one recorded forward produces are those known_sites
+        lists; each linear's input site was recorded as wide as its weight's
+        input; no other tensor has an input site."""
+        model = init_model(cfg, make_rng(0))
+        rec = capture_activations(model, [[0, 5]])
+        assert sorted(rec.rows) == sorted(known_sites(model))
+        for include_lm_head in (False, True):
+            names = _weight_linear_names(model, include_lm_head)
+            assert ("lm_head" in names) == include_lm_head
+            for name in names:
+                assert rec.matrix(linear_input_site(name)).shape == (
+                    2, model.tensors[name].shape[1])
+        others = set(model.tensors) - set(_weight_linear_names(model, True))
+        assert others and all(linear_input_site(n) is None for n in others)
+
     def test_capture_activations_shapes(self, small_model, calib_seqs):
         rec = capture_activations(small_model, calib_seqs)
         x = rec.matrix("layer0.attn_in")
@@ -465,6 +500,9 @@ class TestCheckpoint:
                      ShapeMismatch, id="fp-tensor-reshaped"),
         # a plan QuantPlan rejects
         pytest.param(_plan_edit(w_bits="x"), BadMagic, id="plan-bits-string"),
+        pytest.param(_plan_edit(w_bits=32), BadMagic, id="plan-bits-32"),
+        pytest.param(_plan_edit(kv_bits=17), BadMagic, id="plan-bits-17"),
+        pytest.param(_plan_edit(group_size=0), BadMagic, id="plan-group-size-0"),
         pytest.param(_plan_edit(w_method="magic"), BadMagic, id="plan-unknown-method"),
         pytest.param(lambda h: h["plan"].update(w_methd=h["plan"].pop("w_method")),
                      BadMagic, id="plan-unknown-key"),

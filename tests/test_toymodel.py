@@ -54,6 +54,17 @@ class TestConfig:
         cfg = ToyConfig()
         assert ToyConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 64.0), ("max_seq_len", 1e3), ("n_layers", True),
+        ("head_dim", "32"), ("qkv_bias", 1), ("qkv_bias", "yes"), ("rope_base", True),
+        ("rope_base", "1e4")])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(TypeError, match=rf"^ToyConfig\.{field} must be "):
+            ToyConfig(**{field: value})
+
+    def test_float_field_takes_any_real(self):
+        assert ToyConfig(rope_base=10000).rope_base == 10000
+
 
 class TestInit:
     def test_deterministic_under_seed(self, tmp_path):
