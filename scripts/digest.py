@@ -21,6 +21,12 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   RTN 4-16-16, rotate 4-4-16, rotated per-token 16-16-4, and, calibrated on
   eight fixed 64-token sequences, GPTQ 4-16-16, ``kvquant_star`` 16-16-4 and
   SmoothQuant 8-8-16);
+* for five plans whose stacked quantizer calls must be row-local (4-4-4
+  rotate with rotated per-token KV at group sizes 32 and 24, 3-bit
+  per-token KV at group size 32, and, calibrated on eight fixed 64-token
+  sequences, SmoothQuant 8-8-16 at group size 32 and FlatQuant 4-4-16 with
+  one training step): the logits of a 128-token probe and of a 3-row
+  session, fed a block and then stepped;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -160,6 +166,39 @@ def no_bias_lines(workloads, quantrun, toymodel, make_rng):
     for tag, plan in plans:
         yield f"no_bias/{tag}/logits", sha(quantrun.forward_quantized(
             model, probe, plan, calib_sequences=calib if plan.needs_calibration else None))
+
+
+def row_local_lines(workloads, quantrun, toymodel, make_rng):
+    """Plans whose linears of one input site, or whose K and V, can share a
+    quantizer call over stacked rows, at group sizes that split a row into
+    several groups, ragged ones included: each plan's logits on a 128-token
+    probe, and those of a 3-row session fed a 40-token block, then stepped
+    8 tokens. A stacking that is not row-local changes these."""
+    model = toymodel.init_model(toymodel.ToyConfig(), make_rng(workloads.MODEL_SEED))
+    rng = make_rng(SEEDS[0])
+    vocab = model.config.vocab_size
+    probe = workloads._probe(rng, 128, vocab)
+    calib = [workloads._probe(rng, 64, vocab) for _ in range(8)]
+    rows = [workloads._probe(rng, 48, vocab) for _ in range(3)]
+    QP = quantrun.QuantPlan
+    rotate = dict(w_bits=4, a_bits=4, kv_bits=4, wa_method="rotate",
+                  kv_method="rotated_per_token")
+    plans = (("rotate-4-4-4/g32", QP(group_size=32, **rotate)),
+             ("rotate-4-4-4/g24", QP(group_size=24, **rotate)),
+             ("per_token-16-16-3/g32", QP(kv_bits=3, group_size=32)),
+             ("smoothquant-8-8-16/g32",
+              QP(w_bits=8, a_bits=8, wa_method="smoothquant", group_size=32)),
+             ("flatquant-4-4-16/steps1",
+              QP(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=1)))
+    for tag, plan in plans:
+        rt = quantrun.prepare_runtime(
+            model, plan, calib if plan.needs_calibration else None)
+        yield f"row_local/{tag}/logits", sha(
+            toymodel.Session(model, runtime=rt).forward(probe))
+        sess = toymodel.Session(model, runtime=rt, rows=3)
+        prefill = sess.forward([r[:40] for r in rows])
+        stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
+        yield f"row_local/{tag}/three_rows", sha(prefill, *stepped)
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -378,6 +417,7 @@ def main(argv=None) -> int:
                 calibrate_lines(workloads, quantrun),
                 static_k_lines(workloads, quantrun, toymodel, make_rng),
                 no_bias_lines(workloads, quantrun, toymodel, make_rng),
+                row_local_lines(workloads, quantrun, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),

@@ -4,8 +4,20 @@ write hooks, and calibration-driven preparation.
 A plan is expressed in W-A-KV bit notation ("4-16-16") plus method names.
 Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
+
+Every quantized linear is the three stages of ``toymodel.PlainLinear``: an
+input map (identity, AWQ/SmoothQuant inverse scale, Hadamard or Kronecker),
+an activation quantizer (``act``: a per-token ``QuantSpec``, MXFP4 rows or
+none) and the product with its pre-quantized weight. ``Session`` runs the
+linears of one input site through ``toymodel.site_pre_bias``: a site whose
+linears share a quantizer (rotate, SmoothQuant, MXFP4) quantizes its
+stacked rows once per block; RTN/GPTQ/AWQ have no quantizer, and each
+FlatQuant linear has its own clip. Every runtime quantizer is row-local
+(per-token groups, MXFP4 blocks within a row), so stacking rows, of one
+site or of K and V, changes no bit.
 """
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -43,9 +55,10 @@ from .rng import make_rng
 from .toymodel import _LAYER_LINEARS, PlainLinear, Session, ToyModel, _linear_bias
 from .transforms import (
     FlatTransform,
-    flat_input,
+    _clipped,
     flat_train,
     flat_weight,
+    kron_apply_right,
     rotate_layer,
     smooth_fit,
 )
@@ -98,6 +111,13 @@ class QuantPlan:
             raise ValueError(f"k_stage must be {PRE_ROPE!r} or {POST_ROPE!r}")
         if self.k_bias_mode not in (PRE_BIAS, POST_BIAS):
             raise ValueError(f"k_bias_mode must be {PRE_BIAS!r} or {POST_BIAS!r}")
+        if not (math.isfinite(self.awq_grid_step) and 0 < self.awq_grid_step <= 1):
+            raise ValueError(f"awq_grid_step must be finite and in (0, 1], "
+                             f"got {self.awq_grid_step}")
+        if self.flat_steps < 0:
+            raise ValueError(f"flat_steps must be >= 0, got {self.flat_steps}")
+        if not 0 <= self.smooth_alpha <= 1:
+            raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha}")
         if self.a_bits < 16 and self.wa_method == "none":
             raise ValueError("a_bits < 16 requires a weight-activation method")
         if self.wa_method == "mxfp4" and (self.w_bits != 4 or self.a_bits != 4):
@@ -184,6 +204,8 @@ def linear_input_site(name: str) -> Optional[str]:
 
 
 # --- quantized linear wrappers ------------------------------------------------
+# Each overrides stages of toymodel.PlainLinear and binds its composition,
+# ``pre_bias``, on its own class, so that each class's calls can be traced.
 
 
 class FakeQuantLinear(PlainLinear):
@@ -196,16 +218,16 @@ class FakeQuantLinear(PlainLinear):
                  inv_input_scale: Optional[np.ndarray] = None,
                  qt: Optional[QuantizedTensor] = None):
         super().__init__(w_hat, b)
-        self.act_spec = act_spec
+        self.act = act_spec
         self.inv_input_scale = inv_input_scale
         self.qt = qt
 
-    def pre_bias(self, x):
-        if self.inv_input_scale is not None:
-            x = x * self.inv_input_scale[np.newaxis, :]
-        if self.act_spec is not None:
-            x = fake_quant(x, self.act_spec)
-        return x @ self.w.T
+    def in_map(self, x):
+        if self.inv_input_scale is None:
+            return x
+        return x * self.inv_input_scale[np.newaxis, :]
+
+    pre_bias = PlainLinear.pre_bias
 
 
 class RotatedLinear(PlainLinear):
@@ -213,26 +235,30 @@ class RotatedLinear(PlainLinear):
     weight offline; the input is rotated then fake-quantized."""
 
     def __init__(self, wt_hat, b, h, act_spec: QuantSpec):
-        self.wt = np.asarray(wt_hat, dtype=np.float64)  # (in, out), pre-quantized
-        self.w = self.wt.T
-        self.b = None if b is None else np.asarray(b, dtype=np.float64)
+        # wt_hat is (in, out), pre-quantized; w.T is wt_hat itself
+        super().__init__(np.asarray(wt_hat, dtype=np.float64).T, b)
         self.h = h
-        self.act_spec = act_spec
+        self.act = act_spec
 
-    def pre_bias(self, x):
-        return fake_quant(x @ self.h.matrix, self.act_spec) @ self.wt
+    def in_map(self, x):
+        return x @ self.h.matrix
+
+    pre_bias = PlainLinear.pre_bias
 
 
 class FlatLinear(PlainLinear):
-    """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors."""
+    """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors; the
+    input map and quantizer are those of ``transforms.flat_input``."""
 
     def __init__(self, w, b, t: FlatTransform, spec_w: QuantSpec, spec_a: QuantSpec):
         super().__init__(flat_weight(np.asarray(w, dtype=np.float64), t, spec_w), b)
         self.t = t
-        self.spec_a = spec_a
+        self.act = _clipped(spec_a, t.act_clip)
 
-    def pre_bias(self, x):
-        return flat_input(x, self.t, self.spec_a) @ self.w.T
+    def in_map(self, x):
+        return kron_apply_right(x, self.t.p1, self.t.p2)
+
+    pre_bias = PlainLinear.pre_bias
 
 
 def _mxfp4_rows(x: np.ndarray) -> np.ndarray:
@@ -245,11 +271,15 @@ def _mxfp4_rows(x: np.ndarray) -> np.ndarray:
 class Mxfp4Linear(PlainLinear):
     """Weights and inputs round-tripped through MXFP4 blocks along rows."""
 
+    act = "mxfp4"
+
     def __init__(self, w, b):
         super().__init__(_mxfp4_rows(np.asarray(w, dtype=np.float64)), b)
 
-    def pre_bias(self, x):
-        return _mxfp4_rows(x) @ self.w.T
+    def quantize(self, x):
+        return _mxfp4_rows(x)
+
+    pre_bias = PlainLinear.pre_bias
 
 
 # --- runtime ------------------------------------------------------------------
@@ -273,26 +303,30 @@ class Runtime:
     def kv_write(self, layer, k_pre, k_rope, v, bias, rope_cfg, pos):
         """Return the (dequantized) K/V rows to store in the cache for a
         block of (T, d_model) rows, row r at position pos + r, or at pos[r]
-        when pos is an array (a block of several sequences)."""
+        when pos is an array (a block of several sequences).
+
+        ``per_token`` and ``rotated_per_token`` round-trip K and V stacked,
+        in one ``fake_quant`` call; rotation and unrotation run on each
+        tensor alone. ``kvquant_star`` quantizes K on its static grid and V
+        per token."""
         plan = self.plan
         if plan.kv_bits >= 16:
             return k_rope, v
         spec = self.kv_token_spec
-        if plan.kv_method == "per_token":
-            return fake_quant(k_rope, spec), fake_quant(v, spec)
         if plan.kv_method == "kvquant_star":
             # static per-channel K at the configured stage, dynamic per-token V
             return (quantize_k(k_pre, bias, self.kv_cfgs[layer], rope_cfg, pos),
                     fake_quant(v, spec))
-        hd = self.model.config.head_dim
-        h = self.kv_hadamard
-
-        def round_trip(rows):  # rotated_per_token
-            rot = rotate_kv_heads(rows.reshape(-1, hd), h).reshape(rows.shape)
-            q = fake_quant(rot, spec).reshape(-1, hd)
-            return unrotate_kv_heads(q, h).reshape(rows.shape)
-
-        return round_trip(k_rope), round_trip(v)
+        hd, h, n = self.model.config.head_dim, self.kv_hadamard, len(v)
+        kv = (k_rope, v)
+        if plan.kv_method == "rotated_per_token":
+            kv = [rotate_kv_heads(r.reshape(-1, hd), h).reshape(r.shape) for r in kv]
+        q = fake_quant(np.concatenate(kv), spec)  # per-token groups: row-local
+        k_q, v_q = q[:n], q[n:]
+        if plan.kv_method == "per_token":
+            return k_q, v_q
+        return tuple(unrotate_kv_heads(r.reshape(-1, hd), h).reshape(r.shape)
+                     for r in (k_q, v_q))
 
 
 def _weight_linear_names(model: ToyModel, include_lm_head: bool):

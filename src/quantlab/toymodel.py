@@ -33,6 +33,14 @@ rotate plan its Hadamard signs, linear by linear in that order, layer by
 layer, then lm_head, so reordering the table changes every model and every
 rotated plan.
 
+The linears of one input site run together: ``wq``, ``wk`` and ``wv`` read
+``attn_in``, ``w_gate`` and ``w_up`` read ``mlp_in``, and ``wo``,
+``w_down`` and ``lm_head`` are sites of one. A linear is three stages
+(``PlainLinear``): an input map, an activation quantizer and the product
+with its stored weight. ``site_pre_bias`` maps the site's input once per
+linear; when the linears share one quantizer, it quantizes their stacked
+rows in one call, then runs each linear's product on its own slice.
+
 Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 """
 
@@ -53,7 +61,7 @@ from .errors import (
 )
 from .kvquant import RopeConfig, rope_heads
 from .numerics import is_power_of_two
-from .quantcore import _check_field_types
+from .quantcore import _check_field_types, fake_quant
 
 BOS_ID = 0
 EOS_ID = 1
@@ -82,6 +90,13 @@ class ToyConfig:
 
     def __post_init__(self):
         _check_field_types(self)
+        for name in ("n_layers", "n_heads", "ffn_mult", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.head_dim < 2:
+            raise ValueError(f"head_dim must be >= 2, got {self.head_dim}")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 0):
+            raise ValueError(f"rope_base must be finite and > 0, got {self.rope_base}")
         if self.d_model != self.n_heads * self.head_dim:
             raise ValueError("d_model must equal n_heads * head_dim")
         if not is_power_of_two(self.head_dim):
@@ -258,7 +273,7 @@ def read_header(raw: bytes, magic: bytes, keys) -> tuple:
             raise BadMagic(f"header has no {key!r} entry")
     try:
         cfg = ToyConfig.from_dict(header["config"])
-    except TypeError as e:  # unknown or missing key, or not a mapping
+    except (TypeError, ValueError) as e:  # a bad key, type or value, or no mapping
         raise BadMagic(f"bad config: {e}")
     return header, cfg
 
@@ -346,19 +361,48 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 class PlainLinear:
-    """Full-precision linear, y = x @ w.T (+ b). Quantized variants in
-    quantrun.py satisfy the same interface."""
+    """Full-precision linear, y = x @ w.T (+ b), in three stages that the
+    quantized linears of quantrun.py override: the input map ``in_map``, the
+    activation quantizer ``quantize`` (``act`` names it; None: none) and the
+    ``product`` with the stored weight."""
+
+    act = None
 
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None):
         self.w = np.asarray(w, dtype=np.float64)
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
 
-    def pre_bias(self, x: np.ndarray) -> np.ndarray:
+    def in_map(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def quantize(self, x: np.ndarray) -> np.ndarray:
+        return fake_quant(x, self.act)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w.T
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = self.pre_bias(x)
+    def pre_bias(self, x: np.ndarray) -> np.ndarray:
+        x = self.in_map(x)
+        return self.product(x if self.act is None else self.quantize(x))
+
+    def add_bias(self, y: np.ndarray) -> np.ndarray:
         return y if self.b is None else y + self.b
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.add_bias(self.pre_bias(x))
+
+
+def site_pre_bias(linears, x: np.ndarray) -> list:
+    """``pre_bias(x)`` of the linears of one input site. Linears that share
+    a quantizer (equal ``act``) quantize their mapped rows stacked, in one
+    call, and each multiplies its own slice: every activation quantizer is
+    row-local, so this changes no bit."""
+    act = linears[0].act
+    if act is None or len(linears) == 1 or any(lin.act != act for lin in linears):
+        return [lin.pre_bias(x) for lin in linears]
+    n = len(x)
+    q = linears[0].quantize(np.concatenate([lin.in_map(x) for lin in linears]))
+    return [lin.product(q[i * n : (i + 1) * n]) for i, lin in enumerate(linears)]
 
 
 class Session:
@@ -378,6 +422,15 @@ class Session:
     cache. A one-row session runs the shapes of an unbatched forward: scalar
     positions, cached RoPE tables and one (positions, head_dim) matrix
     product per head.
+
+    Within a block, each layer runs: ``rmsnorm``; the ``attn_in`` site
+    (``wq``, ``wk``, ``wv`` in one ``site_pre_bias`` call, the q and v
+    biases added, K's bias added to its pre-bias rows); RoPE on q and k;
+    ``Runtime.kv_write`` and attention; ``wo``; ``rmsnorm``; the ``mlp_in``
+    site (``w_gate``, ``w_up``); SwiGLU; ``w_down``. Then the final norm and
+    ``lm_head``. With a runtime, each site quantizes its input once per
+    block when its linears share a quantizer, and K and V are written in
+    one call.
 
     ``forward`` runs its tokens in blocks of ``BLOCK`` positions and ``step``
     is its one-token case, so prefill, decode and teacher forcing share one
@@ -406,9 +459,10 @@ class Session:
             p = f"layers.{i}."
             layer = {"norm1": t[p + "norm1"].astype(np.float64),
                      "norm2": t[p + "norm2"].astype(np.float64)}
-            for name in _LAYER_LINEARS:
+            for name, (_, site, _) in _LAYER_LINEARS.items():
                 layer[name] = self._make_linear(p + name, t[p + name],
                                                 _linear_bias(t, p + name))
+                layer.setdefault(site, []).append(layer[name])
             bk = _linear_bias(t, p + "wk")
             layer["bk"] = np.zeros(cfg.d_model) if bk is None else bk
             self._layers.append(layer)
@@ -484,10 +538,9 @@ class Session:
         for i, layer in enumerate(self._layers):
             h = rmsnorm(x, layer["norm1"])
             self._record(f"layer{i}.attn_in", h)
-            q = layer["wq"](h)
-            k_pre = layer["wk"].pre_bias(h)
+            q, k_pre, v = site_pre_bias(layer["attn_in"], h)
+            q, v = layer["wq"].add_bias(q), layer["wv"].add_bias(v)
             k_post = k_pre + layer["bk"]
-            v = layer["wv"](h)
             self._record(f"layer{i}.k_pre_bias", k_pre)
             self._record(f"layer{i}.k_post_bias", k_post)
             k = rope_heads(k_post, self.rope, pos)
@@ -498,7 +551,8 @@ class Session:
 
             h2 = rmsnorm(x, layer["norm2"])
             self._record(f"layer{i}.mlp_in", h2)
-            act = silu(layer["w_gate"](h2)) * layer["w_up"](h2)
+            gate, up = site_pre_bias(layer["mlp_in"], h2)  # neither has a bias
+            act = silu(gate) * up
             self._record(f"layer{i}.mlp_down_in", act)
             x = x + layer["w_down"](act)
 

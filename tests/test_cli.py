@@ -358,11 +358,24 @@ class TestErrors:
         [1, 2],
         {"runs": [{"plan": "16-16-4", "k_bias_mode": "sometimes"}]},
         {"runs": [{"plan": "16-16-4", "kv_method": "kvquant_star", "k_stage": "mid"}]},
+        {"runs": [{"plan": "4-16-16", "w_method": "awq", "awq_grid_step": 0}]},
+        {"runs": [{"plan": "4-16-16", "w_method": "awq", "awq_grid_step": -0.1}]},
+        {"runs": [{"plan": "4-4-16", "wa_method": "flatquant", "flat_steps": -1}]},
+        {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": 7}]},
+        {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": -3}]},
     ], ids=["bits-32", "bits-17", "group-size-0", "unknown-top-level-key",
             "unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
             "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
-            "bad-k-bias-mode", "bad-k-stage"])
-    def test_malformed_sweep_config(self, model_file, tmp_path, capsys, config):
+            "bad-k-bias-mode", "bad-k-stage", "awq-grid-step-zero",
+            "awq-grid-step-negative", "flat-steps-negative", "smooth-alpha-7",
+            "smooth-alpha-negative"])
+    def test_malformed_sweep_config(self, model_file, tmp_path, capsys, monkeypatch,
+                                    config):
+        """Rejected before any run's calibration."""
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("a sweep ran for a malformed config")
+
+        monkeypatch.setattr(harness, "run_sweep", no_calibration)
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "s.csv"
@@ -407,10 +420,19 @@ class TestErrors:
         ["--config", {**SMALL_CFG, "vocab_size": 64.0}],
         ["--config", {**SMALL_CFG, "qkv_bias": 1}],
         ["--config", {**SMALL_CFG, "n_layers": True}],
+        ["--config", {**SMALL_CFG, "n_layers": -2}],
+        ["--config", {**SMALL_CFG, "d_model": 0, "n_heads": 0}],
+        ["--config", {**SMALL_CFG, "ffn_mult": 0}],
+        ["--config", {**SMALL_CFG, "max_seq_len": -5}],
+        ["--config", {**SMALL_CFG, "d_model": 2, "head_dim": 1}],
+        ["--config", {**SMALL_CFG, "rope_base": 0.0}],
+        ["--config", {**SMALL_CFG, "rope_base": float("nan")}],
     ], ids=["channel-past-d-model", "layer-past-n-layers", "negative-channel",
             "negative-layer", "nan-magnitude", "infinite-magnitude",
             "unknown-config-key", "config-not-an-object", "float-vocab-size",
-            "int-qkv-bias", "bool-n-layers"])
+            "int-qkv-bias", "bool-n-layers", "negative-n-layers", "zero-heads",
+            "zero-ffn-mult", "negative-max-seq-len", "head-dim-1", "zero-rope-base",
+            "nan-rope-base"])
     def test_malformed_init_model(self, cfg_file, tmp_path, capsys, argv):
         if argv[0] == "--config":
             path = tmp_path / "cfg.json"
@@ -469,6 +491,16 @@ class TestErrors:
                      "BadMagic", id="bool-n-layers"),
         pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(qkv_bias=1)),
                      "BadMagic", id="int-qkv-bias"),
+        pytest.param(lambda h: h["config"].update(n_layers=0), "BadMagic",
+                     id="zero-layers"),
+        pytest.param(lambda h: h["config"].update(max_seq_len=-5), "BadMagic",
+                     id="negative-max-seq-len"),
+        pytest.param(lambda h: h["config"].update(ffn_mult=0), "BadMagic",
+                     id="zero-ffn-mult"),
+        pytest.param(lambda h: h["config"].update(rope_base=-1.0), "BadMagic",
+                     id="negative-rope-base"),
+        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(
+            rope_base=float("inf"))), "BadMagic", id="infinite-rope-base"),
         pytest.param(lambda h: h["tensors"][0].update(offset=-64),
                      "TruncatedFile", id="negative-offset"),
         pytest.param(lambda h: h["tensors"][0].update(shape=[-1]),

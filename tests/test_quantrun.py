@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlab import kvquant
+from quantlab import kvquant, quantcore
 from quantlab.calibration import known_sites
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
@@ -15,7 +16,7 @@ from quantlab.errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, dequantize
+from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, dequantize, fake_quant
 from quantlab.quantrun import (
     FlatLinear,
     Mxfp4Linear,
@@ -27,7 +28,13 @@ from quantlab.quantrun import (
     prepare_runtime,
 )
 from quantlab.rng import make_rng
-from quantlab.toymodel import ToyConfig, Session, forward_reference, init_model
+from quantlab.toymodel import (
+    Session,
+    ToyConfig,
+    forward_reference,
+    init_model,
+    site_pre_bias,
+)
 from quantlab.transforms import flat_apply, flat_objective, flat_train
 from quantlab.weightquant import default_weight_spec, rtn_quantize_weights
 
@@ -121,6 +128,19 @@ class TestPlan:
     def test_field_types_checked(self, field, value):
         with pytest.raises(TypeError, match=rf"^QuantPlan\.{field} must be "):
             QuantPlan(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("awq_grid_step", 0.0), ("awq_grid_step", -0.1), ("awq_grid_step", 1.5),
+        ("awq_grid_step", float("inf")), ("awq_grid_step", float("nan")),
+        ("flat_steps", -1), ("smooth_alpha", 7.0), ("smooth_alpha", -3.0),
+        ("smooth_alpha", 1.01), ("smooth_alpha", float("nan"))])
+    def test_tuning_values_no_method_uses_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            QuantPlan(**{field: value})
+
+    def test_tuning_range_ends_accepted(self):
+        QuantPlan(awq_grid_step=1.0, flat_steps=0, smooth_alpha=0.0)
+        QuantPlan(awq_grid_step=1e-9, smooth_alpha=1.0)
 
     def test_dict_round_trip(self):
         p = QuantPlan(w_bits=4, kv_bits=4, kv_method="kvquant_star")
@@ -357,6 +377,102 @@ class TestForward:
             rec.matrix("nowhere")
 
 
+# one layer at the default width: groups of 32 and a ragged 24 split each
+# 64-wide row into several groups
+SITE_CFG = ToyConfig(n_layers=1, vocab_size=16, max_seq_len=64)
+SITE_FAMILIES = {
+    "reference": {},
+    "rtn": dict(w_bits=4),
+    "awq": dict(w_bits=4, w_method="awq", awq_grid_step=0.25),
+    "rotate": dict(w_bits=4, a_bits=4, wa_method="rotate"),
+    "smoothquant": dict(w_bits=8, a_bits=8, wa_method="smoothquant"),
+    "mxfp4": dict(w_bits=4, a_bits=4, wa_method="mxfp4"),
+    "flatquant": dict(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=1),
+}
+
+
+@pytest.fixture(scope="module")
+def site_model():
+    return init_model(SITE_CFG, make_rng(5))
+
+
+def _site_rows(rng, n, width):
+    """Gaussian rows with one outlier channel, so groups differ in range."""
+    x = rng.standard_normal((n, width))
+    x[:, 3] *= 40.0
+    return x
+
+
+def _count_fake_quant(monkeypatch) -> list:
+    """Wrap quantcore.fake_quant in every quantlab module that binds it;
+    returns the list each call appends its input shape to."""
+    original, calls = quantcore.fake_quant, []
+
+    def counting(x, spec):
+        calls.append(np.shape(x))
+        return original(x, spec)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "quantlab" and getattr(mod, "fake_quant", None) is original:
+            monkeypatch.setattr(mod, "fake_quant", counting)
+    return calls
+
+
+class TestInputSites:
+    @pytest.mark.parametrize("group_size", [128, 32, 24])
+    @pytest.mark.parametrize("family", sorted(SITE_FAMILIES))
+    def test_site_call_is_each_linears_pre_bias(self, site_model, family, group_size):
+        """One call over a site's linears, stacked where they share a
+        quantizer, gives each linear's own pre_bias byte for byte."""
+        plan = QuantPlan(group_size=group_size, **SITE_FAMILIES[family])
+        calib = [probe(24, vocab=SITE_CFG.vocab_size, seed=s) for s in (7, 8)]
+        rt = prepare_runtime(site_model, plan, calib)
+        layer = Session(site_model, runtime=rt)._layers[0]
+        rng = make_rng(6)
+        for site in ("attn_in", "attn_out_in", "mlp_in", "mlp_down_in"):
+            linears = layer[site]
+            for n in (1, 3, 32):
+                x = _site_rows(rng, n, linears[0].w.shape[1])
+                got = site_pre_bias(linears, x)
+                want = [lin.pre_bias(x) for lin in linears]
+                assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
+
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    @pytest.mark.parametrize("group_size", [128, 32, 24])
+    @pytest.mark.parametrize("kv_method", ["per_token", "rotated_per_token"])
+    def test_kv_written_stacked_is_each_round_trip(self, site_model, kv_method,
+                                                   group_size, n):
+        rt = prepare_runtime(site_model, QuantPlan(kv_bits=3, kv_method=kv_method,
+                                                   group_size=group_size))
+        spec, h, hd = rt.kv_token_spec, rt.kv_hadamard, SITE_CFG.head_dim
+
+        def alone(rows):
+            if kv_method == "per_token":
+                return fake_quant(rows, spec)
+            rot = kvquant.rotate_kv_heads(rows.reshape(-1, hd), h).reshape(rows.shape)
+            q = fake_quant(rot, spec).reshape(-1, hd)
+            return kvquant.unrotate_kv_heads(q, h).reshape(rows.shape)
+
+        rng = make_rng(9)
+        k, v = (_site_rows(rng, n, SITE_CFG.d_model) for _ in range(2))
+        got = rt.kv_write(0, None, k, v, None, None, 0)
+        assert [a.tobytes() for a in got] == [alone(k).tobytes(), alone(v).tobytes()]
+
+    @pytest.mark.parametrize("plan, calls", [
+        (QuantPlan(w_bits=4, a_bits=4, kv_bits=4, wa_method="rotate",
+                   kv_method="rotated_per_token"), 10),
+        (QuantPlan(kv_bits=4), 2)], ids=["rotate-4-4-4", "per-token-16-16-4"])
+    def test_fake_quant_calls_per_step(self, tiny_model, monkeypatch, plan, calls):
+        """Per layer, a rotate step quantizes the attn_in, attn_out_in,
+        mlp_in and mlp_down_in inputs once each and K with V once; a
+        per-token KV step quantizes K with V once."""
+        sess = Session(tiny_model, runtime=prepare_runtime(tiny_model, plan))
+        sess.forward([0, 5, 9])
+        seen = _count_fake_quant(monkeypatch)
+        sess.step(7)
+        assert len(seen) == calls
+
+
 def _plan_edit(**fields):
     """A header edit that sets plan ``fields``; it drops the plan's
     ``include_lm_head``, which the default covers, to make room."""
@@ -510,6 +626,17 @@ class TestCheckpoint:
         pytest.param(_plan_edit(k_stage="mid"), BadMagic, id="plan-bad-k-stage"),
         pytest.param(_plan_edit(k_bias_mode="no_bias"), BadMagic,
                      id="plan-bad-k-bias-mode"),
+        pytest.param(_plan_edit(awq_grid_step=0.0), BadMagic,
+                     id="plan-awq-grid-step-zero"),
+        pytest.param(_plan_edit(flat_steps=-1), BadMagic, id="plan-flat-steps-negative"),
+        pytest.param(_plan_edit(smooth_alpha=7.0), BadMagic, id="plan-smooth-alpha-7"),
+        # a config ToyConfig rejects
+        pytest.param(lambda h: h["config"].update(n_layers=0), BadMagic,
+                     id="config-zero-layers"),
+        pytest.param(lambda h: h["config"].update(max_seq_len=-5), BadMagic,
+                     id="config-negative-max-seq-len"),
+        pytest.param(lambda h: h["config"].update(rope_base=-1.0), BadMagic,
+                     id="config-negative-rope-base"),
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"

@@ -65,6 +65,21 @@ class TestConfig:
     def test_float_field_takes_any_real(self):
         assert ToyConfig(rope_base=10000).rope_base == 10000
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 0), ("n_layers", -2), ("n_heads", 0), ("ffn_mult", 0),
+        ("max_seq_len", 0), ("max_seq_len", -5), ("head_dim", 1), ("head_dim", 0),
+        ("rope_base", 0.0), ("rope_base", -1.0), ("rope_base", float("inf")),
+        ("rope_base", float("nan"))])
+    def test_ranges_checked(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            ToyConfig(**{field: value})
+
+    def test_smallest_config_runs(self):
+        cfg = ToyConfig(n_layers=1, d_model=2, n_heads=1, head_dim=2, ffn_mult=1,
+                        vocab_size=4, max_seq_len=1, rope_base=0.5)
+        logits = forward_reference(init_model(cfg, make_rng(0)), [0])
+        assert logits.shape == (1, 4) and np.all(np.isfinite(logits))
+
 
 class TestInit:
     def test_deterministic_under_seed(self, tmp_path):
