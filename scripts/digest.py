@@ -16,6 +16,12 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   ``objective_trace``;
 * the logits of every ``kvquant_star`` plan (2, 3, 4 and 8 bits × K stage ×
   bias mode) on the default and the K-bias-outlier model, calibrated;
+* calibrated on three sequences of unequal lengths (3, 40 and 64 tokens),
+  on the default and the K-bias-outlier model: ``capture_channel_stats``
+  with position buckets at ``layer0.k_post_rope`` and ``layer1.attn_in``,
+  and the logits of the ``kvquant_star`` plans that quantize K after RoPE
+  and bias (``post_rope``/``post_bias``) at 2, 3, 4 and 8 bits: outputs
+  that read each calibration row's position;
 * on a model without QKV biases (``qkv_bias=False``, ``ffn_mult=4``): its
   TQM1 bytes, and the logits of seven plans on a 128-token probe (16-16-16,
   RTN 4-16-16, rotate 4-4-16, rotated per-token 16-16-4, and, calibrated on
@@ -138,6 +144,32 @@ def static_k_lines(workloads, quantrun, toymodel, make_rng):
         yield f"static_k/{kind}/{bits}/{stage}/{mode}/logits", sha(
             quantrun.forward_quantized(model, inp["probe"], plan,
                                        calib_sequences=inp["calib"]))
+
+
+def position_lines(workloads, quantrun, toymodel, calibration, make_rng):
+    """Outputs that read the positions of calibration rows, from sequences
+    of unequal lengths, two crossing the 32-position block."""
+    wl = workloads.Calibrate()
+    outlier = wl.model()
+    probe = wl.inputs(SEEDS[0], outlier)["probe"]
+    models = (("plain", toymodel.init_model(toymodel.ToyConfig(),
+                                            make_rng(workloads.MODEL_SEED))),
+              ("outlier", outlier))
+    rng = make_rng(SEEDS[0])
+    calib = [workloads._probe(rng, n, outlier.config.vocab_size) for n in (3, 40, 64)]
+    for kind, model in models:
+        stats = calibration.capture_channel_stats(
+            model, calibration.CalibrationSet(calib),
+            ["layer0.k_post_rope", "layer1.attn_in"],
+            pos_buckets=[(0, 2), (2, 32), (32, 40), (40, 64)])
+        for st in stats:
+            yield f"positions/{kind}/stats/{st.site}/{st.pos_bucket}", sha(
+                st.tokens, st.mean_abs, st.max_abs)
+        for bits in (2, 3, 4, 8):
+            plan = quantrun.QuantPlan(kv_bits=bits, kv_method="kvquant_star",
+                                      k_stage="post_rope", k_bias_mode="post_bias")
+            yield f"positions/{kind}/{bits}/post_rope/post_bias/logits", sha(
+                quantrun.forward_quantized(model, probe, plan, calib_sequences=calib))
 
 
 def no_bias_lines(workloads, quantrun, toymodel, make_rng):
@@ -416,6 +448,7 @@ def main(argv=None) -> int:
     for gen in (drift_lines(workloads, quantrun),
                 calibrate_lines(workloads, quantrun),
                 static_k_lines(workloads, quantrun, toymodel, make_rng),
+                position_lines(workloads, quantrun, toymodel, calibration, make_rng),
                 no_bias_lines(workloads, quantrun, toymodel, make_rng),
                 row_local_lines(workloads, quantrun, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: init-model, quantize, drift, generate, length-control, calib,
-stats, sweep. Exit code 0 on success; failures print one machine-readable
-``error: <Class>: <message>`` line on stderr and exit nonzero.
+stats, sweep. Exit code 0 on success; failures, a command line argparse
+rejects among them (``UsageError``), print one machine-readable
+``error: <Class>: <message>`` line on stderr and exit 1.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import calibration, checkpoint, harness
-from .errors import QuantLabError
+from .errors import QuantLabError, UsageError
 from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runtime
 from .rng import make_rng
 from .toymodel import (
@@ -222,8 +223,16 @@ def cmd_sweep(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2; its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quantlab")
+    ap = _Parser(prog="quantlab")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init-model", help="create a seeded toy model file")
@@ -296,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:  # --help
+        return int(e.code or 0)
     except (QuantLabError, ValueError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

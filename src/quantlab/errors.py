@@ -87,3 +87,7 @@ class ParseError(QuantLabError):
 
 class UnknownSite(QuantLabError):
     pass
+
+
+class UsageError(QuantLabError):
+    """A command line argparse rejects."""

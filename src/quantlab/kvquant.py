@@ -149,11 +149,13 @@ def calibrate_k_channels(k_samples: np.ndarray, cfg: KvQuantStarConfig) -> KvQua
 
 def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
                cfg_rope: RopeConfig, pos: int = 0) -> np.ndarray:
-    """The K rows the cache stores: K at the configured stage quantized and
-    dequantized on the calibrated grid (untouched under the 16-bit
-    sentinel), then the full-precision bias added (pre_bias mode) and RoPE
-    applied (pre_rope mode). A row may hold several heads of
-    cfg_rope.head_dim channels each; RoPE runs per head."""
+    """The K rows the cache stores, rope(k + b) up to the round trip Q on
+    the calibrated grid (none under the 16-bit sentinel), by stage and bias
+    mode: pre_rope/pre_bias rope(Q(k) + b), pre_rope/post_bias
+    rope(Q(k + b)), post_rope/pre_bias Q(rope(k)) + rope(b), post_rope/
+    post_bias Q(rope(k + b)). The full-precision bias is rotated at each
+    row's position when it is added after RoPE. A row may hold several
+    heads of cfg_rope.head_dim channels each; RoPE runs per head."""
     k_raw = np.asarray(k_raw, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if not cfg.calibrated:
@@ -169,7 +171,8 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
     if not cfg.k_spec.passthrough:
         k = dequantize(quantize(k, QuantParams(scales, zp, cfg.k_spec, k.shape)))
     if cfg.k_bias_mode == PRE_BIAS:
-        k = k + bias[np.newaxis, :]
+        b = np.broadcast_to(bias, k.shape)
+        k = k + (rope_heads(b, cfg_rope, pos) if cfg.k_stage == POST_ROPE else b)
     if cfg.k_stage == PRE_ROPE:
         k = rope_heads(k, cfg_rope, pos)
     return k

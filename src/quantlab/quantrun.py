@@ -120,6 +120,9 @@ class QuantPlan:
             raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha}")
         if self.a_bits < 16 and self.wa_method == "none":
             raise ValueError("a_bits < 16 requires a weight-activation method")
+        if self.wa_method != "none" and self.w_method != "rtn":
+            raise ValueError(f"wa_method {self.wa_method!r} quantizes the weights "
+                             f"itself; w_method must be 'rtn', got {self.w_method!r}")
         if self.wa_method == "mxfp4" and (self.w_bits != 4 or self.a_bits != 4):
             raise ValueError("mxfp4 fixes w_bits = a_bits = 4")
 
@@ -161,19 +164,20 @@ class QuantPlan:
 
 
 class ActivationRecorder:
-    """Collects the row blocks a forward pass produces per capture site."""
+    """Collects the row blocks a forward pass produces per capture site.
+    ``positions`` holds one position per row, the same for every site, set
+    by the caller that fed the tokens (``capture_activations``)."""
 
     def __init__(self, sites=None):
         self.sites = None if sites is None else set(sites)
         self.rows = {}
-        self.positions = {}
+        self.positions = None
 
-    def record(self, site, rows, start):
-        """One block of rows; row r is at position start + r."""
+    def record(self, site, rows):
+        """One block of rows, in the order the session lays them out."""
         if self.sites is not None and site not in self.sites:
             return
         self.rows.setdefault(site, []).append(np.array(rows))
-        self.positions.setdefault(site, []).append(start + np.arange(len(rows)))
 
     def matrix(self, site) -> np.ndarray:
         if site not in self.rows:
@@ -181,14 +185,16 @@ class ActivationRecorder:
         return np.concatenate(self.rows[site])
 
     def pos_array(self, site) -> np.ndarray:
-        return np.concatenate(self.positions[site])
+        return self.positions
 
 
 def capture_activations(model: ToyModel, sequences, sites=None) -> ActivationRecorder:
-    """Run reference forwards over calibration sequences, recording rows."""
+    """Record a one-row reference forward of each calibration sequence, whole
+    from position 0; the leading () keeps the positions defined for none."""
     rec = ActivationRecorder(sites)
     for seq in sequences:
         Session(model, recorder=rec).forward(seq)
+    rec.positions = np.concatenate([np.arange(len(s)) for s in [(), *sequences]])
     return rec
 
 
@@ -292,31 +298,27 @@ class Runtime:
     model: ToyModel
     plan: QuantPlan
     linears: dict = field(default_factory=dict)   # name -> PlainLinear subclass
-    kv_cfgs: dict = field(default_factory=dict)   # layer -> KvQuantStarConfig
+    kv_cfgs: dict = field(default_factory=dict)   # layer -> quantize_k's bias, cfg, rope
     kv_hadamard: Optional[object] = None
     kv_token_spec: Optional[QuantSpec] = None
     proxy_losses: dict = field(default_factory=dict)
 
-    def make_linear(self, name, w, b):
-        return self.linears.get(name) or PlainLinear(w, b)
-
-    def kv_write(self, layer, k_pre, k_rope, v, bias, rope_cfg, pos):
+    def kv_write(self, layer, k_pre, k_rope, v, pos):
         """Return the (dequantized) K/V rows to store in the cache for a
-        block of (T, d_model) rows, row r at position pos + r, or at pos[r]
-        when pos is an array (a block of several sequences).
+        block of (T, d_model) rows of ``layer``: K before its bias, K after
+        bias and RoPE, and V; row r is at position pos + r, or at pos[r].
 
-        ``per_token`` and ``rotated_per_token`` round-trip K and V stacked,
-        in one ``fake_quant`` call; rotation and unrotation run on each
-        tensor alone. ``kvquant_star`` quantizes K on its static grid and V
-        per token."""
+        ``per_token`` and ``rotated_per_token`` round-trip ``k_rope`` and V
+        stacked, in one ``fake_quant`` call; rotation and unrotation run on
+        each tensor alone. ``kvquant_star`` runs ``quantize_k`` on ``k_pre``
+        with the layer's static grid, K bias and RoPE, and V per token."""
         plan = self.plan
         if plan.kv_bits >= 16:
             return k_rope, v
         spec = self.kv_token_spec
         if plan.kv_method == "kvquant_star":
-            # static per-channel K at the configured stage, dynamic per-token V
-            return (quantize_k(k_pre, bias, self.kv_cfgs[layer], rope_cfg, pos),
-                    fake_quant(v, spec))
+            bias, cfg, rope = self.kv_cfgs[layer]
+            return quantize_k(k_pre, bias, cfg, rope, pos), fake_quant(v, spec)
         hd, h, n = self.model.config.head_dim, self.kv_hadamard, len(v)
         kv = (k_rope, v)
         if plan.kv_method == "rotated_per_token":
@@ -420,7 +422,7 @@ def _prepare_kv(rt: Runtime, rec, rng):
         bias = np.zeros(model.config.d_model) if bias is None else bias
         staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg,
                                 rec.pos_array(site))
-        rt.kv_cfgs[i] = calibrate_k_channels(staged, cfg)
+        rt.kv_cfgs[i] = (bias, calibrate_k_channels(staged, cfg), rope_cfg)
 
 
 def forward_quantized(model: ToyModel, tokens, plan: QuantPlan,

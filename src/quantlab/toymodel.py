@@ -409,10 +409,11 @@ class Session:
     """Forward pass over token blocks of one or more rows, with a private KV
     cache.
 
-    ``runtime`` is None for the full-precision reference; otherwise it is a
-    quantrun.Runtime supplying quantized linears and KV write hooks.
-    ``recorder`` receives (site, rows, start) capture callbacks, one per
-    block of a one-row session, row r being position start + r.
+    ``runtime`` is None for the reference; otherwise a session reads its
+    ``linears`` (by name; a ``PlainLinear`` runs the rest) and the K/V rows
+    ``kv_write(layer, k_pre, k_rope, v, pos)`` returns for the cache.
+    ``recorder`` gets ``record(site, rows)`` per site and block, the rows as
+    the linears see them; their positions are the caller's to know.
 
     ``rows`` sequences advance in lockstep: every call feeds each row the
     same number of tokens, so all rows sit at position ``pos``. The KV cache
@@ -441,10 +442,9 @@ class Session:
     """
 
     def __init__(self, model: ToyModel, runtime=None, recorder=None, rows: int = 1):
-        self.model = model
         self.cfg = model.config
         self.runtime = runtime
-        self.recorder = recorder
+        self._record = (lambda site, rows: None) if recorder is None else recorder.record
         self.rope = RopeConfig(head_dim=self.cfg.head_dim, base=self.cfg.rope_base)
         self.pos = 0
         cfg = self.cfg
@@ -452,7 +452,8 @@ class Session:
         self._recache(range(rows), cfg.max_seq_len if whole < HUGE_PAGE_BYTES else 0)
         self._embed = model.tensors["embed"].astype(np.float64)
         self._norm_f = model.tensors["norm_f"].astype(np.float64)
-        self._lm_head = self._make_linear("lm_head", model.tensors["lm_head"], None)
+        linears = {} if runtime is None else runtime.linears
+        self._lm_head = linears.get("lm_head") or PlainLinear(model.tensors["lm_head"])
         self._layers = []
         t = model.tensors
         for i in range(cfg.n_layers):
@@ -460,21 +461,12 @@ class Session:
             layer = {"norm1": t[p + "norm1"].astype(np.float64),
                      "norm2": t[p + "norm2"].astype(np.float64)}
             for name, (_, site, _) in _LAYER_LINEARS.items():
-                layer[name] = self._make_linear(p + name, t[p + name],
-                                                _linear_bias(t, p + name))
+                layer[name] = (linears.get(p + name)
+                               or PlainLinear(t[p + name], _linear_bias(t, p + name)))
                 layer.setdefault(site, []).append(layer[name])
             bk = _linear_bias(t, p + "wk")
             layer["bk"] = np.zeros(cfg.d_model) if bk is None else bk
             self._layers.append(layer)
-
-    def _make_linear(self, name, w, b):
-        if self.runtime is not None:
-            return self.runtime.make_linear(name, w, b)
-        return PlainLinear(w, b)
-
-    def _record(self, site, rows):
-        if self.recorder is not None:
-            self.recorder.record(site, rows, self.pos)
 
     def step(self, tokens):
         """Feed one token per row, a list of ``rows`` ids (or one int for a
@@ -575,8 +567,7 @@ class Session:
         n_new = len(q) // self.rows
         end = p0 + n_new
         if self.runtime is not None:
-            k_store, v_store = self.runtime.kv_write(
-                i, k_pre, k, v, self._layers[i]["bk"], self.rope, pos)
+            k_store, v_store = self.runtime.kv_write(i, k_pre, k, v, pos)
         else:
             k_store, v_store = k, v
 

@@ -12,6 +12,7 @@ from quantlab.calibration import (
     write_sequences,
 )
 from quantlab.errors import FileTooSmall, ParseError, UnknownSite
+from quantlab.quantrun import capture_activations
 from quantlab.rng import make_rng
 from quantlab.toymodel import ToyConfig, generate, init_model
 
@@ -151,6 +152,25 @@ class TestChannelStats:
         buckets = {s.pos_bucket: s for s in stats}
         assert set(buckets) == {"[0,4)", "[4,8)"}
         assert buckets["[0,4)"].tokens == 4
+
+    def test_position_buckets_over_unequal_lengths(self, small_model):
+        """Sequences of 3, 40 and 64 tokens, two crossing the 32-position
+        block: each bucket holds the rows at its positions of every
+        sequence, as each sequence's own capture gives them."""
+        rng = make_rng(9)
+        seqs = [[int(t) for t in rng.integers(0, SMALL.vocab_size, size=n)]
+                for n in (3, 40, 64)]
+        buckets = [(0, 2), (2, 32), (32, 40), (40, 64)]
+        site = "layer0.k_post_rope"
+        stats = capture_channel_stats(small_model, CalibrationSet(seqs), [site],
+                                      pos_buckets=buckets)
+        assert [(s.pos_bucket, s.tokens) for s in stats] == [
+            ("[0,2)", 6), ("[2,32)", 61), ("[32,40)", 16), ("[40,64)", 24)]
+        alone = [np.abs(capture_activations(small_model, [s], [site]).matrix(site))
+                 for s in seqs]
+        for st, (lo, hi) in zip(stats, buckets):
+            rows = np.concatenate([a[lo:hi] for a in alone])
+            assert np.array_equal(st.max_abs, rows.max(axis=0))
 
     def test_known_sites_cover_layers(self, small_model):
         sites = known_sites(small_model)

@@ -363,12 +363,14 @@ class TestErrors:
         {"runs": [{"plan": "4-4-16", "wa_method": "flatquant", "flat_steps": -1}]},
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": 7}]},
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": -3}]},
+        {"runs": [{"plan": "4-4-16", "wa_method": "rotate", "w_method": "gptq"}]},
+        {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "w_method": "awq"}]},
     ], ids=["bits-32", "bits-17", "group-size-0", "unknown-top-level-key",
             "unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
             "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
             "bad-k-bias-mode", "bad-k-stage", "awq-grid-step-zero",
             "awq-grid-step-negative", "flat-steps-negative", "smooth-alpha-7",
-            "smooth-alpha-negative"])
+            "smooth-alpha-negative", "gptq-under-rotate", "awq-under-smoothquant"])
     def test_malformed_sweep_config(self, model_file, tmp_path, capsys, monkeypatch,
                                     config):
         """Rejected before any run's calibration."""
@@ -468,6 +470,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["drift", "--model", "MODEL", "--plan", "4-16-16", "--probe-len", "abc"],
+         "argument --probe-len: invalid int value: 'abc'"),
+        (["drift", "--model", "MODEL"], "the following arguments are required: --plan"),
+        (["calib", "--model", "MODEL", "--count", "8", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["length-control", "--model", "MODEL", "--mode", "sometimes"],
+         "argument --mode: invalid choice: 'sometimes'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["probe-len-not-an-int", "missing-required", "unknown-option",
+            "bad-choice", "unknown-subcommand", "no-subcommand"])
+    def test_usage_error_is_one_line(self, model_file, tmp_path, capsys, argv,
+                                     message):
+        """What argparse rejects is one UsageError line and exit 1, not a
+        usage block and exit 2; no output is written."""
+        out = tmp_path / "out"
+        argv = [model_file if a == "MODEL" else a for a in argv]
+        rc = cli.main(argv + (["--out", str(out)] if argv else []))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: UsageError: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["drift", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: quantlab") and captured.err == ""
 
     def test_bad_plan_string(self, model_file, tmp_path, capsys):
         rc = cli.main(["drift", "--model", model_file, "--plan", "four",

@@ -172,16 +172,41 @@ class TestQuantizeK:
         assert np.all(scales[POST_BIAS] >= scales[PRE_BIAS] - 1e-12)
         assert scales[POST_BIAS][1] > scales[PRE_BIAS][1]
 
-    def test_sentinel_bit_identical(self):
+    @pytest.mark.parametrize("mode", [PRE_BIAS, POST_BIAS])
+    @pytest.mark.parametrize("stage", [PRE_ROPE, POST_ROPE])
+    def test_sentinel_bit_identical(self, stage, mode):
+        """Under the 16-bit sentinel every stage and bias mode stores
+        rope(k + b): bit for bit, except that post_rope/pre_bias adds the
+        rotated bias to rope(k), which rounds differently."""
         rng = make_rng(6)
         k = rng.standard_normal((8, 8))
         bias = rng.standard_normal(8)
-        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16))
+        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16), k_stage=stage,
+                                k_bias_mode=mode)
         rope = RopeConfig(head_dim=8)
         staged = k_stage_tensor(k, bias, cfg, rope, 0)
         cfg = calibrate_k_channels(staged, cfg)
         recon = quantize_k(k, bias, cfg, rope)
-        assert np.array_equal(recon, rope_apply(k + bias[None, :], rope))
+        exact = rope_apply(k + bias[None, :], rope)
+        if (stage, mode) == (POST_ROPE, PRE_BIAS):
+            assert np.max(np.abs(recon - exact)) <= 1e-12
+        else:
+            assert np.array_equal(recon, exact)
+
+    @pytest.mark.parametrize("pos", [3, np.array([7, 0, 2, 9])],
+                             ids=["start-3", "own-positions"])
+    def test_post_rope_pre_bias_rotates_bias_at_each_position(self, pos):
+        """Rows of two heads at a start position or at positions of their
+        own: the bias added after RoPE is rotated at each row's position."""
+        rng = make_rng(8)
+        k = rng.standard_normal((4, 16))
+        bias = rng.standard_normal(16)
+        rope = RopeConfig(head_dim=8)
+        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16), k_stage=POST_ROPE,
+                                k_bias_mode=PRE_BIAS)
+        cfg = calibrate_k_channels(k_stage_tensor(k, bias, cfg, rope, pos), cfg)
+        exact = rope_apply((k + bias).reshape(4, 2, 8), rope, pos).reshape(4, 16)
+        assert np.max(np.abs(quantize_k(k, bias, cfg, rope, pos) - exact)) <= 1e-12
 
     def test_post_rope_stage_reconstruction(self):
         rng = make_rng(7)

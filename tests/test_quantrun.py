@@ -18,6 +18,7 @@ from quantlab.errors import (
 )
 from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, dequantize, fake_quant
 from quantlab.quantrun import (
+    ActivationRecorder,
     FlatLinear,
     Mxfp4Linear,
     QuantPlan,
@@ -29,8 +30,11 @@ from quantlab.quantrun import (
 )
 from quantlab.rng import make_rng
 from quantlab.toymodel import (
+    _LAYER_LINEARS,
+    PlainLinear,
     Session,
     ToyConfig,
+    _linear_bias,
     forward_reference,
     init_model,
     site_pre_bias,
@@ -104,6 +108,17 @@ class TestPlan:
             QuantPlan(wa_method="magic")
         with pytest.raises(ValueError):
             QuantPlan(kv_method="magic")
+
+    @pytest.mark.parametrize("w_method", ["gptq", "awq"])
+    @pytest.mark.parametrize("wa_method", ["smoothquant", "rotate", "flatquant",
+                                           "mxfp4"])
+    def test_w_method_a_wa_method_ignores_rejected(self, wa_method, w_method):
+        """A weight-activation method quantizes the weights itself, so a
+        weight method other than RTN would only mislabel the run and ask
+        for calibration it never uses."""
+        with pytest.raises(ValueError, match="w_method must be 'rtn'"):
+            QuantPlan(w_bits=4, a_bits=4, wa_method=wa_method, w_method=w_method)
+        QuantPlan(w_bits=4, a_bits=4, wa_method=wa_method)  # rtn, the default
 
     @pytest.mark.parametrize("field, value", [
         ("k_stage", "mid"), ("k_stage", "pre_bias"), ("k_bias_mode", "sometimes"),
@@ -376,6 +391,56 @@ class TestForward:
         with pytest.raises(MissingCalibration):
             rec.matrix("nowhere")
 
+    def test_capture_positions_are_each_sequence_from_0(self, small_model):
+        """Sequences of 3, 40 and 64 tokens, two crossing the 32-position
+        block: every site's rows are at each sequence's positions in turn."""
+        rec = capture_activations(small_model, [probe(n, seed=n) for n in (3, 40, 64)])
+        want = np.concatenate([np.arange(n) for n in (3, 40, 64)])
+        for site in known_sites(small_model):
+            assert len(rec.matrix(site)) == len(want)
+            assert np.array_equal(rec.pos_array(site), want)
+
+    def test_capture_of_no_sequences(self, small_model):
+        """No sequences capture nothing: asking for rows is MissingCalibration."""
+        rec = capture_activations(small_model, [])
+        assert rec.pos_array("layer0.attn_in").size == 0
+        with pytest.raises(MissingCalibration):
+            rec.matrix("layer0.attn_in")
+
+    def test_recorder_gets_the_rows_of_every_session_row(self, small_model):
+        """A two-row session records each block's rows, row b's position t
+        at b * n + t, as the rows' own one-row forwards record them."""
+        seqs = [[0, 5, 6], [0, 7, 8]]
+        rec = ActivationRecorder(["layer0.attn_in"])
+        Session(small_model, recorder=rec, rows=2).forward(seqs)
+        alone = capture_activations(small_model, seqs, ["layer0.attn_in"])
+        assert np.allclose(rec.matrix("layer0.attn_in"),
+                           alone.matrix("layer0.attn_in"), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("plan", [
+        QuantPlan(w_bits=4), QuantPlan(w_bits=4, include_lm_head=True),
+        QuantPlan(w_bits=4, a_bits=4, wa_method="rotate"), QuantPlan(kv_bits=4)],
+        ids=["rtn", "rtn-lm-head", "rotate", "kv-only"])
+    def test_session_holds_the_runtime_linears(self, small_model, plan):
+        """A session runs the runtime's own linear objects, and a full-
+        precision PlainLinear of the model's weight and bias for the rest."""
+        rt = prepare_runtime(small_model, plan)
+        sess = Session(small_model, runtime=rt)
+        held = {"lm_head": sess._lm_head}
+        for i, layer in enumerate(sess._layers):
+            held.update({f"layers.{i}.{short}": layer[short] for short in _LAYER_LINEARS})
+        assert set(rt.linears) <= set(held)
+        assert len(rt.linears) == (0 if plan.w_bits == 16 else
+                                   len(held) - (not plan.include_lm_head))
+        for name, lin in held.items():
+            if name in rt.linears:
+                assert lin is rt.linears[name]
+                continue
+            assert type(lin) is PlainLinear
+            assert np.array_equal(lin.w, small_model.tensors[name])
+            b = _linear_bias(small_model.tensors, name)
+            assert (lin.b is None) if b is None else np.array_equal(lin.b, b)
+
 
 # one layer at the default width: groups of 32 and a ragged 24 split each
 # 64-wide row into several groups
@@ -455,8 +520,35 @@ class TestInputSites:
 
         rng = make_rng(9)
         k, v = (_site_rows(rng, n, SITE_CFG.d_model) for _ in range(2))
-        got = rt.kv_write(0, None, k, v, None, None, 0)
+        got = rt.kv_write(0, None, k, v, 0)
         assert [a.tobytes() for a in got] == [alone(k).tobytes(), alone(v).tobytes()]
+
+    @pytest.mark.parametrize("mode", [kvquant.PRE_BIAS, kvquant.POST_BIAS])
+    @pytest.mark.parametrize("stage", [kvquant.PRE_ROPE, kvquant.POST_ROPE])
+    @pytest.mark.parametrize("qkv_bias", [True, False], ids=["qkv-bias", "no-qkv-bias"])
+    def test_static_k_write_is_quantize_k(self, calib_seqs, qkv_bias, stage, mode):
+        """kv_write(layer, k_pre, k, v, pos) for kvquant_star is quantize_k
+        with the layer's K bias (zeros without QKV biases), calibrated grid
+        and RoPE, and V per token, byte for byte."""
+        cfg = replace(SMALL, qkv_bias=qkv_bias)
+        model = init_model(cfg, make_rng(0),
+                           k_bias_outlier=(0, 3, 40.0) if qkv_bias else None)
+        rt = prepare_runtime(model, QuantPlan(kv_bits=4, kv_method="kvquant_star",
+                                              k_stage=stage, k_bias_mode=mode),
+                             calib_seqs)
+        bias = (model.tensors["layers.0.bk"].astype(np.float64) if qkv_bias
+                else np.zeros(cfg.d_model))
+        rope = kvquant.RopeConfig(head_dim=cfg.head_dim, base=cfg.rope_base)
+        k_cfg = rt.kv_cfgs[0][1]
+        assert (k_cfg.k_stage, k_cfg.k_bias_mode) == (stage, mode) and k_cfg.calibrated
+        rng = make_rng(4)
+        for pos in (0, 5, np.array([9, 1, 30, 2])):
+            k_pre, v = (rng.standard_normal((4, cfg.d_model)) for _ in range(2))
+            k = kvquant.rope_heads(k_pre + bias, rope, pos)
+            got = rt.kv_write(0, k_pre, k, v, pos)
+            want = (kvquant.quantize_k(k_pre, bias, k_cfg, rope, pos),
+                    fake_quant(v, rt.kv_token_spec))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("plan, calls", [
         (QuantPlan(w_bits=4, a_bits=4, kv_bits=4, wa_method="rotate",
@@ -620,6 +712,8 @@ class TestCheckpoint:
         pytest.param(_plan_edit(kv_bits=17), BadMagic, id="plan-bits-17"),
         pytest.param(_plan_edit(group_size=0), BadMagic, id="plan-group-size-0"),
         pytest.param(_plan_edit(w_method="magic"), BadMagic, id="plan-unknown-method"),
+        pytest.param(_plan_edit(wa_method="rotate", w_method="gptq"), BadMagic,
+                     id="plan-w-method-under-wa-method"),
         pytest.param(lambda h: h["plan"].update(w_methd=h["plan"].pop("w_method")),
                      BadMagic, id="plan-unknown-key"),
         pytest.param(lambda h: h.update(plan=1), BadMagic, id="plan-not-a-mapping"),
