@@ -62,11 +62,16 @@ class ExperimentConfig:
     n_runs: int = 1
 
     def to_row_fields(self) -> dict:
+        """The run's labels; k_stage and k_bias_mode only on static-K rows."""
+        static_k = self.plan.kv_method == "kvquant_star"
         return {
             "plan": self.plan.bits_string(),
             "w_method": self.plan.w_method,
             "wa_method": self.plan.wa_method,
             "kv_method": self.plan.kv_method,
+            "group_size": self.plan.group_size,
+            "k_stage": self.plan.k_stage if static_k else "",
+            "k_bias_mode": self.plan.k_bias_mode if static_k else "",
             "seed": self.seed,
             "code_version": CODE_VERSION,
         }
@@ -249,7 +254,8 @@ def run_sweep(model: ToyModel, cfgs: list) -> list:
 
 
 _SWEEP_COLUMNS = [
-    "plan", "w_method", "wa_method", "kv_method", "seed", "code_version",
+    "plan", "w_method", "wa_method", "kv_method", "group_size", "k_stage",
+    "k_bias_mode", "seed", "code_version",
     "status", "final_disagreement", "final_max_abs_err", "mean_mse",
     "first_divergence", "mean_thinking", "median_thinking", "error",
 ]

@@ -8,13 +8,16 @@ inputs, and the q vectors produced for attention stay in full precision.
 Every quantized linear is the three stages of ``toymodel.PlainLinear``: an
 input map (identity, AWQ/SmoothQuant inverse scale, Hadamard or Kronecker),
 an activation quantizer (``act``: a per-token ``QuantSpec``, MXFP4 rows or
-none) and the product with its pre-quantized weight. ``Session`` runs the
-linears of one input site through ``toymodel.site_pre_bias``: a site whose
-linears share a quantizer (rotate, SmoothQuant, MXFP4) quantizes its
-stacked rows once per block; RTN/GPTQ/AWQ have no quantizer, and each
-FlatQuant linear has its own clip. Every runtime quantizer is row-local
-(per-token groups, MXFP4 blocks within a row), so stacking rows, of one
-site or of K and V, changes no bit.
+none) and the product with its pre-quantized weight. Rotate, SmoothQuant and
+FlatQuant fit one input map per input site (``linear_input_site``) on the
+stacked weight of the site's linears, ``[Wq; Wk; Wv]`` at ``attn_in`` and
+``[W_gate; W_up]`` at ``mlp_in``, and each linear holds that one object;
+RTN, GPTQ and AWQ fit each linear on its own. ``Session`` runs the linears
+of one site through ``toymodel.site_pre_bias``, which maps and quantizes the
+input once per block for linears that share a map and a quantizer (rotate,
+SmoothQuant, FlatQuant and MXFP4, whose map is the identity). Every runtime
+quantizer is row-local (per-token groups, MXFP4 blocks within a row), so K
+and V quantize stacked in one call with no bit changed.
 """
 
 import math
@@ -52,7 +55,8 @@ from .quantcore import (
     fake_quant,
 )
 from .rng import make_rng
-from .toymodel import _LAYER_LINEARS, PlainLinear, Session, ToyModel, _linear_bias
+from .toymodel import (_LAYER_LINEARS, PlainLinear, Session, ToyModel, _k_bias,
+                       _linear_bias)
 from .transforms import (
     FlatTransform,
     _clipped,
@@ -111,6 +115,10 @@ class QuantPlan:
             raise ValueError(f"k_stage must be {PRE_ROPE!r} or {POST_ROPE!r}")
         if self.k_bias_mode not in (PRE_BIAS, POST_BIAS):
             raise ValueError(f"k_bias_mode must be {PRE_BIAS!r} or {POST_BIAS!r}")
+        if self.kv_method != "kvquant_star" and (self.k_stage, self.k_bias_mode) != (
+                PRE_ROPE, PRE_BIAS):
+            raise ValueError(f"k_stage and k_bias_mode apply to kv_method "
+                             f"'kvquant_star' only, not {self.kv_method!r}")
         if not (math.isfinite(self.awq_grid_step) and 0 < self.awq_grid_step <= 1):
             raise ValueError(f"awq_grid_step must be finite and in (0, 1], "
                              f"got {self.awq_grid_step}")
@@ -225,7 +233,7 @@ class FakeQuantLinear(PlainLinear):
                  qt: Optional[QuantizedTensor] = None):
         super().__init__(w_hat, b)
         self.act = act_spec
-        self.inv_input_scale = inv_input_scale
+        self.map = self.inv_input_scale = inv_input_scale
         self.qt = qt
 
     def in_map(self, x):
@@ -243,7 +251,7 @@ class RotatedLinear(PlainLinear):
     def __init__(self, wt_hat, b, h, act_spec: QuantSpec):
         # wt_hat is (in, out), pre-quantized; w.T is wt_hat itself
         super().__init__(np.asarray(wt_hat, dtype=np.float64).T, b)
-        self.h = h
+        self.map = self.h = h
         self.act = act_spec
 
     def in_map(self, x):
@@ -258,7 +266,7 @@ class FlatLinear(PlainLinear):
 
     def __init__(self, w, b, t: FlatTransform, spec_w: QuantSpec, spec_a: QuantSpec):
         super().__init__(flat_weight(np.asarray(w, dtype=np.float64), t, spec_w), b)
-        self.t = t
+        self.map = self.t = t
         self.act = _clipped(spec_a, t.act_clip)
 
     def in_map(self, x):
@@ -367,38 +375,49 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
                        axis=0)
     spec_a = QuantSpec(bits=plan.a_bits, symmetric=False, granularity=PER_GROUP,
                        axis=1, group_size=plan.group_size)
+    sites = {}  # input site -> its linears, in _LAYER_LINEARS order
     for name in _weight_linear_names(model, plan.include_lm_head) if linears else ():
-        w = model.tensors[name].astype(np.float64)
-        b = _linear_bias(model.tensors, name)
+        sites.setdefault(linear_input_site(name), []).append(name)
+    for site, names in sites.items():
+        # rotate, SmoothQuant and FlatQuant fit one input map per site, on the
+        # stacked weight of its linears, and each of its linears holds it
+        ws = np.concatenate([model.tensors[n] for n in names]).astype(np.float64)
         if method in ("gptq", "awq", "smoothquant", "flatquant"):
-            x = rec.matrix(linear_input_site(name))  # (tokens, in)
-        if method == "rtn":
-            qt = rtn_quantize_weights(w, spec)
-            lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
-        elif method == "gptq":
-            qt = gptq_quantize(w, x.T, GptqConfig(spec=spec))
-            rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
-            lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
-        elif method == "awq":
-            res = awq_search(w, x.T, spec, grid_step=plan.awq_grid_step)
-            w_scaled, inv_s = awq_fold(w, res.scales)
-            qt = rtn_quantize_weights(w_scaled, spec)
-            rt.proxy_losses[name] = res.proxy_loss
-            lin = FakeQuantLinear(dequantize(qt), b, inv_input_scale=inv_s, qt=qt)
-        elif method == "mxfp4":
-            lin = Mxfp4Linear(w, b)
-        elif method == "rotate":
-            h = hadamard(w.shape[1], randomize=True, rng=rng)
-            wt = rotate_layer(w, h)  # (in, out); output channels are columns
-            lin = RotatedLinear(fake_quant(wt, replace(spec_w, axis=1)), b, h, spec_a)
+            x = rec.matrix(site)  # (tokens, in)
+        if method == "rotate":
+            shared = hadamard(ws.shape[1], randomize=True, rng=rng)
         elif method == "smoothquant":
-            w_s, inv_s = awq_fold(w, smooth_fit(x, w, alpha=plan.smooth_alpha).scales)
-            lin = FakeQuantLinear(fake_quant(w_s, spec_w), b, act_spec=spec_a,
-                                  inv_input_scale=inv_s)
-        else:  # flatquant
-            t = flat_train(w, x, spec_w, spec_a, steps=plan.flat_steps)
-            lin = FlatLinear(w, b, t, spec_w, spec_a)
-        rt.linears[name] = lin
+            ws, shared = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha).scales)
+        elif method == "flatquant":
+            shared = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
+        ends = np.cumsum([len(model.tensors[n]) for n in names])
+        for name, w in zip(names, np.split(ws, ends[:-1])):
+            b = _linear_bias(model.tensors, name)
+            if method == "rtn":
+                qt = rtn_quantize_weights(w, spec)
+                lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
+            elif method == "gptq":
+                qt = gptq_quantize(w, x.T, GptqConfig(spec=spec))
+                rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
+                lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
+            elif method == "awq":
+                res = awq_search(w, x.T, spec, grid_step=plan.awq_grid_step)
+                w_scaled, inv_s = awq_fold(w, res.scales)
+                qt = rtn_quantize_weights(w_scaled, spec)
+                rt.proxy_losses[name] = res.proxy_loss
+                lin = FakeQuantLinear(dequantize(qt), b, inv_input_scale=inv_s, qt=qt)
+            elif method == "mxfp4":
+                lin = Mxfp4Linear(w, b)
+            elif method == "rotate":
+                wt = rotate_layer(w, shared)  # (in, out); output channels are columns
+                lin = RotatedLinear(fake_quant(wt, replace(spec_w, axis=1)), b, shared,
+                                    spec_a)
+            elif method == "smoothquant":  # w is the folded weight's rows
+                lin = FakeQuantLinear(fake_quant(w, spec_w), b, act_spec=spec_a,
+                                      inv_input_scale=shared)
+            else:  # flatquant
+                lin = FlatLinear(w, b, shared, spec_w, spec_a)
+            rt.linears[name] = lin
 
     if plan.kv_bits < 16:
         _prepare_kv(rt, rec, rng)
@@ -418,8 +437,7 @@ def _prepare_kv(rt: Runtime, rec, rng):
                             k_stage=plan.k_stage, k_bias_mode=plan.k_bias_mode)
     for i in range(model.config.n_layers):
         site = f"layer{i}.k_pre_bias"
-        bias = _linear_bias(model.tensors, f"layers.{i}.wk")
-        bias = np.zeros(model.config.d_model) if bias is None else bias
+        bias = _k_bias(model, i)
         staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg,
                                 rec.pos_array(site))
         rt.kv_cfgs[i] = (bias, calibrate_k_channels(staged, cfg), rope_cfg)

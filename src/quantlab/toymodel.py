@@ -28,18 +28,18 @@ Each layer's linears are declared once, in ``_LAYER_LINEARS``: name, bias
 and the capture site of the input. The tensor layout, the linears a Session
 builds, the linears ``quantrun.prepare_runtime`` quantizes with their
 calibration inputs, and ``calibration.known_sites`` are read from it. Its
-order is the order of creation: ``init_model`` draws the weights, and the
-rotate plan its Hadamard signs, linear by linear in that order, layer by
-layer, then lm_head, so reordering the table changes every model and every
-rotated plan.
+order is the order of creation: ``init_model`` draws the weights linear by
+linear in that order, and the rotate plan its Hadamard signs input site by
+input site, layer by layer, then lm_head, so reordering the table changes
+every model and every rotated plan.
 
 The linears of one input site run together: ``wq``, ``wk`` and ``wv`` read
 ``attn_in``, ``w_gate`` and ``w_up`` read ``mlp_in``, and ``wo``,
 ``w_down`` and ``lm_head`` are sites of one. A linear is three stages
 (``PlainLinear``): an input map, an activation quantizer and the product
-with its stored weight. ``site_pre_bias`` maps the site's input once per
-linear; when the linears share one quantizer, it quantizes their stacked
-rows in one call, then runs each linear's product on its own slice.
+with its stored weight. When a site's linears hold one input map and one
+quantizer, ``site_pre_bias`` maps and quantizes the input once and each
+linear multiplies those rows by its own weight.
 
 Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 """
@@ -155,6 +155,12 @@ def _linear_bias(tensors: dict, name: str) -> Optional[np.ndarray]:
     bias = _LAYER_LINEARS.get(short, (None,))[0]
     b = tensors.get(f"{prefix}.{bias}") if bias else None
     return None if b is None else b.astype(np.float64)
+
+
+def _k_bias(model: ToyModel, layer: int) -> np.ndarray:
+    """Layer ``layer``'s K bias in float64; zeros for a model without QKV biases."""
+    b = _linear_bias(model.tensors, f"layers.{layer}.wk")
+    return np.zeros(model.config.d_model) if b is None else b
 
 
 def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> ToyModel:
@@ -362,11 +368,12 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 class PlainLinear:
     """Full-precision linear, y = x @ w.T (+ b), in three stages that the
-    quantized linears of quantrun.py override: the input map ``in_map``, the
-    activation quantizer ``quantize`` (``act`` names it; None: none) and the
-    ``product`` with the stored weight."""
+    quantized linears of quantrun.py override: the input map ``in_map``
+    (``map`` holds its state; None: the identity), the activation quantizer
+    ``quantize`` (``act`` names it; None: none) and the ``product`` with the
+    stored weight."""
 
-    act = None
+    act = map = None
 
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None):
         self.w = np.asarray(w, dtype=np.float64)
@@ -393,16 +400,16 @@ class PlainLinear:
 
 
 def site_pre_bias(linears, x: np.ndarray) -> list:
-    """``pre_bias(x)`` of the linears of one input site. Linears that share
-    a quantizer (equal ``act``) quantize their mapped rows stacked, in one
-    call, and each multiplies its own slice: every activation quantizer is
-    row-local, so this changes no bit."""
-    act = linears[0].act
-    if act is None or len(linears) == 1 or any(lin.act != act for lin in linears):
+    """``pre_bias(x)`` of the linears of one input site. When they hold one
+    ``map`` object and equal quantizers, the input is mapped and quantized
+    once and each linear multiplies those rows; otherwise each runs its own
+    ``pre_bias``."""
+    first = linears[0]
+    if any(lin.map is not first.map or lin.act != first.act for lin in linears):
         return [lin.pre_bias(x) for lin in linears]
-    n = len(x)
-    q = linears[0].quantize(np.concatenate([lin.in_map(x) for lin in linears]))
-    return [lin.product(q[i * n : (i + 1) * n]) for i, lin in enumerate(linears)]
+    x = first.in_map(x)
+    x = x if first.act is None else first.quantize(x)
+    return [lin.product(x) for lin in linears]
 
 
 class Session:
@@ -429,9 +436,9 @@ class Session:
     biases added, K's bias added to its pre-bias rows); RoPE on q and k;
     ``Runtime.kv_write`` and attention; ``wo``; ``rmsnorm``; the ``mlp_in``
     site (``w_gate``, ``w_up``); SwiGLU; ``w_down``. Then the final norm and
-    ``lm_head``. With a runtime, each site quantizes its input once per
-    block when its linears share a quantizer, and K and V are written in
-    one call.
+    ``lm_head``. With a runtime, each site maps and quantizes its input once
+    per block when its linears share a map and a quantizer, and K and V are
+    written in one call.
 
     ``forward`` runs its tokens in blocks of ``BLOCK`` positions and ``step``
     is its one-token case, so prefill, decode and teacher forcing share one
@@ -464,8 +471,7 @@ class Session:
                 layer[name] = (linears.get(p + name)
                                or PlainLinear(t[p + name], _linear_bias(t, p + name)))
                 layer.setdefault(site, []).append(layer[name])
-            bk = _linear_bias(t, p + "wk")
-            layer["bk"] = np.zeros(cfg.d_model) if bk is None else bk
+            layer["bk"] = _k_bias(model, i)
             self._layers.append(layer)
 
     def step(self, tokens):

@@ -365,12 +365,16 @@ class TestErrors:
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": -3}]},
         {"runs": [{"plan": "4-4-16", "wa_method": "rotate", "w_method": "gptq"}]},
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "w_method": "awq"}]},
+        {"runs": [{"plan": "16-16-4", "k_stage": "post_rope"}]},
+        {"runs": [{"plan": "16-16-4", "kv_method": "rotated_per_token",
+                   "k_bias_mode": "post_bias"}]},
     ], ids=["bits-32", "bits-17", "group-size-0", "unknown-top-level-key",
             "unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
             "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
             "bad-k-bias-mode", "bad-k-stage", "awq-grid-step-zero",
             "awq-grid-step-negative", "flat-steps-negative", "smooth-alpha-7",
-            "smooth-alpha-negative", "gptq-under-rotate", "awq-under-smoothquant"])
+            "smooth-alpha-negative", "gptq-under-rotate", "awq-under-smoothquant",
+            "k-stage-without-static-k", "k-bias-mode-without-static-k"])
     def test_malformed_sweep_config(self, model_file, tmp_path, capsys, monkeypatch,
                                     config):
         """Rejected before any run's calibration."""

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -308,6 +309,27 @@ class TestSweep:
         rows = run_sweep(small_model, [cfg])
         assert rows[0]["status"] == "ok"
         assert "mean_thinking" in rows[0]
+
+    def test_static_k_rows_labelled(self, small_model, tmp_path):
+        """The four K stage and bias mode pairs of one static-K plan give four
+        labels; other rows leave both empty."""
+        static = [QuantPlan(kv_bits=4, kv_method="kvquant_star", group_size=32,
+                            k_stage=stage, k_bias_mode=mode)
+                  for stage in ("pre_rope", "post_rope")
+                  for mode in ("pre_bias", "post_bias")]
+        cfgs = [ExperimentConfig(plan=plan, probe_tokens=probe(8),
+                                 calib_sequences=[probe(16, seed=3)])
+                for plan in static + [QuantPlan(kv_bits=4)]]
+        p = tmp_path / "sweep.csv"
+        write_sweep_csv(run_sweep(small_model, cfgs), p)
+        with open(p, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["status"] for r in rows] == ["ok"] * 5
+        labels = [tuple(r[k] for k in ("plan", "kv_method", "group_size", "k_stage",
+                                       "k_bias_mode")) for r in rows]
+        assert len(set(labels[:4])) == 4
+        assert labels[0] == ("16-16-4", "kvquant_star", "32", "pre_rope", "pre_bias")
+        assert labels[4] == ("16-16-4", "per_token", "128", "", "")
 
     def test_json_report_schema(self, small_model, tmp_path):
         cfg = ExperimentConfig(plan=QuantPlan(w_bits=4),

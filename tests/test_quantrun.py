@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlab import kvquant, quantcore
+from quantlab import kvquant, quantcore, quantrun
 from quantlab.calibration import known_sites
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
@@ -128,6 +128,17 @@ class TestPlan:
             QuantPlan(kv_bits=4, kv_method="kvquant_star", **{field: value})
         with pytest.raises(ValueError, match=field):  # not only for static K
             QuantPlan(**{field: value})
+
+    @pytest.mark.parametrize("kv_method", ["per_token", "rotated_per_token"])
+    @pytest.mark.parametrize("field, value", [
+        ("k_stage", kvquant.POST_ROPE), ("k_bias_mode", kvquant.POST_BIAS)])
+    def test_k_stage_and_bias_mode_need_static_k(self, kv_method, field, value):
+        """Only kvquant_star reads them; elsewhere a non-default value would
+        only mislabel the run."""
+        with pytest.raises(ValueError, match="'kvquant_star' only"):
+            QuantPlan(kv_bits=4, kv_method=kv_method, **{field: value})
+        QuantPlan(kv_bits=4, kv_method="kvquant_star", **{field: value})
+        QuantPlan(kv_bits=4, kv_method=kv_method)  # the defaults
 
     @pytest.mark.parametrize("field, value", [
         ("w_bits", 32), ("w_bits", 1), ("a_bits", 0), ("a_bits", 9), ("kv_bits", 17),
@@ -565,6 +576,85 @@ class TestInputSites:
         assert len(seen) == calls
 
 
+# the three methods that fit one input map per site, and the attribute
+# under which each of its linears holds it
+SITE_MAPS = {
+    "rotate": (dict(w_bits=4, a_bits=4, wa_method="rotate"), "h"),
+    "smoothquant": (dict(w_bits=8, a_bits=8, wa_method="smoothquant"),
+                    "inv_input_scale"),
+    "flatquant": (dict(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=1), "t"),
+}
+TWO_LAYERS = replace(SMALL, n_layers=2)
+
+
+class TestSiteMaps:
+    @pytest.mark.parametrize("qkv_bias", [True, False], ids=["qkv-bias", "no-qkv-bias"])
+    @pytest.mark.parametrize("family", sorted(SITE_MAPS))
+    def test_linears_of_a_site_hold_one_map(self, calib_seqs, family, qkv_bias):
+        kwargs, attr = SITE_MAPS[family]
+        model = init_model(replace(TWO_LAYERS, qkv_bias=qkv_bias), make_rng(0))
+        rt = prepare_runtime(model, QuantPlan(include_lm_head=True, **kwargs),
+                             calib_seqs)
+        by_site = {}
+        for name, lin in rt.linears.items():
+            assert getattr(lin, attr) is lin.map is not None
+            by_site.setdefault(linear_input_site(name), []).append(lin.map)
+        assert [len(maps) for maps in by_site.values()] == [3, 1, 2, 1, 3, 1, 2, 1, 1]
+        for maps in by_site.values():
+            assert all(m is maps[0] for m in maps)
+        assert len({id(maps[0]) for maps in by_site.values()}) == len(by_site)
+
+    @pytest.mark.parametrize("include_lm_head", [False, True], ids=["layers", "lm-head"])
+    @pytest.mark.parametrize("family, fit", [
+        ("rotate", "hadamard"), ("smoothquant", "smooth_fit"),
+        ("flatquant", "flat_train")])
+    def test_one_fit_per_site(self, calib_seqs, monkeypatch, family, fit,
+                              include_lm_head):
+        """One map per site, fitted on the stacked weight of its linears:
+        [Wq; Wk; Wv], Wo, [W_gate; W_up], W_down per layer, then lm_head."""
+        original, widths = getattr(quantrun, fit), []
+
+        def counting(*args, **kwargs):
+            w = args[1] if fit == "smooth_fit" else args[0]
+            widths.append(w if fit == "hadamard" else w.shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quantrun, fit, counting)
+        plan = QuantPlan(include_lm_head=include_lm_head, **SITE_MAPS[family][0])
+        prepare_runtime(init_model(TWO_LAYERS, make_rng(0)), plan, calib_seqs)
+        d, f, v = TWO_LAYERS.d_model, TWO_LAYERS.ffn_dim, TWO_LAYERS.vocab_size
+        want = ([(3 * d, d), (d, d), (2 * f, d), (d, f)] * TWO_LAYERS.n_layers
+                + [(v, d)] * include_lm_head)
+        assert len(widths) == 4 * TWO_LAYERS.n_layers + include_lm_head
+        assert widths == ([w[1] for w in want] if fit == "hadamard" else want)
+
+    @pytest.mark.parametrize("plan, quantizer, shapes", [
+        (QuantPlan(w_bits=4, a_bits=4, kv_bits=4, wa_method="rotate",
+                   kv_method="rotated_per_token"), "fake_quant",
+         [(1, 64), (2, 64), (1, 64), (1, 64), (1, 128)]),
+        (QuantPlan(w_bits=4, a_bits=4, wa_method="mxfp4"), "mxfp4_fake_quant",
+         [(1, 64), (1, 64), (1, 64), (1, 128)])], ids=["rotate-4-4-4", "mxfp4"])
+    def test_step_quantizes_each_site_once(self, tiny_model, monkeypatch, plan,
+                                           quantizer, shapes):
+        """Per layer, one step quantizes one row at attn_in, K with V (rotate
+        with rotated KV), one row at attn_out_in, mlp_in and mlp_down_in:
+        the shared map runs once, not once per linear."""
+        sess = Session(tiny_model, runtime=prepare_runtime(tiny_model, plan))
+        sess.forward([0, 5, 9])
+        if quantizer == "fake_quant":
+            seen = _count_fake_quant(monkeypatch)
+        else:
+            original, seen = quantrun.mxfp4_fake_quant, []
+
+            def counting(x):
+                seen.append(x.shape)
+                return original(x)
+
+            monkeypatch.setattr(quantrun, "mxfp4_fake_quant", counting)
+        sess.step(7)
+        assert seen == shapes * tiny_model.config.n_layers
+
+
 def _plan_edit(**fields):
     """A header edit that sets plan ``fields``; it drops the plan's
     ``include_lm_head``, which the default covers, to make room."""
@@ -720,6 +810,10 @@ class TestCheckpoint:
         pytest.param(_plan_edit(k_stage="mid"), BadMagic, id="plan-bad-k-stage"),
         pytest.param(_plan_edit(k_bias_mode="no_bias"), BadMagic,
                      id="plan-bad-k-bias-mode"),
+        pytest.param(_plan_edit(k_stage="post_rope"), BadMagic,
+                     id="plan-k-stage-without-static-k"),
+        pytest.param(_plan_edit(k_bias_mode="post_bias"), BadMagic,
+                     id="plan-k-bias-mode-without-static-k"),
         pytest.param(_plan_edit(awq_grid_step=0.0), BadMagic,
                      id="plan-awq-grid-step-zero"),
         pytest.param(_plan_edit(flat_steps=-1), BadMagic, id="plan-flat-steps-negative"),
