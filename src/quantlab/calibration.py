@@ -143,7 +143,7 @@ def capture_channel_stats(m: ToyModel, calib: CalibrationSet, sites,
     out = []
     for site in rec.rows:
         a = np.abs(rec.matrix(site))
-        pos = rec.pos_array(site)
+        pos = rec.positions
         free = np.ones(len(pos), dtype=bool)
         for lo, hi in pos_buckets or [(0, np.inf)]:
             keep = free & (lo <= pos) & (pos < hi)

@@ -192,9 +192,6 @@ class ActivationRecorder:
             raise MissingCalibration(f"no activations captured at {site!r}")
         return np.concatenate(self.rows[site])
 
-    def pos_array(self, site) -> np.ndarray:
-        return self.positions
-
 
 def capture_activations(model: ToyModel, sequences, sites=None) -> ActivationRecorder:
     """Record a one-row reference forward of each calibration sequence, whole
@@ -438,8 +435,7 @@ def _prepare_kv(rt: Runtime, rec, rng):
     for i in range(model.config.n_layers):
         site = f"layer{i}.k_pre_bias"
         bias = _k_bias(model, i)
-        staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg,
-                                rec.pos_array(site))
+        staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg, rec.positions)
         rt.kv_cfgs[i] = (bias, calibrate_k_channels(staged, cfg), rope_cfg)
 
 

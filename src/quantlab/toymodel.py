@@ -541,9 +541,10 @@ class Session:
             k_post = k_pre + layer["bk"]
             self._record(f"layer{i}.k_pre_bias", k_pre)
             self._record(f"layer{i}.k_post_bias", k_post)
-            k = rope_heads(k_post, self.rope, pos)
+            qk = rope_heads(np.concatenate((q, k_post), axis=1), self.rope, pos)
+            q, k = qk[:, : q.shape[1]], qk[:, q.shape[1] :]
             self._record(f"layer{i}.k_post_rope", k)
-            attn = self._attend(i, rope_heads(q, self.rope, pos), k_pre, k, v, pos)
+            attn = self._attend(i, q, k_pre, k, v, pos)
             self._record(f"layer{i}.attn_out_in", attn)
             x = x + layer["wo"](attn)
 
@@ -588,7 +589,8 @@ class Session:
         own = (Ellipsis, np.arange(n_new), at)
         scores = qh @ self.k_cache[i, :, :, :end].transpose(0, 1, 3, 2)
         scores[own] = np.sum(qh * heads(k), axis=-1)
-        scores[..., np.arange(end) > at[:, np.newaxis]] = -np.inf
+        if n_new > 1:  # one new position sees every cached one
+            scores[..., np.arange(end) > at[:, np.newaxis]] = -np.inf
         scores /= np.sqrt(cfg.head_dim)
         p = softmax(scores)
         p_own = p[own]

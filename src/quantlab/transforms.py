@@ -1,6 +1,7 @@
 """Outlier-smoothing transforms for weight-activation quantization:
 SmoothQuant channel migration, Hadamard rotation, and a desk-scale
-learned Kronecker transform with learnable clipping.
+learned Kronecker transform with learnable clipping, trained on
+simultaneous-perturbation (SPSA) gradient estimates.
 
 Conventions: weights ``w`` are (out, in), activations ``x`` are
 (tokens, in); the layer computes ``x @ w.T``.
@@ -16,9 +17,11 @@ import numpy as np
 from .errors import DimensionMismatch
 from .numerics import HadamardMatrix
 from .quantcore import QuantSpec, fake_quant
+from .rng import make_rng
 
 FLAT_STEP_SIZE = 0.05  # flat_train's first line-search step length
-FLAT_FD_EPS = 1e-2  # flat_train's finite-difference perturbation
+FLAT_FD_EPS = 1e-2  # flat_train's SPSA perturbation along each +-1 direction
+FLAT_DIRECTIONS = 8  # SPSA directions averaged into one gradient estimate
 FLAT_MAX_CONDITION = 1e6  # flat_train scores a worse-conditioned factor as inf
 
 
@@ -129,28 +132,6 @@ def kron_apply_right(x: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     return y.reshape(m, n1 * n2)
 
 
-# Every finite-difference evaluation in flat_train perturbs one factor or one
-# clip, so the other factor repeats byte for byte. Keyed by a factor's bytes,
-# its condition number and inverse are computed once per distinct factor. The
-# repeated factor is always among the last few used, so a few entries do.
-
-def _key(p: np.ndarray) -> tuple:
-    return np.asarray(p, dtype=np.float64).tobytes(), p.shape[0]
-
-
-@functools.lru_cache(maxsize=8)
-def _cond(raw: bytes, n: int) -> float:
-    return float(np.linalg.cond(np.frombuffer(raw).reshape(n, n)))
-
-
-@functools.lru_cache(maxsize=8)
-def _inv_t(raw: bytes, n: int) -> np.ndarray:
-    """The inverse, transposed; read-only, since every caller shares it."""
-    inv_t = np.linalg.inv(np.frombuffer(raw).reshape(n, n)).T
-    inv_t.flags.writeable = False
-    return inv_t
-
-
 @functools.lru_cache(maxsize=64)  # flat_train asks for a few clips thousands of times
 def _clipped(spec: QuantSpec, clip: float) -> QuantSpec:
     return spec.with_clip(float(np.clip(clip * spec.clip_ratio, 1e-3, 1.0)))
@@ -179,7 +160,7 @@ def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarra
     """Q((P1 (x) P2)^-1 W.T), stored transposed as (out, in) rows, with the
     learned weight clip."""
     # (P1 (x) P2)^-1 W.T == (W applied with the inverse factors on its input).T
-    wt = kron_apply_right(w, _inv_t(*_key(t.p1)), _inv_t(*_key(t.p2)))
+    wt = kron_apply_right(w, np.linalg.inv(t.p1).T, np.linalg.inv(t.p2).T)
     return fake_quant(wt, _clipped(spec_w, t.weight_clip))
 
 
@@ -195,14 +176,22 @@ def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
 
 def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
                spec_a: QuantSpec, steps: int = 200) -> FlatTransform:
-    """Train the Kronecker transform by finite-difference descent with a
-    reject-and-halve line search. A step is accepted only when it lowers the
-    objective, so the last accepted transform, which is returned, is the
-    best seen.
+    """Train the Kronecker transform by descent on simultaneous-perturbation
+    (SPSA; Spall 1992) gradient estimates with a reject-and-halve line
+    search. An update is accepted only when it lowers the objective, so the
+    last accepted transform, which is returned, is the best seen.
 
-    Rounding is treated as pass-through for gradient purposes: the finite
-    difference uses a perturbation large relative to one grid step, which
-    smooths over the rounding staircase.
+    With d = n1^2 + n2^2 + 2 trained parameters (both factors and both
+    clips), a step is a budget of d gradient evaluations: d // (2k) updates
+    (at least one), each estimating the gradient as the mean over k =
+    ``FLAT_DIRECTIONS`` random +-1 directions u of
+    (f(v + c u) - f(v - c u)) / 2c * u, with c = ``FLAT_FD_EPS``. The
+    directions come from a fixed-seed stream, so training is deterministic.
+    A non-finite or zero estimate ends training.
+
+    Rounding is treated as pass-through for gradient purposes: the
+    perturbation is large relative to one grid step, which smooths over the
+    rounding staircase.
     """
     w = np.asarray(w, dtype=np.float64)
     x = np.asarray(x_calib, dtype=np.float64)
@@ -213,10 +202,6 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
     obj = flat_objective(w, x, t, spec_w, spec_a, y_ref=y_ref)
     t.objective_trace.append(obj)
 
-    def pack():
-        return np.concatenate([t.p1.ravel(), t.p2.ravel(),
-                               [t.act_clip, t.weight_clip]])
-
     def unpack(v):
         k1 = n1 * n1
         k2 = n2 * n2
@@ -226,34 +211,31 @@ def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
 
     def evaluate(v):
         p1, p2, ac, wc = unpack(v)
-        if (_cond(*_key(p1)) > FLAT_MAX_CONDITION
-                or _cond(*_key(p2)) > FLAT_MAX_CONDITION):
+        if (np.linalg.cond(p1) > FLAT_MAX_CONDITION
+                or np.linalg.cond(p2) > FLAT_MAX_CONDITION):
             return np.inf
         cand = FlatTransform(p1=p1, p2=p2, act_clip=ac, weight_clip=wc)
         return flat_objective(w, x, cand, spec_w, spec_a, y_ref=y_ref)
 
-    v = pack()
-    for _ in range(steps):
-        grad = np.zeros_like(v)
-        for i in range(v.size):
-            dv = np.zeros_like(v)
-            dv[i] = FLAT_FD_EPS
-            grad[i] = (evaluate(v + dv) - evaluate(v - dv)) / (2 * FLAT_FD_EPS)
+    v = np.concatenate([t.p1.ravel(), t.p2.ravel(), [t.act_clip, t.weight_clip]])
+    directions = make_rng(0)
+    updates = max(1, v.size // (2 * FLAT_DIRECTIONS))
+    for _ in range(steps * updates):
+        u = 2.0 * directions.integers(0, 2, size=(FLAT_DIRECTIONS, v.size)) - 1.0
+        diff = [evaluate(v + FLAT_FD_EPS * ui) - evaluate(v - FLAT_FD_EPS * ui)
+                for ui in u]
+        grad = np.asarray(diff) @ u / (2 * FLAT_FD_EPS * FLAT_DIRECTIONS)
         gnorm = np.linalg.norm(grad)
         if not np.isfinite(gnorm) or gnorm == 0:
             break
         step = FLAT_STEP_SIZE / gnorm
-        accepted = False
         for _halve in range(8):
             cand = v - step * grad
             cand_obj = evaluate(cand)
             if cand_obj < obj:
-                v = cand
-                obj = cand_obj
-                accepted = True
+                v, obj = cand, cand_obj
+                t.p1, t.p2, t.act_clip, t.weight_clip = unpack(v)
+                t.objective_trace.append(obj)
                 break
             step *= 0.5
-        if accepted:
-            t.p1, t.p2, t.act_clip, t.weight_clip = unpack(v)
-            t.objective_trace.append(obj)
     return t

@@ -409,12 +409,12 @@ class TestForward:
         want = np.concatenate([np.arange(n) for n in (3, 40, 64)])
         for site in known_sites(small_model):
             assert len(rec.matrix(site)) == len(want)
-            assert np.array_equal(rec.pos_array(site), want)
+            assert np.array_equal(rec.positions, want)
 
     def test_capture_of_no_sequences(self, small_model):
         """No sequences capture nothing: asking for rows is MissingCalibration."""
         rec = capture_activations(small_model, [])
-        assert rec.pos_array("layer0.attn_in").size == 0
+        assert rec.positions.size == 0
         with pytest.raises(MissingCalibration):
             rec.matrix("layer0.attn_in")
 
