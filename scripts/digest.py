@@ -14,6 +14,9 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   plans on their 64-token probe, the GPTQ and AWQ proxy losses of every
   linear, and each FlatQuant linear's ``p1``, ``p2``, clips and
   ``objective_trace``;
+* for the same seeds, model and probe, GPTQ weights under each input map:
+  rotate 4-4-16, SmoothQuant 4-8-16 and FlatQuant 4-4-16 with one training
+  step, the logits and every linear's proxy loss;
 * the logits of every ``kvquant_star`` plan (2, 3, 4 and 8 bits × K stage ×
   bias mode) on the default and the K-bias-outlier model, calibrated;
 * calibrated on three sequences of unequal lengths (3, 40 and 64 tokens),
@@ -105,6 +108,11 @@ def drift_lines(workloads, quantrun):
             quantrun.forward_quantized(model, probe, plan))
 
 
+def proxy_losses_sha(rt) -> str:
+    return sha(*(part for name in sorted(rt.proxy_losses)
+                 for part in (name, float(rt.proxy_losses[name]))))
+
+
 def calibrate_lines(workloads, quantrun):
     wl = workloads.Calibrate()
     model = wl.model()
@@ -116,15 +124,38 @@ def calibrate_lines(workloads, quantrun):
             yield f"{tag}/logits", sha(
                 quantrun.forward_quantized(model, inp["probe"], plan, runtime=rt))
             if rt.proxy_losses:
-                yield f"{tag}/proxy_losses", sha(*(
-                    part for name in sorted(rt.proxy_losses)
-                    for part in (name, float(rt.proxy_losses[name]))))
+                yield f"{tag}/proxy_losses", proxy_losses_sha(rt)
             if method == "flatquant":
                 for name in sorted(rt.linears):
                     t = rt.linears[name].t
                     yield f"{tag}/{name}/flat_train", sha(
                         t.p1, t.p2, float(t.act_clip), float(t.weight_clip),
                         *(float(v) for v in t.objective_trace))
+
+
+def gptq_map_lines(workloads, quantrun):
+    """GPTQ weights under each weight-activation input map, on the
+    ``calibrate`` model and calibration sets: the probe's logits and every
+    linear's proxy loss. A tree whose ``QuantPlan`` rejects the pair prints
+    one ``rejected`` line per plan instead."""
+    wl = workloads.Calibrate()
+    model = wl.model()
+    plans = (("4-4-16", "rotate", {}), ("4-8-16", "smoothquant", {}),
+             ("4-4-16", "flatquant", {"flat_steps": 1}))
+    for seed in SEEDS:
+        inp = wl.inputs(seed, model)
+        for bits, method, extra in plans:
+            tag = f"gptq_map/{seed}/{bits}/{method}"
+            try:
+                plan = quantrun.QuantPlan.from_bits_string(
+                    bits, wa_method=method, w_method="gptq", **extra)
+            except ValueError as e:
+                yield f"{tag}/rejected", sha(str(e))
+                continue
+            rt = quantrun.prepare_runtime(model, plan, inp["calib"])
+            yield f"{tag}/logits", sha(
+                quantrun.forward_quantized(model, inp["probe"], plan, runtime=rt))
+            yield f"{tag}/proxy_losses", proxy_losses_sha(rt)
 
 
 def static_k_lines(workloads, quantrun, toymodel, make_rng):
@@ -447,6 +478,7 @@ def main(argv=None) -> int:
 
     for gen in (drift_lines(workloads, quantrun),
                 calibrate_lines(workloads, quantrun),
+                gptq_map_lines(workloads, quantrun),
                 static_k_lines(workloads, quantrun, toymodel, make_rng),
                 position_lines(workloads, quantrun, toymodel, calibration, make_rng),
                 no_bias_lines(workloads, quantrun, toymodel, make_rng),

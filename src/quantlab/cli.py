@@ -93,8 +93,8 @@ def cmd_quantize(args):
     quantized, aux = {}, dict(model.aux)
     for name, lin in rt.linears.items():
         quantized[name] = lin.qt
-        if lin.inv_input_scale is not None:
-            aux[f"{name}.awq_inv_scales"] = lin.inv_input_scale.astype(np.float32)
+        if lin.map is not None:
+            aux[f"{name}.awq_inv_scales"] = lin.map.astype(np.float32)
         if name in rt.proxy_losses:
             print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:

@@ -6,22 +6,22 @@ Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
 
 Every quantized linear is the three stages of ``toymodel.PlainLinear``: an
-input map (identity, AWQ/SmoothQuant inverse scale, Hadamard or Kronecker),
-an activation quantizer (``act``: a per-token ``QuantSpec``, MXFP4 rows or
-none) and the product with its pre-quantized weight. Rotate, SmoothQuant and
-FlatQuant fit one input map per input site (``linear_input_site``) on the
-stacked weight of the site's linears, ``[Wq; Wk; Wv]`` at ``attn_in`` and
-``[W_gate; W_up]`` at ``mlp_in``, and each linear holds that one object;
-RTN, GPTQ and AWQ fit each linear on its own. ``Session`` runs the linears
-of one site through ``toymodel.site_pre_bias``, which maps and quantizes the
-input once per block for linears that share a map and a quantizer (rotate,
-SmoothQuant, FlatQuant and MXFP4, whose map is the identity). Every runtime
-quantizer is row-local (per-token groups, MXFP4 blocks within a row), so K
-and V quantize stacked in one call with no bit changed.
+input map, an activation quantizer (``act``: a per-token ``QuantSpec``,
+MXFP4 rows or none) and the product with its pre-quantized weight.
+``prepare_runtime`` builds them in two stages. Per input site, it fits one
+input map on the stacked weight of the site's linears (``[Wq; Wk; Wv]`` at
+``attn_in``): the identity, a SmoothQuant scale, a Hadamard or a Kronecker
+transform. Per linear, it quantizes the mapped weight with the plan's
+``w_method``: RTN, GPTQ on the Hessian of the site's mapped input, or AWQ,
+a map of its own. MXFP4 is a fixed pair of codecs. ``Session`` runs a
+site's linears through ``toymodel.site_pre_bias``, which maps and quantizes
+the input once per block when they share a map and a quantizer. Every
+runtime quantizer is row-local (per-token groups, MXFP4 blocks within a
+row), so K and V quantize stacked in one call with no bit changed.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,7 @@ from .quantcore import (
     PASSTHROUGH_BITS,
     PER_CHANNEL,
     PER_GROUP,
+    QuantParams,
     QuantSpec,
     QuantizedTensor,
     _check_field_types,
@@ -58,10 +59,9 @@ from .rng import make_rng
 from .toymodel import (_LAYER_LINEARS, PlainLinear, Session, ToyModel, _k_bias,
                        _linear_bias)
 from .transforms import (
-    FlatTransform,
     _clipped,
+    flat_map_weight,
     flat_train,
-    flat_weight,
     kron_apply_right,
     rotate_layer,
     smooth_fit,
@@ -128,9 +128,10 @@ class QuantPlan:
             raise ValueError(f"smooth_alpha must be in [0, 1], got {self.smooth_alpha}")
         if self.a_bits < 16 and self.wa_method == "none":
             raise ValueError("a_bits < 16 requires a weight-activation method")
-        if self.wa_method != "none" and self.w_method != "rtn":
-            raise ValueError(f"wa_method {self.wa_method!r} quantizes the weights "
-                             f"itself; w_method must be 'rtn', got {self.w_method!r}")
+        if (self.w_method != "rtn" and self.wa_method == "mxfp4") or (
+                self.w_method == "awq" and self.wa_method != "none"):
+            raise ValueError(f"w_method {self.w_method!r} cannot run under wa_method "
+                             f"{self.wa_method!r}; AWQ is a map, MXFP4 a codec pair")
         if self.wa_method == "mxfp4" and (self.w_bits != 4 or self.a_bits != 4):
             raise ValueError("mxfp4 fixes w_bits = a_bits = 4")
 
@@ -220,54 +221,43 @@ def linear_input_site(name: str) -> Optional[str]:
 
 
 class FakeQuantLinear(PlainLinear):
-    """Dequantized weights plus optional dynamic input fake-quantization
-    and an optional fixed input scaling (AWQ/SmoothQuant folding). A
-    weight-only linear keeps its QuantizedTensor ``qt``, the codes that
-    ``quantlab quantize`` saves."""
+    """The product with a dequantized weight ``w_hat`` (its codes ``qt``;
+    None: 16-bit) after an input map ``map`` and an activation quantizer
+    ``act``. Here ``map`` is an AWQ or SmoothQuant inverse input scale (None:
+    the identity); ``RotatedLinear`` and ``FlatLinear`` differ in ``in_map``."""
 
-    def __init__(self, w_hat, b, act_spec: Optional[QuantSpec] = None,
-                 inv_input_scale: Optional[np.ndarray] = None,
-                 qt: Optional[QuantizedTensor] = None):
+    def __init__(self, w_hat, b, map=None, act=None, qt=None):
         super().__init__(w_hat, b)
-        self.act = act_spec
-        self.map = self.inv_input_scale = inv_input_scale
-        self.qt = qt
+        self.map, self.act, self.qt = map, act, qt
 
     def in_map(self, x):
-        if self.inv_input_scale is None:
-            return x
-        return x * self.inv_input_scale[np.newaxis, :]
+        return x if self.map is None else x * self.map[np.newaxis, :]
 
     pre_bias = PlainLinear.pre_bias
 
 
-class RotatedLinear(PlainLinear):
-    """Q(x H) @ Q(H.T W.T): the rotation is absorbed into the stored
-    weight offline; the input is rotated then fake-quantized."""
+class RotatedLinear(FakeQuantLinear):
+    """Q(x H) @ Q(H.T W.T), the rotation absorbed into the weight offline.
+    The weight is kept in Fortran order, the transpose of ``rotate_layer``'s
+    (in, out) array: a matmul's bytes depend on the layout."""
 
-    def __init__(self, wt_hat, b, h, act_spec: QuantSpec):
-        # wt_hat is (in, out), pre-quantized; w.T is wt_hat itself
-        super().__init__(np.asarray(wt_hat, dtype=np.float64).T, b)
-        self.map = self.h = h
-        self.act = act_spec
+    def __init__(self, w_hat, *args):
+        super().__init__(np.asfortranarray(w_hat), *args)
 
     def in_map(self, x):
-        return x @ self.h.matrix
+        return x @ self.map.matrix
 
     pre_bias = PlainLinear.pre_bias
 
 
-class FlatLinear(PlainLinear):
-    """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors; the
-    input map and quantizer are those of ``transforms.flat_input``."""
+class FlatLinear(FakeQuantLinear):
+    """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors ``t``;
+    the input map and quantizer are those of ``transforms.flat_input``."""
 
-    def __init__(self, w, b, t: FlatTransform, spec_w: QuantSpec, spec_a: QuantSpec):
-        super().__init__(flat_weight(np.asarray(w, dtype=np.float64), t, spec_w), b)
-        self.map = self.t = t
-        self.act = _clipped(spec_a, t.act_clip)
+    t = property(lambda self: self.map)
 
     def in_map(self, x):
-        return kron_apply_right(x, self.t.p1, self.t.p2)
+        return kron_apply_right(x, self.map.p1, self.map.p2)
 
     pre_bias = PlainLinear.pre_bias
 
@@ -342,6 +332,15 @@ def _weight_linear_names(model: ToyModel, include_lm_head: bool):
     return names + ["lm_head"] if include_lm_head else names
 
 
+def _split_rows(qt: QuantizedTensor, ends) -> list:
+    """The row blocks of ``qt`` that end at ``ends``; its groups lie in rows."""
+    p = qt.params
+    zs = ([None] * (len(ends) + 1) if p.zero_points is None
+          else np.split(p.zero_points, ends))
+    return [QuantizedTensor(c, QuantParams(s, z, p.spec, c.shape), p.spec, c.shape)
+            for c, s, z in zip(np.split(qt.codes, ends), np.split(p.scales, ends), zs)]
+
+
 def prepare_runtime(model: ToyModel, plan: QuantPlan,
                     calib_sequences=None) -> Runtime:
     """Quantize weights, fit/train transforms, and calibrate KV ranges.
@@ -356,65 +355,61 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
     if plan.needs_calibration and not calib_sequences:
         raise MissingCalibration(f"plan {plan.bits_string()} needs calibration data")
 
-    rec = None
-    if plan.needs_calibration:
-        rec = capture_activations(model, calib_sequences)
+    rec = capture_activations(model, calib_sequences) if plan.needs_calibration else None
     rng = make_rng(plan.rotation_seed)
 
-    # a weight-activation method decides every linear; without one the
-    # weight method does when the weights are quantized
-    method = plan.w_method if plan.wa_method == "none" else plan.wa_method
-    linears = plan.wa_method != "none" or plan.w_bits < 16
-    spec = default_weight_spec(plan.w_bits, plan.group_size)
+    wa = plan.wa_method
     # weight-activation methods: per-channel symmetric weights (one scale per
-    # output row), per-token asymmetric activations in group_size groups
-    spec_w = QuantSpec(bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL,
-                       axis=0)
+    # output row), per-token asymmetric activations in group_size groups;
+    # weight-only plans: asymmetric per-group weights
+    spec_w = QuantSpec(bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL, axis=0)
     spec_a = QuantSpec(bits=plan.a_bits, symmetric=False, granularity=PER_GROUP,
                        axis=1, group_size=plan.group_size)
+    if wa == "none":
+        spec_w, spec_a = default_weight_spec(plan.w_bits, plan.group_size), None
+    cls = {"rotate": RotatedLinear, "flatquant": FlatLinear}.get(wa, FakeQuantLinear)
     sites = {}  # input site -> its linears, in _LAYER_LINEARS order
-    for name in _weight_linear_names(model, plan.include_lm_head) if linears else ():
+    for name in (_weight_linear_names(model, plan.include_lm_head)
+                 if wa != "none" or plan.w_bits < 16 else ()):
         sites.setdefault(linear_input_site(name), []).append(name)
     for site, names in sites.items():
-        # rotate, SmoothQuant and FlatQuant fit one input map per site, on the
-        # stacked weight of its linears, and each of its linears holds it
         ws = np.concatenate([model.tensors[n] for n in names]).astype(np.float64)
-        if method in ("gptq", "awq", "smoothquant", "flatquant"):
-            x = rec.matrix(site)  # (tokens, in)
-        if method == "rotate":
-            shared = hadamard(ws.shape[1], randomize=True, rng=rng)
-        elif method == "smoothquant":
-            ws, shared = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha).scales)
-        elif method == "flatquant":
-            shared = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
-        ends = np.cumsum([len(model.tensors[n]) for n in names])
-        for name, w in zip(names, np.split(ws, ends[:-1])):
-            b = _linear_bias(model.tensors, name)
-            if method == "rtn":
-                qt = rtn_quantize_weights(w, spec)
-                lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
-            elif method == "gptq":
-                qt = gptq_quantize(w, x.T, GptqConfig(spec=spec))
-                rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
-                lin = FakeQuantLinear(dequantize(qt), b, qt=qt)
-            elif method == "awq":
+        ends = np.cumsum([len(model.tensors[n]) for n in names])[:-1]
+        x = None if rec is None else rec.matrix(site)  # (tokens, in)
+        if wa == "mxfp4":  # a fixed pair of weight and activation codecs
+            for name, w in zip(names, np.split(ws, ends)):
+                rt.linears[name] = Mxfp4Linear(w, _linear_bias(model.tensors, name))
+            continue
+        # stage 1, per site: the input map, fitted on the stacked weight
+        imap, spec, act = None, spec_w, spec_a
+        if wa == "rotate":
+            imap = hadamard(ws.shape[1], randomize=True, rng=rng)
+            ws = np.concatenate([rotate_layer(w, imap).T for w in np.split(ws, ends)])
+        elif wa == "smoothquant":
+            ws, imap = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha).scales)
+        elif wa == "flatquant":
+            imap = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
+            ws = np.concatenate([flat_map_weight(w, imap) for w in np.split(ws, ends)])
+            spec, act = (_clipped(spec_w, imap.weight_clip),
+                         _clipped(spec_a, imap.act_clip))
+        # stage 2, per linear: the weight quantizer on the mapped weight. Specs
+        # group within rows, so the site's stacked weight is quantized at once
+        qts = [None] * len(names)  # 16-bit weights keep no codes
+        if plan.w_method == "gptq" and not spec.passthrough:
+            x = cls(ws, None, imap).in_map(x)  # as the site's linears map it
+            qts = _split_rows(gptq_quantize(ws, x.T, GptqConfig(spec=spec)), ends)
+        elif plan.w_method == "rtn" and not spec.passthrough:
+            qts = _split_rows(rtn_quantize_weights(ws, spec), ends)
+        for name, w, qt in zip(names, np.split(ws, ends), qts):
+            if plan.w_method == "awq":  # an input map of its own, per linear
                 res = awq_search(w, x.T, spec, grid_step=plan.awq_grid_step)
-                w_scaled, inv_s = awq_fold(w, res.scales)
-                qt = rtn_quantize_weights(w_scaled, spec)
+                w, imap = awq_fold(w, res.scales)
+                qt = rtn_quantize_weights(w, spec)
                 rt.proxy_losses[name] = res.proxy_loss
-                lin = FakeQuantLinear(dequantize(qt), b, inv_input_scale=inv_s, qt=qt)
-            elif method == "mxfp4":
-                lin = Mxfp4Linear(w, b)
-            elif method == "rotate":
-                wt = rotate_layer(w, shared)  # (in, out); output channels are columns
-                lin = RotatedLinear(fake_quant(wt, replace(spec_w, axis=1)), b, shared,
-                                    spec_a)
-            elif method == "smoothquant":  # w is the folded weight's rows
-                lin = FakeQuantLinear(fake_quant(w, spec_w), b, act_spec=spec_a,
-                                      inv_input_scale=shared)
-            else:  # flatquant
-                lin = FlatLinear(w, b, shared, spec_w, spec_a)
-            rt.linears[name] = lin
+            elif plan.w_method == "gptq" and qt is not None:
+                rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
+            rt.linears[name] = cls(w if qt is None else dequantize(qt),
+                                   _linear_bias(model.tensors, name), imap, act, qt)
 
     if plan.kv_bits < 16:
         _prepare_kv(rt, rec, rng)

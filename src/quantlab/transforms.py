@@ -156,12 +156,15 @@ def flat_input(x: np.ndarray, t: FlatTransform, spec_a: QuantSpec) -> np.ndarray
     return fake_quant(kron_apply_right(x, t.p1, t.p2), _clipped(spec_a, t.act_clip))
 
 
-def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarray:
-    """Q((P1 (x) P2)^-1 W.T), stored transposed as (out, in) rows, with the
-    learned weight clip."""
+def flat_map_weight(w: np.ndarray, t: FlatTransform) -> np.ndarray:
+    """(P1 (x) P2)^-1 W.T, stored transposed as (out, in) rows."""
     # (P1 (x) P2)^-1 W.T == (W applied with the inverse factors on its input).T
-    wt = kron_apply_right(w, np.linalg.inv(t.p1).T, np.linalg.inv(t.p2).T)
-    return fake_quant(wt, _clipped(spec_w, t.weight_clip))
+    return kron_apply_right(w, np.linalg.inv(t.p1).T, np.linalg.inv(t.p2).T)
+
+
+def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarray:
+    """Q(``flat_map_weight``) with the learned weight clip."""
+    return fake_quant(flat_map_weight(w, t), _clipped(spec_w, t.weight_clip))
 
 
 def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,

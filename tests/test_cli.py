@@ -258,6 +258,24 @@ class TestSweep:
         rows = json.loads(out.read_text())["rows"]
         assert [r["status"] for r in rows] == ["ok", "ok"], rows
 
+    def test_gptq_under_rotate(self, model_file, tmp_path):
+        """A weight-activation method takes the run's weight method: rotate
+        with GPTQ weights is calibrated and writes an ok row."""
+        calib = tmp_path / "calib64.txt"
+        assert cli.main(["calib", "--model", model_file, "--calib-len", "64",
+                         "--count", "8", "--seed", "1", "--out", str(calib)]) == 0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "probe_len": 16, "calib": str(calib),
+            "runs": [{"plan": "4-4-16", "wa_method": "rotate", "w_method": "gptq"}]}))
+        out = tmp_path / "sweep_out.json"
+        rc = cli.main(["sweep", "--model", model_file, "--config", str(cfg),
+                       "--format", "json", "--out", str(out)])
+        assert rc == 0
+        [row] = json.loads(out.read_text())["rows"]
+        assert (row["status"], row["w_method"], row["wa_method"]) == (
+            "ok", "gptq", "rotate"), row
+
     def test_missing_calib_file(self, model_file, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"calib": str(tmp_path / "absent.txt"),
@@ -363,7 +381,7 @@ class TestErrors:
         {"runs": [{"plan": "4-4-16", "wa_method": "flatquant", "flat_steps": -1}]},
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": 7}]},
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": -3}]},
-        {"runs": [{"plan": "4-4-16", "wa_method": "rotate", "w_method": "gptq"}]},
+        {"runs": [{"plan": "4-4-16", "wa_method": "mxfp4", "w_method": "gptq"}]},
         {"runs": [{"plan": "8-8-16", "wa_method": "smoothquant", "w_method": "awq"}]},
         {"runs": [{"plan": "16-16-4", "k_stage": "post_rope"}]},
         {"runs": [{"plan": "16-16-4", "kv_method": "rotated_per_token",
@@ -373,7 +391,7 @@ class TestErrors:
             "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
             "bad-k-bias-mode", "bad-k-stage", "awq-grid-step-zero",
             "awq-grid-step-negative", "flat-steps-negative", "smooth-alpha-7",
-            "smooth-alpha-negative", "gptq-under-rotate", "awq-under-smoothquant",
+            "smooth-alpha-negative", "gptq-under-mxfp4", "awq-under-smoothquant",
             "k-stage-without-static-k", "k-bias-mode-without-static-k"])
     def test_malformed_sweep_config(self, model_file, tmp_path, capsys, monkeypatch,
                                     config):

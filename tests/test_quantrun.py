@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlab import kvquant, quantcore, quantrun
+from quantlab import kvquant, quantcore, quantrun, weightquant
 from quantlab.calibration import known_sites
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
@@ -39,8 +39,24 @@ from quantlab.toymodel import (
     init_model,
     site_pre_bias,
 )
-from quantlab.transforms import flat_apply, flat_objective, flat_train
-from quantlab.weightquant import default_weight_spec, rtn_quantize_weights
+from quantlab.transforms import (
+    _clipped,
+    flat_apply,
+    flat_map_weight,
+    flat_objective,
+    flat_train,
+    kron_apply_right,
+    rotate_layer,
+    smooth_fit,
+)
+from quantlab.weightquant import (
+    GptqConfig,
+    awq_fold,
+    default_weight_spec,
+    dequant_loss,
+    gptq_quantize,
+    rtn_quantize_weights,
+)
 
 from conftest import rewrite_header
 
@@ -113,11 +129,16 @@ class TestPlan:
     @pytest.mark.parametrize("wa_method", ["smoothquant", "rotate", "flatquant",
                                            "mxfp4"])
     def test_w_method_a_wa_method_ignores_rejected(self, wa_method, w_method):
-        """A weight-activation method quantizes the weights itself, so a
-        weight method other than RTN would only mislabel the run and ask
-        for calibration it never uses."""
-        with pytest.raises(ValueError, match="w_method must be 'rtn'"):
-            QuantPlan(w_bits=4, a_bits=4, wa_method=wa_method, w_method=w_method)
+        """GPTQ quantizes the weight in a map's basis, so it runs under
+        rotate, SmoothQuant and FlatQuant. AWQ is an input map itself, and
+        MXFP4 a fixed pair of codecs: a weight method either would ignore is
+        rejected rather than mislabel the run."""
+        plan = dict(w_bits=4, a_bits=4, wa_method=wa_method, w_method=w_method)
+        if w_method == "awq" or wa_method == "mxfp4":
+            with pytest.raises(ValueError, match="cannot run under"):
+                QuantPlan(**plan)
+        else:
+            assert QuantPlan(**plan).needs_calibration
         QuantPlan(w_bits=4, a_bits=4, wa_method=wa_method)  # rtn, the default
 
     @pytest.mark.parametrize("field, value", [
@@ -313,7 +334,9 @@ class TestForward:
         t = flat_train(w, x, spec_w, spec_a, steps=3)
         assert len(t.objective_trace) > 1
         assert flat_objective(w, x, t, spec_w, spec_a) == t.objective_trace[-1]
-        lin = FlatLinear(w, None, t, spec_w, spec_a)
+        qt = rtn_quantize_weights(flat_map_weight(w, t), _clipped(spec_w, t.weight_clip))
+        lin = FlatLinear(dequantize(qt), None, t, _clipped(spec_a, t.act_clip), qt)
+        assert lin.t is t
         assert lin(x).tobytes() == flat_apply(x, w, t, spec_w, spec_a).tobytes()
 
     @pytest.mark.parametrize("plan", [
@@ -328,8 +351,7 @@ class TestForward:
         assert model.tensors.keys() == tensors.keys()
         for name, t in tensors.items():
             assert np.array_equal(model.tensors[name], t)
-        assert all(lin.inv_input_scale is not None
-                   for lin in rt.linears.values())
+        assert all(lin.map is not None for lin in rt.linears.values())
 
     def test_static_k_handles_injected_bias(self, calib_seqs):
         """Pre-bias per-channel K quantization keeps the huge bias channel
@@ -576,13 +598,11 @@ class TestInputSites:
         assert len(seen) == calls
 
 
-# the three methods that fit one input map per site, and the attribute
-# under which each of its linears holds it
+# the three methods that fit one input map per site
 SITE_MAPS = {
-    "rotate": (dict(w_bits=4, a_bits=4, wa_method="rotate"), "h"),
-    "smoothquant": (dict(w_bits=8, a_bits=8, wa_method="smoothquant"),
-                    "inv_input_scale"),
-    "flatquant": (dict(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=1), "t"),
+    "rotate": dict(w_bits=4, a_bits=4, wa_method="rotate"),
+    "smoothquant": dict(w_bits=8, a_bits=8, wa_method="smoothquant"),
+    "flatquant": dict(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=1),
 }
 TWO_LAYERS = replace(SMALL, n_layers=2)
 
@@ -591,13 +611,12 @@ class TestSiteMaps:
     @pytest.mark.parametrize("qkv_bias", [True, False], ids=["qkv-bias", "no-qkv-bias"])
     @pytest.mark.parametrize("family", sorted(SITE_MAPS))
     def test_linears_of_a_site_hold_one_map(self, calib_seqs, family, qkv_bias):
-        kwargs, attr = SITE_MAPS[family]
         model = init_model(replace(TWO_LAYERS, qkv_bias=qkv_bias), make_rng(0))
-        rt = prepare_runtime(model, QuantPlan(include_lm_head=True, **kwargs),
-                             calib_seqs)
+        plan = QuantPlan(include_lm_head=True, **SITE_MAPS[family])
+        rt = prepare_runtime(model, plan, calib_seqs)
         by_site = {}
         for name, lin in rt.linears.items():
-            assert getattr(lin, attr) is lin.map is not None
+            assert lin.map is not None
             by_site.setdefault(linear_input_site(name), []).append(lin.map)
         assert [len(maps) for maps in by_site.values()] == [3, 1, 2, 1, 3, 1, 2, 1, 1]
         for maps in by_site.values():
@@ -620,7 +639,7 @@ class TestSiteMaps:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(quantrun, fit, counting)
-        plan = QuantPlan(include_lm_head=include_lm_head, **SITE_MAPS[family][0])
+        plan = QuantPlan(include_lm_head=include_lm_head, **SITE_MAPS[family])
         prepare_runtime(init_model(TWO_LAYERS, make_rng(0)), plan, calib_seqs)
         d, f, v = TWO_LAYERS.d_model, TWO_LAYERS.ffn_dim, TWO_LAYERS.vocab_size
         want = ([(3 * d, d), (d, d), (2 * f, d), (d, f)] * TWO_LAYERS.n_layers
@@ -653,6 +672,88 @@ class TestSiteMaps:
             monkeypatch.setattr(quantrun, "mxfp4_fake_quant", counting)
         sess.step(7)
         assert seen == shapes * tiny_model.config.n_layers
+
+
+SPEC_W4 = QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0)
+
+
+def _same_codes(got, want) -> bool:
+    return all(a is b or a.tobytes() == b.tobytes() for a, b in [
+        (got.codes, want.codes), (got.params.scales, want.params.scales),
+        (got.params.zero_points, want.params.zero_points)])
+
+
+def _in_map_basis(model, rt, name, x, spec):
+    """Linear ``name``'s weight, its site's input ``x`` and the weight spec
+    in the basis of its map in ``rt``, recomputed from the model."""
+    w, m = model.tensors[name].astype(np.float64), rt.linears[name].map
+    if rt.plan.wa_method == "rotate":
+        return rotate_layer(w, m).T, x @ m.matrix, spec
+    if rt.plan.wa_method == "smoothquant":  # the scales are fitted on the site
+        site = [n for n in rt.linears if linear_input_site(n) == linear_input_site(name)]
+        ws = np.concatenate([model.tensors[n] for n in site]).astype(np.float64)
+        w, inv_s = awq_fold(w, smooth_fit(x, ws, alpha=rt.plan.smooth_alpha).scales)
+        assert inv_s.tobytes() == m.tobytes()
+        return w, x * inv_s, spec
+    if rt.plan.wa_method == "flatquant":
+        return (flat_map_weight(w, m), kron_apply_right(x, m.p1, m.p2),
+                _clipped(spec, m.weight_clip))
+    return w, x, spec
+
+
+class TestWeightQuantizer:
+    """Stage 2 of the prepare loop: the plan's weight quantizer on each
+    linear's weight in its site map's basis."""
+
+    @pytest.mark.parametrize("wa_method", ["rotate", "smoothquant", "flatquant"])
+    def test_gptq_under_a_map_quantizes_the_mapped_weight(self, small_model,
+                                                          calib_seqs, wa_method):
+        """Each linear's codes are those of GPTQ alone on its mapped weight,
+        under the method's weight spec, with the Hessian of the site's
+        mapped input; its proxy loss is scored in that basis."""
+        plan = QuantPlan(w_bits=4, a_bits=4, wa_method=wa_method, w_method="gptq",
+                         flat_steps=1)
+        rt = prepare_runtime(small_model, plan, calib_seqs)
+        rec = capture_activations(small_model, calib_seqs)
+        for name, lin in rt.linears.items():
+            w, x, spec = _in_map_basis(small_model, rt, name,
+                                       rec.matrix(linear_input_site(name)), SPEC_W4)
+            want = gptq_quantize(w, x.T, GptqConfig(spec=spec))
+            assert _same_codes(lin.qt, want), name
+            assert lin.w.tobytes() == dequantize(want).tobytes()
+            assert rt.proxy_losses[name] == dequant_loss(want, w, x.T)
+
+    @pytest.mark.parametrize("wa_method", ["none", "rotate", "smoothquant", "flatquant"])
+    def test_rtn_under_a_map_is_rtn_of_the_mapped_weight(self, small_model,
+                                                         calib_seqs, wa_method):
+        """A site's stacked weight, quantized once and cut into rows, gives
+        each linear the codes of quantizing its mapped weight alone."""
+        plan = QuantPlan(w_bits=4, a_bits=16 if wa_method == "none" else 4,
+                         wa_method=wa_method, group_size=8, flat_steps=1)
+        rt = prepare_runtime(small_model, plan, calib_seqs)
+        rec = capture_activations(small_model, calib_seqs)
+        spec = default_weight_spec(4, 8) if wa_method == "none" else SPEC_W4
+        for name, lin in rt.linears.items():
+            w, _, spec_w = _in_map_basis(small_model, rt, name,
+                                         rec.matrix(linear_input_site(name)), spec)
+            assert _same_codes(lin.qt, rtn_quantize_weights(w, spec_w)), name
+
+    def test_gptq_forms_one_hessian_per_site(self, calib_seqs, monkeypatch):
+        """A weight-only GPTQ prepare of a 2-layer model inverts one Hessian
+        per input site (4 per layer), not one per linear (7 per layer), and
+        no damping retry adds an inversion."""
+        original, widths = weightquant.invert_spd, []
+
+        def counting(a):
+            widths.append(a.shape[0])
+            return original(a)
+
+        monkeypatch.setattr(weightquant, "invert_spd", counting)
+        model = init_model(TWO_LAYERS, make_rng(0))
+        rt = prepare_runtime(model, QuantPlan(w_bits=4, w_method="gptq"), calib_seqs)
+        d, f = TWO_LAYERS.d_model, TWO_LAYERS.ffn_dim
+        assert widths == [d, d, d, f] * TWO_LAYERS.n_layers
+        assert sorted(rt.proxy_losses) == sorted(rt.linears)
 
 
 def _plan_edit(**fields):
@@ -802,7 +903,7 @@ class TestCheckpoint:
         pytest.param(_plan_edit(kv_bits=17), BadMagic, id="plan-bits-17"),
         pytest.param(_plan_edit(group_size=0), BadMagic, id="plan-group-size-0"),
         pytest.param(_plan_edit(w_method="magic"), BadMagic, id="plan-unknown-method"),
-        pytest.param(_plan_edit(wa_method="rotate", w_method="gptq"), BadMagic,
+        pytest.param(_plan_edit(wa_method="rotate", w_method="awq"), BadMagic,
                      id="plan-w-method-under-wa-method"),
         pytest.param(lambda h: h["plan"].update(w_methd=h["plan"].pop("w_method")),
                      BadMagic, id="plan-unknown-key"),
