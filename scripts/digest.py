@@ -1,9 +1,13 @@
 """Print one SHA-256 per output of the quantlab library in a source tree, so
-that two trees can be checked for byte-identical results with ``diff``:
+that two trees can be checked for byte-identical results:
 
-    python scripts/digest.py path/to/tree-a > a.txt
-    python scripts/digest.py path/to/tree-b > b.txt
-    diff a.txt b.txt
+    python scripts/digest.py path/to/tree > digests.txt
+    python scripts/digest.py path/to/tree-a path/to/tree-b
+
+Given two trees, the script digests each in its own Python process (both
+import a ``quantlab``), prints only the lines that differ as ``name
+digest-a digest-b`` (``-`` where a tree has no such line), reports the
+count on stderr and exits 1 if any line differs, 0 if none does.
 
 The library is imported from ``<tree>/src``; the plans and inputs are those
 of the benchmark workloads in ``perfbench/workloads.py`` beside this script,
@@ -68,6 +72,7 @@ import hashlib
 import itertools
 import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -460,10 +465,33 @@ def gptq_lines(quantcore, weightquant, make_rng):
                 qt.codes, qt.params.scales, "none" if z is None else z)
 
 
+def compare(tree_a: Path, tree_b: Path) -> int:
+    """Digest both trees side by side, one process each; print the lines
+    that differ. Returns 1 if any does, 0 if none, 2 if a digest failed."""
+    procs = [subprocess.Popen([sys.executable, __file__, str(tree)],
+                              stdout=subprocess.PIPE, text=True)
+             for tree in (tree_a, tree_b)]
+    outs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        print("digest: a tree's digest failed", file=sys.stderr)
+        return 2
+    a, b = (dict(line.rsplit(" ", 1) for line in out.splitlines()) for out in outs)
+    names = list(a) + [name for name in b if name not in a]
+    differ = [name for name in names if a.get(name) != b.get(name)]
+    for name in differ:
+        print(name, a.get(name, "-"), b.get(name, "-"))
+    print(f"digest: {len(differ)} of {len(names)} lines differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path, help="source tree holding src/quantlab")
+    ap.add_argument("other", type=Path, nargs="?",
+                    help="a second tree: print only the lines that differ")
     args = ap.parse_args(argv)
+    if args.other is not None:
+        return compare(args.tree, args.other)
     src = args.tree.resolve() / "src"
     if not (src / "quantlab" / "__init__.py").is_file():
         print(f"digest: no library at {src / 'quantlab'}", file=sys.stderr)

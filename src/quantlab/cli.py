@@ -94,7 +94,7 @@ def cmd_quantize(args):
     for name, lin in rt.linears.items():
         quantized[name] = lin.qt
         if lin.map is not None:
-            aux[f"{name}.awq_inv_scales"] = lin.map.astype(np.float32)
+            aux[f"{name}.awq_inv_scales"] = lin.map.inv.astype(np.float32)
         if name in rt.proxy_losses:
             print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:
@@ -196,6 +196,10 @@ def cmd_sweep(args):
     unknown = set(spec) - {"runs", "probe_len", "calib", "schema_version"}
     if unknown:
         raise ValueError(f"sweep config has unknown keys {sorted(unknown)}")
+    version = spec.get("schema_version", harness.SCHEMA_VERSION)
+    if type(version) is not int or version != harness.SCHEMA_VERSION:
+        raise ValueError(f"sweep \"schema_version\" must be {harness.SCHEMA_VERSION}, "
+                         f"got {version!r}")
     probe_len, calib = spec.get("probe_len", 64), spec.get("calib")
     if type(probe_len) is not int or probe_len < 1:
         raise ValueError(f"sweep \"probe_len\" must be an int >= 1, got {probe_len!r}")

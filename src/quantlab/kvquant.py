@@ -1,6 +1,5 @@
-"""KV-cache quantization: RoPE, per-token dynamic quantization with
-optional head-dim rotation, and static per-channel K quantization with
-pre-RoPE / pre-bias options.
+"""KV-cache quantization: RoPE, per-token dynamic quantization, and static
+per-channel K quantization with pre-RoPE / pre-bias options.
 
 K/V matrices are (positions, head_dim) per head. Quantize-at-write
 semantics: entries are quantized and dequantized when appended, and the
@@ -20,7 +19,6 @@ from .errors import (
     NotCalibrated,
     OddHeadDim,
 )
-from .numerics import HadamardMatrix
 from .quantcore import (
     PER_GROUP,
     QuantParams,
@@ -177,15 +175,3 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
         k = rope_heads(k, cfg_rope, pos)
     return k
 
-
-def rotate_kv_heads(kv: np.ndarray, h: HadamardMatrix) -> np.ndarray:
-    """Head-dim Hadamard rotation applied before per-token quantization;
-    the inverse (H.T on the right) is applied on read."""
-    kv = np.asarray(kv, dtype=np.float64)
-    if h.n != kv.shape[1]:
-        raise ChannelCountMismatch(f"Hadamard dim {h.n} != head dim {kv.shape[1]}")
-    return kv @ h.matrix
-
-
-def unrotate_kv_heads(kv: np.ndarray, h: HadamardMatrix) -> np.ndarray:
-    return kv @ h.matrix.T

@@ -69,6 +69,16 @@ class HadamardMatrix:
     matrix: np.ndarray  # n x n, includes 1/sqrt(n) normalization and sign diag
     sign_diag: np.ndarray  # +-1 vector of length n
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The rotation of rows ``x`` of width n: x @ H."""
+        if x.shape[-1] != self.n:
+            raise DimensionMismatch(f"Hadamard dim {self.n} != row width {x.shape[-1]}")
+        return x @ self.matrix
+
+    def unapply(self, x: np.ndarray) -> np.ndarray:
+        """The inverse rotation, x @ H.T."""
+        return x @ self.matrix.T
+
 
 def hadamard(n: int, randomize: bool = False, rng=None) -> HadamardMatrix:
     """Sylvester-construction Hadamard matrix scaled by 1/sqrt(n).

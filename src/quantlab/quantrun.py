@@ -5,19 +5,21 @@ A plan is expressed in W-A-KV bit notation ("4-16-16") plus method names.
 Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
 
-Every quantized linear is the three stages of ``toymodel.PlainLinear``: an
-input map, an activation quantizer (``act``: a per-token ``QuantSpec``,
-MXFP4 rows or none) and the product with its pre-quantized weight.
-``prepare_runtime`` builds them in two stages. Per input site, it fits one
-input map on the stacked weight of the site's linears (``[Wq; Wk; Wv]`` at
-``attn_in``): the identity, a SmoothQuant scale, a Hadamard or a Kronecker
-transform. Per linear, it quantizes the mapped weight with the plan's
-``w_method``: RTN, GPTQ on the Hessian of the site's mapped input, or AWQ,
-a map of its own. MXFP4 is a fixed pair of codecs. ``Session`` runs a
-site's linears through ``toymodel.site_pre_bias``, which maps and quantizes
-the input once per block when they share a map and a quantizer. Every
-runtime quantizer is row-local (per-token groups, MXFP4 blocks within a
-row), so K and V quantize stacked in one call with no bit changed.
+Every quantized linear is a ``toymodel.PlainLinear`` in three stages: an
+input map that applies itself (``map.apply``: a SmoothQuant or AWQ
+``InputScale``, a ``HadamardMatrix``, a ``FlatTransform`` or none), an
+activation quantizer (``act``: a per-token ``QuantSpec``, MXFP4 rows or
+none) and the product with its pre-quantized weight. The linear classes here
+name it for tracing; ``Mxfp4Linear`` adds its codecs. ``prepare_runtime``
+builds them in two stages. Per input site, it fits one input map on the
+stacked weight of the site's linears (``[Wq; Wk; Wv]`` at ``attn_in``). Per
+linear, it quantizes the mapped weight with the plan's ``w_method``: RTN,
+GPTQ on the Hessian of the site's mapped input, or AWQ, a map of its own.
+``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
+maps and quantizes the input once per block when they share a map and a
+quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
+blocks within a row), so K and V quantize stacked in one call with no bit
+changed; rotated KV turns each head with the same ``HadamardMatrix.apply``.
 """
 
 import math
@@ -39,8 +41,6 @@ from .kvquant import (
     default_kv_v_spec,
     k_stage_tensor,
     quantize_k,
-    rotate_kv_heads,
-    unrotate_kv_heads,
 )
 from .mxfp4 import BLOCK_SIZE, mxfp4_fake_quant
 from .numerics import hadamard
@@ -62,12 +62,12 @@ from .transforms import (
     _clipped,
     flat_map_weight,
     flat_train,
-    kron_apply_right,
     rotate_layer,
     smooth_fit,
 )
 from .weightquant import (
     GptqConfig,
+    InputScale,
     awq_fold,
     awq_search,
     default_weight_spec,
@@ -216,36 +216,19 @@ def linear_input_site(name: str) -> Optional[str]:
 
 
 # --- quantized linear wrappers ------------------------------------------------
-# Each overrides stages of toymodel.PlainLinear and binds its composition,
-# ``pre_bias``, on its own class, so that each class's calls can be traced.
+# Each is PlainLinear under its own name and binds ``pre_bias`` on its own
+# class, so that each class's calls can be traced.
 
 
 class FakeQuantLinear(PlainLinear):
-    """The product with a dequantized weight ``w_hat`` (its codes ``qt``;
-    None: 16-bit) after an input map ``map`` and an activation quantizer
-    ``act``. Here ``map`` is an AWQ or SmoothQuant inverse input scale (None:
-    the identity); ``RotatedLinear`` and ``FlatLinear`` differ in ``in_map``."""
-
-    def __init__(self, w_hat, b, map=None, act=None, qt=None):
-        super().__init__(w_hat, b)
-        self.map, self.act, self.qt = map, act, qt
-
-    def in_map(self, x):
-        return x if self.map is None else x * self.map[np.newaxis, :]
+    """A uniform quantized linear with no input map or an input scale
+    (AWQ, SmoothQuant)."""
 
     pre_bias = PlainLinear.pre_bias
 
 
 class RotatedLinear(FakeQuantLinear):
-    """Q(x H) @ Q(H.T W.T), the rotation absorbed into the weight offline.
-    The weight is kept in Fortran order, the transpose of ``rotate_layer``'s
-    (in, out) array: a matmul's bytes depend on the layout."""
-
-    def __init__(self, w_hat, *args):
-        super().__init__(np.asfortranarray(w_hat), *args)
-
-    def in_map(self, x):
-        return x @ self.map.matrix
+    """Q(x H) @ Q(H.T W.T), the rotation absorbed into the weight offline."""
 
     pre_bias = PlainLinear.pre_bias
 
@@ -255,10 +238,6 @@ class FlatLinear(FakeQuantLinear):
     the input map and quantizer are those of ``transforms.flat_input``."""
 
     t = property(lambda self: self.map)
-
-    def in_map(self, x):
-        return kron_apply_right(x, self.map.p1, self.map.p2)
-
     pre_bias = PlainLinear.pre_bias
 
 
@@ -272,10 +251,8 @@ def _mxfp4_rows(x: np.ndarray) -> np.ndarray:
 class Mxfp4Linear(PlainLinear):
     """Weights and inputs round-tripped through MXFP4 blocks along rows."""
 
-    act = "mxfp4"
-
     def __init__(self, w, b):
-        super().__init__(_mxfp4_rows(np.asarray(w, dtype=np.float64)), b)
+        super().__init__(_mxfp4_rows(np.asarray(w, dtype=np.float64)), b, act="mxfp4")
 
     def quantize(self, x):
         return _mxfp4_rows(x)
@@ -304,8 +281,8 @@ class Runtime:
         bias and RoPE, and V; row r is at position pos + r, or at pos[r].
 
         ``per_token`` and ``rotated_per_token`` round-trip ``k_rope`` and V
-        stacked, in one ``fake_quant`` call; rotation and unrotation run on
-        each tensor alone. ``kvquant_star`` runs ``quantize_k`` on ``k_pre``
+        stacked, in one ``fake_quant`` call, ``kv_hadamard`` rotating each
+        head before and after. ``kvquant_star`` runs ``quantize_k`` on ``k_pre``
         with the layer's static grid, K bias and RoPE, and V per token."""
         plan = self.plan
         if plan.kv_bits >= 16:
@@ -317,13 +294,12 @@ class Runtime:
         hd, h, n = self.model.config.head_dim, self.kv_hadamard, len(v)
         kv = (k_rope, v)
         if plan.kv_method == "rotated_per_token":
-            kv = [rotate_kv_heads(r.reshape(-1, hd), h).reshape(r.shape) for r in kv]
+            kv = [h.apply(r.reshape(-1, hd)).reshape(r.shape) for r in kv]
         q = fake_quant(np.concatenate(kv), spec)  # per-token groups: row-local
         k_q, v_q = q[:n], q[n:]
         if plan.kv_method == "per_token":
             return k_q, v_q
-        return tuple(unrotate_kv_heads(r.reshape(-1, hd), h).reshape(r.shape)
-                     for r in (k_q, v_q))
+        return tuple(h.unapply(r.reshape(-1, hd)).reshape(r.shape) for r in (k_q, v_q))
 
 
 def _weight_linear_names(model: ToyModel, include_lm_head: bool):
@@ -386,7 +362,8 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
             imap = hadamard(ws.shape[1], randomize=True, rng=rng)
             ws = np.concatenate([rotate_layer(w, imap).T for w in np.split(ws, ends)])
         elif wa == "smoothquant":
-            ws, imap = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha).scales)
+            ws, inv = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha).scales)
+            imap = InputScale(inv)
         elif wa == "flatquant":
             imap = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
             ws = np.concatenate([flat_map_weight(w, imap) for w in np.split(ws, ends)])
@@ -396,20 +373,23 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
         # group within rows, so the site's stacked weight is quantized at once
         qts = [None] * len(names)  # 16-bit weights keep no codes
         if plan.w_method == "gptq" and not spec.passthrough:
-            x = cls(ws, None, imap).in_map(x)  # as the site's linears map it
+            x = x if imap is None else imap.apply(x)  # as the site's linears map it
             qts = _split_rows(gptq_quantize(ws, x.T, GptqConfig(spec=spec)), ends)
         elif plan.w_method == "rtn" and not spec.passthrough:
             qts = _split_rows(rtn_quantize_weights(ws, spec), ends)
         for name, w, qt in zip(names, np.split(ws, ends), qts):
             if plan.w_method == "awq":  # an input map of its own, per linear
                 res = awq_search(w, x.T, spec, grid_step=plan.awq_grid_step)
-                w, imap = awq_fold(w, res.scales)
+                w, inv = awq_fold(w, res.scales)
+                imap = InputScale(inv)
                 qt = rtn_quantize_weights(w, spec)
                 rt.proxy_losses[name] = res.proxy_loss
             elif plan.w_method == "gptq" and qt is not None:
                 rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
-            rt.linears[name] = cls(w if qt is None else dequantize(qt),
-                                   _linear_bias(model.tensors, name), imap, act, qt)
+            w = w if qt is None else dequantize(qt)
+            if wa == "rotate":  # Fortran order, the transpose of rotate_layer's
+                w = np.asfortranarray(w)  # (in, out): a matmul's bytes depend on it
+            rt.linears[name] = cls(w, _linear_bias(model.tensors, name), imap, act, qt)
 
     if plan.kv_bits < 16:
         _prepare_kv(rt, rec, rng)

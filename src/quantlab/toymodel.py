@@ -267,6 +267,8 @@ def read_header(raw: bytes, magic: bytes, keys) -> tuple:
         raise TruncatedFile(len(raw), "file shorter than fixed header")
     if raw[:4] != magic:
         raise BadMagic(f"expected {magic!r}, got {raw[:4]!r}")
+    if raw[4] != FORMAT_VERSION:
+        raise BadMagic(f"format version {raw[4]}, expected {FORMAT_VERSION}")
     hdr_len = struct.unpack_from("<I", raw, 5)[0]
     if 9 + hdr_len > len(raw):
         raise TruncatedFile(len(raw), "header extends past end of file")
@@ -367,20 +369,21 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 class PlainLinear:
-    """Full-precision linear, y = x @ w.T (+ b), in three stages that the
-    quantized linears of quantrun.py override: the input map ``in_map``
-    (``map`` holds its state; None: the identity), the activation quantizer
-    ``quantize`` (``act`` names it; None: none) and the ``product`` with the
-    stored weight."""
+    """A linear, y = x @ w.T (+ b), in three stages: the input map ``in_map``
+    (``map.apply``; None: the identity), the activation quantizer
+    ``quantize`` (``act`` names it, by default a ``QuantSpec`` for
+    ``fake_quant``; None: none) and the ``product`` with the stored weight
+    ``w``. Full precision by default; a quantized linear of quantrun.py holds
+    its map, its quantizer and ``qt``, the codes of its dequantized ``w``."""
 
-    act = map = None
-
-    def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None):
+    def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None, map=None,
+                 act=None, qt=None):
         self.w = np.asarray(w, dtype=np.float64)
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
+        self.map, self.act, self.qt = map, act, qt
 
     def in_map(self, x: np.ndarray) -> np.ndarray:
-        return x
+        return x if self.map is None else self.map.apply(x)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
         return fake_quant(x, self.act)

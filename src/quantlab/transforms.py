@@ -72,6 +72,10 @@ class FlatTransform:
     def n(self) -> int:
         return self.p1.shape[0] * self.p2.shape[0]
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The transform of rows ``x``: x (P1 (x) P2)."""
+        return kron_apply_right(x, self.p1, self.p2)
+
 
 def kron_factor(n: int) -> tuple:
     """n1 = largest divisor of n that is <= sqrt(n); n = n1 * n2."""
@@ -153,7 +157,7 @@ def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
 
 def flat_input(x: np.ndarray, t: FlatTransform, spec_a: QuantSpec) -> np.ndarray:
     """Q(X (P1 (x) P2)) with the learned activation clip."""
-    return fake_quant(kron_apply_right(x, t.p1, t.p2), _clipped(spec_a, t.act_clip))
+    return fake_quant(t.apply(x), _clipped(spec_a, t.act_clip))
 
 
 def flat_map_weight(w: np.ndarray, t: FlatTransform) -> np.ndarray:

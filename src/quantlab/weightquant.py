@@ -201,6 +201,17 @@ def awq_fold(w: np.ndarray, scales: np.ndarray):
     return w_scaled, 1.0 / scales
 
 
+@dataclass(frozen=True)
+class InputScale:
+    """The input map of an AWQ or SmoothQuant fold: ``awq_fold``'s inverse
+    scales ``inv`` on each input channel."""
+
+    inv: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x * self.inv[np.newaxis, :]
+
+
 def brute_force_optimal(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec):
     """Exhaustive proxy-loss minimization over floor/ceil code choices.
 

@@ -11,7 +11,7 @@ from quantlab.calibration import (
     stats_to_csv,
     write_sequences,
 )
-from quantlab.errors import FileTooSmall, ParseError, UnknownSite
+from quantlab.errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from quantlab.quantrun import capture_activations
 from quantlab.rng import make_rng
 from quantlab.toymodel import ToyConfig, generate, init_model
@@ -116,6 +116,18 @@ class TestSelfGenerate:
     def test_empty_prompts_rejected(self, small_model):
         with pytest.raises(ValueError):
             self_generate(small_model, [], seq_len=8, count=1, rng=make_rng(0))
+
+    def test_longer_than_context_rejected(self, small_model):
+        with pytest.raises(ContextOverflow):
+            self_generate(small_model, [[0]], seq_len=SMALL.max_seq_len + 1, count=1,
+                          rng=make_rng(0))
+
+    def test_sampling_without_rng_rejected(self, small_model):
+        with pytest.raises(ValueError, match="rng"):
+            self_generate(small_model, [[0]], seq_len=8, count=1, rng=None)
+        greedy = self_generate(small_model, [[0]], seq_len=8, count=1, rng=None,
+                               temperature=0.0)  # greedy decoding draws nothing
+        assert len(greedy.sequences[0]) == 8
 
     @pytest.mark.parametrize("seq_len,count", [(0, 1), (8, 0)])
     def test_counts_below_range(self, small_model, seq_len, count):

@@ -386,13 +386,19 @@ class TestErrors:
         {"runs": [{"plan": "16-16-4", "k_stage": "post_rope"}]},
         {"runs": [{"plan": "16-16-4", "kv_method": "rotated_per_token",
                    "k_bias_mode": "post_bias"}]},
+        {"schema_version": 99, "runs": [{"plan": "4-16-16"}]},
+        {"schema_version": 0, "runs": [{"plan": "4-16-16"}]},
+        {"schema_version": "1", "runs": [{"plan": "4-16-16"}]},
+        {"schema_version": True, "runs": [{"plan": "4-16-16"}]},
     ], ids=["bits-32", "bits-17", "group-size-0", "unknown-top-level-key",
             "unknown-option", "bits-twice", "run-not-an-object", "run-without-plan",
             "plan-not-a-string", "runs-not-a-list", "top-level-not-an-object",
             "bad-k-bias-mode", "bad-k-stage", "awq-grid-step-zero",
             "awq-grid-step-negative", "flat-steps-negative", "smooth-alpha-7",
             "smooth-alpha-negative", "gptq-under-mxfp4", "awq-under-smoothquant",
-            "k-stage-without-static-k", "k-bias-mode-without-static-k"])
+            "k-stage-without-static-k", "k-bias-mode-without-static-k",
+            "schema-version-99", "schema-version-0", "schema-version-string",
+            "schema-version-bool"])
     def test_malformed_sweep_config(self, model_file, tmp_path, capsys, monkeypatch,
                                     config):
         """Rejected before any run's calibration."""
@@ -524,11 +530,36 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: quantlab") and captured.err == ""
 
+    @pytest.mark.parametrize("method", ["bogus", "none"])
+    def test_unknown_method(self, model_file, tmp_path, capsys, method):
+        """``none`` names no method to apply; it is the absence of one."""
+        out = tmp_path / "d.csv"
+        rc = cli.main(["drift", "--model", model_file, "--plan", "4-16-16",
+                       "--method", method, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: unknown method {method!r}")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_bad_plan_string(self, model_file, tmp_path, capsys):
         rc = cli.main(["drift", "--model", model_file, "--plan", "four",
                        "--out", str(tmp_path / "d.csv")])
         assert rc == 1
         assert "error: ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [0, 2, 7])
+    def test_unsupported_format_version(self, model_file, tmp_path, capsys, version):
+        """A TQM1 whose version byte is not FORMAT_VERSION is refused."""
+        raw = bytearray(open(model_file, "rb").read())
+        raw[4] = version
+        bad, out = tmp_path / "bad.tqm", tmp_path / "d.csv"
+        bad.write_bytes(bytes(raw))
+        rc = cli.main(["drift", "--model", str(bad), "--plan", "16-16-16",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: BadMagic: format version {version}")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("edit, error", [
         pytest.param(lambda h: h.pop("tensors"), "BadMagic",

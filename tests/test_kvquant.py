@@ -5,7 +5,6 @@ from quantlab.errors import (
     ChannelCountMismatch,
     EmptyCalibration,
     NotCalibrated,
-    NotPowerOfTwo,
     OddHeadDim,
 )
 from quantlab.kvquant import (
@@ -22,10 +21,7 @@ from quantlab.kvquant import (
     k_stage_tensor,
     quantize_k,
     rope_apply,
-    rotate_kv_heads,
-    unrotate_kv_heads,
 )
-from quantlab.numerics import hadamard
 from quantlab.quantcore import QuantSpec, dequantize, fit_params, quantize
 from quantlab.rng import make_rng
 
@@ -262,27 +258,3 @@ class TestVQuant:
         qt = quantize(v, fit_params(v, default_kv_v_spec(4)))
         assert qt.params.scales[1, 0] / qt.params.scales[0, 0] == pytest.approx(1e6)
 
-
-class TestHeadRotation:
-    def test_rotate_unrotate_identity(self):
-        rng = make_rng(9)
-        h = hadamard(64, randomize=True, rng=rng)
-        kv = rng.standard_normal((8, 64))
-        back = unrotate_kv_heads(rotate_kv_heads(kv, h), h)
-        assert np.max(np.abs(back - kv)) <= 1e-11
-
-    def test_outlier_ranges_shrink_after_rotation(self):
-        rng = make_rng(10)
-        kv = rng.standard_normal((32, 64))
-        kv[:, 5] *= 100.0
-        h = hadamard(64, randomize=True, rng=rng)
-        spec = default_kv_v_spec(4, group_size=64)
-        s_plain = fit_params(kv, spec).scales
-        s_rot = fit_params(rotate_kv_heads(kv, h), spec).scales
-        assert np.all(s_rot <= s_plain)
-
-    def test_non_power_of_two_head_dim(self):
-        with pytest.raises(NotPowerOfTwo):
-            hadamard(48)
-        with pytest.raises(ChannelCountMismatch):
-            rotate_kv_heads(np.zeros((2, 48)), hadamard(64))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quantlab.errors import NotPositiveDefinite, NotPowerOfTwo
+from quantlab.errors import DimensionMismatch, NotPositiveDefinite, NotPowerOfTwo
+from quantlab.kvquant import default_kv_v_spec
 from quantlab.numerics import (
     cholesky,
     hadamard,
@@ -9,6 +10,7 @@ from quantlab.numerics import (
     is_power_of_two,
     solve_lower,
 )
+from quantlab.quantcore import fit_params
 from quantlab.rng import make_rng
 
 
@@ -91,3 +93,31 @@ class TestHadamard:
     def test_is_power_of_two(self):
         assert is_power_of_two(1) and is_power_of_two(64)
         assert not is_power_of_two(0) and not is_power_of_two(48)
+
+
+class TestHeadRotation:
+    """``HadamardMatrix.apply``/``unapply`` as rotated KV runs them on the
+    rows of each head."""
+
+    def test_rotate_unrotate_identity(self):
+        rng = make_rng(9)
+        h = hadamard(64, randomize=True, rng=rng)
+        kv = rng.standard_normal((8, 64))
+        back = h.unapply(h.apply(kv))
+        assert np.max(np.abs(back - kv)) <= 1e-11
+
+    def test_outlier_ranges_shrink_after_rotation(self):
+        rng = make_rng(10)
+        kv = rng.standard_normal((32, 64))
+        kv[:, 5] *= 100.0
+        h = hadamard(64, randomize=True, rng=rng)
+        spec = default_kv_v_spec(4, group_size=64)
+        s_plain = fit_params(kv, spec).scales
+        s_rot = fit_params(h.apply(kv), spec).scales
+        assert np.all(s_rot <= s_plain)
+
+    def test_non_power_of_two_head_dim(self):
+        with pytest.raises(NotPowerOfTwo):
+            hadamard(48)
+        with pytest.raises(DimensionMismatch):
+            hadamard(64).apply(np.zeros((2, 48)))

@@ -183,6 +183,16 @@ class TestQuantizeDequantize:
         x = make_rng(4).standard_normal((3, 7))
         assert fake_quant(x, QuantSpec(bits=16)) is x
 
+    def test_quantize_rejects_the_passthrough_sentinel(self):
+        x = make_rng(4).standard_normal((3, 7))
+        with pytest.raises(ValueError, match="pass-through"):
+            quantize(x, fit_params(x, QuantSpec(bits=16)))
+
+    def test_quantize_rejects_a_shape_other_than_fitted(self):
+        x = make_rng(4).standard_normal((3, 8))
+        with pytest.raises(ValueError, match="does not match"):
+            quantize(x[:2], fit_params(x, spec_pg(4, 8)))
+
     def test_ragged_final_group(self):
         x = make_rng(5).standard_normal((2, 300))
         p = fit_params(x, spec_pg(4, 128))

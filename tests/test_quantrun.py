@@ -45,7 +45,6 @@ from quantlab.transforms import (
     flat_map_weight,
     flat_objective,
     flat_train,
-    kron_apply_right,
     rotate_layer,
     smooth_fit,
 )
@@ -547,9 +546,9 @@ class TestInputSites:
         def alone(rows):
             if kv_method == "per_token":
                 return fake_quant(rows, spec)
-            rot = kvquant.rotate_kv_heads(rows.reshape(-1, hd), h).reshape(rows.shape)
+            rot = h.apply(rows.reshape(-1, hd)).reshape(rows.shape)
             q = fake_quant(rot, spec).reshape(-1, hd)
-            return kvquant.unrotate_kv_heads(q, h).reshape(rows.shape)
+            return h.unapply(q).reshape(rows.shape)
 
         rng = make_rng(9)
         k, v = (_site_rows(rng, n, SITE_CFG.d_model) for _ in range(2))
@@ -688,16 +687,15 @@ def _in_map_basis(model, rt, name, x, spec):
     in the basis of its map in ``rt``, recomputed from the model."""
     w, m = model.tensors[name].astype(np.float64), rt.linears[name].map
     if rt.plan.wa_method == "rotate":
-        return rotate_layer(w, m).T, x @ m.matrix, spec
+        return rotate_layer(w, m).T, m.apply(x), spec
     if rt.plan.wa_method == "smoothquant":  # the scales are fitted on the site
         site = [n for n in rt.linears if linear_input_site(n) == linear_input_site(name)]
         ws = np.concatenate([model.tensors[n] for n in site]).astype(np.float64)
         w, inv_s = awq_fold(w, smooth_fit(x, ws, alpha=rt.plan.smooth_alpha).scales)
-        assert inv_s.tobytes() == m.tobytes()
-        return w, x * inv_s, spec
+        assert inv_s.tobytes() == m.inv.tobytes()
+        return w, m.apply(x), spec
     if rt.plan.wa_method == "flatquant":
-        return (flat_map_weight(w, m), kron_apply_right(x, m.p1, m.p2),
-                _clipped(spec, m.weight_clip))
+        return flat_map_weight(w, m), m.apply(x), _clipped(spec, m.weight_clip)
     return w, x, spec
 
 
@@ -822,6 +820,14 @@ class TestCheckpoint:
         with pytest.raises(TruncatedFile) as ei:
             load_checkpoint(p)
         assert isinstance(ei.value.offset, int)
+
+    def test_awq_inverse_scales_of_another_width(self, small_model, tmp_path):
+        aux = {"layers.0.wq.awq_inv_scales": np.ones(3, dtype=np.float32)}
+        p = tmp_path / "c.tqq"
+        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(),
+                        self._quantized(small_model), p)
+        with pytest.raises(ShapeMismatch, match="AWQ inverse scales"):
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("edit, error", [
         pytest.param(lambda h: h.pop("q_tensors"), BadMagic,

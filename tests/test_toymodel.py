@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
     BadMagic,
     ContextOverflow,
@@ -11,6 +14,7 @@ from quantlab.errors import (
 from quantlab.rng import make_rng
 from quantlab.toymodel import (
     BOS_ID,
+    FORMAT_VERSION,
     THINK_END_ID,
     Session,
     ToyConfig,
@@ -27,6 +31,7 @@ from quantlab.toymodel import (
     save_model,
     softmax,
 )
+from quantlab.weightquant import default_weight_spec, rtn_quantize_weights
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=32)
@@ -205,6 +210,38 @@ class TestSerialization:
         p.write_bytes(b"TQM1")
         with pytest.raises(TruncatedFile):
             load_model(p)
+
+    @pytest.mark.parametrize("fmt", ["tqm", "tqq"])
+    @pytest.mark.parametrize("corrupt, error", [
+        pytest.param(lambda raw: raw.__setitem__(4, 0), BadMagic, id="version-0"),
+        pytest.param(lambda raw: raw.__setitem__(4, FORMAT_VERSION + 1), BadMagic,
+                     id="version-next"),
+        pytest.param(lambda raw: raw.__setitem__(4, 7), BadMagic, id="version-7"),
+        pytest.param(lambda raw: struct.pack_into("<I", raw, 5, len(raw)),
+                     TruncatedFile, id="header-past-eof"),
+        pytest.param(lambda raw: raw.__setitem__(9, ord("x")), BadMagic,
+                     id="header-not-json"),
+        pytest.param(lambda raw: raw.__setitem__(9, 0xFF), BadMagic,
+                     id="header-not-utf8"),
+    ])
+    def test_fixed_header(self, small_model, tmp_path, fmt, corrupt, error):
+        """TQM1 and TQQ1 check the version byte, the header length and the
+        JSON header alike, in ``read_header``."""
+        p = tmp_path / f"m.{fmt}"
+        if fmt == "tqm":
+            save_model(small_model, p)
+            load = load_model
+        else:
+            w = small_model.tensors["layers.0.wq"].astype(np.float64)
+            save_checkpoint(small_model, {"w_bits": 4}, {"layers.0.wq": (
+                rtn_quantize_weights(w, default_weight_spec(4, 8)))}, p)
+            load = load_checkpoint
+        load(p)
+        raw = bytearray(p.read_bytes())
+        corrupt(raw)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(error):
+            load(p)
 
     def test_missing_tensor_rejected(self, small_model, tmp_path):
         import json

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantlab import weightquant
-from quantlab.errors import NonPositiveScale, TooLargeToEnumerate
+from quantlab.errors import NonPositiveScale, NotPositiveDefinite, TooLargeToEnumerate
 from quantlab.quantcore import (
     PER_CHANNEL,
     PER_GROUP,
@@ -129,6 +129,54 @@ class TestGptq:
         qt = gptq_quantize(w, x, GptqConfig(spec=spec,
                                             column_order=ACTIVATION_ORDER))
         assert qt.codes.shape == w.shape
+
+    def test_calib_width_checked(self):
+        with pytest.raises(ValueError, match="calib_x rows"):
+            gptq_quantize(np.ones((2, 8)), np.ones((7, 16)), GptqConfig())
+
+    def test_zero_hessian_damped_by_the_fraction(self):
+        """All-zero calibration: the mean diagonal is 0, so the damping is
+        ``damping_fraction`` itself; no column's error propagates, and the
+        codes are RTN's."""
+        w = make_rng(7).standard_normal((3, 8))
+        spec = default_weight_spec(4, 4)
+        qt = gptq_quantize(w, np.zeros((8, 16)), GptqConfig(spec=spec))
+        assert np.array_equal(qt.codes, rtn_quantize_weights(w, spec).codes)
+
+    def test_damping_doubles_until_the_hessian_inverts(self, monkeypatch):
+        """Each failed inversion doubles the damping; the third try, at 4x
+        the first, succeeds."""
+        original, damped = weightquant.invert_spd, []
+
+        def fail_twice(a):
+            damped.append(a[0, 0])
+            if len(damped) <= 2:
+                raise NotPositiveDefinite(0)
+            return original(a)
+
+        monkeypatch.setattr(weightquant, "invert_spd", fail_twice)
+        rng = make_rng(8)
+        x = rng.standard_normal((8, 32))
+        h00 = float(x[0] @ x[0])
+        gptq_quantize(rng.standard_normal((2, 8)), x, GptqConfig())
+        lam = [d - h00 for d in damped]
+        assert len(lam) == 3
+        assert lam[1] == pytest.approx(2 * lam[0]) and lam[2] == pytest.approx(4 * lam[0])
+
+    def test_non_finite_hessian_not_positive_definite(self, monkeypatch):
+        """A Hessian with a NaN entry fails every damping retry, then raises."""
+        original, calls = weightquant.invert_spd, []
+
+        def counting(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(weightquant, "invert_spd", counting)
+        x = make_rng(9).standard_normal((8, 16))
+        x[3, 5] = np.nan
+        with pytest.raises(NotPositiveDefinite):
+            gptq_quantize(np.ones((2, 8)), x, GptqConfig())
+        assert len(calls) == weightquant.MAX_DAMPING_RETRIES + 1
 
     def test_damping_validation(self):
         with pytest.raises(ValueError):
