@@ -47,10 +47,10 @@ def save_checkpoint(model: ToyModel, plan_dict: dict, quantized: dict, path) -> 
     aux_manifest, aux_blobs = f32_blobs(model.aux)
     blobs += aux_blobs
     q_manifest = []
-    for n in sorted(quantized):
-        qt = quantized[n]
-        codes_raw = pack_codes(qt.codes, qt.spec.bits, qt.spec.symmetric)
-        entry = {"name": n, "shape": list(qt.shape), "spec": qt.spec.to_dict(),
+    for n, qt in sorted(quantized.items()):
+        spec = qt.params.spec
+        codes_raw = pack_codes(qt.codes, spec.bits, spec.symmetric)
+        entry = {"name": n, "shape": list(qt.codes.shape), "spec": spec.to_dict(),
                  "param_shape": list(qt.params.scales.shape),
                  "codes_bytes": len(codes_raw)}
         q_manifest.append(entry)
@@ -87,6 +87,8 @@ def load_checkpoint(path):
         name = entry["name"]
         shape = manifest_shape(entry)
         what = f"tensor {name!r}"
+        if name in tensors:
+            raise BadMagic(f"{what} is both a full-precision and a quantized tensor")
         if len(shape) != 2 or 0 in shape:
             raise ShapeMismatch(f"{what}: shape {list(shape)} is not a nonempty matrix")
         try:
@@ -115,7 +117,7 @@ def load_checkpoint(path):
         zps = None
         if not spec.symmetric:
             zps = read_array(raw, entry, "<i4", "zero_points_offset", "param_shape")
-        qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape), spec, shape)
+        qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape))
         quantized[name] = qt
         w = dequantize(qt)
         inv_s = aux.get(f"{name}.awq_inv_scales")

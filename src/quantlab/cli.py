@@ -98,7 +98,7 @@ def cmd_quantize(args):
         if name in rt.proxy_losses:
             print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:
-            print(f"{name}: quantized {lin.qt.shape} at {plan.w_bits} bits")
+            print(f"{name}: quantized {lin.qt.codes.shape} at {plan.w_bits} bits")
     checkpoint.save_checkpoint(replace(model, aux=aux), plan.to_dict(), quantized,
                                args.out)
     print(f"wrote {args.out}")

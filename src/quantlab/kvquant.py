@@ -4,7 +4,8 @@ per-channel K quantization with pre-RoPE / pre-bias options.
 K/V matrices are (positions, head_dim) per head. Quantize-at-write
 semantics: entries are quantized and dequantized when appended, and the
 cache holds the dequantized rows; past entries are never requantized.
-Static K's per-channel grid is fitted once, at calibration.
+Static K's per-channel grid is fitted once, at calibration. Each layer's
+``KvWriter.write`` returns the rows its cache stores for a block of K/V rows.
 """
 
 from dataclasses import dataclass, replace
@@ -19,11 +20,13 @@ from .errors import (
     NotCalibrated,
     OddHeadDim,
 )
+from .numerics import HadamardMatrix
 from .quantcore import (
     PER_GROUP,
     QuantParams,
     QuantSpec,
     dequantize,
+    fake_quant,
     fit_asymmetric,
     quantize,
 )
@@ -175,3 +178,28 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
         k = rope_heads(k, cfg_rope, pos)
     return k
 
+
+@dataclass(frozen=True)
+class KvWriter:
+    """One layer's cache writer: K after RoPE and V per token, stacked in one
+    ``fake_quant``, each head turned by ``h`` when set (rotated KV); or, with
+    ``k_cfg``, static K by ``quantize_k`` on K before its bias, V per token."""
+
+    spec: QuantSpec
+    h: Optional[HadamardMatrix] = None
+    k_bias: Optional[np.ndarray] = None
+    k_cfg: Optional[KvQuantStarConfig] = None
+    rope: Optional[RopeConfig] = None
+
+    def write(self, k_pre, k_rope, v, pos):
+        if self.k_cfg is not None:
+            k = quantize_k(k_pre, self.k_bias, self.k_cfg, self.rope, pos)
+            return k, fake_quant(v, self.spec)
+        h, kv = self.h, (k_rope, v)
+        if h is not None:
+            kv = [h.apply(r.reshape(-1, h.n)).reshape(r.shape) for r in kv]
+        q = fake_quant(np.concatenate(kv), self.spec)  # per-token groups: row-local
+        kv = q[: len(v)], q[len(v) :]
+        if h is not None:
+            kv = tuple(h.unapply(r.reshape(-1, h.n)).reshape(r.shape) for r in kv)
+        return kv

@@ -118,9 +118,7 @@ class QuantParams:
 @dataclass
 class QuantizedTensor:
     codes: np.ndarray  # int32, original shape; symmetric codes are signed
-    params: QuantParams
-    spec: QuantSpec
-    shape: tuple
+    params: QuantParams  # its spec and shape are the tensor's
 
 
 def _grouping(shape, spec: QuantSpec):
@@ -316,7 +314,7 @@ def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
         if z is not None:
             qv += z
         np.minimum(np.maximum(qv, lo, out=qv), hi, out=qv)
-    return QuantizedTensor(q.astype(np.int32), params, spec, x.shape)
+    return QuantizedTensor(q.astype(np.int32), params)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:

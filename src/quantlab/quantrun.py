@@ -1,5 +1,5 @@
-"""Quantized inference: QuantPlan, per-linear quantized wrappers, KV-cache
-write hooks, and calibration-driven preparation.
+"""Quantized inference: QuantPlan, per-linear quantized wrappers, the
+runtime, and calibration-driven preparation.
 
 A plan is expressed in W-A-KV bit notation ("4-16-16") plus method names.
 Queries are never quantized: activation quantization happens at linear
@@ -18,8 +18,8 @@ GPTQ on the Hessian of the site's mapped input, or AWQ, a map of its own.
 ``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
 maps and quantizes the input once per block when they share a map and a
 quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
-blocks within a row), so K and V quantize stacked in one call with no bit
-changed; rotated KV turns each head with the same ``HadamardMatrix.apply``.
+blocks within a row). ``_kv_writers``, the one reader of ``kv_method``,
+builds one ``kvquant.KvWriter`` per layer; ``Runtime.kv_write`` calls it.
 """
 
 import math
@@ -35,12 +35,12 @@ from .kvquant import (
     PRE_BIAS,
     PRE_ROPE,
     KvQuantStarConfig,
+    KvWriter,
     RopeConfig,
     calibrate_k_channels,
     default_kv_k_channel_spec,
     default_kv_v_spec,
     k_stage_tensor,
-    quantize_k,
 )
 from .mxfp4 import BLOCK_SIZE, mxfp4_fake_quant
 from .numerics import hadamard
@@ -53,7 +53,6 @@ from .quantcore import (
     QuantizedTensor,
     _check_field_types,
     dequantize,
-    fake_quant,
 )
 from .rng import make_rng
 from .toymodel import (_LAYER_LINEARS, PlainLinear, Session, ToyModel, _k_bias,
@@ -267,39 +266,16 @@ class Mxfp4Linear(PlainLinear):
 class Runtime:
     """Prepared quantization state for one model + plan."""
 
-    model: ToyModel
     plan: QuantPlan
     linears: dict = field(default_factory=dict)   # name -> PlainLinear subclass
-    kv_cfgs: dict = field(default_factory=dict)   # layer -> quantize_k's bias, cfg, rope
-    kv_hadamard: Optional[object] = None
-    kv_token_spec: Optional[QuantSpec] = None
+    kv: list = field(default_factory=list)        # layer -> KvWriter; none at 16 bits
     proxy_losses: dict = field(default_factory=dict)
 
     def kv_write(self, layer, k_pre, k_rope, v, pos):
-        """Return the (dequantized) K/V rows to store in the cache for a
-        block of (T, d_model) rows of ``layer``: K before its bias, K after
-        bias and RoPE, and V; row r is at position pos + r, or at pos[r].
-
-        ``per_token`` and ``rotated_per_token`` round-trip ``k_rope`` and V
-        stacked, in one ``fake_quant`` call, ``kv_hadamard`` rotating each
-        head before and after. ``kvquant_star`` runs ``quantize_k`` on ``k_pre``
-        with the layer's static grid, K bias and RoPE, and V per token."""
-        plan = self.plan
-        if plan.kv_bits >= 16:
-            return k_rope, v
-        spec = self.kv_token_spec
-        if plan.kv_method == "kvquant_star":
-            bias, cfg, rope = self.kv_cfgs[layer]
-            return quantize_k(k_pre, bias, cfg, rope, pos), fake_quant(v, spec)
-        hd, h, n = self.model.config.head_dim, self.kv_hadamard, len(v)
-        kv = (k_rope, v)
-        if plan.kv_method == "rotated_per_token":
-            kv = [h.apply(r.reshape(-1, hd)).reshape(r.shape) for r in kv]
-        q = fake_quant(np.concatenate(kv), spec)  # per-token groups: row-local
-        k_q, v_q = q[:n], q[n:]
-        if plan.kv_method == "per_token":
-            return k_q, v_q
-        return tuple(h.unapply(r.reshape(-1, hd)).reshape(r.shape) for r in (k_q, v_q))
+        """The (dequantized) K/V rows the cache stores for a block of (T,
+        d_model) rows of ``layer``: K before its bias, K after bias and RoPE,
+        and V at positions pos + r (or pos[r]); at 16-bit KV, k_rope and v."""
+        return self.kv[layer].write(k_pre, k_rope, v, pos) if self.kv else (k_rope, v)
 
 
 def _weight_linear_names(model: ToyModel, include_lm_head: bool):
@@ -313,7 +289,7 @@ def _split_rows(qt: QuantizedTensor, ends) -> list:
     p = qt.params
     zs = ([None] * (len(ends) + 1) if p.zero_points is None
           else np.split(p.zero_points, ends))
-    return [QuantizedTensor(c, QuantParams(s, z, p.spec, c.shape), p.spec, c.shape)
+    return [QuantizedTensor(c, QuantParams(s, z, p.spec, c.shape))
             for c, s, z in zip(np.split(qt.codes, ends), np.split(p.scales, ends), zs)]
 
 
@@ -325,7 +301,7 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
     plan uses a data-dependent method (GPTQ, AWQ, SmoothQuant, FlatQuant,
     KVQuant-style static K ranges).
     """
-    rt = Runtime(model=model, plan=plan)
+    rt = Runtime(plan=plan)
     if plan.passthrough:
         return rt
     if plan.needs_calibration and not calib_sequences:
@@ -362,7 +338,7 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
             imap = hadamard(ws.shape[1], randomize=True, rng=rng)
             ws = np.concatenate([rotate_layer(w, imap).T for w in np.split(ws, ends)])
         elif wa == "smoothquant":
-            ws, inv = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha).scales)
+            ws, inv = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha))
             imap = InputScale(inv)
         elif wa == "flatquant":
             imap = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
@@ -391,27 +367,29 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
                 w = np.asfortranarray(w)  # (in, out): a matmul's bytes depend on it
             rt.linears[name] = cls(w, _linear_bias(model.tensors, name), imap, act, qt)
 
-    if plan.kv_bits < 16:
-        _prepare_kv(rt, rec, rng)
+    if plan.kv_bits < 16:  # after the site maps: rotated KV draws from rng last
+        rt.kv = _kv_writers(model, plan, rec, rng)
     return rt
 
 
-def _prepare_kv(rt: Runtime, rec, rng):
-    plan = rt.plan
-    model = rt.model
-    rt.kv_token_spec = default_kv_v_spec(plan.kv_bits, plan.group_size)
-    if plan.kv_method == "rotated_per_token":
-        rt.kv_hadamard = hadamard(model.config.head_dim, randomize=True, rng=rng)
+def _kv_writers(model: ToyModel, plan: QuantPlan, rec, rng) -> list:
+    """One KV writer per layer; rotated per-token KV shares one Hadamard."""
+    mc, spec = model.config, default_kv_v_spec(plan.kv_bits, plan.group_size)
     if plan.kv_method != "kvquant_star":
-        return
-    rope_cfg = RopeConfig(head_dim=model.config.head_dim, base=model.config.rope_base)
+        h = (hadamard(mc.head_dim, randomize=True, rng=rng)
+             if plan.kv_method == "rotated_per_token" else None)
+        return [KvWriter(spec, h)] * mc.n_layers
+    rope = RopeConfig(head_dim=mc.head_dim, base=mc.rope_base)
     cfg = KvQuantStarConfig(k_spec=default_kv_k_channel_spec(plan.kv_bits),
                             k_stage=plan.k_stage, k_bias_mode=plan.k_bias_mode)
-    for i in range(model.config.n_layers):
-        site = f"layer{i}.k_pre_bias"
+    writers = []
+    for i in range(mc.n_layers):
         bias = _k_bias(model, i)
-        staged = k_stage_tensor(rec.matrix(site), bias, cfg, rope_cfg, rec.positions)
-        rt.kv_cfgs[i] = (bias, calibrate_k_channels(staged, cfg), rope_cfg)
+        k = k_stage_tensor(rec.matrix(f"layer{i}.k_pre_bias"), bias, cfg, rope,
+                           rec.positions)
+        writers.append(KvWriter(spec, k_bias=bias, k_cfg=calibrate_k_channels(k, cfg),
+                                rope=rope))
+    return writers
 
 
 def forward_quantized(model: ToyModel, tokens, plan: QuantPlan,

@@ -288,13 +288,17 @@ def read_header(raw: bytes, magic: bytes, keys) -> tuple:
 
 def manifest(header: dict, key: str) -> list:
     """The manifest list under ``key`` (empty when absent), checked to hold
-    mappings with a string ``name``."""
+    mappings with a string ``name``, each name once."""
     entries = header.get(key, [])
     if not isinstance(entries, list):
         raise BadMagic(f"{key!r} manifest is not a list: {entries!r}")
+    names = set()
     for entry in entries:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise BadMagic(f"malformed {key!r} manifest entry {entry!r}")
+        if entry["name"] in names:
+            raise BadMagic(f"{key!r} manifest repeats tensor {entry['name']!r}")
+        names.add(entry["name"])
     return entries
 
 
@@ -339,13 +343,18 @@ def load_model(path) -> ToyModel:
 
 def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
     """ShapeMismatch unless ``tensors`` holds every tensor ``cfg`` needs, each
-    of the shape it needs; TQM1 and TQQ1 loaders call it on what they read."""
-    for name, shape in _layer_tensor_specs(cfg):
+    of the shape it needs, and no other; TQM1 and TQQ1 loaders call it on
+    what they read."""
+    specs = dict(_layer_tensor_specs(cfg))
+    for name, shape in specs.items():
         if name not in tensors:
             raise ShapeMismatch(f"missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise ShapeMismatch(
                 f"tensor {name!r}: expected {shape}, got {tensors[name].shape}")
+    extra = sorted(tensors.keys() - specs.keys())
+    if extra:
+        raise ShapeMismatch(f"tensor {extra[0]!r} is not one the config declares")
 
 
 # --- forward pass -------------------------------------------------------------

@@ -25,14 +25,9 @@ FLAT_DIRECTIONS = 8  # SPSA directions averaged into one gradient estimate
 FLAT_MAX_CONDITION = 1e6  # flat_train scores a worse-conditioned factor as inf
 
 
-@dataclass
-class SmoothScales:
-    alpha: float
-    scales: np.ndarray  # per shared-channel positive reals
-
-
-def smooth_fit(x_calib: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> SmoothScales:
-    """s_j = max|X_j|^alpha / max|W_j|^(1-alpha), floored at 1e-8.
+def smooth_fit(x_calib: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> np.ndarray:
+    """The per-input-channel scales s_j = max|X_j|^alpha / max|W_j|^(1-alpha),
+    floored at 1e-8.
 
     The weight side is multiplied by s and the activation side by 1 / s
     (``weightquant.awq_fold``), so the product is unchanged while outlier
@@ -44,8 +39,7 @@ def smooth_fit(x_calib: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> Smooth
         raise DimensionMismatch(f"channel axes differ: x {x.shape} vs w {w.shape}")
     ax = np.maximum(np.max(np.abs(x), axis=0), 1e-8)
     aw = np.maximum(np.max(np.abs(w), axis=0), 1e-8)
-    s = np.maximum(ax**alpha / aw ** (1.0 - alpha), 1e-8)
-    return SmoothScales(alpha=alpha, scales=s)
+    return np.maximum(ax**alpha / aw ** (1.0 - alpha), 1e-8)
 
 
 def rotate_layer(w: np.ndarray, h: HadamardMatrix) -> np.ndarray:

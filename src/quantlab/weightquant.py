@@ -139,7 +139,7 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
         if remaining.size:
             work[:, remaining] -= np.outer(err, C[j, remaining])
 
-    return QuantizedTensor(codes, params, spec, w.shape)
+    return QuantizedTensor(codes, params)
 
 
 def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
@@ -247,7 +247,7 @@ def brute_force_optimal(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec):
         if loss < best_loss:
             best_loss = loss
             best_codes = codes
-    qt = QuantizedTensor(best_codes.astype(np.int32), params, spec, w.shape)
+    qt = QuantizedTensor(best_codes.astype(np.int32), params)
     return qt, float(best_loss)
 
 

@@ -8,7 +8,7 @@ from quantlab.calibration import parse_sequences
 from quantlab.checkpoint import load_checkpoint
 from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import forward_reference, load_model
+from quantlab.toymodel import forward_reference, load_model, save_model
 
 from conftest import rewrite_header
 
@@ -297,6 +297,27 @@ def _unread_dtypes_dropped(edit):
 
 
 class TestErrors:
+    @pytest.mark.parametrize("case, error", [
+        ("undeclared", "ShapeMismatch: tensor 'bogus' is not one the config declares"),
+        ("repeated", "BadMagic: 'tensors' manifest repeats tensor 'embed'")],
+        ids=["undeclared", "repeated"])
+    def test_model_tensor_names(self, model_file, tmp_path, capsys, case, error):
+        """A TQM1 tensor the config does not declare, or a name listed twice,
+        is a one-line error."""
+        bad = tmp_path / "bad.tqm"
+        if case == "undeclared":
+            model = load_model(model_file)
+            model.tensors["bogus"] = np.ones((2, 3), dtype=np.float32)
+            save_model(model, bad)
+        else:
+            rewrite_header(model_file, bad,
+                           lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]))
+        rc = cli.main(["drift", "--model", str(bad), "--plan", "16-16-16",
+                       "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
     def test_missing_model_file(self, tmp_path, capsys):
         rc = cli.main(["drift", "--model", str(tmp_path / "absent.tqm"),
                        "--plan", "16-16-16", "--out",

@@ -541,7 +541,7 @@ class TestInputSites:
                                                    group_size, n):
         rt = prepare_runtime(site_model, QuantPlan(kv_bits=3, kv_method=kv_method,
                                                    group_size=group_size))
-        spec, h, hd = rt.kv_token_spec, rt.kv_hadamard, SITE_CFG.head_dim
+        spec, h, hd = rt.kv[0].spec, rt.kv[0].h, SITE_CFG.head_dim
 
         def alone(rows):
             if kv_method == "per_token":
@@ -571,7 +571,7 @@ class TestInputSites:
         bias = (model.tensors["layers.0.bk"].astype(np.float64) if qkv_bias
                 else np.zeros(cfg.d_model))
         rope = kvquant.RopeConfig(head_dim=cfg.head_dim, base=cfg.rope_base)
-        k_cfg = rt.kv_cfgs[0][1]
+        k_cfg = rt.kv[0].k_cfg
         assert (k_cfg.k_stage, k_cfg.k_bias_mode) == (stage, mode) and k_cfg.calibrated
         rng = make_rng(4)
         for pos in (0, 5, np.array([9, 1, 30, 2])):
@@ -579,7 +579,7 @@ class TestInputSites:
             k = kvquant.rope_heads(k_pre + bias, rope, pos)
             got = rt.kv_write(0, k_pre, k, v, pos)
             want = (kvquant.quantize_k(k_pre, bias, k_cfg, rope, pos),
-                    fake_quant(v, rt.kv_token_spec))
+                    fake_quant(v, rt.kv[0].spec))
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("plan, calls", [
@@ -595,6 +595,59 @@ class TestInputSites:
         seen = _count_fake_quant(monkeypatch)
         sess.step(7)
         assert len(seen) == calls
+
+
+class TestKvWriters:
+    """prepare_runtime builds one K/V writer per layer; kv_write hands each
+    block to its layer's writer."""
+
+    @staticmethod
+    def _calib(model):
+        return [probe(16, vocab=model.config.vocab_size, seed=s) for s in (3, 4)]
+
+    @pytest.mark.parametrize("kv_method", quantrun.KV_METHODS)
+    def test_one_writer_per_layer(self, biased_model, kv_method):
+        """Each writer holds what its method reads: a Hadamard for rotated
+        per-token KV, a static K grid for kvquant_star, the V spec always."""
+        plan = QuantPlan(kv_bits=4, kv_method=kv_method)
+        rt = prepare_runtime(biased_model, plan, self._calib(biased_model))
+        assert len(rt.kv) == biased_model.config.n_layers
+        for w in rt.kv:
+            assert type(w) is kvquant.KvWriter
+            assert w.spec == kvquant.default_kv_v_spec(4, plan.group_size)
+            assert (w.h is not None) == (kv_method == "rotated_per_token")
+            assert (w.k_cfg is not None) == (kv_method == "kvquant_star")
+
+    def test_rotated_layers_share_one_hadamard(self, tiny_model):
+        rt = prepare_runtime(tiny_model, QuantPlan(kv_bits=4, kv_method="rotated_per_token"))
+        h = rt.kv[0].h
+        assert h.n == tiny_model.config.head_dim
+        assert all(w.h is h for w in rt.kv)
+
+    def test_static_k_writer_holds_its_layers_bias_and_grid(self, biased_model):
+        """Layer i's writer holds layer i's K bias and the grid fitted on
+        layer i's K samples; the outlier in layer 0 tells the layers apart."""
+        calib = self._calib(biased_model)
+        rt = prepare_runtime(biased_model, QuantPlan(kv_bits=4, kv_method="kvquant_star"),
+                             calib)
+        rec = capture_activations(biased_model, calib)
+        for i, w in enumerate(rt.kv):
+            bias = biased_model.tensors[f"layers.{i}.bk"].astype(np.float64)
+            assert w.k_bias.tobytes() == bias.tobytes()
+            want = kvquant.calibrate_k_channels(rec.matrix(f"layer{i}.k_pre_bias"),
+                                                w.k_cfg)
+            assert [g.tobytes() for g in w.k_cfg.k_grid] == [
+                g.tobytes() for g in want.k_grid]
+        (b0, g0), (b1, g1) = ((w.k_bias, w.k_cfg.k_grid[0]) for w in rt.kv)
+        assert (b0[5], b1[5]) == (400.0, 0.0)
+        assert g0.tobytes() != g1.tobytes()
+
+    def test_16_bit_kv_has_no_writers(self, tiny_model):
+        rt = prepare_runtime(tiny_model, QuantPlan(w_bits=4))
+        assert rt.kv == []
+        k, v = (np.ones((2, tiny_model.config.d_model)) for _ in range(2))
+        got = rt.kv_write(0, None, k, v, 0)
+        assert got[0] is k and got[1] is v
 
 
 # the three methods that fit one input map per site
@@ -691,7 +744,7 @@ def _in_map_basis(model, rt, name, x, spec):
     if rt.plan.wa_method == "smoothquant":  # the scales are fitted on the site
         site = [n for n in rt.linears if linear_input_site(n) == linear_input_site(name)]
         ws = np.concatenate([model.tensors[n] for n in site]).astype(np.float64)
-        w, inv_s = awq_fold(w, smooth_fit(x, ws, alpha=rt.plan.smooth_alpha).scales)
+        w, inv_s = awq_fold(w, smooth_fit(x, ws, alpha=rt.plan.smooth_alpha))
         assert inv_s.tobytes() == m.inv.tobytes()
         return w, m.apply(x), spec
     if rt.plan.wa_method == "flatquant":
@@ -771,6 +824,39 @@ class TestCheckpoint:
             out[name] = rtn_quantize_weights(
                 model.tensors[name].astype(np.float64), spec)
         return out
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("fp-undeclared", ShapeMismatch, "tensor 'bogus' is not one the config declares"),
+        ("q-undeclared", ShapeMismatch, "tensor 'bogus' is not one the config declares"),
+        ("fp-repeated", BadMagic, "'fp_tensors' manifest repeats tensor 'embed'"),
+        ("q-repeated", BadMagic, "'q_tensors' manifest repeats tensor 'layers.0.wq'"),
+        ("fp-and-q", BadMagic,
+         "tensor 'layers.0.wq' is both a full-precision and a quantized tensor")],
+        ids=["fp-undeclared", "q-undeclared", "fp-repeated", "q-repeated", "fp-and-q"])
+    def test_tensor_names(self, small_model, tmp_path, case, error, message):
+        """Every tensor a checkpoint holds is one the config declares, held
+        once; otherwise loading is a one-line error."""
+        q, tensors = self._quantized(small_model), dict(small_model.tensors)
+        if case == "fp-undeclared":
+            tensors["bogus"] = np.ones((2, 8), dtype=np.float32)
+        elif case == "q-undeclared":
+            q["bogus"] = rtn_quantize_weights(np.ones((2, 8)), default_weight_spec(4, 8))
+        p = tmp_path / "c.tqq"
+        save_checkpoint(replace(small_model, tensors=tensors),
+                        QuantPlan(w_bits=4).to_dict(), q, p)
+        edits = {
+            "fp-repeated": lambda h: h["fp_tensors"][1].update(
+                name=h["fp_tensors"][0]["name"]),
+            "q-repeated": lambda h: h["q_tensors"][0].update(
+                name=h["q_tensors"][1]["name"]),
+            "fp-and-q": lambda h: next(e for e in h["fp_tensors"]
+                                       if e["name"] == "layers.0.wk").update(
+                                           name="layers.0.wq")}
+        if case in edits:
+            rewrite_header(p, p, edits[case])
+        with pytest.raises(error) as e:
+            load_checkpoint(p)
+        assert str(e.value) == message
 
     def test_round_trip_values(self, small_model, tmp_path):
         q = self._quantized(small_model)

@@ -31,7 +31,7 @@ SPEC_OFF = QuantSpec(bits=16)
 def fold(x, w, ss):
     """(x / s, w * s) as the runtime folds it: the weight through awq_fold,
     the activation multiplied by the returned inverse scales."""
-    ws, inv = awq_fold(w, ss.scales)
+    ws, inv = awq_fold(w, ss)
     return x * inv, ws
 
 

@@ -195,7 +195,7 @@ class TestBruteForce:
         alt[0, 0] += 1 if alt[0, 0] == 0 else -1
         from quantlab.quantcore import QuantizedTensor
 
-        alt_hat = dequantize(QuantizedTensor(alt, qt.params, spec, w.shape))
+        alt_hat = dequantize(QuantizedTensor(alt, qt.params))
         assert loss <= proxy_loss(w, alt_hat, x) + 1e-12
 
     def test_diagonal_hessian_optimum_is_rtn(self):
