@@ -40,6 +40,10 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   sequences, SmoothQuant 8-8-16 at group size 32 and FlatQuant 4-4-16 with
   one training step): the logits of a 128-token probe and of a 3-row
   session, fed a block and then stepped;
+* MXFP4 4-4-16 on a model of ``d_model`` 48 (3 heads of 16), whose
+  48-wide rows fill one and a half 32-element blocks, without and with
+  ``include_lm_head``: the logits of a 128-token probe and of a 3-row
+  session, as for the row-local plans above;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -267,6 +271,25 @@ def row_local_lines(workloads, quantrun, toymodel, make_rng):
         prefill = sess.forward([r[:40] for r in rows])
         stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
         yield f"row_local/{tag}/three_rows", sha(prefill, *stepped)
+
+
+def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
+    """MXFP4 on rows that end inside a block: ``d_model`` 48."""
+    model = toymodel.init_model(toymodel.ToyConfig(d_model=48, n_heads=3, head_dim=16),
+                                make_rng(workloads.MODEL_SEED))
+    rng = make_rng(SEEDS[0])
+    vocab = model.config.vocab_size
+    probe = workloads._probe(rng, 128, vocab)
+    rows = [workloads._probe(rng, 48, vocab) for _ in range(3)]
+    for lm_head in (False, True):
+        tag = f"mxfp4_d48/{'lm_head' if lm_head else 'layers'}"
+        rt = quantrun.prepare_runtime(model, quantrun.QuantPlan(
+            w_bits=4, a_bits=4, wa_method="mxfp4", include_lm_head=lm_head))
+        yield f"{tag}/logits", sha(toymodel.Session(model, runtime=rt).forward(probe))
+        sess = toymodel.Session(model, runtime=rt, rows=3)
+        prefill = sess.forward([r[:40] for r in rows])
+        stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
+        yield f"{tag}/three_rows", sha(prefill, *stepped)
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -511,6 +534,7 @@ def main(argv=None) -> int:
                 position_lines(workloads, quantrun, toymodel, calibration, make_rng),
                 no_bias_lines(workloads, quantrun, toymodel, make_rng),
                 row_local_lines(workloads, quantrun, toymodel, make_rng),
+                ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),

@@ -31,16 +31,18 @@ class CalibrationSet:
 
 
 def parse_sequences(path) -> list:
+    """The token-id sequences of a calibration file; a line that is not
+    UTF-8 or holds a token that is not an integer is a ParseError."""
     seqs = []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                seqs.append([int(t) for t in line.split()])
-            except ValueError as e:
-                raise ParseError(f"line {ln}: {e}")
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # at \n, \r\n or \r, as text mode splits
+    for ln, line in enumerate(lines, 1):
+        try:
+            tokens = line.decode().split()
+            if tokens:
+                seqs.append([int(t) for t in tokens])
+        except ValueError as e:  # UnicodeDecodeError is a ValueError
+            raise ParseError(f"line {ln}: {e}")
     return seqs
 
 

@@ -37,6 +37,7 @@ from .toymodel import (
 )
 
 MAGIC = b"TQQ1"
+AWQ_SUFFIX = ".awq_inv_scales"
 
 
 def save_checkpoint(model: ToyModel, plan_dict: dict, quantized: dict, path) -> None:
@@ -70,8 +71,9 @@ def load_checkpoint(path):
     """Returns (model, plan_dict, quantized). The model's quantized weights
     are materialized in dequantized form so it runs directly; a weight with
     AWQ inverse scales (aux ``<name>.awq_inv_scales``) has them folded into
-    its input columns. The plan must be one QuantPlan accepts, and the
-    tensors those the config needs."""
+    its input columns; such scales for a tensor that is not quantized are
+    BadMagic. The plan must be one QuantPlan accepts, and the tensors those
+    the config needs."""
     with open(path, "rb") as f:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
@@ -120,13 +122,16 @@ def load_checkpoint(path):
         qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape))
         quantized[name] = qt
         w = dequantize(qt)
-        inv_s = aux.get(f"{name}.awq_inv_scales")
+        inv_s = aux.get(name + AWQ_SUFFIX)
         if inv_s is not None:
             if inv_s.shape != shape[1:]:
                 raise ShapeMismatch(f"{what}: AWQ inverse scales of shape "
                                     f"{inv_s.shape} for shape {shape}")
             w = w * inv_s[np.newaxis, :]
         tensors[name] = w.astype(np.float32)
+    for key in aux:
+        if key.endswith(AWQ_SUFFIX) and key[: -len(AWQ_SUFFIX)] not in quantized:
+            raise BadMagic(f"aux {key!r}: AWQ inverse scales of no quantized tensor")
 
     check_tensors(cfg, tensors)
     return ToyModel(config=cfg, tensors=tensors, aux=aux), header["plan"], quantized

@@ -94,7 +94,7 @@ def cmd_quantize(args):
     for name, lin in rt.linears.items():
         quantized[name] = lin.qt
         if lin.map is not None:
-            aux[f"{name}.awq_inv_scales"] = lin.map.inv.astype(np.float32)
+            aux[name + checkpoint.AWQ_SUFFIX] = lin.map.inv.astype(np.float32)
         if name in rt.proxy_losses:
             print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:

@@ -5,7 +5,9 @@ Nibble layout: bit 3 = sign, bits 0..2 = magnitude index into the E2M1
 value table {0, 0.5, 1, 1.5, 2, 3, 4, 6}. The block scale is an E8M0-style
 biased exponent (bias 127). A serialized block is 17 bytes: 1 scale byte
 followed by 16 code bytes, two codes per byte, low nibble first.
-Negative zero is canonicalized to +0 on encode.
+Negative zero is canonicalized to +0 on encode. A matrix is blocked row by
+row (``_blocks``), each row zero-padded to whole blocks: ``mxfp4_fake_quant``,
+which the runtime runs, and the MXT4 container share that one layout.
 """
 
 import struct
@@ -116,26 +118,25 @@ def block_from_bytes(raw: bytes) -> Mxfp4Block:
 
 # --- tensor container ---------------------------------------------------------
 # header: magic b"MXT4", u32 rows, u32 cols, u32 pad (zero elements appended to
-# fill the final block); payload: ceil(n/32) serialized blocks.
+# each row to fill its last block); payload: rows * ceil(cols/32) serialized
+# blocks, row after row.
 
 _TENSOR_MAGIC = b"MXT4"
 _HEADER = struct.Struct("<4sIII")
 
 
 def _blocks(x: np.ndarray) -> np.ndarray:
-    """``x`` in row-major order, zero-padded to whole blocks: (n_blocks, 32)."""
-    flat = x.ravel()
-    pad = -flat.size % BLOCK_SIZE
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad)])
-    return flat.reshape(-1, BLOCK_SIZE)
+    """Each row of ``x`` zero-padded to whole blocks, so that no block
+    straddles two rows: (rows * ceil(cols/32), 32)."""
+    pad = -x.shape[1] % BLOCK_SIZE
+    return (np.pad(x, ((0, 0), (0, pad))) if pad else x).reshape(-1, BLOCK_SIZE)
 
 
 def encode_tensor(x: np.ndarray) -> bytes:
     x = np.asarray(x, dtype=np.float64)
     rows, cols = x.shape
     body = _pack(*encode_array(_blocks(x)))
-    return _HEADER.pack(_TENSOR_MAGIC, rows, cols, -x.size % BLOCK_SIZE) + body.tobytes()
+    return _HEADER.pack(_TENSOR_MAGIC, rows, cols, -cols % BLOCK_SIZE) + body.tobytes()
 
 
 def decode_tensor(raw: bytes) -> np.ndarray:
@@ -144,18 +145,18 @@ def decode_tensor(raw: bytes) -> np.ndarray:
     magic, rows, cols, pad = _HEADER.unpack_from(raw)
     if magic != _TENSOR_MAGIC:
         raise MalformedBlock(f"bad tensor magic {magic!r}")
-    n = rows * cols
-    if pad != -n % BLOCK_SIZE:
-        raise MalformedBlock(f"pad {pad} does not fill the last block of {rows}x{cols}")
+    if pad != -cols % BLOCK_SIZE:
+        raise MalformedBlock(f"pad {pad} does not fill the last block of a row of {cols}")
     body = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
-    if body.size != (n + pad) // BLOCK_SIZE * BLOCK_BYTES:
+    if body.size != rows * (cols + pad) // BLOCK_SIZE * BLOCK_BYTES:
         raise MalformedBlock("tensor payload length mismatch")
     vals = decode_array(*_unpack(body.reshape(-1, BLOCK_BYTES)))
-    return vals.ravel()[:n].reshape(rows, cols)
+    return vals.reshape(rows, cols + pad)[:, :cols]
 
 
 def mxfp4_fake_quant(x: np.ndarray) -> np.ndarray:
-    """Round-trip a matrix through MXFP4 blocks (row-major 32-blocks)."""
+    """Round-trip a matrix through MXFP4 blocks, each row on its own."""
     x = np.asarray(x, dtype=np.float64)
-    vals = decode_array(*encode_array(_blocks(x))).ravel()
-    return vals[: x.size].reshape(x.shape)
+    rows, cols = x.shape
+    vals = decode_array(*encode_array(_blocks(x)))
+    return vals.reshape(rows, -(-cols // BLOCK_SIZE) * BLOCK_SIZE)[:, :cols]

@@ -8,18 +8,20 @@ inputs, and the q vectors produced for attention stay in full precision.
 Every quantized linear is a ``toymodel.PlainLinear`` in three stages: an
 input map that applies itself (``map.apply``: a SmoothQuant or AWQ
 ``InputScale``, a ``HadamardMatrix``, a ``FlatTransform`` or none), an
-activation quantizer (``act``: a per-token ``QuantSpec``, MXFP4 rows or
-none) and the product with its pre-quantized weight. The linear classes here
-name it for tracing; ``Mxfp4Linear`` adds its codecs. ``prepare_runtime``
-builds them in two stages. Per input site, it fits one input map on the
-stacked weight of the site's linears (``[Wq; Wk; Wv]`` at ``attn_in``). Per
-linear, it quantizes the mapped weight with the plan's ``w_method``: RTN,
-GPTQ on the Hessian of the site's mapped input, or AWQ, a map of its own.
+activation quantizer (``act``: a per-token ``QuantSpec``, ``"mxfp4"`` for
+``mxfp4.mxfp4_fake_quant`` or none) and the product with its pre-quantized
+weight. The linear classes here name it for tracing; ``Mxfp4Linear`` runs
+weight and input through ``mxfp4_fake_quant``. ``prepare_runtime`` builds
+them in two stages. Per input site, it fits one input map on the stacked
+weight of the site's linears (``[Wq; Wk; Wv]`` at ``attn_in``). Per linear,
+it quantizes the mapped weight with the plan's ``w_method``: RTN, GPTQ on
+the Hessian of the site's mapped input, or AWQ, a map of its own.
 ``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
 maps and quantizes the input once per block when they share a map and a
 quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
-blocks within a row). ``_kv_writers``, the one reader of ``kv_method``,
-builds one ``kvquant.KvWriter`` per layer; ``Runtime.kv_write`` calls it.
+blocks within a row, as MXT4 stores them). ``_kv_writers``, the one reader
+of ``kv_method``, builds one ``kvquant.KvWriter`` per layer;
+``Runtime.kv_write`` calls it.
 """
 
 import math
@@ -42,7 +44,7 @@ from .kvquant import (
     default_kv_v_spec,
     k_stage_tensor,
 )
-from .mxfp4 import BLOCK_SIZE, mxfp4_fake_quant
+from .mxfp4 import mxfp4_fake_quant
 from .numerics import hadamard
 from .quantcore import (
     PASSTHROUGH_BITS,
@@ -240,21 +242,14 @@ class FlatLinear(FakeQuantLinear):
     pre_bias = PlainLinear.pre_bias
 
 
-def _mxfp4_rows(x: np.ndarray) -> np.ndarray:
-    """MXFP4 round trip of each row on its own: rows are zero-padded to
-    whole 32-element blocks, so no block straddles two rows."""
-    cols = x.shape[1]
-    return mxfp4_fake_quant(np.pad(x, ((0, 0), (0, -cols % BLOCK_SIZE))))[:, :cols]
-
-
 class Mxfp4Linear(PlainLinear):
     """Weights and inputs round-tripped through MXFP4 blocks along rows."""
 
     def __init__(self, w, b):
-        super().__init__(_mxfp4_rows(np.asarray(w, dtype=np.float64)), b, act="mxfp4")
+        super().__init__(mxfp4_fake_quant(w), b, act="mxfp4")
 
     def quantize(self, x):
-        return _mxfp4_rows(x)
+        return mxfp4_fake_quant(x)
 
     pre_bias = PlainLinear.pre_bias
 

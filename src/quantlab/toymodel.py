@@ -137,16 +137,17 @@ _LAYER_LINEARS = {
 
 
 def _layer_tensor_specs(cfg: ToyConfig):
+    """Yields (name, shape) of each tensor ``cfg`` declares, in layout order."""
     d, v = cfg.d_model, cfg.vocab_size
-    specs = [("embed", (v, d))]
+    yield "embed", (v, d)
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        specs += [(p + "norm1", (d,)), (p + "norm2", (d,))]
+        yield from ((p + "norm1", (d,)), (p + "norm2", (d,)))
         for name, (bias, _, (out, inp)) in _LAYER_LINEARS.items():
-            specs.append((p + name, (getattr(cfg, out), getattr(cfg, inp))))
+            yield p + name, (getattr(cfg, out), getattr(cfg, inp))
             if bias and cfg.qkv_bias:
-                specs.append((p + bias, (getattr(cfg, out),)))
-    return specs + [("norm_f", (d,)), ("lm_head", (v, d))]
+                yield p + bias, (getattr(cfg, out),)
+    yield from (("norm_f", (d,)), ("lm_head", (v, d)))
 
 
 def _linear_bias(tensors: dict, name: str) -> Optional[np.ndarray]:
@@ -344,15 +345,17 @@ def load_model(path) -> ToyModel:
 def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
     """ShapeMismatch unless ``tensors`` holds every tensor ``cfg`` needs, each
     of the shape it needs, and no other; TQM1 and TQQ1 loaders call it on
-    what they read."""
-    specs = dict(_layer_tensor_specs(cfg))
-    for name, shape in specs.items():
+    what they read. The declared names are walked one at a time, so the
+    work is bounded by ``tensors``, not by the layer count a header claims."""
+    declared = set()
+    for name, shape in _layer_tensor_specs(cfg):
         if name not in tensors:
             raise ShapeMismatch(f"missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise ShapeMismatch(
                 f"tensor {name!r}: expected {shape}, got {tensors[name].shape}")
-    extra = sorted(tensors.keys() - specs.keys())
+        declared.add(name)
+    extra = sorted(tensors.keys() - declared)
     if extra:
         raise ShapeMismatch(f"tensor {extra[0]!r} is not one the config declares")
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantlab.calibration import (
     CalibrationSet,
@@ -42,6 +44,28 @@ class TestSequencesFile:
         p.write_text("1 2 3\n4 oops 5\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_sequences(p)
+
+    def test_not_utf8_reports_line(self, tmp_path):
+        p = tmp_path / "calib.txt"
+        p.write_bytes(b"1 2 3\n4 \xff 5\n")
+        with pytest.raises(ParseError, match="line 2: 'utf-8' codec"):
+            parse_sequences(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=64),
+        st.lists(st.sampled_from([b"0", b"17", b"-3", b" ", b"\t", b"\n", b"\r",
+                                  b"\r\n", b"x", b"\xff", b"\xc3\xa9", b"1_0"]),
+                 max_size=24).map(b"".join)))
+    def test_any_bytes_parse_or_raise(self, tmp_path_factory, raw):
+        """Any file is a list of integer sequences or a ParseError."""
+        p = tmp_path_factory.getbasetemp() / "fuzz_calib.txt"
+        p.write_bytes(raw)
+        try:
+            seqs = parse_sequences(p)
+        except ParseError:
+            return
+        assert all(s and all(type(t) is int for t in s) for s in seqs)
 
 
 class TestLoadCalibration:

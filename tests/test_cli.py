@@ -1,16 +1,21 @@
 import json
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quantlab import cli, harness
 from quantlab.calibration import parse_sequences
-from quantlab.checkpoint import load_checkpoint
+from quantlab.checkpoint import load_checkpoint, save_checkpoint
+from quantlab.errors import QuantLabError, ShapeMismatch
 from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
 from quantlab.rng import make_rng
 from quantlab.toymodel import forward_reference, load_model, save_model
 
-from conftest import rewrite_header
+from conftest import mutate_container, rewrite_header, with_header_room
 
 SMALL_CFG = {"n_layers": 1, "d_model": 16, "n_heads": 2, "head_dim": 8,
              "vocab_size": 16, "max_seq_len": 128}
@@ -317,6 +322,68 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+    def test_claimed_layer_count_is_not_walked(self, model_file, tmp_path, capsys):
+        """A header that claims 10^9 layers over one layer's tensors fails at
+        the first missing tensor, in well under a second, TQM1 and TQQ1
+        alike (no CLI command reads TQQ1)."""
+        model = load_model(model_file)
+        big = replace(model, config=replace(model.config, n_layers=10**9))
+        tqm, tqq = tmp_path / "m.tqm", tmp_path / "c.tqq"
+        save_model(big, tqm)
+        save_checkpoint(big, QuantPlan().to_dict(), {}, tqq)
+        t0 = time.perf_counter()
+        rc = cli.main(["drift", "--model", str(tqm), "--plan", "16-16-16",
+                       "--out", str(tmp_path / "d.csv")])
+        with pytest.raises(ShapeMismatch, match="missing tensor 'layers.1.norm1'"):
+            load_checkpoint(tqq)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ShapeMismatch: missing tensor 'layers.1.norm1'\n")
+
+    @pytest.fixture(scope="class")
+    def roomy_model(self, model_file, tmp_path_factory):
+        """The CLI model with one aux array and room in its header, and a
+        directory to write mutants to."""
+        d = tmp_path_factory.mktemp("tqm1")
+        model = load_model(model_file)
+        save_model(replace(model, aux={"probe.scales": np.arange(4.0, dtype=np.float32)}),
+                   d / "base.tqm")
+        return with_header_room((d / "base.tqm").read_bytes()), d
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_model_file_loads_or_errors(self, roomy_model, capsys, data):
+        """Every truncation, bit flip and header rewrite of a TQM1 file (its
+        config, ``n_layers`` up to 2^31 among them, and its manifest entries)
+        loads or raises a QuantLabError, which ``quantlab drift`` prints as
+        its one-line error with exit 1."""
+        raw, d = roomy_model
+        path = d / "m.tqm"
+        path.write_bytes(mutate_container(raw, data, ("tensors", "aux")))
+        want = None
+        try:
+            load_model(path)
+        except QuantLabError as e:
+            want = f"error: {type(e).__name__}: {e}\n"
+        rc = cli.main(["drift", "--model", str(path), "--plan", "16-16-16",
+                       "--probe-len", "8", "--out", str(d / "d.csv")])
+        err = capsys.readouterr().err
+        if want is not None:
+            assert (rc, err) == (1, want)
+        else:
+            assert (rc, err) == (0, "")
+
+    def test_calibration_file_not_utf8(self, model_file, tmp_path, capsys):
+        calib = tmp_path / "calib.txt"
+        calib.write_bytes(b"1 2 3\n4 \xff 5\n")
+        rc = cli.main(["drift", "--model", model_file, "--plan", "16-16-16",
+                       "--calib", str(calib), "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: line 2: ") and err.count("\n") == 1
 
     def test_missing_model_file(self, tmp_path, capsys):
         rc = cli.main(["drift", "--model", str(tmp_path / "absent.tqm"),

@@ -117,28 +117,66 @@ class TestSerialization:
 
     @pytest.mark.parametrize("rows,cols", [(1, 5), (2, 32), (3, 37), (4, 48)])
     def test_tensor_bytes_are_the_block_layout(self, rows, cols):
-        """encode_tensor writes the header, then each block as FORMATS.md
-        lays it out: the scale byte, then codes 2i (low nibble) and 2i+1
-        (high nibble) in byte i; decode_tensor reads it back block by block."""
-        n = rows * cols
-        n_blocks = -(-n // 32)
+        """encode_tensor writes the header, whose pad is the zeros that fill
+        each row's last block, then each row's blocks in turn, each block as
+        FORMATS.md lays it out: the scale byte, then codes 2i (low nibble)
+        and 2i+1 (high nibble) in byte i; decode_tensor reads it back block
+        by block."""
+        per_row = -(-cols // 32)
+        n_blocks = rows * per_row
         # block scale exponents 0 (clamped), 127 and 254 in turn
         amax = np.array([2.0 ** -130, 5.0, 1.5 * 2.0 ** 129])[np.arange(n_blocks) % 3]
-        unit = make_rng(n).uniform(-1.0, 1.0, size=(n_blocks, 32))
+        unit = make_rng(rows * cols).uniform(-1.0, 1.0, size=(n_blocks, 32))
         unit[:, 0] = -1.0  # each block's largest magnitude is its amax
-        x = (unit * amax[:, None]).ravel()[:n].reshape(rows, cols)
-        exps, codes = encode_array(np.concatenate([x.ravel(), np.zeros(-n % 32)])
+        x = (unit * amax[:, None]).reshape(rows, per_row * 32)[:, :cols]
+        exps, codes = encode_array(np.pad(x, ((0, 0), (0, -cols % 32)))
                                    .reshape(n_blocks, 32))
         assert exps.tolist() == [(0, 127, 254)[i % 3] for i in range(n_blocks)]
         blocks = [bytes([int(e)]) + bytes(int(c[2 * i]) | int(c[2 * i + 1]) << 4
                                           for i in range(16))
                   for e, c in zip(exps, codes)]
         raw = encode_tensor(x)
-        assert raw == struct.pack("<4sIII", b"MXT4", rows, cols, -n % 32) + b"".join(blocks)
+        assert raw == (struct.pack("<4sIII", b"MXT4", rows, cols, -cols % 32)
+                       + b"".join(blocks))
         assert [block_to_bytes(Mxfp4Block(int(e), c))
                 for e, c in zip(exps, codes)] == blocks
         want = np.concatenate([mxfp4_decode(block_from_bytes(b)) for b in blocks])
-        assert np.array_equal(decode_tensor(raw), want[:n].reshape(rows, cols))
+        assert np.array_equal(decode_tensor(raw),
+                              want.reshape(rows, per_row * 32)[:, :cols])
+
+    @pytest.mark.parametrize("rows,cols", [
+        (1, 5), (2, 32), (3, 37), (4, 48), (5, 13), (0, 37), (3, 0)])
+    def test_one_layout_row_by_row(self, rows, cols):
+        """mxfp4_fake_quant blocks each row on its own, and the MXT4
+        container stores exactly its round trip. Each row is 8x the scale of
+        the one before, so a block that straddled two rows would differ."""
+        x = make_rng(rows * 100 + cols).standard_normal((rows, cols))
+        x *= 8.0 ** np.arange(rows)[:, None]
+        y = mxfp4_fake_quant(x)
+        assert y.shape == (rows, cols)
+        for i in range(rows):
+            assert mxfp4_fake_quant(x[i : i + 1])[0].tobytes() == y[i].tobytes()
+        back = decode_tensor(encode_tensor(x))
+        assert back.shape == (rows, cols) and back.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("rows,cols", [(2, 17), (5, 13)])
+    def test_straddling_layout_rejected(self, rows, cols):
+        """A container laid out in row-major blocks that straddle rows, pad
+        filling only the last block, never decodes: 2x17 (pad 30, 2 blocks)
+        fails the pad check, and 5x13 fails it and, with the pad put right,
+        the length check."""
+        x = make_rng(rows * cols).standard_normal((rows, cols))
+        flat = np.concatenate([x.ravel(), np.zeros(-x.size % 32)])
+        body = b"".join(block_to_bytes(mxfp4_encode(b)) for b in flat.reshape(-1, 32))
+        raw = struct.pack("<4sIII", b"MXT4", rows, cols, -x.size % 32) + body
+        with pytest.raises(MalformedBlock, match="pad"):
+            decode_tensor(raw)
+        fixed = struct.pack("<4sIII", b"MXT4", rows, cols, -cols % 32) + body
+        if len(body) == rows * -(-cols // 32) * BLOCK_BYTES:
+            assert decode_tensor(fixed).shape == (rows, cols)  # only the pad tells
+        else:
+            with pytest.raises(MalformedBlock, match="length"):
+                decode_tensor(fixed)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedBlock):

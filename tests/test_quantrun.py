@@ -57,7 +57,7 @@ from quantlab.weightquant import (
     rtn_quantize_weights,
 )
 
-from conftest import rewrite_header
+from conftest import mutate_container, rewrite_header, with_header_room
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=64)
@@ -914,6 +914,61 @@ class TestCheckpoint:
                         self._quantized(small_model), p)
         with pytest.raises(ShapeMismatch, match="AWQ inverse scales"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("key", ["layers.0.wk.awq_inv_scales", "bogus.awq_inv_scales"],
+                             ids=["fp-tensor", "no-tensor"])
+    def test_awq_inverse_scales_of_no_quantized_tensor(self, small_model, tmp_path, key):
+        """AWQ inverse scales fold into a quantized weight only: for a weight
+        stored in full precision (wk) or for no tensor at all, loading them
+        is an error, not a model that differs from what the file describes."""
+        aux = {key: np.full(SMALL.d_model, 2.0, dtype=np.float32)}
+        p = tmp_path / "c.tqq"
+        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(),
+                        self._quantized(small_model), p)
+        with pytest.raises(BadMagic) as e:
+            load_checkpoint(p)
+        assert str(e.value) == f"aux {key!r}: AWQ inverse scales of no quantized tensor"
+
+    def test_other_aux_arrays_round_trip(self, small_model, tmp_path):
+        """AWQ inverse scales of a quantized weight are folded in; any other
+        aux name loads as it is, and the loaded arrays re-save byte for byte."""
+        aux = {"layers.0.wq.awq_inv_scales": np.full(SMALL.d_model, 2.0, np.float32),
+               "probe.scales": np.arange(4.0, dtype=np.float32),
+               "awq_inv_scales": np.ones(2, dtype=np.float32)}
+        q = self._quantized(small_model)
+        p1, p2 = tmp_path / "a.tqq", tmp_path / "b.tqq"
+        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(), q,
+                        p1)
+        m2, plan_dict, q2 = load_checkpoint(p1)
+        assert sorted(m2.aux) == sorted(aux)
+        assert np.array_equal(m2.tensors["layers.0.wq"],
+                              (dequantize(q["layers.0.wq"]) * 2.0).astype(np.float32))
+        save_checkpoint(m2, plan_dict, q2, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def roomy_checkpoint(self, small_model, tmp_path_factory):
+        """An RTN 4-16-16 checkpoint with one AWQ aux array and room in its
+        header, and a directory to write mutants to."""
+        d = tmp_path_factory.mktemp("tqq1")
+        aux = {"layers.0.wq.awq_inv_scales": np.full(SMALL.d_model, 2.0, np.float32)}
+        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(),
+                        self._quantized(small_model), d / "base.tqq")
+        return with_header_room((d / "base.tqq").read_bytes()), d
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_loads_or_raises(self, roomy_checkpoint, data):
+        """Every truncation, bit flip and header rewrite of a TQQ1 file (its
+        config, ``n_layers`` up to 2^31 among them, its plan, its manifest
+        entries and their specs) loads or raises a QuantLabError."""
+        raw, d = roomy_checkpoint
+        (d / "c.tqq").write_bytes(mutate_container(raw, data, ("fp_tensors", "aux",
+                                                                "q_tensors")))
+        try:
+            load_checkpoint(d / "c.tqq")
+        except QuantLabError:
+            pass
 
     @pytest.mark.parametrize("edit, error", [
         pytest.param(lambda h: h.pop("q_tensors"), BadMagic,
