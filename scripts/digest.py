@@ -82,8 +82,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (11, 12)
-PRIMITIVE_SHAPES = ((1, 64), (1, 7), (3, 64), (32, 64), (64, 64), (5, 33), (512, 128))
-PRIMITIVE_KINDS = ("normal", "zeros", "constant", "negative", "subnormal", "ties")
+# (1, 72) in groups of 8 is one cell more than quantcore.SMALL_GRID, the
+# largest grid fitted on Python floats
+PRIMITIVE_SHAPES = ((1, 64), (1, 7), (3, 64), (32, 64), (64, 64), (5, 33), (512, 128),
+                    (1, 72))
+PRIMITIVE_KINDS = ("normal", "zeros", "constant", "negative", "subnormal", "ties",
+                   "nonfinite")
 GPTQ_SEEDS = range(6)
 GPTQ_SHAPES = ((8, 16), (5, 33), (16, 64), (3, 7))
 
@@ -413,9 +417,15 @@ def primitive_specs(quantcore):
 
 def primitive_input(kind, shape, rng):
     """Gaussian; all-zero with signed zeros; one constant; negative-only;
-    subnormal; or (k + 0.5) / 4, rounding ties whenever the fitted scale is
-    1/4 (a group spanning -1.875 .. 1.875 at 4 bits asymmetric)."""
+    subnormal; (k + 0.5) / 4, rounding ties whenever the fitted scale is
+    1/4 (a group spanning -1.875 .. 1.875 at 4 bits asymmetric); or
+    Gaussian with NaN, +Inf and -Inf in its last row."""
     import numpy as np
+
+    if kind == "nonfinite":
+        x = rng.standard_normal(shape) * 3.0
+        x[-1, [0, shape[1] // 2, -1]] = np.nan, np.inf, -np.inf
+        return x
 
     if kind == "normal":
         return rng.standard_normal(shape) * 3.0
@@ -431,6 +441,8 @@ def primitive_input(kind, shape, rng):
 
 
 def primitive_lines(quantcore, make_rng):
+    import numpy as np
+
     specs = list(primitive_specs(quantcore))
     for shape in PRIMITIVE_SHAPES:
         rng = make_rng(shape[0] * 1000 + shape[1])
@@ -439,13 +451,14 @@ def primitive_lines(quantcore, make_rng):
             parts = {"fit_params": [], "quantize": [], "dequantize": [],
                      "fake_quant": []}
             for spec in specs:
-                params = quantcore.fit_params(x, spec)
+                with np.errstate(invalid="ignore"):  # NaN and Inf: see nonfinite
+                    params = quantcore.fit_params(x, spec)
+                    qt = quantcore.quantize(x, params)
+                    parts["dequantize"].append(quantcore.dequantize(qt))
+                    parts["fake_quant"].append(quantcore.fake_quant(x, spec))
                 z = params.zero_points
                 parts["fit_params"] += [params.scales, "none" if z is None else z]
-                qt = quantcore.quantize(x, params)
                 parts["quantize"].append(qt.codes)
-                parts["dequantize"].append(quantcore.dequantize(qt))
-                parts["fake_quant"].append(quantcore.fake_quant(x, spec))
             tag = f"primitive/{shape[0]}x{shape[1]}/{kind}"
             for name, arrays in parts.items():
                 yield f"{tag}/{name}", sha(*arrays)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from .quantrun import capture_activations
-from .toymodel import _LAYER_LINEARS, ToyModel, decode, sample_rows
+from .toymodel import _CAPTURE_SITES, ToyModel, decode, sample_rows
 
 
 @dataclass
@@ -126,10 +126,8 @@ class ChannelStats:
 def known_sites(m: ToyModel) -> list:
     """Every site a forward records: lm_head's input, then each layer's
     linear inputs and K stages."""
-    per_layer = [*dict.fromkeys(site for _, site, _ in _LAYER_LINEARS.values()),
-                 "k_pre_bias", "k_post_bias", "k_post_rope"]
     return ["lm_head_in"] + [f"layer{i}.{s}" for i in range(m.config.n_layers)
-                             for s in per_layer]
+                             for s in _CAPTURE_SITES]
 
 
 def capture_channel_stats(m: ToyModel, calib: CalibrationSet, sites,

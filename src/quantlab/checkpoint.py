@@ -26,6 +26,7 @@ from .quantcore import (
 from .quantrun import QuantPlan
 from .toymodel import (
     ToyModel,
+    check_finite,
     check_tensors,
     f32_blobs,
     manifest,
@@ -72,8 +73,9 @@ def load_checkpoint(path):
     are materialized in dequantized form so it runs directly; a weight with
     AWQ inverse scales (aux ``<name>.awq_inv_scales``) has them folded into
     its input columns; such scales for a tensor that is not quantized are
-    BadMagic. The plan must be one QuantPlan accepts, and the tensors those
-    the config needs."""
+    BadMagic. A stored float, a dequantized weight or its float32 cast that
+    is not finite is NonFiniteInput. The plan must be one QuantPlan accepts,
+    and the tensors those the config needs."""
     with open(path, "rb") as f:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
@@ -121,14 +123,17 @@ def load_checkpoint(path):
             zps = read_array(raw, entry, "<i4", "zero_points_offset", "param_shape")
         qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape))
         quantized[name] = qt
-        w = dequantize(qt)
         inv_s = aux.get(name + AWQ_SUFFIX)
-        if inv_s is not None:
-            if inv_s.shape != shape[1:]:
-                raise ShapeMismatch(f"{what}: AWQ inverse scales of shape "
-                                    f"{inv_s.shape} for shape {shape}")
-            w = w * inv_s[np.newaxis, :]
-        tensors[name] = w.astype(np.float32)
+        if inv_s is not None and inv_s.shape != shape[1:]:
+            raise ShapeMismatch(f"{what}: AWQ inverse scales of shape "
+                                f"{inv_s.shape} for shape {shape}")
+        with np.errstate(over="ignore"):  # an overflow is NonFiniteInput below
+            w = dequantize(qt)
+            if inv_s is not None:
+                w = w * inv_s[np.newaxis, :]
+            check_finite(w, f"{what}: dequantized weight")
+            tensors[name] = check_finite(w.astype(np.float32),
+                                         f"{what}: dequantized weight in float32")
     for key in aux:
         if key.endswith(AWQ_SUFFIX) and key[: -len(AWQ_SUFFIX)] not in quantized:
             raise BadMagic(f"aux {key!r}: AWQ inverse scales of no quantized tensor")

@@ -55,6 +55,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     ContextOverflow,
+    NonFiniteInput,
     ShapeMismatch,
     TokenOutOfRange,
     TruncatedFile,
@@ -134,6 +135,11 @@ _LAYER_LINEARS = {
     "w_up": (None, "mlp_in", ("ffn_dim", "d_model")),
     "w_down": (None, "mlp_down_in", ("d_model", "ffn_dim")),
 }
+
+# the sites a Session records per layer: its linears' inputs, then K before
+# its bias, after it and after RoPE
+_CAPTURE_SITES = (*dict.fromkeys(site for _, site, _ in _LAYER_LINEARS.values()),
+                  "k_pre_bias", "k_post_bias", "k_post_rope")
 
 
 def _layer_tensor_specs(cfg: ToyConfig):
@@ -321,15 +327,25 @@ def read_blob(raw: bytes, start, nbytes: int, what: str) -> bytes:
     return raw[start : start + nbytes]
 
 
+def check_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, or NonFiniteInput if it holds a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise NonFiniteInput(f"{what} holds a non-finite value")
+    return a
+
+
 def read_array(raw: bytes, entry, dtype: str = "<f4", offset_key: str = "offset",
                shape_key: str = "shape") -> np.ndarray:
-    """The array a manifest entry points at. The element count is taken in
-    Python integers, so a huge shape reads past the end of the file rather
-    than overflowing."""
+    """The array a manifest entry points at; a float array holding a NaN or
+    an infinity is NonFiniteInput. The element count is taken in Python
+    integers, so a huge shape reads past the end of the file rather than
+    overflowing."""
     shape = manifest_shape(entry, shape_key)
     nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-    data = read_blob(raw, entry.get(offset_key), nbytes, f"tensor {entry['name']!r}")
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    what = f"tensor {entry['name']!r}"
+    data = read_blob(raw, entry.get(offset_key), nbytes, what)
+    a = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    return check_finite(a, what) if a.dtype.kind == "f" else a
 
 
 def load_model(path) -> ToyModel:
@@ -420,7 +436,8 @@ def site_pre_bias(linears, x: np.ndarray) -> list:
     once and each linear multiplies those rows; otherwise each runs its own
     ``pre_bias``."""
     first = linears[0]
-    if any(lin.map is not first.map or lin.act != first.act for lin in linears):
+    if any(lin.map is not first.map
+           or (lin.act is not first.act and lin.act != first.act) for lin in linears):
         return [lin.pre_bias(x) for lin in linears]
     x = first.in_map(x)
     x = x if first.act is None else first.quantize(x)
@@ -487,6 +504,7 @@ class Session:
                                or PlainLinear(t[p + name], _linear_bias(t, p + name)))
                 layer.setdefault(site, []).append(layer[name])
             layer["bk"] = _k_bias(model, i)
+            layer["site"] = {s: f"layer{i}.{s}" for s in _CAPTURE_SITES}
             self._layers.append(layer)
 
     def step(self, tokens):
@@ -549,25 +567,26 @@ class Session:
         pos = self.pos if self.rows == 1 else np.tile(np.arange(self.pos, self.pos + n),
                                                        self.rows)
         for i, layer in enumerate(self._layers):
+            site = layer["site"]
             h = rmsnorm(x, layer["norm1"])
-            self._record(f"layer{i}.attn_in", h)
+            self._record(site["attn_in"], h)
             q, k_pre, v = site_pre_bias(layer["attn_in"], h)
             q, v = layer["wq"].add_bias(q), layer["wv"].add_bias(v)
             k_post = k_pre + layer["bk"]
-            self._record(f"layer{i}.k_pre_bias", k_pre)
-            self._record(f"layer{i}.k_post_bias", k_post)
+            self._record(site["k_pre_bias"], k_pre)
+            self._record(site["k_post_bias"], k_post)
             qk = rope_heads(np.concatenate((q, k_post), axis=1), self.rope, pos)
             q, k = qk[:, : q.shape[1]], qk[:, q.shape[1] :]
-            self._record(f"layer{i}.k_post_rope", k)
+            self._record(site["k_post_rope"], k)
             attn = self._attend(i, q, k_pre, k, v, pos)
-            self._record(f"layer{i}.attn_out_in", attn)
+            self._record(site["attn_out_in"], attn)
             x = x + layer["wo"](attn)
 
             h2 = rmsnorm(x, layer["norm2"])
-            self._record(f"layer{i}.mlp_in", h2)
+            self._record(site["mlp_in"], h2)
             gate, up = site_pre_bias(layer["mlp_in"], h2)  # neither has a bias
             act = silu(gate) * up
-            self._record(f"layer{i}.mlp_down_in", act)
+            self._record(site["mlp_down_in"], act)
             x = x + layer["w_down"](act)
 
         hf = rmsnorm(x, self._norm_f)
@@ -600,18 +619,26 @@ class Session:
         self.k_cache[i, :, :, p0:end] = heads(k_store)
         self.v_cache[i, :, :, p0:end] = heads(v_store)
         qh, vh = heads(q), heads(v)
-        at = p0 + np.arange(n_new)
-        own = (Ellipsis, np.arange(n_new), at)
         scores = qh @ self.k_cache[i, :, :, :end].transpose(0, 1, 3, 2)
-        scores[own] = np.sum(qh * heads(k), axis=-1)
+        own_positions(scores, p0)[...] = (qh * heads(k)).sum(axis=-1)
         if n_new > 1:  # one new position sees every cached one
+            at = p0 + np.arange(n_new)
             scores[..., np.arange(end) > at[:, np.newaxis]] = -np.inf
-        scores /= np.sqrt(cfg.head_dim)
+        scores /= math.sqrt(cfg.head_dim)
         p = softmax(scores)
-        p_own = p[own]
-        p[own] = 0.0
+        own = own_positions(p, p0)
+        p_own = own.copy()
+        own[...] = 0.0
         out = p @ self.v_cache[i, :, :, :end] + p_own[..., np.newaxis] * vh
         return out.transpose(0, 2, 1, 3).reshape(self.rows * n_new, cfg.d_model)
+
+
+def own_positions(a: np.ndarray, p0: int) -> np.ndarray:
+    """The (rows, heads, n_new) view of a C-contiguous block of attention
+    scores ``a``, (rows, heads, n_new, p0 + n_new), at each new position's
+    own column: query t's cell (t, p0 + t) sits p0 + t * (p0 + n_new + 1)
+    cells into its head's flattened (n_new, p0 + n_new) matrix."""
+    return a.reshape(a.shape[0], a.shape[1], -1)[..., p0 :: a.shape[-1] + 1]
 
 
 def forward_reference(m: ToyModel, tokens) -> np.ndarray:

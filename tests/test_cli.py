@@ -323,6 +323,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["layers.0.wq", "aux"])
+    def test_non_finite_model_tensor(self, model_file, tmp_path, capsys, value, where):
+        """A TQM1 tensor or aux array holding NaN or an infinity is a one-line
+        NonFiniteInput, not a drift run on NaN logits."""
+        model = load_model(model_file)
+        if where == "aux":
+            model = replace(model, aux={"probe.scales": np.array([1.0, value],
+                                                                 dtype=np.float32)})
+        else:
+            model.tensors[where] = model.tensors[where].copy()
+            model.tensors[where][0, 0] = value
+        bad = tmp_path / "bad.tqm"
+        save_model(model, bad)
+        rc = cli.main(["drift", "--model", str(bad), "--plan", "16-16-16",
+                       "--out", str(tmp_path / "d.csv")])
+        name = "probe.scales" if where == "aux" else where
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: NonFiniteInput: tensor {name!r} holds a non-finite value\n")
+
     def test_claimed_layer_count_is_not_walked(self, model_file, tmp_path, capsys):
         """A header that claims 10^9 layers over one layer's tensors fails at
         the first missing tensor, in well under a second, TQM1 and TQQ1
@@ -358,16 +378,19 @@ class TestErrors:
     def test_mutated_model_file_loads_or_errors(self, roomy_model, capsys, data):
         """Every truncation, bit flip and header rewrite of a TQM1 file (its
         config, ``n_layers`` up to 2^31 among them, and its manifest entries)
-        loads or raises a QuantLabError, which ``quantlab drift`` prints as
-        its one-line error with exit 1."""
+        loads with every tensor finite or raises a QuantLabError, which
+        ``quantlab drift`` prints as its one-line error with exit 1."""
         raw, d = roomy_model
         path = d / "m.tqm"
         path.write_bytes(mutate_container(raw, data, ("tensors", "aux")))
         want = None
         try:
-            load_model(path)
+            model = load_model(path)
         except QuantLabError as e:
             want = f"error: {type(e).__name__}: {e}\n"
+        else:
+            assert all(np.isfinite(a).all()
+                       for a in (*model.tensors.values(), *model.aux.values()))
         rc = cli.main(["drift", "--model", str(path), "--plan", "16-16-16",
                        "--probe-len", "8", "--out", str(d / "d.csv")])
         err = capsys.readouterr().err

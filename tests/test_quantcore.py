@@ -1,15 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quantlab import quantcore
 from quantlab.quantcore import (
     PER_CHANNEL,
     PER_GROUP,
     PER_TENSOR,
     PER_TOKEN,
+    SMALL_GRID,
     QuantSpec,
+    _fit_arrays,
+    _group_minmax,
     _round_half_away,
     _snap_down,
     dequantize,
@@ -140,6 +146,78 @@ class TestFitAsymmetric:
         scales, _ = fit_asymmetric(mn, mx, spec)
         assert scales[0, 0] < snap_scale((mx - mn) / 3.0, 2)[0, 0]
         self.check(mn, mx, spec)
+
+
+SMALL_GRID_KINDS = ("ties", "zeros", "constant", "subnormal", "huge", "tiny",
+                    "nonfinite")
+
+
+def small_grid_input(kind, rows, groups, size, rng):
+    """(rows, groups * size) inputs: (k + 0.5) * 2^-3, on rounding ties when
+    the fitted scale is 1/8; signed zeros; one constant per row; subnormals;
+    Gaussians scaled to about 1e300 (a range past the float64 maximum in
+    some groups) or 1e-300; or Gaussians with NaN, +Inf or -Inf in some
+    groups."""
+    shape = (rows, groups * size)
+    if kind == "ties":
+        return (rng.integers(-8, 8, shape) + 0.5) / 8.0
+    if kind == "zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if kind == "constant":
+        return np.repeat(rng.standard_normal((rows, 1)) * 3.0, shape[1], axis=1)
+    if kind == "subnormal":
+        return rng.integers(-1000, 1000, shape) * 5e-324
+    x = rng.standard_normal(shape)
+    if kind == "huge":
+        return x * 1e300 * np.where(rng.random(shape) < 0.2, 170.0, 1.0)
+    if kind == "tiny":
+        return x * 1e-300
+    x[rng.random(shape) < 0.1] = np.nan
+    x[rng.random(shape) < 0.1] = np.inf
+    x[rng.random(shape) < 0.1] = -np.inf
+    return x
+
+
+class TestSmallGrid:
+    """A grid of at most SMALL_GRID finite cells is fitted on Python floats;
+    its scales, zero points and fake_quant bytes are the array path's."""
+
+    @pytest.mark.parametrize("kind", SMALL_GRID_KINDS)
+    def test_matches_the_array_path(self, kind, monkeypatch):
+        rng = make_rng(SMALL_GRID_KINDS.index(kind))
+        for rows, groups in itertools.product((1, 2, 3), range(1, SMALL_GRID + 2)):
+            x = small_grid_input(kind, rows, groups, 4, rng)
+            for bits, clip in itertools.product((2, 3, 4, 8),
+                                                (1.0, 0.7, rng.uniform(0.05, 1.0))):
+                spec = spec_pg(bits, 4, clip_ratio=float(clip))
+                mn, mx = _group_minmax(x, spec)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = fit_asymmetric(mn, mx, spec), fake_quant(x, spec)
+                    want_s, want_z = _fit_arrays(mn, mx, spec)
+                    monkeypatch.setattr(quantcore, "SMALL_GRID", 0)
+                    want = fake_quant(x, spec)
+                    monkeypatch.undo()
+                (got_s, got_z), got_x = got
+                case = (rows, groups, bits, clip)
+                assert got_s.tobytes() == want_s.tobytes(), case
+                assert got_z.dtype == np.int32, case
+                assert got_z.tobytes() == want_z.tobytes(), case
+                assert got_x.tobytes() == want.tobytes(), case
+
+    def test_threshold(self, monkeypatch):
+        """Grids up to SMALL_GRID finite cells take the float path; a larger
+        grid, or one with a non-finite cell, the array path."""
+        fits, original = [], quantcore._fit_cells
+        monkeypatch.setattr(quantcore, "_fit_cells",
+                            lambda *a: fits.append(original(*a)) or fits[-1])
+        x = make_rng(0).standard_normal((1, 4 * (SMALL_GRID + 1)))
+        spec = spec_pg(4, 4)
+        fake_quant(x[:, : 4 * SMALL_GRID], spec)
+        fake_quant(x, spec)  # not tried
+        x[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            fake_quant(x[:, :4], spec)  # tried and declined
+        assert [fit is None for fit in fits] == [False, True]
 
 
 class TestQuantizeDequantize:

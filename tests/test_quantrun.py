@@ -12,6 +12,7 @@ from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
     BadMagic,
     MissingCalibration,
+    NonFiniteInput,
     QuantLabError,
     ShapeMismatch,
     TruncatedFile,
@@ -961,14 +962,51 @@ class TestCheckpoint:
     def test_mutated_checkpoint_loads_or_raises(self, roomy_checkpoint, data):
         """Every truncation, bit flip and header rewrite of a TQQ1 file (its
         config, ``n_layers`` up to 2^31 among them, its plan, its manifest
-        entries and their specs) loads or raises a QuantLabError."""
+        entries and their specs) loads with every tensor and scale finite or
+        raises a QuantLabError."""
         raw, d = roomy_checkpoint
         (d / "c.tqq").write_bytes(mutate_container(raw, data, ("fp_tensors", "aux",
                                                                 "q_tensors")))
         try:
-            load_checkpoint(d / "c.tqq")
+            model, _, quantized = load_checkpoint(d / "c.tqq")
         except QuantLabError:
-            pass
+            return
+        assert all(np.isfinite(a).all() for a in (
+            *model.tensors.values(), *model.aux.values(),
+            *(qt.params.scales for qt in quantized.values())))
+
+    @pytest.mark.parametrize("case, message", [
+        ("fp-tensor", "tensor 'embed' holds a non-finite value"),
+        ("aux", "tensor 'probe.scales' holds a non-finite value"),
+        ("scale", "tensor 'layers.0.wq' holds a non-finite value"),
+        ("dequantized", "tensor 'layers.0.wq': dequantized weight holds a "
+                        "non-finite value"),
+        ("awq-fold", "tensor 'layers.0.wq': dequantized weight holds a "
+                     "non-finite value"),
+        ("float32", "tensor 'layers.0.wq': dequantized weight in float32 holds a "
+                    "non-finite value")],
+        ids=["fp-tensor", "aux", "scale", "dequantized", "awq-fold", "float32"])
+    def test_non_finite(self, small_model, tmp_path, case, message):
+        """A stored float that is NaN or infinite, a dequantized weight that
+        overflows float64 (by its scale or its AWQ fold) and one that
+        overflows the float32 cast are each NonFiniteInput."""
+        q, tensors, aux = self._quantized(small_model), dict(small_model.tensors), {}
+        scales = q["layers.0.wq"].params.scales
+        if case == "fp-tensor":
+            tensors["embed"] = np.full_like(tensors["embed"], np.nan)
+        elif case == "aux":
+            aux["probe.scales"] = np.array([np.inf], dtype=np.float32)
+        elif case == "awq-fold":
+            scales[:] = 1e300
+            aux["layers.0.wq.awq_inv_scales"] = np.full(SMALL.d_model, 3e38, np.float32)
+        else:
+            scales[:] = {"scale": -np.inf, "dequantized": 1e308, "float32": 1e300}[case]
+        p = tmp_path / "c.tqq"
+        save_checkpoint(replace(small_model, tensors=tensors, aux=aux),
+                        QuantPlan(w_bits=4).to_dict(), q, p)
+        with pytest.raises(NonFiniteInput) as e:
+            load_checkpoint(p)
+        assert str(e.value) == message
 
     @pytest.mark.parametrize("edit, error", [
         pytest.param(lambda h: h.pop("q_tensors"), BadMagic,

@@ -25,6 +25,7 @@ from quantlab.toymodel import (
     init_model,
     load_model,
     nucleus_filter,
+    own_positions,
     rmsnorm,
     sample_rows,
     sample_token,
@@ -148,6 +149,28 @@ class TestForward:
     def test_context_overflow(self, small_model):
         with pytest.raises(ContextOverflow):
             forward_reference(small_model, [0] * (SMALL.max_seq_len + 1))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("p0", [0, 1, 40])
+    @pytest.mark.parametrize("n_new", [1, 2, 31, 32])
+    def test_own_positions(self, n_new, p0, rows):
+        """own_positions addresses exactly the cells (t, p0 + t) of the fancy
+        index (..., arange(n_new), p0 + arange(n_new)), on scores shaped and
+        laid out as attention's: the product of head-major views."""
+        heads, hd, end = 2, 4, p0 + n_new
+        rng = make_rng(n_new * 100 + p0)
+        q = rng.standard_normal((rows, n_new, heads, hd)).transpose(0, 2, 1, 3)
+        k = rng.standard_normal((rows, heads, end, hd)).transpose(0, 1, 3, 2)
+        a = q @ k
+        b = a.copy()
+        fancy = (Ellipsis, np.arange(n_new), p0 + np.arange(n_new))
+        view = own_positions(a, p0)
+        assert view.shape == (rows, heads, n_new)
+        assert view.tobytes() == b[fancy].tobytes()
+        marks = -np.arange(1.0, 1.0 + view.size).reshape(view.shape)
+        view[...] = marks
+        b[fancy] = marks
+        assert a.tobytes() == b.tobytes()
 
     def test_rmsnorm_closed_form(self):
         x = np.array([3.0, 4.0])
