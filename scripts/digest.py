@@ -44,6 +44,11 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   48-wide rows fill one and a half 32-element blocks, without and with
   ``include_lm_head``: the logits of a 128-token probe and of a 3-row
   session, as for the row-local plans above;
+* ``quantlab quantize`` run in-process (``cli.main``) on the default model
+  in a temporary directory: RTN 4-16-16 at group sizes 128 and 32, and GPTQ
+  and AWQ calibrated on a ``quantlab calib`` file. For each, the TQQ1
+  bytes, the exit code and stdout with the directory's path replaced, and
+  the logits of ``load_checkpoint``'s model on a 64-token probe;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -140,7 +145,7 @@ def calibrate_lines(workloads, quantrun):
                 yield f"{tag}/proxy_losses", proxy_losses_sha(rt)
             if method == "flatquant":
                 for name in sorted(rt.linears):
-                    t = rt.linears[name].t
+                    t = rt.linears[name].map
                     yield f"{tag}/{name}/flat_train", sha(
                         t.p1, t.p2, float(t.act_clip), float(t.weight_clip),
                         *(float(v) for v in t.objective_trace))
@@ -294,6 +299,36 @@ def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
         prefill = sess.forward([r[:40] for r in rows])
         stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
         yield f"{tag}/three_rows", sha(prefill, *stepped)
+
+
+def quantize_lines(workloads, cli, checkpoint, toymodel, make_rng):
+    """``quantlab quantize`` for four weight-only plans, through ``cli.main``."""
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(argv))
+            return code, out.getvalue().replace(tmp, "<tmp>")
+
+        model_path, calib_path = f"{tmp}/model.tqm", f"{tmp}/calib.txt"
+        run("init-model", "--out", model_path)
+        run("calib", "--model", model_path, "--out", calib_path)
+        model = toymodel.load_model(model_path)
+        probe = workloads._probe(make_rng(SEEDS[0]), 64, model.config.vocab_size)
+        for tag, extra in (("rtn/g128", ()), ("rtn/g32", ("--group-size", "32")),
+                           ("gptq", ("--method", "gptq", "--calib", calib_path)),
+                           ("awq", ("--method", "awq", "--calib", calib_path))):
+            out = f"{tmp}/{tag.replace('/', '_')}.tqq"
+            code, stdout = run("quantize", "--model", model_path, "--plan", "4-16-16",
+                               "--out", out, *extra)
+            yield f"quantize/{tag}/stdout", sha(code, stdout)
+            yield f"quantize/{tag}/tqq1", sha(Path(out).read_bytes())
+            loaded = checkpoint.load_checkpoint(out)[0]
+            yield f"quantize/{tag}/logits", sha(toymodel.forward_reference(loaded, probe))
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -537,7 +572,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
     import workloads
-    from quantlab import calibration, harness, quantcore, quantrun, toymodel, weightquant
+    from quantlab import (calibration, checkpoint, cli, harness, quantcore, quantrun,
+                          toymodel, weightquant)
     from quantlab.rng import make_rng
 
     for gen in (drift_lines(workloads, quantrun),
@@ -548,6 +584,7 @@ def main(argv=None) -> int:
                 no_bias_lines(workloads, quantrun, toymodel, make_rng),
                 row_local_lines(workloads, quantrun, toymodel, make_rng),
                 ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
+                quantize_lines(workloads, cli, checkpoint, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),

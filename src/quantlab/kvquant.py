@@ -26,7 +26,6 @@ from .quantcore import (
     QuantParams,
     QuantSpec,
     dequantize,
-    fake_quant,
     fit_asymmetric,
     quantize,
 )
@@ -95,7 +94,7 @@ def rope_heads(rows: np.ndarray, cfg: RopeConfig, pos) -> np.ndarray:
 
 
 def default_kv_v_spec(bits: int, group_size: int = 128) -> QuantSpec:
-    """Per-token asymmetric quantization, groups of 128 channels per row."""
+    """Per-token asymmetric groups of 128 channels: V's and activations' spec."""
     return QuantSpec(bits=bits, symmetric=False, granularity=PER_GROUP, axis=1,
                      group_size=group_size)
 
@@ -182,7 +181,7 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
 @dataclass(frozen=True)
 class KvWriter:
     """One layer's cache writer: K after RoPE and V per token, stacked in one
-    ``fake_quant``, each head turned by ``h`` when set (rotated KV); or, with
+    ``spec.apply``, each head turned by ``h`` when set (rotated KV); or, with
     ``k_cfg``, static K by ``quantize_k`` on K before its bias, V per token."""
 
     spec: QuantSpec
@@ -194,11 +193,11 @@ class KvWriter:
     def write(self, k_pre, k_rope, v, pos):
         if self.k_cfg is not None:
             k = quantize_k(k_pre, self.k_bias, self.k_cfg, self.rope, pos)
-            return k, fake_quant(v, self.spec)
+            return k, self.spec.apply(v)
         h, kv = self.h, (k_rope, v)
         if h is not None:
             kv = [h.apply(r.reshape(-1, h.n)).reshape(r.shape) for r in kv]
-        q = fake_quant(np.concatenate(kv), self.spec)  # per-token groups: row-local
+        q = self.spec.apply(np.concatenate(kv))  # per-token groups: row-local
         kv = q[: len(v)], q[len(v) :]
         if h is not None:
             kv = tuple(h.unapply(r.reshape(-1, h.n)).reshape(r.shape) for r in kv)

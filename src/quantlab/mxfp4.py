@@ -6,8 +6,9 @@ value table {0, 0.5, 1, 1.5, 2, 3, 4, 6}. The block scale is an E8M0-style
 biased exponent (bias 127). A serialized block is 17 bytes: 1 scale byte
 followed by 16 code bytes, two codes per byte, low nibble first.
 Negative zero is canonicalized to +0 on encode. A matrix is blocked row by
-row (``_blocks``), each row zero-padded to whole blocks: ``mxfp4_fake_quant``,
-which the runtime runs, and the MXT4 container share that one layout.
+row (``_blocks``), each row zero-padded to whole blocks: ``mxfp4_fake_quant``
+and the MXT4 container share that one layout. The runtime quantizes weights
+and inputs through ``MXFP4.apply``.
 """
 
 import struct
@@ -160,3 +161,14 @@ def mxfp4_fake_quant(x: np.ndarray) -> np.ndarray:
     rows, cols = x.shape
     vals = decode_array(*encode_array(_blocks(x)))
     return vals.reshape(rows, -(-cols // BLOCK_SIZE) * BLOCK_SIZE)[:, :cols]
+
+
+class Mxfp4Codec:
+    """MXFP4 as a quantizer. ``apply`` looks ``mxfp4_fake_quant`` up when
+    called, so a wrapper bound over the module function sees every call."""
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return mxfp4_fake_quant(x)
+
+
+MXFP4 = Mxfp4Codec()

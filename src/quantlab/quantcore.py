@@ -100,6 +100,10 @@ class QuantSpec:
     def passthrough(self) -> bool:
         return self.bits >= PASSTHROUGH_BITS
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The spec as a quantizer that applies itself: ``fake_quant(x, self)``."""
+        return fake_quant(x, self)
+
     def with_clip(self, clip_ratio: float) -> "QuantSpec":
         return replace(self, clip_ratio=clip_ratio)
 
@@ -323,10 +327,8 @@ def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
         amax = np.maximum(np.abs(mn), np.abs(mx)) * spec.clip_ratio
         scales = amax / qmax_sym
         # degenerate groups: constant c != 0 maps to +-qmax exactly; c == 0
-        # uses scale 1 so every code decodes to 0
-        const = mn
-        scales = np.where(degenerate, np.abs(const) / qmax_sym, scales)
-        scales = np.where(degenerate & (const == 0), 1.0, scales)
+        # gets scale 0, then 1 below, so every code decodes to 0
+        scales = np.where(degenerate, np.abs(mn) / qmax_sym, scales)
         scales = np.where(scales <= 0, 1.0, scales)
         return QuantParams(snap_scale(scales, spec.bits), None, spec, x.shape)
 

@@ -5,17 +5,18 @@ A plan is expressed in W-A-KV bit notation ("4-16-16") plus method names.
 Queries are never quantized: activation quantization happens at linear
 inputs, and the q vectors produced for attention stay in full precision.
 
-Every quantized linear is a ``toymodel.PlainLinear`` in three stages: an
-input map that applies itself (``map.apply``: a SmoothQuant or AWQ
-``InputScale``, a ``HadamardMatrix``, a ``FlatTransform`` or none), an
-activation quantizer (``act``: a per-token ``QuantSpec``, ``"mxfp4"`` for
-``mxfp4.mxfp4_fake_quant`` or none) and the product with its pre-quantized
-weight. The linear classes here name it for tracing; ``Mxfp4Linear`` runs
-weight and input through ``mxfp4_fake_quant``. ``prepare_runtime`` builds
-them in two stages. Per input site, it fits one input map on the stacked
-weight of the site's linears (``[Wq; Wk; Wv]`` at ``attn_in``). Per linear,
+Every quantized linear is a ``toymodel.PlainLinear``: an input map and an
+activation quantizer, each applying itself, then the product with its
+pre-quantized weight. The map is a SmoothQuant or AWQ ``InputScale``, a
+``HadamardMatrix``, a ``FlatTransform`` or none; the quantizer a per-token
+``QuantSpec``, the ``mxfp4.MXFP4`` codec or none. The four linear classes
+here only rebind ``pre_bias`` for tracing (``FlatLinear.t`` is its map).
+``prepare_runtime`` builds them in two stages. Per input site, it fits one
+input map on the stacked weight of the site's linears (``[Wq; Wk; Wv]`` at
+``attn_in``); MXFP4 instead runs that weight through its codec. Per linear,
 it quantizes the mapped weight with the plan's ``w_method``: RTN, GPTQ on
-the Hessian of the site's mapped input, or AWQ, a map of its own.
+the Hessian of the site's mapped input, or AWQ, a map of its own; MXFP4
+keeps no codes.
 ``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
 maps and quantizes the input once per block when they share a map and a
 quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
@@ -44,12 +45,11 @@ from .kvquant import (
     default_kv_v_spec,
     k_stage_tensor,
 )
-from .mxfp4 import mxfp4_fake_quant
+from .mxfp4 import MXFP4
 from .numerics import hadamard
 from .quantcore import (
     PASSTHROUGH_BITS,
     PER_CHANNEL,
-    PER_GROUP,
     QuantParams,
     QuantSpec,
     QuantizedTensor,
@@ -245,12 +245,6 @@ class FlatLinear(FakeQuantLinear):
 class Mxfp4Linear(PlainLinear):
     """Weights and inputs round-tripped through MXFP4 blocks along rows."""
 
-    def __init__(self, w, b):
-        super().__init__(mxfp4_fake_quant(w), b, act="mxfp4")
-
-    def quantize(self, x):
-        return mxfp4_fake_quant(x)
-
     pre_bias = PlainLinear.pre_bias
 
 
@@ -307,14 +301,14 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
 
     wa = plan.wa_method
     # weight-activation methods: per-channel symmetric weights (one scale per
-    # output row), per-token asymmetric activations in group_size groups;
-    # weight-only plans: asymmetric per-group weights
+    # output row), per-token asymmetric activations in group_size groups (V's
+    # spec); weight-only plans: asymmetric per-group weights
     spec_w = QuantSpec(bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL, axis=0)
-    spec_a = QuantSpec(bits=plan.a_bits, symmetric=False, granularity=PER_GROUP,
-                       axis=1, group_size=plan.group_size)
+    spec_a = default_kv_v_spec(plan.a_bits, plan.group_size)
     if wa == "none":
         spec_w, spec_a = default_weight_spec(plan.w_bits, plan.group_size), None
-    cls = {"rotate": RotatedLinear, "flatquant": FlatLinear}.get(wa, FakeQuantLinear)
+    cls = {"rotate": RotatedLinear, "flatquant": FlatLinear,
+           "mxfp4": Mxfp4Linear}.get(wa, FakeQuantLinear)
     sites = {}  # input site -> its linears, in _LAYER_LINEARS order
     for name in (_weight_linear_names(model, plan.include_lm_head)
                  if wa != "none" or plan.w_bits < 16 else ()):
@@ -323,10 +317,6 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
         ws = np.concatenate([model.tensors[n] for n in names]).astype(np.float64)
         ends = np.cumsum([len(model.tensors[n]) for n in names])[:-1]
         x = None if rec is None else rec.matrix(site)  # (tokens, in)
-        if wa == "mxfp4":  # a fixed pair of weight and activation codecs
-            for name, w in zip(names, np.split(ws, ends)):
-                rt.linears[name] = Mxfp4Linear(w, _linear_bias(model.tensors, name))
-            continue
         # stage 1, per site: the input map, fitted on the stacked weight
         imap, spec, act = None, spec_w, spec_a
         if wa == "rotate":
@@ -340,6 +330,8 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
             ws = np.concatenate([flat_map_weight(w, imap) for w in np.split(ws, ends)])
             spec, act = (_clipped(spec_w, imap.weight_clip),
                          _clipped(spec_a, imap.act_clip))
+        elif wa == "mxfp4":  # no map; the codec's row-local blocks, no codes
+            ws, spec, act = MXFP4.apply(ws), QuantSpec(bits=PASSTHROUGH_BITS), MXFP4
         # stage 2, per linear: the weight quantizer on the mapped weight. Specs
         # group within rows, so the site's stacked weight is quantized at once
         qts = [None] * len(names)  # 16-bit weights keep no codes

@@ -35,11 +35,11 @@ every model and every rotated plan.
 
 The linears of one input site run together: ``wq``, ``wk`` and ``wv`` read
 ``attn_in``, ``w_gate`` and ``w_up`` read ``mlp_in``, and ``wo``,
-``w_down`` and ``lm_head`` are sites of one. A linear is three stages
-(``PlainLinear``): an input map, an activation quantizer and the product
-with its stored weight. When a site's linears hold one input map and one
-quantizer, ``site_pre_bias`` maps and quantizes the input once and each
-linear multiplies those rows by its own weight.
+``w_down`` and ``lm_head`` are sites of one. A linear (``PlainLinear``) maps
+and quantizes its input through objects that apply themselves, then
+multiplies by its stored weight. When a site's linears hold one input map
+and one quantizer, ``site_pre_bias`` maps and quantizes the input once and
+each linear multiplies those rows by its own weight.
 
 Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 """
@@ -62,7 +62,7 @@ from .errors import (
 )
 from .kvquant import RopeConfig, rope_heads
 from .numerics import is_power_of_two
-from .quantcore import _check_field_types, fake_quant
+from .quantcore import _check_field_types
 
 BOS_ID = 0
 EOS_ID = 1
@@ -397,12 +397,12 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 class PlainLinear:
-    """A linear, y = x @ w.T (+ b), in three stages: the input map ``in_map``
-    (``map.apply``; None: the identity), the activation quantizer
-    ``quantize`` (``act`` names it, by default a ``QuantSpec`` for
-    ``fake_quant``; None: none) and the ``product`` with the stored weight
-    ``w``. Full precision by default; a quantized linear of quantrun.py holds
-    its map, its quantizer and ``qt``, the codes of its dequantized ``w``."""
+    """A linear, y = x @ w.T (+ b). ``quantize_input`` applies the input map
+    ``map``, then the activation quantizer ``act`` (objects with ``apply``;
+    None: the identity), and ``pre_bias`` multiplies the result by the
+    stored weight ``w``. Full precision by default; a quantized linear of
+    quantrun.py holds its map, its quantizer (a ``QuantSpec`` or
+    ``mxfp4.MXFP4``) and ``qt``, the codes of its dequantized ``w``."""
 
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None, map=None,
                  act=None, qt=None):
@@ -410,18 +410,12 @@ class PlainLinear:
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
         self.map, self.act, self.qt = map, act, qt
 
-    def in_map(self, x: np.ndarray) -> np.ndarray:
-        return x if self.map is None else self.map.apply(x)
-
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        return fake_quant(x, self.act)
-
-    def product(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w.T
+    def quantize_input(self, x: np.ndarray) -> np.ndarray:
+        x = x if self.map is None else self.map.apply(x)
+        return x if self.act is None else self.act.apply(x)
 
     def pre_bias(self, x: np.ndarray) -> np.ndarray:
-        x = self.in_map(x)
-        return self.product(x if self.act is None else self.quantize(x))
+        return self.quantize_input(x) @ self.w.T
 
     def add_bias(self, y: np.ndarray) -> np.ndarray:
         return y if self.b is None else y + self.b
@@ -439,9 +433,8 @@ def site_pre_bias(linears, x: np.ndarray) -> list:
     if any(lin.map is not first.map
            or (lin.act is not first.act and lin.act != first.act) for lin in linears):
         return [lin.pre_bias(x) for lin in linears]
-    x = first.in_map(x)
-    x = x if first.act is None else first.quantize(x)
-    return [lin.product(x) for lin in linears]
+    x = first.quantize_input(x)
+    return [x @ lin.w.T for lin in linears]
 
 
 class Session:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlab import kvquant, quantcore, quantrun, weightquant
+from quantlab import kvquant, mxfp4, quantcore, quantrun, weightquant
 from quantlab.calibration import known_sites
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
@@ -17,12 +17,15 @@ from quantlab.errors import (
     ShapeMismatch,
     TruncatedFile,
 )
+from quantlab.mxfp4 import MXFP4, mxfp4_fake_quant
 from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, dequantize, fake_quant
 from quantlab.quantrun import (
     ActivationRecorder,
+    FakeQuantLinear,
     FlatLinear,
     Mxfp4Linear,
     QuantPlan,
+    RotatedLinear,
     _weight_linear_names,
     capture_activations,
     forward_quantized,
@@ -316,12 +319,25 @@ class TestForward:
         row, of weights and of inputs, is blocked on its own."""
         rng = make_rng(3)
         w = rng.standard_normal((8, 48))
-        lin = Mxfp4Linear(w, None)
+        lin = PlainLinear(MXFP4.apply(w), None, act=MXFP4)
         x = rng.standard_normal((5, 48))
         by_row = np.concatenate([lin.pre_bias(x[r : r + 1]) for r in range(5)])
         assert np.array_equal(lin.pre_bias(x), by_row)
         for r in range(8):
-            assert np.array_equal(lin.w[r], Mxfp4Linear(w[r : r + 1], None).w[0])
+            assert np.array_equal(lin.w[r], MXFP4.apply(w[r : r + 1])[0])
+
+    @pytest.mark.parametrize("include_lm_head", [False, True])
+    def test_mxfp4_runs_both_prepare_stages(self, small_model, include_lm_head):
+        """An MXFP4 linear has no input map, its weight through the codec,
+        no codes, and the codec as its activation quantizer."""
+        rt = prepare_runtime(small_model, QuantPlan(
+            w_bits=4, a_bits=4, wa_method="mxfp4", include_lm_head=include_lm_head))
+        assert len(rt.linears) == len(_weight_linear_names(small_model, include_lm_head))
+        for name, lin in rt.linears.items():
+            assert type(lin) is Mxfp4Linear
+            assert lin.map is None and lin.act is MXFP4 and lin.qt is None
+            want = mxfp4_fake_quant(small_model.tensors[name].astype(np.float64))
+            assert lin.w.tobytes() == want.tobytes()
 
     def test_flat_linear_is_the_trained_transform(self):
         """Inference runs the transform exactly as training scored it."""
@@ -473,6 +489,25 @@ class TestForward:
             assert np.array_equal(lin.w, small_model.tensors[name])
             b = _linear_bias(small_model.tensors, name)
             assert (lin.b is None) if b is None else np.array_equal(lin.b, b)
+
+    @pytest.mark.parametrize("cls", [FakeQuantLinear, RotatedLinear, FlatLinear,
+                                     Mxfp4Linear])
+    def test_linear_classes_only_rebind_pre_bias(self, cls):
+        """Each runtime linear class is PlainLinear under a traced name: its
+        own ``pre_bias`` is PlainLinear's, and FlatLinear adds ``t``."""
+        own = {k for k in vars(cls) if not (k.startswith("__") and k.endswith("__"))}
+        assert own == ({"pre_bias", "t"} if cls is FlatLinear else {"pre_bias"})
+        assert vars(cls)["pre_bias"] is PlainLinear.pre_bias
+
+    @pytest.mark.parametrize("plan_kwargs", PLAN_FAMILIES)
+    def test_maps_and_quantizers_apply_themselves(self, small_model, calib_seqs,
+                                                 plan_kwargs):
+        plan = QuantPlan(**plan_kwargs)
+        rt = prepare_runtime(small_model, plan,
+                             calib_seqs if plan.needs_calibration else None)
+        for lin in rt.linears.values():
+            for part in (lin.map, lin.act):
+                assert part is None or callable(part.apply)
 
 
 # one layer at the default width: groups of 32 and a ragged 24 split each
@@ -716,13 +751,13 @@ class TestSiteMaps:
         if quantizer == "fake_quant":
             seen = _count_fake_quant(monkeypatch)
         else:
-            original, seen = quantrun.mxfp4_fake_quant, []
+            original, seen = mxfp4.mxfp4_fake_quant, []
 
             def counting(x):
                 seen.append(x.shape)
                 return original(x)
 
-            monkeypatch.setattr(quantrun, "mxfp4_fake_quant", counting)
+            monkeypatch.setattr(mxfp4, "mxfp4_fake_quant", counting)
         sess.step(7)
         assert seen == shapes * tiny_model.config.n_layers
 

@@ -301,7 +301,7 @@ class TestFlatQuant:
         rt = prepare_runtime(biased_model, plan, calib)
         for site, bounds in central.items():
             for layer, bound in enumerate(bounds):
-                trace = rt.linears[f"layers.{layer}.{first[site]}"].t.objective_trace
+                trace = rt.linears[f"layers.{layer}.{first[site]}"].map.objective_trace
                 assert trace[-1] / trace[0] < bound, (layer, site)
 
     def test_dimension_mismatch(self):
