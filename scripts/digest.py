@@ -44,11 +44,14 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   48-wide rows fill one and a half 32-element blocks, without and with
   ``include_lm_head``: the logits of a 128-token probe and of a 3-row
   session, as for the row-local plans above;
-* ``quantlab quantize`` run in-process (``cli.main``) on the default model
-  in a temporary directory: RTN 4-16-16 at group sizes 128 and 32, and GPTQ
-  and AWQ calibrated on a ``quantlab calib`` file. For each, the TQQ1
-  bytes, the exit code and stdout with the directory's path replaced, and
-  the logits of ``load_checkpoint``'s model on a 64-token probe;
+* ``quantlab quantize`` run in-process (``cli.main``) in a temporary
+  directory, on the default model and on one without QKV biases
+  (``qkv_bias=False``, ``ffn_mult=4``): RTN 4-16-16 at group sizes 128 and
+  32, and GPTQ and AWQ calibrated on a ``quantlab calib`` file of that
+  model. For each, the TQQ1 bytes, the exit code and stdout with the
+  directory's path replaced, and on a 64-token probe the logits of the
+  runtime ``load_checkpoint`` returns and of the in-memory runtime for the
+  same plan and calibration windows (the two lines are equal);
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -71,7 +74,9 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   each for ``fit_params`` (scales and zero points), ``quantize`` (codes),
   ``dequantize`` and ``fake_quant``, over every spec of ``primitive_specs``.
   A change inside ``quantcore`` shows here at the primitive, not only through
-  the model logits above;
+  the model logits above. A spec that fits a scale that is not finite
+  (every spec, on the ``nonfinite`` input) hashes its ``NonFiniteInput``
+  message in place of the four arrays;
 * ``weightquant.gptq_quantize`` on its own: one line (codes, scales and zero
   points) per case of ``gptq_cases``, 2,592 in all.
 """
@@ -301,10 +306,13 @@ def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
         yield f"{tag}/three_rows", sha(prefill, *stepped)
 
 
-def quantize_lines(workloads, cli, checkpoint, toymodel, make_rng):
-    """``quantlab quantize`` for four weight-only plans, through ``cli.main``."""
+def quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng):
+    """``quantlab quantize`` for four weight-only plans, through ``cli.main``,
+    on the default model and on one without QKV biases: the file, stdout,
+    the loaded checkpoint's logits and the in-memory runtime's."""
     import contextlib
     import io
+    import json
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -314,21 +322,36 @@ def quantize_lines(workloads, cli, checkpoint, toymodel, make_rng):
                 code = cli.main(list(argv))
             return code, out.getvalue().replace(tmp, "<tmp>")
 
-        model_path, calib_path = f"{tmp}/model.tqm", f"{tmp}/calib.txt"
-        run("init-model", "--out", model_path)
-        run("calib", "--model", model_path, "--out", calib_path)
-        model = toymodel.load_model(model_path)
-        probe = workloads._probe(make_rng(SEEDS[0]), 64, model.config.vocab_size)
-        for tag, extra in (("rtn/g128", ()), ("rtn/g32", ("--group-size", "32")),
-                           ("gptq", ("--method", "gptq", "--calib", calib_path)),
-                           ("awq", ("--method", "awq", "--calib", calib_path))):
-            out = f"{tmp}/{tag.replace('/', '_')}.tqq"
-            code, stdout = run("quantize", "--model", model_path, "--plan", "4-16-16",
-                               "--out", out, *extra)
-            yield f"quantize/{tag}/stdout", sha(code, stdout)
-            yield f"quantize/{tag}/tqq1", sha(Path(out).read_bytes())
-            loaded = checkpoint.load_checkpoint(out)[0]
-            yield f"quantize/{tag}/logits", sha(toymodel.forward_reference(loaded, probe))
+        for prefix, config, d in (("quantize", {}, tmp),
+                                  ("quantize_no_bias", {"qkv_bias": False, "ffn_mult": 4},
+                                   f"{tmp}/no_bias")):
+            os.makedirs(d, exist_ok=True)
+            model_path, calib_path = f"{d}/model.tqm", f"{d}/calib.txt"
+            Path(f"{d}/config.json").write_text(json.dumps(config))
+            run("init-model", "--config", f"{d}/config.json", "--out", model_path)
+            run("calib", "--model", model_path, "--out", calib_path)
+            model = toymodel.load_model(model_path)
+            probe = workloads._probe(make_rng(SEEDS[0]), 64, model.config.vocab_size)
+            for tag, extra in (("rtn/g128", ()), ("rtn/g32", ("--group-size", "32")),
+                               ("gptq", ("--method", "gptq", "--calib", calib_path)),
+                               ("awq", ("--method", "awq", "--calib", calib_path))):
+                out = f"{d}/{tag.replace('/', '_')}.tqq"
+                argv = ("quantize", "--model", model_path, "--plan", "4-16-16",
+                        "--out", out, *extra)
+                code, stdout = run(*argv)
+                yield f"{prefix}/{tag}/stdout", sha(code, stdout)
+                yield f"{prefix}/{tag}/tqq1", sha(Path(out).read_bytes())
+                loaded = checkpoint.load_checkpoint(out)
+                if len(loaded) == 2:  # (model, runtime)
+                    logits = toymodel.Session(loaded[0], runtime=loaded[1]).forward(probe)
+                else:  # a loader that returns a materialized model, plan, tensors
+                    logits = toymodel.forward_reference(loaded[0], probe)
+                yield f"{prefix}/{tag}/logits", sha(logits)
+                args = cli.build_parser().parse_args(list(argv))
+                calib = cli._load_calib(args.calib, args.seed, args.calib_len)
+                rt = quantrun.prepare_runtime(model, cli._plan_from_args(args), calib)
+                yield f"{prefix}/{tag}/runtime_logits", sha(
+                    toymodel.Session(model, runtime=rt).forward(probe))
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -477,6 +500,7 @@ def primitive_input(kind, shape, rng):
 
 def primitive_lines(quantcore, make_rng):
     import numpy as np
+    from quantlab.errors import NonFiniteInput
 
     specs = list(primitive_specs(quantcore))
     for shape in PRIMITIVE_SHAPES:
@@ -487,7 +511,12 @@ def primitive_lines(quantcore, make_rng):
                      "fake_quant": []}
             for spec in specs:
                 with np.errstate(invalid="ignore"):  # NaN and Inf: see nonfinite
-                    params = quantcore.fit_params(x, spec)
+                    try:
+                        params = quantcore.fit_params(x, spec)
+                    except NonFiniteInput as e:  # a group's scale is not finite
+                        for arrays in parts.values():
+                            arrays.append(f"NonFiniteInput: {e}")
+                        continue
                     qt = quantcore.quantize(x, params)
                     parts["dequantize"].append(quantcore.dequantize(qt))
                     parts["fake_quant"].append(quantcore.fake_quant(x, spec))
@@ -584,7 +613,7 @@ def main(argv=None) -> int:
                 no_bias_lines(workloads, quantrun, toymodel, make_rng),
                 row_local_lines(workloads, quantrun, toymodel, make_rng),
                 ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
-                quantize_lines(workloads, cli, checkpoint, toymodel, make_rng),
+                quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
                 decode_lines(workloads, quantrun, harness, make_rng),
                 generate_lines(workloads, quantrun, toymodel, make_rng),
                 self_generate_lines(workloads),

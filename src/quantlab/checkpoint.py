@@ -1,6 +1,7 @@
-"""Quantized checkpoint file ("TQQ1"): per-tensor spec descriptor, params
-arrays (float64 scales, int32 zero points), and bit-packed codes, plus the
-model's remaining full-precision tensors and its aux arrays.
+"""Quantized checkpoint file ("TQQ1"): a weight-only plan's Runtime, each
+linear as its spec descriptor, float64 scales, int32 zero points, bit-packed
+codes and AWQ's float64 inverse scales, beside the model's other tensors in
+full precision and its aux arrays; loading rebuilds the runtime exactly.
 
 Framing as TQM1 (toymodel.write_container): magic "TQQ1", version byte, u32
 little-endian header length, UTF-8 JSON header, padding to 64 bytes, then
@@ -23,9 +24,10 @@ from .quantcore import (
     pack_codes,
     unpack_codes,
 )
-from .quantrun import QuantPlan
+from .quantrun import FakeQuantLinear, QuantPlan, Runtime, _weight_linear_names
 from .toymodel import (
     ToyModel,
+    _linear_bias,
     check_finite,
     check_tensors,
     f32_blobs,
@@ -36,20 +38,34 @@ from .toymodel import (
     read_header,
     write_container,
 )
+from .weightquant import InputScale
 
 MAGIC = b"TQQ1"
-AWQ_SUFFIX = ".awq_inv_scales"
 
 
-def save_checkpoint(model: ToyModel, plan_dict: dict, quantized: dict, path) -> None:
-    """``quantized`` maps tensor names to QuantizedTensor; every other model
-    tensor is stored in full precision."""
+def check_plan(plan: QuantPlan) -> QuantPlan:
+    """``plan``, or ValueError unless it is weight-only, the one kind of plan
+    whose runtime a checkpoint holds."""
+    if plan.w_bits >= 16 or plan.a_bits < 16 or plan.kv_bits < 16 \
+            or plan.wa_method != "none":
+        raise ValueError(f"a checkpoint holds weight-only plans (W below 16 bits, A "
+                         f"and KV at 16, no weight-activation method), got "
+                         f"{plan.bits_string()} with wa_method {plan.wa_method!r}")
+    return plan
+
+
+def save_checkpoint(model: ToyModel, rt: Runtime, path) -> None:
+    """``rt``'s plan and linears (codes, params and any AWQ inverse scales),
+    and every tensor of ``model`` they do not replace in full precision; the
+    plan must pass ``check_plan``."""
+    check_plan(rt.plan)
     fp_manifest, blobs = f32_blobs(
-        {n: t for n, t in model.tensors.items() if n not in quantized})
+        {n: t for n, t in model.tensors.items() if n not in rt.linears})
     aux_manifest, aux_blobs = f32_blobs(model.aux)
     blobs += aux_blobs
     q_manifest = []
-    for n, qt in sorted(quantized.items()):
+    for n, lin in sorted(rt.linears.items()):
+        qt = lin.qt
         spec = qt.params.spec
         codes_raw = pack_codes(qt.codes, spec.bits, spec.symmetric)
         entry = {"name": n, "shape": list(qt.codes.shape), "spec": spec.to_dict(),
@@ -62,31 +78,34 @@ def save_checkpoint(model: ToyModel, plan_dict: dict, quantized: dict, path) -> 
             blobs.append((np.ascontiguousarray(qt.params.zero_points, dtype="<i4")
                           .tobytes(), entry, "zero_points_offset"))
         blobs.append((codes_raw, entry, "codes_offset"))
+        if lin.map is not None:
+            entry["in_scales_shape"] = list(lin.map.inv.shape)
+            blobs.append((np.ascontiguousarray(lin.map.inv, dtype="<f8").tobytes(),
+                          entry, "in_scales_offset"))
     write_container(path, MAGIC, {
-        "config": model.config.to_dict(), "plan": plan_dict,
+        "config": model.config.to_dict(), "plan": rt.plan.to_dict(),
         "fp_tensors": fp_manifest, "aux": aux_manifest, "q_tensors": q_manifest,
     }, blobs)
 
 
 def load_checkpoint(path):
-    """Returns (model, plan_dict, quantized). The model's quantized weights
-    are materialized in dequantized form so it runs directly; a weight with
-    AWQ inverse scales (aux ``<name>.awq_inv_scales``) has them folded into
-    its input columns; such scales for a tensor that is not quantized are
-    BadMagic. A stored float, a dequantized weight or its float32 cast that
-    is not finite is NonFiniteInput. The plan must be one QuantPlan accepts,
-    and the tensors those the config needs."""
+    """Returns (model, rt) for ``Session(model, runtime=rt)``: the file's
+    full-precision tensors and aux arrays, and the Runtime of its plan with
+    each linear built as ``prepare_runtime`` builds it. A stored float or a
+    dequantized weight that is not finite is NonFiniteInput. The tensors
+    must be those the config needs, the plan weight-only, the linears
+    exactly its linears, with AWQ inverse scales exactly under AWQ."""
     with open(path, "rb") as f:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
     try:
-        QuantPlan.from_dict(header["plan"])
-    except (TypeError, ValueError) as e:  # not a mapping, or a plan it rejects
+        plan = check_plan(QuantPlan.from_dict(header["plan"]))
+    except (TypeError, ValueError) as e:  # not a mapping, or a plan either rejects
         raise BadMagic(f"bad plan: {e}")
     tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "fp_tensors")}
     aux = {e["name"]: read_array(raw, e) for e in manifest(header, "aux")}
 
-    quantized = {}
+    linears = {}
     for entry in manifest(header, "q_tensors"):
         name = entry["name"]
         shape = manifest_shape(entry)
@@ -122,21 +141,23 @@ def load_checkpoint(path):
         if not spec.symmetric:
             zps = read_array(raw, entry, "<i4", "zero_points_offset", "param_shape")
         qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape))
-        quantized[name] = qt
-        inv_s = aux.get(name + AWQ_SUFFIX)
-        if inv_s is not None and inv_s.shape != shape[1:]:
-            raise ShapeMismatch(f"{what}: AWQ inverse scales of shape "
-                                f"{inv_s.shape} for shape {shape}")
-        with np.errstate(over="ignore"):  # an overflow is NonFiniteInput below
-            w = dequantize(qt)
-            if inv_s is not None:
-                w = w * inv_s[np.newaxis, :]
-            check_finite(w, f"{what}: dequantized weight")
-            tensors[name] = check_finite(w.astype(np.float32),
-                                         f"{what}: dequantized weight in float32")
-    for key in aux:
-        if key.endswith(AWQ_SUFFIX) and key[: -len(AWQ_SUFFIX)] not in quantized:
-            raise BadMagic(f"aux {key!r}: AWQ inverse scales of no quantized tensor")
+        awq = plan.w_method == "awq"
+        if awq != ("in_scales_offset" in entry) or awq and (
+                manifest_shape(entry, "in_scales_shape") != shape[1:]):
+            need = f"of shape [{shape[1]}]" if awq else "absent"
+            raise ShapeMismatch(f"{what}: under w_method {plan.w_method!r}, AWQ inverse "
+                                f"scales must be {need}")
+        in_map = InputScale(read_array(raw, entry, "<f8", "in_scales_offset",
+                                       "in_scales_shape")) if awq else None
+        with np.errstate(over="ignore"):  # an overflow is NonFiniteInput here
+            w = check_finite(dequantize(qt), f"{what}: dequantized weight")
+        linears[name] = FakeQuantLinear(w, _linear_bias(tensors, name), in_map, None, qt)
 
-    check_tensors(cfg, tensors)
-    return ToyModel(config=cfg, tensors=tensors, aux=aux), header["plan"], quantized
+    check_tensors(cfg, {**tensors, **{n: lin.w for n, lin in linears.items()}})
+    model = ToyModel(config=cfg, tensors=tensors, aux=aux)
+    want = set(_weight_linear_names(model, plan.include_lm_head))
+    odd = sorted(want ^ linears.keys())
+    if odd:
+        state = "quantized" if odd[0] in linears else "in full precision"
+        raise BadMagic(f"tensor {odd[0]!r}: {state} against the plan")
+    return model, Runtime(plan=plan, linears=linears)

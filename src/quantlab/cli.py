@@ -9,9 +9,6 @@ rejects among them (``UsageError``), print one machine-readable
 import argparse
 import json
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from . import calibration, checkpoint, harness
 from .errors import QuantLabError, UsageError
@@ -80,27 +77,17 @@ def cmd_init_model(args):
 
 
 def cmd_quantize(args):
-    """prepare_runtime for a weight-only plan, then save its quantized
-    weights (and any AWQ inverse scales) as a TQQ1 checkpoint."""
+    """prepare_runtime for a weight-only plan, then save the runtime as a
+    TQQ1 checkpoint."""
     model = load_model(args.model)
-    plan = _plan_from_args(args)
-    if plan.w_bits >= 16 or plan.a_bits < 16 or plan.kv_bits < 16 \
-            or plan.wa_method != "none":
-        raise ValueError(f"quantize writes weight-only plans (W below 16 bits, A and "
-                         f"KV at 16, no weight-activation method), got "
-                         f"{plan.bits_string()} with wa_method {plan.wa_method!r}")
+    plan = checkpoint.check_plan(_plan_from_args(args))
     rt = prepare_runtime(model, plan, _load_calib(args.calib, args.seed, args.calib_len))
-    quantized, aux = {}, dict(model.aux)
     for name, lin in rt.linears.items():
-        quantized[name] = lin.qt
-        if lin.map is not None:
-            aux[name + checkpoint.AWQ_SUFFIX] = lin.map.inv.astype(np.float32)
         if name in rt.proxy_losses:
             print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:
             print(f"{name}: quantized {lin.qt.codes.shape} at {plan.w_bits} bits")
-    checkpoint.save_checkpoint(replace(model, aux=aux), plan.to_dict(), quantized,
-                               args.out)
+    checkpoint.save_checkpoint(model, rt, args.out)
     print(f"wrote {args.out}")
     return 0
 

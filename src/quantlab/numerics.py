@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives: Cholesky, SPD inverse, Hadamard.
+"""Dense numeric primitives: Cholesky, SPD inverse, Hadamard, finite check.
 
 All compensation math runs in float64; callers that store weights in
 float32 must upcast before calling in here. Everything is a pure function
@@ -9,9 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotPowerOfTwo
+from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, NotPowerOfTwo
 
 SYM_TOL = 1e-9  # cholesky's asymmetry bound, relative to the largest entry
+
+
+def check_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, or NonFiniteInput if it holds a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise NonFiniteInput(f"{what} holds a non-finite value")
+    return a
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ for any grid up to 32 cells. They cross near 12-16 cells, so grids of at
 most ``SMALL_GRID`` = 8 cells take the float path, with room for the
 float path's slower cells (those whose rounding guard nudges the scale).
 A grid holding NaN or an infinity, or a range past the float64 maximum,
-takes the array path: the float path's comparisons would drop a NaN that
-``np.minimum`` and ``np.maximum`` keep, and an infinite scale has no
-mantissa to round.
+takes the array path, which raises for its scale: the float path's
+comparisons would drop a NaN that ``np.minimum`` and ``np.maximum`` keep,
+and an infinite scale has no mantissa to round.
 
 Conventions (documented once, relied on everywhere):
   * rounding is round-half-away-from-zero;
@@ -35,7 +35,9 @@ Conventions (documented once, relied on everywhere):
     exactly;
   * the symmetric grid excludes -2^(b-1) (codes in +-(2^(b-1) - 1));
   * bits == 16 is a pass-through sentinel (no quantization);
-  * an all-zero group gets scale 1 and zero point 0.
+  * an all-zero group gets scale 1 and zero point 0;
+  * a scale that is not finite (from NaN, an infinity or a range past the
+    float64 maximum) is NonFiniteInput.
 """
 
 import math
@@ -44,6 +46,8 @@ from numbers import Real
 from typing import Optional
 
 import numpy as np
+
+from .numerics import check_finite
 
 PASSTHROUGH_BITS = 16
 SMALL_GRID = 8  # cells; a grid this small is fitted on Python floats
@@ -256,7 +260,7 @@ def _fit_arrays(mn: np.ndarray, mx: np.ndarray, spec: QuantSpec):
     levels = float(2**spec.bits - 1)
     mn_c = np.minimum(mn * spec.clip_ratio, 0.0)
     mx_c = np.maximum(mx * spec.clip_ratio, 0.0)
-    scales = (mx_c - mn_c) / levels
+    scales = check_finite((mx_c - mn_c) / levels, "a quantization scale")
     scales = np.where(scales <= 0, 1.0, scales)  # all-zero group
     scales = snap_scale(scales, spec.bits)
     # rounding guard: when -mn/s sits exactly on a .5 tie, scale rounding can
@@ -329,7 +333,7 @@ def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
         # degenerate groups: constant c != 0 maps to +-qmax exactly; c == 0
         # gets scale 0, then 1 below, so every code decodes to 0
         scales = np.where(degenerate, np.abs(mn) / qmax_sym, scales)
-        scales = np.where(scales <= 0, 1.0, scales)
+        scales = check_finite(np.where(scales <= 0, 1.0, scales), "a quantization scale")
         return QuantParams(snap_scale(scales, spec.bits), None, spec, x.shape)
 
     scales, zp = fit_asymmetric(mn, mx, spec)

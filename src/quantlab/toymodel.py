@@ -55,13 +55,12 @@ import numpy as np
 from .errors import (
     BadMagic,
     ContextOverflow,
-    NonFiniteInput,
     ShapeMismatch,
     TokenOutOfRange,
     TruncatedFile,
 )
 from .kvquant import RopeConfig, rope_heads
-from .numerics import is_power_of_two
+from .numerics import check_finite, is_power_of_two
 from .quantcore import _check_field_types
 
 BOS_ID = 0
@@ -325,13 +324,6 @@ def read_blob(raw: bytes, start, nbytes: int, what: str) -> bytes:
     if start + nbytes > len(raw):
         raise TruncatedFile(start, f"{what} truncated")
     return raw[start : start + nbytes]
-
-
-def check_finite(a: np.ndarray, what: str) -> np.ndarray:
-    """``a``, or NonFiniteInput if it holds a NaN or an infinity."""
-    if not np.isfinite(a).all():
-        raise NonFiniteInput(f"{what} holds a non-finite value")
-    return a
 
 
 def read_array(raw: bytes, entry, dtype: str = "<f4", offset_key: str = "offset",

@@ -41,7 +41,7 @@ from quantlab.quantcore import (
     fit_params,
     quantize,
 )
-from quantlab.quantrun import QuantPlan, forward_quantized
+from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
 from quantlab.rng import make_rng
 from quantlab.toymodel import (
     ToyConfig,
@@ -343,15 +343,11 @@ def test_criterion_11_serialization(tmp_path):
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         # quantized checkpoint: same property
-        spec = default_weight_spec(4, 8)
-        q = {n: rtn_quantize_weights(model.tensors[n].astype(np.float64), spec)
-             for n in ("layers.0.wq", "layers.0.w_down")}
-        plan = QuantPlan(w_bits=4).to_dict()
+        rt = prepare_runtime(model, QuantPlan(w_bits=4, group_size=8))
         c1, c2 = tmp_path / "a.tqq", tmp_path / "b.tqq"
-        save_checkpoint(model, plan, q, c1)
-        m2, plan2, q2 = load_checkpoint(c1)
-        fp_model = type(model)(config=m2.config, tensors=m2.tensors, aux=m2.aux)
-        save_checkpoint(fp_model, plan2, q2, c2)
+        save_checkpoint(model, rt, c1)
+        loaded = load_checkpoint(c1)
+        save_checkpoint(*loaded, c2)
         assert c1.read_bytes() == c2.read_bytes()
         # corruption: wrong magic and truncation raise dedicated errors
         for path, loader in ((p1, load_model), (c1, load_checkpoint)):

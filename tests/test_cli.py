@@ -11,9 +11,9 @@ from quantlab import cli, harness
 from quantlab.calibration import parse_sequences
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import QuantLabError, ShapeMismatch
-from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
+from quantlab.quantrun import QuantPlan, Runtime, forward_quantized, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import forward_reference, load_model, save_model
+from quantlab.toymodel import Session, load_model, save_model
 
 from conftest import mutate_container, rewrite_header, with_header_room
 
@@ -70,9 +70,9 @@ class TestQuantize:
                        "--method", "rtn", "--group-size", "8",
                        "--out", str(out)])
         assert rc == 0
-        model, plan, quantized = load_checkpoint(out)
-        assert plan["w_bits"] == 4 and plan["w_method"] == "rtn"
-        assert "layers.0.wq" in quantized
+        model, rt = load_checkpoint(out)
+        assert rt.plan.w_bits == 4 and rt.plan.w_method == "rtn"
+        assert "layers.0.wq" in rt.linears
         assert "wrote" in capsys.readouterr().out
 
     def test_awq_prints_proxy_loss(self, model_file, calib_file, tmp_path,
@@ -120,12 +120,11 @@ class TestQuantize:
                                                tmp_path, method):
         out = tmp_path / "c.tqq"
         model, plan, rt = self._quantize(method, model_file, calib_file, out)
-        loaded, _, _ = load_checkpoint(out)
+        loaded, loaded_rt = load_checkpoint(out)
         probe = [int(t) for t in make_rng(3).integers(4, 16, 64)]
-        got = forward_reference(loaded, probe)
+        got = Session(loaded, runtime=loaded_rt).forward(probe)
         want = forward_quantized(model, probe, plan, runtime=rt)
-        assert np.max(np.abs(got - want)) <= 1e-5
-        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("plan, method", [
         ("8-8-16", "smoothquant"), ("4-16-4", "per_token"), ("16-16-16", None)])
@@ -351,7 +350,7 @@ class TestErrors:
         big = replace(model, config=replace(model.config, n_layers=10**9))
         tqm, tqq = tmp_path / "m.tqm", tmp_path / "c.tqq"
         save_model(big, tqm)
-        save_checkpoint(big, QuantPlan().to_dict(), {}, tqq)
+        save_checkpoint(big, Runtime(QuantPlan(w_bits=4)), tqq)
         t0 = time.perf_counter()
         rc = cli.main(["drift", "--model", str(tqm), "--plan", "16-16-16",
                        "--out", str(tmp_path / "d.csv")])

@@ -27,6 +27,7 @@ from quantlab.quantcore import (
     snap_scale,
     unpack_codes,
 )
+from quantlab.errors import NonFiniteInput
 from quantlab.rng import make_rng
 
 
@@ -184,7 +185,16 @@ class TestSmallGrid:
 
     @pytest.mark.parametrize("kind", SMALL_GRID_KINDS)
     def test_matches_the_array_path(self, kind, monkeypatch):
+        """Both paths give the same bytes, or both raise NonFiniteInput for a
+        grid whose scale is not finite (only NaN and infinities do here)."""
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except NonFiniteInput:
+                return NonFiniteInput
+
         rng = make_rng(SMALL_GRID_KINDS.index(kind))
+        raised = 0
         for rows, groups in itertools.product((1, 2, 3), range(1, SMALL_GRID + 2)):
             x = small_grid_input(kind, rows, groups, 4, rng)
             for bits, clip in itertools.product((2, 3, 4, 8),
@@ -192,17 +202,23 @@ class TestSmallGrid:
                 spec = spec_pg(bits, 4, clip_ratio=float(clip))
                 mn, mx = _group_minmax(x, spec)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    got = fit_asymmetric(mn, mx, spec), fake_quant(x, spec)
-                    want_s, want_z = _fit_arrays(mn, mx, spec)
+                    got_fit, got_x = (outcome(fit_asymmetric, mn, mx, spec),
+                                      outcome(fake_quant, x, spec))
+                    want_fit = outcome(_fit_arrays, mn, mx, spec)
                     monkeypatch.setattr(quantcore, "SMALL_GRID", 0)
-                    want = fake_quant(x, spec)
+                    want = outcome(fake_quant, x, spec)
                     monkeypatch.undo()
-                (got_s, got_z), got_x = got
                 case = (rows, groups, bits, clip)
+                if want_fit is NonFiniteInput:
+                    assert (got_fit, got_x, want) == (NonFiniteInput,) * 3, case
+                    raised += 1
+                    continue
+                (got_s, got_z), (want_s, want_z) = got_fit, want_fit
                 assert got_s.tobytes() == want_s.tobytes(), case
                 assert got_z.dtype == np.int32, case
                 assert got_z.tobytes() == want_z.tobytes(), case
                 assert got_x.tobytes() == want.tobytes(), case
+        assert bool(raised) == (kind == "nonfinite")
 
     def test_threshold(self, monkeypatch):
         """Grids up to SMALL_GRID finite cells take the float path; a larger
@@ -215,9 +231,25 @@ class TestSmallGrid:
         fake_quant(x[:, : 4 * SMALL_GRID], spec)
         fake_quant(x, spec)  # not tried
         x[0, 0] = np.nan
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
             fake_quant(x[:, :4], spec)  # tried and declined
         assert [fit is None for fit in fits] == [False, True]
+
+    @pytest.mark.parametrize("symmetric, row", [
+        (s, r) for s in (False, True)
+        for r in ([1.0, np.inf, -2.0], [1.0, -np.inf, -2.0], [1.0, np.nan, -2.0])
+    ] + [(False, [1e308, 1.0, -1e308])],
+        ids=["asym-inf", "asym--inf", "asym-nan", "sym-inf", "sym--inf", "sym-nan",
+             "asym-range-overflow"])
+    def test_non_finite_scale(self, symmetric, row):
+        """A group whose fitted scale is not finite is NonFiniteInput, not a
+        row of NaN and flipped infinities, though the other row's scale is
+        finite."""
+        spec = QuantSpec(bits=4, symmetric=symmetric, granularity=PER_TOKEN)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(NonFiniteInput) as e:
+            fake_quant(np.array([[0.5, 1.0, 2.0], row]), spec)
+        assert str(e.value) == "a quantization scale holds a non-finite value"
 
 
 class TestQuantizeDequantize:

@@ -54,6 +54,7 @@ from quantlab.transforms import (
 )
 from quantlab.weightquant import (
     GptqConfig,
+    InputScale,
     awq_fold,
     default_weight_spec,
     dequant_loss,
@@ -843,6 +844,9 @@ class TestWeightQuantizer:
         assert sorted(rt.proxy_losses) == sorted(rt.linears)
 
 
+ROOM = {"w_bits": 4}  # a weight-only plan in few header bytes: room for an edit
+
+
 def _plan_edit(**fields):
     """A header edit that sets plan ``fields``; it drops the plan's
     ``include_lm_head``, which the default covers, to make room."""
@@ -852,41 +856,139 @@ def _plan_edit(**fields):
     return edit
 
 
+def _relinked(rt, changes):
+    """A copy of runtime ``rt`` with the linears of ``changes`` set by name;
+    a None drops one."""
+    linears = {**rt.linears, **changes}
+    return replace(rt, linears={n: lin for n, lin in linears.items() if lin is not None})
+
+
+def _with_map(lin, in_map):
+    """``lin`` with input map ``in_map``."""
+    return FakeQuantLinear(lin.w, lin.b, in_map, lin.act, lin.qt)
+
+
+CHECKPOINT_PLANS = {
+    "rtn-g128": dict(w_bits=4), "rtn-g32": dict(w_bits=4, group_size=32),
+    "gptq": dict(w_bits=4, w_method="gptq"), "awq": dict(w_bits=4, w_method="awq"),
+    "awq-lm-head": dict(w_bits=4, w_method="awq", include_lm_head=True)}
+CHECKPOINT_MODELS = {"default": ToyConfig(),
+                     "no-qkv-bias": ToyConfig(qkv_bias=False, ffn_mult=4)}
+
+
 class TestCheckpoint:
-    def _quantized(self, model):
-        spec = default_weight_spec(4, 8)
-        out = {}
-        for name in ("layers.0.wq", "layers.0.w_down"):
-            out[name] = rtn_quantize_weights(
-                model.tensors[name].astype(np.float64), spec)
-        return out
+    @staticmethod
+    def _runtime(model):
+        """The RTN 4-16-16 runtime in groups of 8: each linear quantized."""
+        return prepare_runtime(model, QuantPlan(w_bits=4, group_size=8))
+
+    @pytest.fixture(scope="class")
+    def awq_rt(self, small_model, calib_seqs):
+        return prepare_runtime(small_model, QuantPlan(
+            w_bits=4, group_size=8, w_method="awq", awq_grid_step=0.25), calib_seqs)
+
+    @pytest.mark.parametrize("model_name", CHECKPOINT_MODELS)
+    @pytest.mark.parametrize("plan_name", CHECKPOINT_PLANS)
+    def test_loads_as_the_saved_runtime(self, tmp_path, model_name, plan_name):
+        """save -> load -> Session computes the in-memory runtime's logits
+        byte for byte, and the loaded pair re-saves byte for byte."""
+        cfg = CHECKPOINT_MODELS[model_name]
+        model, rng = init_model(cfg, make_rng(0)), make_rng(1)
+        calib = [[int(t) for t in rng.integers(0, cfg.vocab_size, 32)]
+                 for _ in range(2)]
+        tokens = probe(128, cfg.vocab_size)
+        plan = QuantPlan(**CHECKPOINT_PLANS[plan_name])
+        rt = prepare_runtime(model, plan, calib if plan.needs_calibration else None)
+        p1, p2 = tmp_path / "a.tqq", tmp_path / "b.tqq"
+        save_checkpoint(model, rt, p1)
+        loaded, loaded_rt = load_checkpoint(p1)
+        assert (loaded_rt.plan, loaded_rt.proxy_losses) == (plan, {})
+        assert loaded.tensors.keys() == model.tensors.keys() - rt.linears.keys()
+        got = Session(loaded, runtime=loaded_rt).forward(tokens)
+        assert got.tobytes() == Session(model, runtime=rt).forward(tokens).tobytes()
+        save_checkpoint(loaded, loaded_rt, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("not-weight-only", BadMagic, "bad plan: a checkpoint holds weight-only plans "
+         "(W below 16 bits, A and KV at 16, no weight-activation method), got 4-4-16 "
+         "with wa_method 'rotate'"),
+        ("missing-linear", BadMagic,
+         "tensor 'layers.0.wo': in full precision against the plan"),
+        ("extra-linear", BadMagic, "tensor 'lm_head': quantized against the plan"),
+        ("awq-without-in-scales", ShapeMismatch, "tensor 'layers.0.wq': under "
+         "w_method 'awq', AWQ inverse scales must be of shape [16]"),
+        ("old-awq-layout", ShapeMismatch, "tensor 'layers.0.w_down': under "
+         "w_method 'awq', AWQ inverse scales must be of shape [32]"),
+        ("in-scales-without-awq", ShapeMismatch, "tensor 'layers.0.wq': under "
+         "w_method 'rtn', AWQ inverse scales must be absent")],
+        ids=["not-weight-only", "missing-linear", "extra-linear",
+             "awq-without-in-scales", "old-awq-layout", "in-scales-without-awq"])
+    def test_not_a_prepared_runtime(self, small_model, awq_rt, tmp_path, case, error,
+                                    message):
+        """A file whose plan, quantized linears or input maps are not those
+        prepare_runtime builds is a one-line error, not a runtime that
+        differs from the one the file claims (an AWQ file of the old layout,
+        its inverse scales in ``aux``, among them)."""
+        model, rt = small_model, self._runtime(small_model)
+        if case == "missing-linear":
+            rt = _relinked(rt, {"layers.0.wo": None})
+        elif case == "extra-linear":
+            qt = rtn_quantize_weights(model.tensors["lm_head"].astype(np.float64),
+                                      default_weight_spec(4, 8))
+            rt = _relinked(rt, {"lm_head": FakeQuantLinear(dequantize(qt), qt=qt)})
+        elif case == "awq-without-in-scales":
+            rt = _relinked(awq_rt, {"layers.0.wq": _with_map(
+                awq_rt.linears["layers.0.wq"], None)})
+        elif case == "old-awq-layout":
+            model = replace(model, aux={f"{n}.awq_inv_scales": lin.map.inv.astype(
+                np.float32) for n, lin in awq_rt.linears.items()})
+            rt = _relinked(awq_rt, {n: _with_map(lin, None)
+                                    for n, lin in awq_rt.linears.items()})
+        elif case == "in-scales-without-awq":
+            rt = _relinked(rt, {"layers.0.wq": _with_map(
+                rt.linears["layers.0.wq"], InputScale(np.full(SMALL.d_model, 2.0)))})
+        p = tmp_path / "c.tqq"
+        save_checkpoint(model, rt, p)
+        if case == "not-weight-only":  # a plan save_checkpoint refuses to write
+            rewrite_header(p, p, _plan_edit(a_bits=4, wa_method="rotate"))
+        with pytest.raises(error) as e:
+            load_checkpoint(p)
+        assert str(e.value) == message
+
+    def test_save_refuses_a_plan_no_file_holds(self, small_model, tmp_path):
+        rt = prepare_runtime(small_model, QuantPlan(w_bits=4, a_bits=4, group_size=8,
+                                                    wa_method="rotate"))
+        with pytest.raises(ValueError, match="a checkpoint holds weight-only plans"):
+            save_checkpoint(small_model, rt, tmp_path / "c.tqq")
+        assert not (tmp_path / "c.tqq").exists()
 
     @pytest.mark.parametrize("case, error, message", [
         ("fp-undeclared", ShapeMismatch, "tensor 'bogus' is not one the config declares"),
         ("q-undeclared", ShapeMismatch, "tensor 'bogus' is not one the config declares"),
         ("fp-repeated", BadMagic, "'fp_tensors' manifest repeats tensor 'embed'"),
-        ("q-repeated", BadMagic, "'q_tensors' manifest repeats tensor 'layers.0.wq'"),
+        ("q-repeated", BadMagic, "'q_tensors' manifest repeats tensor 'layers.0.w_gate'"),
         ("fp-and-q", BadMagic,
          "tensor 'layers.0.wq' is both a full-precision and a quantized tensor")],
         ids=["fp-undeclared", "q-undeclared", "fp-repeated", "q-repeated", "fp-and-q"])
     def test_tensor_names(self, small_model, tmp_path, case, error, message):
         """Every tensor a checkpoint holds is one the config declares, held
         once; otherwise loading is a one-line error."""
-        q, tensors = self._quantized(small_model), dict(small_model.tensors)
+        rt, tensors = self._runtime(small_model), dict(small_model.tensors)
         if case == "fp-undeclared":
             tensors["bogus"] = np.ones((2, 8), dtype=np.float32)
         elif case == "q-undeclared":
-            q["bogus"] = rtn_quantize_weights(np.ones((2, 8)), default_weight_spec(4, 8))
+            qt = rtn_quantize_weights(np.ones((2, 8)), default_weight_spec(4, 8))
+            rt = _relinked(rt, {"bogus": FakeQuantLinear(dequantize(qt), qt=qt)})
         p = tmp_path / "c.tqq"
-        save_checkpoint(replace(small_model, tensors=tensors),
-                        QuantPlan(w_bits=4).to_dict(), q, p)
+        save_checkpoint(replace(small_model, tensors=tensors), rt, p)
         edits = {
             "fp-repeated": lambda h: h["fp_tensors"][1].update(
                 name=h["fp_tensors"][0]["name"]),
             "q-repeated": lambda h: h["q_tensors"][0].update(
                 name=h["q_tensors"][1]["name"]),
             "fp-and-q": lambda h: next(e for e in h["fp_tensors"]
-                                       if e["name"] == "layers.0.wk").update(
+                                       if e["name"] == "layers.0.norm1").update(
                                            name="layers.0.wq")}
         if case in edits:
             rewrite_header(p, p, edits[case])
@@ -895,38 +997,36 @@ class TestCheckpoint:
         assert str(e.value) == message
 
     def test_round_trip_values(self, small_model, tmp_path):
-        q = self._quantized(small_model)
-        plan = QuantPlan(w_bits=4)
+        """Each loaded linear holds the saved codes, params and bias, and
+        its dequantized codes as ``w``, as prepare_runtime builds it; the
+        model holds the other tensors."""
+        rt = self._runtime(small_model)
         p = tmp_path / "c.tqq"
-        save_checkpoint(small_model, plan.to_dict(), q, p)
-        model2, plan_dict, q2 = load_checkpoint(p)
-        assert QuantPlan.from_dict(plan_dict) == plan
-        for name, qt in q.items():
-            assert np.array_equal(q2[name].codes, qt.codes)
-            assert np.array_equal(q2[name].params.scales, qt.params.scales)
-            assert np.array_equal(model2.tensors[name],
-                                  dequantize(qt).astype(np.float32))
+        save_checkpoint(small_model, rt, p)
+        model2, rt2 = load_checkpoint(p)
+        assert (rt2.plan, rt2.kv, rt2.proxy_losses) == (rt.plan, [], {})
+        assert sorted(rt2.linears) == sorted(rt.linears)
+        for name, lin in rt.linears.items():
+            got = rt2.linears[name]
+            assert type(got) is FakeQuantLinear and (got.map, got.act) == (None, None)
+            assert np.array_equal(got.qt.codes, lin.qt.codes)
+            assert got.qt.params.scales.tobytes() == lin.qt.params.scales.tobytes()
+            assert got.w.tobytes() == dequantize(lin.qt).tobytes()
+            assert (got.b is None) == (lin.b is None)
+            assert got.b is None or got.b.tobytes() == lin.b.tobytes()
+        assert model2.tensors.keys() == small_model.tensors.keys() - rt.linears.keys()
         assert np.array_equal(model2.tensors["embed"],
                               small_model.tensors["embed"])
 
     def test_resave_byte_identical(self, small_model, tmp_path):
-        q = self._quantized(small_model)
         p1, p2 = tmp_path / "a.tqq", tmp_path / "b.tqq"
-        save_checkpoint(small_model, QuantPlan(w_bits=4).to_dict(), q, p1)
-        model2, plan_dict, q2 = load_checkpoint(p1)
-        # re-save the exact loaded artifacts: fp tensors in the loaded model
-        # include dequantized weights, so strip those back out
-        fp_model = type(small_model)(
-            config=model2.config,
-            tensors={n: t for n, t in model2.tensors.items()},
-            aux=model2.aux)
-        save_checkpoint(fp_model, plan_dict, q2, p2)
+        save_checkpoint(small_model, self._runtime(small_model), p1)
+        save_checkpoint(*load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, small_model, tmp_path):
         p = tmp_path / "c.tqq"
-        save_checkpoint(small_model, QuantPlan().to_dict(),
-                        self._quantized(small_model), p)
+        save_checkpoint(small_model, self._runtime(small_model), p)
         raw = bytearray(p.read_bytes())
         raw[:4] = b"XXXX"
         p.write_bytes(bytes(raw))
@@ -935,61 +1035,47 @@ class TestCheckpoint:
 
     def test_truncated(self, small_model, tmp_path):
         p = tmp_path / "c.tqq"
-        save_checkpoint(small_model, QuantPlan().to_dict(),
-                        self._quantized(small_model), p)
+        save_checkpoint(small_model, self._runtime(small_model), p)
         raw = p.read_bytes()
         p.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(TruncatedFile) as ei:
             load_checkpoint(p)
         assert isinstance(ei.value.offset, int)
 
-    def test_awq_inverse_scales_of_another_width(self, small_model, tmp_path):
-        aux = {"layers.0.wq.awq_inv_scales": np.ones(3, dtype=np.float32)}
+    def test_awq_inverse_scales_of_another_width(self, small_model, awq_rt,
+                                                  tmp_path):
+        rt = _relinked(awq_rt, {"layers.0.wq": _with_map(
+            awq_rt.linears["layers.0.wq"], InputScale(np.ones(3)))})
         p = tmp_path / "c.tqq"
-        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(),
-                        self._quantized(small_model), p)
-        with pytest.raises(ShapeMismatch, match="AWQ inverse scales"):
+        save_checkpoint(small_model, rt, p)
+        with pytest.raises(ShapeMismatch) as e:
             load_checkpoint(p)
-
-    @pytest.mark.parametrize("key", ["layers.0.wk.awq_inv_scales", "bogus.awq_inv_scales"],
-                             ids=["fp-tensor", "no-tensor"])
-    def test_awq_inverse_scales_of_no_quantized_tensor(self, small_model, tmp_path, key):
-        """AWQ inverse scales fold into a quantized weight only: for a weight
-        stored in full precision (wk) or for no tensor at all, loading them
-        is an error, not a model that differs from what the file describes."""
-        aux = {key: np.full(SMALL.d_model, 2.0, dtype=np.float32)}
-        p = tmp_path / "c.tqq"
-        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(),
-                        self._quantized(small_model), p)
-        with pytest.raises(BadMagic) as e:
-            load_checkpoint(p)
-        assert str(e.value) == f"aux {key!r}: AWQ inverse scales of no quantized tensor"
+        assert str(e.value) == ("tensor 'layers.0.wq': under w_method 'awq', AWQ "
+                                "inverse scales must be of shape [16]")
 
     def test_other_aux_arrays_round_trip(self, small_model, tmp_path):
-        """AWQ inverse scales of a quantized weight are folded in; any other
-        aux name loads as it is, and the loaded arrays re-save byte for byte."""
+        """Aux arrays load as they are, whatever their names (AWQ's inverse
+        scales sit in the linears' entries, not here), and the loaded arrays
+        re-save byte for byte."""
         aux = {"layers.0.wq.awq_inv_scales": np.full(SMALL.d_model, 2.0, np.float32),
                "probe.scales": np.arange(4.0, dtype=np.float32),
                "awq_inv_scales": np.ones(2, dtype=np.float32)}
-        q = self._quantized(small_model)
         p1, p2 = tmp_path / "a.tqq", tmp_path / "b.tqq"
-        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(), q,
-                        p1)
-        m2, plan_dict, q2 = load_checkpoint(p1)
+        save_checkpoint(replace(small_model, aux=aux), self._runtime(small_model), p1)
+        m2, rt2 = load_checkpoint(p1)
         assert sorted(m2.aux) == sorted(aux)
-        assert np.array_equal(m2.tensors["layers.0.wq"],
-                              (dequantize(q["layers.0.wq"]) * 2.0).astype(np.float32))
-        save_checkpoint(m2, plan_dict, q2, p2)
+        assert all(np.array_equal(m2.aux[n], a) for n, a in aux.items())
+        assert all(lin.map is None for lin in rt2.linears.values())
+        save_checkpoint(m2, rt2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.fixture(scope="class")
-    def roomy_checkpoint(self, small_model, tmp_path_factory):
-        """An RTN 4-16-16 checkpoint with one AWQ aux array and room in its
+    def roomy_checkpoint(self, small_model, awq_rt, tmp_path_factory):
+        """An AWQ 4-16-16 checkpoint with one aux array and room in its
         header, and a directory to write mutants to."""
         d = tmp_path_factory.mktemp("tqq1")
-        aux = {"layers.0.wq.awq_inv_scales": np.full(SMALL.d_model, 2.0, np.float32)}
-        save_checkpoint(replace(small_model, aux=aux), QuantPlan(w_bits=4).to_dict(),
-                        self._quantized(small_model), d / "base.tqq")
+        aux = {"probe.scales": np.arange(4.0, dtype=np.float32)}
+        save_checkpoint(replace(small_model, aux=aux), awq_rt, d / "base.tqq")
         return with_header_room((d / "base.tqq").read_bytes()), d
 
     @settings(max_examples=200, deadline=None)
@@ -997,48 +1083,45 @@ class TestCheckpoint:
     def test_mutated_checkpoint_loads_or_raises(self, roomy_checkpoint, data):
         """Every truncation, bit flip and header rewrite of a TQQ1 file (its
         config, ``n_layers`` up to 2^31 among them, its plan, its manifest
-        entries and their specs) loads with every tensor and scale finite or
-        raises a QuantLabError."""
+        entries and their specs) loads with every tensor, weight and scale
+        finite or raises a QuantLabError."""
         raw, d = roomy_checkpoint
         (d / "c.tqq").write_bytes(mutate_container(raw, data, ("fp_tensors", "aux",
                                                                 "q_tensors")))
         try:
-            model, _, quantized = load_checkpoint(d / "c.tqq")
+            model, rt = load_checkpoint(d / "c.tqq")
         except QuantLabError:
             return
         assert all(np.isfinite(a).all() for a in (
             *model.tensors.values(), *model.aux.values(),
-            *(qt.params.scales for qt in quantized.values())))
+            *(a for lin in rt.linears.values()
+              for a in (lin.w, lin.qt.params.scales, lin.map.inv))))
 
     @pytest.mark.parametrize("case, message", [
         ("fp-tensor", "tensor 'embed' holds a non-finite value"),
         ("aux", "tensor 'probe.scales' holds a non-finite value"),
         ("scale", "tensor 'layers.0.wq' holds a non-finite value"),
+        ("in-scales", "tensor 'layers.0.wq' holds a non-finite value"),
         ("dequantized", "tensor 'layers.0.wq': dequantized weight holds a "
-                        "non-finite value"),
-        ("awq-fold", "tensor 'layers.0.wq': dequantized weight holds a "
-                     "non-finite value"),
-        ("float32", "tensor 'layers.0.wq': dequantized weight in float32 holds a "
-                    "non-finite value")],
-        ids=["fp-tensor", "aux", "scale", "dequantized", "awq-fold", "float32"])
-    def test_non_finite(self, small_model, tmp_path, case, message):
-        """A stored float that is NaN or infinite, a dequantized weight that
-        overflows float64 (by its scale or its AWQ fold) and one that
-        overflows the float32 cast are each NonFiniteInput."""
-        q, tensors, aux = self._quantized(small_model), dict(small_model.tensors), {}
-        scales = q["layers.0.wq"].params.scales
+                        "non-finite value")],
+        ids=["fp-tensor", "aux", "scale", "in-scales", "dequantized"])
+    def test_non_finite(self, small_model, awq_rt, tmp_path, case, message):
+        """A stored float that is NaN or infinite, and a dequantized weight
+        that overflows float64 by its scale, are each NonFiniteInput."""
+        rt, tensors, aux = self._runtime(small_model), dict(small_model.tensors), {}
         if case == "fp-tensor":
             tensors["embed"] = np.full_like(tensors["embed"], np.nan)
         elif case == "aux":
             aux["probe.scales"] = np.array([np.inf], dtype=np.float32)
-        elif case == "awq-fold":
-            scales[:] = 1e300
-            aux["layers.0.wq.awq_inv_scales"] = np.full(SMALL.d_model, 3e38, np.float32)
+        elif case == "in-scales":
+            wq = awq_rt.linears["layers.0.wq"]
+            rt = _relinked(awq_rt, {"layers.0.wq": _with_map(
+                wq, InputScale(np.full(SMALL.d_model, np.nan)))})
         else:
-            scales[:] = {"scale": -np.inf, "dequantized": 1e308, "float32": 1e300}[case]
+            rt.linears["layers.0.wq"].qt.params.scales[:] = {
+                "scale": -np.inf, "dequantized": 1e308}[case]
         p = tmp_path / "c.tqq"
-        save_checkpoint(replace(small_model, tensors=tensors, aux=aux),
-                        QuantPlan(w_bits=4).to_dict(), q, p)
+        save_checkpoint(replace(small_model, tensors=tensors, aux=aux), rt, p)
         with pytest.raises(NonFiniteInput) as e:
             load_checkpoint(p)
         assert str(e.value) == message
@@ -1066,13 +1149,13 @@ class TestCheckpoint:
         pytest.param(lambda h: h.update(aux=1), BadMagic, id="aux-int"),
         pytest.param(lambda h: h["q_tensors"].__setitem__(0, 1), BadMagic,
                      id="entry-not-a-mapping"),
-        # the plan is returned unread; emptying it makes room for the edit
-        pytest.param(lambda h: h.update(plan={}) or h["fp_tensors"][0].update(
+        # the plan shrunk to ROOM makes room for the edit
+        pytest.param(lambda h: h.update(plan=ROOM) or h["fp_tensors"][0].update(
             name=[h["fp_tensors"][0]["name"]]), BadMagic,
                      id="name-not-a-string"),
-        pytest.param(lambda h: h.update(plan={}) or h["fp_tensors"][0].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["fp_tensors"][0].update(
             shape=[2**40, 2**40]), TruncatedFile, id="fp-count-overflow"),
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0].update(
             shape=[2**40, 2**40]), ShapeMismatch, id="q-count-overflow"),
         pytest.param(lambda h: h["q_tensors"][0].update(shape=[512]),
                      ShapeMismatch, id="q-shape-not-a-matrix"),
@@ -1093,22 +1176,22 @@ class TestCheckpoint:
                      id="spec-axis-5"),
         pytest.param(lambda h: h["q_tensors"][0]["spec"].update(bits=1), BadMagic,
                      id="spec-bits-1"),
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             bits=16), BadMagic, id="spec-bits-16"),
         pytest.param(lambda h: h["q_tensors"][0]["spec"].update(granularity="per_x"),
                      BadMagic, id="spec-granularity-per-x"),
         # fields of the wrong type; the plan is emptied to make room
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             axis=1.0), BadMagic, id="spec-axis-float"),
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             axis=True), BadMagic, id="spec-axis-bool"),
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             bits=4.0), BadMagic, id="spec-bits-float"),
         pytest.param(lambda h: h["q_tensors"][0]["spec"].update(symmetric="no"),
                      BadMagic, id="spec-symmetric-string"),
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             group_size=8.5), BadMagic, id="spec-group-size-float"),
-        pytest.param(lambda h: h.update(plan={}) or h["q_tensors"][0]["spec"].update(
+        pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             clip_ratio=True), BadMagic, id="spec-clip-ratio-bool"),
         # a tensor the model needs, absent or of another shape
         pytest.param(lambda h: h.update(fp_tensors=[
@@ -1149,8 +1232,7 @@ class TestCheckpoint:
     ])
     def test_malformed_header(self, small_model, tmp_path, edit, error):
         p = tmp_path / "c.tqq"
-        save_checkpoint(small_model, QuantPlan(w_bits=4).to_dict(),
-                        self._quantized(small_model), p)
+        save_checkpoint(small_model, self._runtime(small_model), p)
         rewrite_header(p, tmp_path / "bad.tqq", edit)
         with pytest.raises(error):
             load_checkpoint(tmp_path / "bad.tqq")
@@ -1158,8 +1240,7 @@ class TestCheckpoint:
     @pytest.fixture(scope="class")
     def saved(self, small_model, tmp_path_factory):
         p = tmp_path_factory.mktemp("fuzz") / "c.tqq"
-        save_checkpoint(small_model, QuantPlan(w_bits=4).to_dict(),
-                        self._quantized(small_model), p)
+        save_checkpoint(small_model, self._runtime(small_model), p)
         return p
 
     # any JSON value, with near-valid ones (counts as ints, floats and bools;
@@ -1185,7 +1266,7 @@ class TestCheckpoint:
         """A spec field holding any JSON value loads or is a QuantLabError."""
         bad = saved.with_name("bad.tqq")
         for i in range(2):
-            rewrite_header(saved, bad, lambda h: h.update(plan={})
+            rewrite_header(saved, bad, lambda h: h.update(plan=ROOM)
                            or h["q_tensors"][i]["spec"].update({field: value}))
             try:
                 load_checkpoint(bad)

@@ -11,6 +11,7 @@ from quantlab.errors import (
     TokenOutOfRange,
     TruncatedFile,
 )
+from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
 from quantlab.toymodel import (
     BOS_ID,
@@ -32,7 +33,6 @@ from quantlab.toymodel import (
     save_model,
     softmax,
 )
-from quantlab.weightquant import default_weight_spec, rtn_quantize_weights
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=32)
@@ -255,9 +255,8 @@ class TestSerialization:
             save_model(small_model, p)
             load = load_model
         else:
-            w = small_model.tensors["layers.0.wq"].astype(np.float64)
-            save_checkpoint(small_model, {"w_bits": 4}, {"layers.0.wq": (
-                rtn_quantize_weights(w, default_weight_spec(4, 8)))}, p)
+            save_checkpoint(small_model, prepare_runtime(
+                small_model, QuantPlan(w_bits=4, group_size=8)), p)
             load = load_checkpoint
         load(p)
         raw = bytearray(p.read_bytes())
