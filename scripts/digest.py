@@ -3,11 +3,19 @@ that two trees can be checked for byte-identical results:
 
     python scripts/digest.py path/to/tree > digests.txt
     python scripts/digest.py path/to/tree-a path/to/tree-b
+    python scripts/digest.py --reach path/to/tree
 
 Given two trees, the script digests each in its own Python process (both
 import a ``quantlab``), prints only the lines that differ as ``name
 digest-a digest-b`` (``-`` where a tree has no such line), reports the
 count on stderr and exits 1 if any line differs, 0 if none does.
+
+With ``--reach``, the script runs the digest of one tree under a call
+profiler (``sys.setprofile``, only in this mode) and prints, in place of the
+lines, the functions of ``src/quantlab`` it never calls. It exits 0 if they
+are exactly ``UNREACHED``: the test oracles and codec API the acceptance
+tests import, with their helpers; code that only error paths reach; and the
+MXT4 container. Any other function the digest misses needs a line here.
 
 The library is imported from ``<tree>/src``; the plans and inputs are those
 of the benchmark workloads in ``perfbench/workloads.py`` beside this script,
@@ -52,6 +60,12 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   directory's path replaced, and on a 64-token probe the logits of the
   runtime ``load_checkpoint`` returns and of the in-memory runtime for the
   same plan and calibration windows (the two lines are equal);
+* the other commands through ``cli.main`` on the default model, as
+  ``CLI_RUNS`` lists them: ``calib``, ``drift`` for five plans (its stdout
+  and CSV of ``run_drift``'s report arrays), ``generate``,
+  ``length-control``, ``stats`` with and without ``--calib``, and
+  ``sweep`` to CSV and JSON with a ``"calib"`` key. For each, the exit code,
+  stdout and output file;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -91,6 +105,20 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# what --reach expects the digest never to call
+UNREACHED = (
+    # the test oracles and the codec API the acceptance tests import, with
+    # their helpers
+    "weightquant.brute_force_optimal", "quantcore.QuantParams.expand",
+    "quantcore._expand_grid", "quantcore._group_sizes", "mxfp4.mxfp4_encode",
+    "mxfp4.mxfp4_decode", "mxfp4.Mxfp4Block.__eq__", "mxfp4.block_to_bytes",
+    "mxfp4.block_from_bytes", "mxfp4._pack", "mxfp4._unpack",
+    # code that only error paths reach
+    "cli._Parser.error", "errors.NotPositiveDefinite.__init__",
+    "errors.TruncatedFile.__init__",
+    # the MXT4 container, which has no caller in the library
+    "mxfp4.encode_tensor", "mxfp4.decode_tensor",
+)
 SEEDS = (11, 12)
 # (1, 72) in groups of 8 is one cell more than quantcore.SMALL_GRID, the
 # largest grid fitted on Python floats
@@ -306,30 +334,35 @@ def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
         yield f"{tag}/three_rows", sha(prefill, *stepped)
 
 
+def run_cli(cli, tmp, *argv):
+    """``cli.main(argv)`` in-process: its exit code and its stdout with the
+    directory ``tmp`` replaced by ``<tmp>``."""
+    import contextlib
+    import io
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue().replace(tmp, "<tmp>")
+
+
 def quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng):
     """``quantlab quantize`` for four weight-only plans, through ``cli.main``,
     on the default model and on one without QKV biases: the file, stdout,
     the loaded checkpoint's logits and the in-memory runtime's."""
-    import contextlib
-    import io
     import json
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        def run(*argv):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(list(argv))
-            return code, out.getvalue().replace(tmp, "<tmp>")
-
         for prefix, config, d in (("quantize", {}, tmp),
                                   ("quantize_no_bias", {"qkv_bias": False, "ffn_mult": 4},
                                    f"{tmp}/no_bias")):
             os.makedirs(d, exist_ok=True)
             model_path, calib_path = f"{d}/model.tqm", f"{d}/calib.txt"
             Path(f"{d}/config.json").write_text(json.dumps(config))
-            run("init-model", "--config", f"{d}/config.json", "--out", model_path)
-            run("calib", "--model", model_path, "--out", calib_path)
+            run_cli(cli, tmp, "init-model", "--config", f"{d}/config.json",
+                    "--out", model_path)
+            run_cli(cli, tmp, "calib", "--model", model_path, "--out", calib_path)
             model = toymodel.load_model(model_path)
             probe = workloads._probe(make_rng(SEEDS[0]), 64, model.config.vocab_size)
             for tag, extra in (("rtn/g128", ()), ("rtn/g32", ("--group-size", "32")),
@@ -338,7 +371,7 @@ def quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng):
                 out = f"{d}/{tag.replace('/', '_')}.tqq"
                 argv = ("quantize", "--model", model_path, "--plan", "4-16-16",
                         "--out", out, *extra)
-                code, stdout = run(*argv)
+                code, stdout = run_cli(cli, tmp, *argv)
                 yield f"{prefix}/{tag}/stdout", sha(code, stdout)
                 yield f"{prefix}/{tag}/tqq1", sha(Path(out).read_bytes())
                 loaded = checkpoint.load_checkpoint(out)
@@ -352,6 +385,50 @@ def quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng):
                 rt = quantrun.prepare_runtime(model, cli._plan_from_args(args), calib)
                 yield f"{prefix}/{tag}/runtime_logits", sha(
                     toymodel.Session(model, runtime=rt).forward(probe))
+
+
+CLI_RUNS = (  # (tag, command and options), each run with --model and --out
+    ("calib", ("calib",)),
+    ("drift/16-16-16", ("drift", "--plan", "16-16-16")),
+    ("drift/4-16-16/rtn", ("drift", "--plan", "4-16-16", "--group-size", "32")),
+    ("drift/16-16-4/kvquant_star", ("drift", "--plan", "16-16-4", "--method",
+                                    "kvquant_star", "--calib", "<calib>")),
+    ("drift/4-4-16/rotate", ("drift", "--plan", "4-4-16", "--method", "rotate")),
+    ("drift/4-4-16/mxfp4", ("drift", "--plan", "4-4-16", "--method", "mxfp4")),
+    ("generate/16-16-16", ("generate", "--prompt", "0 5 9")),
+    ("generate/4-4-4/rotate", ("generate", "--plan", "4-4-4", "--method", "rotate")),
+    ("length-control/suppress", ("length-control", "--runs", "4")),
+    ("length-control/promote", ("length-control", "--plan", "16-16-4", "--mode",
+                                "promote", "--budget", "8", "--runs", "4")),
+    ("stats/random", ("stats", "--site", "layer0.attn_in")),
+    ("stats/calib", ("stats", "--site", "layer1.k_pre_bias", "--calib", "<calib>")),
+    ("sweep/csv", ("sweep", "--config", "<sweep>")),
+    ("sweep/json", ("sweep", "--config", "<sweep>", "--format", "json")),
+)
+SWEEP_RUNS = ({"plan": "16-16-16"}, {"plan": "4-16-16", "w_method": "gptq"},
+              {"plan": "8-8-16", "wa_method": "smoothquant"},
+              {"plan": "16-16-3", "kv_method": "kvquant_star", "k_stage": "post_rope"})
+
+
+def cli_lines(cli):
+    """The other ``quantlab`` commands through ``cli.main`` on the default
+    model: each run's exit code, stdout and output file, ``<calib>`` the
+    file of the ``calib`` run and ``<sweep>`` a config of ``SWEEP_RUNS``
+    with a ``"calib"`` key."""
+    import json
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        model, calib, sweep = f"{tmp}/model.tqm", f"{tmp}/calib.out", f"{tmp}/sweep.json"
+        run_cli(cli, tmp, "init-model", "--out", model)
+        Path(sweep).write_text(json.dumps({"runs": SWEEP_RUNS, "probe_len": 32,
+                                           "calib": calib}))
+        for tag, (command, *options) in CLI_RUNS:
+            out = f"{tmp}/{tag.replace('/', '_')}.out"
+            options = [{"<calib>": calib, "<sweep>": sweep}.get(o, o) for o in options]
+            code, stdout = run_cli(cli, tmp, command, "--model", model, *options,
+                                   "--out", out)
+            yield f"cli/{tag}", sha(code, stdout, Path(out).read_bytes())
 
 
 def decode_lines(workloads, quantrun, harness, make_rng):
@@ -584,13 +661,64 @@ def compare(tree_a: Path, tree_b: Path) -> int:
     return 1 if differ else 0
 
 
+def definitions(package) -> dict:
+    """(file, first line, qualified name) -> ``module.qualname`` for every
+    function a module of ``package`` defines, nested ones included."""
+    import inspect
+    import pkgutil
+
+    found = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        path = str(Path(package.__path__[0]) / f"{info.name}.py")
+        todo = [compile(Path(path).read_text(), path, "exec")]
+        while todo:
+            code = todo.pop()
+            todo += [c for c in code.co_consts if inspect.iscode(c)]
+            # a function: not a module or class body, lambda or comprehension
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+                key = (code.co_filename, code.co_firstlineno, code.co_qualname)
+                found[key] = f"{info.name}.{code.co_qualname}"
+    return found
+
+
+def reach(generators, package) -> int:
+    """Run the digest under a call profiler and print the functions of
+    ``package`` it never calls, sorted; 0 if they are exactly ``UNREACHED``."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for gen in generators:
+            for _ in gen:
+                pass
+    finally:
+        sys.setprofile(None)
+    called = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in seen}
+    unreached = sorted(name for key, name in definitions(package).items()
+                       if key not in called)
+    for name in unreached:
+        print(name)
+    odd = sorted(set(unreached) ^ set(UNREACHED))
+    print(f"digest: {len(unreached)} functions unreached"
+          + (f"; not as documented: {', '.join(odd)}" if odd else ""), file=sys.stderr)
+    return 1 if odd else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree", type=Path, help="source tree holding src/quantlab")
     ap.add_argument("other", type=Path, nargs="?",
                     help="a second tree: print only the lines that differ")
+    ap.add_argument("--reach", action="store_true",
+                    help="print the library functions the digest never calls")
     args = ap.parse_args(argv)
     if args.other is not None:
+        if args.reach:
+            ap.error("--reach takes one tree")
         return compare(args.tree, args.other)
     src = args.tree.resolve() / "src"
     if not (src / "quantlab" / "__init__.py").is_file():
@@ -600,28 +728,33 @@ def main(argv=None) -> int:
         os.environ[v] = "1"  # before numpy loads
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
 
+    import quantlab
     import workloads
     from quantlab import (calibration, checkpoint, cli, harness, quantcore, quantrun,
                           toymodel, weightquant)
     from quantlab.rng import make_rng
 
-    for gen in (drift_lines(workloads, quantrun),
-                calibrate_lines(workloads, quantrun),
-                gptq_map_lines(workloads, quantrun),
-                static_k_lines(workloads, quantrun, toymodel, make_rng),
-                position_lines(workloads, quantrun, toymodel, calibration, make_rng),
-                no_bias_lines(workloads, quantrun, toymodel, make_rng),
-                row_local_lines(workloads, quantrun, toymodel, make_rng),
-                ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
-                quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
-                decode_lines(workloads, quantrun, harness, make_rng),
-                generate_lines(workloads, quantrun, toymodel, make_rng),
-                self_generate_lines(workloads),
-                batch_lines(workloads, harness, calibration, make_rng),
-                criterion10_lines(harness, quantrun, toymodel, make_rng),
-                criterion4_lines(weightquant, make_rng),
-                primitive_lines(quantcore, make_rng),
-                gptq_lines(quantcore, weightquant, make_rng)):
+    generators = (drift_lines(workloads, quantrun),
+                  calibrate_lines(workloads, quantrun),
+                  gptq_map_lines(workloads, quantrun),
+                  static_k_lines(workloads, quantrun, toymodel, make_rng),
+                  position_lines(workloads, quantrun, toymodel, calibration, make_rng),
+                  no_bias_lines(workloads, quantrun, toymodel, make_rng),
+                  row_local_lines(workloads, quantrun, toymodel, make_rng),
+                  ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
+                  quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
+                  cli_lines(cli),
+                  decode_lines(workloads, quantrun, harness, make_rng),
+                  generate_lines(workloads, quantrun, toymodel, make_rng),
+                  self_generate_lines(workloads),
+                  batch_lines(workloads, harness, calibration, make_rng),
+                  criterion10_lines(harness, quantrun, toymodel, make_rng),
+                  criterion4_lines(weightquant, make_rng),
+                  primitive_lines(quantcore, make_rng),
+                  gptq_lines(quantcore, weightquant, make_rng))
+    if args.reach:
+        return reach(generators, quantlab)
+    for gen in generators:
         for name, digest in gen:
             print(name, digest, flush=True)
     return 0

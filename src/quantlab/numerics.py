@@ -77,7 +77,7 @@ class HadamardMatrix:
     sign_diag: np.ndarray  # +-1 vector of length n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The rotation of rows ``x`` of width n: x @ H."""
+        """The rotation of rows ``x`` (weights, activations, KV heads): x @ H."""
         if x.shape[-1] != self.n:
             raise DimensionMismatch(f"Hadamard dim {self.n} != row width {x.shape[-1]}")
         return x @ self.matrix

@@ -13,10 +13,11 @@ pre-quantized weight. The map is a SmoothQuant or AWQ ``InputScale``, a
 here only rebind ``pre_bias`` for tracing (``FlatLinear.t`` is its map).
 ``prepare_runtime`` builds them in two stages. Per input site, it fits one
 input map on the stacked weight of the site's linears (``[Wq; Wk; Wv]`` at
-``attn_in``); MXFP4 instead runs that weight through its codec. Per linear,
-it quantizes the mapped weight with the plan's ``w_method``: RTN, GPTQ on
-the Hessian of the site's mapped input, or AWQ, a map of its own; MXFP4
-keeps no codes.
+``attn_in``) and maps that weight whole (``HadamardMatrix.apply``,
+``flat_map_weight``, the SmoothQuant fold); MXFP4 instead runs it through
+its codec. Per linear, it quantizes the mapped weight with the plan's
+``w_method``: RTN, GPTQ on the Hessian of the site's mapped input, or AWQ,
+a map of its own; MXFP4 keeps no codes.
 ``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
 maps and quantizes the input once per block when they share a map and a
 quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
@@ -58,12 +59,11 @@ from .quantcore import (
 )
 from .rng import make_rng
 from .toymodel import (_LAYER_LINEARS, PlainLinear, Session, ToyModel, _k_bias,
-                       _linear_bias)
+                       _linear_bias, linear_weight)
 from .transforms import (
     _clipped,
     flat_map_weight,
     flat_train,
-    rotate_layer,
     smooth_fit,
 )
 from .weightquant import (
@@ -314,20 +314,20 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
                  if wa != "none" or plan.w_bits < 16 else ()):
         sites.setdefault(linear_input_site(name), []).append(name)
     for site, names in sites.items():
-        ws = np.concatenate([model.tensors[n] for n in names]).astype(np.float64)
+        ws = np.concatenate([linear_weight(model, n) for n in names]).astype(np.float64)
         ends = np.cumsum([len(model.tensors[n]) for n in names])[:-1]
         x = None if rec is None else rec.matrix(site)  # (tokens, in)
-        # stage 1, per site: the input map, fitted on the stacked weight
+        # stage 1, per site: the input map, fitted on and applied to the stacked weight
         imap, spec, act = None, spec_w, spec_a
         if wa == "rotate":
             imap = hadamard(ws.shape[1], randomize=True, rng=rng)
-            ws = np.concatenate([rotate_layer(w, imap).T for w in np.split(ws, ends)])
+            ws = imap.apply(ws)
         elif wa == "smoothquant":
             ws, inv = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha))
             imap = InputScale(inv)
         elif wa == "flatquant":
             imap = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
-            ws = np.concatenate([flat_map_weight(w, imap) for w in np.split(ws, ends)])
+            ws = flat_map_weight(ws, imap)
             spec, act = (_clipped(spec_w, imap.weight_clip),
                          _clipped(spec_a, imap.act_clip))
         elif wa == "mxfp4":  # no map; the codec's row-local blocks, no codes
@@ -350,8 +350,6 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
             elif plan.w_method == "gptq" and qt is not None:
                 rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
             w = w if qt is None else dequantize(qt)
-            if wa == "rotate":  # Fortran order, the transpose of rotate_layer's
-                w = np.asfortranarray(w)  # (in, out): a matmul's bytes depend on it
             rt.linears[name] = cls(w, _linear_bias(model.tensors, name), imap, act, qt)
 
     if plan.kv_bits < 16:  # after the site maps: rotated KV draws from rng last

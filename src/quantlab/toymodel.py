@@ -155,6 +155,14 @@ def _layer_tensor_specs(cfg: ToyConfig):
     yield from (("norm_f", (d,)), ("lm_head", (v, d)))
 
 
+def linear_weight(model: ToyModel, name: str) -> np.ndarray:
+    """Linear ``name``'s weight; ShapeMismatch if ``model`` holds none (a
+    loaded checkpoint's model lacks the weights its runtime quantized)."""
+    if name not in model.tensors:
+        raise ShapeMismatch(f"missing tensor {name!r}: the model holds no weight for it")
+    return model.tensors[name]
+
+
 def _linear_bias(tensors: dict, name: str) -> Optional[np.ndarray]:
     """The bias of linear ``name`` in float64; None when it has none."""
     prefix, _, short = name.rpartition(".")
@@ -477,7 +485,8 @@ class Session:
         self._embed = model.tensors["embed"].astype(np.float64)
         self._norm_f = model.tensors["norm_f"].astype(np.float64)
         linears = {} if runtime is None else runtime.linears
-        self._lm_head = linears.get("lm_head") or PlainLinear(model.tensors["lm_head"])
+        self._lm_head = (linears.get("lm_head")
+                         or PlainLinear(linear_weight(model, "lm_head")))
         self._layers = []
         t = model.tensors
         for i in range(cfg.n_layers):
@@ -485,8 +494,8 @@ class Session:
             layer = {"norm1": t[p + "norm1"].astype(np.float64),
                      "norm2": t[p + "norm2"].astype(np.float64)}
             for name, (_, site, _) in _LAYER_LINEARS.items():
-                layer[name] = (linears.get(p + name)
-                               or PlainLinear(t[p + name], _linear_bias(t, p + name)))
+                layer[name] = (linears.get(p + name) or PlainLinear(
+                    linear_weight(model, p + name), _linear_bias(t, p + name)))
                 layer.setdefault(site, []).append(layer[name])
             layer["bk"] = _k_bias(model, i)
             layer["site"] = {s: f"layer{i}.{s}" for s in _CAPTURE_SITES}

@@ -1,7 +1,8 @@
 """Outlier-smoothing transforms for weight-activation quantization:
-SmoothQuant channel migration, Hadamard rotation, and a desk-scale
-learned Kronecker transform with learnable clipping, trained on
-simultaneous-perturbation (SPSA) gradient estimates.
+SmoothQuant channel migration and a desk-scale learned Kronecker transform
+with learnable clipping, trained on simultaneous-perturbation (SPSA)
+gradient estimates. The Hadamard rotation is ``numerics.HadamardMatrix``,
+whose ``apply`` rotates weight rows and activation rows alike.
 
 Conventions: weights ``w`` are (out, in), activations ``x`` are
 (tokens, in); the layer computes ``x @ w.T``.
@@ -15,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import HadamardMatrix
 from .quantcore import QuantSpec, fake_quant
 from .rng import make_rng
 
@@ -40,15 +40,6 @@ def smooth_fit(x_calib: np.ndarray, w: np.ndarray, alpha: float = 0.5) -> np.nda
     ax = np.maximum(np.max(np.abs(x), axis=0), 1e-8)
     aw = np.maximum(np.max(np.abs(w), axis=0), 1e-8)
     return np.maximum(ax**alpha / aw ** (1.0 - alpha), 1e-8)
-
-
-def rotate_layer(w: np.ndarray, h: HadamardMatrix) -> np.ndarray:
-    """Absorb the rotation into the weight offline: returns H.T @ w.T
-    (shape (in, out)), to be used as Q(X H) @ Q(H.T W.T)."""
-    w = np.asarray(w, dtype=np.float64)
-    if h.n != w.shape[1]:
-        raise DimensionMismatch(f"Hadamard dim {h.n} != weight input dim {w.shape[1]}")
-    return h.matrix.T @ w.T
 
 
 @dataclass
@@ -80,54 +71,18 @@ def kron_factor(n: int) -> tuple:
     return n1, n // n1
 
 
-KRON_EQ = "mkl,ki,lj->mij"
-
-
-@functools.lru_cache(maxsize=64)
-def _kron_path(m: int, n1: int, n2: int) -> list:
-    """The contraction order ``einsum(..., optimize=True)`` picks for these
-    shapes. It depends on the shapes only, so it is searched once per shape
-    instead of on every call."""
-    shapes = ((m, n1, n2), (n1, n1), (n2, n2))
-    return np.einsum_path(KRON_EQ, *(np.empty(sh) for sh in shapes),
-                          optimize=True)[0]
-
-
 def kron_apply_right(x: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """x @ (P1 (x) P2) without materializing the Kronecker product.
 
     Row index (k, l) of the product maps channel k*n2+l; the contraction is
-    y[m, i*n2+j] = sum_kl x[m, k*n2+l] P1[k, i] P2[l, j].
-
-    The result has the bytes and the memory layout (a matmul on it depends
-    on both) of ``einsum(KRON_EQ, ..., optimize=True)``: the factor
-    ``_kron_path`` picks is contracted first, by the ``matmul`` calls, with
-    the operand order and layouts, of einsum's pairwise steps, without
-    einsum's per-call parsing. einsum orders an intermediate's axes by size,
-    which decides whether the second matmul reads it as it lies or after a
-    transposing copy, and it multiplies by a size-1 factor. Only for a
-    one-channel x can a zero's sign differ from einsum's.
+    y[m, i*n2+j] = sum_kl x[m, k*n2+l] P1[k, i] P2[l, j]: P1 over an
+    (n1, m*n2) matrix, then P2 over its (m*n1, n2) rows.
     """
     m = x.shape[0]
     n1, n2 = p1.shape[0], p2.shape[0]
-    if n2 == 1:  # then n1 == 1 too
-        return x * p1 * p2
-    if n1 == 1:
-        return (p2.T @ x.T).T * p1
-    if _kron_path(m, n1, n2)[1] == (0, 1):  # P1 first: t is (i, m, l)
-        t = p1.T @ x.reshape(m, n1, n2).transpose(1, 0, 2).reshape(n1, m * n2)
-        if n1 <= m:
-            y = (t.reshape(n1 * m, n2) @ p2).reshape(n1, m, n2).transpose(1, 0, 2)
-        else:
-            y = t.reshape(n1, m, n2).transpose(1, 0, 2).reshape(m * n1, n2) @ p2
-    else:  # P2 first: t is (j, m, k)
-        t = p2.T @ x.reshape(m * n1, n2).T
-        if n2 <= m:
-            y = (t.reshape(n2 * m, n1) @ p1).reshape(n2, m, n1).transpose(1, 2, 0)
-        else:
-            y = (t.reshape(n2, m, n1).transpose(1, 0, 2).reshape(m * n2, n1)
-                 @ p1).reshape(m, n2, n1).transpose(0, 2, 1)
-    return y.reshape(m, n1 * n2)
+    t = p1.T @ x.reshape(m, n1, n2).transpose(1, 0, 2).reshape(n1, m * n2)
+    return (t.reshape(n1, m, n2).transpose(1, 0, 2).reshape(m * n1, n2) @ p2
+            ).reshape(m, n1 * n2)
 
 
 @functools.lru_cache(maxsize=64)  # flat_train asks for a few clips thousands of times
@@ -176,7 +131,7 @@ def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
 
 
 def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
-               spec_a: QuantSpec, steps: int = 200) -> FlatTransform:
+               spec_a: QuantSpec, *, steps: int) -> FlatTransform:
     """Train the Kronecker transform by descent on simultaneous-perturbation
     (SPSA; Spall 1992) gradient estimates with a reject-and-halve line
     search. An update is accepted only when it lowers the objective, so the

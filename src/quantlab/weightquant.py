@@ -154,7 +154,7 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
     candidate's codes are those of quantizing it alone. Candidates are scored
     by the Gram form sum((dW @ X X^T) * dW) of the calibration-output error,
     the first minimum in grid order wins, and the reported ``proxy_loss`` is
-    the winner's direct form ||X^T w^T - X^T w_s^T||_F^2.
+    the winner's ``proxy_loss``, the form GPTQ's ``dequant_loss`` reports.
 
     The (0, 0) grid point gives s = 1, so the result never loses to RTN.
     """
@@ -187,8 +187,7 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
             if best is None or loss[i] < best[0]:
                 best = (loss[i], alpha, betas[i], s[i, 0].copy(), w_s[i].copy())
     _, alpha, beta, s, w_s = best
-    loss = float(np.sum(np.square(x.T @ w.T - x.T @ w_s.T)))
-    return AwqSearchResult(float(alpha), float(beta), s, loss)
+    return AwqSearchResult(float(alpha), float(beta), s, proxy_loss(w, w_s, x))
 
 
 def awq_fold(w: np.ndarray, scales: np.ndarray):

@@ -49,7 +49,6 @@ from quantlab.transforms import (
     flat_map_weight,
     flat_objective,
     flat_train,
-    rotate_layer,
     smooth_fit,
 )
 from quantlab.weightquant import (
@@ -777,7 +776,7 @@ def _in_map_basis(model, rt, name, x, spec):
     in the basis of its map in ``rt``, recomputed from the model."""
     w, m = model.tensors[name].astype(np.float64), rt.linears[name].map
     if rt.plan.wa_method == "rotate":
-        return rotate_layer(w, m).T, m.apply(x), spec
+        return m.apply(w), m.apply(x), spec
     if rt.plan.wa_method == "smoothquant":  # the scales are fitted on the site
         site = [n for n in rt.linears if linear_input_site(n) == linear_input_site(name)]
         ws = np.concatenate([model.tensors[n] for n in site]).astype(np.float64)
@@ -955,6 +954,23 @@ class TestCheckpoint:
         with pytest.raises(error) as e:
             load_checkpoint(p)
         assert str(e.value) == message
+
+    @pytest.mark.parametrize("call", [
+        lambda model: forward_reference(model, [1, 2, 3]),
+        lambda model: prepare_runtime(model, QuantPlan(w_bits=4)),
+        lambda model: Session(model, runtime=prepare_runtime(model, QuantPlan(
+            kv_bits=4)))], ids=["forward_reference", "prepare_runtime", "kv-only"])
+    def test_loaded_model_holds_no_quantized_weight(self, small_model, tmp_path, call):
+        """A loaded checkpoint's model without its runtime lacks the
+        quantized weights: a call that reads one is a one-line error naming
+        the tensor."""
+        p = tmp_path / "c.tqq"
+        save_checkpoint(small_model, self._runtime(small_model), p)
+        model, _ = load_checkpoint(p)
+        with pytest.raises(ShapeMismatch) as e:
+            call(model)
+        assert str(e.value) == ("missing tensor 'layers.0.wq': the model holds no "
+                                "weight for it")
 
     def test_save_refuses_a_plan_no_file_holds(self, small_model, tmp_path):
         rt = prepare_runtime(small_model, QuantPlan(w_bits=4, a_bits=4, group_size=8,

@@ -17,7 +17,6 @@ from quantlab.transforms import (
     flat_weight,
     kron_apply_right,
     kron_factor,
-    rotate_layer,
     smooth_fit,
 )
 from quantlab.weightquant import awq_fold
@@ -81,7 +80,7 @@ class TestRotation:
     def test_identity_for_n1(self):
         h = hadamard(1)
         w = np.array([[2.0]])
-        assert np.array_equal(rotate_layer(w, h), w)
+        assert np.array_equal(h.apply(w), w)
 
     def test_computational_invariance(self):
         rng = make_rng(4)
@@ -89,7 +88,7 @@ class TestRotation:
         x = rng.standard_normal((16, 64))
         w = rng.standard_normal((8, 64))
         ref = x @ w.T
-        got = (x @ h.matrix) @ rotate_layer(w, h)
+        got = h.apply(x) @ h.apply(w).T
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_spiky_row_spread_decreases(self):
@@ -106,7 +105,7 @@ class TestRotation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            rotate_layer(np.zeros((4, 48)), hadamard(64))
+            hadamard(64).apply(np.zeros((4, 48)))
 
 
 class TestKronecker:
@@ -115,44 +114,24 @@ class TestKronecker:
         assert kron_factor(64) == (8, 8)
         assert kron_factor(7) == (1, 7)  # prime falls back to a dense factor
 
-    @pytest.mark.parametrize("n1,n2", [(3, 4), (2, 8), (8, 8), (1, 5)])
-    def test_apply_matches_materialized(self, n1, n2):
-        rng = make_rng(n1 * 10 + n2)
-        p1 = rng.standard_normal((n1, n1))
-        p2 = rng.standard_normal((n2, n2))
-        x = rng.standard_normal((6, n1 * n2))
-        got = kron_apply_right(x, p1, p2)
-        ref = x @ np.kron(p1, p2)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    KRON_SHAPES = [(6, 3, 4), (6, 2, 8), (6, 8, 8), (6, 1, 5),  # (m, n1, n2)
+                   (512, 8, 8), (7, 3, 4), (64, 16, 16), (5, 1, 5),
+                   (512, 8, 16), (1, 8, 8), (3, 1, 7)]
 
-    @pytest.mark.parametrize("m,n1,n2", [(512, 8, 8), (7, 3, 4), (64, 16, 16),
-                                         (5, 1, 5)])
-    def test_cached_path_matches_optimize_true(self, m, n1, n2):
-        rng = make_rng(m + n1 + n2)
-        x = rng.standard_normal((m, n1 * n2))
-        p1 = rng.standard_normal((n1, n1))
-        p2 = rng.standard_normal((n2, n2))
-        # strided factors too, as flat_weight passes them
-        for a, b in ((p1, p2), (p1.T, p2.T)):
-            want = np.einsum("mkl,ki,lj->mij", x.reshape(m, n1, n2), a, b,
-                             optimize=True).reshape(m, n1 * n2)
-            assert kron_apply_right(x, a, b).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("m,n1,n2", [(512, 8, 16), (1, 8, 8), (3, 1, 7)])
-    def test_matmuls_match_optimize_true(self, m, n1, n2):
-        """The P2-first order, a single row and a size-1 factor, with the
-        inverse transposed factors flat_weight passes."""
+    @pytest.mark.parametrize("m,n1,n2", KRON_SHAPES, ids=[
+        f"{n1}-{n2}" if m == 6 else f"{m}-{n1}-{n2}" for m, n1, n2 in KRON_SHAPES])
+    def test_apply_matches_materialized(self, m, n1, n2):
+        """Plain, transposed and inverse transposed factors, the strided
+        ones as flat_map_weight passes them."""
         rng = make_rng(m * n1 + n2)
         x = rng.standard_normal((m, n1 * n2))
         p1 = rng.standard_normal((n1, n1))
         p2 = rng.standard_normal((n2, n2))
         for a, b in ((p1, p2), (p1.T, p2.T),
                      (np.linalg.inv(p1).T, np.linalg.inv(p2).T)):
-            want = np.einsum("mkl,ki,lj->mij", x.reshape(m, n1, n2), a, b,
-                             optimize=True).reshape(m, n1 * n2)
+            ref = x @ np.kron(a, b)
             got = kron_apply_right(x, a, b)
-            # the layout too: a matmul on the result depends on it
-            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
     def test_flat_weight_applies_the_inverse_factors(self):
         rng = make_rng(13)

@@ -226,17 +226,16 @@ class TestBruteForce:
 
 def awq_oracle(w, x, spec, grid_step):
     """awq_search as a per-point double loop over the (alpha, beta) grid:
-    one fake_quant per point, scored by the direct output error."""
+    one fake_quant per point, scored by ``proxy_loss``."""
     c_x = np.maximum(np.mean(np.abs(x), axis=1), 1e-8)
     c_w = np.maximum(np.mean(np.abs(w), axis=0), 1e-8)
-    ref = x.T @ w.T
     grid = np.arange(0.0, 1.0 + 1e-12, grid_step)
     best = None
     for alpha in grid:
         for beta in grid:
             s = c_x**alpha * c_w ** (-beta)
             w_s = fake_quant(w * s[np.newaxis, :], spec) / s[np.newaxis, :]
-            loss = float(np.sum(np.square(ref - x.T @ w_s.T)))
+            loss = proxy_loss(w, w_s, x)
             if best is None or loss < best.proxy_loss:
                 best = AwqSearchResult(float(alpha), float(beta), s, loss)
     return best
