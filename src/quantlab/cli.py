@@ -93,6 +93,9 @@ def cmd_quantize(args):
 
 
 def cmd_drift(args):
+    if args.probe_len < 1:
+        raise ValueError(f"--probe-len must be at least 1 probe token, "
+                         f"got {args.probe_len}")
     model = load_model(args.model)
     plan = _plan_from_args(args)
     rng = make_rng(args.seed)

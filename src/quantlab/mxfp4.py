@@ -45,8 +45,11 @@ def encode_array(x: np.ndarray):
     """Vectorized encode of shape (n_blocks, 32) -> (scale_exps, codes).
 
     scale_exp = clamp(floor(log2(max|x|)) - 2 + 127, 0, 254); -2 because
-    the largest E2M1 magnitude 6 has exponent 2. Elements round to the
-    nearest E2M1 value, ties away from zero; magnitudes above 6 saturate.
+    the largest E2M1 magnitude 6 has exponent 2. floor(log2(.)) is read
+    exactly from the float's exponent (``np.frexp``); ``np.log2`` of a value
+    one ulp below 2^k can round up to k. An all-zero block has scale_exp
+    127. Elements round to the nearest E2M1 value, ties away from zero;
+    magnitudes above 6 saturate.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -54,9 +57,8 @@ def encode_array(x: np.ndarray):
     amax = np.max(np.abs(x), axis=1)
     nonzero = amax > 0
     exps = np.full(x.shape[0], SCALE_BIAS, dtype=np.int64)
-    exps[nonzero] = np.clip(
-        np.floor(np.log2(amax[nonzero])).astype(np.int64) - 2 + SCALE_BIAS, 0,
-        MAX_SCALE_EXP)
+    floor_log2 = np.frexp(amax[nonzero])[1] - 1  # amax = m * 2^e, 0.5 <= m < 1
+    exps[nonzero] = np.clip(floor_log2 - 2 + SCALE_BIAS, 0, MAX_SCALE_EXP)
     scale = np.exp2((exps - SCALE_BIAS).astype(np.float64))[:, None]
     mag = np.abs(x) / scale
     idx = np.minimum(np.searchsorted(_MIDPOINTS, mag, side="right"), 7)

@@ -9,5 +9,8 @@ import numpy as np
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Create the project-wide deterministic generator (PCG64)."""
+    """Create the project-wide deterministic generator (PCG64) from a
+    non-negative integer seed."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))

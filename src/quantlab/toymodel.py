@@ -73,6 +73,7 @@ MAGIC = b"TQM1"
 FORMAT_VERSION = 1
 _ALIGN = 64
 BLOCK = 32  # positions per Session.forward block; see the module docstring
+_LATER = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)  # [t, s]: key s after query t
 HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
 
 
@@ -597,6 +598,10 @@ class Session:
         and later positions read those, while each position scores and
         reads its own fresh k/v row. So position 0 is independent of the KV
         bit-width.
+
+        A block of more than one position masks only its own columns
+        (``mask_later``): no cached position comes after a new query, and a
+        one-position block sees every column.
         """
         cfg, p0 = self.cfg, self.pos
         n_new = len(q) // self.rows
@@ -616,8 +621,7 @@ class Session:
         scores = qh @ self.k_cache[i, :, :, :end].transpose(0, 1, 3, 2)
         own_positions(scores, p0)[...] = (qh * heads(k)).sum(axis=-1)
         if n_new > 1:  # one new position sees every cached one
-            at = p0 + np.arange(n_new)
-            scores[..., np.arange(end) > at[:, np.newaxis]] = -np.inf
+            mask_later(scores, p0)
         scores /= math.sqrt(cfg.head_dim)
         p = softmax(scores)
         own = own_positions(p, p0)
@@ -625,6 +629,16 @@ class Session:
         own[...] = 0.0
         out = p @ self.v_cache[i, :, :, :end] + p_own[..., np.newaxis] * vh
         return out.transpose(0, 2, 1, 3).reshape(self.rows * n_new, cfg.d_model)
+
+
+def mask_later(scores: np.ndarray, p0: int) -> None:
+    """Set to -inf each cell of a block of attention scores, (rows, heads,
+    n_new, p0 + n_new), whose key comes after its query: the strict upper
+    triangle of the block's own columns ``scores[..., p0:]``, n_new at most
+    ``BLOCK``. Every cached column before p0 precedes every new query, so
+    it is left alone."""
+    n = scores.shape[-2]
+    np.copyto(scores[..., p0:], -np.inf, where=_LATER[:n, :n])
 
 
 def own_positions(a: np.ndarray, p0: int) -> np.ndarray:

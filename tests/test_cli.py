@@ -459,8 +459,10 @@ class TestErrors:
         (["generate", "--max-new", "-3"], "max_new"),
         (["calib", "--count", "0"], "count"),
         (["calib", "--calib-len", "0"], "seq_len"),
+        (["drift", "--plan", "16-16-16", "--probe-len", "-3"], "--probe-len"),
+        (["drift", "--plan", "16-16-16", "--seed", "-1"], "seed"),
     ], ids=["probe-len", "runs", "calib-len-negative", "calib-len-zero", "max-new",
-            "count", "calib-seq-len"])
+            "count", "calib-seq-len", "probe-len-negative", "seed-negative"])
     def test_count_below_range(self, model_file, calib_file, tmp_path, capsys,
                                argv, message):
         out = tmp_path / "out"

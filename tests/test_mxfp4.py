@@ -57,6 +57,21 @@ class TestEncode:
         y = mxfp4_decode(mxfp4_encode(x))
         assert y[1] == 6.0
 
+    @pytest.mark.parametrize("k", range(-6, 12))
+    def test_shared_exponent_is_floor_log2(self, k):
+        """scale_exp is floor(log2(max|x|)) - 2 + 127, exactly, on both sides
+        of a power of two: np.log2 rounds one ulp below 2^k up to k for some
+        k, which would decode 2^k - ulp as 2^k rather than saturate."""
+        for amax, floor_log2 in ((np.nextafter(2.0**k, 0.0), k - 1), (2.0**k, k)):
+            for sign in (1.0, -1.0):
+                x = np.zeros(32)
+                x[0] = sign * amax
+                b = mxfp4_encode(x)
+                assert b.scale_exp == floor_log2 - 2 + 127
+                scale = 2.0 ** (floor_log2 - 2)
+                assert mxfp4_decode(b)[0] == sign * (6.0 * scale if floor_log2 < k
+                                                     else 4.0 * scale)
+
     def test_negative_zero_canonicalized(self):
         x = np.zeros(32)
         x[0] = -0.0

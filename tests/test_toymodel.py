@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from quantlab import toymodel
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import (
     BadMagic,
@@ -25,6 +26,7 @@ from quantlab.toymodel import (
     generate,
     init_model,
     load_model,
+    mask_later,
     nucleus_filter,
     own_positions,
     rmsnorm,
@@ -36,6 +38,13 @@ from quantlab.toymodel import (
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=32)
+
+
+def full_width_mask(scores, p0):
+    """The causal mask over every column of a block's scores, (rows, heads,
+    n_new, p0 + n_new): key position s after query position p0 + t."""
+    at = p0 + np.arange(scores.shape[-2])
+    scores[..., np.arange(scores.shape[-1]) > at[:, np.newaxis]] = -np.inf
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +148,50 @@ class TestForward:
         changed = forward_reference(small_model, [0, 5, 9, 7])
         assert np.array_equal(base[:3], changed[:3])
         assert not np.array_equal(base[3], changed[3])
+
+    @pytest.mark.parametrize("t", [31, 32, 33, 69])
+    def test_causality_across_blocks(self, t):
+        """On 70 tokens, run as blocks of 32, 32 and 6 positions, changing
+        token t leaves the logits of every earlier position byte-identical
+        and changes position t's."""
+        model = init_model(ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
+                                     vocab_size=16, max_seq_len=70), make_rng(0))
+        tokens = [int(x) for x in make_rng(3).integers(0, 16, size=70)]
+        changed = list(tokens)
+        changed[t] = (tokens[t] + 1) % 16
+        base, other = forward_reference(model, tokens), forward_reference(model, changed)
+        assert base[:t].tobytes() == other[:t].tobytes()
+        assert not np.array_equal(base[t], other[t])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("p0", [0, 1, 40])
+    @pytest.mark.parametrize("n_new", [2, 17, 32])
+    def test_mask_later(self, n_new, p0, rows):
+        """mask_later sets -inf on exactly the cells the full-width mask
+        sets, on scores laid out as attention's, and leaves the rest."""
+        heads, hd, end = 2, 4, p0 + n_new
+        rng = make_rng(n_new * 100 + p0)
+        q = rng.standard_normal((rows, n_new, heads, hd)).transpose(0, 2, 1, 3)
+        k = rng.standard_normal((rows, heads, end, hd)).transpose(0, 1, 3, 2)
+        a = q @ k
+        b = a.copy()
+        mask_later(a, p0)
+        full_width_mask(b, p0)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("plan", [None, QuantPlan(kv_bits=4, kv_method="per_token")],
+                             ids=["reference", "per-token-kv"])
+    def test_forward_matches_full_width_mask(self, plan, rows, monkeypatch):
+        """A session's logits over blocks of 32, 32 and 6 positions are
+        byte-identical to those under the full-width mask."""
+        model = init_model(ToyConfig(), make_rng(0))
+        tokens = make_rng(4).integers(0, 64, size=(rows, 70))
+        rt = None if plan is None else prepare_runtime(model, plan)
+        logits = Session(model, runtime=rt, rows=rows).forward(tokens)
+        monkeypatch.setattr(toymodel, "mask_later", full_width_mask)
+        oracle = Session(model, runtime=rt, rows=rows).forward(tokens)
+        assert logits.tobytes() == oracle.tobytes()
 
     def test_token_out_of_range(self, small_model):
         with pytest.raises(TokenOutOfRange):
