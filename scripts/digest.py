@@ -109,7 +109,8 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREACHED = (
     # the test oracles and the codec API the acceptance tests import, with
     # their helpers
-    "weightquant.brute_force_optimal", "quantcore.QuantParams.expand",
+    "weightquant.brute_force_optimal", "weightquant.dequant_loss",
+    "quantcore.QuantParams.expand",
     "quantcore._expand_grid", "quantcore._group_sizes", "mxfp4.mxfp4_encode",
     "mxfp4.mxfp4_decode", "mxfp4.Mxfp4Block.__eq__", "mxfp4.block_to_bytes",
     "mxfp4.block_from_bytes", "mxfp4._pack", "mxfp4._unpack",

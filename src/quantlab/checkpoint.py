@@ -1,7 +1,7 @@
 """Quantized checkpoint file ("TQQ1"): a weight-only plan's Runtime, each
 linear as its spec descriptor, float64 scales, int32 zero points, bit-packed
-codes and AWQ's float64 inverse scales, beside the model's other tensors in
-full precision and its aux arrays; loading rebuilds the runtime exactly.
+codes (recomputed from its weight) and AWQ's float64 inverse scales, beside
+the model's other tensors in full precision; loading rebuilds it exactly.
 
 Framing as TQM1 (toymodel.write_container): magic "TQQ1", version byte, u32
 little-endian header length, UTF-8 JSON header, padding to 64 bytes, then
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import BadMagic, ShapeMismatch
+from .errors import BadMagic, NonPositiveScale, ShapeMismatch
 from .quantcore import (
     QuantParams,
     QuantSpec,
@@ -22,6 +22,7 @@ from .quantcore import (
     dequantize,
     grid_shape,
     pack_codes,
+    quantize,
     unpack_codes,
 )
 from .quantrun import FakeQuantLinear, QuantPlan, Runtime, _weight_linear_names
@@ -55,27 +56,22 @@ def check_plan(plan: QuantPlan) -> QuantPlan:
 
 
 def save_checkpoint(model: ToyModel, rt: Runtime, path) -> None:
-    """``rt``'s plan and linears (codes, params and any AWQ inverse scales),
+    """``rt``'s plan and linears (params, codes and any AWQ inverse scales),
     and every tensor of ``model`` they do not replace in full precision; the
     plan must pass ``check_plan``."""
     check_plan(rt.plan)
     fp_manifest, blobs = f32_blobs(
         {n: t for n, t in model.tensors.items() if n not in rt.linears})
-    aux_manifest, aux_blobs = f32_blobs(model.aux)
-    blobs += aux_blobs
     q_manifest = []
     for n, lin in sorted(rt.linears.items()):
-        qt = lin.qt
-        spec = qt.params.spec
-        codes_raw = pack_codes(qt.codes, spec.bits, spec.symmetric)
-        entry = {"name": n, "shape": list(qt.codes.shape), "spec": spec.to_dict(),
-                 "param_shape": list(qt.params.scales.shape),
-                 "codes_bytes": len(codes_raw)}
+        p, spec = lin.params, lin.params.spec
+        codes_raw = pack_codes(quantize(lin.w, p).codes, spec.bits, spec.symmetric)
+        entry = {"name": n, "shape": list(lin.w.shape), "spec": spec.to_dict(),
+                 "param_shape": list(p.scales.shape), "codes_bytes": len(codes_raw)}
         q_manifest.append(entry)
-        blobs.append((np.ascontiguousarray(qt.params.scales, dtype="<f8").tobytes(),
-                      entry, "scales_offset"))
-        if qt.params.zero_points is not None:
-            blobs.append((np.ascontiguousarray(qt.params.zero_points, dtype="<i4")
+        blobs.append((p.scales.astype("<f8").tobytes(), entry, "scales_offset"))
+        if p.zero_points is not None:
+            blobs.append((np.ascontiguousarray(p.zero_points, dtype="<i4")
                           .tobytes(), entry, "zero_points_offset"))
         blobs.append((codes_raw, entry, "codes_offset"))
         if lin.map is not None:
@@ -84,17 +80,17 @@ def save_checkpoint(model: ToyModel, rt: Runtime, path) -> None:
                           entry, "in_scales_offset"))
     write_container(path, MAGIC, {
         "config": model.config.to_dict(), "plan": rt.plan.to_dict(),
-        "fp_tensors": fp_manifest, "aux": aux_manifest, "q_tensors": q_manifest,
+        "fp_tensors": fp_manifest, "q_tensors": q_manifest,
     }, blobs)
 
 
 def load_checkpoint(path):
     """Returns (model, rt) for ``Session(model, runtime=rt)``: the file's
-    full-precision tensors and aux arrays, and the Runtime of its plan with
-    each linear built as ``prepare_runtime`` builds it. A stored float or a
-    dequantized weight that is not finite is NonFiniteInput. The tensors
-    must be those the config needs, the plan weight-only, the linears
-    exactly its linears, with AWQ inverse scales exactly under AWQ."""
+    full-precision tensors and the Runtime of its plan, each linear built as
+    ``prepare_runtime`` builds it. A stored float or a dequantized weight
+    that is not finite is NonFiniteInput. The tensors must be those the
+    config needs, the plan weight-only, the linears exactly its linears, AWQ
+    inverse scales stored exactly under AWQ, and each value one a writer makes."""
     with open(path, "rb") as f:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
@@ -103,7 +99,6 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as e:  # not a mapping, or a plan either rejects
         raise BadMagic(f"bad plan: {e}")
     tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "fp_tensors")}
-    aux = {e["name"]: read_array(raw, e) for e in manifest(header, "aux")}
 
     linears = {}
     for entry in manifest(header, "q_tensors"):
@@ -137,9 +132,15 @@ def load_checkpoint(path):
             raise ShapeMismatch(f"{what}: zero points must be stored exactly when "
                                 f"the spec is asymmetric")
         scales = read_array(raw, entry, "<f8", "scales_offset", "param_shape")
-        zps = None
-        if not spec.symmetric:
-            zps = read_array(raw, entry, "<i4", "zero_points_offset", "param_shape")
+        if scales.min() < np.finfo(np.float64).tiny:
+            raise NonPositiveScale(f"{what}: a scale is not a positive normal float")
+        zps = None if spec.symmetric else read_array(
+            raw, entry, "<i4", "zero_points_offset", "param_shape")
+        # values no writer makes, which a re-save would change; the symmetric
+        # +2^(b-1) packs in range, but quantize clips it away
+        top = 2 ** (spec.bits - 1) - 1 if spec.symmetric else 2**spec.bits - 1
+        if codes.max() > top or zps is not None and (zps.min() < 0 or zps.max() > top):
+            raise BadMagic(f"{what}: a code or zero point is off the code grid")
         qt = QuantizedTensor(codes, QuantParams(scales, zps, spec, shape))
         awq = plan.w_method == "awq"
         if awq != ("in_scales_offset" in entry) or awq and (
@@ -151,10 +152,11 @@ def load_checkpoint(path):
                                        "in_scales_shape")) if awq else None
         with np.errstate(over="ignore"):  # an overflow is NonFiniteInput here
             w = check_finite(dequantize(qt), f"{what}: dequantized weight")
-        linears[name] = FakeQuantLinear(w, _linear_bias(tensors, name), in_map, None, qt)
+        linears[name] = FakeQuantLinear(w, _linear_bias(tensors, name), in_map, None,
+                                        qt.params)
 
     check_tensors(cfg, {**tensors, **{n: lin.w for n, lin in linears.items()}})
-    model = ToyModel(config=cfg, tensors=tensors, aux=aux)
+    model = ToyModel(config=cfg, tensors=tensors)
     want = set(_weight_linear_names(model, plan.include_lm_head))
     odd = sorted(want ^ linears.keys())
     if odd:

@@ -86,7 +86,7 @@ def cmd_quantize(args):
         if name in rt.proxy_losses:
             print(f"{name}: proxy_loss={rt.proxy_losses[name]:.6g}")
         else:
-            print(f"{name}: quantized {lin.qt.codes.shape} at {plan.w_bits} bits")
+            print(f"{name}: quantized {lin.w.shape} at {plan.w_bits} bits")
     checkpoint.save_checkpoint(model, rt, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -45,8 +45,8 @@ class LengthControl:
             raise ValueError(f"bad length-control mode {self.mode!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.mode == LC_PROMOTE and self.max_waits < 1:
-            raise ValueError("max_waits must be >= 1 when promoting")
+        if self.max_waits < (1 if self.mode == LC_PROMOTE else 0):
+            raise ValueError("max_waits must be >= 0, and >= 1 when promoting")
 
 
 @dataclass

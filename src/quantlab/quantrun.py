@@ -17,7 +17,7 @@ input map on the stacked weight of the site's linears (``[Wq; Wk; Wv]`` at
 ``flat_map_weight``, the SmoothQuant fold); MXFP4 instead runs it through
 its codec. Per linear, it quantizes the mapped weight with the plan's
 ``w_method``: RTN, GPTQ on the Hessian of the site's mapped input, or AWQ,
-a map of its own; MXFP4 keeps no codes.
+a map of its own; a linear keeps its ``QuantParams``, none at 16 bits or MXFP4.
 ``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
 maps and quantizes the input once per block when they share a map and a
 quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
@@ -53,7 +53,6 @@ from .quantcore import (
     PER_CHANNEL,
     QuantParams,
     QuantSpec,
-    QuantizedTensor,
     _check_field_types,
     dequantize,
 )
@@ -72,8 +71,8 @@ from .weightquant import (
     awq_fold,
     awq_search,
     default_weight_spec,
-    dequant_loss,
     gptq_quantize,
+    proxy_loss,
     rtn_quantize_weights,
 )
 
@@ -273,13 +272,12 @@ def _weight_linear_names(model: ToyModel, include_lm_head: bool):
     return names + ["lm_head"] if include_lm_head else names
 
 
-def _split_rows(qt: QuantizedTensor, ends) -> list:
-    """The row blocks of ``qt`` that end at ``ends``; its groups lie in rows."""
-    p = qt.params
+def _split_rows(p: QuantParams, ends) -> list:
+    """The row blocks of ``p`` that end at ``ends``; its groups lie in rows."""
     zs = ([None] * (len(ends) + 1) if p.zero_points is None
           else np.split(p.zero_points, ends))
-    return [QuantizedTensor(c, QuantParams(s, z, p.spec, c.shape))
-            for c, s, z in zip(np.split(qt.codes, ends), np.split(p.scales, ends), zs)]
+    return [QuantParams(s, z, p.spec, (len(s), p.shape[1]))
+            for s, z in zip(np.split(p.scales, ends), zs)]
 
 
 def prepare_runtime(model: ToyModel, plan: QuantPlan,
@@ -334,23 +332,25 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
             ws, spec, act = MXFP4.apply(ws), QuantSpec(bits=PASSTHROUGH_BITS), MXFP4
         # stage 2, per linear: the weight quantizer on the mapped weight. Specs
         # group within rows, so the site's stacked weight is quantized at once
-        qts = [None] * len(names)  # 16-bit weights keep no codes
+        qt = None
         if plan.w_method == "gptq" and not spec.passthrough:
             x = x if imap is None else imap.apply(x)  # as the site's linears map it
-            qts = _split_rows(gptq_quantize(ws, x.T, GptqConfig(spec=spec)), ends)
+            qt = gptq_quantize(ws, x.T, GptqConfig(spec=spec))
         elif plan.w_method == "rtn" and not spec.passthrough:
-            qts = _split_rows(rtn_quantize_weights(ws, spec), ends)
-        for name, w, qt in zip(names, np.split(ws, ends), qts):
+            qt = rtn_quantize_weights(ws, spec)
+        w_qs = np.split(ws if qt is None else dequantize(qt), ends)
+        params = [None] * len(names) if qt is None else _split_rows(qt.params, ends)
+        for name, w, w_q, p in zip(names, np.split(ws, ends), w_qs, params):
             if plan.w_method == "awq":  # an input map of its own, per linear
                 res = awq_search(w, x.T, spec, grid_step=plan.awq_grid_step)
                 w, inv = awq_fold(w, res.scales)
                 imap = InputScale(inv)
                 qt = rtn_quantize_weights(w, spec)
+                w_q, p = dequantize(qt), qt.params
                 rt.proxy_losses[name] = res.proxy_loss
-            elif plan.w_method == "gptq" and qt is not None:
-                rt.proxy_losses[name] = dequant_loss(qt, w, x.T)
-            w = w if qt is None else dequantize(qt)
-            rt.linears[name] = cls(w, _linear_bias(model.tensors, name), imap, act, qt)
+            elif plan.w_method == "gptq" and p is not None:
+                rt.proxy_losses[name] = proxy_loss(w, w_q, x.T)
+            rt.linears[name] = cls(w_q, _linear_bias(model.tensors, name), imap, act, p)
 
     if plan.kv_bits < 16:  # after the site maps: rotated KV draws from rng last
         rt.kv = _kv_writers(model, plan, rec, rng)

@@ -47,7 +47,7 @@ Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -121,7 +121,6 @@ class ToyConfig:
 class ToyModel:
     config: ToyConfig
     tensors: dict  # name -> float32 ndarray
-    aux: dict = field(default_factory=dict)  # quantization artifacts, by name
 
 
 # name -> (bias or None, capture site of the input, (output, input) widths as
@@ -216,8 +215,8 @@ def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> T
 # magic, version byte, u32 little-endian header length, UTF-8 JSON header,
 # zero padding to a 64-byte boundary, then the data blobs, each 64-byte
 # aligned at the absolute file offset its manifest entry records. TQM1 holds
-# the config and the float32 `tensors` and `aux` manifests; TQQ1 is laid out
-# in quantlab.checkpoint.
+# the config and the float32 `tensors` manifest; TQQ1 is laid out in
+# quantlab.checkpoint. A reader ignores header keys it does not know.
 
 
 def write_container(path, magic: bytes, header: dict, blobs) -> None:
@@ -270,9 +269,8 @@ def f32_blobs(arrays: dict, extra: Optional[dict] = None) -> tuple:
 
 def save_model(m: ToyModel, path) -> None:
     tensors, blobs = f32_blobs(m.tensors, {"dtype": "f32"})
-    aux, aux_blobs = f32_blobs(m.aux, {"dtype": "f32"})
-    write_container(path, MAGIC, {"config": m.config.to_dict(), "tensors": tensors,
-                                  "aux": aux}, blobs + aux_blobs)
+    write_container(path, MAGIC, {"config": m.config.to_dict(), "tensors": tensors},
+                    blobs)
 
 
 def read_header(raw: bytes, magic: bytes, keys) -> tuple:
@@ -302,9 +300,9 @@ def read_header(raw: bytes, magic: bytes, keys) -> tuple:
 
 
 def manifest(header: dict, key: str) -> list:
-    """The manifest list under ``key`` (empty when absent), checked to hold
-    mappings with a string ``name``, each name once."""
-    entries = header.get(key, [])
+    """The manifest list under ``key``, checked to hold mappings with a
+    string ``name``, each name once."""
+    entries = header[key]
     if not isinstance(entries, list):
         raise BadMagic(f"{key!r} manifest is not a list: {entries!r}")
     names = set()
@@ -354,9 +352,8 @@ def load_model(path) -> ToyModel:
         raw = f.read()
     header, cfg = read_header(raw, MAGIC, ("tensors",))
     tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "tensors")}
-    aux = {e["name"]: read_array(raw, e) for e in manifest(header, "aux")}
     check_tensors(cfg, tensors)
-    return ToyModel(config=cfg, tensors=tensors, aux=aux)
+    return ToyModel(config=cfg, tensors=tensors)
 
 
 def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
@@ -403,13 +400,13 @@ class PlainLinear:
     None: the identity), and ``pre_bias`` multiplies the result by the
     stored weight ``w``. Full precision by default; a quantized linear of
     quantrun.py holds its map, its quantizer (a ``QuantSpec`` or
-    ``mxfp4.MXFP4``) and ``qt``, the codes of its dequantized ``w``."""
+    ``mxfp4.MXFP4``) and ``params``, the ``QuantParams`` of ``w`` or None."""
 
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None, map=None,
-                 act=None, qt=None):
+                 act=None, params=None):
         self.w = np.asarray(w, dtype=np.float64)
         self.b = None if b is None else np.asarray(b, dtype=np.float64)
-        self.map, self.act, self.qt = map, act, qt
+        self.map, self.act, self.params = map, act, params
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         x = x if self.map is None else self.map.apply(x)

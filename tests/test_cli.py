@@ -323,24 +323,19 @@ class TestErrors:
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["layers.0.wq", "aux"])
+    @pytest.mark.parametrize("where", ["layers.0.wq"])
     def test_non_finite_model_tensor(self, model_file, tmp_path, capsys, value, where):
-        """A TQM1 tensor or aux array holding NaN or an infinity is a one-line
+        """A TQM1 tensor holding NaN or an infinity is a one-line
         NonFiniteInput, not a drift run on NaN logits."""
         model = load_model(model_file)
-        if where == "aux":
-            model = replace(model, aux={"probe.scales": np.array([1.0, value],
-                                                                 dtype=np.float32)})
-        else:
-            model.tensors[where] = model.tensors[where].copy()
-            model.tensors[where][0, 0] = value
+        model.tensors[where] = model.tensors[where].copy()
+        model.tensors[where][0, 0] = value
         bad = tmp_path / "bad.tqm"
         save_model(model, bad)
         rc = cli.main(["drift", "--model", str(bad), "--plan", "16-16-16",
                        "--out", str(tmp_path / "d.csv")])
-        name = "probe.scales" if where == "aux" else where
         assert (rc, capsys.readouterr().err) == (
-            1, f"error: NonFiniteInput: tensor {name!r} holds a non-finite value\n")
+            1, f"error: NonFiniteInput: tensor {where!r} holds a non-finite value\n")
 
     def test_claimed_layer_count_is_not_walked(self, model_file, tmp_path, capsys):
         """A header that claims 10^9 layers over one layer's tensors fails at
@@ -363,12 +358,10 @@ class TestErrors:
 
     @pytest.fixture(scope="class")
     def roomy_model(self, model_file, tmp_path_factory):
-        """The CLI model with one aux array and room in its header, and a
-        directory to write mutants to."""
+        """The CLI model with room in its header, and a directory to write
+        mutants to."""
         d = tmp_path_factory.mktemp("tqm1")
-        model = load_model(model_file)
-        save_model(replace(model, aux={"probe.scales": np.arange(4.0, dtype=np.float32)}),
-                   d / "base.tqm")
+        save_model(load_model(model_file), d / "base.tqm")
         return with_header_room((d / "base.tqm").read_bytes()), d
 
     @settings(max_examples=150, deadline=None,
@@ -381,15 +374,14 @@ class TestErrors:
         ``quantlab drift`` prints as its one-line error with exit 1."""
         raw, d = roomy_model
         path = d / "m.tqm"
-        path.write_bytes(mutate_container(raw, data, ("tensors", "aux")))
+        path.write_bytes(mutate_container(raw, data, ("tensors",)))
         want = None
         try:
             model = load_model(path)
         except QuantLabError as e:
             want = f"error: {type(e).__name__}: {e}\n"
         else:
-            assert all(np.isfinite(a).all()
-                       for a in (*model.tensors.values(), *model.aux.values()))
+            assert all(np.isfinite(a).all() for a in model.tensors.values())
         rc = cli.main(["drift", "--model", str(path), "--plan", "16-16-16",
                        "--probe-len", "8", "--out", str(d / "d.csv")])
         err = capsys.readouterr().err
@@ -461,8 +453,10 @@ class TestErrors:
         (["calib", "--calib-len", "0"], "seq_len"),
         (["drift", "--plan", "16-16-16", "--probe-len", "-3"], "--probe-len"),
         (["drift", "--plan", "16-16-16", "--seed", "-1"], "seed"),
+        (["length-control", "--max-waits", "-1", "--mode", "off"], "max_waits"),
     ], ids=["probe-len", "runs", "calib-len-negative", "calib-len-zero", "max-new",
-            "count", "calib-seq-len", "probe-len-negative", "seed-negative"])
+            "count", "calib-seq-len", "probe-len-negative", "seed-negative",
+            "max-waits-negative"])
     def test_count_below_range(self, model_file, calib_file, tmp_path, capsys,
                                argv, message):
         out = tmp_path / "out"
@@ -707,7 +701,6 @@ class TestErrors:
                      id="tensors-null"),
         pytest.param(lambda h: h.update(tensors="x"), "BadMagic",
                      id="tensors-string"),
-        pytest.param(lambda h: h.update(aux=1), "BadMagic", id="aux-int"),
         pytest.param(lambda h: h["tensors"].__setitem__(0, 1), "BadMagic",
                      id="entry-not-a-mapping"),
         pytest.param(_unread_dtypes_dropped(

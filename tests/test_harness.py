@@ -111,6 +111,10 @@ class TestLengthControl:
             LengthControl(budget=0)
         with pytest.raises(ValueError):
             LengthControl(mode="promote", max_waits=0)
+        for mode in (LC_OFF, LC_SUPPRESS, LC_PROMOTE):
+            with pytest.raises(ValueError, match="max_waits must be >= 0"):
+                LengthControl(mode=mode, max_waits=-1)
+        assert LengthControl(mode=LC_SUPPRESS, max_waits=0).max_waits == 0
 
     def test_suppress_caps_thinking(self, small_model):
         lc = LengthControl(mode="suppress", budget=6)

@@ -29,6 +29,7 @@ from quantlab.quantcore import (
 )
 from quantlab.errors import NonFiniteInput
 from quantlab.rng import make_rng
+from quantlab.weightquant import GptqConfig, gptq_quantize
 
 
 def spec_pg(bits, group_size=128, symmetric=False, **kw):
@@ -334,6 +335,27 @@ class TestProperties:
         else:
             assert qt.codes.min() >= 0 and qt.codes.max() <= 2**bits - 1
         assert np.all(np.isfinite(dequantize(qt)))
+
+    @given(arrays(np.float64, (6, 20), elements=st.floats(
+               width=32, allow_nan=False, allow_infinity=False)),
+           st.sampled_from([PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP]),
+           st.integers(0, 1), st.integers(1, 24), st.integers(2, 8), st.booleans(),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_codes_come_back_from_the_weight(self, x, granularity, axis, group_size,
+                                             bits, symmetric, gptq):
+        """Quantizing a dequantized tensor under its own params gives back
+        its codes exactly, for RTN and GPTQ codes alike: snapped scales put
+        every grid point s * (c - z) exactly in float64. A quantized linear
+        holds only its weight and params on the strength of this."""
+        spec = QuantSpec(bits=bits, symmetric=symmetric, granularity=granularity,
+                         axis=axis, group_size=group_size)
+        if gptq:
+            calib = make_rng(bits).standard_normal((x.shape[1], 32))
+            qt = gptq_quantize(x, calib, GptqConfig(spec=spec))
+        else:
+            qt = quantize(x, fit_params(x, spec))
+        assert np.array_equal(quantize(dequantize(qt), qt.params).codes, qt.codes)
 
     def test_bound_halves_with_extra_bit(self):
         x = make_rng(6).standard_normal((4, 64))

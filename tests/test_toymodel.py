@@ -20,7 +20,6 @@ from quantlab.toymodel import (
     THINK_END_ID,
     Session,
     ToyConfig,
-    ToyModel,
     decode,
     forward_reference,
     generate,
@@ -254,14 +253,6 @@ class TestSerialization:
         for name in small_model.tensors:
             assert np.array_equal(loaded.tensors[name],
                                   small_model.tensors[name])
-
-    def test_aux_round_trip(self, small_model, tmp_path):
-        m = ToyModel(small_model.config, dict(small_model.tensors),
-                     aux={"probe.scales": np.arange(4.0, dtype=np.float32)})
-        p = tmp_path / "m.tqm"
-        save_model(m, p)
-        loaded = load_model(p)
-        assert np.array_equal(loaded.aux["probe.scales"], m.aux["probe.scales"])
 
     def test_bad_magic(self, small_model, tmp_path):
         p = tmp_path / "m.tqm"
