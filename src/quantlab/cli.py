@@ -301,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "calib_len", CALIB_LEN) < 1:  # with or without --calib
+            raise ValueError(f"--calib-len is the calibration seq_len and must be "
+                             f"at least 1, got {args.calib_len}")
         return args.fn(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .numerics import HadamardMatrix
 from .quantcore import (
-    PER_GROUP,
     QuantParams,
     QuantSpec,
     dequantize,
@@ -91,12 +90,6 @@ def rope_heads(rows: np.ndarray, cfg: RopeConfig, pos) -> np.ndarray:
     head_dim wide each; row r is at position pos + r (or pos[r])."""
     heads = rope_apply(rows.reshape(len(rows), -1, cfg.head_dim), cfg, pos)
     return heads.reshape(rows.shape)
-
-
-def default_kv_v_spec(bits: int, group_size: int = 128) -> QuantSpec:
-    """Per-token asymmetric groups of 128 channels: V's and activations' spec."""
-    return QuantSpec(bits=bits, symmetric=False, granularity=PER_GROUP, axis=1,
-                     group_size=group_size)
 
 
 def default_kv_k_channel_spec(bits: int) -> QuantSpec:

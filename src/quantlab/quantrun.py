@@ -15,9 +15,11 @@ here only rebind ``pre_bias`` for tracing (``FlatLinear.t`` is its map).
 input map on the stacked weight of the site's linears (``[Wq; Wk; Wv]`` at
 ``attn_in``) and maps that weight whole (``HadamardMatrix.apply``,
 ``flat_map_weight``, the SmoothQuant fold); MXFP4 instead runs it through
-its codec. Per linear, it quantizes the mapped weight with the plan's
-``w_method``: RTN, GPTQ on the Hessian of the site's mapped input, or AWQ,
-a map of its own; a linear keeps its ``QuantParams``, none at 16 bits or MXFP4.
+its codec; FlatQuant takes the clipped specs ``FlatTransform.specs`` gives,
+as ``flat_objective`` did in training. Per linear, it quantizes the mapped
+weight with the plan's ``w_method``: RTN, GPTQ on the Hessian of the site's
+mapped input, or AWQ, a map of its own; a linear keeps its
+``QuantParams``, none at 16 bits or MXFP4.
 ``Session`` runs a site's linears through ``toymodel.site_pre_bias``, which
 maps and quantizes the input once per block when they share a map and a
 quantizer. Every runtime quantizer is row-local (per-token groups, MXFP4
@@ -43,7 +45,6 @@ from .kvquant import (
     RopeConfig,
     calibrate_k_channels,
     default_kv_k_channel_spec,
-    default_kv_v_spec,
     k_stage_tensor,
 )
 from .mxfp4 import MXFP4
@@ -59,12 +60,7 @@ from .quantcore import (
 from .rng import make_rng
 from .toymodel import (_LAYER_LINEARS, PlainLinear, Session, ToyModel, _k_bias,
                        _linear_bias, linear_weight)
-from .transforms import (
-    _clipped,
-    flat_map_weight,
-    flat_train,
-    smooth_fit,
-)
+from .transforms import flat_map_weight, flat_train, smooth_fit
 from .weightquant import (
     GptqConfig,
     InputScale,
@@ -234,8 +230,9 @@ class RotatedLinear(FakeQuantLinear):
 
 
 class FlatLinear(FakeQuantLinear):
-    """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors ``t``;
-    the input map and quantizer are those of ``transforms.flat_input``."""
+    """Q(x (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with trained factors ``t``,
+    its map, and the clipped specs ``t.specs`` gives; ``flat_objective``
+    scores this linear with an RTN weight."""
 
     t = property(lambda self: self.map)
     pre_bias = PlainLinear.pre_bias
@@ -299,10 +296,10 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
 
     wa = plan.wa_method
     # weight-activation methods: per-channel symmetric weights (one scale per
-    # output row), per-token asymmetric activations in group_size groups (V's
-    # spec); weight-only plans: asymmetric per-group weights
+    # output row), activations in asymmetric group_size groups along each
+    # token's row (the spec of weight-only weights and of V)
     spec_w = QuantSpec(bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL, axis=0)
-    spec_a = default_kv_v_spec(plan.a_bits, plan.group_size)
+    spec_a = default_weight_spec(plan.a_bits, plan.group_size)
     if wa == "none":
         spec_w, spec_a = default_weight_spec(plan.w_bits, plan.group_size), None
     cls = {"rotate": RotatedLinear, "flatquant": FlatLinear,
@@ -326,8 +323,7 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
         elif wa == "flatquant":
             imap = flat_train(ws, x, spec_w, spec_a, steps=plan.flat_steps)
             ws = flat_map_weight(ws, imap)
-            spec, act = (_clipped(spec_w, imap.weight_clip),
-                         _clipped(spec_a, imap.act_clip))
+            spec, act = imap.specs(spec_w, spec_a)
         elif wa == "mxfp4":  # no map; the codec's row-local blocks, no codes
             ws, spec, act = MXFP4.apply(ws), QuantSpec(bits=PASSTHROUGH_BITS), MXFP4
         # stage 2, per linear: the weight quantizer on the mapped weight. Specs
@@ -359,7 +355,7 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
 
 def _kv_writers(model: ToyModel, plan: QuantPlan, rec, rng) -> list:
     """One KV writer per layer; rotated per-token KV shares one Hadamard."""
-    mc, spec = model.config, default_kv_v_spec(plan.kv_bits, plan.group_size)
+    mc, spec = model.config, default_weight_spec(plan.kv_bits, plan.group_size)
     if plan.kv_method != "kvquant_star":
         h = (hadamard(mc.head_dim, randomize=True, rng=rng)
              if plan.kv_method == "rotated_per_token" else None)

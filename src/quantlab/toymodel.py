@@ -384,7 +384,8 @@ def rmsnorm(x: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf below -709: silu is -0.0
+        return x / (1.0 + np.exp(-x))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

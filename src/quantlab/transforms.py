@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .quantcore import QuantSpec, fake_quant
 from .rng import make_rng
+from .toymodel import PlainLinear
 
 FLAT_STEP_SIZE = 0.05  # flat_train's first line-search step length
 FLAT_FD_EPS = 1e-2  # flat_train's SPSA perturbation along each +-1 direction
@@ -61,6 +62,10 @@ class FlatTransform:
         """The transform of rows ``x``: x (P1 (x) P2)."""
         return kron_apply_right(x, self.p1, self.p2)
 
+    def specs(self, spec_w: QuantSpec, spec_a: QuantSpec) -> tuple:
+        """The weight and activation specs with the learned clips applied."""
+        return _clipped(spec_w, self.weight_clip), _clipped(spec_a, self.act_clip)
+
 
 def kron_factor(n: int) -> tuple:
     """n1 = largest divisor of n that is <= sqrt(n); n = n1 * n2."""
@@ -90,44 +95,31 @@ def _clipped(spec: QuantSpec, clip: float) -> QuantSpec:
     return spec.with_clip(float(np.clip(clip * spec.clip_ratio, 1e-3, 1.0)))
 
 
-def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
-                   spec_w: QuantSpec, spec_a: QuantSpec, *,
-                   y_ref: Optional[np.ndarray] = None) -> float:
-    """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch.
-
-    ``y_ref`` is X W.T when the caller already has it: ``flat_train``
-    computes it once and passes it to every evaluation."""
-    if y_ref is None:
-        y_ref = x @ w.T
-    r = flat_apply(x, w, t, spec_w, spec_a)
-    np.subtract(y_ref, r, out=r)
-    return float(np.sum(np.square(r, out=r)))
-
-
-def flat_input(x: np.ndarray, t: FlatTransform, spec_a: QuantSpec) -> np.ndarray:
-    """Q(X (P1 (x) P2)) with the learned activation clip."""
-    return fake_quant(t.apply(x), _clipped(spec_a, t.act_clip))
-
-
 def flat_map_weight(w: np.ndarray, t: FlatTransform) -> np.ndarray:
     """(P1 (x) P2)^-1 W.T, stored transposed as (out, in) rows."""
     # (P1 (x) P2)^-1 W.T == (W applied with the inverse factors on its input).T
     return kron_apply_right(w, np.linalg.inv(t.p1).T, np.linalg.inv(t.p2).T)
 
 
-def flat_weight(w: np.ndarray, t: FlatTransform, spec_w: QuantSpec) -> np.ndarray:
-    """Q(``flat_map_weight``) with the learned weight clip."""
-    return fake_quant(flat_map_weight(w, t), _clipped(spec_w, t.weight_clip))
+def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
+                   spec_w: QuantSpec, spec_a: QuantSpec, *,
+                   y_ref: Optional[np.ndarray] = None) -> float:
+    """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch: the
+    squared residual of the linear ``prepare_runtime`` builds from ``t``
+    under RTN weights.
 
-
-def flat_apply(x: np.ndarray, w: np.ndarray, t: FlatTransform,
-               spec_w: QuantSpec, spec_a: QuantSpec) -> np.ndarray:
-    """Q(X (P1 (x) P2)) @ Q((P1 (x) P2)^-1 W.T) with learned clip factors."""
+    ``y_ref`` is X W.T when the caller already has it: ``flat_train``
+    computes it once and passes it to every evaluation."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape[1] != t.n or w.shape[1] != t.n:
         raise DimensionMismatch(f"transform dim {t.n} vs x {x.shape}, w {w.shape}")
-    return flat_input(x, t, spec_a) @ flat_weight(w, t, spec_w).T
+    if y_ref is None:
+        y_ref = x @ w.T
+    sw, sa = t.specs(spec_w, spec_a)
+    r = PlainLinear(fake_quant(flat_map_weight(w, t), sw), None, t, sa).pre_bias(x)
+    np.subtract(y_ref, r, out=r)
+    return float(np.sum(np.square(r, out=r)))
 
 
 def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,

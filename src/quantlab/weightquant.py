@@ -33,7 +33,8 @@ BRUTE_FORCE_MAX_ASSIGNMENTS = 1 << 20  # brute_force_optimal's enumeration guard
 
 
 def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
-    """Asymmetric per-group quantization along the input-channel axis."""
+    """Asymmetric per-group quantization along axis 1: a weight-only plan's
+    weight rows (input channels), and a token's activations or V row."""
     return QuantSpec(bits=bits, symmetric=False, granularity=PER_GROUP, axis=1,
                      group_size=group_size)
 

@@ -454,9 +454,17 @@ class TestErrors:
         (["drift", "--plan", "16-16-16", "--probe-len", "-3"], "--probe-len"),
         (["drift", "--plan", "16-16-16", "--seed", "-1"], "seed"),
         (["length-control", "--max-waits", "-1", "--mode", "off"], "max_waits"),
+        (["stats", "--site", "layer0.attn_in", "--calib-len", "0"], "--calib-len"),
+        (["drift", "--plan", "16-16-16", "--calib-len", "0"], "--calib-len"),
+        (["generate", "--calib-len", "-5"], "--calib-len"),
+        (["length-control", "--calib-len", "0"], "--calib-len"),
+        (["quantize", "--plan", "4-16-16", "--calib-len", "0"], "--calib-len"),
     ], ids=["probe-len", "runs", "calib-len-negative", "calib-len-zero", "max-new",
             "count", "calib-seq-len", "probe-len-negative", "seed-negative",
-            "max-waits-negative"])
+            "max-waits-negative", "stats-calib-len-uncalibrated",
+            "drift-calib-len-uncalibrated", "generate-calib-len-uncalibrated",
+            "length-control-calib-len-uncalibrated",
+            "quantize-calib-len-uncalibrated"])
     def test_count_below_range(self, model_file, calib_file, tmp_path, capsys,
                                argv, message):
         out = tmp_path / "out"

@@ -17,13 +17,13 @@ from quantlab.kvquant import (
     _rope_table,
     calibrate_k_channels,
     default_kv_k_channel_spec,
-    default_kv_v_spec,
     k_stage_tensor,
     quantize_k,
     rope_apply,
 )
 from quantlab.quantcore import QuantSpec, dequantize, fit_params, quantize
 from quantlab.rng import make_rng
+from quantlab.weightquant import default_weight_spec
 
 
 def kv_cfg(bits=4, k_stage=PRE_ROPE, k_bias_mode=PRE_BIAS):
@@ -248,13 +248,13 @@ class TestQuantizeK:
 class TestVQuant:
     def test_per_token_group_bound(self):
         v = make_rng(8).standard_normal((4, 256))
-        qt = quantize(v, fit_params(v, default_kv_v_spec(4)))
+        qt = quantize(v, fit_params(v, default_weight_spec(4)))
         s, _ = qt.params.expand()
         assert np.all(np.abs(dequantize(qt) - v) <= s / 2 + 1e-6)
 
     def test_rows_quantized_independently(self):
         v = np.vstack([np.full(128, 1e-3), np.full(128, 1e3)])
         v[0, 0], v[1, 0] = 2e-3, 2e3
-        qt = quantize(v, fit_params(v, default_kv_v_spec(4)))
+        qt = quantize(v, fit_params(v, default_weight_spec(4)))
         assert qt.params.scales[1, 0] / qt.params.scales[0, 0] == pytest.approx(1e6)
 

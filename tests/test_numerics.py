@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quantlab.errors import DimensionMismatch, NotPositiveDefinite, NotPowerOfTwo
-from quantlab.kvquant import default_kv_v_spec
 from quantlab.numerics import (
     cholesky,
     hadamard,
@@ -12,6 +11,7 @@ from quantlab.numerics import (
 )
 from quantlab.quantcore import fit_params
 from quantlab.rng import make_rng
+from quantlab.weightquant import default_weight_spec
 
 
 class TestCholesky:
@@ -111,7 +111,7 @@ class TestHeadRotation:
         kv = rng.standard_normal((32, 64))
         kv[:, 5] *= 100.0
         h = hadamard(64, randomize=True, rng=rng)
-        spec = default_kv_v_spec(4, group_size=64)
+        spec = default_weight_spec(4, group_size=64)
         s_plain = fit_params(kv, spec).scales
         s_rot = fit_params(h.apply(kv), spec).scales
         assert np.all(s_rot <= s_plain)

@@ -50,8 +50,6 @@ from quantlab.toymodel import (
     site_pre_bias,
 )
 from quantlab.transforms import (
-    _clipped,
-    flat_apply,
     flat_map_weight,
     flat_objective,
     flat_train,
@@ -345,22 +343,29 @@ class TestForward:
             want = mxfp4_fake_quant(small_model.tensors[name].astype(np.float64))
             assert lin.w.tobytes() == want.tobytes()
 
-    def test_flat_linear_is_the_trained_transform(self):
-        """Inference runs the transform exactly as training scored it."""
-        rng = make_rng(4)
-        x = rng.standard_normal((24, 12))
-        x[:, 3] *= 30.0
-        w = rng.standard_normal((5, 12))
+    def test_flat_linear_is_the_trained_transform(self, small_model, calib_seqs):
+        """Training scores the linears the runtime runs: at each site, the
+        squared residual of ``site_pre_bias`` over the site's linears is the
+        last objective ``flat_train`` recorded, byte for byte."""
+        plan = QuantPlan(w_bits=4, a_bits=4, wa_method="flatquant", flat_steps=2)
+        rt = prepare_runtime(small_model, plan, calib_seqs)
+        rec = capture_activations(small_model, calib_seqs)
         spec_w = QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0)
-        spec_a = QuantSpec(bits=4, granularity=PER_GROUP, axis=1, group_size=8)
-        t = flat_train(w, x, spec_w, spec_a, steps=3)
-        assert len(t.objective_trace) > 1
-        assert flat_objective(w, x, t, spec_w, spec_a) == t.objective_trace[-1]
-        qt = rtn_quantize_weights(flat_map_weight(w, t), _clipped(spec_w, t.weight_clip))
-        lin = FlatLinear(dequantize(qt), None, t, _clipped(spec_a, t.act_clip),
-                         qt.params)
-        assert lin.t is t
-        assert lin(x).tobytes() == flat_apply(x, w, t, spec_w, spec_a).tobytes()
+        spec_a = default_weight_spec(4, plan.group_size)
+        sites = {}
+        for name in rt.linears:
+            sites.setdefault(linear_input_site(name), []).append(name)
+        for site, names in sites.items():
+            lins = [rt.linears[n] for n in names]
+            t = lins[0].t
+            assert type(lins[0]) is FlatLinear and all(lin.t is t for lin in lins)
+            assert len(t.objective_trace) > 1, site
+            x = rec.matrix(site)
+            ws = np.concatenate([small_model.tensors[n] for n in names]).astype(np.float64)
+            r = x @ ws.T - np.concatenate(site_pre_bias(lins, x), axis=1)
+            got = float(np.sum(np.square(r)))
+            assert got == flat_objective(ws, x, t, spec_w, spec_a), site
+            assert got == t.objective_trace[-1], site
 
     @pytest.mark.parametrize("plan", [
         QuantPlan(w_bits=4, w_method="awq", awq_grid_step=0.25),
@@ -656,7 +661,7 @@ class TestKvWriters:
         assert len(rt.kv) == biased_model.config.n_layers
         for w in rt.kv:
             assert type(w) is kvquant.KvWriter
-            assert w.spec == kvquant.default_kv_v_spec(4, plan.group_size)
+            assert w.spec == default_weight_spec(4, plan.group_size)
             assert (w.h is not None) == (kv_method == "rotated_per_token")
             assert (w.k_cfg is not None) == (kv_method == "kvquant_star")
 
@@ -793,7 +798,7 @@ def _in_map_basis(model, rt, name, x, spec):
         assert inv_s.tobytes() == m.inv.tobytes()
         return w, m.apply(x), spec
     if rt.plan.wa_method == "flatquant":
-        return flat_map_weight(w, m), m.apply(x), _clipped(spec, m.weight_clip)
+        return flat_map_weight(w, m), m.apply(x), m.specs(spec, spec)[0]
     return w, x, spec
 
 

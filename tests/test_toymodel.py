@@ -32,6 +32,7 @@ from quantlab.toymodel import (
     sample_rows,
     sample_token,
     save_model,
+    silu,
     softmax,
 )
 
@@ -134,6 +135,12 @@ class TestInit:
 
 
 class TestForward:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_silu_saturates_without_overflow_warning(self):
+        """exp(1000) overflows to inf; silu(-1000) is its limit, -0.0."""
+        y = silu(np.array([-1000.0, 1000.0]))
+        assert y[0] == 0.0 and np.signbit(y[0]) and y[1] == 1000.0
+
     def test_deterministic(self, small_model):
         tokens = [0, 5, 9, 2, 11]
         a = forward_reference(small_model, tokens)

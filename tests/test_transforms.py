@@ -8,13 +8,12 @@ from quantlab.numerics import hadamard
 from quantlab.quantcore import PER_CHANNEL, PER_GROUP, QuantSpec, fake_quant
 from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import BOS_ID, N_RESERVED
+from quantlab.toymodel import BOS_ID, N_RESERVED, PlainLinear
 from quantlab.transforms import (
     FlatTransform,
-    flat_apply,
+    flat_map_weight,
     flat_objective,
     flat_train,
-    flat_weight,
     kron_apply_right,
     kron_factor,
     smooth_fit,
@@ -140,7 +139,7 @@ class TestKronecker:
         for q in (p, p.T, p.T.copy()):
             t = FlatTransform(p1=q, p2=p)
             want = kron_apply_right(w, np.linalg.inv(q).T, np.linalg.inv(p).T)
-            assert flat_weight(w, t, SPEC_OFF).tobytes() == want.tobytes()
+            assert flat_map_weight(w, t).tobytes() == want.tobytes()
 
 
 class TestFlatQuant:
@@ -149,7 +148,9 @@ class TestFlatQuant:
         x = rng.standard_normal((8, 12))
         w = rng.standard_normal((4, 12))
         t = FlatTransform(p1=np.eye(3), p2=np.eye(4))
-        assert np.array_equal(flat_apply(x, w, t, SPEC_OFF, SPEC_OFF), x @ w.T)
+        lin = PlainLinear(flat_map_weight(w, t), None, t, SPEC_OFF)
+        assert np.array_equal(lin.pre_bias(x), x @ w.T)
+        assert flat_objective(w, x, t, SPEC_OFF, SPEC_OFF) == 0.0
 
     def test_unquantized_invariance_random_transform(self):
         rng = make_rng(7)
@@ -158,8 +159,10 @@ class TestFlatQuant:
         x = rng.standard_normal((8, 12))
         w = rng.standard_normal((4, 12))
         ref = x @ w.T
-        got = flat_apply(x, w, t, SPEC_OFF, SPEC_OFF)
+        got = PlainLinear(flat_map_weight(w, t), None, t, SPEC_OFF).pre_bias(x)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        obj = flat_objective(w, x, t, SPEC_OFF, SPEC_OFF, y_ref=ref)
+        assert obj == float(np.sum(np.square(ref - got)))
 
     def test_zero_steps_is_identity_objective(self):
         rng = make_rng(8)
@@ -286,4 +289,4 @@ class TestFlatQuant:
     def test_dimension_mismatch(self):
         t = FlatTransform(p1=np.eye(2), p2=np.eye(3))
         with pytest.raises(DimensionMismatch):
-            flat_apply(np.zeros((2, 5)), np.zeros((2, 5)), t, SPEC_OFF, SPEC_OFF)
+            flat_objective(np.zeros((2, 5)), np.zeros((2, 5)), t, SPEC_OFF, SPEC_OFF)
