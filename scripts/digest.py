@@ -14,8 +14,8 @@ With ``--reach``, the script runs the digest of one tree under a call
 profiler (``sys.setprofile``, only in this mode) and prints, in place of the
 lines, the functions of ``src/quantlab`` it never calls. It exits 0 if they
 are exactly ``UNREACHED``: the test oracles and codec API the acceptance
-tests import, with their helpers; code that only error paths reach; and the
-MXT4 container. Any other function the digest misses needs a line here.
+tests import, with their helpers, and code that only error paths reach. Any
+other function the digest misses needs a line here.
 
 The library is imported from ``<tree>/src``; the plans and inputs are those
 of the benchmark workloads in ``perfbench/workloads.py`` beside this script,
@@ -52,6 +52,10 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   48-wide rows fill one and a half 32-element blocks, without and with
   ``include_lm_head``: the logits of a 128-token probe and of a 3-row
   session, as for the row-local plans above;
+* ``mxfp4_fake_quant``, the MXT4 bytes ``encode_tensor`` writes and what
+  ``decode_tensor`` reads back from them, on the E2M1 rounding midpoints
+  within 2 ulp, both signs, at block scales 2^-130 (below the smallest
+  scale), 1 and 2^120, in rows of 32, 33 and 48;
 * ``quantlab quantize`` run in-process (``cli.main``) in a temporary
   directory, on the default model and on one without QKV biases
   (``qkv_bias=False``, ``ffn_mult=4``): RTN 4-16-16 at group sizes 128 and
@@ -113,12 +117,10 @@ UNREACHED = (
     "quantcore.QuantParams.expand",
     "quantcore._expand_grid", "quantcore._group_sizes", "mxfp4.mxfp4_encode",
     "mxfp4.mxfp4_decode", "mxfp4.Mxfp4Block.__eq__", "mxfp4.block_to_bytes",
-    "mxfp4.block_from_bytes", "mxfp4._pack", "mxfp4._unpack",
+    "mxfp4.block_from_bytes",
     # code that only error paths reach
     "cli._Parser.error", "errors.NotPositiveDefinite.__init__",
     "errors.TruncatedFile.__init__",
-    # the MXT4 container, which has no caller in the library
-    "mxfp4.encode_tensor", "mxfp4.decode_tensor",
 )
 SEEDS = (11, 12)
 # (1, 72) in groups of 8 is one cell more than quantcore.SMALL_GRID, the
@@ -333,6 +335,35 @@ def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
         prefill = sess.forward([r[:40] for r in rows])
         stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
         yield f"{tag}/three_rows", sha(prefill, *stepped)
+
+
+def mxfp4_edge_lines(mxfp4):
+    """``mxfp4_fake_quant``, ``encode_tensor`` and ``decode_tensor`` of its
+    bytes on the E2M1 rounding midpoints nudged by -2 to +2 ulp, both
+    signs, with each block's first element 6 so that a scale of 1 puts them
+    on the ties, scaled by 2^-130, 1 and 2^120, in rows of 32, 33 and 48."""
+    import numpy as np
+
+    def nudged(v, k):  # v moved k ulps
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.copysign(np.inf, k))
+        return v
+
+    mids = (mxfp4.E2M1_VALUES[:-1] + mxfp4.E2M1_VALUES[1:]) / 2.0
+    grid = np.array([nudged(mid, k) for mid in mids for k in range(-2, 3)])
+    grid = np.concatenate([grid, -grid])
+    for width in (32, 33, 48):
+        free = np.arange(width) % mxfp4.BLOCK_SIZE != 0
+        rows = -(-len(grid) // free.sum())
+        base = np.full((rows, width), 6.0)
+        base[:, free] = np.resize(grid, (rows, free.sum()))
+        for exp in (-130, 0, 120):
+            x = base * 2.0**exp
+            tag = f"mxfp4/edges/w{width}/2^{exp}"
+            raw = mxfp4.encode_tensor(x)
+            yield f"{tag}/fake_quant", sha(mxfp4.mxfp4_fake_quant(x))
+            yield f"{tag}/encode_tensor", sha(raw)
+            yield f"{tag}/decode_tensor", sha(mxfp4.decode_tensor(raw))
 
 
 def run_cli(cli, tmp, *argv):
@@ -731,8 +762,8 @@ def main(argv=None) -> int:
 
     import quantlab
     import workloads
-    from quantlab import (calibration, checkpoint, cli, harness, quantcore, quantrun,
-                          toymodel, weightquant)
+    from quantlab import (calibration, checkpoint, cli, harness, mxfp4, quantcore,
+                          quantrun, toymodel, weightquant)
     from quantlab.rng import make_rng
 
     generators = (drift_lines(workloads, quantrun),
@@ -743,6 +774,7 @@ def main(argv=None) -> int:
                   no_bias_lines(workloads, quantrun, toymodel, make_rng),
                   row_local_lines(workloads, quantrun, toymodel, make_rng),
                   ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
+                  mxfp4_edge_lines(mxfp4),
                   quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
                   cli_lines(cli),
                   decode_lines(workloads, quantrun, harness, make_rng),

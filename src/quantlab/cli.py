@@ -24,6 +24,8 @@ from .toymodel import (
 )
 
 CALIB_LEN = 64  # tokens per calibration window, unless --calib-len says otherwise
+# the commands whose --calib-len sets the length of the --calib windows
+_WINDOWED = ("quantize", "drift", "generate", "length-control")
 
 
 def _add_common(p):
@@ -47,12 +49,12 @@ def _plan_from_args(args) -> QuantPlan:
     return QuantPlan.from_bits_string(args.plan, **kwargs)
 
 
-def _load_calib(path, seed: int, calib_len: int = CALIB_LEN):
-    """Eight windows of ``calib_len`` tokens from a calibration file, cropped
-    under ``seed``; None without a path."""
+def _load_calib(path, seed: int, calib_len=None):
+    """Eight windows of ``calib_len`` tokens (None: ``CALIB_LEN``) from a
+    calibration file, cropped under ``seed``; None without a path."""
     if not path:
         return None
-    cs = calibration.load_calibration(path, seq_len=calib_len, count=8,
+    cs = calibration.load_calibration(path, seq_len=calib_len or CALIB_LEN, count=8,
                                       rng=make_rng(seed))
     return cs.sequences
 
@@ -167,7 +169,8 @@ def cmd_stats(args):
     seqs = _load_calib(args.calib, args.seed, args.calib_len)
     if seqs is None:
         rng = make_rng(args.seed)
-        seqs = [[int(t) for t in rng.integers(0, model.config.vocab_size, size=64)]
+        size = args.calib_len or CALIB_LEN
+        seqs = [[int(t) for t in rng.integers(0, model.config.vocab_size, size=size)]
                 for _ in range(4)]
     stats = calibration.capture_channel_stats(model, calibration.CalibrationSet(seqs),
                                               [args.site])
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method")
         p.add_argument("--group-size", type=int, dest="group_size")
         p.add_argument("--calib")
-        p.add_argument("--calib-len", type=int, default=CALIB_LEN, dest="calib_len")
+        p.add_argument("--calib-len", type=int, dest="calib_len")
 
     p = sub.add_parser("quantize", help="write a quantized checkpoint")
     model_plan(p)
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--site", required=True)
     p.add_argument("--calib")
-    p.add_argument("--calib-len", type=int, default=CALIB_LEN, dest="calib_len")
+    p.add_argument("--calib-len", type=int, dest="calib_len")
     _add_common(p)
     p.set_defaults(fn=cmd_stats)
 
@@ -301,9 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "calib_len", CALIB_LEN) < 1:  # with or without --calib
+        calib_len = getattr(args, "calib_len", None)
+        if calib_len is not None and calib_len < 1:  # with or without --calib
             raise ValueError(f"--calib-len is the calibration seq_len and must be "
-                             f"at least 1, got {args.calib_len}")
+                             f"at least 1, got {calib_len}")
+        if calib_len is not None and args.command in _WINDOWED and not args.calib:
+            raise ValueError(f"--calib-len {calib_len} sets the length of the "
+                             f"--calib windows, and no --calib was given")
         return args.fn(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)

@@ -24,8 +24,9 @@ SCALE_BIAS = 127
 MAX_SCALE_EXP = 254
 
 E2M1_VALUES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
-# midpoints between consecutive magnitudes; ties round away from zero
-_MIDPOINTS = (E2M1_VALUES[:-1] + E2M1_VALUES[1:]) / 2.0
+# the magnitude index of each E2M1 value v, looked up at 2v
+_INDEX_OF_TWICE = np.zeros(13, dtype=np.uint8)
+_INDEX_OF_TWICE[(2 * E2M1_VALUES).astype(np.int64)] = np.arange(8)
 
 
 @dataclass
@@ -41,6 +42,36 @@ class Mxfp4Block:
         )
 
 
+def _e2m1(m: np.ndarray) -> np.ndarray:
+    """The nearest E2M1 magnitude to each m >= 0 (float64, already divided
+    by its block scale), ties away from zero, saturating at 6. At m >= 1,
+    adding 2^50 to the bit pattern and clearing its low 51 bits rounds to
+    one mantissa bit, ties up, a carry going into the exponent: 1, 1.5, 2,
+    3, 4, 6 or 8, then min 6. Below 1: 0, 0.5 or 1, split at 0.25 and 0.75."""
+    big = ((m.view(np.int64) + (1 << 50)) & -(1 << 51)).view(np.float64)
+    np.minimum(big, 6.0, out=big)
+    small = (m >= 0.25).astype(np.float64)
+    small += m >= 0.75
+    small *= 0.5
+    return np.where(m >= 1.0, big, small)
+
+
+def _scaled(x: np.ndarray):
+    """Blocks (n_blocks, 32) -> (scale_exps, magnitudes |x| / 2^(scale_exp
+    - 127)), raising ``NonFiniteInput`` unless every block max is finite:
+    a NaN or an infinity makes its block's max NaN or infinite."""
+    mag = np.abs(x)
+    amax = mag.max(axis=1)
+    if not np.isfinite(amax).all():
+        raise NonFiniteInput("MXFP4 encode requires finite inputs")
+    nonzero = amax > 0
+    exps = np.full(x.shape[0], SCALE_BIAS, dtype=np.int64)
+    floor_log2 = np.frexp(amax[nonzero])[1] - 1  # amax = m * 2^e, 0.5 <= m < 1
+    exps[nonzero] = np.clip(floor_log2 - 2 + SCALE_BIAS, 0, MAX_SCALE_EXP)
+    mag *= np.exp2((SCALE_BIAS - exps).astype(np.float64))[:, None]  # = mag / 2^e
+    return exps, mag
+
+
 def encode_array(x: np.ndarray):
     """Vectorized encode of shape (n_blocks, 32) -> (scale_exps, codes).
 
@@ -52,18 +83,10 @@ def encode_array(x: np.ndarray):
     magnitudes above 6 saturate.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("MXFP4 encode requires finite inputs")
-    amax = np.max(np.abs(x), axis=1)
-    nonzero = amax > 0
-    exps = np.full(x.shape[0], SCALE_BIAS, dtype=np.int64)
-    floor_log2 = np.frexp(amax[nonzero])[1] - 1  # amax = m * 2^e, 0.5 <= m < 1
-    exps[nonzero] = np.clip(floor_log2 - 2 + SCALE_BIAS, 0, MAX_SCALE_EXP)
-    scale = np.exp2((exps - SCALE_BIAS).astype(np.float64))[:, None]
-    mag = np.abs(x) / scale
-    idx = np.minimum(np.searchsorted(_MIDPOINTS, mag, side="right"), 7)
+    exps, mag = _scaled(x)
+    idx = _INDEX_OF_TWICE[(2.0 * _e2m1(mag)).astype(np.int64)]
     sign = ((x < 0) & (idx > 0)).astype(np.uint8)  # -0 canonicalized to +0
-    codes = (sign << 3) | idx.astype(np.uint8)
+    codes = (sign << 3) | idx
     return exps, codes
 
 
@@ -158,10 +181,16 @@ def decode_tensor(raw: bytes) -> np.ndarray:
 
 
 def mxfp4_fake_quant(x: np.ndarray) -> np.ndarray:
-    """Round-trip a matrix through MXFP4 blocks, each row on its own."""
+    """Round-trip a matrix through MXFP4 blocks, each row on its own: the
+    values ``decode_array(*encode_array(_blocks(x)))`` holds, without the
+    codes. ``+ 0.0`` turns a -0 rounded from a small negative into +0."""
     x = np.asarray(x, dtype=np.float64)
     rows, cols = x.shape
-    vals = decode_array(*encode_array(_blocks(x)))
+    blocks = _blocks(x)
+    exps, mag = _scaled(blocks)
+    vals = np.copysign(_e2m1(mag), blocks)
+    vals *= np.exp2((exps - SCALE_BIAS).astype(np.float64))[:, None]
+    vals += 0.0
     return vals.reshape(rows, -(-cols // BLOCK_SIZE) * BLOCK_SIZE)[:, :cols]
 
 

@@ -389,10 +389,12 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)  # the methods skip np.max's wrapper
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax along the last axis, in place: overwrites the float array
+    ``x`` with its probabilities and returns it. Pass a copy to keep ``x``."""
+    x -= x.max(axis=-1, keepdims=True)  # the methods skip np.max's wrapper
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class PlainLinear:

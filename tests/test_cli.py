@@ -8,7 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quantlab import cli, harness
-from quantlab.calibration import parse_sequences
+from quantlab.calibration import (
+    CalibrationSet,
+    capture_channel_stats,
+    parse_sequences,
+    stats_to_csv,
+)
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
 from quantlab.errors import QuantLabError, ShapeMismatch
 from quantlab.quantrun import QuantPlan, Runtime, forward_quantized, prepare_runtime
@@ -210,6 +215,24 @@ class TestCalibStats:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("site,channel")
         assert len(lines) == 1 + SMALL_CFG["d_model"]
+
+    def test_stats_random_sequences_take_calib_len(self, model_file, tmp_path):
+        """Without --calib, stats draws four random sequences of --calib-len
+        tokens (64 by default) under --seed."""
+        model = load_model(model_file)
+        for argv, size in (([], 64), (["--calib-len", "5"], 5)):
+            out = tmp_path / f"stats{size}.csv"
+            assert cli.main(["stats", "--model", model_file, "--site",
+                             "layer0.attn_in", "--seed", "3", *argv,
+                             "--out", str(out)]) == 0
+            rng = make_rng(3)
+            seqs = [[int(t) for t in rng.integers(0, model.config.vocab_size, size=size)]
+                    for _ in range(4)]
+            want = tmp_path / f"want{size}.csv"
+            stats_to_csv(capture_channel_stats(model, CalibrationSet(seqs),
+                                               ["layer0.attn_in"]), want)
+            assert out.read_bytes() == want.read_bytes()
+            assert out.read_text().splitlines()[1].split(",")[4] == str(4 * size)
 
     def test_stats_unknown_site(self, model_file, tmp_path, capsys):
         rc = cli.main(["stats", "--model", model_file, "--site", "nowhere",
@@ -473,6 +496,24 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--plan", "4-16-16"],
+        ["drift", "--plan", "16-16-16"],
+        ["generate"],
+        ["length-control", "--runs", "2"],
+    ], ids=["quantize", "drift", "generate", "length-control"])
+    def test_calib_len_without_calib(self, model_file, tmp_path, capsys, argv):
+        """--calib-len sizes the --calib windows; given alone it is an error,
+        not an option that changes nothing."""
+        out = tmp_path / "out"
+        rc = cli.main([argv[0], "--model", model_file, *argv[1:], "--calib-len", "5",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: --calib-len 5 ") and "--calib" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

@@ -11,6 +11,7 @@ from quantlab.mxfp4 import (
     BLOCK_SIZE,
     E2M1_VALUES,
     Mxfp4Block,
+    _blocks,
     block_from_bytes,
     block_to_bytes,
     decode_array,
@@ -22,6 +23,35 @@ from quantlab.mxfp4 import (
     mxfp4_fake_quant,
 )
 from quantlab.rng import make_rng
+
+
+MIDPOINTS = (E2M1_VALUES[:-1] + E2M1_VALUES[1:]) / 2.0  # 0.25, 0.75, ..., 5
+
+
+def codec_round_trip(x):
+    """``decode_array(*encode_array(_blocks(x)))`` cropped to ``x``'s shape."""
+    rows, cols = x.shape
+    vals = decode_array(*encode_array(_blocks(x)))
+    return vals.reshape(rows, -(-cols // BLOCK_SIZE) * BLOCK_SIZE)[:, :cols]
+
+
+def nearest_e2m1(x):
+    """The rounding rule written out: each magnitude over its block scale
+    takes the E2M1 value above every midpoint it reaches (ties away from
+    zero; above 5, 6), with x's sign and -0 made +0."""
+    rows, cols = x.shape
+    blocks = _blocks(x)
+    scale = np.exp2(encode_array(blocks)[0] - 127.0)[:, None]
+    idx = (np.abs(blocks)[..., None] / scale[..., None] >= MIDPOINTS).sum(axis=-1)
+    vals = np.where(blocks < 0, -1.0, 1.0) * E2M1_VALUES[idx] * scale + 0.0
+    return vals.reshape(rows, -(-cols // BLOCK_SIZE) * BLOCK_SIZE)[:, :cols]
+
+
+def nudged(v, k):
+    """v moved k ulps (k < 0: toward -inf)."""
+    for _ in range(abs(k)):
+        v = np.nextafter(v, np.copysign(np.inf, k))
+    return v
 
 
 def nearest_codebook_error(x, scale_exps):
@@ -93,6 +123,89 @@ class TestEncode:
         exps, codes = encode_array(x)
         err = np.abs(decode_array(exps, codes) - x)
         assert np.all(err <= nearest_codebook_error(x, exps) + 1e-12)
+
+
+class TestFakeQuantIsTheCodec:
+    """``mxfp4_fake_quant`` skips the codes, and must still give the bytes
+    the codec's round trip gives, on the rounding edges above all."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_midpoints_within_two_ulp(self, data):
+        rows = data.draw(st.integers(0, 3), label="rows")
+        cols = data.draw(st.sampled_from([1, 7, 32, 33, 48, 64, 70]), label="cols")
+        x = np.empty((rows, cols))
+        for i in range(rows):
+            exp = data.draw(st.one_of(st.integers(-140, 130), st.integers(-1080, 1020)),
+                            label="scale exponent")
+            row = [nudged(data.draw(st.sampled_from(MIDPOINTS)), data.draw(
+                st.integers(-2, 2))) * data.draw(st.sampled_from([1.0, -1.0]))
+                   for _ in range(cols)]
+            if data.draw(st.booleans(), label="first of each block 6"):
+                row[::BLOCK_SIZE] = [6.0] * len(row[::BLOCK_SIZE])
+            x[i] = np.array(row) * 2.0**exp
+        y = mxfp4_fake_quant(x)
+        assert y.shape == x.shape
+        assert y.tobytes() == codec_round_trip(x).tobytes()
+        assert y.tobytes() == nearest_e2m1(x).tobytes()
+
+    @pytest.mark.parametrize("row", [
+        [6.0, 7.0, np.nextafter(8.0, 0.0), 5.0, -7.0],
+        [8.0, 6.0, 7.0, np.nextafter(8.0, 0.0)],
+        [6.0, nudged(0.25, -1), 0.25, nudged(0.25, 1), nudged(0.75, -1), 0.75],
+        [-0.0, 0.0, -0.0],
+        [0.0],
+        [-0.0, 6.0, -0.1, -1e-30],
+        [1e-300, -3e-301, 7e-301],
+        [1e300, -2.5e299, 6e299],
+        [np.finfo(np.float64).max, -1.0],
+        [5e-324, -1e-323, 2.5e-323, 0.0],
+        [np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny / 4, 3e-320],
+    ], ids=["saturate", "eight", "below-one", "signed-zeros", "zero", "negative-small",
+            "near-1e-300", "near-1e300", "float-max", "subnormal", "tiny"])
+    @pytest.mark.parametrize("cols", [33, 48])
+    def test_edge_rows(self, row, cols):
+        """Each case tiled along a row of width 33 or 48, the row negated
+        below it and an all-zero row below that."""
+        x = np.zeros((3, cols))
+        x[0] = np.resize(row, cols)
+        x[1] = -x[0]
+        y = mxfp4_fake_quant(x)
+        assert y.tobytes() == codec_round_trip(x).tobytes()
+        assert y.tobytes() == nearest_e2m1(x).tobytes()
+        assert not np.signbit(y[2]).any()
+
+    def test_saturates_at_six(self):
+        x = np.zeros((1, 32))
+        x[0, :4] = 6.0, 7.0, np.nextafter(8.0, 0.0), 5.0
+        assert mxfp4_fake_quant(x)[0, :4].tolist() == [6.0, 6.0, 6.0, 6.0]
+        x[0, 0] = 8.0  # scale 2: 3.5 and 4 - ulp round to 4, the tie 2.5 to 3
+        assert mxfp4_fake_quant(x)[0, :4].tolist() == [8.0, 8.0, 8.0, 6.0]
+
+    def test_just_below_a_quarter_rounds_to_zero(self):
+        """0.25 - 2^-55 is below the first midpoint: 0, not 0.5, which
+        floor(2m + 0.5) / 2 would give, since 2m + 0.5 rounds up to 1."""
+        x = np.zeros((1, 32))
+        x[0, :3] = 6.0, nudged(0.25, -1), 0.25
+        assert x[0, 1] == 0.25 - 2.0**-55
+        assert mxfp4_fake_quant(x)[0, :3].tolist() == [6.0, 0.0, 0.5]
+
+    @pytest.mark.parametrize("cols", [0, 33, 48])
+    def test_no_rows(self, cols):
+        x = np.zeros((0, cols))
+        assert mxfp4_fake_quant(x).shape == (0, cols)
+        assert codec_round_trip(x).shape == (0, cols)
+        assert decode_tensor(encode_tensor(x)).shape == (0, cols)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 35, 47])
+    def test_nonfinite_raises(self, bad, where):
+        x = np.ones((2, 48))
+        x[1, where] = bad
+        for encode in (mxfp4_fake_quant, encode_tensor,
+                       lambda x: encode_array(_blocks(x))):
+            with pytest.raises(NonFiniteInput):
+                encode(x)
 
 
 class TestDecode:

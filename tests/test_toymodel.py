@@ -52,6 +52,14 @@ def small_model():
     return init_model(SMALL, make_rng(0))
 
 
+def out_of_place_softmax(x):
+    """Softmax along the last axis into a new array, leaving x alone."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 class TestConfig:
     def test_shape_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -231,6 +239,21 @@ class TestForward:
         b[fancy] = marks
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("shape,p0", [((1, 2, 32, 288), 256), ((3, 4, 17, 57), 40),
+                                          ((2, 2, 5, 5), 0)])
+    def test_softmax_in_place_on_masked_scores(self, shape, p0):
+        """softmax overwrites its argument with what the out-of-place
+        formula returns, byte for byte, on a block of attention scores
+        that mask_later filled with -inf."""
+        rng = make_rng(shape[-1])
+        scores = rng.standard_normal(shape) * 4.0
+        mask_later(scores, p0)
+        assert np.isneginf(scores).any()
+        want = out_of_place_softmax(scores)
+        got = softmax(scores)
+        assert got is scores
+        assert got.tobytes() == want.tobytes()
+
     def test_rmsnorm_closed_form(self):
         x = np.array([3.0, 4.0])
         g = np.array([2.0, 2.0])
@@ -391,6 +414,18 @@ class TestSampling:
         got = sample_rows(logits, temperature, top_p, lambda: batch_rng.random(n))
         assert got.tolist() == want
         assert want_rng.random() == one_rng.random() == batch_rng.random()
+
+    def test_softmax_in_place_on_logits(self):
+        logits = make_rng(8).standard_normal((50, 64)) * 6.0
+        want = out_of_place_softmax(logits)
+        assert softmax(logits).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.6])
+    def test_sample_rows_leaves_logits_alone(self, temperature):
+        logits = make_rng(9).standard_normal((4, 64))
+        before = logits.copy()
+        sample_rows(logits, temperature, 0.9, lambda: make_rng(1).random(4))
+        assert logits.tobytes() == before.tobytes()
 
     def test_greedy_rows_draw_nothing(self):
         logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 3.0]])
