@@ -68,8 +68,9 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   ``CLI_RUNS`` lists them: ``calib``, ``drift`` for five plans (its stdout
   and CSV of ``run_drift``'s report arrays), ``generate``,
   ``length-control``, ``stats`` with and without ``--calib``, and
-  ``sweep`` to CSV and JSON with a ``"calib"`` key. For each, the exit code,
-  stdout and output file;
+  ``sweep`` to CSV and JSON with a ``"calib"`` key, two of its runs rotate
+  4-4-16 at rotation seeds 0 and 7. For each, the exit code, stdout and
+  output file;
 * the logits of the three ``decode`` plans on a 128-token probe, and the
   sequence each generates under each length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
@@ -439,7 +440,10 @@ CLI_RUNS = (  # (tag, command and options), each run with --model and --out
 )
 SWEEP_RUNS = ({"plan": "16-16-16"}, {"plan": "4-16-16", "w_method": "gptq"},
               {"plan": "8-8-16", "wa_method": "smoothquant"},
-              {"plan": "16-16-3", "kv_method": "kvquant_star", "k_stage": "post_rope"})
+              {"plan": "16-16-3", "kv_method": "kvquant_star", "k_stage": "post_rope"},
+              # two runs told apart only by a field outside the bit string
+              {"plan": "4-4-16", "wa_method": "rotate", "rotation_seed": 0},
+              {"plan": "4-4-16", "wa_method": "rotate", "rotation_seed": 7})
 
 
 def cli_lines(cli):

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import calibration, checkpoint, harness
-from .errors import QuantLabError, UsageError
+from .errors import ContextOverflow, QuantLabError, UsageError
 from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runtime
 from .rng import make_rng
 from .toymodel import (
@@ -59,6 +59,15 @@ def _load_calib(path, seed: int, calib_len=None):
     return cs.sequences
 
 
+def _random_tokens(model, rng, n: int, what: str) -> list:
+    """``n`` token ids drawn uniformly from ``rng``; ContextOverflow, before
+    any draw, when ``n`` (named ``what`` in the message) exceeds the model's
+    context."""
+    if n > model.config.max_seq_len:
+        raise ContextOverflow(f"{what} {n} > context {model.config.max_seq_len}")
+    return [int(t) for t in rng.integers(0, model.config.vocab_size, size=n)]
+
+
 def cmd_init_model(args):
     cfg_kwargs = {}
     if args.config:
@@ -100,10 +109,9 @@ def cmd_drift(args):
                          f"got {args.probe_len}")
     model = load_model(args.model)
     plan = _plan_from_args(args)
-    rng = make_rng(args.seed)
-    probe = list(rng.integers(0, model.config.vocab_size, size=args.probe_len))
+    probe = _random_tokens(model, make_rng(args.seed), args.probe_len, "--probe-len")
     calib = _load_calib(args.calib, args.seed, args.calib_len)
-    cfg = harness.ExperimentConfig(plan=plan, probe_tokens=[int(t) for t in probe],
+    cfg = harness.ExperimentConfig(plan=plan, probe_tokens=probe,
                                    calib_sequences=calib, seed=args.seed)
     rep = harness.run_drift(model, cfg)
     harness.write_drift_csv(rep, args.out)
@@ -169,8 +177,7 @@ def cmd_stats(args):
     seqs = _load_calib(args.calib, args.seed, args.calib_len)
     if seqs is None:
         rng = make_rng(args.seed)
-        size = args.calib_len or CALIB_LEN
-        seqs = [[int(t) for t in rng.integers(0, model.config.vocab_size, size=size)]
+        seqs = [_random_tokens(model, rng, args.calib_len or CALIB_LEN, "--calib-len")
                 for _ in range(4)]
     stats = calibration.capture_channel_stats(model, calibration.CalibrationSet(seqs),
                                               [args.site])
@@ -199,8 +206,7 @@ def cmd_sweep(args):
     if "calib" in spec and (type(calib) is not str or not calib):
         raise ValueError(f"sweep \"calib\" must be a non-empty path string, "
                          f"got {calib!r}")
-    rng = make_rng(args.seed)
-    probe = [int(t) for t in rng.integers(0, model.config.vocab_size, size=probe_len)]
+    probe = _random_tokens(model, make_rng(args.seed), probe_len, '"probe_len"')
     calib = _load_calib(calib, args.seed)
     cfgs = []
     for entry in spec.get("runs", []):

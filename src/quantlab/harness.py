@@ -8,11 +8,12 @@ W-A-KV bit notation (e.g. "4-16-16").
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .quantrun import QuantPlan, forward_quantized, prepare_runtime
 from .rng import make_rng
 from .toymodel import (
@@ -26,7 +27,7 @@ from .toymodel import (
 )
 
 SCHEMA_VERSION = 1
-CODE_VERSION = "quantlab-0.1.0"
+CODE_VERSION = f"quantlab-{__version__}"
 
 LC_OFF = "off"
 LC_SUPPRESS = "suppress"
@@ -62,19 +63,9 @@ class ExperimentConfig:
     n_runs: int = 1
 
     def to_row_fields(self) -> dict:
-        """The run's labels; k_stage and k_bias_mode only on static-K rows."""
-        static_k = self.plan.kv_method == "kvquant_star"
-        return {
-            "plan": self.plan.bits_string(),
-            "w_method": self.plan.w_method,
-            "wa_method": self.plan.wa_method,
-            "kv_method": self.plan.kv_method,
-            "group_size": self.plan.group_size,
-            "k_stage": self.plan.k_stage if static_k else "",
-            "k_bias_mode": self.plan.k_bias_mode if static_k else "",
-            "seed": self.seed,
-            "code_version": CODE_VERSION,
-        }
+        """The run's labels: the bit string, then every plan field."""
+        return {"plan": self.plan.bits_string(), **self.plan.to_dict(),
+                "seed": self.seed, "code_version": CODE_VERSION}
 
 
 @dataclass
@@ -254,8 +245,7 @@ def run_sweep(model: ToyModel, cfgs: list) -> list:
 
 
 _SWEEP_COLUMNS = [
-    "plan", "w_method", "wa_method", "kv_method", "group_size", "k_stage",
-    "k_bias_mode", "seed", "code_version",
+    "plan", *(f.name for f in fields(QuantPlan)), "seed", "code_version",
     "status", "final_disagreement", "final_max_abs_err", "mean_mse",
     "first_divergence", "mean_thinking", "median_thinking", "error",
 ]

@@ -593,6 +593,30 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, argv, error", [
+        ("drift", ["--plan", "16-16-16", "--probe-len", "100000000000"],
+         "--probe-len 100000000000 > context 128"),
+        ("drift", ["--plan", "16-16-16", "--probe-len", "129"],
+         "--probe-len 129 > context 128"),
+        ("sweep", ["--config", "SWEEP"], '"probe_len" 100000000000 > context 128'),
+        ("stats", ["--site", "layer0.attn_in", "--calib-len", "100000000000"],
+         "--calib-len 100000000000 > context 128"),
+    ], ids=["drift-probe-len", "drift-probe-len-context-plus-one", "sweep-probe-len",
+            "stats-calib-len"])
+    def test_random_tokens_beyond_context(self, model_file, tmp_path, capsys, command,
+                                          argv, error):
+        """A random probe or calibration sequence longer than the model's
+        context is a one-line ContextOverflow, raised before any token is
+        drawn (a 10^11-token draw would otherwise exhaust memory)."""
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"probe_len": 100000000000,
+                                     "runs": [{"plan": "4-16-16"}]}))
+        argv = [str(sweep) if a == "SWEEP" else a for a in argv]
+        out = tmp_path / "out"
+        rc = cli.main([command, "--model", model_file, *argv, "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, f"error: ContextOverflow: {error}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--inject-k-bias", "0:99:5"],
         ["--inject-k-bias", "9:1:5"],

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -316,7 +316,7 @@ class TestSweep:
 
     def test_static_k_rows_labelled(self, small_model, tmp_path):
         """The four K stage and bias mode pairs of one static-K plan give four
-        labels; other rows leave both empty."""
+        labels; other rows carry the plan's defaults."""
         static = [QuantPlan(kv_bits=4, kv_method="kvquant_star", group_size=32,
                             k_stage=stage, k_bias_mode=mode)
                   for stage in ("pre_rope", "post_rope")
@@ -333,7 +333,79 @@ class TestSweep:
                                        "k_bias_mode")) for r in rows]
         assert len(set(labels[:4])) == 4
         assert labels[0] == ("16-16-4", "kvquant_star", "32", "pre_rope", "pre_bias")
-        assert labels[4] == ("16-16-4", "per_token", "128", "", "")
+        assert labels[4] == ("16-16-4", "per_token", "128", "pre_rope", "pre_bias")
+
+    # six runs that differ only in settings outside the W-A-KV bit string
+    OFF_STRING_RUNS = (
+        {"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": 0.2},
+        {"plan": "8-8-16", "wa_method": "smoothquant", "smooth_alpha": 0.8},
+        {"plan": "4-4-16", "wa_method": "rotate", "rotation_seed": 0},
+        {"plan": "4-4-16", "wa_method": "rotate", "rotation_seed": 7},
+        {"plan": "4-4-16", "wa_method": "flatquant", "flat_steps": 0},
+        {"plan": "4-4-16", "wa_method": "flatquant", "flat_steps": 2},
+    )
+
+    @staticmethod
+    def sweep_cfgs(runs) -> list:
+        """A sweep's configs for run dicts in the form of a sweep config's runs."""
+        return [ExperimentConfig(
+            plan=QuantPlan.from_bits_string(run["plan"], **{
+                k: v for k, v in run.items() if k != "plan"}),
+            probe_tokens=probe(16), calib_sequences=[probe(16, seed=3)])
+            for run in runs]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_off_string_runs_labelled_apart(self, small_model, tmp_path, fmt):
+        """Runs that differ only in a plan field outside the bit string
+        (SmoothQuant's alpha, the rotation draw, FlatQuant's steps) give six
+        distinct label sets: a row carries every plan field."""
+        rows = run_sweep(small_model, self.sweep_cfgs(self.OFF_STRING_RUNS))
+        p = tmp_path / f"sweep.{fmt}"
+        if fmt == "csv":
+            write_sweep_csv(rows, p)
+            with open(p, newline="") as f:
+                rows = list(csv.DictReader(f))
+        else:
+            write_sweep_json(rows, p)
+            rows = json.loads(p.read_text())["rows"]
+        assert [r["status"] for r in rows] == ["ok"] * 6
+        keys = ["plan", *(f.name for f in fields(QuantPlan)), "seed", "code_version"]
+        assert len({tuple(r[k] for k in keys) for r in rows}) == 6
+
+    def test_json_rows_replay_their_plans(self, small_model, tmp_path):
+        """Every sweep JSON row, ok or error, drift or length control, gives
+        back its run's plan whole."""
+        cfgs = self.sweep_cfgs(self.OFF_STRING_RUNS + (
+            {"plan": "16-16-4", "kv_method": "kvquant_star", "k_stage": "post_rope",
+             "k_bias_mode": "post_bias", "group_size": 32},
+            {"plan": "4-4-16", "wa_method": "mxfp4", "include_lm_head": True},
+            {"plan": "4-16-16", "w_method": "awq", "awq_grid_step": 0.25},
+            {"plan": "3-16-16", "group_size": 8}))
+        cfgs.append(ExperimentConfig(plan=QuantPlan(w_bits=4, w_method="gptq"),
+                                     probe_tokens=probe(16)))  # no calibration: an error
+        cfgs.append(ExperimentConfig(plan=QuantPlan(kv_bits=4), n_runs=2,
+                                     length_control=LengthControl(budget=4)))
+        p = tmp_path / "sweep.json"
+        write_sweep_json(run_sweep(small_model, cfgs), p)
+        rows = json.loads(p.read_text())["rows"]
+        assert [r["status"] for r in rows] == ["ok"] * 10 + ["error", "ok"]
+        for row, cfg in zip(rows, cfgs, strict=True):
+            assert QuantPlan.from_dict({f.name: row[f.name]
+                                        for f in fields(QuantPlan)}) == cfg.plan
+
+    def test_sweep_keys_are_columns(self, small_model):
+        """Every key of an ok drift row, an ok length-control row and an
+        error row has a CSV column, which the writer would otherwise drop."""
+        cfgs = [ExperimentConfig(plan=QuantPlan(w_bits=4), probe_tokens=probe(8)),
+                ExperimentConfig(plan=QuantPlan(), n_runs=2,
+                                 length_control=LengthControl(budget=4)),
+                ExperimentConfig(plan=QuantPlan(w_bits=4, w_method="gptq"),
+                                 probe_tokens=probe(8))]
+        rows = run_sweep(small_model, cfgs)
+        assert [r["status"] for r in rows] == ["ok", "ok", "error"]
+        assert "mean_mse" in rows[0] and "mean_thinking" in rows[1]
+        for row in rows:
+            assert set(row) <= set(harness._SWEEP_COLUMNS)
 
     def test_json_report_schema(self, small_model, tmp_path):
         cfg = ExperimentConfig(plan=QuantPlan(w_bits=4),
