@@ -97,7 +97,7 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   (every spec, on the ``nonfinite`` input) hashes its ``NonFiniteInput``
   message in place of the four arrays;
 * ``weightquant.gptq_quantize`` on its own: one line (codes, scales and zero
-  points) per case of ``gptq_cases``, 2,592 in all.
+  points) per case of ``gptq_cases``, 1,296 in all.
 """
 
 import argparse
@@ -116,9 +116,8 @@ UNREACHED = (
     # their helpers
     "weightquant.brute_force_optimal", "weightquant.dequant_loss",
     "quantcore.QuantParams.expand",
-    "quantcore._expand_grid", "quantcore._group_sizes", "mxfp4.mxfp4_encode",
-    "mxfp4.mxfp4_decode", "mxfp4.Mxfp4Block.__eq__", "mxfp4.block_to_bytes",
-    "mxfp4.block_from_bytes",
+    "quantcore._expand_grid", "mxfp4.mxfp4_encode", "mxfp4.mxfp4_decode",
+    "mxfp4.Mxfp4Block.__eq__", "mxfp4.block_to_bytes", "mxfp4.block_from_bytes",
     # code that only error paths reach
     "cli._Parser.error", "errors.NotPositiveDefinite.__init__",
     "errors.TruncatedFile.__init__",
@@ -641,38 +640,36 @@ def primitive_lines(quantcore, make_rng):
                 yield f"{tag}/{name}", sha(*arrays)
 
 
-def gptq_cases(quantcore, weightquant):
-    """(name, spec, column order) over per-tensor, per-token, per-channel on
-    both axes, per-group of 4, 5 and 128 on axis 1 and of 3 and 128 on axis
-    0; both symmetries; 2, 4 and 8 bits; natural and activation order."""
+def gptq_cases(quantcore):
+    """(name, spec) over per-tensor, per-token, per-channel on both axes,
+    per-group of 4, 5 and 128 on axis 1 and of 3 and 128 on axis 0; both
+    symmetries; 2, 4 and 8 bits."""
     grids = [(quantcore.PER_TENSOR, 1, 128), (quantcore.PER_TOKEN, 1, 128),
              (quantcore.PER_CHANNEL, 0, 128), (quantcore.PER_CHANNEL, 1, 128)]
     grids += [(quantcore.PER_GROUP, 1, g) for g in (4, 5, 128)]
     grids += [(quantcore.PER_GROUP, 0, g) for g in (3, 128)]
-    for (granularity, axis, group), symmetric, bits, order in itertools.product(
-            grids, (False, True), (2, 4, 8),
-            (weightquant.NATURAL, weightquant.ACTIVATION_ORDER)):
+    for (granularity, axis, group), symmetric, bits in itertools.product(
+            grids, (False, True), (2, 4, 8)):
         spec = quantcore.QuantSpec(bits=bits, symmetric=symmetric,
                                    granularity=granularity, axis=axis,
                                    group_size=group)
         name = (f"{granularity}/axis{axis}/g{group}/"
-                f"{'sym' if symmetric else 'asym'}/{bits}bit/{order}")
-        yield name, spec, order
+                f"{'sym' if symmetric else 'asym'}/{bits}bit")
+        yield name, spec
 
 
 def gptq_lines(quantcore, weightquant, make_rng):
     """Weights N(0, 1) and calibration columns whose channels are scaled
-    from 0.2 to 3, so activation order differs from natural order; 48
+    from 0.2 to 3, so the Hessian's diagonal is far from constant; 48
     tokens, fewer than the 64 inputs of the widest shape, so damping is
     what keeps that Hessian invertible."""
-    cases = list(gptq_cases(quantcore, weightquant))
+    cases = list(gptq_cases(quantcore))
     for seed, (n_out, n_in) in itertools.product(GPTQ_SEEDS, GPTQ_SHAPES):
         rng = make_rng(seed * 1000 + n_out * 100 + n_in)
         w = rng.standard_normal((n_out, n_in))
         x = rng.standard_normal((n_in, 48)) * rng.uniform(0.2, 3.0, (n_in, 1))
-        for name, spec, order in cases:
-            qt = weightquant.gptq_quantize(
-                w, x, weightquant.GptqConfig(spec=spec, column_order=order))
+        for name, spec in cases:
+            qt = weightquant.gptq_quantize(w, x, weightquant.GptqConfig(spec=spec))
             z = qt.params.zero_points
             yield f"gptq/{seed}/{n_out}x{n_in}/{name}", sha(
                 qt.codes, qt.params.scales, "none" if z is None else z)

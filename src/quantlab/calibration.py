@@ -20,14 +20,6 @@ from .toymodel import _CAPTURE_SITES, ToyModel, decode, sample_rows
 class CalibrationSet:
     sequences: list
     domain_tag: str = "pretrain"
-    seq_len: int = 0
-    count: int = 0
-
-    def __post_init__(self):
-        if not self.count:
-            self.count = len(self.sequences)
-        if not self.seq_len and self.sequences:
-            self.seq_len = max(len(s) for s in self.sequences)
 
 
 def parse_sequences(path) -> list:
@@ -72,14 +64,13 @@ def load_calibration(path, seq_len: int, count: int, rng) -> CalibrationSet:
         # exact fit: partition the concatenation, no randomness needed
         flat = [t for s in seqs for t in s]
         out = [flat[i * seq_len : (i + 1) * seq_len] for i in range(count)]
-        return CalibrationSet(out, domain_tag="pretrain", seq_len=seq_len,
-                              count=count)
+        return CalibrationSet(out, domain_tag="pretrain")
     out = []
     for _ in range(count):
         s = eligible[int(rng.integers(0, len(eligible)))]
         start = int(rng.integers(0, len(s) - seq_len + 1))
         out.append(s[start : start + seq_len])
-    return CalibrationSet(out, domain_tag="pretrain", seq_len=seq_len, count=count)
+    return CalibrationSet(out, domain_tag="pretrain")
 
 
 def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
@@ -110,8 +101,7 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
         return toks
 
     seqs = decode(m, runs, choose, lambda r, seq: len(seq) >= len(runs[r]) + max_new[r])
-    return CalibrationSet([s[:seq_len] for s in seqs], domain_tag="self_generated",
-                          seq_len=seq_len, count=count)
+    return CalibrationSet([s[:seq_len] for s in seqs], domain_tag="self_generated")
 
 
 @dataclass

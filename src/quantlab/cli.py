@@ -168,7 +168,7 @@ def cmd_calib(args):
     cs = calibration.self_generate(model, prompts, seq_len=args.calib_len,
                                    count=args.count, rng=rng)
     calibration.write_sequences(cs.sequences, args.out)
-    print(f"wrote {args.out} ({cs.count} sequences, domain={cs.domain_tag})")
+    print(f"wrote {args.out} ({len(cs.sequences)} sequences, domain={cs.domain_tag})")
     return 0
 
 

@@ -124,9 +124,11 @@ class QuantParams:
     """Fitted scales/zero-points on the group grid of a tensor.
 
     ``scales`` has one entry per group, arranged so that repeating each
-    entry along the grouped axis recovers an elementwise array:
-    shape (rows, n_groups) when grouping runs along axis 1 and
-    (n_groups, cols) when along axis 0. Per-tensor params are (1, 1).
+    entry ``size`` times along the grouped axis (see ``_grouping``), and
+    cutting the ragged last group to the extent, recovers an elementwise
+    array: shape (rows, ceil(cols / size)) when grouping runs along axis 1
+    and (ceil(rows / size), cols) when along axis 0, with at least one group
+    on a zero extent. Per-tensor params are (1, 1).
     """
 
     scales: np.ndarray
@@ -148,63 +150,55 @@ class QuantizedTensor:
     params: QuantParams  # its spec and shape are the tensor's
 
 
-_ONE_GROUP = np.array([0])  # the starts of a group spanning its whole axis
-_ONE_GROUP.flags.writeable = False
-
-
 def _grouping(shape, spec: QuantSpec):
-    """Resolve (grouped_axis, group boundaries) for a 2-D shape.
+    """Resolve (grouped_axis, size) for a 2-D shape.
 
-    grouped_axis is the axis along which consecutive elements share params.
-    Returns (axis, starts) where starts are the group start indices along
-    that axis; the final group may be ragged.
+    Consecutive runs of ``size`` elements along ``grouped_axis`` share
+    params; the last run is ragged when ``size`` does not divide the
+    extent. Per token and per channel a group spans its axis, its size the
+    extent or 1 on a zero extent. (None, None) per tensor.
     """
-    rows, cols = shape
     if spec.granularity == PER_TENSOR:
         return None, None
-    if spec.granularity == PER_TOKEN:
-        return 1, _ONE_GROUP  # one group per row, spanning all columns
-    if spec.granularity == PER_CHANNEL:
-        # each index along spec.axis is a channel; grouping runs along the
-        # other axis and spans its full extent
-        return 1 - spec.axis, _ONE_GROUP
-    # per_group
-    g_axis = spec.axis
-    extent = shape[g_axis]
-    if spec.group_size >= extent:
-        return g_axis, _ONE_GROUP
-    return g_axis, np.arange(0, extent, spec.group_size)
+    if spec.granularity == PER_GROUP:
+        return spec.axis, spec.group_size
+    # per_token: one group per row, spanning all columns; per_channel: each
+    # index along spec.axis is a channel, grouped along the other axis
+    g_axis = 1 if spec.granularity == PER_TOKEN else 1 - spec.axis
+    return g_axis, shape[g_axis] or 1
 
 
 def grid_shape(shape, spec: QuantSpec) -> tuple:
     """The group grid (see QuantParams) fit_params fits for a 2-D ``shape``."""
-    g_axis, starts = _grouping(shape, spec)
+    g_axis, size = _grouping(shape, spec)
     if g_axis is None:
         return (1, 1)
-    return (shape[0], len(starts)) if g_axis == 1 else (len(starts), shape[1])
-
-
-def _group_sizes(extent: int, starts: np.ndarray) -> np.ndarray:
-    ends = np.append(starts[1:], extent)
-    return ends - starts
+    n_groups = max(-(-shape[g_axis] // size), 1)  # a zero extent: one group
+    return (shape[0], n_groups) if g_axis == 1 else (n_groups, shape[1])
 
 
 def _expand_grid(grid: np.ndarray, shape, spec: QuantSpec) -> np.ndarray:
     if spec.granularity == PER_TENSOR:
         return np.broadcast_to(grid, shape)
-    g_axis, starts = _grouping(shape, spec)
-    sizes = _group_sizes(shape[g_axis], starts)
-    return np.repeat(grid, sizes, axis=g_axis)
+    g_axis, size = _grouping(shape, spec)
+    full = np.repeat(grid, size, axis=g_axis)  # the last group may be ragged
+    return full[:, :shape[1]] if g_axis == 1 else full[:shape[0]]
 
 
 def _group_minmax(x: np.ndarray, spec: QuantSpec):
-    """Per-group (min, max) arrays on the group grid."""
-    if spec.granularity == PER_TENSOR:
+    """Per-group (min, max) arrays on the group grid; an empty group has
+    the range of an all-zero one."""
+    g_axis, size = _grouping(x.shape, spec)
+    if g_axis is None:
         return (np.array([[x.min()]]), np.array([[x.max()]]))
-    g_axis, starts = _grouping(x.shape, spec)
-    mn = np.minimum.reduceat(x, starts, axis=g_axis)
-    mx = np.maximum.reduceat(x, starts, axis=g_axis)
-    return mn, mx
+    if x.shape[g_axis] == 0:
+        x = np.zeros(grid_shape(x.shape, spec))
+    # reduceat even for one group, whose lone start needs no arange: along
+    # axis 1 of a (512, 64) tensor it takes half the time reduce takes
+    extent = x.shape[g_axis]
+    starts = (0,) if size >= extent else np.arange(0, extent, size)
+    return (np.minimum.reduceat(x, starts, axis=g_axis),
+            np.maximum.reduceat(x, starts, axis=g_axis))
 
 
 def _round_half_away(t: np.ndarray, s=1.0, out=None) -> np.ndarray:
@@ -346,10 +340,11 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
     zero points ``z`` (group grid, see QuantParams; ``z`` may be None) that
     broadcast against them: (rows, groups, size) against (rows, groups, 1)
     when groups run along axis 1, (groups, size, cols) against
-    (groups, 1, cols) along axis 0. A ragged last group is a pair of its own;
-    a single group per row or column broadcasts as it is."""
-    g_axis, starts = _grouping(x.shape, spec)
-    if g_axis is None or len(starts) == 1:
+    (groups, 1, cols) along axis 0, ``size`` being the group size from
+    ``_grouping``. A ragged last group is a pair of its own; a single group
+    per row or column broadcasts as it is."""
+    g_axis, size = _grouping(x.shape, spec)
+    if g_axis is None or size >= x.shape[g_axis]:
         return [(x, out, s, z)]
 
     def along(*idx):  # index tuple starting at the grouped axis
@@ -358,7 +353,6 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
     def grid_of(a, idx):
         return None if a is None else a[idx]
 
-    size = int(starts[1])
     n_full = x.shape[g_axis] // size
     full = n_full * size
     split = x.shape[:g_axis] + (n_full, size) + x.shape[g_axis + 1:]

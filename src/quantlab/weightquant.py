@@ -25,8 +25,7 @@ from .quantcore import (
     quantize,
 )
 
-NATURAL = "natural"
-ACTIVATION_ORDER = "activation_order"
+GPTQ_DAMPING = 0.01  # the GPTQ damping as a fraction of the mean Hessian diagonal
 MAX_DAMPING_RETRIES = 8  # doublings of the GPTQ damping before giving up
 AWQ_CHUNK_ELEMENTS = 1 << 15  # weight elements per stacked AWQ fake_quant call
 BRUTE_FORCE_MAX_ASSIGNMENTS = 1 << 20  # brute_force_optimal's enumeration guard
@@ -42,12 +41,6 @@ def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
 @dataclass
 class GptqConfig:
     spec: QuantSpec = field(default_factory=lambda: default_weight_spec(4))
-    damping_fraction: float = 0.01
-    column_order: str = NATURAL
-
-    def __post_init__(self):
-        if self.damping_fraction <= 0:
-            raise ValueError("damping_fraction must be > 0")
 
 
 @dataclass
@@ -69,15 +62,16 @@ def rtn_quantize_weights(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
 
 
 def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> QuantizedTensor:
-    """GPTQ: quantize columns one at a time, folding each column's rounding
-    error into the not-yet-quantized columns via the inverse Hessian.
+    """GPTQ: quantize columns one at a time in natural order, folding each
+    column's rounding error into the columns after it via the inverse
+    Hessian.
 
     The params are fitted by ``fit_params`` on the weights as they stand
-    after earlier compensation: once at the first column, and again for
-    each later group along axis 1 when its first column comes up. Column
-    ``j``'s codes are ``quantize`` of it under its slice of the group grid,
-    and its quantized value, from which the error is propagated, is their
-    ``dequantize``.
+    after earlier compensation: once at column 0, and again for each later
+    group along axis 1 at its first column ``j`` (``j % size == 0``). Column
+    ``j``'s codes are ``quantize`` of it under its column of the group grid
+    (``j // size`` along axis 1), and its quantized value, from which the
+    error is propagated, is their ``dequantize``.
     """
     w = np.asarray(w, dtype=np.float64)
     spec = cfg.spec
@@ -86,9 +80,9 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
         raise ValueError(f"calib_x rows {calib_x.shape[0]} != weight input dim {n_in}")
 
     H = calib_x @ calib_x.T
-    lam = cfg.damping_fraction * float(np.mean(np.diag(H)))
+    lam = GPTQ_DAMPING * float(np.mean(np.diag(H)))
     if lam <= 0:
-        lam = cfg.damping_fraction
+        lam = GPTQ_DAMPING
     C = None
     for _ in range(MAX_DAMPING_RETRIES + 1):
         try:
@@ -100,30 +94,15 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
     if C is None:
         raise NotPositiveDefinite(-1, "Hessian not PD after damping escalation")
 
-    if cfg.column_order == ACTIVATION_ORDER:
-        order = np.argsort(-np.diag(H), kind="stable")
-    else:
-        order = np.arange(n_in)
-
-    # column j's column of the group grid: its group along axis 1, itself
-    # along axis 0, the one column of a per-tensor grid
-    g_axis, starts = _grouping(w.shape, spec)
-    grid_col = np.arange(n_in)
-    if g_axis == 1:
-        grid_col = np.searchsorted(starts, grid_col, side="right") - 1
-    elif g_axis is None:
-        grid_col[:] = 0
-
-    # the fit at the first column, before any compensation; a group along
-    # axis 1 is refitted when its first column comes up
-    params = fit_params(w, spec)
-    fitted = {grid_col[order[0]]}
+    g_axis, size = _grouping(w.shape, spec)
+    params = fit_params(w, spec)  # the fit before any compensation
     work = w.copy()
     codes = np.zeros((n_out, n_in), dtype=np.int32)
-    for step, j in enumerate(order):
-        k = grid_col[j]
-        if g_axis == 1 and k not in fitted:
-            fitted.add(k)
+    for j in range(n_in):
+        # column j's column of the group grid: its group along axis 1,
+        # itself along axis 0, the one column of a per-tensor grid
+        k = j // size if g_axis == 1 else (j if g_axis == 0 else 0)
+        if g_axis == 1 and j % size == 0 and j > 0:  # a later group's first column
             fresh = fit_params(work, spec)
             params.scales[:, k] = fresh.scales[:, k]
             if not spec.symmetric:
@@ -136,9 +115,7 @@ def gptq_quantize(w: np.ndarray, calib_x: np.ndarray, cfg: GptqConfig) -> Quanti
         work[:, j] = dequantize(col_qt)[:, 0]
 
         err = (col - work[:, j]) / C[j, j]
-        remaining = order[step + 1 :]
-        if remaining.size:
-            work[:, remaining] -= np.outer(err, C[j, remaining])
+        work[:, j + 1:] -= np.outer(err, C[j, j + 1:])
 
     return QuantizedTensor(codes, params)
 

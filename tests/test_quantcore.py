@@ -22,6 +22,7 @@ from quantlab.quantcore import (
     fake_quant,
     fit_asymmetric,
     fit_params,
+    grid_shape,
     pack_codes,
     quantize,
     snap_scale,
@@ -394,7 +395,8 @@ def oracle_fake_quant(x, spec):
 
 def awkward_inputs(seed):
     """Ragged shapes with an all-zero row and column, -0.0 entries and an
-    outlier, then the same values snapped to half-integers (rounding ties)."""
+    outlier, then the same values snapped to half-integers (rounding ties);
+    then empty tensors, a zero extent on either axis or both."""
     rng = make_rng(seed)
     for shape in ((7, 20), (20, 7), (1, 13), (9, 1)):
         x = rng.standard_normal(shape) * 3.0
@@ -404,6 +406,8 @@ def awkward_inputs(seed):
         x[-1, 0] *= 100.0
         yield x
         yield np.round(x * 2.0) / 2.0
+    for shape in ((3, 0), (0, 64), (0, 0)):
+        yield np.zeros(shape)
 
 
 class TestGridViews:
@@ -412,7 +416,12 @@ class TestGridViews:
 
     @staticmethod
     def check(x, spec):
+        if x.size == 0 and spec.granularity == PER_TENSOR:
+            with pytest.raises(ValueError):  # numpy's: no min of nothing
+                fit_params(x, spec)
+            return
         params = fit_params(x, spec)
+        assert params.scales.shape == grid_shape(x.shape, spec), (x.shape, spec)
         q = quantize(x, params)
         assert q.codes.dtype == np.int32
         assert np.array_equal(q.codes, oracle_codes(x, params)), (x.shape, spec)

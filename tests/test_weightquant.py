@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,6 @@ from quantlab.quantcore import (
 )
 from quantlab.rng import make_rng
 from quantlab.weightquant import (
-    ACTIVATION_ORDER,
-    NATURAL,
     AwqSearchResult,
     GptqConfig,
     awq_fold,
@@ -58,12 +54,12 @@ class TestGptq:
     def test_diagonal_hessian_equals_rtn(self):
         rng = make_rng(1)
         w = rng.standard_normal((3, 8))
-        # distinct channel scales, so activation order is not natural order
+        # distinct channel scales: a diagonal Hessian of unequal entries
         x = orthogonal_calib(8, 32, rng, scale=1.7) * rng.permutation(
             np.linspace(0.5, 2.0, 8))[:, None]
         # groups along axis 1 are fitted lazily, each when its first column
         # comes up; every other grid once, at the first column
-        for spec, order in itertools.product((
+        for spec in (
                 default_weight_spec(4, 4),
                 default_weight_spec(3, 5),  # ragged: groups of 5 and 3
                 QuantSpec(bits=4, symmetric=True, granularity=PER_GROUP, group_size=4),
@@ -72,13 +68,11 @@ class TestGptq:
                 QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0),
                 QuantSpec(bits=3, granularity=PER_CHANNEL, axis=1),
                 QuantSpec(bits=4, granularity=PER_TENSOR),
-                QuantSpec(bits=3, symmetric=True, granularity=PER_TENSOR)),
-                (NATURAL, ACTIVATION_ORDER)):
-            qt = gptq_quantize(w, x, GptqConfig(spec=spec, column_order=order))
+                QuantSpec(bits=3, symmetric=True, granularity=PER_TENSOR)):
+            qt = gptq_quantize(w, x, GptqConfig(spec=spec))
             rtn = rtn_quantize_weights(w, spec)
-            case = (spec, order)
-            assert np.array_equal(qt.codes, rtn.codes), case
-            assert qt.params.scales.tobytes() == rtn.params.scales.tobytes(), case
+            assert np.array_equal(qt.codes, rtn.codes), spec
+            assert qt.params.scales.tobytes() == rtn.params.scales.tobytes(), spec
             if spec.symmetric:
                 assert qt.params.zero_points is None
             else:
@@ -121,26 +115,25 @@ class TestGptq:
             wins += g <= r + 1e-12
         assert wins >= 180  # GPTQ no worse than RTN on >= 90% of instances
 
-    def test_activation_order_runs(self):
-        rng = make_rng(3)
-        w = rng.standard_normal((2, 8))
-        x = rng.standard_normal((8, 64))
-        spec = default_weight_spec(4, 4)
-        qt = gptq_quantize(w, x, GptqConfig(spec=spec,
-                                            column_order=ACTIVATION_ORDER))
-        assert qt.codes.shape == w.shape
-
     def test_calib_width_checked(self):
         with pytest.raises(ValueError, match="calib_x rows"):
             gptq_quantize(np.ones((2, 8)), np.ones((7, 16)), GptqConfig())
 
-    def test_zero_hessian_damped_by_the_fraction(self):
+    def test_zero_hessian_damped_by_the_fraction(self, monkeypatch):
         """All-zero calibration: the mean diagonal is 0, so the damping is
-        ``damping_fraction`` itself; no column's error propagates, and the
-        codes are RTN's."""
+        ``GPTQ_DAMPING`` itself; no column's error propagates, and the codes
+        are RTN's."""
+        original, damped = weightquant.invert_spd, []
+
+        def recording(a):
+            damped.append(a[0, 0])
+            return original(a)
+
+        monkeypatch.setattr(weightquant, "invert_spd", recording)
         w = make_rng(7).standard_normal((3, 8))
         spec = default_weight_spec(4, 4)
         qt = gptq_quantize(w, np.zeros((8, 16)), GptqConfig(spec=spec))
+        assert damped == [weightquant.GPTQ_DAMPING]
         assert np.array_equal(qt.codes, rtn_quantize_weights(w, spec).codes)
 
     def test_damping_doubles_until_the_hessian_inverts(self, monkeypatch):
@@ -177,10 +170,6 @@ class TestGptq:
         with pytest.raises(NotPositiveDefinite):
             gptq_quantize(np.ones((2, 8)), x, GptqConfig())
         assert len(calls) == weightquant.MAX_DAMPING_RETRIES + 1
-
-    def test_damping_validation(self):
-        with pytest.raises(ValueError):
-            GptqConfig(damping_fraction=0.0)
 
 
 class TestBruteForce:
