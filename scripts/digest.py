@@ -47,11 +47,16 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   per-token KV at group size 32, and, calibrated on eight fixed 64-token
   sequences, SmoothQuant 8-8-16 at group size 32 and FlatQuant 4-4-16 with
   one training step): the logits of a 128-token probe and of a 3-row
-  session, fed a block and then stepped;
+  session, fed 40 tokens in one forward and then stepped 8;
 * MXFP4 4-4-16 on a model of ``d_model`` 48 (3 heads of 16), whose
   48-wide rows fill one and a half 32-element blocks, without and with
   ``include_lm_head``: the logits of a 128-token probe and of a 3-row
   session, as for the row-local plans above;
+* a 3-row session over more than one block, on the default model: each row
+  270 tokens, fed 262 in one forward (several blocks at ``BLOCK`` 64 or
+  128), then stepped 8, under 16-16-16, per-token 16-16-4 and
+  rotate 4-4-4 with rotated per-token KV. The lengths are fixed, so trees
+  with different ``toymodel.BLOCK`` run the same inputs;
 * ``mxfp4_fake_quant``, the MXT4 bytes ``encode_tensor`` writes and what
   ``decode_tensor`` reads back from them, on the E2M1 rounding midpoints
   within 2 ulp, both signs, at block scales 2^-130 (below the smallest
@@ -233,7 +238,7 @@ def static_k_lines(workloads, quantrun, toymodel, make_rng):
 
 def position_lines(workloads, quantrun, toymodel, calibration, make_rng):
     """Outputs that read the positions of calibration rows, from sequences
-    of unequal lengths, two crossing the 32-position block."""
+    of unequal lengths (3, 40 and 64 tokens)."""
     wl = workloads.Calibrate()
     outlier = wl.model()
     probe = wl.inputs(SEEDS[0], outlier)["probe"]
@@ -312,10 +317,8 @@ def row_local_lines(workloads, quantrun, toymodel, make_rng):
             model, plan, calib if plan.needs_calibration else None)
         yield f"row_local/{tag}/logits", sha(
             toymodel.Session(model, runtime=rt).forward(probe))
-        sess = toymodel.Session(model, runtime=rt, rows=3)
-        prefill = sess.forward([r[:40] for r in rows])
-        stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
-        yield f"row_local/{tag}/three_rows", sha(prefill, *stepped)
+        yield f"row_local/{tag}/three_rows", three_rows_sha(
+            toymodel, model, rt, rows, 40)
 
 
 def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
@@ -331,10 +334,35 @@ def ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng):
         rt = quantrun.prepare_runtime(model, quantrun.QuantPlan(
             w_bits=4, a_bits=4, wa_method="mxfp4", include_lm_head=lm_head))
         yield f"{tag}/logits", sha(toymodel.Session(model, runtime=rt).forward(probe))
-        sess = toymodel.Session(model, runtime=rt, rows=3)
-        prefill = sess.forward([r[:40] for r in rows])
-        stepped = [sess.step([r[t] for r in rows]) for t in range(40, 48)]
-        yield f"{tag}/three_rows", sha(prefill, *stepped)
+        yield f"{tag}/three_rows", three_rows_sha(toymodel, model, rt, rows, 40)
+
+
+def multi_block_lines(workloads, quantrun, toymodel, make_rng):
+    """A 3-row session over more than one block: 270-token rows, fed 262
+    tokens in one forward, then stepped 8. The lengths are fixed rather
+    than read from ``toymodel.BLOCK``, so that two trees with different
+    block sizes run the same inputs."""
+    model = toymodel.init_model(toymodel.ToyConfig(), make_rng(workloads.MODEL_SEED))
+    rng = make_rng(SEEDS[1])
+    rows = [workloads._probe(rng, 270, model.config.vocab_size) for _ in range(3)]
+    QP = quantrun.QuantPlan
+    plans = (("16-16-16", QP()),
+             ("per_token-16-16-4", QP(kv_bits=4)),
+             ("rotate-4-4-4", QP(w_bits=4, a_bits=4, kv_bits=4, wa_method="rotate",
+                                 kv_method="rotated_per_token")))
+    for tag, plan in plans:
+        rt = quantrun.prepare_runtime(model, plan)
+        yield f"multi_block/{tag}/three_rows", three_rows_sha(
+            toymodel, model, rt, rows, 262)
+
+
+def three_rows_sha(toymodel, model, rt, rows, fed) -> str:
+    """The digest of a 3-row session's logits, fed the first ``fed`` tokens
+    of ``rows`` in one forward, then stepped through the rest."""
+    sess = toymodel.Session(model, runtime=rt, rows=3)
+    prefill = sess.forward([r[:fed] for r in rows])
+    stepped = [sess.step([r[t] for r in rows]) for t in range(fed, len(rows[0]))]
+    return sha(prefill, *stepped)
 
 
 def mxfp4_edge_lines(mxfp4):
@@ -775,6 +803,7 @@ def main(argv=None) -> int:
                   no_bias_lines(workloads, quantrun, toymodel, make_rng),
                   row_local_lines(workloads, quantrun, toymodel, make_rng),
                   ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
+                  multi_block_lines(workloads, quantrun, toymodel, make_rng),
                   mxfp4_edge_lines(mxfp4),
                   quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
                   cli_lines(cli),

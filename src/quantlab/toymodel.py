@@ -17,12 +17,13 @@ batches of one, ``harness.run_length_control`` gives every run its own rng,
 and ``calibration.self_generate`` draws one stream, sequence after
 sequence.
 
-Session.forward takes positions in blocks of BLOCK = 32. Within a block the
+Session.forward takes positions in blocks of BLOCK = 64. Within a block the
 linears run on (rows x T, d_model) matrices and the attention scores form one
-(rows, heads, T, context) array, so the block size bounds the working set. On
-512-token teacher-forced drift runs, peak memory with 32-position blocks
-stays within 1% of the one-token path; 64-position blocks add about 3%, and
-a single 512-position block about 40%.
+(rows, heads, T, context) array, so the block size bounds the working set; a
+larger block makes fewer numpy calls per token. In 30 s ``drift`` benchmark
+runs (512-token teacher-forced forwards), peak RSS was 44.6-44.7 MB with
+32-position blocks, 45.3-45.4 MB with 64, and 45.6-46.5 MB with 128, which
+ran no faster than 64.
 
 Each layer's linears are declared once, in ``_LAYER_LINEARS``: name, bias
 and the capture site of the input. The tensor layout, the linears a Session
@@ -72,7 +73,7 @@ N_RESERVED = 4
 MAGIC = b"TQM1"
 FORMAT_VERSION = 1
 _ALIGN = 64
-BLOCK = 32  # positions per Session.forward block; see the module docstring
+BLOCK = 64  # positions per Session.forward block; see the module docstring
 _LATER = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)  # [t, s]: key s after query t
 HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
 
@@ -466,12 +467,12 @@ class Session:
     per block when its linears share a map and a quantizer, and K and V are
     written in one call.
 
-    ``forward`` runs its tokens in blocks of ``BLOCK`` positions and ``step``
-    is its one-token case, so prefill, decode and teacher forcing share one
-    path. Splitting a sequence differently (token by token, in one call, in
-    uneven chunks), or running it beside other rows, changes only the shapes
-    of the matrix products, so the logits agree to about 1e-13 with
-    identical argmax, not bit for bit.
+    ``forward`` runs its tokens in blocks of ``BLOCK`` (64) positions and
+    ``step`` is its one-token case, so prefill, decode and teacher forcing
+    share one path. Splitting a sequence differently (token by token, in
+    one call, in uneven chunks), or running it beside other rows, changes
+    only the shapes of the matrix products, so the logits agree to about
+    1e-13 with identical argmax, not bit for bit.
     """
 
     def __init__(self, model: ToyModel, runtime=None, recorder=None, rows: int = 1):

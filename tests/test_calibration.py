@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from quantlab.calibration import (
 from quantlab.errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from quantlab.quantrun import capture_activations
 from quantlab.rng import make_rng
-from quantlab.toymodel import ToyConfig, generate, init_model
+from quantlab.toymodel import BLOCK, ToyConfig, generate, init_model
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=64)
@@ -188,22 +190,27 @@ class TestChannelStats:
         assert set(buckets) == {"[0,4)", "[4,8)"}
         assert buckets["[0,4)"].tokens == 4
 
-    def test_position_buckets_over_unequal_lengths(self, small_model):
-        """Sequences of 3, 40 and 64 tokens, two crossing the 32-position
-        block: each bucket holds the rows at its positions of every
-        sequence, as each sequence's own capture gives them."""
+    def test_position_buckets_over_unequal_lengths(self):
+        """Sequences of 3, BLOCK + 8 and 2 * BLOCK tokens, two crossing the
+        first block's end: each bucket holds the rows at its positions of
+        every sequence, as each sequence's own capture gives them."""
+        model = init_model(replace(SMALL, max_seq_len=2 * BLOCK), make_rng(0))
         rng = make_rng(9)
         seqs = [[int(t) for t in rng.integers(0, SMALL.vocab_size, size=n)]
-                for n in (3, 40, 64)]
-        buckets = [(0, 2), (2, 32), (32, 40), (40, 64)]
+                for n in (3, BLOCK + 8, 2 * BLOCK)]
+        buckets = [(0, 2), (2, BLOCK), (BLOCK, BLOCK + 8), (BLOCK + 8, 2 * BLOCK)]
         site = "layer0.k_post_rope"
-        stats = capture_channel_stats(small_model, CalibrationSet(seqs), [site],
+        stats = capture_channel_stats(model, CalibrationSet(seqs), [site],
                                       pos_buckets=buckets)
-        assert [(s.pos_bucket, s.tokens) for s in stats] == [
-            ("[0,2)", 6), ("[2,32)", 61), ("[32,40)", 16), ("[40,64)", 24)]
-        alone = [np.abs(capture_activations(small_model, [s], [site]).matrix(site))
+        labels = [f"[{lo},{hi})" for lo, hi in buckets]
+        assert [s.pos_bucket for s in stats] == sorted(labels)  # sorted as strings
+        by_bucket = {s.pos_bucket: s for s in stats}
+        assert [by_bucket[label].tokens for label in labels] == [
+            6, 2 * BLOCK - 3, 16, BLOCK - 8]
+        alone = [np.abs(capture_activations(model, [s], [site]).matrix(site))
                  for s in seqs]
-        for st, (lo, hi) in zip(stats, buckets):
+        for label, (lo, hi) in zip(labels, buckets):
+            st = by_bucket[label]
             rows = np.concatenate([a[lo:hi] for a in alone])
             assert np.array_equal(st.max_abs, rows.max(axis=0))
 

@@ -38,6 +38,7 @@ from quantlab.quantrun import (
 )
 from quantlab.rng import make_rng
 from quantlab.toymodel import (
+    BLOCK,
     _LAYER_LINEARS,
     PlainLinear,
     Session,
@@ -265,18 +266,17 @@ class TestForward:
         assert np.max(np.abs(q - ref)) < 0.5 * np.max(np.abs(ref)) + 5.0
 
     @pytest.mark.parametrize("plan_kwargs", [dict()] + PLAN_FAMILIES)
-    def test_step_forward_and_chunks_agree(self, small_model, calib_seqs,
-                                           plan_kwargs):
-        """Token-by-token steps, one forward call, and uneven chunks that
-        cross the 32-position block boundaries run one path on differently
-        shaped blocks."""
-        rt = prepare_runtime(small_model, QuantPlan(**plan_kwargs), calib_seqs)
-        toks = probe(50)
-        whole = Session(small_model, runtime=rt).forward(toks)
-        sess = Session(small_model, runtime=rt)
+    def test_step_forward_and_chunks_agree(self, calib_seqs, plan_kwargs):
+        """Token-by-token steps, one forward call, and uneven chunks, one
+        longer than a block, run one path on differently shaped blocks."""
+        model = init_model(replace(SMALL, max_seq_len=BLOCK + 18), make_rng(0))
+        rt = prepare_runtime(model, QuantPlan(**plan_kwargs), calib_seqs)
+        toks = probe(BLOCK + 18)
+        whole = Session(model, runtime=rt).forward(toks)
+        sess = Session(model, runtime=rt)
         stepped = np.stack([sess.step(t) for t in toks])
-        sess = Session(small_model, runtime=rt)
-        cuts = np.cumsum([0, 5, 40, 1, 4])
+        sess = Session(model, runtime=rt)
+        cuts = np.cumsum([0, 5, BLOCK + 8, 1, 4])
         chunked = np.concatenate([sess.forward(toks[a:b])
                                   for a, b in zip(cuts, cuts[1:])])
         for other in (stepped, chunked):
@@ -285,30 +285,33 @@ class TestForward:
                                   np.argmax(whole, axis=1))
 
     @pytest.mark.parametrize("plan_kwargs", [dict()] + PLAN_FAMILIES)
-    @pytest.mark.parametrize("context, room", [(SMALL.max_seq_len, SMALL.max_seq_len),
-                                               (16384, 80)])
+    @pytest.mark.parametrize("context, n", [(SMALL.max_seq_len, SMALL.max_seq_len),
+                                            (16384, 80)])
     def test_batched_rows_agree_with_one_row_sessions(self, calib_seqs, plan_kwargs,
-                                                      context, room):
-        """Rows fed side by side, then stepped after one row leaves the
-        batch, read their own positions and caches: each agrees with its own
-        one-row session as token-by-token steps do. With the long context
-        the batch's cache would fill huge pages, so it starts empty and
-        grows, 40 positions for the prompts, then 80 once the steps pass
-        them."""
+                                                      context, n):
+        """Rows of ``n`` tokens fed side by side, then stepped after one row
+        leaves the batch, read their own positions and caches: each agrees
+        with its own one-row session as token-by-token steps do. With the
+        long context the batch's cache would fill huge pages, so it starts
+        empty and grows, n - 10 = 70 positions for the prompts (more than
+        one block; a BLOCK past 70 would leave room BLOCK, not 140), then
+        twice that once the steps pass them."""
         model = init_model(replace(SMALL, max_seq_len=context), make_rng(0))
         rt = prepare_runtime(model, QuantPlan(**plan_kwargs), calib_seqs)
-        toks = np.array([probe(50, seed=s) for s in (2, 3, 4)])
+        fed = n - 10  # then 10 steps
+        room = min(context, 2 * fed)
+        toks = np.array([probe(n, seed=s) for s in (2, 3, 4)])
         batch = Session(model, runtime=rt, rows=3)
-        logits = batch.forward(toks[:, :40])
+        logits = batch.forward(toks[:, :fed])
         batch.keep([2, 0])
-        stepped = np.stack([batch.step(toks[[2, 0], t]) for t in range(40, 50)], axis=1)
-        assert logits.shape == (3, 40, SMALL.vocab_size)
+        stepped = np.stack([batch.step(toks[[2, 0], t]) for t in range(fed, n)], axis=1)
+        assert logits.shape == (3, fed, SMALL.vocab_size)
         assert stepped.shape == (2, 10, SMALL.vocab_size)
         assert batch.k_cache.shape == (1, 2, 2, room, 8)
         for r, got in [(0, logits[0]), (1, logits[1]), (2, logits[2]),
                        (2, stepped[0]), (0, stepped[1])]:
             want = Session(model, runtime=rt).forward(toks[r])
-            want = want[:40] if len(got) == 40 else want[40:]
+            want = want[:fed] if len(got) == fed else want[fed:]
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
@@ -451,12 +454,15 @@ class TestForward:
         with pytest.raises(MissingCalibration):
             rec.matrix("nowhere")
 
-    def test_capture_positions_are_each_sequence_from_0(self, small_model):
-        """Sequences of 3, 40 and 64 tokens, two crossing the 32-position
-        block: every site's rows are at each sequence's positions in turn."""
-        rec = capture_activations(small_model, [probe(n, seed=n) for n in (3, 40, 64)])
-        want = np.concatenate([np.arange(n) for n in (3, 40, 64)])
-        for site in known_sites(small_model):
+    def test_capture_positions_are_each_sequence_from_0(self):
+        """Sequences of 3, BLOCK + 8 and 2 * BLOCK tokens, two crossing the
+        first block's end: every site's rows are at each sequence's
+        positions in turn."""
+        model = init_model(replace(SMALL, max_seq_len=2 * BLOCK), make_rng(0))
+        lengths = (3, BLOCK + 8, 2 * BLOCK)
+        rec = capture_activations(model, [probe(n, seed=n) for n in lengths])
+        want = np.concatenate([np.arange(n) for n in lengths])
+        for site in known_sites(model):
             assert len(rec.matrix(site)) == len(want)
             assert np.array_equal(rec.positions, want)
 

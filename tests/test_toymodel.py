@@ -15,6 +15,7 @@ from quantlab.errors import (
 from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
 from quantlab.toymodel import (
+    BLOCK,
     BOS_ID,
     FORMAT_VERSION,
     THINK_END_ID,
@@ -35,6 +36,8 @@ from quantlab.toymodel import (
     silu,
     softmax,
 )
+
+import textbook
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=32)
@@ -163,14 +166,17 @@ class TestForward:
         assert np.array_equal(base[:3], changed[:3])
         assert not np.array_equal(base[3], changed[3])
 
-    @pytest.mark.parametrize("t", [31, 32, 33, 69])
+    @pytest.mark.parametrize("t", sorted({31, 32, 33, 69, BLOCK - 1, BLOCK, BLOCK + 1,
+                                          2 * BLOCK + 5}))
     def test_causality_across_blocks(self, t):
-        """On 70 tokens, run as blocks of 32, 32 and 6 positions, changing
-        token t leaves the logits of every earlier position byte-identical
-        and changes position t's."""
+        """On 2 * BLOCK + 6 tokens, run as blocks of BLOCK, BLOCK and 6
+        positions, changing token t, inside the first block, on either side
+        of its end or at the last position, leaves the logits of every
+        earlier position byte-identical and changes position t's."""
+        n = 2 * BLOCK + 6
         model = init_model(ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
-                                     vocab_size=16, max_seq_len=70), make_rng(0))
-        tokens = [int(x) for x in make_rng(3).integers(0, 16, size=70)]
+                                     vocab_size=16, max_seq_len=n), make_rng(0))
+        tokens = [int(x) for x in make_rng(3).integers(0, 16, size=n)]
         changed = list(tokens)
         changed[t] = (tokens[t] + 1) % 16
         base, other = forward_reference(model, tokens), forward_reference(model, changed)
@@ -179,7 +185,7 @@ class TestForward:
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("p0", [0, 1, 40])
-    @pytest.mark.parametrize("n_new", [2, 17, 32])
+    @pytest.mark.parametrize("n_new", [2, 17, 32, BLOCK])
     def test_mask_later(self, n_new, p0, rows):
         """mask_later sets -inf on exactly the cells the full-width mask
         sets, on scores laid out as attention's, and leaves the rest."""
@@ -197,10 +203,10 @@ class TestForward:
     @pytest.mark.parametrize("plan", [None, QuantPlan(kv_bits=4, kv_method="per_token")],
                              ids=["reference", "per-token-kv"])
     def test_forward_matches_full_width_mask(self, plan, rows, monkeypatch):
-        """A session's logits over blocks of 32, 32 and 6 positions are
-        byte-identical to those under the full-width mask."""
+        """A session's logits over blocks of BLOCK, BLOCK and 6 positions
+        are byte-identical to those under the full-width mask."""
         model = init_model(ToyConfig(), make_rng(0))
-        tokens = make_rng(4).integers(0, 64, size=(rows, 70))
+        tokens = make_rng(4).integers(0, 64, size=(rows, 2 * BLOCK + 6))
         rt = None if plan is None else prepare_runtime(model, plan)
         logits = Session(model, runtime=rt, rows=rows).forward(tokens)
         monkeypatch.setattr(toymodel, "mask_later", full_width_mask)
@@ -266,6 +272,44 @@ class TestForward:
         a = rmsnorm(x, g)
         b = rmsnorm(1000.0 * x, g)
         assert np.allclose(a, b, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def textbook_case():
+    """A two-layer model with random norm gains and QKV biases, three rows
+    of 2 * BLOCK + 6 tokens, and each row's logits from the textbook
+    decoder."""
+    n = 2 * BLOCK + 6
+    model = init_model(ToyConfig(n_layers=2, d_model=16, n_heads=2, head_dim=8,
+                                 vocab_size=16, max_seq_len=n), make_rng(5))
+    rng = make_rng(6)
+    for name, t in model.tensors.items():
+        short = name.rsplit(".", 1)[-1]
+        if short.startswith("norm"):
+            model.tensors[name] = (1.0 + 0.3 * rng.standard_normal(t.shape)).astype(
+                np.float32)
+        elif short.startswith("b"):
+            model.tensors[name] = (0.5 * rng.standard_normal(t.shape)).astype(np.float32)
+    tokens = rng.integers(0, 16, size=(3, n))
+    return model, tokens, np.stack([textbook.forward(model, row) for row in tokens])
+
+
+class TestTextbook:
+    @pytest.mark.parametrize("split", [1, 7, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_forward_matches_the_textbook_decoder(self, textbook_case, rows, split):
+        """Session.forward, fed each row's tokens in two calls cut at
+        ``split``, gives the textbook decoder's logits to a relative error
+        of 1e-12; a one-row session is fed 1-D tokens."""
+        model, tokens, want = textbook_case
+        tokens, want = tokens[:rows], want[:rows]
+        if rows == 1:
+            tokens, want = tokens[0], want[0]
+        sess = Session(model, rows=rows)
+        got = np.concatenate([sess.forward(tokens[..., :split]),
+                              sess.forward(tokens[..., split:])], axis=-2)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSerialization:
