@@ -76,8 +76,10 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   ``sweep`` to CSV and JSON with a ``"calib"`` key, two of its runs rotate
   4-4-16 at rotation seeds 0 and 7. For each, the exit code, stdout and
   output file;
-* the logits of the three ``decode`` plans on a 128-token probe, and the
-  sequence each generates under each length-control mode;
+* the logits of the three ``decode`` plans on a 128-token probe, those of
+  a one-row session stepped one token at a time through a 130-token probe
+  (past ``BLOCK``), and the sequence each plan generates under each
+  length-control mode;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
   with ``max_new=0``;
 * the calibration set ``calibration.self_generate`` makes for each
@@ -494,15 +496,18 @@ def cli_lines(cli):
             yield f"cli/{tag}", sha(code, stdout, Path(out).read_bytes())
 
 
-def decode_lines(workloads, quantrun, harness, make_rng):
+def decode_lines(workloads, quantrun, toymodel, harness, make_rng):
     wl = workloads.Decode()
     model = wl.model()
     probe = workloads._probe(make_rng(SEEDS[0]), 128, model.config.vocab_size)
+    stepped = workloads._probe(make_rng(SEEDS[1]), 130, model.config.vocab_size)
     for bits, method, plan in wl.PLANS:
         tag = f"decode/{bits}/{method}"
         rt = quantrun.prepare_runtime(model, plan)
         yield f"{tag}/logits", sha(
             quantrun.forward_quantized(model, probe, plan, runtime=rt))
+        sess = toymodel.Session(model, runtime=rt)
+        yield f"{tag}/one_row_stepped", sha(*(sess.step(t) for t in stepped))
         for lc in wl.MODES:
             seq, thinking, total = harness.generate_with_length_control(
                 model, list(wl.PROMPT), plan, lc, make_rng(SEEDS[0]), runtime=rt)
@@ -807,7 +812,7 @@ def main(argv=None) -> int:
                   mxfp4_edge_lines(mxfp4),
                   quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
                   cli_lines(cli),
-                  decode_lines(workloads, quantrun, harness, make_rng),
+                  decode_lines(workloads, quantrun, toymodel, harness, make_rng),
                   generate_lines(workloads, quantrun, toymodel, make_rng),
                   self_generate_lines(workloads),
                   batch_lines(workloads, harness, calibration, make_rng),

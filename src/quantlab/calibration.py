@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from .quantrun import capture_activations
-from .toymodel import _CAPTURE_SITES, ToyModel, decode, sample_rows
+from .toymodel import _CAPTURE_SITES, ToyModel, check_batch, decode, sample_rows
 
 
 @dataclass
@@ -88,6 +88,7 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
         raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
     if temperature != 0 and rng is None:
         raise ValueError("sampling requires an rng")
+    check_batch(m.config, count)  # before the per-sequence lists
     runs = [list(prompts[i % len(prompts)]) for i in range(count)]
     max_new = np.array([max(seq_len - len(p), 0) for p in runs])
     first = np.cumsum(max_new) - max_new  # sequence i's first uniform
@@ -124,7 +125,9 @@ def capture_channel_stats(m: ToyModel, calib: CalibrationSet, sites,
                           pos_buckets: Optional[list] = None) -> list:
     """Per-channel mean-|.| and max-|.| at the named capture sites over all
     calibration sequences, optionally bucketed by half-open position ranges
-    (a position counts in the first bucket holding it)."""
+    (a position counts in the first bucket holding it). The result is
+    ordered by site name, then by bucket start; buckets with one start keep
+    their given order."""
     valid = set(known_sites(m))
     for s in sites:
         if s not in valid:
@@ -140,11 +143,11 @@ def capture_channel_stats(m: ToyModel, calib: CalibrationSet, sites,
             free &= ~keep
             n = int(keep.sum())
             if n:
-                out.append(ChannelStats(
+                out.append((site, lo, ChannelStats(
                     site=site, mean_abs=a[keep].sum(axis=0) / n,
                     max_abs=a[keep].max(axis=0), tokens=n,
-                    pos_bucket="all" if pos_buckets is None else f"[{lo},{hi})"))
-    return sorted(out, key=lambda st: (st.site, st.pos_bucket))
+                    pos_bucket="all" if pos_buckets is None else f"[{lo},{hi})")))
+    return [st for _, _, st in sorted(out, key=lambda e: e[:2])]
 
 
 def stats_to_csv(stats, path) -> None:

@@ -59,17 +59,53 @@ def _rope_table(cfg: RopeConfig, start, rows: int):
     return c, s
 
 
+@lru_cache(maxsize=1024)  # a one-row decode up to 1,024 positions
+def _rope_pair_table(cfg: RopeConfig, pos: int):
+    """Position ``pos``'s (1, head_dim) tables (C, S) for two-product RoPE:
+    (cos, cos) and (-sin, sin) of each pair's angle, from ``_rope_table``'s
+    computation (not its cache), and the column order that swaps each pair
+    (1, 0, 3, 2, ...)."""
+    c, s = _rope_table.__wrapped__(cfg, pos, 1)
+    c, s = np.repeat(c, 2, axis=-1), np.repeat(s, 2, axis=-1)
+    s[:, 0::2] *= -1.0
+    c.flags.writeable = s.flags.writeable = False
+    return c, s, _pair_swap(cfg.head_dim)
+
+
+@lru_cache(maxsize=None)
+def _pair_swap(head_dim: int) -> np.ndarray:
+    """The read-only column order 1, 0, 3, 2, ... of ``head_dim`` columns."""
+    order = np.arange(head_dim) ^ 1
+    order.flags.writeable = False
+    return order
+
+
 def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos=0) -> np.ndarray:
     """Rotary embedding on interleaved pairs (x_{2i}, x_{2i+1}) of the last
     axis, which is head_dim wide. Positions run along axis 0: row r is at
     position start_pos + r, or at start_pos[r] when start_pos is an array.
     Pairwise 2-norms are preserved. With a scalar start_pos, cos and sin come
     from a bounded cache of read-only tables keyed by (cfg, start_pos, rows),
-    each the bytes a fresh computation gives."""
+    each the bytes a fresh computation gives.
+
+    A single position (a decode step) is rotated in three array operations
+    and a gather, x * C + swapped(x) * S over ``_rope_pair_table``: negating
+    sin and adding in the other order are exact, so these are the bytes of
+    the four products below. Blocks keep the four products, which allocate
+    less: the gather's copy of a 64-position block raised a ``drift``
+    cycle's page faults by a third."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != cfg.head_dim:
         raise OddHeadDim(f"expected {cfg.head_dim} columns, got {x.shape[-1]}")
     pos = np.asarray(start_pos)
+    if pos.ndim == 0 and x.shape[0] == 1:  # one position, a decode step
+        c, s, swap = _rope_pair_table(cfg, pos.item())
+        shape = (1,) * (x.ndim - 1) + (-1,)
+        out = x * c.reshape(shape)
+        swapped = x.take(swap, axis=-1)
+        swapped *= s.reshape(shape)
+        out += swapped
+        return out
     if pos.ndim == 0:
         c, s = _rope_table(cfg, pos.item(), x.shape[0])
     else:

@@ -148,14 +148,16 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
     gram = x @ x.T
 
     grid = np.arange(0.0, 1.0 + 1e-12, grid_step)
+    # one scalar power per beta, taken once for every alpha: a broadcast
+    # power rounds differently
+    w_pow = [c_w ** (-beta) for beta in grid]
     per_chunk = max(1, AWQ_CHUNK_ELEMENTS // w.size)
     best = None
     for alpha in grid:
         x_alpha = c_x**alpha
         for lo in range(0, grid.size, per_chunk):
             betas = grid[lo:lo + per_chunk]
-            # one scalar power per beta: a broadcast power rounds differently
-            s = np.stack([x_alpha * c_w ** (-beta) for beta in betas])
+            s = np.stack([x_alpha * p for p in w_pow[lo:lo + per_chunk]])
             s = s[:, np.newaxis, :]
             w_s = fake_quant((w * s).reshape(-1, n_in), spec).reshape(-1, n_out, n_in)
             w_s /= s

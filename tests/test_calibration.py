@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestChannelStats:
         stats = capture_channel_stats(model, CalibrationSet(seqs), [site],
                                       pos_buckets=buckets)
         labels = [f"[{lo},{hi})" for lo, hi in buckets]
-        assert [s.pos_bucket for s in stats] == sorted(labels)  # sorted as strings
+        assert [s.pos_bucket for s in stats] == labels  # in position order
         by_bucket = {s.pos_bucket: s for s in stats}
         assert [by_bucket[label].tokens for label in labels] == [
             6, 2 * BLOCK - 3, 16, BLOCK - 8]
@@ -213,6 +214,26 @@ class TestChannelStats:
             st = by_bucket[label]
             rows = np.concatenate([a[lo:hi] for a in alone])
             assert np.array_equal(st.max_abs, rows.max(axis=0))
+
+    def test_buckets_come_out_in_position_order(self, tmp_path):
+        """Buckets (0, 2), (2, 128), (128, 136), (136, 256), given out of
+        order, come back and are written to CSV by start position, not in
+        the string order of their labels, which puts [2,128) last."""
+        model = init_model(replace(SMALL, max_seq_len=256), make_rng(0))
+        seqs = [[int(t) for t in make_rng(4).integers(0, SMALL.vocab_size, size=256)]]
+        buckets = [(0, 2), (2, 128), (128, 136), (136, 256)]
+        labels = [f"[{lo},{hi})" for lo, hi in buckets]
+        sites = ["layer0.k_post_rope", "layer0.attn_in"]
+        stats = capture_channel_stats(model, CalibrationSet(seqs), sites,
+                                      pos_buckets=buckets[::-1])
+        assert [(s.site, s.pos_bucket) for s in stats] == [
+            (site, label) for site in sorted(sites) for label in labels]
+        assert [s.tokens for s in stats[:4]] == [2, 126, 8, 120]
+        p = tmp_path / "stats.csv"
+        stats_to_csv(stats, p)
+        with open(p, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [r[5] for r in rows[:: SMALL.d_model]] == labels * 2
 
     def test_known_sites_cover_layers(self, small_model):
         sites = known_sites(small_model)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quantlab import cli, harness
+from quantlab import calibration, cli, harness, toymodel
 from quantlab.calibration import (
     CalibrationSet,
     capture_channel_stats,
@@ -615,6 +615,30 @@ class TestErrors:
         out = tmp_path / "out"
         rc = cli.main([command, "--model", model_file, *argv, "--out", str(out)])
         assert (rc, capsys.readouterr().err) == (1, f"error: ContextOverflow: {error}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, argv", [
+        ("length-control", ["--runs", "100000000000"]),
+        ("calib", ["--calib-len", "8", "--count", "100000000000"]),
+    ], ids=["length-control-runs", "calib-count"])
+    def test_batch_beyond_memory(self, model_file, tmp_path, capsys, monkeypatch,
+                                 command, argv):
+        """A length-control or calib batch whose K/V cache cannot fit in the
+        host's memory is a one-line ValueError, raised before the per-run
+        lists are built: no Session, rng or runtime is made."""
+        def never(*args, **kwargs):
+            raise AssertionError("the batch was started")
+
+        for module, name in ((toymodel, "Session"), (harness, "make_rng"),
+                             (harness, "prepare_runtime"), (harness, "decode"),
+                             (calibration, "decode")):
+            monkeypatch.setattr(module, name, never)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--model", model_file, *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert err.startswith("error: ValueError: a batch of 100000000000 sequences "
+                              "needs at least ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -311,6 +311,23 @@ class TestTextbook:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_step_matches_the_textbook_decoder(self, textbook_case, rows):
+        """Session.step, fed one token per row from position 0 to the end
+        of 2 * BLOCK + 6 tokens, past BLOCK and 2 * BLOCK, gives the
+        textbook decoder's logits to a relative error of 1e-12: the
+        one-token attention path against its definition. A one-row
+        session is stepped with ints."""
+        model, tokens, want = textbook_case
+        tokens, want = tokens[:rows], want[:rows]
+        sess = Session(model, rows=rows)
+        if rows == 1:
+            got = np.stack([sess.step(int(t)) for t in tokens[0]])[np.newaxis]
+        else:
+            got = np.stack([sess.step(list(col)) for col in tokens.T], axis=1)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestSerialization:
     def test_save_load_save_byte_identical(self, small_model, tmp_path):
