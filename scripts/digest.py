@@ -750,11 +750,12 @@ def definitions(package) -> dict:
 def reach(generators, package) -> int:
     """Run the digest under a call profiler and print the functions of
     ``package`` it never calls, sorted; 0 if they are exactly ``UNREACHED``."""
-    seen = set()
+    seen = {}  # by identity: code objects with the same body at the same
+    # line compare equal even when two files define them
 
     def profile(frame, event, arg):
         if event == "call":
-            seen.add(frame.f_code)
+            seen[id(frame.f_code)] = frame.f_code
 
     sys.setprofile(profile)
     try:
@@ -763,7 +764,7 @@ def reach(generators, package) -> int:
                 pass
     finally:
         sys.setprofile(None)
-    called = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in seen}
+    called = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in seen.values()}
     unreached = sorted(name for key, name in definitions(package).items()
                        if key not in called)
     for name in unreached:

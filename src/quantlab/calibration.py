@@ -88,7 +88,7 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
         raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
     if temperature != 0 and rng is None:
         raise ValueError("sampling requires an rng")
-    check_batch(m.config, count)  # before the per-sequence lists
+    check_batch(m.config, prompts, count)  # before the per-sequence lists
     runs = [list(prompts[i % len(prompts)]) for i in range(count)]
     max_new = np.array([max(seq_len - len(p), 0) for p in runs])
     first = np.cumsum(max_new) - max_new  # sequence i's first uniform

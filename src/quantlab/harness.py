@@ -202,7 +202,7 @@ def run_length_control(model: ToyModel, cfg: ExperimentConfig) -> LengthReport:
     if cfg.n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {cfg.n_runs}")
     check_prompts(cfg.prompts, model.config.vocab_size)
-    check_batch(model.config, cfg.n_runs)  # before the per-run lists
+    check_batch(model.config, cfg.prompts, cfg.n_runs)  # before the per-run lists
     lc = cfg.length_control
     runtime = prepare_runtime(model, cfg.plan, cfg.calib_sequences)
     runs = _length_controlled(

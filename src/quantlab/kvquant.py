@@ -61,23 +61,14 @@ def _rope_table(cfg: RopeConfig, start, rows: int):
 
 @lru_cache(maxsize=1024)  # a one-row decode up to 1,024 positions
 def _rope_pair_table(cfg: RopeConfig, pos: int):
-    """Position ``pos``'s (1, head_dim) tables (C, S) for two-product RoPE:
-    (cos, cos) and (-sin, sin) of each pair's angle, from ``_rope_table``'s
-    computation (not its cache), and the column order that swaps each pair
-    (1, 0, 3, 2, ...)."""
+    """Position ``pos``'s read-only tables for two-product RoPE, from
+    ``_rope_table``'s computation (not its cache): C, the cos of each pair's
+    angle on both its columns, (head_dim,), and S, (-sin, sin) per pair,
+    (head_dim / 2, 2)."""
     c, s = _rope_table.__wrapped__(cfg, pos, 1)
-    c, s = np.repeat(c, 2, axis=-1), np.repeat(s, 2, axis=-1)
-    s[:, 0::2] *= -1.0
+    c, s = np.repeat(c[0], 2), np.stack((-s[0], s[0]), axis=-1)
     c.flags.writeable = s.flags.writeable = False
-    return c, s, _pair_swap(cfg.head_dim)
-
-
-@lru_cache(maxsize=None)
-def _pair_swap(head_dim: int) -> np.ndarray:
-    """The read-only column order 1, 0, 3, 2, ... of ``head_dim`` columns."""
-    order = np.arange(head_dim) ^ 1
-    order.flags.writeable = False
-    return order
+    return c, s
 
 
 def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos=0) -> np.ndarray:
@@ -88,23 +79,20 @@ def rope_apply(x: np.ndarray, cfg: RopeConfig, start_pos=0) -> np.ndarray:
     from a bounded cache of read-only tables keyed by (cfg, start_pos, rows),
     each the bytes a fresh computation gives.
 
-    A single position (a decode step) is rotated in three array operations
-    and a gather, x * C + swapped(x) * S over ``_rope_pair_table``: negating
-    sin and adding in the other order are exact, so these are the bytes of
-    the four products below. Blocks keep the four products, which allocate
-    less: the gather's copy of a 64-position block raised a ``drift``
-    cycle's page faults by a third."""
+    A single position (a decode step) is rotated in two products and a sum,
+    x * C + reversed_pairs(x) * S over ``_rope_pair_table``: negating sin
+    and adding in the other order are exact, so these are the bytes of the
+    four products below. Blocks keep the four products, which allocate
+    less: a swapped copy of a 64-position block raised a ``drift`` cycle's
+    page faults by a third."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != cfg.head_dim:
         raise OddHeadDim(f"expected {cfg.head_dim} columns, got {x.shape[-1]}")
     pos = np.asarray(start_pos)
     if pos.ndim == 0 and x.shape[0] == 1:  # one position, a decode step
-        c, s, swap = _rope_pair_table(cfg, pos.item())
-        shape = (1,) * (x.ndim - 1) + (-1,)
-        out = x * c.reshape(shape)
-        swapped = x.take(swap, axis=-1)
-        swapped *= s.reshape(shape)
-        out += swapped
+        c, s = _rope_pair_table(cfg, pos.item())
+        out = x * c
+        out += (x.reshape(x.shape[:-1] + (-1, 2))[..., ::-1] * s).reshape(x.shape)
         return out
     if pos.ndim == 0:
         c, s = _rope_table(cfg, pos.item(), x.shape[0])

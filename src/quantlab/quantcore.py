@@ -51,7 +51,6 @@ from .numerics import check_finite
 
 PASSTHROUGH_BITS = 16
 SMALL_GRID = 8  # cells; a grid this small is fitted on Python floats
-_FIRST = np.zeros(1, dtype=np.intp)  # reduceat's lone start on a one-group grid
 
 PER_TENSOR = "per_tensor"
 PER_CHANNEL = "per_channel"
@@ -197,7 +196,7 @@ def _group_minmax(x: np.ndarray, spec: QuantSpec):
     # reduceat even for one group, whose lone start needs no arange: along
     # axis 1 of a (512, 64) tensor it takes half the time reduce takes
     extent = x.shape[g_axis]
-    starts = _FIRST if size >= extent else np.arange(0, extent, size)
+    starts = (0,) if size >= extent else np.arange(0, extent, size)
     return (np.minimum.reduceat(x, starts, axis=g_axis),
             np.maximum.reduceat(x, starts, axis=g_axis))
 
@@ -335,14 +334,6 @@ def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
     return QuantParams(scales, zp, spec, x.shape)
 
 
-def _spans(shape, spec: QuantSpec) -> bool:
-    """Whether the group grid of a 2-D ``shape`` broadcasts against it as it
-    is: one group per tensor, or groups spanning the grouped axis (per
-    token, per channel, a row of one group)."""
-    g_axis, size = _grouping(shape, spec)
-    return g_axis is None or size >= shape[g_axis]
-
-
 def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
                 z: Optional[np.ndarray], spec: QuantSpec):
     """Pair views of ``x`` and ``out`` with views of the scales ``s`` and
@@ -352,9 +343,9 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
     (groups, 1, cols) along axis 0, ``size`` being the group size from
     ``_grouping``. A ragged last group is a pair of its own; a single group
     per row or column broadcasts as it is."""
-    if _spans(x.shape, spec):
-        return [(x, out, s, z)]
     g_axis, size = _grouping(x.shape, spec)
+    if g_axis is None or size >= x.shape[g_axis]:
+        return [(x, out, s, z)]
 
     def along(*idx):  # index tuple starting at the grouped axis
         return (slice(None), *idx) if g_axis == 1 else idx
@@ -377,11 +368,8 @@ def _grid_views(x: np.ndarray, out: np.ndarray, s: np.ndarray,
 def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
     """Project x onto the fitted grid; codes are kept widened (int32).
 
-    Rounds and adds the zero point in one float64 buffer, with the
-    per-group params broadcast through reshaped views (``_grid_views``),
-    then clips it. When the grid broadcasts as it is (``_spans``: a token's
-    row, a channel, the tensor), the rounding allocates the buffer and no
-    views are made."""
+    Rounds, adds the zero point and clips in one float64 buffer, with the
+    per-group params broadcast through reshaped views (``_grid_views``)."""
     x = np.asarray(x, dtype=np.float64)
     spec = params.spec
     if spec.passthrough:
@@ -393,37 +381,26 @@ def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
         lo = -hi
     else:
         lo, hi = 0.0, float(2**spec.bits - 1)
-    s, z = params.scales, params.zero_points
-    if _spans(x.shape, spec):
-        q = _round_half_away(x, s)
-        rounded = [(q, z)]
-    else:
-        q = np.empty(x.shape)
-        rounded = [(_round_half_away(xv, sv, out=qv), zv)
-                   for xv, qv, sv, zv in _grid_views(x, q, s, z, spec)]
-    for qv, zv in rounded:
-        if zv is not None:
-            qv += zv
-    np.minimum(np.maximum(q, lo, out=q), hi, out=q)
+    q = np.empty(x.shape)
+    for xv, qv, s, z in _grid_views(x, q, params.scales, params.zero_points, spec):
+        _round_half_away(xv, s, out=qv)
+        if z is not None:
+            qv += z
+        np.minimum(np.maximum(qv, lo, out=qv), hi, out=qv)
     return QuantizedTensor(q.astype(np.int32), params)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """s * codes (symmetric) or s * (codes - z), per group. Codes minus
-    zero points are taken in int32, as an int32 subtraction into a float
-    buffer takes them, so a grid that broadcasts as it is needs neither the
-    buffer nor views."""
-    codes, params = q.codes, q.params
-    s, z = params.scales, params.zero_points
-    if _spans(codes.shape, params.spec):
-        return np.multiply(codes if z is None else codes - z, s)
-    out = np.empty(codes.shape)
-    for c, o, sv, zv in _grid_views(codes, out, s, z, params.spec):
-        if zv is None:
+    """s * codes (symmetric) or s * (codes - z), per group."""
+    out = np.empty(q.codes.shape)
+    params = q.params
+    for c, o, s, z in _grid_views(q.codes, out, params.scales,
+                                  params.zero_points, params.spec):
+        if z is None:
             o[...] = c
         else:
-            np.subtract(c, zv, out=o)
-        o *= sv
+            np.subtract(c, z, out=o)
+        o *= s
     return out
 
 

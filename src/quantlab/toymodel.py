@@ -757,16 +757,24 @@ def check_prompts(prompts, vocab_size: int) -> None:
             raise TokenOutOfRange(f"token {bad[0]} outside vocab {vocab_size}")
 
 
-def check_batch(cfg: ToyConfig, rows: int) -> None:
-    """ValueError when a ``decode`` batch of ``rows`` sequences sharing one
-    prompt length cannot fit in the host's memory, checked before anything
-    is allocated for it: its session holds float64 K and V for at least
-    ``min(BLOCK, max_seq_len)`` positions of every row (``_recache``)."""
+def check_batch(cfg: ToyConfig, prompts, runs: int) -> None:
+    """ValueError when ``runs`` sequences, run i continuing
+    ``prompts[i % len(prompts)]``, make a ``decode`` group that cannot fit
+    in the host's physical memory, checked before anything is allocated for
+    them. Runs of one prompt length form one group, whose session holds
+    float64 K and V for at least ``min(BLOCK, max_seq_len)`` positions of
+    every row (``_recache``); groups run one after another, so the largest
+    counts. A lower limit set by ``ulimit`` or a cgroup is not seen."""
+    group = {}
+    for j, p in enumerate(prompts):
+        group[len(p)] = group.get(len(p), 0) + len(range(j, runs, len(prompts)))
+    rows = max(group.values())
     need = 16 * cfg.n_layers * rows * cfg.d_model * min(BLOCK, cfg.max_seq_len)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(f"a batch of {rows} sequences needs at least {need / 2**30:.3g} "
-                         f"GiB of K/V cache; the host has {have / 2**30:.3g} GiB")
+        raise ValueError(f"a decode group of {rows} sequences needs at least "
+                         f"{need / 2**30:.3g} GiB of K/V cache; the host has "
+                         f"{have / 2**30:.3g} GiB")
 
 
 def decode(m: ToyModel, prompts, choose, done, runtime=None) -> list:

@@ -637,8 +637,8 @@ class TestErrors:
         rc = cli.main([command, "--model", model_file, *argv, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1
-        assert err.startswith("error: ValueError: a batch of 100000000000 sequences "
-                              "needs at least ")
+        assert err.startswith("error: ValueError: a decode group of 100000000000 "
+                              "sequences needs at least ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

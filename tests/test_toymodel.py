@@ -21,6 +21,7 @@ from quantlab.toymodel import (
     THINK_END_ID,
     Session,
     ToyConfig,
+    check_batch,
     decode,
     forward_reference,
     generate,
@@ -537,6 +538,20 @@ class TestSampling:
         [out] = decode(small_model, [[BOS_ID] * 30],
                        lambda rows, lg: seen.append(lg) or [5], lambda r, seq: False)
         assert out[30:] == [5, 5] and len(seen) == 2
+
+    def test_check_batch_sizes_the_largest_length_group(self, monkeypatch):
+        # decode runs one group per prompt length, one after another, so the
+        # bound is on the largest group's K/V cache: room for 10 rows here
+        cfg = ToyConfig()
+        row = 16 * cfg.n_layers * cfg.d_model * min(BLOCK, cfg.max_seq_len)
+        pages = {"SC_PAGE_SIZE": row, "SC_PHYS_PAGES": 10}
+        monkeypatch.setattr(toymodel.os, "sysconf", pages.__getitem__)
+        check_batch(cfg, [[BOS_ID, 4], [BOS_ID]], 20)  # groups of 10 and 10
+        check_batch(cfg, [[BOS_ID, 4], [BOS_ID], [BOS_ID, 5]], 15)  # 10 and 5
+        with pytest.raises(ValueError, match="a decode group of 11 sequences"):
+            check_batch(cfg, [[BOS_ID, 4], [BOS_ID]], 21)  # 11 and 10
+        with pytest.raises(ValueError, match="a decode group of 11 sequences"):
+            check_batch(cfg, [[BOS_ID, 4], [BOS_ID, 5]], 11)
 
     @pytest.mark.parametrize("prompt_len, max_new, steps", [
         (1, 3, 2), (1, 1, 0), (1, 0, 0), (5, 12, 11),
