@@ -13,9 +13,9 @@ count on stderr and exits 1 if any line differs, 0 if none does.
 With ``--reach``, the script runs the digest of one tree under a call
 profiler (``sys.setprofile``, only in this mode) and prints, in place of the
 lines, the functions of ``src/quantlab`` it never calls. It exits 0 if they
-are exactly ``UNREACHED``: the test oracles and codec API the acceptance
-tests import, with their helpers, and code that only error paths reach. Any
-other function the digest misses needs a line here.
+are exactly ``UNREACHED``, code that only error paths reach. Any other
+function the digest misses needs a line here; code that only tests call
+belongs in ``tests/``.
 
 The library is imported from ``<tree>/src``; the plans and inputs are those
 of the benchmark workloads in ``perfbench/workloads.py`` beside this script,
@@ -119,12 +119,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # what --reach expects the digest never to call
 UNREACHED = (
-    # the test oracles and the codec API the acceptance tests import, with
-    # their helpers
-    "weightquant.brute_force_optimal", "weightquant.dequant_loss",
-    "quantcore.QuantParams.expand",
-    "quantcore._expand_grid", "mxfp4.mxfp4_encode", "mxfp4.mxfp4_decode",
-    "mxfp4.Mxfp4Block.__eq__", "mxfp4.block_to_bytes", "mxfp4.block_from_bytes",
     # code that only error paths reach
     "cli._Parser.error", "errors.NotPositiveDefinite.__init__",
     "errors.TruncatedFile.__init__",

@@ -27,10 +27,6 @@ class MalformedBlock(QuantLabError):
     pass
 
 
-class TooLargeToEnumerate(QuantLabError):
-    pass
-
-
 class NonPositiveScale(QuantLabError):
     pass
 

@@ -51,7 +51,7 @@ class RopeConfig:
         return np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
 
 
-@lru_cache(maxsize=1024, typed=True)  # a one-row decode up to 1,024 positions
+@lru_cache(maxsize=1024, typed=True)  # a block's tables, by start position and length
 def _rope_table(cfg: RopeConfig, start, rows: int):
     th = cfg.angles(np.asarray(start) + np.arange(rows))
     c, s = np.cos(th), np.sin(th)

@@ -1,18 +1,18 @@
 """Bit-exact MXFP4 codec: E2M1 elements, one shared power-of-two scale
 per 32-element block.
 
-Nibble layout: bit 3 = sign, bits 0..2 = magnitude index into the E2M1
-value table {0, 0.5, 1, 1.5, 2, 3, 4, 6}. The block scale is an E8M0-style
-biased exponent (bias 127). A serialized block is 17 bytes: 1 scale byte
-followed by 16 code bytes, two codes per byte, low nibble first.
-Negative zero is canonicalized to +0 on encode. A matrix is blocked row by
-row (``_blocks``), each row zero-padded to whole blocks: ``mxfp4_fake_quant``
-and the MXT4 container share that one layout. The runtime quantizes weights
-and inputs through ``MXFP4.apply``.
+Nibble layout: bit 3 = sign, bits 0..2 = magnitude index into the E2M1 value
+table {0, 0.5, 1, 1.5, 2, 3, 4, 6}. The block scale is an E8M0-style biased
+exponent (bias 127). ``encode_array`` and ``decode_array`` map (n, 32)
+blocks to scale exponents and codes and back; ``_pack`` and ``_unpack``
+serialize a block as 17 bytes, 1 scale byte then 16 code bytes, two codes
+per byte, low nibble first. Negative zero is canonicalized to +0 on encode.
+A matrix is blocked row by row (``_blocks``), each row zero-padded to whole
+blocks: ``mxfp4_fake_quant`` and the MXT4 container share that one layout.
+The runtime quantizes weights and inputs through ``MXFP4.apply``.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +27,6 @@ E2M1_VALUES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
 # the magnitude index of each E2M1 value v, looked up at 2v
 _INDEX_OF_TWICE = np.zeros(13, dtype=np.uint8)
 _INDEX_OF_TWICE[(2 * E2M1_VALUES).astype(np.int64)] = np.arange(8)
-
-
-@dataclass
-class Mxfp4Block:
-    scale_exp: int  # biased exponent, 0..254
-    codes: np.ndarray  # 32 uint8 nibbles
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mxfp4Block)
-            and self.scale_exp == other.scale_exp
-            and np.array_equal(self.codes, other.codes)
-        )
 
 
 def _e2m1(m: np.ndarray) -> np.ndarray:
@@ -83,6 +70,8 @@ def encode_array(x: np.ndarray):
     magnitudes above 6 saturate.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != BLOCK_SIZE:
+        raise MalformedBlock(f"blocks must be {BLOCK_SIZE} wide, got shape {x.shape}")
     exps, mag = _scaled(x)
     idx = _INDEX_OF_TWICE[(2.0 * _e2m1(mag)).astype(np.int64)]
     sign = ((x < 0) & (idx > 0)).astype(np.uint8)  # -0 canonicalized to +0
@@ -97,21 +86,6 @@ def decode_array(exps: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return vals * np.exp2((exps - SCALE_BIAS).astype(np.float64))[:, None]
 
 
-def mxfp4_encode(x) -> Mxfp4Block:
-    """Encode exactly 32 reals into one block."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (BLOCK_SIZE,):
-        raise MalformedBlock(f"expected {BLOCK_SIZE} elements, got {x.shape}")
-    exps, codes = encode_array(x[None, :])
-    return Mxfp4Block(int(exps[0]), codes[0])
-
-
-def mxfp4_decode(b: Mxfp4Block) -> np.ndarray:
-    if b.codes.shape != (BLOCK_SIZE,):
-        raise MalformedBlock("block must hold 32 codes")
-    return decode_array(np.array([b.scale_exp]), b.codes[None, :])[0]
-
-
 def _pack(exps: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Serialize blocks: (n,) scale exponents and (n, 32) codes -> (n, 17)
     bytes, the scale byte then two codes per byte, low nibble first."""
@@ -123,23 +97,14 @@ def _pack(exps: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def _unpack(rows: np.ndarray):
     """Inverse of ``_pack``: (n, 17) bytes -> (scale_exps, codes)."""
+    if rows.ndim != 2 or rows.shape[1] != BLOCK_BYTES:
+        raise MalformedBlock(f"blocks must be {BLOCK_BYTES} bytes, got shape {rows.shape}")
     if np.any(rows[:, 0] > MAX_SCALE_EXP):
         raise MalformedBlock(f"block scale above {MAX_SCALE_EXP}")
     codes = np.empty((len(rows), BLOCK_SIZE), dtype=np.uint8)
     codes[:, 0::2] = rows[:, 1:] & 0xF
     codes[:, 1::2] = rows[:, 1:] >> 4
     return rows[:, 0].astype(np.int64), codes
-
-
-def block_to_bytes(b: Mxfp4Block) -> bytes:
-    return _pack(np.array([b.scale_exp]), b.codes[None, :])[0].tobytes()
-
-
-def block_from_bytes(raw: bytes) -> Mxfp4Block:
-    if len(raw) != BLOCK_BYTES:
-        raise MalformedBlock(f"block must be {BLOCK_BYTES} bytes, got {len(raw)}")
-    exps, codes = _unpack(np.frombuffer(raw, dtype=np.uint8)[None, :])
-    return Mxfp4Block(int(exps[0]), codes[0])
 
 
 # --- tensor container ---------------------------------------------------------

@@ -6,8 +6,8 @@ reshaped views of the tensor (``_grid_views``) instead of expanding them to
 elementwise arrays, and ``quantize`` rounds, shifts and clips in one float64
 buffer before narrowing to int32 codes. ``fake_quant`` is
 ``dequantize(quantize(x, fit_params(x, spec)))``, the path every quantized
-forward and every calibration search runs; its elementwise oracle in the
-tests is the same arithmetic on ``QuantParams.expand()``.
+forward and every calibration search runs; the tests check it against the
+same arithmetic on the params expanded to elementwise arrays.
 
 An asymmetric fit (``fit_asymmetric``) has two evaluations of the same
 arithmetic. ``_fit_arrays`` fits every cell of the group grid at once in
@@ -136,13 +136,6 @@ class QuantParams:
     spec: QuantSpec
     shape: tuple
 
-    def expand(self):
-        """Return elementwise (scales, zero_points) broadcast to ``shape``."""
-        s = _expand_grid(self.scales, self.shape, self.spec)
-        if self.zero_points is None:
-            return s, None
-        return s, _expand_grid(self.zero_points, self.shape, self.spec)
-
 
 @dataclass
 class QuantizedTensor:
@@ -175,14 +168,6 @@ def grid_shape(shape, spec: QuantSpec) -> tuple:
         return (1, 1)
     n_groups = max(-(-shape[g_axis] // size), 1)  # a zero extent: one group
     return (shape[0], n_groups) if g_axis == 1 else (n_groups, shape[1])
-
-
-def _expand_grid(grid: np.ndarray, shape, spec: QuantSpec) -> np.ndarray:
-    if spec.granularity == PER_TENSOR:
-        return np.broadcast_to(grid, shape)
-    g_axis, size = _grouping(shape, spec)
-    full = np.repeat(grid, size, axis=g_axis)  # the last group may be ragged
-    return full[:, :shape[1]] if g_axis == 1 else full[:shape[0]]
 
 
 def _group_minmax(x: np.ndarray, spec: QuantSpec):

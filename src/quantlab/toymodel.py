@@ -48,6 +48,7 @@ Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 import json
 import math
 import os
+import resource
 import struct
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -77,6 +78,7 @@ _ALIGN = 64
 BLOCK = 64  # positions per Session.forward block; see the module docstring
 _LATER = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)  # [t, s]: key s after query t
 HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
+RMS_EPS = 1e-6  # added to rmsnorm's mean square
 
 
 @dataclass(frozen=True)
@@ -379,15 +381,15 @@ def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
 # --- forward pass -------------------------------------------------------------
 
 
-def rmsnorm(x: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """x / sqrt(mean(x^2) + eps) * g along the last axis. The mean is what
+def rmsnorm(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x / sqrt(mean(x^2) + RMS_EPS) * g along the last axis. The mean is what
     np.mean computes, without its Python wrapper; a single row takes its
     root on a Python float, the same IEEE operations in three fewer numpy
     calls."""
     ss = np.add.reduce(x * x, axis=-1, keepdims=True)
     if ss.size == 1:
-        return x / math.sqrt(ss.item() / x.shape[-1] + eps) * g
-    return x / np.sqrt(ss / x.shape[-1] + eps) * g
+        return x / math.sqrt(ss.item() / x.shape[-1] + RMS_EPS) * g
+    return x / np.sqrt(ss / x.shape[-1] + RMS_EPS) * g
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -760,21 +762,31 @@ def check_prompts(prompts, vocab_size: int) -> None:
 def check_batch(cfg: ToyConfig, prompts, runs: int) -> None:
     """ValueError when ``runs`` sequences, run i continuing
     ``prompts[i % len(prompts)]``, make a ``decode`` group that cannot fit
-    in the host's physical memory, checked before anything is allocated for
-    them. Runs of one prompt length form one group, whose session holds
-    float64 K and V for at least ``min(BLOCK, max_seq_len)`` positions of
-    every row (``_recache``); groups run one after another, so the largest
-    counts. A lower limit set by ``ulimit`` or a cgroup is not seen."""
+    in the memory the process may take, checked before anything is
+    allocated for them: the host's physical memory or, when lower, the soft
+    address-space limit (``ulimit -v``) less the virtual size the process
+    already maps. Runs of one prompt length form one group, whose session
+    holds float64 K and V for at least ``min(BLOCK, max_seq_len)`` positions
+    of every row (``_recache``); groups run one after another, so the
+    largest counts. A cgroup's memory limit is not seen."""
     group = {}
     for j, p in enumerate(prompts):
         group[len(p)] = group.get(len(p), 0) + len(range(j, runs, len(prompts)))
     rows = max(group.values())
     need = 16 * cfg.n_layers * rows * cfg.d_model * min(BLOCK, cfg.max_seq_len)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    page = os.sysconf("SC_PAGE_SIZE")
+    have = page * os.sysconf("SC_PHYS_PAGES")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        mapped = 0
+        if os.path.exists("/proc/self/statm"):
+            with open("/proc/self/statm") as f:
+                mapped = int(f.read().split()[0]) * page
+        have = min(have, limit - mapped)
     if need > have:
         raise ValueError(f"a decode group of {rows} sequences needs at least "
-                         f"{need / 2**30:.3g} GiB of K/V cache; the host has "
-                         f"{have / 2**30:.3g} GiB")
+                         f"{need / 2**30:.3g} GiB of K/V cache; at most "
+                         f"{max(have, 0) / 2**30:.3g} GiB is available")
 
 
 def decode(m: ToyModel, prompts, choose, done, runtime=None) -> list:

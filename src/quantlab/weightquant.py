@@ -1,17 +1,16 @@
-"""Weight-only quantization: RTN baseline, GPTQ error compensation, AWQ
-scale search with exact folding, and a brute-force oracle for tiny layers.
+"""Weight-only quantization: RTN baseline, GPTQ error compensation, and
+AWQ scale search with exact folding.
 
 Weight convention throughout: ``w`` is (out_features, in_features) and the
 layer computes ``x @ w.T``; calibration activations ``calib_x`` are
 (in_features, n_tokens), one column per token.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveScale, NotPositiveDefinite, TooLargeToEnumerate
+from .errors import NonPositiveScale, NotPositiveDefinite
 from .numerics import cholesky, invert_spd
 from .quantcore import (
     PER_GROUP,
@@ -28,7 +27,6 @@ from .quantcore import (
 GPTQ_DAMPING = 0.01  # the GPTQ damping as a fraction of the mean Hessian diagonal
 MAX_DAMPING_RETRIES = 8  # doublings of the GPTQ damping before giving up
 AWQ_CHUNK_ELEMENTS = 1 << 15  # weight elements per stacked AWQ fake_quant call
-BRUTE_FORCE_MAX_ASSIGNMENTS = 1 << 20  # brute_force_optimal's enumeration guard
 
 
 def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
@@ -132,7 +130,7 @@ def awq_search(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec,
     candidate's codes are those of quantizing it alone. Candidates are scored
     by the Gram form sum((dW @ X X^T) * dW) of the calibration-output error,
     the first minimum in grid order wins, and the reported ``proxy_loss`` is
-    the winner's ``proxy_loss``, the form GPTQ's ``dequant_loss`` reports.
+    the winner's ``proxy_loss``, the form a runtime reports for GPTQ.
 
     The (0, 0) grid point gives s = 1, so the result never loses to RTN.
     """
@@ -190,46 +188,3 @@ class InputScale:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x * self.inv[np.newaxis, :]
-
-
-def brute_force_optimal(w: np.ndarray, calib_x: np.ndarray, spec: QuantSpec):
-    """Exhaustive proxy-loss minimization over floor/ceil code choices.
-
-    The candidate set per element is restricted to the two grid points
-    bracketing the value; the true optimum of ||(w_hat - w) X||_F^2 lies on
-    these neighbors in practice, and the full grid is infeasible.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    n = w.size
-    if 2**n > BRUTE_FORCE_MAX_ASSIGNMENTS:
-        raise TooLargeToEnumerate(f"2^{n} assignments exceed the enumeration guard")
-
-    params = fit_params(w, spec)
-    s, z = params.expand()
-    if spec.symmetric:
-        lo_code = -(2 ** (spec.bits - 1) - 1)
-        hi_code = 2 ** (spec.bits - 1) - 1
-        t = w / s
-    else:
-        lo_code = 0
-        hi_code = 2**spec.bits - 1
-        t = w / s + z
-    floor_c = np.clip(np.floor(t), lo_code, hi_code)
-    ceil_c = np.clip(np.ceil(t), lo_code, hi_code)
-
-    best_loss = np.inf
-    best_codes = None
-    for mask in itertools.product((0, 1), repeat=n):
-        pick = np.array(mask).reshape(w.shape)
-        codes = np.where(pick == 0, floor_c, ceil_c)
-        w_hat = s * (codes - z) if not spec.symmetric else s * codes
-        loss = proxy_loss(w, w_hat, calib_x)
-        if loss < best_loss:
-            best_loss = loss
-            best_codes = codes
-    qt = QuantizedTensor(best_codes.astype(np.int32), params)
-    return qt, float(best_loss)
-
-
-def dequant_loss(qt: QuantizedTensor, w: np.ndarray, calib_x: np.ndarray) -> float:
-    return proxy_loss(np.asarray(w, dtype=np.float64), dequantize(qt), calib_x)

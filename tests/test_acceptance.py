@@ -21,13 +21,10 @@ from quantlab.kvquant import (
 from quantlab.mxfp4 import (
     BLOCK_SIZE,
     E2M1_VALUES,
-    Mxfp4Block,
-    block_from_bytes,
-    block_to_bytes,
+    _pack,
+    _unpack,
     decode_array,
     encode_array,
-    mxfp4_decode,
-    mxfp4_encode,
 )
 from quantlab.numerics import hadamard
 from quantlab.quantcore import (
@@ -56,13 +53,13 @@ from quantlab.weightquant import (
     GptqConfig,
     awq_fold,
     awq_search,
-    brute_force_optimal,
     default_weight_spec,
-    dequant_loss,
     gptq_quantize,
     rtn_quantize_weights,
 )
 from quantlab.checkpoint import load_checkpoint, save_checkpoint
+
+from oracles import brute_force_optimal, dequant_loss, expand
 
 
 @contextmanager
@@ -81,7 +78,7 @@ def criterion(name: str, budget_s: float):
 def _check_round_trip(x, spec):
     """Error bound s/2 + 1e-6 on every element and exact idempotence."""
     once = fake_quant(x, spec)
-    s, _ = fit_params(x, spec).expand()
+    s, _ = expand(fit_params(x, spec))
     assert np.all(np.abs(once - x) <= s / 2 + 1e-6)
     assert np.array_equal(fake_quant(once, spec), once)
 
@@ -177,16 +174,16 @@ def test_criterion_4_awq_dominance():
 
 def test_criterion_5_mxfp4_codec():
     with criterion("5 MXFP4 codec (table, optimality, bijection)", 10):
-        # exhaustive code-table round-trip over every scale exponent
+        # exhaustive code-table round-trip over every scale exponent, through
+        # the array codec the MXT4 container runs
         all_codes = np.arange(16, dtype=np.uint8)
         canonical = np.where(all_codes == 8, 0, all_codes)  # -0 -> +0
+        block = np.concatenate([all_codes, np.zeros(16, dtype=np.uint8)])
         for exp in range(255):
-            block = Mxfp4Block(exp, np.concatenate(
-                [all_codes, np.zeros(16, dtype=np.uint8)]))
-            vals = mxfp4_decode(block)
-            back = mxfp4_encode(vals)
-            assert back.scale_exp == exp
-            assert np.array_equal(back.codes[:16], canonical)
+            vals = decode_array(np.array([exp]), block[None, :])
+            back_exps, back_codes = encode_array(vals)
+            assert back_exps[0] == exp
+            assert np.array_equal(back_codes[0, :16], canonical)
         # nearest-value optimality on 1e5 random blocks
         rng = make_rng(2)
         n = 10**5
@@ -198,14 +195,18 @@ def test_criterion_5_mxfp4_codec():
         grid = np.concatenate([E2M1_VALUES, -E2M1_VALUES[1:]])
         best = np.min(np.abs(x[:, :, None] - scale[:, :, None] * grid), axis=2)
         assert np.all(got_err <= best + 1e-12)
-        # bijective 17-byte serialization both directions
-        for i in range(200):
-            b = Mxfp4Block(int(rng.integers(0, 255)),
-                           rng.integers(0, 16, BLOCK_SIZE).astype(np.uint8))
-            raw = block_to_bytes(b)
-            assert len(raw) == 17
-            assert block_from_bytes(raw) == b
-            assert block_to_bytes(block_from_bytes(raw)) == raw
+        # bijective 17-byte serialization both directions, on 200 random
+        # blocks and 200 random byte rows
+        exps = rng.integers(0, 255, 200)
+        codes = rng.integers(0, 16, (200, BLOCK_SIZE)).astype(np.uint8)
+        raw = _pack(exps, codes)
+        assert raw.shape == (200, 17)
+        back_exps, back_codes = _unpack(raw)
+        assert np.array_equal(back_exps, exps)
+        assert np.array_equal(back_codes, codes)
+        raw = rng.integers(0, 256, (200, 17)).astype(np.uint8)
+        raw[:, 0] = rng.integers(0, 255, 200)
+        assert np.array_equal(_pack(*_unpack(raw)), raw)
 
 
 def test_criterion_6_pre_bias_k_quant():

@@ -25,6 +25,8 @@ from quantlab.quantcore import QuantSpec, dequantize, fit_params, quantize
 from quantlab.rng import make_rng
 from quantlab.weightquant import default_weight_spec
 
+from oracles import expand
+
 
 def kv_cfg(bits=4, k_stage=PRE_ROPE, k_bias_mode=PRE_BIAS):
     return KvQuantStarConfig(k_spec=default_kv_k_channel_spec(bits),
@@ -249,7 +251,7 @@ class TestVQuant:
     def test_per_token_group_bound(self):
         v = make_rng(8).standard_normal((4, 256))
         qt = quantize(v, fit_params(v, default_weight_spec(4)))
-        s, _ = qt.params.expand()
+        s, _ = expand(qt.params)
         assert np.all(np.abs(dequantize(qt) - v) <= s / 2 + 1e-6)
 
     def test_rows_quantized_independently(self):

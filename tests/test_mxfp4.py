@@ -10,22 +10,30 @@ from quantlab.mxfp4 import (
     BLOCK_BYTES,
     BLOCK_SIZE,
     E2M1_VALUES,
-    Mxfp4Block,
     _blocks,
-    block_from_bytes,
-    block_to_bytes,
+    _pack,
+    _unpack,
     decode_array,
     decode_tensor,
     encode_array,
     encode_tensor,
-    mxfp4_decode,
-    mxfp4_encode,
     mxfp4_fake_quant,
 )
 from quantlab.rng import make_rng
 
 
 MIDPOINTS = (E2M1_VALUES[:-1] + E2M1_VALUES[1:]) / 2.0  # 0.25, 0.75, ..., 5
+
+
+def encode_one(x):
+    """One block of 32 values -> (scale_exp, codes) by ``encode_array``."""
+    exps, codes = encode_array(np.asarray(x)[None, :])
+    return int(exps[0]), codes[0]
+
+
+def round_trip_one(x):
+    """One block of 32 values through ``encode_array`` and ``decode_array``."""
+    return decode_array(*encode_array(np.asarray(x)[None, :]))[0]
 
 
 def codec_round_trip(x):
@@ -64,27 +72,27 @@ def nearest_codebook_error(x, scale_exps):
 
 class TestEncode:
     def test_all_zero_block(self):
-        b = mxfp4_encode(np.zeros(32))
-        assert b.scale_exp == 127
-        assert np.all(b.codes == 0)
+        exp, codes = encode_one(np.zeros(32))
+        assert exp == 127
+        assert np.all(codes == 0)
 
     def test_representable_values_exact(self):
         x = np.zeros(32)
         x[:8] = E2M1_VALUES
         x[8:16] = -E2M1_VALUES
-        assert np.array_equal(mxfp4_decode(mxfp4_encode(x)), np.where(x == -0.0, 0.0, x))
+        assert np.array_equal(round_trip_one(x), np.where(x == -0.0, 0.0, x))
 
     def test_ties_round_away_from_zero(self):
         x = np.zeros(32)
         x[0], x[1], x[2] = 6.0, 2.5, -0.25  # scale 2^0; midpoints 2.5 and 0.25
-        y = mxfp4_decode(mxfp4_encode(x))
+        y = round_trip_one(x)
         assert y[1] == 3.0 and y[2] == -0.5
 
     def test_saturation_above_six(self):
         x = np.zeros(32)
         x[0] = 6.0
         x[1] = 6.3  # same scale block, beyond the largest magnitude
-        y = mxfp4_decode(mxfp4_encode(x))
+        y = round_trip_one(x)
         assert y[1] == 6.0
 
     @pytest.mark.parametrize("k", range(-6, 12))
@@ -96,25 +104,26 @@ class TestEncode:
             for sign in (1.0, -1.0):
                 x = np.zeros(32)
                 x[0] = sign * amax
-                b = mxfp4_encode(x)
-                assert b.scale_exp == floor_log2 - 2 + 127
+                assert encode_one(x)[0] == floor_log2 - 2 + 127
                 scale = 2.0 ** (floor_log2 - 2)
-                assert mxfp4_decode(b)[0] == sign * (6.0 * scale if floor_log2 < k
-                                                     else 4.0 * scale)
+                assert round_trip_one(x)[0] == sign * (6.0 * scale if floor_log2 < k
+                                                       else 4.0 * scale)
 
     def test_negative_zero_canonicalized(self):
         x = np.zeros(32)
         x[0] = -0.0
-        b = mxfp4_encode(x)
-        assert b.codes[0] == 0  # sign bit cleared
+        assert encode_one(x)[1][0] == 0  # sign bit cleared
 
     def test_nonfinite_rejected(self):
         x = np.zeros(32)
         x[0] = np.inf
         with pytest.raises(NonFiniteInput):
-            mxfp4_encode(x)
-        with pytest.raises(MalformedBlock):
-            mxfp4_encode(np.zeros(31))
+            encode_one(x)
+
+    @pytest.mark.parametrize("shape", [(1, 31), (2, 33), (32,), (0, 16)])
+    def test_block_width_other_than_32_rejected(self, shape):
+        with pytest.raises(MalformedBlock, match="32 wide"):
+            encode_array(np.zeros(shape))
 
     def test_nearest_value_optimality_random(self):
         rng = make_rng(0)
@@ -211,8 +220,8 @@ class TestFakeQuantIsTheCodec:
 class TestDecode:
     def test_table_lookup(self):
         # magnitude index 1 = 0.5, scale 2^(130-127) = 8 -> 4.0
-        b = Mxfp4Block(130, np.concatenate([[1], np.zeros(31)]).astype(np.uint8))
-        assert mxfp4_decode(b)[0] == 4.0
+        codes = np.concatenate([[1], np.zeros(31)]).astype(np.uint8)
+        assert decode_array(np.array([130]), codes[None, :])[0, 0] == 4.0
 
     def test_exhaustive_value_table(self):
         for exp in (125, 127, 130):
@@ -235,13 +244,13 @@ class TestDecode:
 class TestSerialization:
     def test_block_is_17_bytes_and_bijective(self):
         rng = make_rng(1)
-        for _ in range(20):
-            b = Mxfp4Block(int(rng.integers(0, 255)),
-                           rng.integers(0, 16, size=32).astype(np.uint8))
-            raw = block_to_bytes(b)
-            assert len(raw) == BLOCK_BYTES
-            assert block_from_bytes(raw) == b
-            assert block_to_bytes(block_from_bytes(raw)) == raw
+        exps = rng.integers(0, 255, 20)
+        codes = rng.integers(0, 16, size=(20, 32)).astype(np.uint8)
+        raw = _pack(exps, codes)
+        assert raw.shape == (20, BLOCK_BYTES)
+        back_exps, back_codes = _unpack(raw)
+        assert np.array_equal(back_exps, exps) and np.array_equal(back_codes, codes)
+        assert np.array_equal(_pack(back_exps, back_codes), raw)
 
     @pytest.mark.parametrize("rows,cols", [(1, 5), (2, 32), (3, 37), (4, 48)])
     def test_tensor_bytes_are_the_block_layout(self, rows, cols):
@@ -266,9 +275,9 @@ class TestSerialization:
         raw = encode_tensor(x)
         assert raw == (struct.pack("<4sIII", b"MXT4", rows, cols, -cols % 32)
                        + b"".join(blocks))
-        assert [block_to_bytes(Mxfp4Block(int(e), c))
-                for e, c in zip(exps, codes)] == blocks
-        want = np.concatenate([mxfp4_decode(block_from_bytes(b)) for b in blocks])
+        assert [row.tobytes() for row in _pack(exps, codes)] == blocks
+        rows_back = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, BLOCK_BYTES)
+        want = decode_array(*_unpack(rows_back))
         assert np.array_equal(decode_tensor(raw),
                               want.reshape(rows, per_row * 32)[:, :cols])
 
@@ -295,7 +304,7 @@ class TestSerialization:
         the length check."""
         x = make_rng(rows * cols).standard_normal((rows, cols))
         flat = np.concatenate([x.ravel(), np.zeros(-x.size % 32)])
-        body = b"".join(block_to_bytes(mxfp4_encode(b)) for b in flat.reshape(-1, 32))
+        body = _pack(*encode_array(flat.reshape(-1, 32))).tobytes()
         raw = struct.pack("<4sIII", b"MXT4", rows, cols, -x.size % 32) + body
         with pytest.raises(MalformedBlock, match="pad"):
             decode_tensor(raw)
@@ -307,8 +316,9 @@ class TestSerialization:
                 decode_tensor(fixed)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(MalformedBlock):
-            block_from_bytes(b"\x00" * 16)
+        for shape in ((1, 16), (2, 18), (17,), (0, 34)):
+            with pytest.raises(MalformedBlock, match="17 bytes"):
+                _unpack(np.zeros(shape, dtype=np.uint8))
 
     def test_tensor_round_trip_with_padding(self):
         rng = make_rng(2)
@@ -337,7 +347,7 @@ class TestSerialization:
         with pytest.raises(MalformedBlock):
             decode_tensor(bytes(raw))
         with pytest.raises(MalformedBlock):
-            block_from_bytes(bytes(raw[16:]))
+            _unpack(np.frombuffer(bytes(raw[16:]), dtype=np.uint8)[None, :])
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

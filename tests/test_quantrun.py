@@ -61,12 +61,12 @@ from quantlab.weightquant import (
     InputScale,
     awq_fold,
     default_weight_spec,
-    dequant_loss,
     gptq_quantize,
     rtn_quantize_weights,
 )
 
 from conftest import mutate_container, rewrite_header, with_header_room
+from oracles import dequant_loss
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=64)

@@ -546,12 +546,31 @@ class TestSampling:
         row = 16 * cfg.n_layers * cfg.d_model * min(BLOCK, cfg.max_seq_len)
         pages = {"SC_PAGE_SIZE": row, "SC_PHYS_PAGES": 10}
         monkeypatch.setattr(toymodel.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(toymodel.resource, "getrlimit",  # no ulimit -v
+                            lambda which: (toymodel.resource.RLIM_INFINITY,) * 2)
         check_batch(cfg, [[BOS_ID, 4], [BOS_ID]], 20)  # groups of 10 and 10
         check_batch(cfg, [[BOS_ID, 4], [BOS_ID], [BOS_ID, 5]], 15)  # 10 and 5
         with pytest.raises(ValueError, match="a decode group of 11 sequences"):
             check_batch(cfg, [[BOS_ID, 4], [BOS_ID]], 21)  # 11 and 10
         with pytest.raises(ValueError, match="a decode group of 11 sequences"):
             check_batch(cfg, [[BOS_ID, 4], [BOS_ID, 5]], 11)
+
+    def test_check_batch_sees_the_address_space_limit(self, monkeypatch):
+        """Under a soft address-space limit (``ulimit -v``) below physical
+        memory, the room is the limit less what the process maps already: a
+        batch that fits in physical memory, and in the limit alone, is then
+        the one-line ValueError."""
+        cfg = ToyConfig()
+        need = 10 * 16 * cfg.n_layers * cfg.d_model * min(BLOCK, cfg.max_seq_len)
+        infinity = toymodel.resource.RLIM_INFINITY
+        for soft in (infinity, 1 << 62):
+            monkeypatch.setattr(toymodel.resource, "getrlimit",
+                                lambda which: (soft, infinity))
+            check_batch(cfg, [[BOS_ID]], 10)
+        monkeypatch.setattr(toymodel.resource, "getrlimit",
+                            lambda which: (need, infinity))
+        with pytest.raises(ValueError, match="a decode group of 10 sequences"):
+            check_batch(cfg, [[BOS_ID]], 10)
 
     @pytest.mark.parametrize("prompt_len, max_new, steps", [
         (1, 3, 2), (1, 1, 0), (1, 0, 0), (5, 12, 11),

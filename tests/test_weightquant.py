@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quantlab import weightquant
-from quantlab.errors import NonPositiveScale, NotPositiveDefinite, TooLargeToEnumerate
+from quantlab.errors import NonPositiveScale, NotPositiveDefinite
 from quantlab.quantcore import (
     PER_CHANNEL,
     PER_GROUP,
@@ -18,13 +18,13 @@ from quantlab.weightquant import (
     GptqConfig,
     awq_fold,
     awq_search,
-    brute_force_optimal,
     default_weight_spec,
-    dequant_loss,
     gptq_quantize,
     proxy_loss,
     rtn_quantize_weights,
 )
+
+from oracles import TooLargeToEnumerate, brute_force_optimal, dequant_loss, expand
 
 
 def orthogonal_calib(n_in, n_tokens, rng, scale=1.0):
@@ -46,7 +46,7 @@ class TestRtn:
     def test_group_bound(self):
         w = make_rng(0).standard_normal((4, 256))
         qt = rtn_quantize_weights(w, default_weight_spec(4))
-        s, _ = qt.params.expand()
+        s, _ = expand(qt.params)
         assert np.all(np.abs(dequantize(qt) - w) <= s / 2 + 1e-6)
 
 
