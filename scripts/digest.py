@@ -76,6 +76,10 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   ``sweep`` to CSV and JSON with a ``"calib"`` key, two of its runs rotate
   4-4-16 at rotation seeds 0 and 7. For each, the exit code, stdout and
   output file;
+* the calibration windows ``cli._load_calib`` takes from a ``quantlab calib
+  --count 12`` file (random crops) and from a file of one 64-token line and
+  fourteen 32-token lines (crops of the one long line: no window spans two
+  lines);
 * the logits of the three ``decode`` plans on a 128-token probe, those of
   a one-row session stepped one token at a time through a 130-token probe
   (past ``BLOCK``), and the sequence each plan generates under each
@@ -258,7 +262,7 @@ def position_lines(workloads, quantrun, toymodel, calibration, make_rng):
                 quantrun.forward_quantized(model, probe, plan, calib_sequences=calib))
 
 
-def no_bias_lines(workloads, quantrun, toymodel, make_rng):
+def no_bias_lines(quantlab, workloads, quantrun, toymodel, make_rng):
     """A model without QKV biases: its TQM1 file and seven plans' logits."""
     import tempfile
 
@@ -266,7 +270,7 @@ def no_bias_lines(workloads, quantrun, toymodel, make_rng):
                                 make_rng(workloads.MODEL_SEED))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.tqm"
-        toymodel.save_model(model, path)
+        quantlab.save_model(model, path)
         yield "no_bias/tqm1", sha(path.read_bytes())
     rng = make_rng(SEEDS[0])
     vocab = model.config.vocab_size
@@ -402,7 +406,7 @@ def run_cli(cli, tmp, *argv):
     return code, out.getvalue().replace(tmp, "<tmp>")
 
 
-def quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng):
+def quantize_lines(quantlab, workloads, cli, checkpoint, quantrun, toymodel, make_rng):
     """``quantlab quantize`` for four weight-only plans, through ``cli.main``,
     on the default model and on one without QKV biases: the file, stdout,
     the loaded checkpoint's logits and the in-memory runtime's."""
@@ -419,7 +423,7 @@ def quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng):
             run_cli(cli, tmp, "init-model", "--config", f"{d}/config.json",
                     "--out", model_path)
             run_cli(cli, tmp, "calib", "--model", model_path, "--out", calib_path)
-            model = toymodel.load_model(model_path)
+            model = quantlab.load_model(model_path)
             probe = workloads._probe(make_rng(SEEDS[0]), 64, model.config.vocab_size)
             for tag, extra in (("rtn/g128", ()), ("rtn/g32", ("--group-size", "32")),
                                ("gptq", ("--method", "gptq", "--calib", calib_path)),
@@ -488,6 +492,26 @@ def cli_lines(cli):
             code, stdout = run_cli(cli, tmp, command, "--model", model, *options,
                                    "--out", out)
             yield f"cli/{tag}", sha(code, stdout, Path(out).read_bytes())
+
+
+def load_calib_lines(cli, calibration, make_rng):
+    """``cli._load_calib``'s eight 64-token windows under seed 0 from a
+    ``quantlab calib --count 12`` file, which holds more tokens than the
+    windows and so is cropped at random, and from a file of one 64-token
+    line and fourteen 32-token lines, exactly eight windows' worth of which
+    only the first line can give one."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        model, counted, mixed = f"{tmp}/model.tqm", f"{tmp}/count12", f"{tmp}/mixed"
+        run_cli(cli, tmp, "init-model", "--out", model)
+        run_cli(cli, tmp, "calib", "--model", model, "--count", "12", "--out", counted)
+        rng = make_rng(SEEDS[0])
+        calibration.write_sequences(
+            [rng.integers(0, 64, size=n).tolist() for n in (64, *(32,) * 14)], mixed)
+        for tag, path in (("count12", counted), ("mixed", mixed)):
+            yield f"load_calib/{tag}", sha(
+                *(t for s in cli._load_calib(path, 0) for t in (*s, -1)))
 
 
 def decode_lines(workloads, quantrun, toymodel, harness, make_rng):
@@ -800,13 +824,15 @@ def main(argv=None) -> int:
                   gptq_map_lines(workloads, quantrun),
                   static_k_lines(workloads, quantrun, toymodel, make_rng),
                   position_lines(workloads, quantrun, toymodel, calibration, make_rng),
-                  no_bias_lines(workloads, quantrun, toymodel, make_rng),
+                  no_bias_lines(quantlab, workloads, quantrun, toymodel, make_rng),
                   row_local_lines(workloads, quantrun, toymodel, make_rng),
                   ragged_mxfp4_lines(workloads, quantrun, toymodel, make_rng),
                   multi_block_lines(workloads, quantrun, toymodel, make_rng),
                   mxfp4_edge_lines(mxfp4),
-                  quantize_lines(workloads, cli, checkpoint, quantrun, toymodel, make_rng),
+                  quantize_lines(quantlab, workloads, cli, checkpoint, quantrun, toymodel,
+                                 make_rng),
                   cli_lines(cli),
+                  load_calib_lines(cli, calibration, make_rng),
                   decode_lines(workloads, quantrun, toymodel, harness, make_rng),
                   generate_lines(workloads, quantrun, toymodel, make_rng),
                   self_generate_lines(workloads),

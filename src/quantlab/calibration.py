@@ -51,8 +51,11 @@ def _check_counts(seq_len: int, count: int) -> None:
 
 
 def load_calibration(path, seq_len: int, count: int, rng) -> CalibrationSet:
-    """Randomly crop `count` windows of `seq_len` tokens from the file's
-    sequences; deterministic under the rng seed."""
+    """`count` windows of `seq_len` tokens from the file's sequences, none
+    spanning two of them. A file of exactly `count` windows, each line a
+    whole number of them, is partitioned in order; otherwise each window is
+    a random crop of a line of at least `seq_len` tokens, deterministic
+    under the rng seed."""
     _check_counts(seq_len, count)
     seqs = parse_sequences(path)
     eligible = [s for s in seqs if len(s) >= seq_len]
@@ -60,7 +63,7 @@ def load_calibration(path, seq_len: int, count: int, rng) -> CalibrationSet:
     if not eligible or total < count * seq_len:
         raise FileTooSmall(
             f"need {count} windows of {seq_len} tokens, file has {total}")
-    if total == count * seq_len:
+    if total == count * seq_len and all(len(s) % seq_len == 0 for s in seqs):
         # exact fit: partition the concatenation, no randomness needed
         flat = [t for s in seqs for t in s]
         out = [flat[i * seq_len : (i + 1) * seq_len] for i in range(count)]

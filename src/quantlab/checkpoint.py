@@ -1,47 +1,222 @@
-"""Quantized checkpoint file ("TQQ1"): a weight-only plan's Runtime, each
-linear as its spec descriptor, float64 scales, int32 zero points, bit-packed
-codes (recomputed from its weight) and AWQ's float64 inverse scales, beside
-the model's other tensors in full precision; loading rebuilds it exactly.
+"""The lab's file formats: model files ("TQM1") and quantized checkpoints
+("TQQ1"). Every byte of both is decided here; FORMATS.md documents them.
 
-Framing as TQM1 (toymodel.write_container): magic "TQQ1", version byte, u32
-little-endian header length, UTF-8 JSON header, padding to 64 bytes, then
-data blobs (each 64-byte aligned, absolute offsets in the header). Codes are
-packed little-endian, LSB-first within each byte, groups contiguous;
-symmetric codes are biased by +(2^(b-1)-1) before packing.
+Both are one container: magic, version byte, u32 little-endian header
+length, UTF-8 JSON header, zero padding to a 64-byte boundary, then the
+data blobs, each 64-byte aligned at the absolute file offset its manifest
+entry records. A reader ignores header keys it does not know.
+``write_container`` writes the config and the float32 manifest of the
+full-precision tensors, and ``read_container`` reads them back. A TQM1 file
+is that part alone, its manifest under ``tensors``.
+
+A TQQ1 file adds a weight-only plan's Runtime to the model's other tensors
+(under ``fp_tensors``): each linear as its spec descriptor, float64 scales,
+int32 zero points, bit-packed codes (recomputed from its weight) and AWQ's
+float64 inverse scales; loading rebuilds it exactly. Codes are packed
+little-endian, LSB-first within each byte, groups contiguous; symmetric
+codes are biased by +(2^(b-1)-1) before packing.
 """
 
+import json
 import math
+import struct
+from typing import Optional
 
 import numpy as np
 
-from .errors import BadMagic, NonPositiveScale, ShapeMismatch
+from .errors import BadMagic, NonPositiveScale, ShapeMismatch, TruncatedFile
+from .numerics import check_finite
 from .quantcore import (
     QuantParams,
     QuantSpec,
     QuantizedTensor,
     dequantize,
     grid_shape,
-    pack_codes,
     quantize,
-    unpack_codes,
 )
 from .quantrun import FakeQuantLinear, QuantPlan, Runtime, _weight_linear_names
-from .toymodel import (
-    ToyModel,
-    _linear_bias,
-    check_finite,
-    check_tensors,
-    f32_blobs,
-    manifest,
-    manifest_shape,
-    read_array,
-    read_blob,
-    read_header,
-    write_container,
-)
+from .toymodel import ToyConfig, ToyModel, _linear_bias, check_tensors
 from .weightquant import InputScale
 
-MAGIC = b"TQQ1"
+MODEL_MAGIC = b"TQM1"
+CHECKPOINT_MAGIC = b"TQQ1"
+FORMAT_VERSION = 1
+_ALIGN = 64
+# magic -> the key of its full-precision manifest, and what each entry of it
+# holds besides name, shape and offset
+_FP_MANIFEST = {MODEL_MAGIC: ("tensors", {"dtype": "f32"}),
+                CHECKPOINT_MAGIC: ("fp_tensors", {})}
+
+
+# --- the container ------------------------------------------------------------
+
+
+def write_container(path, magic: bytes, config: ToyConfig, tensors: dict,
+                    header: Optional[dict] = None, blobs=()) -> None:
+    """Write ``config``, the float32 manifest of ``tensors`` (by sorted name)
+    and their blobs, then the other keys of ``header`` and ``blobs``, a list
+    of (bytes, manifest entry, offset key). Each blob's absolute offset is
+    stored in its entry under its key, which lengthens the header, so offsets
+    are laid out again until the header length stops changing."""
+    key, extra = _FP_MANIFEST[magic]
+    entries, fp_blobs = [], []
+    for n in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[n], dtype="<f4")
+        entries.append({"name": n, "shape": list(arr.shape), **extra})
+        fp_blobs.append((arr.tobytes(), entries[-1], "offset"))
+    header = {**(header or {}), "config": config.to_dict(), key: entries}
+    blobs = fp_blobs + list(blobs)
+
+    def render():
+        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+
+    def pad(n):
+        return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+
+    for _, entry, k in blobs:
+        entry[k] = 0
+    hdr, size = render(), None
+    while len(hdr) != size:
+        size = len(hdr)
+        off = pad(9 + size)  # magic, version byte, u32 header length
+        for raw, entry, k in blobs:
+            entry[k] = off
+            off = pad(off + len(raw))
+        hdr = render()
+
+    buf = bytearray(off)
+    buf[:4] = magic
+    buf[4] = FORMAT_VERSION
+    struct.pack_into("<I", buf, 5, len(hdr))
+    buf[9 : 9 + len(hdr)] = hdr
+    for raw, entry, k in blobs:
+        buf[entry[k] : entry[k] + len(raw)] = raw
+    with open(path, "wb") as f:
+        f.write(bytes(buf))
+
+
+def read_container(path, magic: bytes, keys=()) -> tuple:
+    """(raw bytes, header, ToyConfig, tensors) of the file at ``path``: its
+    fixed header checked, its JSON header holding ``config``, the
+    full-precision manifest of ``magic`` and ``keys``, and the float32
+    tensors of that manifest read. An entry's ``dtype``, when present, must
+    be "f32"."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < 9:
+        raise TruncatedFile(len(raw), "file shorter than fixed header")
+    if raw[:4] != magic:
+        raise BadMagic(f"expected {magic!r}, got {raw[:4]!r}")
+    if raw[4] != FORMAT_VERSION:
+        raise BadMagic(f"format version {raw[4]}, expected {FORMAT_VERSION}")
+    hdr_len = struct.unpack_from("<I", raw, 5)[0]
+    if 9 + hdr_len > len(raw):
+        raise TruncatedFile(len(raw), "header extends past end of file")
+    try:
+        header = json.loads(raw[9 : 9 + hdr_len].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise BadMagic(f"unparseable header: {e}")
+    fp_key = _FP_MANIFEST[magic][0]
+    for key in ("config", *keys, fp_key):
+        if not isinstance(header, dict) or key not in header:
+            raise BadMagic(f"header has no {key!r} entry")
+    try:
+        cfg = ToyConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as e:  # a bad key, type or value, or no mapping
+        raise BadMagic(f"bad config: {e}")
+    tensors = {}
+    for entry in manifest(header, fp_key):
+        if entry.get("dtype", "f32") != "f32":
+            raise BadMagic(f"tensor {entry['name']!r}: dtype {entry['dtype']!r} "
+                           f"is not 'f32'")
+        tensors[entry["name"]] = read_array(raw, entry)
+    return raw, header, cfg, tensors
+
+
+def manifest(header: dict, key: str) -> list:
+    """The manifest list under ``key``, checked to hold mappings with a
+    string ``name``, each name once."""
+    entries = header[key]
+    if not isinstance(entries, list):
+        raise BadMagic(f"{key!r} manifest is not a list: {entries!r}")
+    names = set()
+    for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise BadMagic(f"malformed {key!r} manifest entry {entry!r}")
+        if entry["name"] in names:
+            raise BadMagic(f"{key!r} manifest repeats tensor {entry['name']!r}")
+        names.add(entry["name"])
+    return entries
+
+
+def manifest_shape(entry, key: str = "shape") -> tuple:
+    """A manifest entry's shape, checked to be a list of counts."""
+    dims = entry.get(key)
+    if not isinstance(dims, list) or not all(
+            type(n) is int and n >= 0 for n in dims):
+        raise ShapeMismatch(f"tensor {entry['name']!r}: bad {key} {dims!r}")
+    return tuple(dims)
+
+
+def read_blob(raw: bytes, start, nbytes: int, what: str) -> bytes:
+    """``nbytes`` bytes at absolute offset ``start``, bounds-checked."""
+    if type(start) is not int or start < 0:
+        raise TruncatedFile(0, f"{what}: bad offset {start!r}")
+    if start + nbytes > len(raw):
+        raise TruncatedFile(start, f"{what} truncated")
+    return raw[start : start + nbytes]
+
+
+def read_array(raw: bytes, entry, dtype: str = "<f4", offset_key: str = "offset",
+               shape_key: str = "shape") -> np.ndarray:
+    """The array a manifest entry points at; a float array holding a NaN or
+    an infinity is NonFiniteInput. The element count is taken in Python
+    integers, so a huge shape reads past the end of the file rather than
+    overflowing."""
+    shape = manifest_shape(entry, shape_key)
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+    what = f"tensor {entry['name']!r}"
+    data = read_blob(raw, entry.get(offset_key), nbytes, what)
+    a = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    return check_finite(a, what) if a.dtype.kind == "f" else a
+
+
+# --- TQM1 model files ---------------------------------------------------------
+
+
+def save_model(m: ToyModel, path) -> None:
+    write_container(path, MODEL_MAGIC, m.config, m.tensors)
+
+
+def load_model(path) -> ToyModel:
+    _, _, cfg, tensors = read_container(path, MODEL_MAGIC)
+    check_tensors(cfg, tensors)
+    return ToyModel(config=cfg, tensors=tensors)
+
+
+# --- TQQ1 quantized checkpoints -----------------------------------------------
+
+
+def pack_codes(codes: np.ndarray, bits: int, symmetric: bool) -> bytes:
+    flat = codes.astype(np.int64).ravel()
+    if symmetric:
+        flat = flat + (2 ** (bits - 1) - 1)
+    if flat.size and (flat.min() < 0 or flat.max() >= 2**bits):
+        raise ValueError("codes out of range for bit width")
+    bit_cols = (flat[:, None] >> np.arange(bits)) & 1
+    return np.packbits(bit_cols.astype(np.uint8).ravel(), bitorder="little").tobytes()
+
+
+def unpack_codes(raw: bytes, count: int, bits: int, symmetric: bool) -> np.ndarray:
+    bits_flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    needed = count * bits
+    if bits_flat.size < needed:
+        raise ValueError("packed buffer too short")
+    vals = bits_flat[:needed].reshape(count, bits) @ (1 << np.arange(bits))
+    vals = vals.astype(np.int32)
+    if symmetric:
+        vals = vals - (2 ** (bits - 1) - 1)
+    return vals
 
 
 def check_plan(plan: QuantPlan) -> QuantPlan:
@@ -60,9 +235,7 @@ def save_checkpoint(model: ToyModel, rt: Runtime, path) -> None:
     and every tensor of ``model`` they do not replace in full precision; the
     plan must pass ``check_plan``."""
     check_plan(rt.plan)
-    fp_manifest, blobs = f32_blobs(
-        {n: t for n, t in model.tensors.items() if n not in rt.linears})
-    q_manifest = []
+    q_manifest, blobs = [], []
     for n, lin in sorted(rt.linears.items()):
         p, spec = lin.params, lin.params.spec
         codes_raw = pack_codes(quantize(lin.w, p).codes, spec.bits, spec.symmetric)
@@ -78,10 +251,9 @@ def save_checkpoint(model: ToyModel, rt: Runtime, path) -> None:
             entry["in_scales_shape"] = list(lin.map.inv.shape)
             blobs.append((np.ascontiguousarray(lin.map.inv, dtype="<f8").tobytes(),
                           entry, "in_scales_offset"))
-    write_container(path, MAGIC, {
-        "config": model.config.to_dict(), "plan": rt.plan.to_dict(),
-        "fp_tensors": fp_manifest, "q_tensors": q_manifest,
-    }, blobs)
+    fp = {n: t for n, t in model.tensors.items() if n not in rt.linears}
+    write_container(path, CHECKPOINT_MAGIC, model.config, fp,
+                    {"plan": rt.plan.to_dict(), "q_tensors": q_manifest}, blobs)
 
 
 def load_checkpoint(path):
@@ -91,14 +263,12 @@ def load_checkpoint(path):
     that is not finite is NonFiniteInput. The tensors must be those the
     config needs, the plan weight-only, the linears exactly its linears, AWQ
     inverse scales stored exactly under AWQ, and each value one a writer makes."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    header, cfg = read_header(raw, MAGIC, ("plan", "fp_tensors", "q_tensors"))
+    raw, header, cfg, tensors = read_container(path, CHECKPOINT_MAGIC,
+                                               ("plan", "q_tensors"))
     try:
         plan = check_plan(QuantPlan.from_dict(header["plan"]))
     except (TypeError, ValueError) as e:  # not a mapping, or a plan either rejects
         raise BadMagic(f"bad plan: {e}")
-    tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "fp_tensors")}
 
     linears = {}
     for entry in manifest(header, "q_tensors"):

@@ -14,14 +14,8 @@ from . import calibration, checkpoint, harness
 from .errors import ContextOverflow, QuantLabError, UsageError
 from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runtime
 from .rng import make_rng
-from .toymodel import (
-    ToyConfig,
-    check_generate,
-    generate,
-    init_model,
-    load_model,
-    save_model,
-)
+from .checkpoint import load_model, save_model
+from .toymodel import ToyConfig, check_generate, generate, init_model
 
 CALIB_LEN = 64  # tokens per calibration window, unless --calib-len says otherwise
 # the commands whose --calib-len sets the length of the --calib windows

@@ -1,5 +1,5 @@
-"""Uniform quantization primitives: grid fitting, quantize/dequantize,
-fake-quantize, and bit-packed code serialization.
+"""Uniform quantization primitives: grid fitting, quantize/dequantize and
+fake-quantize.
 
 ``quantize`` and ``dequantize`` broadcast the per-group params through
 reshaped views of the tensor (``_grid_views``) instead of expanding them to
@@ -394,31 +394,3 @@ def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     if spec.passthrough:
         return x
     return dequantize(quantize(x, fit_params(x, spec)))
-
-
-# --- bit-packed code serialization -------------------------------------------
-# Codes are packed little-endian, LSB-first within each byte, groups stored
-# contiguously in row-major order. Symmetric codes are biased by
-# +(2^(b-1) - 1) before packing so the stored value is non-negative.
-
-
-def pack_codes(codes: np.ndarray, bits: int, symmetric: bool) -> bytes:
-    flat = codes.astype(np.int64).ravel()
-    if symmetric:
-        flat = flat + (2 ** (bits - 1) - 1)
-    if flat.size and (flat.min() < 0 or flat.max() >= 2**bits):
-        raise ValueError("codes out of range for bit width")
-    bit_cols = (flat[:, None] >> np.arange(bits)) & 1
-    return np.packbits(bit_cols.astype(np.uint8).ravel(), bitorder="little").tobytes()
-
-
-def unpack_codes(raw: bytes, count: int, bits: int, symmetric: bool) -> np.ndarray:
-    bits_flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    needed = count * bits
-    if bits_flat.size < needed:
-        raise ValueError("packed buffer too short")
-    vals = bits_flat[:needed].reshape(count, bits) @ (1 << np.arange(bits))
-    vals = vals.astype(np.int32)
-    if symmetric:
-        vals = vals - (2 ** (bits - 1) - 1)
-    return vals

@@ -1,10 +1,10 @@
 """Tiny Qwen-like decoder-only transformer: RMSNorm, QKV projections with
-biases, RoPE, SwiGLU MLP. Deterministic init, binary serialization, and one
-forward pass (Session.forward) that the reference and quantized paths,
-calibration capture and generation all use; Session.step is its one-token
-case. Incremental generation and full-context recomputation run the same
-code on differently shaped blocks, so they agree to about 1e-13 with
-identical argmax rather than bit for bit.
+biases, RoPE, SwiGLU MLP. Deterministic init and one forward pass
+(Session.forward) that the reference and quantized paths, calibration
+capture and generation all use; Session.step is its one-token case.
+Incremental generation and full-context recomputation run the same code on
+differently shaped blocks, so they agree to about 1e-13 with identical
+argmax rather than bit for bit. Model files (TQM1) are quantlab.checkpoint's.
 
 A Session holds one or more rows, sequences that advance in lockstep
 through one forward per call; its KV cache is (layer, row, head, position,
@@ -45,25 +45,17 @@ each linear multiplies those rows by its own weight.
 Reserved token ids: 0 = BOS, 1 = EOS, 2 = THINK_END, 3 = WAIT.
 """
 
-import json
 import math
 import os
 import resource
-import struct
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    ContextOverflow,
-    ShapeMismatch,
-    TokenOutOfRange,
-    TruncatedFile,
-)
+from .errors import ContextOverflow, ShapeMismatch, TokenOutOfRange
 from .kvquant import RopeConfig, rope_heads
-from .numerics import check_finite, is_power_of_two
+from .numerics import is_power_of_two
 from .quantcore import _check_field_types
 
 BOS_ID = 0
@@ -72,9 +64,6 @@ THINK_END_ID = 2
 WAIT_ID = 3
 N_RESERVED = 4
 
-MAGIC = b"TQM1"
-FORMAT_VERSION = 1
-_ALIGN = 64
 BLOCK = 64  # positions per Session.forward block; see the module docstring
 _LATER = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)  # [t, s]: key s after query t
 HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
@@ -159,6 +148,23 @@ def _layer_tensor_specs(cfg: ToyConfig):
     yield from (("norm_f", (d,)), ("lm_head", (v, d)))
 
 
+def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
+    """ShapeMismatch unless ``tensors`` holds exactly the tensors ``cfg``
+    declares, each of its shape. The names are walked one at a time, so the
+    work is bounded by ``tensors``, not by the layer count a header claims."""
+    declared = set()
+    for name, shape in _layer_tensor_specs(cfg):
+        if name not in tensors:
+            raise ShapeMismatch(f"missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ShapeMismatch(
+                f"tensor {name!r}: expected {shape}, got {tensors[name].shape}")
+        declared.add(name)
+    extra = sorted(tensors.keys() - declared)
+    if extra:
+        raise ShapeMismatch(f"tensor {extra[0]!r} is not one the config declares")
+
+
 def linear_weight(model: ToyModel, name: str) -> np.ndarray:
     """Linear ``name``'s weight; ShapeMismatch if ``model`` holds none (a
     loaded checkpoint's model lacks the weights its runtime quantized)."""
@@ -213,169 +219,6 @@ def init_model(cfg: ToyConfig, rng, k_bias_outlier: Optional[tuple] = None) -> T
             raise ValueError(f"bias injection magnitude must be finite, got {magnitude}")
         tensors[f"layers.{layer}.bk"][channel] = np.float32(magnitude)
     return ToyModel(config=cfg, tensors=tensors)
-
-
-# --- binary container format (TQM1 model files, TQQ1 checkpoints) -------------
-# magic, version byte, u32 little-endian header length, UTF-8 JSON header,
-# zero padding to a 64-byte boundary, then the data blobs, each 64-byte
-# aligned at the absolute file offset its manifest entry records. TQM1 holds
-# the config and the float32 `tensors` manifest; TQQ1 is laid out in
-# quantlab.checkpoint. A reader ignores header keys it does not know.
-
-
-def write_container(path, magic: bytes, header: dict, blobs) -> None:
-    """Write ``header`` and ``blobs``, a list of (bytes, manifest entry,
-    offset key): each blob's absolute offset is stored in its entry under
-    its key, which lengthens the header, so offsets are laid out again until
-    the header length stops changing."""
-    def render():
-        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-
-    def pad(n):
-        return (n + _ALIGN - 1) // _ALIGN * _ALIGN
-
-    for _, entry, key in blobs:
-        entry[key] = 0
-    hdr = render()
-    while True:
-        off = pad(9 + len(hdr))  # magic, version byte, u32 header length
-        for raw, entry, key in blobs:
-            entry[key] = off
-            off = pad(off + len(raw))
-        new_hdr = render()
-        if len(new_hdr) == len(hdr):
-            hdr = new_hdr
-            break
-        hdr = new_hdr
-
-    buf = bytearray(off)
-    buf[:4] = magic
-    buf[4] = FORMAT_VERSION
-    struct.pack_into("<I", buf, 5, len(hdr))
-    buf[9 : 9 + len(hdr)] = hdr
-    for raw, entry, key in blobs:
-        buf[entry[key] : entry[key] + len(raw)] = raw
-    with open(path, "wb") as f:
-        f.write(bytes(buf))
-
-
-def f32_blobs(arrays: dict, extra: Optional[dict] = None) -> tuple:
-    """The manifest of ``arrays`` (by sorted name, each entry holding
-    ``extra``) and its float32 blobs, for write_container."""
-    entries, blobs = [], []
-    for n in sorted(arrays):
-        arr = np.asarray(arrays[n])
-        entry = {"name": n, "shape": list(arr.shape), **(extra or {})}
-        entries.append(entry)
-        blobs.append((np.ascontiguousarray(arr, dtype="<f4").tobytes(), entry, "offset"))
-    return entries, blobs
-
-
-def save_model(m: ToyModel, path) -> None:
-    tensors, blobs = f32_blobs(m.tensors, {"dtype": "f32"})
-    write_container(path, MAGIC, {"config": m.config.to_dict(), "tensors": tensors},
-                    blobs)
-
-
-def read_header(raw: bytes, magic: bytes, keys) -> tuple:
-    """Check the fixed header of a TQM1/TQQ1 file and parse its JSON header,
-    which must hold ``config`` and ``keys``. Returns (header, ToyConfig)."""
-    if len(raw) < 9:
-        raise TruncatedFile(len(raw), "file shorter than fixed header")
-    if raw[:4] != magic:
-        raise BadMagic(f"expected {magic!r}, got {raw[:4]!r}")
-    if raw[4] != FORMAT_VERSION:
-        raise BadMagic(f"format version {raw[4]}, expected {FORMAT_VERSION}")
-    hdr_len = struct.unpack_from("<I", raw, 5)[0]
-    if 9 + hdr_len > len(raw):
-        raise TruncatedFile(len(raw), "header extends past end of file")
-    try:
-        header = json.loads(raw[9 : 9 + hdr_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise BadMagic(f"unparseable header: {e}")
-    for key in ("config", *keys):
-        if not isinstance(header, dict) or key not in header:
-            raise BadMagic(f"header has no {key!r} entry")
-    try:
-        cfg = ToyConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as e:  # a bad key, type or value, or no mapping
-        raise BadMagic(f"bad config: {e}")
-    return header, cfg
-
-
-def manifest(header: dict, key: str) -> list:
-    """The manifest list under ``key``, checked to hold mappings with a
-    string ``name``, each name once."""
-    entries = header[key]
-    if not isinstance(entries, list):
-        raise BadMagic(f"{key!r} manifest is not a list: {entries!r}")
-    names = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise BadMagic(f"malformed {key!r} manifest entry {entry!r}")
-        if entry["name"] in names:
-            raise BadMagic(f"{key!r} manifest repeats tensor {entry['name']!r}")
-        names.add(entry["name"])
-    return entries
-
-
-def manifest_shape(entry, key: str = "shape") -> tuple:
-    """A manifest entry's shape, checked to be a list of counts."""
-    dims = entry.get(key)
-    if not isinstance(dims, list) or not all(
-            type(n) is int and n >= 0 for n in dims):
-        raise ShapeMismatch(f"tensor {entry['name']!r}: bad {key} {dims!r}")
-    return tuple(dims)
-
-
-def read_blob(raw: bytes, start, nbytes: int, what: str) -> bytes:
-    """``nbytes`` bytes at absolute offset ``start``, bounds-checked."""
-    if type(start) is not int or start < 0:
-        raise TruncatedFile(0, f"{what}: bad offset {start!r}")
-    if start + nbytes > len(raw):
-        raise TruncatedFile(start, f"{what} truncated")
-    return raw[start : start + nbytes]
-
-
-def read_array(raw: bytes, entry, dtype: str = "<f4", offset_key: str = "offset",
-               shape_key: str = "shape") -> np.ndarray:
-    """The array a manifest entry points at; a float array holding a NaN or
-    an infinity is NonFiniteInput. The element count is taken in Python
-    integers, so a huge shape reads past the end of the file rather than
-    overflowing."""
-    shape = manifest_shape(entry, shape_key)
-    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-    what = f"tensor {entry['name']!r}"
-    data = read_blob(raw, entry.get(offset_key), nbytes, what)
-    a = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-    return check_finite(a, what) if a.dtype.kind == "f" else a
-
-
-def load_model(path) -> ToyModel:
-    with open(path, "rb") as f:
-        raw = f.read()
-    header, cfg = read_header(raw, MAGIC, ("tensors",))
-    tensors = {e["name"]: read_array(raw, e) for e in manifest(header, "tensors")}
-    check_tensors(cfg, tensors)
-    return ToyModel(config=cfg, tensors=tensors)
-
-
-def check_tensors(cfg: ToyConfig, tensors: dict) -> None:
-    """ShapeMismatch unless ``tensors`` holds every tensor ``cfg`` needs, each
-    of the shape it needs, and no other; TQM1 and TQQ1 loaders call it on
-    what they read. The declared names are walked one at a time, so the
-    work is bounded by ``tensors``, not by the layer count a header claims."""
-    declared = set()
-    for name, shape in _layer_tensor_specs(cfg):
-        if name not in tensors:
-            raise ShapeMismatch(f"missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ShapeMismatch(
-                f"tensor {name!r}: expected {shape}, got {tensors[name].shape}")
-        declared.add(name)
-    extra = sorted(tensors.keys() - declared)
-    if extra:
-        raise ShapeMismatch(f"tensor {extra[0]!r} is not one the config declares")
 
 
 # --- forward pass -------------------------------------------------------------

@@ -40,14 +40,7 @@ from quantlab.quantcore import (
 )
 from quantlab.quantrun import QuantPlan, forward_quantized, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import (
-    ToyConfig,
-    forward_reference,
-    init_model,
-    load_model,
-    save_model,
-    softmax,
-)
+from quantlab.toymodel import ToyConfig, forward_reference, init_model, softmax
 from quantlab.transforms import flat_train
 from quantlab.weightquant import (
     GptqConfig,
@@ -57,7 +50,7 @@ from quantlab.weightquant import (
     gptq_quantize,
     rtn_quantize_weights,
 )
-from quantlab.checkpoint import load_checkpoint, save_checkpoint
+from quantlab.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 
 from oracles import brute_force_optimal, dequant_loss, expand
 

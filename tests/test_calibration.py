@@ -78,6 +78,23 @@ class TestLoadCalibration:
         cs = load_calibration(p, seq_len=4, count=3, rng=make_rng(0))
         assert cs.sequences == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
 
+    def test_whole_window_lines_are_partitioned(self, tmp_path):
+        p = tmp_path / "calib.txt"
+        write_sequences([list(range(8)), list(range(8, 12))], p)
+        cs = load_calibration(p, seq_len=4, count=3, rng=make_rng(0))
+        assert cs.sequences == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+
+    @pytest.mark.parametrize("short_lines", [14, 15])
+    def test_no_window_spans_two_lines(self, tmp_path, short_lines):
+        """One 64-token line and 14 or 15 32-token lines: with 14 the file
+        holds exactly eight 64-token windows, but only the first line is long
+        enough for one, so every window is that line, as with 15."""
+        long = list(range(100, 164))
+        p = tmp_path / "calib.txt"
+        write_sequences([long] + [list(range(32))] * short_lines, p)
+        cs = load_calibration(p, seq_len=64, count=8, rng=make_rng(0))
+        assert cs.sequences == [long] * 8
+
     def test_seeded_crops_reproducible(self, tmp_path):
         p = tmp_path / "calib.txt"
         write_sequences([list(range(50)), list(range(100, 160))], p)

@@ -14,11 +14,11 @@ from quantlab.calibration import (
     parse_sequences,
     stats_to_csv,
 )
-from quantlab.checkpoint import load_checkpoint, save_checkpoint
+from quantlab.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from quantlab.errors import QuantLabError, ShapeMismatch
 from quantlab.quantrun import QuantPlan, Runtime, forward_quantized, prepare_runtime
 from quantlab.rng import make_rng
-from quantlab.toymodel import Session, load_model, save_model
+from quantlab.toymodel import Session
 
 from conftest import mutate_container, rewrite_header, with_header_room
 
@@ -313,9 +313,10 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
 
 
-def _unread_dtypes_dropped(edit):
+def _dtypes_dropped(edit):
     """``edit`` after deleting the manifest ``dtype`` keys, which the loader
-    does not read, to make room for an edit that lengthens the header."""
+    reads as "f32" when absent, to make room for an edit that lengthens the
+    header."""
     def run(h):
         for entry in h["tensors"]:
             del entry["dtype"]
@@ -772,13 +773,13 @@ class TestErrors:
                      id="unknown-config-key"),
         pytest.param(lambda h: h.update(config=[1]), "BadMagic",
                      id="config-not-a-dict"),
-        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(vocab_size=16.0)),
+        pytest.param(_dtypes_dropped(lambda h: h["config"].update(vocab_size=16.0)),
                      "BadMagic", id="float-vocab-size"),
-        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(max_seq_len=1e3)),
+        pytest.param(_dtypes_dropped(lambda h: h["config"].update(max_seq_len=1e3)),
                      "BadMagic", id="float-max-seq-len"),
-        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(n_layers=True)),
+        pytest.param(_dtypes_dropped(lambda h: h["config"].update(n_layers=True)),
                      "BadMagic", id="bool-n-layers"),
-        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(qkv_bias=1)),
+        pytest.param(_dtypes_dropped(lambda h: h["config"].update(qkv_bias=1)),
                      "BadMagic", id="int-qkv-bias"),
         pytest.param(lambda h: h["config"].update(n_layers=0), "BadMagic",
                      id="zero-layers"),
@@ -788,7 +789,7 @@ class TestErrors:
                      id="zero-ffn-mult"),
         pytest.param(lambda h: h["config"].update(rope_base=-1.0), "BadMagic",
                      id="negative-rope-base"),
-        pytest.param(_unread_dtypes_dropped(lambda h: h["config"].update(
+        pytest.param(_dtypes_dropped(lambda h: h["config"].update(
             rope_base=float("inf"))), "BadMagic", id="infinite-rope-base"),
         pytest.param(lambda h: h["tensors"][0].update(offset=-64),
                      "TruncatedFile", id="negative-offset"),
@@ -800,10 +801,10 @@ class TestErrors:
                      id="tensors-string"),
         pytest.param(lambda h: h["tensors"].__setitem__(0, 1), "BadMagic",
                      id="entry-not-a-mapping"),
-        pytest.param(_unread_dtypes_dropped(
+        pytest.param(_dtypes_dropped(
             lambda h: h["tensors"][0].update(name=["embed"])), "BadMagic",
                      id="name-not-a-string"),
-        pytest.param(_unread_dtypes_dropped(
+        pytest.param(_dtypes_dropped(
             lambda h: h["tensors"][0].update(shape=[2**40, 2**40])),
                      "TruncatedFile", id="element-count-overflow"),
     ])

@@ -23,11 +23,10 @@ from quantlab.quantcore import (
     fit_asymmetric,
     fit_params,
     grid_shape,
-    pack_codes,
     quantize,
     snap_scale,
-    unpack_codes,
 )
+from quantlab.checkpoint import pack_codes, unpack_codes
 from quantlab.errors import NonFiniteInput
 from quantlab.rng import make_rng
 from quantlab.weightquant import GptqConfig, gptq_quantize

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quantlab import kvquant, mxfp4, quantcore, quantrun, weightquant
 from quantlab.calibration import known_sites
-from quantlab.checkpoint import load_checkpoint, save_checkpoint
+from quantlab.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from quantlab.errors import (
     BadMagic,
     MissingCalibration,
@@ -46,8 +46,6 @@ from quantlab.toymodel import (
     _linear_bias,
     forward_reference,
     init_model,
-    load_model,
-    save_model,
     site_pre_bias,
 )
 from quantlab.transforms import (

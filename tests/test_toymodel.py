@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from quantlab import toymodel
-from quantlab.checkpoint import load_checkpoint, save_checkpoint
+from quantlab.checkpoint import (
+    FORMAT_VERSION,
+    load_checkpoint,
+    load_model,
+    save_checkpoint,
+    save_model,
+)
 from quantlab.errors import (
     BadMagic,
     ContextOverflow,
@@ -17,7 +23,6 @@ from quantlab.rng import make_rng
 from quantlab.toymodel import (
     BLOCK,
     BOS_ID,
-    FORMAT_VERSION,
     THINK_END_ID,
     Session,
     ToyConfig,
@@ -26,19 +31,18 @@ from quantlab.toymodel import (
     forward_reference,
     generate,
     init_model,
-    load_model,
     mask_later,
     nucleus_filter,
     own_positions,
     rmsnorm,
     sample_rows,
     sample_token,
-    save_model,
     silu,
     softmax,
 )
 
 import textbook
+from conftest import rewrite_header, with_header_room
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=32)
@@ -385,7 +389,7 @@ class TestSerialization:
     ])
     def test_fixed_header(self, small_model, tmp_path, fmt, corrupt, error):
         """TQM1 and TQQ1 check the version byte, the header length and the
-        JSON header alike, in ``read_header``."""
+        JSON header alike, in ``checkpoint.read_container``."""
         p = tmp_path / f"m.{fmt}"
         if fmt == "tqm":
             save_model(small_model, p)
@@ -400,6 +404,34 @@ class TestSerialization:
         p.write_bytes(bytes(raw))
         with pytest.raises(error):
             load(p)
+
+    @pytest.mark.parametrize("fmt", ["tqm", "tqq"])
+    @pytest.mark.parametrize("dtype", ["f32", "absent", "f16", "<f4", None])
+    def test_manifest_dtype(self, small_model, tmp_path, fmt, dtype):
+        """A full-precision manifest entry's ``dtype``, in TQM1 and TQQ1
+        alike, is "f32" or absent (read as "f32"); any other is BadMagic."""
+        p, bad = tmp_path / f"m.{fmt}", tmp_path / f"bad.{fmt}"
+        if fmt == "tqm":
+            save_model(small_model, p)
+            key, load = "tensors", load_model
+        else:
+            save_checkpoint(small_model, prepare_runtime(
+                small_model, QuantPlan(w_bits=4, group_size=8)), p)
+            key, load = "fp_tensors", lambda path: load_checkpoint(path)[0]
+
+        def edit(h):
+            for e in h[key]:
+                e.pop("dtype", None)
+            if dtype != "absent":
+                h[key][0]["dtype"] = dtype
+
+        bad.write_bytes(with_header_room(p.read_bytes()))
+        rewrite_header(bad, bad, edit)
+        if dtype in ("f32", "absent"):
+            assert np.array_equal(load(bad).tensors["embed"], small_model.tensors["embed"])
+        else:
+            with pytest.raises(BadMagic, match=rf"^tensor 'embed': dtype {dtype!r} "):
+                load(bad)
 
     def test_missing_tensor_rejected(self, small_model, tmp_path):
         import json
