@@ -10,12 +10,16 @@ import a ``quantlab``), prints only the lines that differ as ``name
 digest-a digest-b`` (``-`` where a tree has no such line), reports the
 count on stderr and exits 1 if any line differs, 0 if none does.
 
-With ``--reach``, the script runs the digest of one tree under a call
-profiler (``sys.setprofile``, only in this mode) and prints, in place of the
-lines, the functions of ``src/quantlab`` it never calls. It exits 0 if they
-are exactly ``UNREACHED``, code that only error paths reach. Any other
-function the digest misses needs a line here; code that only tests call
-belongs in ``tests/``.
+With ``--reach``, the script runs the digest of one tree under a line
+tracer (``sys.settrace`` over the files of ``src/quantlab``, only in this
+mode) and prints, in place of the digests, each line of a function body in
+``src/quantlab`` that it never runs, as ``module.function:line: source``.
+Module and class bodies run at import and are not counted, nor are the
+lines of ``raise`` statements and ``except`` handlers. It exits 0 if the
+lines are exactly ``NEVER_RUN``, each listed by its function and source
+text with the reason it does not run, and 1 otherwise, naming each line
+that differs. Any other line the digest misses needs a digest line here,
+or goes; code that only tests call belongs in ``tests/``.
 
 The library is imported from ``<tree>/src``; the plans and inputs are those
 of the benchmark workloads in ``perfbench/workloads.py`` beside this script,
@@ -25,7 +29,7 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
 * for calibration seeds 11 and 12, the logits of the five ``calibrate``
   plans on their 64-token probe, the GPTQ and AWQ proxy losses of every
   linear, and each FlatQuant linear's ``p1``, ``p2``, clips and
-  ``objective_trace``;
+  ``objective_trace``, read from its ``t`` as the workload reads them;
 * for the same seeds, model and probe, GPTQ weights under each input map:
   rotate 4-4-16, SmoothQuant 4-8-16 and FlatQuant 4-4-16 with one training
   step, the logits and every linear's proxy loss;
@@ -38,9 +42,10 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   and bias (``post_rope``/``post_bias``) at 2, 3, 4 and 8 bits: outputs
   that read each calibration row's position;
 * on a model without QKV biases (``qkv_bias=False``, ``ffn_mult=4``): its
-  TQM1 bytes, and the logits of seven plans on a 128-token probe (16-16-16,
-  RTN 4-16-16, rotate 4-4-16, rotated per-token 16-16-4, and, calibrated on
-  eight fixed 64-token sequences, GPTQ 4-16-16, ``kvquant_star`` 16-16-4 and
+  TQM1 bytes, and the logits of eight plans on a 128-token probe (16-16-16,
+  RTN 4-16-16, rotate 4-4-16, rotate 4-16-16, whose activations pass
+  through, rotated per-token 16-16-4, and, calibrated on eight fixed
+  64-token sequences, GPTQ 4-16-16, ``kvquant_star`` 16-16-4 and
   SmoothQuant 8-8-16);
 * for five plans whose stacked quantizer calls must be row-local (4-4-4
   rotate with rotated per-token KV at group sizes 32 and 24, 3-bit
@@ -69,6 +74,7 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   directory's path replaced, and on a 64-token probe the logits of the
   runtime ``load_checkpoint`` returns and of the in-memory runtime for the
   same plan and calibration windows (the two lines are equal);
+* ``init-model --inject-k-bias``: its exit code, stdout and TQM1 bytes;
 * the other commands through ``cli.main`` on the default model, as
   ``CLI_RUNS`` lists them: ``calib``, ``drift`` for five plans (its stdout
   and CSV of ``run_drift``'s report arrays), ``generate``,
@@ -77,13 +83,13 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   4-4-16 at rotation seeds 0 and 7. For each, the exit code, stdout and
   output file;
 * the calibration windows ``cli._load_calib`` takes from a ``quantlab calib
-  --count 12`` file (random crops) and from a file of one 64-token line and
-  fourteen 32-token lines (crops of the one long line: no window spans two
-  lines);
+  --count 12`` file (eight of its twelve lines, drawn at random), and the
+  ``FileTooSmall`` message for a file of one 64-token line and fourteen
+  32-token lines (no window spans two lines, so it holds one);
 * the logits of the three ``decode`` plans on a 128-token probe, those of
   a one-row session stepped one token at a time through a 130-token probe
   (past ``BLOCK``), and the sequence each plan generates under each
-  length-control mode;
+  length-control mode, 16-16-16 with no runtime, as the workload runs it;
 * ``toymodel.generate`` under each ``decode`` plan: greedy, sampled, and
   with ``max_new=0``;
 * the calibration set ``calibration.self_generate`` makes for each
@@ -93,6 +99,9 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   calibration set ``calibration.self_generate`` makes from prompts
   ``[[0], [0, 5, 9]]`` (six sequences, at temperature 0.6 and 0) with the
   rng's next draw: the paths that decode many sequences at once;
+* one more ``run_length_control`` under a soft address-space limit
+  (``ulimit -v``) of 1 TiB, set and restored in the process unless one is
+  set already, so that ``check_batch`` subtracts what the process maps;
 * the sequences and ``thinking`` counts of acceptance criterion 10 (200
   suppressed runs, 50 promoted runs at each of four budgets), and of every
   length-control mode over 200 seeds on a 12-token context, where thinking
@@ -121,12 +130,49 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# what --reach expects the digest never to call
-UNREACHED = (
-    # code that only error paths reach
-    "cli._Parser.error", "errors.NotPositiveDefinite.__init__",
-    "errors.TruncatedFile.__init__",
+# (function, stripped line, why): the body lines --reach expects never to run
+MESSAGE = "the message of the raise on the next line"
+CONSTRUCTOR = "an exception constructor: only error paths run it"
+NEVER_RUN = (
+    ("checkpoint.load_checkpoint",
+     'need = f"of shape [{shape[1]}]" if awq else "absent"', MESSAGE),
+    ("checkpoint.load_checkpoint",
+     'state = "quantized" if odd[0] in linears else "in full precision"', MESSAGE),
+    ("toymodel.Session.forward",
+     "bad = next(t for t in ids if not 0 <= t < cfg.vocab_size)", MESSAGE),
+    ("errors.NotPositiveDefinite.__init__", "self.pivot = pivot", CONSTRUCTOR),
+    ("errors.NotPositiveDefinite.__init__",
+     'super().__init__(message or f"matrix not positive definite at pivot {pivot}")',
+     CONSTRUCTOR),
+    ("errors.TruncatedFile.__init__", "self.offset = offset", CONSTRUCTOR),
+    ("errors.TruncatedFile.__init__",
+     'super().__init__(message or f"file truncated at offset {offset}")',
+     CONSTRUCTOR),
+    ("checkpoint.pack_codes", "flat = flat + (2 ** (bits - 1) - 1)",
+     "symmetric codes: no plan saves a symmetric weight spec yet (ROADMAP item 4)"),
+    ("checkpoint.unpack_codes", "vals = vals - (2 ** (bits - 1) - 1)",
+     "symmetric codes: no plan saves a symmetric weight spec yet (ROADMAP item 4)"),
+    *(("harness._sweep_one", text,
+       "a sweep row without a probe, which cmd_sweep never makes (ROADMAP item 7)")
+      for text in ("rep = run_length_control(model, cfg)", "row.update({",
+                   '"status": "ok",', '"mean_thinking": rep.mean_thinking,',
+                   '"median_thinking": rep.median_thinking,')),
+    ("quantcore.grid_shape", "return (1, 1)",
+     "an input edge case: a per-tensor spec, in a TQQ1 file that no command writes"),
+    ("quantcore._group_minmax", "x = np.zeros(grid_shape(x.shape, spec))",
+     "an input edge case: a zero extent along the grouped axis"),
+    ("quantcore._fit_cells", "return None",
+     "an input edge case: a finite range whose width overflows float64"),
+    ("transforms.flat_train.<locals>.evaluate", "return np.inf",
+     "an input edge case: a factor conditioned worse than FLAT_MAX_CONDITION"),
+    ("transforms.flat_train", "break",
+     "an input edge case: a gradient estimate that is zero or not finite"),
+    ("weightquant.gptq_quantize", "lam = GPTQ_DAMPING",
+     "an input edge case: a Hessian whose diagonal is zero"),
+    ("quantrun.linear_input_site", "return None",
+     "a tensor that is not a linear, which perfbench's calibrate set-up asks about"),
 )
+COMPREHENSIONS = ("<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>")
 SEEDS = (11, 12)
 # (1, 72) in groups of 8 is one cell more than quantcore.SMALL_GRID, the
 # largest grid fitted on Python floats
@@ -186,7 +232,7 @@ def calibrate_lines(workloads, quantrun):
                 yield f"{tag}/proxy_losses", proxy_losses_sha(rt)
             if method == "flatquant":
                 for name in sorted(rt.linears):
-                    t = rt.linears[name].map
+                    t = rt.linears[name].t
                     yield f"{tag}/{name}/flat_train", sha(
                         t.p1, t.p2, float(t.act_clip), float(t.weight_clip),
                         *(float(v) for v in t.objective_trace))
@@ -263,7 +309,7 @@ def position_lines(workloads, quantrun, toymodel, calibration, make_rng):
 
 
 def no_bias_lines(quantlab, workloads, quantrun, toymodel, make_rng):
-    """A model without QKV biases: its TQM1 file and seven plans' logits."""
+    """A model without QKV biases: its TQM1 file and eight plans' logits."""
     import tempfile
 
     model = toymodel.init_model(toymodel.ToyConfig(qkv_bias=False, ffn_mult=4),
@@ -280,6 +326,7 @@ def no_bias_lines(quantlab, workloads, quantrun, toymodel, make_rng):
     plans = (("16-16-16", QP()),
              ("rtn-4-16-16", QP(w_bits=4)),
              ("rotate-4-4-16", QP(w_bits=4, a_bits=4, wa_method="rotate")),
+             ("rotate-4-16-16", QP(w_bits=4, wa_method="rotate")),
              ("rotated_per_token-16-16-4",
               QP(kv_bits=4, kv_method="rotated_per_token")),
              ("gptq-4-16-16", QP(w_bits=4, w_method="gptq")),
@@ -483,6 +530,10 @@ def cli_lines(cli):
 
     with tempfile.TemporaryDirectory() as tmp:
         model, calib, sweep = f"{tmp}/model.tqm", f"{tmp}/calib.out", f"{tmp}/sweep.json"
+        code, stdout = run_cli(cli, tmp, "init-model", "--inject-k-bias", "1:5:8.0",
+                               "--out", f"{tmp}/outlier.tqm")
+        yield "cli/init-model/inject-k-bias", sha(code, stdout,
+                                                  Path(f"{tmp}/outlier.tqm").read_bytes())
         run_cli(cli, tmp, "init-model", "--out", model)
         Path(sweep).write_text(json.dumps({"runs": SWEEP_RUNS, "probe_len": 32,
                                            "calib": calib}))
@@ -499,8 +550,11 @@ def load_calib_lines(cli, calibration, make_rng):
     ``quantlab calib --count 12`` file, which holds more tokens than the
     windows and so is cropped at random, and from a file of one 64-token
     line and fourteen 32-token lines, exactly eight windows' worth of which
-    only the first line can give one."""
+    only the first line can give one. A tree that raises ``FileTooSmall``
+    hashes its message in place of the windows."""
     import tempfile
+
+    from quantlab.errors import FileTooSmall
 
     with tempfile.TemporaryDirectory() as tmp:
         model, counted, mixed = f"{tmp}/model.tqm", f"{tmp}/count12", f"{tmp}/mixed"
@@ -510,8 +564,12 @@ def load_calib_lines(cli, calibration, make_rng):
         calibration.write_sequences(
             [rng.integers(0, 64, size=n).tolist() for n in (64, *(32,) * 14)], mixed)
         for tag, path in (("count12", counted), ("mixed", mixed)):
-            yield f"load_calib/{tag}", sha(
-                *(t for s in cli._load_calib(path, 0) for t in (*s, -1)))
+            try:
+                windows = cli._load_calib(path, 0)
+            except FileTooSmall as e:
+                yield f"load_calib/{tag}", sha(f"FileTooSmall: {e}")
+                continue
+            yield f"load_calib/{tag}", sha(*(t for s in windows for t in (*s, -1)))
 
 
 def decode_lines(workloads, quantrun, toymodel, harness, make_rng):
@@ -526,9 +584,10 @@ def decode_lines(workloads, quantrun, toymodel, harness, make_rng):
             quantrun.forward_quantized(model, probe, plan, runtime=rt))
         sess = toymodel.Session(model, runtime=rt)
         yield f"{tag}/one_row_stepped", sha(*(sess.step(t) for t in stepped))
-        for lc in wl.MODES:
+        for lc in wl.MODES:  # as the workload, with no runtime for 16-16-16
             seq, thinking, total = harness.generate_with_length_control(
-                model, list(wl.PROMPT), plan, lc, make_rng(SEEDS[0]), runtime=rt)
+                model, list(wl.PROMPT), plan, lc, make_rng(SEEDS[0]),
+                runtime=None if plan.passthrough else rt)
             yield f"{tag}/{lc.mode}/sequence", sha(*seq, thinking, total)
 
 
@@ -572,6 +631,25 @@ def batch_lines(workloads, harness, calibration, make_rng):
                                        temperature=temperature)
         yield f"self_generate/two_prompts/{temperature}", sha(
             *(t for s in cs.sequences for t in (*s, -1)), float(rng.random()))
+
+
+def rlimit_lines(workloads, harness):
+    """``run_length_control``, 16 runs of the first ``decode`` plan and mode,
+    under a soft address-space limit (``ulimit -v``) of 1 TiB unless one is
+    set, restored after: ``check_batch`` then subtracts what the process
+    maps on every host."""
+    import resource
+
+    wl = workloads.Decode()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY:
+        resource.setrlimit(resource.RLIMIT_AS, (2**40, hard))
+    try:
+        rep = harness.run_length_control(wl.model(), harness.ExperimentConfig(
+            plan=wl.PLANS[0][2], length_control=wl.MODES[0], seed=SEEDS[0], n_runs=16))
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    yield "run_length_control/rlimit_as", sha(*rep.thinking_tokens, *rep.total_tokens)
 
 
 def length_control_lines(tag, harness, quantrun, model, modes, seeds, make_rng):
@@ -745,51 +823,93 @@ def compare(tree_a: Path, tree_b: Path) -> int:
     return 1 if differ else 0
 
 
-def definitions(package) -> dict:
-    """(file, first line, qualified name) -> ``module.qualname`` for every
-    function a module of ``package`` defines, nested ones included."""
+def code_lines(code) -> set:
+    """The lines of code object ``code`` that a line tracer sees: those of
+    its instructions after the prologue, which ends at the RESUME on the
+    ``def`` line and traces no line."""
+    import dis
+
+    resume = next(i.offset for i in dis.get_instructions(code) if i.opname == "RESUME")
+    return {line for start, _, line in code.co_lines()
+            if start > resume and line is not None}
+
+
+def body_lines(src: Path) -> dict:
+    """(file, line) -> (``module.qualname``, stripped source) for every line
+    of a function body in the modules of ``src`` that holds code, nested
+    functions, lambdas and comprehensions included, named for the outermost.
+    Module and class bodies, and the comprehensions in them, run at import
+    and are left out, as are the lines of ``raise`` statements and
+    ``except`` handlers."""
+    import ast
     import inspect
-    import pkgutil
 
     found = {}
-    for info in pkgutil.iter_modules(package.__path__):
-        path = str(Path(package.__path__[0]) / f"{info.name}.py")
-        todo = [compile(Path(path).read_text(), path, "exec")]
-        while todo:
-            code = todo.pop()
-            todo += [c for c in code.co_consts if inspect.iscode(c)]
-            # a function: not a module or class body, lambda or comprehension
-            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
-                key = (code.co_filename, code.co_firstlineno, code.co_qualname)
-                found[key] = f"{info.name}.{code.co_qualname}"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        source = text.splitlines()
+        errors = {line for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Raise, ast.ExceptHandler))
+                  for line in range(node.lineno, node.end_lineno + 1)}
+        todo = [(compile(text, str(path), "exec"), True)]  # (code, runs at import)
+        while todo:  # a code object's parent comes first
+            code, at_import = todo.pop()
+            # a comprehension runs where it stands, a function when called
+            todo += [(c, not c.co_flags & inspect.CO_NEWLOCALS
+                      or at_import and c.co_name in COMPREHENSIONS)
+                     for c in code.co_consts if inspect.iscode(c)]
+            if not at_import:
+                for line in sorted(code_lines(code) - errors):
+                    found.setdefault((code.co_filename, line), (
+                        f"{path.stem}.{code.co_qualname}", source[line - 1].strip()))
     return found
 
 
-def reach(generators, package) -> int:
-    """Run the digest under a call profiler and print the functions of
-    ``package`` it never calls, sorted; 0 if they are exactly ``UNREACHED``."""
-    seen = {}  # by identity: code objects with the same body at the same
-    # line compare equal even when two files define them
+def reach(generators, src: Path) -> int:
+    """Run the digest under a line tracer over the files of ``src`` and print
+    the body lines (see ``body_lines``) it never runs; 0 if they are exactly
+    ``NEVER_RUN``. A code object is traced only until each of its body
+    lines has run."""
+    import collections
 
-    def profile(frame, event, arg):
-        if event == "call":
-            seen[id(frame.f_code)] = frame.f_code
+    body = body_lines(src)
+    files = {file for file, _ in body}
+    left = {}  # by id, as a code object hashes its whole body: (it, lines not yet run)
 
-    sys.setprofile(profile)
+    def lines(frame, event, arg):
+        if event == "line":
+            left[id(frame.f_code)][1].discard(frame.f_lineno)
+        return lines
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename not in files:
+            return None
+        if id(code) not in left:
+            left[id(code)] = code, {line for line in code_lines(code)
+                                    if (code.co_filename, line) in body}
+        return lines if left[id(code)][1] else None
+
+    sys.settrace(calls)
     try:
         for gen in generators:
             for _ in gen:
                 pass
     finally:
-        sys.setprofile(None)
-    called = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in seen.values()}
-    unreached = sorted(name for key, name in definitions(package).items()
-                       if key not in called)
-    for name in unreached:
-        print(name)
-    odd = sorted(set(unreached) ^ set(UNREACHED))
-    print(f"digest: {len(unreached)} functions unreached"
-          + (f"; not as documented: {', '.join(odd)}" if odd else ""), file=sys.stderr)
+        sys.settrace(None)
+    ran = {(code.co_filename, line) for code, rest in left.values()
+           for line in code_lines(code) - rest}
+    never = sorted((name, line, text) for (file, line), (name, text) in body.items()
+                   if (file, line) not in ran)
+    for name, line, text in never:
+        print(f"{name}:{line}: {text}")
+    found = collections.Counter((name, text) for name, _, text in never)
+    documented = collections.Counter((name, text) for name, text, _ in NEVER_RUN)
+    odd = ([f"not documented: {name}: {text}" for name, text in (found - documented).elements()]
+           + [f"documented, but ran: {name}: {text}"
+              for name, text in (documented - found).elements()])
+    print(f"digest: {len(never)} lines never run"
+          + "".join(f"\n  {o}" for o in odd), file=sys.stderr)
     return 1 if odd else 0
 
 
@@ -799,7 +919,7 @@ def main(argv=None) -> int:
     ap.add_argument("other", type=Path, nargs="?",
                     help="a second tree: print only the lines that differ")
     ap.add_argument("--reach", action="store_true",
-                    help="print the library functions the digest never calls")
+                    help="print the library lines the digest never runs")
     args = ap.parse_args(argv)
     if args.other is not None:
         if args.reach:
@@ -837,12 +957,13 @@ def main(argv=None) -> int:
                   generate_lines(workloads, quantrun, toymodel, make_rng),
                   self_generate_lines(workloads),
                   batch_lines(workloads, harness, calibration, make_rng),
+                  rlimit_lines(workloads, harness),
                   criterion10_lines(harness, quantrun, toymodel, make_rng),
                   criterion4_lines(weightquant, make_rng),
                   primitive_lines(quantcore, make_rng),
                   gptq_lines(quantcore, weightquant, make_rng))
     if args.reach:
-        return reach(generators, quantlab)
+        return reach(generators, src / "quantlab")
     for gen in generators:
         for name, digest in gen:
             print(name, digest, flush=True)

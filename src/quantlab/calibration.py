@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from .quantrun import capture_activations
-from .toymodel import _CAPTURE_SITES, ToyModel, check_batch, decode, sample_rows
+from .toymodel import (_CAPTURE_SITES, TEMPERATURE, TOP_P, ToyModel, check_batch,
+                       decode, sample_rows)
 
 
 @dataclass
@@ -51,35 +52,35 @@ def _check_counts(seq_len: int, count: int) -> None:
 
 
 def load_calibration(path, seq_len: int, count: int, rng) -> CalibrationSet:
-    """`count` windows of `seq_len` tokens from the file's sequences, none
-    spanning two of them. A file of exactly `count` windows, each line a
-    whole number of them, is partitioned in order; otherwise each window is
-    a random crop of a line of at least `seq_len` tokens, deterministic
+    """`count` distinct windows of `seq_len` tokens from the file's
+    sequences, none spanning two of them; FileTooSmall when the file holds
+    fewer. A file of exactly `count` windows, each line a whole number of
+    them, is partitioned in order; otherwise the windows, each a line and a
+    start in it, are drawn uniformly without replacement, deterministic
     under the rng seed."""
     _check_counts(seq_len, count)
     seqs = parse_sequences(path)
-    eligible = [s for s in seqs if len(s) >= seq_len]
-    total = sum(len(s) for s in seqs)
-    if not eligible or total < count * seq_len:
-        raise FileTooSmall(
-            f"need {count} windows of {seq_len} tokens, file has {total}")
-    if total == count * seq_len and all(len(s) % seq_len == 0 for s in seqs):
+    windows = [(s, start) for s in seqs for start in range(len(s) - seq_len + 1)]
+    if len(windows) < count:
+        raise FileTooSmall(f"need {count} distinct windows of {seq_len} tokens, "
+                           f"the file holds {len(windows)}")
+    if sum(len(s) for s in seqs) == count * seq_len and all(
+            len(s) % seq_len == 0 for s in seqs):
         # exact fit: partition the concatenation, no randomness needed
         flat = [t for s in seqs for t in s]
         out = [flat[i * seq_len : (i + 1) * seq_len] for i in range(count)]
         return CalibrationSet(out, domain_tag="pretrain")
     out = []
-    for _ in range(count):
-        s = eligible[int(rng.integers(0, len(eligible)))]
-        start = int(rng.integers(0, len(s) - seq_len + 1))
+    for i in rng.choice(len(windows), size=count, replace=False):
+        s, start = windows[i]
         out.append(s[start : start + seq_len])
     return CalibrationSet(out, domain_tag="pretrain")
 
 
 def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
-                  temperature: float = 0.6, top_p: float = 0.95) -> CalibrationSet:
-    """Generate calibration continuations with the unquantized model at the
-    default sampling settings, all ``count`` in one ``decode`` batch;
+                  temperature: float = TEMPERATURE) -> CalibrationSet:
+    """Generate calibration continuations with the unquantized model in the
+    nucleus ``TOP_P``, all ``count`` in one ``decode`` batch;
     tagged "self_generated". Sequence i continues prompt i modulo the
     prompts to ``seq_len`` tokens. ``rng`` gives each sequence's uniforms
     in turn, sequence i's after sequence i - 1's, so the set is the one
@@ -99,7 +100,7 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
     taken = np.zeros(count, dtype=int)
 
     def choose(rows, logits):
-        toks = sample_rows(logits, temperature, top_p,
+        toks = sample_rows(logits, temperature, TOP_P,
                            lambda: u[first[rows] + taken[rows]])
         taken[rows] += 1
         return toks

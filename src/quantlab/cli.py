@@ -15,7 +15,7 @@ from .errors import ContextOverflow, QuantLabError, UsageError
 from .quantrun import KV_METHODS, W_METHODS, WA_METHODS, QuantPlan, prepare_runtime
 from .rng import make_rng
 from .checkpoint import load_model, save_model
-from .toymodel import ToyConfig, check_generate, generate, init_model
+from .toymodel import TEMPERATURE, TOP_P, ToyConfig, check_generate, generate, init_model
 
 CALIB_LEN = 64  # tokens per calibration window, unless --calib-len says otherwise
 # the commands whose --calib-len sets the length of the --calib windows
@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     model_plan(p, plan_required=False)
     p.add_argument("--prompt", default="0")
     p.add_argument("--max-new", type=int, default=32)
-    p.add_argument("--temperature", type=float, default=0.6)
-    p.add_argument("--top-p", type=float, default=0.95, dest="top_p")
+    p.add_argument("--temperature", type=float, default=TEMPERATURE)
+    p.add_argument("--top-p", type=float, default=TOP_P, dest="top_p")
     _add_common(p)
     p.set_defaults(fn=cmd_generate)
 

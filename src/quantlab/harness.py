@@ -14,10 +14,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .quantcore import _check_field_types
 from .quantrun import QuantPlan, forward_quantized, prepare_runtime
 from .rng import make_rng
 from .toymodel import (
+    TEMPERATURE,
     THINK_END_ID,
+    TOP_P,
     WAIT_ID,
     ToyModel,
     check_batch,
@@ -43,6 +46,7 @@ class LengthControl:
     max_waits: int = 8
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.mode not in (LC_OFF, LC_SUPPRESS, LC_PROMOTE):
             raise ValueError(f"bad length-control mode {self.mode!r}")
         if self.budget < 1:
@@ -57,11 +61,14 @@ class ExperimentConfig:
     probe_tokens: Optional[list] = None
     prompts: list = field(default_factory=lambda: [[0]])
     calib_sequences: Optional[list] = None
-    temperature: float = 0.6
-    top_p: float = 0.95
+    temperature: float = TEMPERATURE
+    top_p: float = TOP_P
     length_control: LengthControl = field(default_factory=LengthControl)
     seed: int = 0
     n_runs: int = 1
+
+    def __post_init__(self):
+        _check_field_types(self)
 
     def to_row_fields(self) -> dict:
         """The run's labels: the bit string, then every plan field."""
@@ -183,16 +190,17 @@ def _length_controlled(model: ToyModel, prompts, lc: LengthControl, rngs,
 
 def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
                                  lc: LengthControl, rng,
-                                 temperature: float = 0.6, top_p: float = 0.95,
-                                 calib_sequences=None, runtime=None):
-    """One controlled generation, a batch of one (see ``_LengthRule``).
+                                 temperature: float = TEMPERATURE, runtime=None):
+    """One controlled generation, a batch of one (see ``_LengthRule``), in
+    the nucleus ``TOP_P``, on ``runtime`` or, without one, on the runtime
+    ``plan`` prepares uncalibrated.
 
     Returns (sequence, thinking_count, total_generated).
     """
-    check_prompts([prompt], model.config.vocab_size)  # before the plan's calibration
+    check_prompts([prompt], model.config.vocab_size)  # before the plan's runtime
     if runtime is None:
-        runtime = prepare_runtime(model, plan, calib_sequences)
-    return _length_controlled(model, [prompt], lc, [rng], temperature, top_p,
+        runtime = prepare_runtime(model, plan)
+    return _length_controlled(model, [prompt], lc, [rng], temperature, TOP_P,
                               runtime)[0]
 
 

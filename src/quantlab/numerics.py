@@ -70,7 +70,7 @@ def is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class HadamardMatrix:
-    """Normalized (orthogonal) Hadamard matrix, optionally sign-randomized."""
+    """Normalized (orthogonal) Hadamard matrix with a random sign diagonal."""
 
     n: int
     matrix: np.ndarray  # n x n, includes 1/sqrt(n) normalization and sign diag
@@ -87,23 +87,15 @@ class HadamardMatrix:
         return x @ self.matrix.T
 
 
-def hadamard(n: int, randomize: bool = False, rng=None) -> HadamardMatrix:
-    """Sylvester-construction Hadamard matrix scaled by 1/sqrt(n).
-
-    When ``randomize`` is set, the matrix is right-multiplied by a random
-    +-1 diagonal drawn from ``rng`` (sign diagonal only, no permutation, so
-    the inverse stays H.T).
-    """
+def hadamard(n: int, rng) -> HadamardMatrix:
+    """Sylvester-construction Hadamard matrix scaled by 1/sqrt(n),
+    right-multiplied by a random +-1 diagonal drawn from ``rng`` (sign
+    diagonal only, no permutation, so the inverse stays H.T)."""
     if not is_power_of_two(n):
         raise NotPowerOfTwo(f"Hadamard dimension must be a power of two, got {n}")
     h = np.array([[1.0]])
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     h = h / np.sqrt(n)
-    if randomize:
-        if rng is None:
-            raise ValueError("randomize=True requires an rng")
-        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    else:
-        sign = np.ones(n)
+    sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
     return HadamardMatrix(n=n, matrix=h * sign[np.newaxis, :], sign_diag=sign)

@@ -298,10 +298,11 @@ def _fit_cells(mn: list, mx: list, spec: QuantSpec):
 
 
 def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
-    """Fit per-group scales (and zero points when asymmetric)."""
+    """Fit per-group scales (and zero points when asymmetric); ValueError
+    for the 16-bit pass-through sentinel, which has no grid."""
     x = np.asarray(x, dtype=np.float64)
     if spec.passthrough:
-        return QuantParams(np.ones((1, 1)), None, spec, x.shape)
+        raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
     mn, mx = _group_minmax(x, spec)
 
     if spec.symmetric:

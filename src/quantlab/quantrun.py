@@ -315,7 +315,7 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
         # stage 1, per site: the input map, fitted on and applied to the stacked weight
         imap, spec, act = None, spec_w, spec_a
         if wa == "rotate":
-            imap = hadamard(ws.shape[1], randomize=True, rng=rng)
+            imap = hadamard(ws.shape[1], rng)
             ws = imap.apply(ws)
         elif wa == "smoothquant":
             ws, inv = awq_fold(ws, smooth_fit(x, ws, alpha=plan.smooth_alpha))
@@ -357,8 +357,7 @@ def _kv_writers(model: ToyModel, plan: QuantPlan, rec, rng) -> list:
     """One KV writer per layer; rotated per-token KV shares one Hadamard."""
     mc, spec = model.config, default_weight_spec(plan.kv_bits, plan.group_size)
     if plan.kv_method != "kvquant_star":
-        h = (hadamard(mc.head_dim, randomize=True, rng=rng)
-             if plan.kv_method == "rotated_per_token" else None)
+        h = hadamard(mc.head_dim, rng) if plan.kv_method == "rotated_per_token" else None
         return [KvWriter(spec, h)] * mc.n_layers
     rope = RopeConfig(head_dim=mc.head_dim, base=mc.rope_base)
     cfg = KvQuantStarConfig(k_spec=default_kv_k_channel_spec(plan.kv_bits),

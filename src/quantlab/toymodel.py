@@ -68,6 +68,8 @@ BLOCK = 64  # positions per Session.forward block; see the module docstring
 _LATER = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)  # [t, s]: key s after query t
 HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
 RMS_EPS = 1e-6  # added to rmsnorm's mean square
+TEMPERATURE = 0.6  # every sampler's default temperature
+TOP_P = 0.95  # and its default nucleus
 
 
 @dataclass(frozen=True)
@@ -686,8 +688,8 @@ def check_generate(cfg: ToyConfig, prompt, max_new: int, temperature: float,
         raise ValueError("sampling requires an rng")
 
 
-def generate(m: ToyModel, prompt, max_new: int, temperature: float = 0.6,
-             top_p: float = 0.95, rng=None, runtime=None) -> list:
+def generate(m: ToyModel, prompt, max_new: int, temperature: float = TEMPERATURE,
+             top_p: float = TOP_P, rng=None, runtime=None) -> list:
     """Autoregressive sampling of ``max_new`` tokens, a batch of one;
     greedy when temperature == 0. Returns the full id sequence (prompt +
     continuation)."""

@@ -11,7 +11,6 @@ Conventions: weights ``w`` are (out, in), activations ``x`` are
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -102,20 +101,15 @@ def flat_map_weight(w: np.ndarray, t: FlatTransform) -> np.ndarray:
 
 
 def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
-                   spec_w: QuantSpec, spec_a: QuantSpec, *,
-                   y_ref: Optional[np.ndarray] = None) -> float:
+                   spec_w: QuantSpec, spec_a: QuantSpec, *, y_ref: np.ndarray) -> float:
     """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch: the
     squared residual of the linear ``prepare_runtime`` builds from ``t``
-    under RTN weights.
-
-    ``y_ref`` is X W.T when the caller already has it: ``flat_train``
-    computes it once and passes it to every evaluation."""
+    under RTN weights. ``y_ref`` is X W.T, which ``flat_train`` computes
+    once for every evaluation."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape[1] != t.n or w.shape[1] != t.n:
         raise DimensionMismatch(f"transform dim {t.n} vs x {x.shape}, w {w.shape}")
-    if y_ref is None:
-        y_ref = x @ w.T
     sw, sa = t.specs(spec_w, spec_a)
     r = PlainLinear(fake_quant(flat_map_weight(w, t), sw), None, t, sa).pre_bias(x)
     np.subtract(y_ref, r, out=r)

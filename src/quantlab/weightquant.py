@@ -6,7 +6,7 @@ layer computes ``x @ w.T``; calibration activations ``calib_x`` are
 (in_features, n_tokens), one column per token.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
 
 @dataclass
 class GptqConfig:
-    spec: QuantSpec = field(default_factory=lambda: default_weight_spec(4))
+    spec: QuantSpec
 
 
 @dataclass

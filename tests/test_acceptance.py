@@ -104,7 +104,7 @@ def test_criterion_2_hadamard():
         rng = make_rng(1)
         for k in range(11):  # n = 1, 2, 4, ..., 1024
             n = 2**k
-            h = hadamard(n, randomize=True, rng=rng)
+            h = hadamard(n, rng)
             err = np.max(np.abs(h.matrix @ h.matrix.T - np.eye(n)))
             assert err <= 1e-10, f"n={n}: orthogonality error {err}"
             x = rng.standard_normal((4, n))

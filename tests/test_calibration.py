@@ -87,13 +87,13 @@ class TestLoadCalibration:
     @pytest.mark.parametrize("short_lines", [14, 15])
     def test_no_window_spans_two_lines(self, tmp_path, short_lines):
         """One 64-token line and 14 or 15 32-token lines: with 14 the file
-        holds exactly eight 64-token windows, but only the first line is long
-        enough for one, so every window is that line, as with 15."""
+        holds exactly eight 64-token windows' worth of tokens, but only the
+        first line is long enough for a window, and it holds one."""
         long = list(range(100, 164))
         p = tmp_path / "calib.txt"
         write_sequences([long] + [list(range(32))] * short_lines, p)
-        cs = load_calibration(p, seq_len=64, count=8, rng=make_rng(0))
-        assert cs.sequences == [long] * 8
+        with pytest.raises(FileTooSmall, match="8 distinct windows .* holds 1$"):
+            load_calibration(p, seq_len=64, count=8, rng=make_rng(0))
 
     def test_seeded_crops_reproducible(self, tmp_path):
         p = tmp_path / "calib.txt"

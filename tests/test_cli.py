@@ -207,6 +207,17 @@ class TestCalibStats:
         assert len(seqs) == 8
         assert all(len(s) == 24 for s in seqs)
 
+    def test_count_12_file_gives_eight_distinct_lines(self, model_file, tmp_path):
+        """A ``calib --count 12`` file holds twelve 64-token windows, one a
+        line; ``_load_calib`` takes eight of them, none twice."""
+        p = tmp_path / "count12.txt"
+        assert cli.main(["calib", "--model", model_file, "--count", "12",
+                         "--out", str(p)]) == 0
+        lines = parse_sequences(p)
+        windows = cli._load_calib(str(p), 0)
+        assert len(lines) == 12 and all(w in lines for w in windows)
+        assert len({tuple(w) for w in windows}) == 8
+
     def test_stats_csv(self, model_file, tmp_path):
         out = tmp_path / "stats.csv"
         rc = cli.main(["stats", "--model", model_file, "--site",

@@ -116,6 +116,19 @@ class TestLengthControl:
                 LengthControl(mode=mode, max_waits=-1)
         assert LengthControl(mode=LC_SUPPRESS, max_waits=0).max_waits == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 2.5), ("budget", True), ("max_waits", True), ("max_waits", 8.0)])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(TypeError, match=rf"^LengthControl\.{field} must be int"):
+            LengthControl(mode=LC_PROMOTE, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.0), ("seed", True), ("n_runs", 2.0), ("temperature", "0.6"),
+        ("temperature", False), ("top_p", None)])
+    def test_experiment_config_field_types_checked(self, field, value):
+        with pytest.raises(TypeError, match=rf"^ExperimentConfig\.{field} must be "):
+            ExperimentConfig(**{field: value})
+
     def test_suppress_caps_thinking(self, small_model):
         lc = LengthControl(mode="suppress", budget=6)
         for seed in range(8):

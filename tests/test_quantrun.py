@@ -365,7 +365,7 @@ class TestForward:
             ws = np.concatenate([small_model.tensors[n] for n in names]).astype(np.float64)
             r = x @ ws.T - np.concatenate(site_pre_bias(lins, x), axis=1)
             got = float(np.sum(np.square(r)))
-            assert got == flat_objective(ws, x, t, spec_w, spec_a), site
+            assert got == flat_objective(ws, x, t, spec_w, spec_a, y_ref=x @ ws.T), site
             assert got == t.objective_trace[-1], site
 
     @pytest.mark.parametrize("plan", [

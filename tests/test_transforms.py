@@ -77,13 +77,13 @@ class TestSmoothQuant:
 
 class TestRotation:
     def test_identity_for_n1(self):
-        h = hadamard(1)
+        h = hadamard(1, make_rng(0))
         w = np.array([[2.0]])
-        assert np.array_equal(h.apply(w), w)
+        assert np.array_equal(h.apply(w), w * h.sign_diag)
 
     def test_computational_invariance(self):
         rng = make_rng(4)
-        h = hadamard(64, randomize=True, rng=rng)
+        h = hadamard(64, rng)
         x = rng.standard_normal((16, 64))
         w = rng.standard_normal((8, 64))
         ref = x @ w.T
@@ -94,7 +94,7 @@ class TestRotation:
         rng = make_rng(5)
         x = rng.standard_normal((1, 64))
         x[0, 7] = 500.0
-        xr = x @ hadamard(64, randomize=True, rng=rng).matrix
+        xr = x @ hadamard(64, rng).matrix
 
         def spread(v):
             a = np.abs(v)
@@ -104,7 +104,7 @@ class TestRotation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            hadamard(64).apply(np.zeros((4, 48)))
+            hadamard(64, make_rng(0)).apply(np.zeros((4, 48)))
 
 
 class TestKronecker:
@@ -150,7 +150,7 @@ class TestFlatQuant:
         t = FlatTransform(p1=np.eye(3), p2=np.eye(4))
         lin = PlainLinear(flat_map_weight(w, t), None, t, SPEC_OFF)
         assert np.array_equal(lin.pre_bias(x), x @ w.T)
-        assert flat_objective(w, x, t, SPEC_OFF, SPEC_OFF) == 0.0
+        assert flat_objective(w, x, t, SPEC_OFF, SPEC_OFF, y_ref=x @ w.T) == 0.0
 
     def test_unquantized_invariance_random_transform(self):
         rng = make_rng(7)
@@ -183,7 +183,7 @@ class TestFlatQuant:
         trace = np.asarray(t.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
         assert trace[-1] <= trace[0]
-        assert flat_objective(w, x, t, SPEC_W4, SPEC_A4) == pytest.approx(
+        assert flat_objective(w, x, t, SPEC_W4, SPEC_A4, y_ref=x @ w.T) == pytest.approx(
             trace[-1], rel=1e-9)
 
     def test_given_y_ref_matches_computed(self):
@@ -194,8 +194,10 @@ class TestFlatQuant:
                           p2=np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
                           act_clip=0.9, weight_clip=0.8)
         y_ref = x @ w.T
+        sw, sa = t.specs(SPEC_W4, SPEC_A4)
+        got = PlainLinear(fake_quant(flat_map_weight(w, t), sw), None, t, sa).pre_bias(x)
         assert flat_objective(w, x, t, SPEC_W4, SPEC_A4, y_ref=y_ref) == \
-            flat_objective(w, x, t, SPEC_W4, SPEC_A4)
+            float(np.sum(np.square(y_ref - got)))
         assert np.array_equal(y_ref, x @ w.T)
 
     def test_condition_number_within_gate(self):
@@ -289,4 +291,5 @@ class TestFlatQuant:
     def test_dimension_mismatch(self):
         t = FlatTransform(p1=np.eye(2), p2=np.eye(3))
         with pytest.raises(DimensionMismatch):
-            flat_objective(np.zeros((2, 5)), np.zeros((2, 5)), t, SPEC_OFF, SPEC_OFF)
+            flat_objective(np.zeros((2, 5)), np.zeros((2, 5)), t, SPEC_OFF, SPEC_OFF,
+                           y_ref=np.zeros((2, 2)))

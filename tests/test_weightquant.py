@@ -117,7 +117,8 @@ class TestGptq:
 
     def test_calib_width_checked(self):
         with pytest.raises(ValueError, match="calib_x rows"):
-            gptq_quantize(np.ones((2, 8)), np.ones((7, 16)), GptqConfig())
+            gptq_quantize(np.ones((2, 8)), np.ones((7, 16)),
+                          GptqConfig(spec=default_weight_spec(4)))
 
     def test_zero_hessian_damped_by_the_fraction(self, monkeypatch):
         """All-zero calibration: the mean diagonal is 0, so the damping is
@@ -151,7 +152,8 @@ class TestGptq:
         rng = make_rng(8)
         x = rng.standard_normal((8, 32))
         h00 = float(x[0] @ x[0])
-        gptq_quantize(rng.standard_normal((2, 8)), x, GptqConfig())
+        gptq_quantize(rng.standard_normal((2, 8)), x,
+                      GptqConfig(spec=default_weight_spec(4)))
         lam = [d - h00 for d in damped]
         assert len(lam) == 3
         assert lam[1] == pytest.approx(2 * lam[0]) and lam[2] == pytest.approx(4 * lam[0])
@@ -168,7 +170,7 @@ class TestGptq:
         x = make_rng(9).standard_normal((8, 16))
         x[3, 5] = np.nan
         with pytest.raises(NotPositiveDefinite):
-            gptq_quantize(np.ones((2, 8)), x, GptqConfig())
+            gptq_quantize(np.ones((2, 8)), x, GptqConfig(spec=default_weight_spec(4)))
         assert len(calls) == weightquant.MAX_DAMPING_RETRIES + 1
 
 
