@@ -5,6 +5,14 @@ that two trees can be checked for byte-identical results:
     python scripts/digest.py path/to/tree-a path/to/tree-b
     python scripts/digest.py --reach path/to/tree
 
+Given one tree, the first line is a header, ``# sha256 <hex> of ...``: the
+SHA-256 of the files the digest runs (``source_hash``), and the numpy and
+BLAS versions, on which float64 results also depend. ``DIGEST.txt`` at the
+repository root is this output for the repository itself; a test checks
+its recorded hash against the tree, so an edit to any hashed file needs
+``python scripts/digest.py . > DIGEST.txt``, whose ``git diff`` then lists
+the digest lines the edit changed.
+
 Given two trees, the script digests each in its own Python process (both
 import a ``quantlab``), prints only the lines that differ as ``name
 digest-a digest-b`` (``-`` where a tree has no such line), reports the
@@ -182,6 +190,33 @@ PRIMITIVE_KINDS = ("normal", "zeros", "constant", "negative", "subnormal", "ties
                    "nonfinite")
 GPTQ_SEEDS = range(6)
 GPTQ_SHAPES = ((8, 16), (5, 33), (16, 64), (3, 7))
+
+
+def source_hash(tree: Path, lab: Path = ROOT) -> str:
+    """SHA-256 over the name, length and bytes of each file a digest of
+    ``tree`` runs: ``src/quantlab/*.py`` of ``tree``, then
+    ``scripts/digest.py`` and ``perfbench/workloads.py`` of ``lab``, the
+    tree this script is in."""
+    files = [(tree, p.relative_to(tree))
+             for p in sorted((tree / "src" / "quantlab").glob("*.py"))]
+    files += [(lab, Path("scripts/digest.py")), (lab, Path("perfbench/workloads.py"))]
+    h = hashlib.sha256()
+    for root, name in files:
+        data = (root / name).read_bytes()
+        h.update(f"{name.as_posix()} {len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def header(tree: Path) -> str:
+    """The first line of a one-tree digest: ``source_hash`` of ``tree``, and
+    the numpy and BLAS versions."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# sha256 {source_hash(tree)} of src/quantlab/*.py, scripts/digest.py, "
+            f"perfbench/workloads.py; numpy {np.__version__}; "
+            f"BLAS {blas['name']} {blas['version']}")
 
 
 def sha(*parts) -> str:
@@ -805,8 +840,8 @@ def gptq_lines(quantcore, weightquant, make_rng):
 
 
 def compare(tree_a: Path, tree_b: Path) -> int:
-    """Digest both trees side by side, one process each; print the lines
-    that differ. Returns 1 if any does, 0 if none, 2 if a digest failed."""
+    """Digest both trees side by side, one process each; print the lines,
+    headers aside, that differ. Returns 1 if any does, 0 if none, 2 if a digest failed."""
     procs = [subprocess.Popen([sys.executable, __file__, str(tree)],
                               stdout=subprocess.PIPE, text=True)
              for tree in (tree_a, tree_b)]
@@ -814,7 +849,8 @@ def compare(tree_a: Path, tree_b: Path) -> int:
     if any(proc.returncode for proc in procs):
         print("digest: a tree's digest failed", file=sys.stderr)
         return 2
-    a, b = (dict(line.rsplit(" ", 1) for line in out.splitlines()) for out in outs)
+    a, b = (dict(line.rsplit(" ", 1) for line in out.splitlines()
+                 if not line.startswith("#")) for out in outs)
     names = list(a) + [name for name in b if name not in a]
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
@@ -964,6 +1000,7 @@ def main(argv=None) -> int:
                   gptq_lines(quantcore, weightquant, make_rng))
     if args.reach:
         return reach(generators, src / "quantlab")
+    print(header(args.tree.resolve()), flush=True)
     for gen in generators:
         for name, digest in gen:
             print(name, digest, flush=True)

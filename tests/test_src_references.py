@@ -9,7 +9,11 @@ Dunder names are exempt.
 This is the quick, static half of ``scripts/digest.py --reach``, which runs
 the whole digest to find the function body lines it never runs. The other
 quick half checks that each line ``NEVER_RUN`` lists is still in its
-function, so that the list cannot go stale between ``--reach`` runs."""
+function, so that the list cannot go stale between ``--reach`` runs.
+
+``DIGEST.txt`` is the digest of this tree, and its first line records the
+SHA-256 of the files it ran; a check that the hash matches the tree keeps
+the file from going stale in the same way."""
 
 import ast
 import collections
@@ -89,3 +93,28 @@ def test_body_lines_leave_out_import_time_and_error_lines(tmp_path):
         (8, "lib.Box.get", "return self.size"), (12, "lib.parse", "try:"),
         (13, "lib.parse", "return int(text)"),
         (21, "lib.squares", "return [i * i for i in range(n)]")]
+
+
+def test_digest_file_hash_is_this_tree():
+    """Regenerate after editing a hashed file: python scripts/digest.py . > DIGEST.txt"""
+    with open(ROOT / "DIGEST.txt") as f:
+        first = f.readline().split()
+    assert first[:3] == ["#", "sha256", load_digest().source_hash(ROOT)]
+
+
+def test_source_hash_covers_every_hashed_file(tmp_path):
+    digest = load_digest()
+    files = ("src/quantlab/a.py", "src/quantlab/b.py", "scripts/digest.py",
+             "perfbench/workloads.py")
+    for name in files:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("x = 1\n")
+    before = digest.source_hash(tmp_path, tmp_path)
+    hashes = set()
+    for name in files:
+        (tmp_path / name).write_text("x = 2\n")
+        hashes.add(digest.source_hash(tmp_path, tmp_path))
+        (tmp_path / name).write_text("x = 1\n")
+    (tmp_path / "src/quantlab/c.py").write_text("")
+    hashes.add(digest.source_hash(tmp_path, tmp_path))
+    assert before not in hashes and len(hashes) == len(files) + 1
