@@ -50,11 +50,12 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
   and bias (``post_rope``/``post_bias``) at 2, 3, 4 and 8 bits: outputs
   that read each calibration row's position;
 * on a model without QKV biases (``qkv_bias=False``, ``ffn_mult=4``): its
-  TQM1 bytes, and the logits of eight plans on a 128-token probe (16-16-16,
+  TQM1 bytes, and the logits of nine plans on a 128-token probe (16-16-16,
   RTN 4-16-16, rotate 4-4-16, rotate 4-16-16, whose activations pass
   through, rotated per-token 16-16-4, and, calibrated on eight fixed
-  64-token sequences, GPTQ 4-16-16, ``kvquant_star`` 16-16-4 and
-  SmoothQuant 8-8-16);
+  64-token sequences, GPTQ 4-16-16, ``kvquant_star`` 16-16-4, SmoothQuant
+  8-8-16 and FlatQuant 16-4-16 with one training step, whose weights pass
+  through);
 * for five plans whose stacked quantizer calls must be row-local (4-4-4
   rotate with rotated per-token KV at group sizes 32 and 24, 3-bit
   per-token KV at group size 32, and, calibrated on eight fixed 64-token
@@ -344,7 +345,7 @@ def position_lines(workloads, quantrun, toymodel, calibration, make_rng):
 
 
 def no_bias_lines(quantlab, workloads, quantrun, toymodel, make_rng):
-    """A model without QKV biases: its TQM1 file and eight plans' logits."""
+    """A model without QKV biases: its TQM1 file and nine plans' logits."""
     import tempfile
 
     model = toymodel.init_model(toymodel.ToyConfig(qkv_bias=False, ffn_mult=4),
@@ -366,7 +367,9 @@ def no_bias_lines(quantlab, workloads, quantrun, toymodel, make_rng):
               QP(kv_bits=4, kv_method="rotated_per_token")),
              ("gptq-4-16-16", QP(w_bits=4, w_method="gptq")),
              ("kvquant_star-16-16-4", QP(kv_bits=4, kv_method="kvquant_star")),
-             ("smoothquant-8-8-16", QP(w_bits=8, a_bits=8, wa_method="smoothquant")))
+             ("smoothquant-8-8-16", QP(w_bits=8, a_bits=8, wa_method="smoothquant")),
+             ("flatquant-16-4-16/steps1",
+              QP(a_bits=4, wa_method="flatquant", flat_steps=1)))
     for tag, plan in plans:
         yield f"no_bias/{tag}/logits", sha(quantrun.forward_quantized(
             model, probe, plan, calib_sequences=calib if plan.needs_calibration else None))

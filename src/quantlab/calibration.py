@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from .quantrun import capture_activations
 from .toymodel import (_CAPTURE_SITES, TEMPERATURE, TOP_P, ToyModel, check_batch,
-                       decode, sample_rows)
+                       check_sampling, decode, sample_rows)
 
 
 @dataclass
@@ -90,6 +90,7 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
     _check_counts(seq_len, count)
     if seq_len > m.config.max_seq_len:
         raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
+    check_sampling(temperature, TOP_P)
     if temperature != 0 and rng is None:
         raise ValueError("sampling requires an rng")
     check_batch(m.config, prompts, count)  # before the per-sequence lists

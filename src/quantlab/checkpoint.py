@@ -282,10 +282,8 @@ def load_checkpoint(path):
         try:
             spec = QuantSpec.from_dict(entry["spec"])
         except (KeyError, TypeError, ValueError) as e:  # absent, not a mapping,
-            # bad key, or a value or type QuantSpec rejects
+            # bad key, or a value or type QuantSpec rejects (16 bits among them)
             raise BadMagic(f"{what}: bad spec: {e}")
-        if spec.passthrough:
-            raise BadMagic(f"{what}: bad spec: {spec.bits} bits is not a code width")
         count = math.prod(shape)
         nbytes = -(-count * spec.bits // 8)
         if entry.get("codes_bytes") != nbytes:

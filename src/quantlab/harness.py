@@ -25,6 +25,7 @@ from .toymodel import (
     ToyModel,
     check_batch,
     check_prompts,
+    check_sampling,
     decode,
     forward_reference,
     sample_rows,
@@ -69,6 +70,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_field_types(self)
+        check_sampling(self.temperature, self.top_p)
 
     def to_row_fields(self) -> dict:
         """The run's labels: the bit string, then every plan field."""
@@ -198,6 +200,7 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
     Returns (sequence, thinking_count, total_generated).
     """
     check_prompts([prompt], model.config.vocab_size)  # before the plan's runtime
+    check_sampling(temperature, TOP_P)
     if runtime is None:
         runtime = prepare_runtime(model, plan)
     return _length_controlled(model, [prompt], lc, [rng], temperature, TOP_P,

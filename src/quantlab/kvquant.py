@@ -123,6 +123,8 @@ def default_kv_k_channel_spec(bits: int) -> QuantSpec:
 
 @dataclass
 class KvQuantStarConfig:
+    """Static per-channel K; never built at 16 bits, so ``k_spec`` is never None."""
+
     k_spec: QuantSpec
     k_stage: str = PRE_ROPE
     k_bias_mode: str = PRE_BIAS
@@ -167,7 +169,7 @@ def calibrate_k_channels(k_samples: np.ndarray, cfg: KvQuantStarConfig) -> KvQua
 def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
                cfg_rope: RopeConfig, pos: int = 0) -> np.ndarray:
     """The K rows the cache stores, rope(k + b) up to the round trip Q on
-    the calibrated grid (none under the 16-bit sentinel), by stage and bias
+    the calibrated grid, by stage and bias
     mode: pre_rope/pre_bias rope(Q(k) + b), pre_rope/post_bias
     rope(Q(k + b)), post_rope/pre_bias Q(rope(k)) + rope(b), post_rope/
     post_bias Q(rope(k + b)). The full-precision bias is rotated at each
@@ -185,8 +187,7 @@ def quantize_k(k_raw: np.ndarray, bias: np.ndarray, cfg: KvQuantStarConfig,
         raise ChannelCountMismatch(
             f"{k_raw.shape[1]} channels are not whole heads of {cfg_rope.head_dim}")
     k = k_stage_tensor(k_raw, bias, cfg, cfg_rope, pos)
-    if not cfg.k_spec.passthrough:
-        k = dequantize(quantize(k, QuantParams(scales, zp, cfg.k_spec, k.shape)))
+    k = dequantize(quantize(k, QuantParams(scales, zp, cfg.k_spec, k.shape)))
     if cfg.k_bias_mode == PRE_BIAS:
         b = np.broadcast_to(bias, k.shape)
         k = k + (rope_heads(b, cfg_rope, pos) if cfg.k_stage == POST_ROPE else b)

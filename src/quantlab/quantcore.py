@@ -34,14 +34,14 @@ Conventions (documented once, relied on everywhere):
     re-quantization (exact idempotence), and represents constant groups
     exactly;
   * the symmetric grid excludes -2^(b-1) (codes in +-(2^(b-1) - 1));
-  * bits == 16 is a pass-through sentinel (no quantization);
+  * a spec has 2 to 8 bits; ``prepare_runtime`` turns a plan's 16 into None;
   * an all-zero group gets scale 1 and zero point 0;
   * a scale that is not finite (from NaN, an infinity or a range past the
     float64 maximum) is NonFiniteInput.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from numbers import Real
 from typing import Optional
 
@@ -49,7 +49,6 @@ import numpy as np
 
 from .numerics import check_finite
 
-PASSTHROUGH_BITS = 16
 SMALL_GRID = 8  # cells; a grid this small is fitted on Python floats
 
 PER_TENSOR = "per_tensor"
@@ -89,8 +88,8 @@ class QuantSpec:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.bits != PASSTHROUGH_BITS and not (2 <= self.bits <= 8):
-            raise ValueError(f"bits must be in 2..8 or 16, got {self.bits}")
+        if not 2 <= self.bits <= 8:
+            raise ValueError(f"bits must be in 2..8, got {self.bits}")
         if self.granularity not in (PER_TENSOR, PER_CHANNEL, PER_TOKEN, PER_GROUP):
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.axis not in (0, 1):
@@ -100,16 +99,9 @@ class QuantSpec:
         if not (0.0 < self.clip_ratio <= 1.0):
             raise ValueError("clip_ratio must be in (0, 1]")
 
-    @property
-    def passthrough(self) -> bool:
-        return self.bits >= PASSTHROUGH_BITS
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The spec as a quantizer that applies itself: ``fake_quant(x, self)``."""
         return fake_quant(x, self)
-
-    def with_clip(self, clip_ratio: float) -> "QuantSpec":
-        return replace(self, clip_ratio=clip_ratio)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -298,11 +290,8 @@ def _fit_cells(mn: list, mx: list, spec: QuantSpec):
 
 
 def fit_params(x: np.ndarray, spec: QuantSpec) -> QuantParams:
-    """Fit per-group scales (and zero points when asymmetric); ValueError
-    for the 16-bit pass-through sentinel, which has no grid."""
+    """Fit per-group scales (and zero points when asymmetric)."""
     x = np.asarray(x, dtype=np.float64)
-    if spec.passthrough:
-        raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
     mn, mx = _group_minmax(x, spec)
 
     if spec.symmetric:
@@ -358,8 +347,6 @@ def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
     per-group params broadcast through reshaped views (``_grid_views``)."""
     x = np.asarray(x, dtype=np.float64)
     spec = params.spec
-    if spec.passthrough:
-        raise ValueError("cannot quantize with the 16-bit pass-through sentinel")
     if x.shape != tuple(params.shape):
         raise ValueError(f"shape {x.shape} does not match fitted {params.shape}")
     if spec.symmetric:
@@ -392,6 +379,4 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 def fake_quant(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """fit + quantize + dequantize in one call (dynamic quantization)."""
-    if spec.passthrough:
-        return x
     return dequantize(quantize(x, fit_params(x, spec)))

@@ -50,7 +50,6 @@ from .kvquant import (
 from .mxfp4 import MXFP4
 from .numerics import hadamard
 from .quantcore import (
-    PASSTHROUGH_BITS,
     PER_CHANNEL,
     QuantParams,
     QuantSpec,
@@ -97,7 +96,7 @@ class QuantPlan:
     def __post_init__(self):
         _check_field_types(self)
         for bits in (self.w_bits, self.a_bits, self.kv_bits):
-            if bits != PASSTHROUGH_BITS and not 2 <= bits <= 8:
+            if bits != 16 and not 2 <= bits <= 8:
                 raise ValueError(f"bit widths must be in 2..8 or 16, got {bits}")
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
@@ -297,11 +296,12 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
     wa = plan.wa_method
     # weight-activation methods: per-channel symmetric weights (one scale per
     # output row), activations in asymmetric group_size groups along each
-    # token's row (the spec of weight-only weights and of V)
-    spec_w = QuantSpec(bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL, axis=0)
-    spec_a = default_weight_spec(plan.a_bits, plan.group_size)
+    # token's row (the spec of weight-only weights and of V); None at 16 bits
+    spec_w = None if plan.w_bits == 16 else QuantSpec(
+        bits=plan.w_bits, symmetric=True, granularity=PER_CHANNEL, axis=0)
+    spec_a = default_weight_spec(plan.a_bits, plan.group_size)  # weight-only: None
     if wa == "none":
-        spec_w, spec_a = default_weight_spec(plan.w_bits, plan.group_size), None
+        spec_w = default_weight_spec(plan.w_bits, plan.group_size)
     cls = {"rotate": RotatedLinear, "flatquant": FlatLinear,
            "mxfp4": Mxfp4Linear}.get(wa, FakeQuantLinear)
     sites = {}  # input site -> its linears, in _LAYER_LINEARS order
@@ -325,14 +325,14 @@ def prepare_runtime(model: ToyModel, plan: QuantPlan,
             ws = flat_map_weight(ws, imap)
             spec, act = imap.specs(spec_w, spec_a)
         elif wa == "mxfp4":  # no map; the codec's row-local blocks, no codes
-            ws, spec, act = MXFP4.apply(ws), QuantSpec(bits=PASSTHROUGH_BITS), MXFP4
+            ws, spec, act = MXFP4.apply(ws), None, MXFP4
         # stage 2, per linear: the weight quantizer on the mapped weight. Specs
         # group within rows, so the site's stacked weight is quantized at once
         qt = None
-        if plan.w_method == "gptq" and not spec.passthrough:
+        if plan.w_method == "gptq" and spec is not None:
             x = x if imap is None else imap.apply(x)  # as the site's linears map it
             qt = gptq_quantize(ws, x.T, GptqConfig(spec=spec))
-        elif plan.w_method == "rtn" and not spec.passthrough:
+        elif plan.w_method == "rtn" and spec is not None:
             qt = rtn_quantize_weights(ws, spec)
         w_qs = np.split(ws if qt is None else dequantize(qt), ends)
         params = [None] * len(names) if qt is None else _split_rows(qt.params, ends)

@@ -670,6 +670,14 @@ def decode(m: ToyModel, prompts, choose, done, runtime=None) -> list:
     return seqs
 
 
+def check_sampling(temperature: float, top_p: float) -> None:
+    """ValueError unless temperature is finite and >= 0 and top_p in (0, 1]."""
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+    if not 0 < top_p <= 1:
+        raise ValueError(f"top_p must be in (0, 1], got {top_p}")
+
+
 def check_generate(cfg: ToyConfig, prompt, max_new: int, temperature: float,
                    top_p: float, rng) -> None:
     """The input checks of ``generate``, which ``quantlab generate`` runs
@@ -677,10 +685,7 @@ def check_generate(cfg: ToyConfig, prompt, max_new: int, temperature: float,
     check_prompts([prompt], cfg.vocab_size)
     if max_new < 0:
         raise ValueError(f"max_new must be >= 0, got {max_new}")
-    if not (math.isfinite(temperature) and temperature >= 0):
-        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
-    if not 0 < top_p <= 1:
-        raise ValueError(f"top_p must be in (0, 1], got {top_p}")
+    check_sampling(temperature, top_p)
     if len(prompt) + max_new > cfg.max_seq_len:
         raise ContextOverflow(
             f"{len(prompt)} prompt + {max_new} new > {cfg.max_seq_len}")

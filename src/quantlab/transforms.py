@@ -10,7 +10,8 @@ Conventions: weights ``w`` are (out, in), activations ``x`` are
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class FlatTransform:
         """The transform of rows ``x``: x (P1 (x) P2)."""
         return kron_apply_right(x, self.p1, self.p2)
 
-    def specs(self, spec_w: QuantSpec, spec_a: QuantSpec) -> tuple:
-        """The weight and activation specs with the learned clips applied."""
+    def specs(self, spec_w: Optional[QuantSpec], spec_a: Optional[QuantSpec]) -> tuple:
+        """The weight and activation specs, learned clips applied; None stays None."""
         return _clipped(spec_w, self.weight_clip), _clipped(spec_a, self.act_clip)
 
 
@@ -90,8 +91,10 @@ def kron_apply_right(x: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=64)  # flat_train asks for a few clips thousands of times
-def _clipped(spec: QuantSpec, clip: float) -> QuantSpec:
-    return spec.with_clip(float(np.clip(clip * spec.clip_ratio, 1e-3, 1.0)))
+def _clipped(spec: Optional[QuantSpec], clip: float) -> Optional[QuantSpec]:
+    if spec is None:
+        return None
+    return replace(spec, clip_ratio=float(np.clip(clip * spec.clip_ratio, 1e-3, 1.0)))
 
 
 def flat_map_weight(w: np.ndarray, t: FlatTransform) -> np.ndarray:
@@ -101,23 +104,25 @@ def flat_map_weight(w: np.ndarray, t: FlatTransform) -> np.ndarray:
 
 
 def flat_objective(w: np.ndarray, x: np.ndarray, t: FlatTransform,
-                   spec_w: QuantSpec, spec_a: QuantSpec, *, y_ref: np.ndarray) -> float:
-    """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch: the
-    squared residual of the linear ``prepare_runtime`` builds from ``t``
-    under RTN weights. ``y_ref`` is X W.T, which ``flat_train`` computes
-    once for every evaluation."""
+                   spec_w: Optional[QuantSpec], spec_a: Optional[QuantSpec], *,
+                   y_ref: np.ndarray) -> float:
+    """||X W.T - Q(X P) Q(P^-1 W.T)||_F^2 on the calibration batch, Q the
+    identity for a spec that is None: the squared residual of the linear
+    ``prepare_runtime`` builds from ``t`` under RTN weights. ``y_ref`` is
+    X W.T, which ``flat_train`` computes once for every evaluation."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape[1] != t.n or w.shape[1] != t.n:
         raise DimensionMismatch(f"transform dim {t.n} vs x {x.shape}, w {w.shape}")
     sw, sa = t.specs(spec_w, spec_a)
-    r = PlainLinear(fake_quant(flat_map_weight(w, t), sw), None, t, sa).pre_bias(x)
+    w_hat = flat_map_weight(w, t)
+    r = PlainLinear(w_hat if sw is None else fake_quant(w_hat, sw), None, t, sa).pre_bias(x)
     np.subtract(y_ref, r, out=r)
     return float(np.sum(np.square(r, out=r)))
 
 
-def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: QuantSpec,
-               spec_a: QuantSpec, *, steps: int) -> FlatTransform:
+def flat_train(w: np.ndarray, x_calib: np.ndarray, spec_w: Optional[QuantSpec],
+               spec_a: Optional[QuantSpec], *, steps: int) -> FlatTransform:
     """Train the Kronecker transform by descent on simultaneous-perturbation
     (SPSA; Spall 1992) gradient estimates with a reject-and-halve line
     search. An update is accepted only when it lowers the objective, so the

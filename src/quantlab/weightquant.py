@@ -7,6 +7,7 @@ layer computes ``x @ w.T``; calibration activations ``calib_x`` are
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,11 +30,11 @@ MAX_DAMPING_RETRIES = 8  # doublings of the GPTQ damping before giving up
 AWQ_CHUNK_ELEMENTS = 1 << 15  # weight elements per stacked AWQ fake_quant call
 
 
-def default_weight_spec(bits: int, group_size: int = 128) -> QuantSpec:
+def default_weight_spec(bits: int, group_size: int = 128) -> Optional[QuantSpec]:
     """Asymmetric per-group quantization along axis 1: a weight-only plan's
-    weight rows (input channels), and a token's activations or V row."""
-    return QuantSpec(bits=bits, symmetric=False, granularity=PER_GROUP, axis=1,
-                     group_size=group_size)
+    weight rows (input channels), a token's activations or V row; None at 16 bits."""
+    return None if bits == 16 else QuantSpec(
+        bits=bits, symmetric=False, granularity=PER_GROUP, axis=1, group_size=group_size)
 
 
 @dataclass

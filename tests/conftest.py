@@ -9,6 +9,19 @@ from quantlab.rng import make_rng
 from quantlab.toymodel import ToyConfig, init_model
 
 
+# (temperature, top_p, the argument named in the error) that every
+# sampler's entry point rejects: a temperature that is negative or not
+# finite, a top_p outside (0, 1]
+NAN, INF = float("nan"), float("inf")
+BAD_SAMPLING = {"negative-temperature": (-1.0, 0.9, "temperature"),
+                "nan-temperature": (NAN, 0.9, "temperature"),
+                "inf-temperature": (INF, 0.9, "temperature"),
+                "top-p-zero": (0.6, 0.0, "top_p"), "top-p-above-one": (0.6, 7.0, "top_p"),
+                "top-p-nan": (0.6, NAN, "top_p")}
+BAD_TEMPERATURES = [case for case, (*_, arg) in BAD_SAMPLING.items()
+                    if arg == "temperature"]
+
+
 @pytest.fixture(scope="session")
 def tiny_model():
     """Default two-layer toy model, seed 0."""

@@ -21,6 +21,8 @@ from quantlab.quantrun import capture_activations
 from quantlab.rng import make_rng
 from quantlab.toymodel import BLOCK, ToyConfig, generate, init_model
 
+from conftest import BAD_SAMPLING, BAD_TEMPERATURES
+
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=64)
 
@@ -171,6 +173,13 @@ class TestSelfGenerate:
         greedy = self_generate(small_model, [[0]], seq_len=8, count=1, rng=None,
                                temperature=0.0)  # greedy decoding draws nothing
         assert len(greedy.sequences[0]) == 8
+
+    @pytest.mark.parametrize("case", BAD_TEMPERATURES)
+    def test_bad_temperature_rejected(self, small_model, case):
+        temperature, _, _ = BAD_SAMPLING[case]
+        with pytest.raises(ValueError, match="^temperature must be"):
+            self_generate(small_model, [[0]], seq_len=8, count=2, rng=make_rng(0),
+                          temperature=temperature)
 
     @pytest.mark.parametrize("seq_len,count", [(0, 1), (8, 0)])
     def test_counts_below_range(self, small_model, seq_len, count):

@@ -28,6 +28,8 @@ from quantlab.quantrun import QuantPlan, prepare_runtime
 from quantlab.rng import make_rng
 from quantlab.toymodel import THINK_END_ID, Session, ToyConfig, init_model
 
+from conftest import BAD_SAMPLING, BAD_TEMPERATURES
+
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=256)
 SHORT = replace(SMALL, max_seq_len=12)  # thinking often fills the context
@@ -121,6 +123,23 @@ class TestLengthControl:
     def test_field_types_checked(self, field, value):
         with pytest.raises(TypeError, match=rf"^LengthControl\.{field} must be int"):
             LengthControl(mode=LC_PROMOTE, **{field: value})
+
+    @pytest.mark.parametrize("case", BAD_SAMPLING)
+    def test_experiment_config_rejects_bad_sampling(self, small_model, case):
+        """run_length_control samples at the config's arguments."""
+        temperature, top_p, arg = BAD_SAMPLING[case]
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            run_length_control(small_model, ExperimentConfig(
+                temperature=temperature, top_p=top_p, n_runs=2,
+                length_control=LengthControl(mode=LC_SUPPRESS, budget=4)))
+
+    @pytest.mark.parametrize("case", BAD_TEMPERATURES)
+    def test_generate_with_length_control_rejects_bad_temperature(self, small_model,
+                                                                  case):
+        temperature, _, _ = BAD_SAMPLING[case]
+        with pytest.raises(ValueError, match="^temperature must be"):
+            generate_with_length_control(small_model, [0], QuantPlan(), LengthControl(),
+                                         make_rng(0), temperature=temperature)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.0), ("seed", True), ("n_runs", 2.0), ("temperature", "0.6"),

@@ -21,7 +21,7 @@ from quantlab.kvquant import (
     quantize_k,
     rope_apply,
 )
-from quantlab.quantcore import QuantSpec, dequantize, fit_params, quantize
+from quantlab.quantcore import QuantParams, QuantSpec, dequantize, fit_params, quantize
 from quantlab.rng import make_rng
 from quantlab.weightquant import default_weight_spec
 
@@ -173,38 +173,48 @@ class TestQuantizeK:
     @pytest.mark.parametrize("mode", [PRE_BIAS, POST_BIAS])
     @pytest.mark.parametrize("stage", [PRE_ROPE, POST_ROPE])
     def test_sentinel_bit_identical(self, stage, mode):
-        """Under the 16-bit sentinel every stage and bias mode stores
-        rope(k + b): bit for bit, except that post_rope/pre_bias adds the
-        rotated bias to rope(k), which rounds differently."""
+        """Every stage and bias mode stores the composition ``quantize_k``
+        documents, bit for bit, Q the round trip on the calibrated grid:
+        rope(Q(k) + b), rope(Q(k + b)), Q(rope(k)) + rope(b) or
+        Q(rope(k + b))."""
         rng = make_rng(6)
         k = rng.standard_normal((8, 8))
         bias = rng.standard_normal(8)
-        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16), k_stage=stage,
-                                k_bias_mode=mode)
+        b = np.broadcast_to(bias, k.shape)
         rope = RopeConfig(head_dim=8)
-        staged = k_stage_tensor(k, bias, cfg, rope, 0)
-        cfg = calibrate_k_channels(staged, cfg)
-        recon = quantize_k(k, bias, cfg, rope)
-        exact = rope_apply(k + bias[None, :], rope)
-        if (stage, mode) == (POST_ROPE, PRE_BIAS):
-            assert np.max(np.abs(recon - exact)) <= 1e-12
-        else:
-            assert np.array_equal(recon, exact)
+        cfg = kv_cfg(bits=8, k_stage=stage, k_bias_mode=mode)
+        cfg = calibrate_k_channels(k_stage_tensor(k, bias, cfg, rope, 0), cfg)
+
+        def q(t):
+            return dequantize(quantize(t, QuantParams(*cfg.k_grid, cfg.k_spec, t.shape)))
+
+        def r(t):
+            return rope_apply(t, rope)
+
+        want = {(PRE_ROPE, PRE_BIAS): lambda: r(q(k) + b),
+                (PRE_ROPE, POST_BIAS): lambda: r(q(k + b)),
+                (POST_ROPE, PRE_BIAS): lambda: q(r(k)) + r(b),
+                (POST_ROPE, POST_BIAS): lambda: q(r(k + b))}[stage, mode]()
+        assert np.array_equal(quantize_k(k, bias, cfg, rope), want)
 
     @pytest.mark.parametrize("pos", [3, np.array([7, 0, 2, 9])],
                              ids=["start-3", "own-positions"])
     def test_post_rope_pre_bias_rotates_bias_at_each_position(self, pos):
         """Rows of two heads at a start position or at positions of their
-        own: the bias added after RoPE is rotated at each row's position."""
+        own: the bias added after RoPE is rotated at each row's position.
+        The grid quantizes rope(k) alone, so the bias is all that a zero
+        bias changes."""
         rng = make_rng(8)
         k = rng.standard_normal((4, 16))
         bias = rng.standard_normal(16)
         rope = RopeConfig(head_dim=8)
-        cfg = KvQuantStarConfig(k_spec=QuantSpec(bits=16), k_stage=POST_ROPE,
-                                k_bias_mode=PRE_BIAS)
+        cfg = kv_cfg(bits=8, k_stage=POST_ROPE, k_bias_mode=PRE_BIAS)
         cfg = calibrate_k_channels(k_stage_tensor(k, bias, cfg, rope, pos), cfg)
-        exact = rope_apply((k + bias).reshape(4, 2, 8), rope, pos).reshape(4, 16)
-        assert np.max(np.abs(quantize_k(k, bias, cfg, rope, pos) - exact)) <= 1e-12
+        rotated = rope_apply(np.broadcast_to(bias, (4, 16)).reshape(4, 2, 8), rope,
+                             pos).reshape(4, 16)
+        added = (quantize_k(k, bias, cfg, rope, pos)
+                 - quantize_k(k, np.zeros(16), cfg, rope, pos))
+        assert np.max(np.abs(added - rotated)) <= 1e-12
 
     def test_post_rope_stage_reconstruction(self):
         rng = make_rng(7)

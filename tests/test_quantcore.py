@@ -29,7 +29,8 @@ from quantlab.quantcore import (
 from quantlab.checkpoint import pack_codes, unpack_codes
 from quantlab.errors import NonFiniteInput
 from quantlab.rng import make_rng
-from quantlab.weightquant import GptqConfig, gptq_quantize
+from quantlab.toymodel import PlainLinear
+from quantlab.weightquant import GptqConfig, default_weight_spec, gptq_quantize
 
 from oracles import expand
 
@@ -292,14 +293,17 @@ class TestQuantizeDequantize:
             s, _ = expand(p)
             assert np.all(err <= s / 2 + 1e-6), spec.granularity
 
-    def test_passthrough_sentinel(self):
+    def test_16_bits_is_no_spec(self):
+        """A plan's 16 bits is None, and a linear with no quantizer passes
+        its input on itself."""
         x = make_rng(4).standard_normal((3, 7))
-        assert fake_quant(x, QuantSpec(bits=16)) is x
+        assert default_weight_spec(16) is None and default_weight_spec(16, 8) is None
+        assert default_weight_spec(8) == QuantSpec(bits=8)
+        assert PlainLinear(np.eye(7)).quantize_input(x) is x
 
-    def test_quantize_rejects_the_passthrough_sentinel(self):
-        x = make_rng(4).standard_normal((3, 7))
-        with pytest.raises(ValueError, match="pass-through"):
-            quantize(x, fit_params(x, QuantSpec(bits=16)))
+    def test_spec_rejects_16_bits(self):
+        with pytest.raises(ValueError, match=r"bits must be in 2\.\.8, got 16"):
+            QuantSpec(bits=16)
 
     def test_quantize_rejects_a_shape_other_than_fitted(self):
         x = make_rng(4).standard_normal((3, 8))

@@ -726,6 +726,26 @@ class TestSiteMaps:
             assert all(m is maps[0] for m in maps)
         assert len({id(maps[0]) for maps in by_site.values()}) == len(by_site)
 
+    @pytest.mark.parametrize("bits", ["4-16-16", "16-4-16"])
+    @pytest.mark.parametrize("family", sorted(SITE_MAPS))
+    def test_a_16_bit_side_is_none(self, small_model, calib_seqs, family, bits):
+        """A plan's 16 bits is None on that side of every linear: no
+        activation quantizer, or no weight params and the mapped weight
+        itself."""
+        plan = QuantPlan.from_bits_string(bits, wa_method=family, flat_steps=1)
+        rt = prepare_runtime(small_model, plan, calib_seqs)
+        rec = capture_activations(small_model, calib_seqs)
+        assert len(rt.linears) == len(_LAYER_LINEARS) * SMALL.n_layers
+        for name, lin in rt.linears.items():
+            assert lin.map is not None
+            if plan.a_bits == 16:
+                assert lin.act is None and lin.params is not None
+                continue
+            assert isinstance(lin.act, QuantSpec) and lin.params is None
+            w, _, _ = _in_map_basis(small_model, rt, name,
+                                    rec.matrix(linear_input_site(name)), None)
+            assert np.allclose(lin.w, w, rtol=0, atol=1e-12), name
+
     @pytest.mark.parametrize("include_lm_head", [False, True], ids=["layers", "lm-head"])
     @pytest.mark.parametrize("family, fit", [
         ("rotate", "hadamard"), ("smoothquant", "smooth_fit"),
@@ -1270,6 +1290,7 @@ class TestCheckpoint:
                      id="spec-axis-5"),
         pytest.param(lambda h: h["q_tensors"][0]["spec"].update(bits=1), BadMagic,
                      id="spec-bits-1"),
+        # 16 bits, a plan's "not quantized", is no spec either
         pytest.param(lambda h: h.update(plan=ROOM) or h["q_tensors"][0]["spec"].update(
             bits=16), BadMagic, id="spec-bits-16"),
         pytest.param(lambda h: h["q_tensors"][0]["spec"].update(granularity="per_x"),

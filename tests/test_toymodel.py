@@ -42,7 +42,7 @@ from quantlab.toymodel import (
 )
 
 import textbook
-from conftest import rewrite_header, with_header_room
+from conftest import BAD_SAMPLING, rewrite_header, with_header_room
 
 SMALL = ToyConfig(n_layers=1, d_model=16, n_heads=2, head_dim=8,
                   vocab_size=16, max_seq_len=32)
@@ -554,6 +554,13 @@ class TestSampling:
     def test_generate_rejects_negative_max_new(self, small_model):
         with pytest.raises(ValueError, match="max_new"):
             generate(small_model, [BOS_ID], max_new=-1, temperature=0.0)
+
+    @pytest.mark.parametrize("case", BAD_SAMPLING)
+    def test_generate_rejects_bad_sampling(self, small_model, case):
+        temperature, top_p, arg = BAD_SAMPLING[case]
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            generate(small_model, [BOS_ID], max_new=4, temperature=temperature,
+                     top_p=top_p, rng=make_rng(0))
 
     def test_decode_stops_when_done_and_at_the_context(self, small_model):
         seen = []

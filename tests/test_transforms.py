@@ -23,7 +23,6 @@ from quantlab.weightquant import awq_fold
 SPEC_W4 = QuantSpec(bits=4, symmetric=True, granularity=PER_CHANNEL, axis=0)
 SPEC_A4 = QuantSpec(bits=4, symmetric=False, granularity=PER_GROUP, axis=1,
                     group_size=128)
-SPEC_OFF = QuantSpec(bits=16)
 
 
 def fold(x, w, ss):
@@ -148,9 +147,10 @@ class TestFlatQuant:
         x = rng.standard_normal((8, 12))
         w = rng.standard_normal((4, 12))
         t = FlatTransform(p1=np.eye(3), p2=np.eye(4))
-        lin = PlainLinear(flat_map_weight(w, t), None, t, SPEC_OFF)
+        lin = PlainLinear(flat_map_weight(w, t), None, t, None)
         assert np.array_equal(lin.pre_bias(x), x @ w.T)
-        assert flat_objective(w, x, t, SPEC_OFF, SPEC_OFF, y_ref=x @ w.T) == 0.0
+        assert t.specs(None, None) == (None, None)
+        assert flat_objective(w, x, t, None, None, y_ref=x @ w.T) == 0.0
 
     def test_unquantized_invariance_random_transform(self):
         rng = make_rng(7)
@@ -159,9 +159,9 @@ class TestFlatQuant:
         x = rng.standard_normal((8, 12))
         w = rng.standard_normal((4, 12))
         ref = x @ w.T
-        got = PlainLinear(flat_map_weight(w, t), None, t, SPEC_OFF).pre_bias(x)
+        got = PlainLinear(flat_map_weight(w, t), None, t, None).pre_bias(x)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-        obj = flat_objective(w, x, t, SPEC_OFF, SPEC_OFF, y_ref=ref)
+        obj = flat_objective(w, x, t, None, None, y_ref=ref)
         assert obj == float(np.sum(np.square(ref - got)))
 
     def test_zero_steps_is_identity_objective(self):
@@ -291,5 +291,5 @@ class TestFlatQuant:
     def test_dimension_mismatch(self):
         t = FlatTransform(p1=np.eye(2), p2=np.eye(3))
         with pytest.raises(DimensionMismatch):
-            flat_objective(np.zeros((2, 5)), np.zeros((2, 5)), t, SPEC_OFF, SPEC_OFF,
+            flat_objective(np.zeros((2, 5)), np.zeros((2, 5)), t, None, None,
                            y_ref=np.zeros((2, 2)))
