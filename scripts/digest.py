@@ -111,6 +111,9 @@ so both trees run the same inputs. BLAS is pinned to one thread. Covered:
 * one more ``run_length_control`` under a soft address-space limit
   (``ulimit -v``) of 1 TiB, set and restored in the process unless one is
   set already, so that ``check_batch`` subtracts what the process maps;
+* ``check_batch``'s cgroup room (``toymodel.cgroup_room``) on fake
+  cgroup v1 and v2 trees in a temporary directory, so that its lines run
+  whatever cgroups the host has;
 * the sequences and ``thinking`` counts of acceptance criterion 10 (200
   suppressed runs, 50 promoted runs at each of four budgets), and of every
   length-control mode over 200 seeds on a 12-token context, where thinking
@@ -690,6 +693,33 @@ def rlimit_lines(workloads, harness):
     yield "run_length_control/rlimit_as", sha(*rep.thinking_tokens, *rep.total_tokens)
 
 
+def cgroup_lines(toymodel):
+    """``toymodel.cgroup_room`` on fake cgroup trees, in a temporary
+    directory: a v2 limit, a v2 ``max``, a v1 limit beside a v2 line with no
+    files, and both, so that every line of it runs on every host."""
+    import tempfile
+
+    if not hasattr(toymodel, "cgroup_room"):  # a tree from before it: no line
+        return
+    trees = (("0::/a", {"a/memory.max": "5000", "a/memory.current": "1200"}),
+             ("0::/a", {"a/memory.max": "max", "a/memory.current": "1200"}),
+             ("4:memory:/b\n0::/", {"memory/b/memory.limit_in_bytes": "9000",
+                                    "memory/b/memory.usage_in_bytes": "500"}),
+             ("3:cpu,memory:/b\n0::/a", {"memory/b/memory.limit_in_bytes": "9000",
+                                         "memory/b/memory.usage_in_bytes": "500",
+                                         "a/memory.max": "5000",
+                                         "a/memory.current": "1200"}))
+    rooms = []
+    for proc, files in trees:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).parent.mkdir(parents=True, exist_ok=True)
+                (Path(tmp) / name).write_text(text)
+            (Path(tmp) / "cgroup").write_text(proc)
+            rooms.append(float(toymodel.cgroup_room(str(Path(tmp) / "cgroup"), tmp)))
+    yield "check_batch/cgroup_room", sha(*rooms)
+
+
 def length_control_lines(tag, harness, quantrun, model, modes, seeds, make_rng):
     """For each mode, one line over the sequences of ``seeds`` from prompt [0]
     on the reference plan, and one over their ``thinking`` counts."""
@@ -997,6 +1027,7 @@ def main(argv=None) -> int:
                   self_generate_lines(workloads),
                   batch_lines(workloads, harness, calibration, make_rng),
                   rlimit_lines(workloads, harness),
+                  cgroup_lines(toymodel),
                   criterion10_lines(harness, quantrun, toymodel, make_rng),
                   criterion4_lines(weightquant, make_rng),
                   primitive_lines(quantcore, make_rng),

@@ -25,6 +25,14 @@ runs (512-token teacher-forced forwards), peak RSS was 44.6-44.7 MB with
 32-position blocks, 45.3-45.4 MB with 64, and 45.6-46.5 MB with 128, which
 ran no faster than 64.
 
+Attention divides once per block, on its output. The queries are divided by
+sqrt(head_dim) before the score products; the scores are shifted by their
+row max and exponentiated in place, into unnormalized weights whose row
+sums are kept; and the weighted sum of the values, (rows, heads, T,
+head_dim), is divided by those sums. No pass divides the (rows, heads, T,
+context) scores, as FlashAttention and online softmax arrange it.
+``softmax`` is the sampler's.
+
 Each layer's linears are declared once, in ``_LAYER_LINEARS``: name, bias
 and the capture site of the input. The tensor layout, the linears a Session
 builds, the linears ``quantrun.prepare_runtime`` quantizes with their
@@ -70,6 +78,10 @@ HUGE_PAGE_BYTES = 1 << 22  # numpy backs arrays this large with huge pages
 RMS_EPS = 1e-6  # added to rmsnorm's mean square
 TEMPERATURE = 0.6  # every sampler's default temperature
 TOP_P = 0.95  # and its default nucleus
+# controllers field of a /proc/self/cgroup line -> (hierarchy under the cgroup
+# mount, memory limit file, usage file): cgroup v2, then v1
+_CGROUP_MEMORY = {"": ("", "memory.max", "memory.current"),
+                  "memory": ("memory", "memory.limit_in_bytes", "memory.usage_in_bytes")}
 
 
 @dataclass(frozen=True)
@@ -242,12 +254,21 @@ def silu(x: np.ndarray) -> np.ndarray:
         return x / (1.0 + np.exp(-x))
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, in place: overwrites the float array
-    ``x`` with its probabilities and returns it. Pass a copy to keep ``x``."""
+def exp_shifted(x: np.ndarray) -> np.ndarray:
+    """In place: ``x`` less the max along its last axis, exponentiated, so
+    no cell overflows; returns the sums along that axis (keepdims), the
+    divisors that make each row a softmax."""
     x -= x.max(axis=-1, keepdims=True)  # the methods skip np.max's wrapper
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    return x.sum(axis=-1, keepdims=True)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, in place: overwrites the float array
+    ``x`` with its probabilities and returns it. Pass a copy to keep ``x``.
+    The sampler (``sample_rows``) is its caller; attention keeps its
+    weights unnormalized and divides its output (``Session._attend``)."""
+    x /= exp_shifted(x)
     return x
 
 
@@ -458,6 +479,13 @@ class Session:
         reads its own fresh k/v row. So position 0 is independent of the KV
         bit-width.
 
+        The queries are divided by sqrt(head_dim) before the score products,
+        on their (rows x n_new, d_model) rows. The scores are then shifted
+        by their row max and exponentiated in place: unnormalized weights
+        ``e``, whose row sums are kept. The output is ``e`` times the values
+        (own cells zeroed, the fresh row added) divided by those sums, once,
+        on (..., head_dim) rows: no pass divides the (..., context) scores.
+
         A block of more than one position masks only its own columns
         (``mask_later``): no cached position comes after a new query. One
         new position per row, a decode step, sees every column and runs
@@ -471,6 +499,7 @@ class Session:
         else:
             k_store, v_store = k, v
         kc, vc = self.k_cache[i, :, :, :end], self.v_cache[i, :, :, :end]
+        q = q / math.sqrt(cfg.head_dim)
         if n_new == 1:
             return self._attend_one(kc, vc, q, k, v, k_store, v_store)
 
@@ -481,38 +510,40 @@ class Session:
         kc[:, :, p0:] = heads(k_store)
         vc[:, :, p0:] = heads(v_store)
         qh, vh = heads(q), heads(v)
-        scores = qh @ kc.transpose(0, 1, 3, 2)
-        own_positions(scores, p0)[...] = np.add.reduce(qh * heads(k), axis=-1)
-        mask_later(scores, p0)
-        scores /= math.sqrt(cfg.head_dim)
-        p = softmax(scores)
-        own = own_positions(p, p0)
-        p_own = own.copy()
+        e = qh @ kc.transpose(0, 1, 3, 2)  # the scores, then their weights
+        own_positions(e, p0)[...] = np.add.reduce(qh * heads(k), axis=-1)
+        mask_later(e, p0)
+        total = exp_shifted(e)
+        own = own_positions(e, p0)
+        e_own = own[..., np.newaxis].copy()
         own[...] = 0.0
-        out = p @ vc + p_own[..., np.newaxis] * vh
+        out = e @ vc
+        out += e_own * vh
+        out /= total
         return out.transpose(0, 2, 1, 3).reshape(self.rows * n_new, cfg.d_model)
 
     def _attend_one(self, kc, vc, q, k, v, k_store, v_store) -> np.ndarray:
-        """``_attend`` for one new position per row, over the layer's cache
-        ``kc``, ``vc`` (rows, heads, positions, head_dim) up to and including
-        the new one. A head of a (rows, d_model) row is then a (rows, heads,
-        1, head_dim) view, the new position's own cell is the last column,
-        and the output needs no transpose: the block path's products on the
-        same operands, so the same bytes, without its head transposes and
-        its strided own-cell view."""
+        """``_attend`` for one new position per row, with its scaled queries
+        ``q``, over the layer's cache ``kc``, ``vc`` (rows, heads, positions,
+        head_dim) up to and including the new one: the same unnormalized
+        weights and one division of the output. A head of a (rows, d_model)
+        row is then a (rows, heads, 1, head_dim) view, the new position's
+        own cell is the last column, and the output needs no transpose: the
+        block path's products on the same operands, so the same bytes,
+        without its head transposes and its strided own-cell view."""
         cfg = self.cfg
         shape = (self.rows, cfg.n_heads, 1, cfg.head_dim)
         kc[:, :, -1:] = k_store.reshape(shape)
         vc[:, :, -1:] = v_store.reshape(shape)
         qh = q.reshape(shape)
-        scores = qh @ kc.transpose(0, 1, 3, 2)  # (rows, heads, 1, positions)
-        scores[..., -1] = np.add.reduce(qh * k.reshape(shape), axis=-1)
-        scores /= math.sqrt(cfg.head_dim)
-        p = softmax(scores)
-        p_own = p[..., -1:].copy()
-        p[..., -1] = 0.0
-        out = p @ vc
-        out += p_own * v.reshape(shape)
+        e = qh @ kc.transpose(0, 1, 3, 2)  # (rows, heads, 1, positions)
+        e[..., -1] = np.add.reduce(qh * k.reshape(shape), axis=-1)
+        total = exp_shifted(e)
+        e_own = e[..., -1:].copy()
+        e[..., -1] = 0.0
+        out = e @ vc
+        out += e_own * v.reshape(shape)
+        out /= total
         return out.reshape(self.rows, cfg.d_model)
 
 
@@ -604,23 +635,52 @@ def check_prompts(prompts, vocab_size: int) -> None:
             raise TokenOutOfRange(f"token {bad[0]} outside vocab {vocab_size}")
 
 
+def _read_text(path: str) -> str:
+    """The stripped text of file ``path``; "" when it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read().strip()
+    except OSError:
+        return ""
+
+
+def cgroup_room(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup"):
+    """The bytes the process's own memory cgroup has left: its limit less
+    its usage, the least over the cgroups ``proc`` lists, one
+    ``id:controllers:path`` line each. The line with no controllers is
+    cgroup v2, read from ``memory.max`` and ``memory.current`` in ``root``
+    + path; the ``memory`` line is v1, read from ``memory.limit_in_bytes``
+    and ``memory.usage_in_bytes`` in ``root``/memory + path. A missing file
+    or a limit of ``max`` bounds nothing: inf when no cgroup does."""
+    room = math.inf
+    for line in _read_text(proc).splitlines():
+        _, controllers, path = line.split(":", 2)
+        for name in set(controllers.split(",")) & _CGROUP_MEMORY.keys():
+            sub, *files = _CGROUP_MEMORY[name]
+            limit, usage = (_read_text(os.path.join(root, sub, path.lstrip("/"), f))
+                            for f in files)
+            if limit not in ("", "max") and usage:
+                room = min(room, int(limit) - int(usage))
+    return room
+
+
 def check_batch(cfg: ToyConfig, prompts, runs: int) -> None:
     """ValueError when ``runs`` sequences, run i continuing
     ``prompts[i % len(prompts)]``, make a ``decode`` group that cannot fit
     in the memory the process may take, checked before anything is
-    allocated for them: the host's physical memory or, when lower, the soft
-    address-space limit (``ulimit -v``) less the virtual size the process
-    already maps. Runs of one prompt length form one group, whose session
-    holds float64 K and V for at least ``min(BLOCK, max_seq_len)`` positions
-    of every row (``_recache``); groups run one after another, so the
-    largest counts. A cgroup's memory limit is not seen."""
+    allocated for them: the least of the host's physical memory, what its
+    memory cgroup has left (``cgroup_room``) and the soft address-space
+    limit (``ulimit -v``) less the virtual size the process already maps.
+    Runs of one prompt length form one group, whose session holds float64
+    K and V for at least ``min(BLOCK, max_seq_len)`` positions of every row
+    (``_recache``); groups run one after another, so the largest counts."""
     group = {}
     for j, p in enumerate(prompts):
         group[len(p)] = group.get(len(p), 0) + len(range(j, runs, len(prompts)))
     rows = max(group.values())
     need = 16 * cfg.n_layers * rows * cfg.d_model * min(BLOCK, cfg.max_seq_len)
     page = os.sysconf("SC_PAGE_SIZE")
-    have = page * os.sysconf("SC_PHYS_PAGES")
+    have = min(page * os.sysconf("SC_PHYS_PAGES"), cgroup_room())
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
         mapped = 0

@@ -1,3 +1,5 @@
+import functools
+import math
 import struct
 
 import numpy as np
@@ -253,9 +255,10 @@ class TestForward:
     @pytest.mark.parametrize("shape,p0", [((1, 2, 32, 288), 256), ((3, 4, 17, 57), 40),
                                           ((2, 2, 5, 5), 0)])
     def test_softmax_in_place_on_masked_scores(self, shape, p0):
-        """softmax overwrites its argument with what the out-of-place
-        formula returns, byte for byte, on a block of attention scores
-        that mask_later filled with -inf."""
+        """softmax, whose caller is the sampler (``sample_rows``; attention
+        keeps its weights unnormalized), overwrites its argument with what
+        the out-of-place formula returns, byte for byte, here on a block of
+        attention scores that mask_later filled with -inf."""
         rng = make_rng(shape[-1])
         scores = rng.standard_normal(shape) * 4.0
         mask_later(scores, p0)
@@ -279,11 +282,9 @@ class TestForward:
         assert np.allclose(a, b, atol=1e-6)
 
 
-@pytest.fixture(scope="module")
-def textbook_case():
-    """A two-layer model with random norm gains and QKV biases, three rows
-    of 2 * BLOCK + 6 tokens, and each row's logits from the textbook
-    decoder."""
+def textbook_model():
+    """A two-layer model with random norm gains and QKV biases, and three
+    rows of 2 * BLOCK + 6 tokens, which fill its context."""
     n = 2 * BLOCK + 6
     model = init_model(ToyConfig(n_layers=2, d_model=16, n_heads=2, head_dim=8,
                                  vocab_size=16, max_seq_len=n), make_rng(5))
@@ -295,43 +296,102 @@ def textbook_case():
                 np.float32)
         elif short.startswith("b"):
             model.tensors[name] = (0.5 * rng.standard_normal(t.shape)).astype(np.float32)
-    tokens = rng.integers(0, 16, size=(3, n))
-    return model, tokens, np.stack([textbook.forward(model, row) for row in tokens])
+    return model, rng.integers(0, 16, size=(3, n))
+
+
+@pytest.fixture(scope="module")
+def textbook_case():
+    """``textbook_model``, no runtime, its tokens, and each row's logits
+    from the textbook decoder."""
+    model, tokens = textbook_model()
+    return model, None, tokens, np.stack([textbook.forward(model, row) for row in tokens])
+
+
+K_SPIKES = ((5, 400.0), (12, 2000.0))  # (channel, K bias) on layer 0: heads 0 and 1
+
+
+@pytest.fixture(scope="module", params=["k-bias-spikes", "per_token", "rotated_per_token"])
+def textbook_variant(request):
+    """``textbook_case`` on large attention scores, or through a 16-16-4
+    KV runtime's cache writers.
+
+    k-bias-spikes: layer 0's K bias is 400 on one channel, as perfbench's
+    K_BIAS_OUTLIER, and 2000 on a channel of the other head, whose scores
+    pass 709, above which exp overflows unless each row is shifted by its
+    max.
+    per_token, rotated_per_token: 4-bit KV of that method, the textbook
+    decoder writing each position through the runtime's writers."""
+    (model, tokens), runtime = textbook_model(), None
+    if request.param == "k-bias-spikes":
+        for channel, b in K_SPIKES:
+            model.tensors["layers.0.bk"][channel] = b
+    else:
+        runtime = prepare_runtime(model, QuantPlan(kv_bits=4, kv_method=request.param))
+    want = np.stack([textbook.forward(model, row, kv=runtime and runtime.kv)
+                     for row in tokens])
+    if request.param == "k-bias-spikes":  # position 0's score on its own key, per head
+        w = {name: t.astype(np.float64) for name, t in model.tensors.items()}
+        h = [textbook._norm(w["embed"][tok], w["layers.0.norm1"]) for tok in tokens[:, 0]]
+        q = np.array([w["layers.0.wq"] @ x + w["layers.0.bq"] for x in h])
+        k = np.array([w["layers.0.wk"] @ x + w["layers.0.bk"] for x in h])
+        hd = model.config.head_dim
+        assert np.max((q * k).reshape(len(h), -1, hd).sum(axis=-1)) / math.sqrt(hd) > 709
+    return model, runtime, tokens, want
+
+
+def assert_forward_matches(case, rows, split):
+    """A session of the case's model and runtime, fed each row's tokens in
+    two calls cut at ``split``, gives the textbook decoder's logits to a
+    relative error of 1e-12; a one-row session is fed 1-D tokens."""
+    model, runtime, tokens, want = case
+    tokens, want = tokens[:rows], want[:rows]
+    if rows == 1:
+        tokens, want = tokens[0], want[0]
+    sess = Session(model, runtime=runtime, rows=rows)
+    got = np.concatenate([sess.forward(tokens[..., :split]),
+                          sess.forward(tokens[..., split:])], axis=-2)
+    assert got.shape == want.shape
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def assert_step_matches(case, rows):
+    """A session of the case's model and runtime, stepped one token per row
+    from position 0 to the end of 2 * BLOCK + 6 tokens, past BLOCK and
+    2 * BLOCK, gives the textbook decoder's logits to a relative error of
+    1e-12: the one-token attention path against its definition. A one-row
+    session is stepped with ints."""
+    model, runtime, tokens, want = case
+    tokens, want = tokens[:rows], want[:rows]
+    sess = Session(model, runtime=runtime, rows=rows)
+    if rows == 1:
+        got = np.stack([sess.step(int(t)) for t in tokens[0]])[np.newaxis]
+    else:
+        got = np.stack([sess.step(list(col)) for col in tokens.T], axis=1)
+    assert got.shape == want.shape
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTextbook:
     @pytest.mark.parametrize("split", [1, 7, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_forward_matches_the_textbook_decoder(self, textbook_case, rows, split):
-        """Session.forward, fed each row's tokens in two calls cut at
-        ``split``, gives the textbook decoder's logits to a relative error
-        of 1e-12; a one-row session is fed 1-D tokens."""
-        model, tokens, want = textbook_case
-        tokens, want = tokens[:rows], want[:rows]
-        if rows == 1:
-            tokens, want = tokens[0], want[0]
-        sess = Session(model, rows=rows)
-        got = np.concatenate([sess.forward(tokens[..., :split]),
-                              sess.forward(tokens[..., split:])], axis=-2)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_forward_matches(textbook_case, rows, split)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_step_matches_the_textbook_decoder(self, textbook_case, rows):
-        """Session.step, fed one token per row from position 0 to the end
-        of 2 * BLOCK + 6 tokens, past BLOCK and 2 * BLOCK, gives the
-        textbook decoder's logits to a relative error of 1e-12: the
-        one-token attention path against its definition. A one-row
-        session is stepped with ints."""
-        model, tokens, want = textbook_case
-        tokens, want = tokens[:rows], want[:rows]
-        sess = Session(model, rows=rows)
-        if rows == 1:
-            got = np.stack([sess.step(int(t)) for t in tokens[0]])[np.newaxis]
-        else:
-            got = np.stack([sess.step(list(col)) for col in tokens.T], axis=1)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_step_matches(textbook_case, rows)
+
+    @pytest.mark.parametrize("split", [1, 7, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_variant_forward_matches_the_textbook_decoder(self, textbook_variant, rows,
+                                                          split):
+        assert_forward_matches(textbook_variant, rows, split)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_variant_step_matches_the_textbook_decoder(self, textbook_variant, rows):
+        assert_step_matches(textbook_variant, rows)
 
 
 class TestSerialization:
@@ -608,6 +668,52 @@ class TestSampling:
             check_batch(cfg, [[BOS_ID]], 10)
         monkeypatch.setattr(toymodel.resource, "getrlimit",
                             lambda which: (need, infinity))
+        with pytest.raises(ValueError, match="a decode group of 10 sequences"):
+            check_batch(cfg, [[BOS_ID]], 10)
+
+    @pytest.mark.parametrize("proc, files, room", [
+        ("0::/a\n", {"a/memory.max": "5000\n", "a/memory.current": "1200\n"}, 3800),
+        ("0::/a\n", {"a/memory.max": "max\n", "a/memory.current": "1200\n"}, math.inf),
+        ("4:memory:/b\n1:cpu:/\n0::/\n",
+         {"memory/b/memory.limit_in_bytes": "9000", "memory/b/memory.usage_in_bytes": "500",
+          "cpu/memory.limit_in_bytes": "10"}, 8500),
+        ("3:cpu,memory:/b\n0::/a\n",
+         {"memory/b/memory.limit_in_bytes": "9000", "memory/b/memory.usage_in_bytes": "500",
+          "a/memory.max": "5000", "a/memory.current": "1200"}, 3800),
+        ("0::/a\n", {"a/memory.current": "1200"}, math.inf),
+        ("0::/a\n", {"a/memory.max": "5000"}, math.inf),
+        ("9:name=systemd:/\n5:devices:/\n", {"memory.max": "10", "memory.current": "1"},
+         math.inf),
+        (None, {"memory.max": "10", "memory.current": "1"}, math.inf),
+    ], ids=["v2", "v2-max", "v1", "v1-and-v2", "no-limit-file", "no-usage-file",
+            "no-memory-line", "no-proc-file"])
+    def test_cgroup_room_reads_a_fake_tree(self, tmp_path, proc, files, room):
+        """cgroup_room is the least limit less usage over the v2 line (no
+        controllers) and the v1 ``memory`` line of a fake
+        ``/proc/self/cgroup``, each read under a fake cgroup mount; other
+        controllers, ``max`` and missing files bound nothing."""
+        for name, text in files.items():
+            (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "fs" / name).write_text(text)
+        if proc is not None:
+            (tmp_path / "cgroup").write_text(proc)
+        assert toymodel.cgroup_room(str(tmp_path / "cgroup"), str(tmp_path / "fs")) == room
+
+    def test_check_batch_sees_the_cgroup_limit(self, monkeypatch, tmp_path):
+        """Under a fake cgroup v2 tree whose limit less usage is below the
+        batch's K/V cache, a batch that fits in physical memory is the
+        one-line ValueError; with room for it, it passes."""
+        cfg = ToyConfig()
+        need = 10 * 16 * cfg.n_layers * cfg.d_model * min(BLOCK, cfg.max_seq_len)
+        (tmp_path / "cgroup").write_text("0::/job\n")
+        (tmp_path / "job").mkdir()
+        (tmp_path / "job" / "memory.current").write_text(f"{1 << 20}\n")
+        room = functools.partial(toymodel.cgroup_room, str(tmp_path / "cgroup"),
+                                 str(tmp_path))
+        monkeypatch.setattr(toymodel, "cgroup_room", room)
+        (tmp_path / "job" / "memory.max").write_text(f"{(1 << 20) + need}\n")
+        check_batch(cfg, [[BOS_ID]], 10)
+        (tmp_path / "job" / "memory.max").write_text(f"{(1 << 20) + need - 1}\n")
         with pytest.raises(ValueError, match="a decode group of 10 sequences"):
             check_batch(cfg, [[BOS_ID]], 10)
 

@@ -2,9 +2,10 @@
 out from its definition, one position and one head at a time, as an oracle
 for ``toymodel.Session.forward``.
 
-It reads only the model's tensors and config and shares no code with the
-library's forward: not ``Session``, ``rope_apply``, ``softmax`` nor
-``rmsnorm``. Each layer is pre-norm:
+It reads only the model's tensors and config, and the KV writers it may be
+given (below), and shares no code with the library's forward: not
+``Session``, ``rope_apply``, ``softmax`` nor ``rmsnorm``. Each layer is
+pre-norm:
 
     h = rmsnorm(x) * norm1;  q, k, v = Wq h + bq, Wk h + bk, Wv h + bv
     q, k = RoPE(q, t), RoPE(k, t)                  (per head, position t)
@@ -14,6 +15,12 @@ library's forward: not ``Session``, ``rope_apply``, ``softmax`` nor
 over the keys s <= t, with rmsnorm(x) = x / sqrt(mean(x^2) + 1e-6) and
 RoPE rotating each interleaved pair (x_2i, x_2i+1) of a head by the angle
 t * base^(-2i / head_dim). The logits are lm_head (rmsnorm(x) * norm_f).
+
+Given a quantized KV cache's writers, one per layer (objects with
+``write(k_pre, k_rope, v, pos)``, as in ``quantrun.Runtime.kv``), each
+position's K and V rows go through its layer's writer, one position at a
+time, and the cache holds what it returns. Position t then attends over the
+stored rows of positions s < t and its own fresh k and v rows.
 """
 
 import math
@@ -40,20 +47,22 @@ def _rotate(x, t, cfg):
     return out
 
 
-def _attend(q, keys, values, t, cfg):
-    """Head by head, position ``t``'s query over the keys at 0..t, with
-    ``keys`` and ``values`` one row per position."""
+def _attend(q, keys, values, cfg):
+    """Head by head, a query over ``keys`` and ``values``, one row per
+    position it sees."""
     out = np.empty(cfg.d_model)
     for head in range(cfg.n_heads):
         cols = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-        scores = keys[: t + 1, cols] @ q[cols] / math.sqrt(cfg.head_dim)
+        scores = keys[:, cols] @ q[cols] / math.sqrt(cfg.head_dim)
         weights = np.exp(scores - scores.max())
-        out[cols] = weights / weights.sum() @ values[: t + 1, cols]
+        out[cols] = weights / weights.sum() @ values[:, cols]
     return out
 
 
-def forward(model, tokens) -> np.ndarray:
-    """(positions, vocab) full-precision logits of one token sequence."""
+def forward(model, tokens, kv=None) -> np.ndarray:
+    """(positions, vocab) logits of one token sequence: full precision, or
+    with the K/V cache writers ``kv``, one per layer, reading K and V as
+    the module docstring says."""
     cfg = model.config
     w = {name: t.astype(np.float64) for name, t in model.tensors.items()}
 
@@ -63,16 +72,24 @@ def forward(model, tokens) -> np.ndarray:
     xs = [w["embed"][tok] for tok in tokens]
     for layer in range(cfg.n_layers):
         p = f"layers.{layer}."
-        queries, keys, values = [], [], []
+        queries, keys, values, stored = [], [], [], []
         for t, x in enumerate(xs):
             h = _norm(x, w[p + "norm1"])
             queries.append(_rotate(w[p + "wq"] @ h + bias(p + "bq"), t, cfg))
-            keys.append(_rotate(w[p + "wk"] @ h + bias(p + "bk"), t, cfg))
+            k_pre = w[p + "wk"] @ h
+            keys.append(_rotate(k_pre + bias(p + "bk"), t, cfg))
             values.append(w[p + "wv"] @ h + bias(p + "bv"))
-        keys, values = np.array(keys), np.array(values)
+            if kv is None:
+                stored.append((keys[t], values[t]))
+            else:  # one (1, d_model) row each, at position t
+                k_row, v_row = kv[layer].write(k_pre[np.newaxis], keys[t][np.newaxis],
+                                               values[t][np.newaxis], t)
+                stored.append((k_row[0], v_row[0]))
         out = []
         for t, x in enumerate(xs):
-            x = x + w[p + "wo"] @ _attend(queries[t], keys, values, t, cfg)
+            ks = np.array([k for k, _ in stored[:t]] + [keys[t]])
+            vs = np.array([v for _, v in stored[:t]] + [values[t]])
+            x = x + w[p + "wo"] @ _attend(queries[t], ks, vs, cfg)
             h = _norm(x, w[p + "norm2"])
             gate = w[p + "w_gate"] @ h
             x = x + w[p + "w_down"] @ (gate / (1.0 + np.exp(-gate)) * (w[p + "w_up"] @ h))
