@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
 from .quantrun import capture_activations
 from .toymodel import (_CAPTURE_SITES, TEMPERATURE, TOP_P, ToyModel, check_batch,
-                       check_sampling, decode, sample_rows)
+                       check_generate, decode, sample_rows)
 
 
 @dataclass
@@ -85,14 +85,10 @@ def self_generate(m: ToyModel, prompts, seq_len: int, count: int, rng,
     prompts to ``seq_len`` tokens. ``rng`` gives each sequence's uniforms
     in turn, sequence i's after sequence i - 1's, so the set is the one
     sampling the sequences one by one gives; greedy decoding draws none."""
-    if not prompts:
-        raise ValueError("prompts must be nonempty")
+    check_generate(m.config, prompts, 0, temperature, TOP_P, rng)
     _check_counts(seq_len, count)
     if seq_len > m.config.max_seq_len:
         raise ContextOverflow(f"seq_len {seq_len} > context {m.config.max_seq_len}")
-    check_sampling(temperature, TOP_P)
-    if temperature != 0 and rng is None:
-        raise ValueError("sampling requires an rng")
     check_batch(m.config, prompts, count)  # before the per-sequence lists
     runs = [list(prompts[i % len(prompts)]) for i in range(count)]
     max_new = np.array([max(seq_len - len(p), 0) for p in runs])

@@ -120,7 +120,7 @@ def cmd_generate(args):
     plan = _plan_from_args(args)
     rng = make_rng(args.seed)
     prompt = [int(t) for t in args.prompt.split()]
-    check_generate(model.config, prompt, args.max_new, args.temperature, args.top_p,
+    check_generate(model.config, [prompt], args.max_new, args.temperature, args.top_p,
                    rng)
     runtime = prepare_runtime(model, plan,
                               _load_calib(args.calib, args.seed, args.calib_len))

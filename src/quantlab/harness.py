@@ -24,6 +24,7 @@ from .toymodel import (
     WAIT_ID,
     ToyModel,
     check_batch,
+    check_generate,
     check_prompts,
     check_sampling,
     decode,
@@ -199,8 +200,7 @@ def generate_with_length_control(model: ToyModel, prompt, plan: QuantPlan,
 
     Returns (sequence, thinking_count, total_generated).
     """
-    check_prompts([prompt], model.config.vocab_size)  # before the plan's runtime
-    check_sampling(temperature, TOP_P)
+    check_generate(model.config, [prompt], 0, temperature, TOP_P, rng)
     if runtime is None:
         runtime = prepare_runtime(model, plan)
     return _length_controlled(model, [prompt], lc, [rng], temperature, TOP_P,

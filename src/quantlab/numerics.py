@@ -74,7 +74,6 @@ class HadamardMatrix:
 
     n: int
     matrix: np.ndarray  # n x n, includes 1/sqrt(n) normalization and sign diag
-    sign_diag: np.ndarray  # +-1 vector of length n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The rotation of rows ``x`` (weights, activations, KV heads): x @ H."""
@@ -98,4 +97,4 @@ def hadamard(n: int, rng) -> HadamardMatrix:
         h = np.block([[h, h], [h, -h]])
     h = h / np.sqrt(n)
     sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return HadamardMatrix(n=n, matrix=h * sign[np.newaxis, :], sign_diag=sign)
+    return HadamardMatrix(n=n, matrix=h * sign[np.newaxis, :])

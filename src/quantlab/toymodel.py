@@ -318,8 +318,9 @@ class Session:
     cache.
 
     ``runtime`` is None for the reference; otherwise a session reads its
-    ``linears`` (by name; a ``PlainLinear`` runs the rest) and the K/V rows
-    ``kv_write(layer, k_pre, k_rope, v, pos)`` returns for the cache.
+    ``linears`` (by name; a ``PlainLinear`` runs the rest) and binds its K/V
+    write once: the cache stores the rows ``runtime.kv_write(layer, k_pre,
+    k_rope, v, pos)`` returns, or a reference session's fresh k_rope and v.
     ``recorder`` gets ``record(site, rows)`` per site and block, the rows as
     the linears see them; their positions are the caller's to know.
 
@@ -333,10 +334,9 @@ class Session:
     product per head.
 
     Within a block, each layer runs: ``rmsnorm``; the ``attn_in`` site
-    (``wq``, ``wk``, ``wv`` in one ``site_pre_bias`` call, the q and v
-    biases added, K's bias added to its pre-bias rows); RoPE on q and k;
-    ``Runtime.kv_write`` and attention; ``wo``; ``rmsnorm``; the ``mlp_in``
-    site (``w_gate``, ``w_up``); SwiGLU; ``w_down``. Then the final norm and
+    (``wq``, ``wk``, ``wv`` in one ``site_pre_bias`` call, then each adds
+    its bias); RoPE on q and k; the K/V write and attention; ``wo``;
+    ``rmsnorm``; the ``mlp_in`` site (``w_gate``, ``w_up``); SwiGLU; ``w_down``. Then the final norm and
     ``lm_head``. With a runtime, each site maps and quantizes its input once
     per block when its linears share a map and a quantizer, and K and V are
     written in one call.
@@ -351,7 +351,8 @@ class Session:
 
     def __init__(self, model: ToyModel, runtime=None, recorder=None, rows: int = 1):
         self.cfg = model.config
-        self.runtime = runtime
+        self._kv_write = (runtime.kv_write if runtime is not None
+                          else lambda i, k_pre, k, v, pos: (k, v))
         self._record = (lambda site, rows: None) if recorder is None else recorder.record
         self.rope = RopeConfig(head_dim=self.cfg.head_dim, base=self.cfg.rope_base)
         self.pos = 0
@@ -373,7 +374,6 @@ class Session:
                 layer[name] = (linears.get(p + name) or PlainLinear(
                     linear_weight(model, p + name), _linear_bias(t, p + name)))
                 layer.setdefault(site, []).append(layer[name])
-            layer["bk"] = _k_bias(model, i)
             layer["site"] = {s: f"layer{i}.{s}" for s in _CAPTURE_SITES}
             self._layers.append(layer)
 
@@ -388,10 +388,14 @@ class Session:
     def forward(self, tokens) -> np.ndarray:
         """Feed tokens, (rows, positions) or, for a one-row session,
         (positions,); return one logits row per token, shaped like
-        ``tokens`` plus a vocab axis. The ids are checked as Python ints,
-        which costs a step's one id per row less than array comparisons."""
+        ``tokens`` plus a vocab axis. TokenOutOfRange for ids that are not
+        integers (floats, bools) or lie outside the vocab; the range is
+        checked on Python ints, which costs a step's one id per row less
+        than array comparisons."""
         cfg = self.cfg
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
+        if tokens.size and tokens.dtype.kind not in "iu":
+            raise TokenOutOfRange(f"token ids must be integers, got {tokens.dtype} ids")
         block = tokens if tokens.ndim == 2 else tokens.reshape(1, -1)
         if len(block) != self.rows:
             raise ShapeMismatch(f"{len(block)} token rows for {self.rows} session rows")
@@ -447,7 +451,7 @@ class Session:
             self._record(site["attn_in"], h)
             q, k_pre, v = site_pre_bias(layer["attn_in"], h)
             q, v = layer["wq"].add_bias(q), layer["wv"].add_bias(v)
-            k_post = k_pre + layer["bk"]
+            k_post = layer["wk"].add_bias(k_pre)
             self._record(site["k_pre_bias"], k_pre)
             self._record(site["k_post_bias"], k_post)
             qk = rope_heads(np.concatenate((q, k_post), axis=1), self.rope, pos)
@@ -494,10 +498,7 @@ class Session:
         cfg, p0 = self.cfg, self.pos
         n_new = len(q) // self.rows
         end = p0 + n_new
-        if self.runtime is not None:
-            k_store, v_store = self.runtime.kv_write(i, k_pre, k, v, pos)
-        else:
-            k_store, v_store = k, v
+        k_store, v_store = self._kv_write(i, k_pre, k, v, pos)
         kc, vc = self.k_cache[i, :, :, :end], self.v_cache[i, :, :, :end]
         q = q / math.sqrt(cfg.head_dim)
         if n_new == 1:
@@ -738,17 +739,20 @@ def check_sampling(temperature: float, top_p: float) -> None:
         raise ValueError(f"top_p must be in (0, 1], got {top_p}")
 
 
-def check_generate(cfg: ToyConfig, prompt, max_new: int, temperature: float,
+def check_generate(cfg: ToyConfig, prompts, max_new: int, temperature: float,
                    top_p: float, rng) -> None:
-    """The input checks of ``generate``, which ``quantlab generate`` runs
-    before preparing its plan."""
-    check_prompts([prompt], cfg.vocab_size)
+    """The one entry check of every sampler, run before a plan is prepared:
+    ``check_prompts``; ValueError for ``max_new`` < 0; ``check_sampling``;
+    ContextOverflow when the longest prompt plus ``max_new`` overruns the
+    context; ValueError when sampling (temperature > 0) without an ``rng``.
+    A sampler whose length is not ``max_new`` passes 0."""
+    check_prompts(prompts, cfg.vocab_size)
     if max_new < 0:
         raise ValueError(f"max_new must be >= 0, got {max_new}")
     check_sampling(temperature, top_p)
-    if len(prompt) + max_new > cfg.max_seq_len:
-        raise ContextOverflow(
-            f"{len(prompt)} prompt + {max_new} new > {cfg.max_seq_len}")
+    longest = max(len(p) for p in prompts)
+    if longest + max_new > cfg.max_seq_len:
+        raise ContextOverflow(f"{longest} prompt + {max_new} new > {cfg.max_seq_len}")
     if temperature != 0 and rng is None:
         raise ValueError("sampling requires an rng")
 
@@ -758,7 +762,7 @@ def generate(m: ToyModel, prompt, max_new: int, temperature: float = TEMPERATURE
     """Autoregressive sampling of ``max_new`` tokens, a batch of one;
     greedy when temperature == 0. Returns the full id sequence (prompt +
     continuation)."""
-    check_generate(m.config, prompt, max_new, temperature, top_p, rng)
+    check_generate(m.config, [prompt], max_new, temperature, top_p, rng)
     stop = len(prompt) + max_new
 
     def choose(rows, logits):

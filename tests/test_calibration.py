@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantlab import calibration
 from quantlab.calibration import (
     CalibrationSet,
     capture_channel_stats,
@@ -16,7 +17,13 @@ from quantlab.calibration import (
     stats_to_csv,
     write_sequences,
 )
-from quantlab.errors import ContextOverflow, FileTooSmall, ParseError, UnknownSite
+from quantlab.errors import (
+    ContextOverflow,
+    FileTooSmall,
+    ParseError,
+    TokenOutOfRange,
+    UnknownSite,
+)
 from quantlab.quantrun import capture_activations
 from quantlab.rng import make_rng
 from quantlab.toymodel import BLOCK, ToyConfig, generate, init_model
@@ -161,6 +168,19 @@ class TestSelfGenerate:
     def test_empty_prompts_rejected(self, small_model):
         with pytest.raises(ValueError):
             self_generate(small_model, [], seq_len=8, count=1, rng=make_rng(0))
+
+    @pytest.mark.parametrize("prompts, error", [
+        ([], ValueError),
+        ([[0], [0, SMALL.vocab_size]], TokenOutOfRange),
+        ([[0], [0] * (SMALL.max_seq_len + 1)], ContextOverflow)])
+    def test_prompts_checked_before_the_batch(self, small_model, monkeypatch, prompts,
+                                              error):
+        def no_batch(*args):
+            raise AssertionError("check_batch ran before the prompts were checked")
+
+        monkeypatch.setattr(calibration, "check_batch", no_batch)
+        with pytest.raises(error):
+            self_generate(small_model, prompts, seq_len=8, count=2, rng=make_rng(0))
 
     def test_longer_than_context_rejected(self, small_model):
         with pytest.raises(ContextOverflow):

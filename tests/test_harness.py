@@ -176,6 +176,20 @@ class TestLengthControl:
                 small_model, [], QuantPlan(w_bits=4, w_method="gptq"),
                 LengthControl(), make_rng(0))
 
+    def test_sampling_without_rng_rejected_before_calibration(self, small_model,
+                                                              monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("prepare_runtime ran for a sampler without an rng")
+
+        with monkeypatch.context() as m:
+            m.setattr("quantlab.harness.prepare_runtime", no_calibration)
+            with pytest.raises(ValueError, match="rng"):
+                generate_with_length_control(small_model, [0], QuantPlan(),
+                                             LengthControl(), None, temperature=0.6)
+        seq, _, total = generate_with_length_control(  # greedy draws nothing
+            small_model, [0], QuantPlan(), LengthControl(), None, temperature=0.0)
+        assert seq[0] == 0 and total == len(seq) - 1 > 0
+
     @pytest.mark.parametrize("mode", [LC_OFF, LC_SUPPRESS, LC_PROMOTE])
     def test_thinking_count_when_context_fills(self, short_model, mode):
         """Thinking counts every token chosen before THINK_END, the one that

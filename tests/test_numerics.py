@@ -68,17 +68,18 @@ class TestInvertSpd:
 class TestHadamard:
     def test_n1(self):
         h = hadamard(1, make_rng(0))
-        assert np.array_equal(h.matrix * h.sign_diag, np.array([[1.0]]))
+        assert np.array_equal(h.matrix * h.matrix[0], np.array([[1.0]]))
 
     def test_n2_base_case(self):
         h = hadamard(2, make_rng(0))
         expect = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        assert np.max(np.abs(h.matrix * h.sign_diag - expect)) < 1e-15
+        signs = h.matrix[0] * np.sqrt(2.0)  # Sylvester's first row is all ones
+        assert np.max(np.abs(h.matrix * signs - expect)) < 1e-15
 
     def test_randomized_orthogonality(self):
         h = hadamard(64, make_rng(4))
         assert np.max(np.abs(h.matrix @ h.matrix.T - np.eye(64))) <= 1e-10
-        assert set(np.unique(h.sign_diag)) <= {-1.0, 1.0}
+        assert set(np.unique(h.matrix[0] * np.sqrt(64))) <= {-1.0, 1.0}
 
     def test_round_trip_vector(self):
         h = hadamard(128, make_rng(5))

@@ -29,6 +29,7 @@ from quantlab.toymodel import (
     Session,
     ToyConfig,
     check_batch,
+    check_generate,
     decode,
     forward_reference,
     generate,
@@ -229,6 +230,26 @@ class TestForward:
     def test_context_overflow(self, small_model):
         with pytest.raises(ContextOverflow):
             forward_reference(small_model, [0] * (SMALL.max_seq_len + 1))
+
+    @pytest.mark.parametrize("ids", [[3.7], [3.0, 5.0], [True, False],
+                                     np.array([1.0, 2.0], dtype=np.float32)],
+                             ids=["float", "integral-float", "bool", "float32"])
+    def test_non_integer_ids_rejected(self, small_model, ids):
+        with pytest.raises(TokenOutOfRange, match="integers"):
+            forward_reference(small_model, ids)
+        with pytest.raises(TokenOutOfRange, match="integers"):
+            generate(small_model, ids, max_new=3, temperature=0.0)
+        with pytest.raises(TokenOutOfRange, match="integers"):
+            Session(small_model, rows=len(ids)).step(ids)
+        with pytest.raises(TokenOutOfRange, match="integers"):
+            Session(small_model).step(ids[0])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_integer_ids_of_any_width(self, small_model, dtype):
+        probe = [3, 5, 0, 15, 7]
+        want = forward_reference(small_model, probe)
+        got = forward_reference(small_model, np.array(probe, dtype=dtype))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("p0", [0, 1, 40])
@@ -610,6 +631,13 @@ class TestSampling:
         with pytest.raises(ContextOverflow):
             generate(small_model, [BOS_ID], max_new=SMALL.max_seq_len,
                      temperature=0.0)
+
+    def test_check_generate_bounds_the_longest_prompt(self):
+        short, longest = [BOS_ID], [BOS_ID] * 10
+        for prompts in ([short, longest], [longest, short]):
+            check_generate(SMALL, prompts, SMALL.max_seq_len - 10, 0.0, 1.0, None)
+            with pytest.raises(ContextOverflow, match="^10 prompt"):
+                check_generate(SMALL, prompts, SMALL.max_seq_len - 9, 0.0, 1.0, None)
 
     def test_generate_rejects_negative_max_new(self, small_model):
         with pytest.raises(ValueError, match="max_new"):
